@@ -10,7 +10,7 @@
 //! counts.
 
 use sharc_checker::{CheckEvent, EventLog, EventSink, OwnedCache, ShadowGeometry};
-use sharc_runtime::{ScalableShadow, Shadow, ShardedShadow, ThreadId, WideThreadId};
+use sharc_runtime::{Shadow, ShardedShadow, ThreadId};
 use sharc_testkit::Bench;
 
 /// Working set sized to the cache's default slot count, so the
@@ -242,13 +242,13 @@ fn main() {
     // The ≤63-thread fast path (one shard, the default geometry)
     // against the wide five-shard geometry, with both an in-shard tid
     // and a tid that lives past the first shard; plus the
-    // adaptive-only wrapper for reference. All loops are steady-state
+    // adaptive-only (zero-shard) geometry for reference. All loops are steady-state
     // owned writes, the same shape as the bitmap benches above.
     {
-        let s = ShardedShadow::new(GRANULES);
+        let s = ShardedShadow::with_geometry(GRANULES, ShadowGeometry::default());
         g.bench("sharded/1shard-write-tid1", || {
             for i in 0..GRANULES {
-                s.check_write(i, WideThreadId(1)).unwrap();
+                s.check_write(i, ThreadId(1)).unwrap();
             }
         });
     }
@@ -256,7 +256,7 @@ fn main() {
         let s = ShardedShadow::with_geometry(GRANULES, ShadowGeometry::for_threads(256));
         g.bench("sharded/5shard-write-tid1", || {
             for i in 0..GRANULES {
-                s.check_write(i, WideThreadId(1)).unwrap();
+                s.check_write(i, ThreadId(1)).unwrap();
             }
         });
     }
@@ -264,7 +264,7 @@ fn main() {
         let s = ShardedShadow::with_geometry(GRANULES, ShadowGeometry::for_threads(256));
         g.bench("sharded/5shard-write-tid200", || {
             for i in 0..GRANULES {
-                s.check_write(i, WideThreadId(200)).unwrap();
+                s.check_write(i, ThreadId(200)).unwrap();
             }
         });
     }
@@ -273,15 +273,15 @@ fn main() {
         let mut c = OwnedCache::<1>::new();
         g.bench("sharded/5shard-write-tid200-cached", || {
             for i in 0..GRANULES {
-                s.check_write_cached(i, WideThreadId(200), &mut c).unwrap();
+                s.check_write_cached(i, ThreadId(200), &mut c).unwrap();
             }
         });
     }
     {
-        let s = ScalableShadow::new(GRANULES);
+        let s = ShardedShadow::with_geometry(GRANULES, ShadowGeometry::adaptive_only());
         g.bench("sharded/adaptive-write-tid1000", || {
             for i in 0..GRANULES {
-                s.check_write(i, WideThreadId(1000)).unwrap();
+                s.check_write(i, ThreadId(1000)).unwrap();
             }
         });
     }
@@ -410,9 +410,7 @@ fn main() {
     sharc_bench::assert_ranged_cast_wins(&g);
 
     // Binary-trace acceptance gates: binary v4 at most 1/4 the bytes
-    // of text on the same trace, encode+decode >=2x faster; parallel
-    // replay >=2x faster than sequential on a multi-core host (with
-    // an honest overhead bound on a single CPU — see the gate).
+    // of text on the same trace, encode+decode >=2x faster. The
+    // seq/par replay pair is reported in the JSON, not gated.
     sharc_bench::assert_trace_wins(&g, &trace_rows[0]);
-    sharc_bench::assert_parallel_replay_wins(&g, &trace_rows[0]);
 }

@@ -131,6 +131,5 @@ fn main() {
         sharc_bench::assert_online_bounds(&b, &online);
         sharc_bench::assert_elision_wins(&b);
         sharc_bench::assert_trace_wins(&b, &trace[0]);
-        sharc_bench::assert_parallel_replay_wins(&b, &trace[0]);
     }
 }

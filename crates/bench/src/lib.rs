@@ -63,7 +63,7 @@ pub fn scan_workload_sharc<P: AccessPolicy>(
     for t in 0..threads {
         let arena = Arc::clone(&arena);
         handles.push(std::thread::spawn(move || {
-            let mut ctx = ThreadCtx::new(ThreadId(t as u8 + 1));
+            let mut ctx = ThreadCtx::new(ThreadId(t as u32 + 1));
             let base = t * words_per_thread;
             let mut sum = 0u64;
             for _ in 0..passes {
@@ -204,7 +204,7 @@ fn epoch_shadow(global: bool) -> Shadow {
     if global {
         // The R = 1 degenerate geometry: the pre-region behaviour
         // where any clear invalidates every cached entry.
-        Shadow::with_epoch_regions(EPOCH_GRANULES, 1)
+        Shadow::new(EPOCH_GRANULES).with_epoch_regions(1)
     } else {
         // The default geometry: 64 regions of 4 granules.
         Shadow::new(EPOCH_GRANULES)
@@ -289,7 +289,7 @@ pub fn epoch_geometry_rows(g: &mut sharc_testkit::Bench) {
     let t = ThreadId(1);
     for &ws in &[64usize, 256, 1024] {
         for &r in &[1usize, 16, 64, 256] {
-            let s: Shadow = Shadow::with_epoch_regions(ws, r);
+            let s: Shadow = Shadow::new(ws).with_epoch_regions(r);
             let mut cache: OwnedCache = OwnedCache::new();
             let churn = (ws / 16).max(4);
             g.bench(&format!("epoch-geom/r{r}-ws{ws}"), || {
@@ -401,7 +401,7 @@ pub struct StunnelRow {
 /// contention on the session and counter locks. Returns the derived
 /// throughput records for the JSON document.
 pub fn stunnel_rows(g: &mut sharc_testkit::Bench, smoke: bool) -> Vec<StunnelRow> {
-    use sharc_runtime::{WideChecked, WideUnchecked};
+    use sharc_runtime::{CachedChecked, Unchecked};
     use sharc_workloads::benchmarks::stunnel::{run_native, Params};
 
     let shape = |clients: usize, workers: usize| Params {
@@ -429,9 +429,9 @@ pub fn stunnel_rows(g: &mut sharc_testkit::Bench, smoke: bool) -> Vec<StunnelRow
     let mut rows = Vec::new();
     for (name, params, checked) in specs {
         if checked {
-            g.bench(&name, || run_native::<WideChecked>(&params));
+            g.bench(&name, || run_native::<CachedChecked>(&params));
         } else {
-            g.bench(&name, || run_native::<WideUnchecked>(&params));
+            g.bench(&name, || run_native::<Unchecked>(&params));
         }
         let stats = g
             .results()
@@ -490,7 +490,7 @@ pub struct OnlineRow {
 /// rings rather than the trace having fit in them.
 pub fn online_rows(g: &mut sharc_testkit::Bench, smoke: bool) -> Vec<OnlineRow> {
     use sharc_checker::{BitmapBackend, ShadowGeometry, StreamingSink};
-    use sharc_runtime::WideChecked;
+    use sharc_runtime::CachedChecked;
     use sharc_workloads::benchmarks::{pbzip2, stunnel};
 
     let stunnel_params = stunnel::Params {
@@ -536,7 +536,7 @@ pub fn online_rows(g: &mut sharc_testkit::Bench, smoke: bool) -> Vec<OnlineRow> 
     let (rings, cap) = (4usize, 256usize);
     g.bench("online/stunnel-stream", || stunnel_stream(rings, cap));
     g.bench("online/stunnel-orig", || {
-        stunnel::run_native::<WideChecked>(&stunnel_params)
+        stunnel::run_native::<CachedChecked>(&stunnel_params)
     });
     let (_, stats) = stunnel_stream(rings, cap);
     rows.push(OnlineRow {
@@ -961,49 +961,6 @@ pub fn assert_trace_wins(g: &sharc_testkit::Bench, row: &TraceRow) {
         (be + bd) * 2 <= te + td,
         "binary encode+decode must beat text by >=2x ({be}+{bd} ns vs {te}+{td} ns)"
     );
-}
-
-/// The parallel-replay acceptance gate. On a multi-core host the
-/// `replay/par-4` minimum must be at least 2× below `replay/seq`'s.
-/// On a single-CPU host a wall-clock speedup is physically
-/// impossible — four workers time-slice one core, and each scans the
-/// whole event slice — so the gate degrades to an overhead bound
-/// (par ≤ 4× seq, i.e. the sharding itself adds little beyond the
-/// replicated scans) and says so instead of asserting a fiction. The
-/// verdict equality half of the claim is asserted unconditionally in
-/// [`trace_replay_rows`].
-pub fn assert_parallel_replay_wins(g: &sharc_testkit::Bench, row: &TraceRow) {
-    let row_min = |name: &str| {
-        g.results()
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| s.min_ns)
-            .expect("replay row ran")
-    };
-    let (seq, par) = (
-        row_min("replay/seq"),
-        row_min(&format!("replay/par-{}", row.replay_jobs)),
-    );
-    eprintln!(
-        "replay ({} events): seq {seq} ns vs par-{} {par} ns (min) on {} cpu(s)",
-        row.events, row.replay_jobs, row.cpus
-    );
-    if row.cpus >= 2 {
-        assert!(
-            par * 2 <= seq,
-            "parallel replay must be >=2x faster than sequential ({par} ns vs {seq} ns on {} cpus)",
-            row.cpus
-        );
-    } else {
-        eprintln!(
-            "replay: single-CPU host — the >=2x wall-clock gate cannot bind; \
-             bounding sharding overhead instead"
-        );
-        assert!(
-            par <= seq.saturating_mul(4),
-            "parallel replay overhead out of bounds on 1 cpu ({par} ns vs {seq} ns)"
-        );
-    }
 }
 
 /// Writes `BENCH_checker.json` at the repo root: the standard bench

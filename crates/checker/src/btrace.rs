@@ -408,9 +408,18 @@ impl<'a> BinaryTraceReader<'a> {
         }
     }
 
+    /// Events [`BinaryTraceReader::decode`] reserves room for before
+    /// reading any payload: the header's count, but never more than
+    /// the payload bytes could encode (every event is at least its
+    /// opcode byte), so a lying header cannot reserve gigabytes.
+    fn decode_capacity(&self) -> usize {
+        let payload_bytes = self.footer_off - HEADER_LEN;
+        usize::try_from(self.event_count).map_or(payload_bytes, |n| n.min(payload_bytes))
+    }
+
     /// Decodes the whole trace, verifying the header's event count.
     pub fn decode(&self) -> Result<Vec<CheckEvent>, String> {
-        let mut out = Vec::with_capacity(self.event_count.min(1 << 28) as usize);
+        let mut out = Vec::with_capacity(self.decode_capacity());
         for e in self.events() {
             out.push(e?);
         }
@@ -728,6 +737,55 @@ mod tests {
         assert!(parse_binary(&short_count)
             .unwrap_err()
             .contains("promises 2"));
+    }
+
+    #[test]
+    fn lying_event_count_cannot_reserve_past_the_payload() {
+        // A valid one-block trace whose header claims u64::MAX events:
+        // decode fails on the count, having reserved no more than the
+        // four payload bytes could encode.
+        let mut lying = to_binary(&[CheckEvent::Read { tid: 1, granule: 7 }]);
+        lying[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        let r = BinaryTraceReader::new(&lying).expect("framing is intact");
+        assert_eq!(r.event_count(), u64::MAX);
+        assert_eq!(r.decode_capacity(), 4, "tid, count, opcode, delta");
+        assert!(r.decode().unwrap_err().contains("promises"));
+    }
+
+    #[test]
+    fn fleet_shaped_trace_is_at_most_a_quarter_of_its_text_form() {
+        // The archive claim where it is deterministic: a fixed-seed
+        // trace shaped like a recorded server fleet (128 wide tids,
+        // each emitting bursts of sweeps that advance through its own
+        // buffer band). On a *recorded* run the ratio follows how the
+        // scheduler cuts the per-thread blocks; here it cannot move.
+        use sharc_testkit::rng::{Rng, Xoshiro256pp};
+        let mut rng = Xoshiro256pp::seed_from_u64(0x5B74);
+        let mut cursor = [0usize; 128];
+        let mut events = Vec::new();
+        while events.len() < 50_000 {
+            let worker = rng.gen_range(0..128usize);
+            let tid = worker as u32 + 2;
+            for _ in 0..rng.gen_range(8..32usize) {
+                let granule = worker * 4096 + cursor[worker] % 4096;
+                let len = rng.gen_range(1..17usize);
+                cursor[worker] += len;
+                events.push(match rng.gen_range(0..4u32) {
+                    0 => CheckEvent::RangeWrite { tid, granule, len },
+                    1 => CheckEvent::RangeRead { tid, granule, len },
+                    2 => CheckEvent::Write { tid, granule },
+                    _ => CheckEvent::Read { tid, granule },
+                });
+            }
+        }
+        let (binary, text) = (to_binary(&events), to_text(&events));
+        assert_eq!(parse_binary(&binary).expect("parses"), events);
+        assert!(
+            binary.len() * 4 <= text.len(),
+            "binary must be at most 1/4 the bytes of text ({} vs {})",
+            binary.len(),
+            text.len()
+        );
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //! `region_of(g) = (g >> region_shift) & (R − 1)`: contiguous blocks
 //! of `2^region_shift` granules, wrapping modulo `R` once the granule
 //! index exceeds `R · 2^region_shift`. The wrap matters for growable
-//! granule spaces (the VM's heap, `ScalableShadow`'s lazy pages): a
-//! granule past the sized range still gets *an* epoch — it merely
-//! shares it with an earlier block, which is conservative (a bump
-//! there invalidates slightly more than necessary), never unsound.
+//! granule spaces (the VM's heap): a granule past the sized range
+//! still gets *an* epoch — it merely shares it with an earlier block,
+//! which is conservative (a bump there invalidates slightly more than
+//! necessary), never unsound.
 //!
 //! ## The per-region invariant
 //!

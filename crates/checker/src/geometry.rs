@@ -31,8 +31,8 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShadowGeometry {
     /// Number of 63-thread bitmap shards. Zero means "adaptive only":
-    /// every thread id goes through the overflow word, which is
-    /// exactly the pre-sharding `ScalableShadow` behaviour.
+    /// every thread id goes through the overflow word — the scalable
+    /// one-word encoding of §4.2.1's future work.
     shards: usize,
 }
 

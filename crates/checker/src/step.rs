@@ -5,10 +5,12 @@
 //! Every runtime-check engine in the workspace is a thin wrapper
 //! over these functions:
 //!
-//! * `sharc-runtime`'s `Shadow` runs [`bitmap::step`] inside a
-//!   compare-exchange retry loop (the portable `cmpxchg` of §4.2.1);
-//! * `sharc-runtime`'s `ScalableShadow` does the same with
-//!   [`adaptive::step`];
+//! * `sharc-runtime`'s `OneWord` protocol runs [`bitmap::step`]
+//!   inside a compare-exchange retry loop (the portable `cmpxchg` of
+//!   §4.2.1);
+//! * its `MultiWord` protocol runs [`sharded::step`] — which is
+//!   [`adaptive::step`] alone under a zero-shard geometry — inside a
+//!   snapshot → CAS → revalidate loop;
 //! * `sharc-interp`'s VM applies [`bitmap::step`] directly — its
 //!   scheduler serializes instructions, so no CAS is needed, and the
 //!   verdicts are *identical by construction* to the real-thread
@@ -140,8 +142,8 @@ pub mod bitmap {
 /// ```
 ///
 /// Sound for any number of threads; exact whenever a granule has at
-/// most one concurrent reader (see `ScalableShadow`'s docs for the
-/// documented imprecision at thread exit).
+/// most one concurrent reader (see `sharc-runtime`'s `sharded` module
+/// docs for the documented imprecision at thread exit).
 pub mod adaptive {
     use super::{Access, Transition};
 

@@ -264,10 +264,14 @@ impl EventSink for StreamingSink {
                 if bufs[cur].len() < self.cap {
                     let s = self.stamp.fetch_add(1, Ordering::SeqCst);
                     bufs[(s >> 63) as usize].push((s & SEQ_MASK, e));
-                    drop(bufs);
-                    self.recorded.fetch_add(1, Ordering::Relaxed);
+                    // Count the event as resident while the ring lock
+                    // still pins it in its buffer: a collector that
+                    // drained it first would subtract before this add
+                    // and wrap the counter below zero.
                     let r = self.resident.fetch_add(1, Ordering::Relaxed) + 1;
                     self.peak_resident.fetch_max(r, Ordering::Relaxed);
+                    drop(bufs);
+                    self.recorded.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
             }

@@ -4,14 +4,15 @@
 //! Table 1's "Time Orig./SharC" columns.
 
 use crate::locks::ThreadCtx;
-use crate::shadow::{Shadow, ShadowWord};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use crate::shadow::{OneWord, Shadow, ShadowWord, WordProtocol};
+use crate::sharded::{MultiWord, ShardedShadow};
+use sharc_checker::ShadowGeometry;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Payload 8-byte words per shadow granule, derived from the one
-/// workspace-wide granule definition — re-exported at the crate root
-/// so workloads can convert word spans to granule spans.
 /// workspace-wide granule definition (`sharc_checker::GRANULE_BYTES`
-/// = the paper's 16 bytes).
+/// = the paper's 16 bytes) — re-exported at the crate root so
+/// workloads can convert word spans to granule spans.
 pub const GRANULE_WORDS: usize = sharc_checker::GRANULE_WORDS;
 
 const _: () = assert!(
@@ -21,9 +22,8 @@ const _: () = assert!(
 
 /// The granule span `(first, len)` covered by payload words
 /// `start .. start + words` (`words > 0`) — the ONE word-to-granule
-/// conversion shared by the narrow [`Arena`] and the wide
-/// [`crate::wide::WideArena`], so the ranged clear/check paths agree
-/// on coverage by construction.
+/// conversion, so the ranged clear/check paths agree on coverage by
+/// construction.
 #[inline]
 pub fn granule_span(start: usize, words: usize) -> (usize, usize) {
     let g0 = start / GRANULE_WORDS;
@@ -39,7 +39,7 @@ pub fn granule_span(start: usize, words: usize) -> (usize, usize) {
 /// exit pays one ranged clear (one epoch bump per covered region)
 /// per contiguous footprint rather than one clear-plus-bump per
 /// logged access.
-pub(crate) fn drain_logged_runs(log: &mut Vec<usize>, mut clear_run: impl FnMut(usize, usize)) {
+fn drain_logged_runs(log: &mut Vec<usize>, mut clear_run: impl FnMut(usize, usize)) {
     log.sort_unstable();
     log.dedup();
     let mut i = 0;
@@ -56,36 +56,49 @@ pub(crate) fn drain_logged_runs(log: &mut Vec<usize>, mut clear_run: impl FnMut(
     log.clear();
 }
 
-/// A word arena with shadow state.
+/// A word arena with shadow state, generic over the shadow's word
+/// protocol: [`Arena::new`] is the paper's configuration (one shadow
+/// byte per granule, 7 checked threads), [`Arena::for_threads`] the
+/// sharded one for fleets past 63 threads.
 #[derive(Debug)]
-pub struct Arena<W: ShadowWord = AtomicU8> {
+pub struct Arena<P: WordProtocol = OneWord> {
     data: Vec<AtomicU64>,
-    shadow: Shadow<W>,
+    shadow: Shadow<P>,
 }
 
-impl<W: ShadowWord> Arena<W> {
-    /// Creates an arena of `n_words` zeroed 8-byte words.
+impl<W: ShadowWord> Arena<OneWord<W>> {
+    /// Creates an arena of `n_words` zeroed 8-byte words over the
+    /// single-word shadow.
     pub fn new(n_words: usize) -> Self {
-        let mut data = Vec::with_capacity(n_words);
-        data.resize_with(n_words, AtomicU64::default);
-        let n_granules = n_words.div_ceil(GRANULE_WORDS);
-        Arena {
-            data,
-            shadow: Shadow::new(n_granules),
-        }
+        Self::over(n_words, Shadow::new)
+    }
+}
+
+impl Arena<MultiWord> {
+    /// Creates an arena of `n_words` zeroed words whose shadow keeps
+    /// exact identities for up to `threads` checked tids (the
+    /// geometry rounds up to whole 63-tid shards).
+    pub fn for_threads(n_words: usize, threads: usize) -> Self {
+        Self::with_geometry(n_words, ShadowGeometry::for_threads(threads))
     }
 
-    /// [`Arena::new`] with an explicit epoch-region count for the
-    /// shadow (see [`sharc_checker::epoch`]); `regions = 1` is the
-    /// degenerate global epoch where every `free` flushes every
-    /// thread's whole owned cache.
-    pub fn with_epoch_regions(n_words: usize, regions: usize) -> Self {
+    /// Creates an arena over an explicit shadow geometry.
+    pub fn with_geometry(n_words: usize, geom: ShadowGeometry) -> Self {
+        Self::over(n_words, |granules| {
+            ShardedShadow::with_geometry(granules, geom)
+        })
+    }
+}
+
+impl<P: WordProtocol> Arena<P> {
+    /// `n_words` zeroed words over the shadow `shadow(n_granules)`
+    /// builds.
+    fn over(n_words: usize, shadow: impl FnOnce(usize) -> Shadow<P>) -> Self {
         let mut data = Vec::with_capacity(n_words);
         data.resize_with(n_words, AtomicU64::default);
-        let n_granules = n_words.div_ceil(GRANULE_WORDS);
         Arena {
             data,
-            shadow: Shadow::with_epoch_regions(n_granules, regions),
+            shadow: shadow(n_words.div_ceil(GRANULE_WORDS)),
         }
     }
 
@@ -99,7 +112,8 @@ impl<W: ShadowWord> Arena<W> {
         self.data.is_empty()
     }
 
-    /// Bytes of shadow memory (the paper's memory overhead).
+    /// Bytes of shadow memory (the paper's memory overhead; a sharded
+    /// geometry pays one extra word per granule per 63 tids).
     pub fn shadow_bytes(&self) -> usize {
         self.shadow.shadow_bytes()
     }
@@ -325,12 +339,12 @@ impl<W: ShadowWord> Arena<W> {
             self.shadow.clear_thread_range(start, len, tid)
         });
         if let Some(sink) = &ctx.sink {
-            sink.record(sharc_checker::CheckEvent::ThreadExit { tid: tid.0 as u32 });
+            sink.record(sharc_checker::CheckEvent::ThreadExit { tid: tid.0 });
         }
     }
 
     /// Direct access to the shadow, for tests and detectors.
-    pub fn shadow(&self) -> &Shadow<W> {
+    pub fn shadow(&self) -> &Shadow<P> {
         &self.shadow
     }
 }
@@ -341,16 +355,16 @@ impl<W: ShadowWord> Arena<W> {
 /// exactly the cost of the checks.
 pub trait AccessPolicy: Copy + Send + 'static {
     const NAME: &'static str;
-    fn read<W: ShadowWord>(arena: &Arena<W>, ctx: &mut ThreadCtx, i: usize) -> u64;
-    fn write<W: ShadowWord>(arena: &Arena<W>, ctx: &mut ThreadCtx, i: usize, v: u64);
+    fn read<P: WordProtocol>(arena: &Arena<P>, ctx: &mut ThreadCtx, i: usize) -> u64;
+    fn write<P: WordProtocol>(arena: &Arena<P>, ctx: &mut ThreadCtx, i: usize, v: u64);
 
     /// One sweep reading words `start .. start + words`, `each(i, v)`
     /// per word. The default lowers to per-word [`AccessPolicy::read`]
     /// calls; checked policies override it with **one** ranged check
     /// per sweep — same verdicts, one shadow pass.
     #[inline]
-    fn read_range<W: ShadowWord>(
-        arena: &Arena<W>,
+    fn read_range<P: WordProtocol>(
+        arena: &Arena<P>,
         ctx: &mut ThreadCtx,
         start: usize,
         words: usize,
@@ -363,8 +377,8 @@ pub trait AccessPolicy: Copy + Send + 'static {
 
     /// One sweep writing `value(i)` to words `start .. start + words`.
     #[inline]
-    fn write_range<W: ShadowWord>(
-        arena: &Arena<W>,
+    fn write_range<P: WordProtocol>(
+        arena: &Arena<P>,
         ctx: &mut ThreadCtx,
         start: usize,
         words: usize,
@@ -384,18 +398,18 @@ pub struct Unchecked;
 impl AccessPolicy for Unchecked {
     const NAME: &'static str = "orig";
     #[inline(always)]
-    fn read<W: ShadowWord>(arena: &Arena<W>, ctx: &mut ThreadCtx, i: usize) -> u64 {
+    fn read<P: WordProtocol>(arena: &Arena<P>, ctx: &mut ThreadCtx, i: usize) -> u64 {
         ctx.total_accesses += 1;
         arena.read_unchecked(i)
     }
     #[inline(always)]
-    fn write<W: ShadowWord>(arena: &Arena<W>, ctx: &mut ThreadCtx, i: usize, v: u64) {
+    fn write<P: WordProtocol>(arena: &Arena<P>, ctx: &mut ThreadCtx, i: usize, v: u64) {
         ctx.total_accesses += 1;
         arena.write_unchecked(i, v);
     }
     #[inline]
-    fn read_range<W: ShadowWord>(
-        arena: &Arena<W>,
+    fn read_range<P: WordProtocol>(
+        arena: &Arena<P>,
         ctx: &mut ThreadCtx,
         start: usize,
         words: usize,
@@ -407,8 +421,8 @@ impl AccessPolicy for Unchecked {
         }
     }
     #[inline]
-    fn write_range<W: ShadowWord>(
-        arena: &Arena<W>,
+    fn write_range<P: WordProtocol>(
+        arena: &Arena<P>,
         ctx: &mut ThreadCtx,
         start: usize,
         words: usize,
@@ -428,18 +442,18 @@ pub struct Checked;
 impl AccessPolicy for Checked {
     const NAME: &'static str = "sharc";
     #[inline(always)]
-    fn read<W: ShadowWord>(arena: &Arena<W>, ctx: &mut ThreadCtx, i: usize) -> u64 {
+    fn read<P: WordProtocol>(arena: &Arena<P>, ctx: &mut ThreadCtx, i: usize) -> u64 {
         ctx.total_accesses += 1;
         arena.read_checked(ctx, i)
     }
     #[inline(always)]
-    fn write<W: ShadowWord>(arena: &Arena<W>, ctx: &mut ThreadCtx, i: usize, v: u64) {
+    fn write<P: WordProtocol>(arena: &Arena<P>, ctx: &mut ThreadCtx, i: usize, v: u64) {
         ctx.total_accesses += 1;
         arena.write_checked(ctx, i, v);
     }
     #[inline]
-    fn read_range<W: ShadowWord>(
-        arena: &Arena<W>,
+    fn read_range<P: WordProtocol>(
+        arena: &Arena<P>,
         ctx: &mut ThreadCtx,
         start: usize,
         words: usize,
@@ -449,8 +463,8 @@ impl AccessPolicy for Checked {
         arena.read_range_checked(ctx, start, words, each);
     }
     #[inline]
-    fn write_range<W: ShadowWord>(
-        arena: &Arena<W>,
+    fn write_range<P: WordProtocol>(
+        arena: &Arena<P>,
         ctx: &mut ThreadCtx,
         start: usize,
         words: usize,
@@ -470,18 +484,18 @@ pub struct CachedChecked;
 impl AccessPolicy for CachedChecked {
     const NAME: &'static str = "sharc-cached";
     #[inline(always)]
-    fn read<W: ShadowWord>(arena: &Arena<W>, ctx: &mut ThreadCtx, i: usize) -> u64 {
+    fn read<P: WordProtocol>(arena: &Arena<P>, ctx: &mut ThreadCtx, i: usize) -> u64 {
         ctx.total_accesses += 1;
         arena.read_cached(ctx, i)
     }
     #[inline(always)]
-    fn write<W: ShadowWord>(arena: &Arena<W>, ctx: &mut ThreadCtx, i: usize, v: u64) {
+    fn write<P: WordProtocol>(arena: &Arena<P>, ctx: &mut ThreadCtx, i: usize, v: u64) {
         ctx.total_accesses += 1;
         arena.write_cached(ctx, i, v);
     }
     #[inline]
-    fn read_range<W: ShadowWord>(
-        arena: &Arena<W>,
+    fn read_range<P: WordProtocol>(
+        arena: &Arena<P>,
         ctx: &mut ThreadCtx,
         start: usize,
         words: usize,
@@ -491,8 +505,8 @@ impl AccessPolicy for CachedChecked {
         arena.read_range_cached(ctx, start, words, each);
     }
     #[inline]
-    fn write_range<W: ShadowWord>(
-        arena: &Arena<W>,
+    fn write_range<P: WordProtocol>(
+        arena: &Arena<P>,
         ctx: &mut ThreadCtx,
         start: usize,
         words: usize,
@@ -506,8 +520,53 @@ impl AccessPolicy for CachedChecked {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::EventLog;
     use crate::shadow::ThreadId;
+    use sharc_checker::{replay, BitmapBackend, CheckEvent};
     use std::sync::Arc;
+
+    /// Four tids a generic test may use: ids the one-byte shadow can
+    /// hold, or ids that land in four different shards.
+    type Tids = [ThreadId; 4];
+    const NARROW: Tids = [ThreadId(1), ThreadId(2), ThreadId(3), ThreadId(4)];
+    const CROSS_SHARD: Tids = [ThreadId(1), ThreadId(70), ThreadId(140), ThreadId(250)];
+
+    /// Runs each named generic test body on the paper's arena (one
+    /// shadow byte per granule) and on the five-shard arena with tids
+    /// in four different shards.
+    macro_rules! on_both_protocols {
+        ($($body:ident),* $(,)?) => {
+            mod one_word {
+                use super::*;
+                $(#[test] fn $body() { super::$body(Arena::<OneWord>::new, NARROW); })*
+            }
+            mod five_shards {
+                use super::*;
+                $(#[test] fn $body() {
+                    super::$body(|n| Arena::for_threads(n, 256), CROSS_SHARD);
+                })*
+            }
+        };
+    }
+
+    on_both_protocols!(
+        checked_single_thread_no_conflicts,
+        checked_cross_thread_write_conflicts,
+        thread_exit_enables_reuse,
+        clear_range_covers_granules,
+        coalesced_thread_exit_matches_per_granule_clear,
+        false_sharing_at_16_byte_granularity,
+        policies_are_equivalent_functionally,
+        cached_policy_matches_checked_verdicts,
+        cached_policy_sees_clear_range,
+        cached_policy_survives_unrelated_free,
+        ranged_sweep_data_and_verdicts_match_per_word_loop,
+        ranged_sweep_counts_conflicting_granules_once,
+        cached_ranged_repeat_sweep_skips_the_shadow,
+        ranged_policies_agree_with_per_word_policies,
+        ranged_sweeps_emit_range_events_that_replay_clean,
+        concurrent_partitioned_checked_access_is_clean,
+    );
 
     #[test]
     fn unchecked_roundtrip() {
@@ -516,88 +575,96 @@ mod tests {
         assert_eq!(a.read_unchecked(3), 42);
         assert_eq!(a.payload_bytes(), 64);
         assert_eq!(a.shadow_bytes(), 4, "1 shadow byte per 16 payload bytes");
+        let wide = Arena::for_threads(8, 256);
+        assert_eq!(wide.shadow_bytes(), 4 * 6 * 8, "5 shards + overflow");
     }
 
-    #[test]
-    fn checked_single_thread_no_conflicts() {
-        let a: Arena = Arena::new(8);
-        let mut ctx = ThreadCtx::new(ThreadId(1));
+    fn checked_single_thread_no_conflicts<P: WordProtocol>(
+        make: impl Fn(usize) -> Arena<P>,
+        t: Tids,
+    ) {
+        let a = make(8);
+        let mut ctx = ThreadCtx::new(t[3]);
         a.write_checked(&mut ctx, 0, 1);
         assert_eq!(a.read_checked(&mut ctx, 0), 1);
         assert_eq!(ctx.conflicts, 0);
         assert_eq!(ctx.checked_accesses, 2);
     }
 
-    #[test]
-    fn checked_cross_thread_write_conflicts() {
-        let a: Arena = Arena::new(2);
-        let mut c1 = ThreadCtx::new(ThreadId(1));
-        let mut c2 = ThreadCtx::new(ThreadId(2));
+    fn checked_cross_thread_write_conflicts<P: WordProtocol>(
+        make: impl Fn(usize) -> Arena<P>,
+        t: Tids,
+    ) {
+        let a = make(2);
+        let mut c1 = ThreadCtx::new(t[0]);
+        let mut c2 = ThreadCtx::new(t[3]);
         a.write_checked(&mut c1, 0, 1);
+        assert_eq!(c1.conflicts, 0);
         a.write_checked(&mut c2, 0, 2);
         assert_eq!(c2.conflicts, 1);
     }
 
-    #[test]
-    fn thread_exit_enables_reuse() {
-        let a: Arena = Arena::new(2);
-        let mut c1 = ThreadCtx::new(ThreadId(1));
-        a.write_checked(&mut c1, 0, 1);
+    fn thread_exit_enables_reuse<P: WordProtocol>(make: impl Fn(usize) -> Arena<P>, t: Tids) {
+        let a = make(2);
+        let mut c1 = ThreadCtx::new(t[1]);
+        a.write_cached(&mut c1, 0, 1);
         a.thread_exit(&mut c1);
-        let mut c2 = ThreadCtx::new(ThreadId(2));
-        a.write_checked(&mut c2, 0, 2);
-        assert_eq!(c2.conflicts, 0);
+        let mut c2 = ThreadCtx::new(t[2]);
+        a.write_cached(&mut c2, 0, 2);
+        assert_eq!(c2.conflicts, 0, "exited writer's bits are gone");
     }
 
-    #[test]
-    fn clear_range_covers_granules() {
-        let a: Arena = Arena::new(8);
-        let mut c1 = ThreadCtx::new(ThreadId(1));
+    fn clear_range_covers_granules<P: WordProtocol>(make: impl Fn(usize) -> Arena<P>, t: Tids) {
+        // The sharing cast: the old owner's sweep is forgotten and
+        // the new owner reads and writes the buffer cleanly.
+        let a = make(8);
+        let mut c1 = ThreadCtx::new(t[0]);
         for i in 0..8 {
             a.write_checked(&mut c1, i, i as u64);
         }
         a.clear_range(0, 8);
-        let mut c2 = ThreadCtx::new(ThreadId(2));
-        for i in 0..8 {
-            a.write_checked(&mut c2, i, 0);
-        }
+        let mut c2 = ThreadCtx::new(t[3]);
+        a.read_range_cached(&mut c2, 0, 8, |_, _| {});
+        a.write_range_cached(&mut c2, 0, 8, |i| i as u64 + 1);
         assert_eq!(c2.conflicts, 0);
     }
 
-    #[test]
-    fn coalesced_thread_exit_matches_per_granule_clear() {
+    fn coalesced_thread_exit_matches_per_granule_clear<P: WordProtocol>(
+        make: impl Fn(usize) -> Arena<P>,
+        t: Tids,
+    ) {
         // `thread_exit` coalesces the access log into runs and clears
         // them with `clear_thread_range`; the final shadow words must
         // be bit-identical to the per-granule `clear_thread` fold it
         // replaced — including granules another thread still reads.
-        let drive = |a: &Arena| -> (ThreadCtx, ThreadCtx) {
-            let mut c1 = ThreadCtx::new(ThreadId(1));
-            let mut c2 = ThreadCtx::new(ThreadId(2));
+        let drive = |a: &Arena<P>| -> (ThreadCtx, ThreadCtx) {
+            let mut c1 = ThreadCtx::new(t[0]);
+            let mut c2 = ThreadCtx::new(t[1]);
             // Two disjoint runs, logged out of order and with
             // duplicates (read-then-write registers a granule twice).
             for i in (20..28).rev() {
                 a.write_checked(&mut c1, i, i as u64);
             }
-            for i in 0..8 {
+            for i in 4..8 {
                 let _ = a.read_checked(&mut c1, i);
                 a.write_checked(&mut c1, i, i as u64);
             }
-            // Thread 2 shares reads on part of the first run: its
-            // reader bits must survive thread 1's exit.
+            // Thread 2 shares reads on the start of the first run:
+            // its reader bits must survive thread 1's exit.
             for i in 0..4 {
+                let _ = a.read_checked(&mut c1, i);
                 let _ = a.read_checked(&mut c2, i);
             }
             (c1, c2)
         };
-        let coalesced: Arena = Arena::new(32);
-        let folded: Arena = Arena::new(32);
+        let (coalesced, folded) = (make(32), make(32));
         let (mut exit_c1, _keep2) = drive(&coalesced);
         let (mut fold_c1, _keep2b) = drive(&folded);
         assert_eq!(exit_c1.access_log, fold_c1.access_log);
         coalesced.thread_exit(&mut exit_c1);
         // The pre-coalescing semantics: one clear per logged granule.
         for g in fold_c1.access_log.drain(..) {
-            folded.shadow.clear_thread(g, ThreadId(1));
+            folded.shadow.clear_thread(g, t[0]);
         }
         for g in 0..16 {
             assert_eq!(
@@ -607,41 +674,54 @@ mod tests {
             );
         }
         assert!(exit_c1.access_log.is_empty(), "exit drains the log");
+        // Thread 2 still reads granules 0..2; everything else thread 1
+        // touched is free again.
+        let mut c3 = ThreadCtx::new(t[2]);
+        coalesced.write_range_checked(&mut c3, 0, 28, |_| 0);
+        assert_eq!(c3.conflicts, 2, "only the surviving reader's granules");
     }
 
-    #[test]
-    fn false_sharing_at_16_byte_granularity() {
+    fn false_sharing_at_16_byte_granularity<P: WordProtocol>(
+        make: impl Fn(usize) -> Arena<P>,
+        t: Tids,
+    ) {
         // Words 0 and 1 share a granule: distinct objects, same
         // 16-byte chunk — the §4.5 false-positive source.
-        let a: Arena = Arena::new(2);
-        let mut c1 = ThreadCtx::new(ThreadId(1));
-        let mut c2 = ThreadCtx::new(ThreadId(2));
+        let a = make(2);
+        let mut c1 = ThreadCtx::new(t[0]);
+        let mut c2 = ThreadCtx::new(t[1]);
         a.write_checked(&mut c1, 0, 1);
         a.write_checked(&mut c2, 1, 2);
         assert_eq!(c2.conflicts, 1, "false sharing detected as a conflict");
+        assert_eq!(a.read_unchecked(0), 1);
     }
 
-    #[test]
-    fn policies_are_equivalent_functionally() {
-        fn sum<P: AccessPolicy>(a: &Arena, ctx: &mut ThreadCtx) -> u64 {
+    fn policies_are_equivalent_functionally<P: WordProtocol>(
+        make: impl Fn(usize) -> Arena<P>,
+        t: Tids,
+    ) {
+        fn sum<A: AccessPolicy, P: WordProtocol>(a: &Arena<P>, ctx: &mut ThreadCtx) -> u64 {
             for i in 0..16 {
-                P::write(a, ctx, i, i as u64);
+                A::write(a, ctx, i, i as u64);
             }
-            (0..16).map(|i| P::read(a, ctx, i)).sum()
+            (0..16).map(|i| A::read(a, ctx, i)).sum()
         }
-        let a: Arena = Arena::new(16);
-        let mut ctx = ThreadCtx::new(ThreadId(1));
-        let s1 = sum::<Unchecked>(&a, &mut ctx);
-        let s2 = sum::<Checked>(&a, &mut ctx);
-        assert_eq!(s1, s2);
-        assert_eq!(s1, 120);
-        assert!(ctx.total_accesses > 0);
+        let a = make(16);
+        let mut ctx = ThreadCtx::new(t[2]);
+        assert_eq!(sum::<Unchecked, P>(&a, &mut ctx), 120);
+        assert_eq!(sum::<Checked, P>(&a, &mut ctx), 120);
+        assert_eq!(sum::<CachedChecked, P>(&a, &mut ctx), 120);
+        assert_eq!(ctx.total_accesses, 96);
+        assert_eq!(ctx.checked_accesses, 64);
+        assert_eq!(ctx.conflicts, 0);
     }
 
-    #[test]
-    fn cached_policy_matches_checked_verdicts() {
-        let a: Arena = Arena::new(16);
-        let mut c1 = ThreadCtx::new(ThreadId(1));
+    fn cached_policy_matches_checked_verdicts<P: WordProtocol>(
+        make: impl Fn(usize) -> Arena<P>,
+        t: Tids,
+    ) {
+        let a = make(16);
+        let mut c1 = ThreadCtx::new(t[0]);
         for rep in 0..8 {
             for i in 0..16 {
                 a.write_cached(&mut c1, i, rep);
@@ -654,18 +734,17 @@ mod tests {
             "one fill per granule, every repeat on the fast path"
         );
         // Cross-thread conflict still observed by the slow path.
-        let mut c2 = ThreadCtx::new(ThreadId(2));
+        let mut c2 = ThreadCtx::new(t[1]);
         a.write_cached(&mut c2, 0, 9);
         assert_eq!(c2.conflicts, 1);
     }
 
-    #[test]
-    fn cached_policy_sees_clear_range() {
-        let a: Arena = Arena::new(4);
-        let mut c1 = ThreadCtx::new(ThreadId(1));
+    fn cached_policy_sees_clear_range<P: WordProtocol>(make: impl Fn(usize) -> Arena<P>, t: Tids) {
+        let a = make(4);
+        let mut c1 = ThreadCtx::new(t[0]);
         a.write_cached(&mut c1, 0, 1);
         a.clear_range(0, 4);
-        let mut c2 = ThreadCtx::new(ThreadId(2));
+        let mut c2 = ThreadCtx::new(t[1]);
         a.write_cached(&mut c2, 0, 2);
         assert_eq!(c2.conflicts, 0);
         // Thread 1's cached ownership was invalidated by the clear:
@@ -675,43 +754,44 @@ mod tests {
         assert_eq!(c1.conflicts, 1);
     }
 
-    #[test]
-    fn cached_policy_survives_unrelated_free() {
-        // 256 words = 128 granules over the default 64-region table:
-        // freeing the low granules must not flush a worker's cached
-        // ownership of the high granules (the cached-epoch-thrash
-        // worst case per-region epochs exist to fix).
-        let a: Arena = Arena::new(256);
-        let mut c1 = ThreadCtx::new(ThreadId(1));
-        a.write_cached(&mut c1, 255, 1);
-        let fills = c1.owned_cache.misses;
-        a.clear_range(0, 2); // a distant free
-        a.write_cached(&mut c1, 255, 2);
-        assert_eq!(c1.conflicts, 0);
+    fn cached_policy_survives_unrelated_free<P: WordProtocol>(
+        make: impl Fn(usize) -> Arena<P>,
+        t: Tids,
+    ) {
+        // 256 words = 128 granules over at least 64 regions: freeing
+        // the low granules must not flush a worker's cached ownership
+        // of the high granules (the cached-epoch-thrash worst case
+        // per-region epochs exist to fix).
+        let free_far_away = |a: &Arena<P>| {
+            let mut c1 = ThreadCtx::new(t[0]);
+            a.write_cached(&mut c1, 255, 1);
+            let fills = c1.owned_cache.misses;
+            a.clear_range(0, 2); // a distant free
+            a.write_cached(&mut c1, 255, 2);
+            assert_eq!(c1.conflicts, 0, "verdicts never change");
+            c1.owned_cache.misses - fills
+        };
         assert_eq!(
-            c1.owned_cache.misses, fills,
+            free_far_away(&make(256)),
+            0,
             "the distant free must not cost a refill"
         );
         // Same trace under the degenerate R = 1 table: the free
         // flushes the cache and the next access refills.
-        let a1: Arena = Arena::with_epoch_regions(256, 1);
-        let mut d1 = ThreadCtx::new(ThreadId(1));
-        a1.write_cached(&mut d1, 255, 1);
-        let fills = d1.owned_cache.misses;
-        a1.clear_range(0, 2);
-        a1.write_cached(&mut d1, 255, 2);
-        assert_eq!(d1.conflicts, 0, "verdicts never change");
-        assert_eq!(d1.owned_cache.misses, fills + 1, "global epoch refills");
+        let mut global = make(256);
+        global.shadow = global.shadow.with_epoch_regions(1);
+        assert_eq!(free_far_away(&global), 1, "global epoch refills");
     }
 
-    #[test]
-    fn ranged_sweep_data_and_verdicts_match_per_word_loop() {
+    fn ranged_sweep_data_and_verdicts_match_per_word_loop<P: WordProtocol>(
+        make: impl Fn(usize) -> Arena<P>,
+        t: Tids,
+    ) {
         // Same payload and shadow outcome through the ranged path as
         // through the word loop; conflicts are per granule.
-        let a: Arena = Arena::new(32);
-        let b: Arena = Arena::new(32);
-        let mut ca = ThreadCtx::new(ThreadId(1));
-        let mut cb = ThreadCtx::new(ThreadId(1));
+        let (a, b) = (make(32), make(32));
+        let mut ca = ThreadCtx::new(t[1]);
+        let mut cb = ThreadCtx::new(t[1]);
         for i in 0..32 {
             a.write_checked(&mut ca, i, i as u64 * 3);
         }
@@ -737,26 +817,30 @@ mod tests {
         assert_eq!(la, lb);
     }
 
-    #[test]
-    fn ranged_sweep_counts_conflicting_granules_once() {
-        let a: Arena = Arena::new(8);
-        let mut intruder = ThreadCtx::new(ThreadId(2));
+    fn ranged_sweep_counts_conflicting_granules_once<P: WordProtocol>(
+        make: impl Fn(usize) -> Arena<P>,
+        t: Tids,
+    ) {
+        let a = make(8);
+        let mut intruder = ThreadCtx::new(t[1]);
         a.write_checked(&mut intruder, 2, 9); // owns granule 1
-        let mut ctx = ThreadCtx::new(ThreadId(1));
+        let mut ctx = ThreadCtx::new(t[0]);
         a.write_range_checked(&mut ctx, 0, 8, |_| 0);
         assert_eq!(ctx.conflicts, 1, "granule 1 conflicts exactly once");
         // The per-word loop reports it once per word instead.
-        let mut ctx2 = ThreadCtx::new(ThreadId(3));
+        let mut ctx2 = ThreadCtx::new(t[2]);
         for i in 0..8 {
             a.write_checked(&mut ctx2, i, 0);
         }
         assert!(ctx2.conflicts >= 2, "per-word re-reports the granule");
     }
 
-    #[test]
-    fn cached_ranged_repeat_sweep_skips_the_shadow() {
-        let a: Arena = Arena::new(256);
-        let mut ctx = ThreadCtx::new(ThreadId(1));
+    fn cached_ranged_repeat_sweep_skips_the_shadow<P: WordProtocol>(
+        make: impl Fn(usize) -> Arena<P>,
+        t: Tids,
+    ) {
+        let a = make(256);
+        let mut ctx = ThreadCtx::new(t[3]);
         a.write_range_cached(&mut ctx, 0, 256, |i| i as u64);
         let fills = ctx.owned_cache.misses;
         for rep in 0..20 {
@@ -772,75 +856,82 @@ mod tests {
         // A free inside the buffer invalidates the run; the next
         // sweep refills and still sees the new owner's conflict.
         a.clear_range(4, 2);
-        let mut thief = ThreadCtx::new(ThreadId(2));
+        let mut thief = ThreadCtx::new(t[0]);
         a.write_checked(&mut thief, 4, 1);
         a.write_range_cached(&mut ctx, 0, 256, |i| i as u64);
         assert_eq!(ctx.conflicts, 1, "stale run cannot hide the thief");
     }
 
-    #[test]
-    fn ranged_policies_agree_with_per_word_policies() {
-        fn sweep<P: AccessPolicy>(a: &Arena, ctx: &mut ThreadCtx) -> u64 {
-            P::write_range(a, ctx, 0, 16, &mut |i| i as u64);
+    fn ranged_policies_agree_with_per_word_policies<P: WordProtocol>(
+        make: impl Fn(usize) -> Arena<P>,
+        t: Tids,
+    ) {
+        fn sweep<A: AccessPolicy, P: WordProtocol>(a: &Arena<P>, ctx: &mut ThreadCtx) -> u64 {
+            A::write_range(a, ctx, 0, 16, &mut |i| i as u64);
             let mut sum = 0;
-            P::read_range(a, ctx, 0, 16, &mut |_, v| sum += v);
+            A::read_range(a, ctx, 0, 16, &mut |_, v| sum += v);
             sum
         }
-        let a: Arena = Arena::new(16);
-        let mut ctx = ThreadCtx::new(ThreadId(1));
-        assert_eq!(sweep::<Unchecked>(&a, &mut ctx), 120);
-        assert_eq!(sweep::<Checked>(&a, &mut ctx), 120);
-        assert_eq!(sweep::<CachedChecked>(&a, &mut ctx), 120);
+        let a = make(16);
+        let mut ctx = ThreadCtx::new(t[1]);
+        assert_eq!(sweep::<Unchecked, P>(&a, &mut ctx), 120);
+        assert_eq!(sweep::<Checked, P>(&a, &mut ctx), 120);
+        assert_eq!(sweep::<CachedChecked, P>(&a, &mut ctx), 120);
         assert_eq!(ctx.conflicts, 0);
         assert_eq!(ctx.total_accesses, 96);
     }
 
-    #[test]
-    fn ranged_sweeps_emit_range_events_that_replay_clean() {
-        use crate::events::EventLog;
-        use sharc_checker::{replay, BitmapBackend};
-        let a: Arena = Arena::new(8);
+    fn ranged_sweeps_emit_range_events_that_replay_clean<P: WordProtocol>(
+        make: impl Fn(usize) -> Arena<P>,
+        t: Tids,
+    ) {
+        let a = make(8);
         let log = Arc::new(EventLog::new());
-        let mut ctx = ThreadCtx::with_sink(ThreadId(1), log.clone());
+        let tid = t[3].0;
+        let mut ctx = ThreadCtx::with_sink(t[3], log.clone());
         a.write_range_checked(&mut ctx, 0, 8, |i| i as u64);
         a.read_range_checked(&mut ctx, 0, 8, |_, _| {});
+        CachedChecked::write(&a, &mut ctx, 0, 42);
+        a.thread_exit(&mut ctx);
+        let (granule, len) = (0, 4);
         let evs = log.snapshot();
         assert_eq!(
             evs,
             vec![
-                sharc_checker::CheckEvent::RangeWrite {
-                    tid: 1,
-                    granule: 0,
-                    len: 4
-                },
-                sharc_checker::CheckEvent::RangeRead {
-                    tid: 1,
-                    granule: 0,
-                    len: 4
-                },
+                CheckEvent::RangeWrite { tid, granule, len },
+                CheckEvent::RangeRead { tid, granule, len },
+                CheckEvent::Write { tid, granule },
+                CheckEvent::ThreadExit { tid },
             ]
         );
-        assert!(replay(&evs, &mut BitmapBackend::new()).is_empty());
+        let geom = sharc_checker::geometry_for_trace(&evs);
+        assert!(replay(&evs, &mut BitmapBackend::with_geometry(geom)).is_empty());
     }
 
-    #[test]
-    fn concurrent_partitioned_checked_access_is_clean() {
-        let a: Arc<Arena> = Arc::new(Arena::new(64));
-        let mut handles = Vec::new();
-        for t in 1..=4u8 {
-            let a = Arc::clone(&a);
-            handles.push(std::thread::spawn(move || {
-                let mut ctx = ThreadCtx::new(ThreadId(t));
-                let base = (t as usize - 1) * 16;
-                for i in 0..16 {
-                    a.write_checked(&mut ctx, base + i, i as u64);
-                }
-                let c = ctx.conflicts;
-                a.thread_exit(&mut ctx);
-                c
-            }));
-        }
-        let conflicts: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    fn concurrent_partitioned_checked_access_is_clean<P: WordProtocol>(
+        make: impl Fn(usize) -> Arena<P>,
+        t: Tids,
+    ) {
+        let a = make(64);
+        let conflicts: usize = std::thread::scope(|scope| {
+            let handles: Vec<_> = t
+                .into_iter()
+                .enumerate()
+                .map(|(part, tid)| {
+                    let a = &a;
+                    scope.spawn(move || {
+                        let mut ctx = ThreadCtx::new(tid);
+                        for i in 0..16 {
+                            a.write_checked(&mut ctx, part * 16 + i, i as u64);
+                        }
+                        let c = ctx.conflicts;
+                        a.thread_exit(&mut ctx);
+                        c
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
         assert_eq!(conflicts, 0);
     }
 }

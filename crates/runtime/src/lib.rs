@@ -1,12 +1,29 @@
 //! # sharc-runtime
 //!
 //! The SharC runtime substrate for *real* threads (paper §4.2–4.4):
-//! shadow memory with the exact n-byte reader/writer bitmap encoding
-//! updated by compare-exchange, per-thread held-lock logs, the
-//! sharing-cast (`oneref`) protocol, and two reference-counting
-//! schemes — naive eager atomic counting and the adapted
-//! Levanoni–Petrank on-the-fly algorithm the paper uses to make
-//! counting affordable.
+//! shadow memory with the exact reader/writer bitmap encoding updated
+//! by compare-exchange, per-thread held-lock logs, the sharing-cast
+//! (`oneref`) protocol, and two reference-counting schemes — naive
+//! eager atomic counting and the adapted Levanoni–Petrank on-the-fly
+//! algorithm the paper uses to make counting affordable.
+//!
+//! It is one stack — one [`ThreadId`], one [`ThreadCtx`], one
+//! [`LockRegistry`], one [`Arena`] over one [`Shadow`] — generic over
+//! the only thing that varies, the [`WordProtocol`] that keeps one
+//! granule's shadow words consistent:
+//!
+//! * [`OneWord`] — the paper's n-byte word per 16-byte granule and a
+//!   CAS retry loop ([`Arena::new`]; 1 byte per granule, 7 threads, by
+//!   default);
+//! * [`MultiWord`] — several 8-byte words per granule laid out by a
+//!   `ShadowGeometry`, snapshot → step → CAS → revalidate
+//!   ([`Arena::for_threads`]): exact identities past 63 threads, which
+//!   a single word cannot encode.
+//!
+//! The trait hides the per-granule check, the "already recorded"
+//! predicate, the per-granule clears and the shadow footprint; the
+//! owned-granule cache, ranged sweeps, run summaries, epoch bumps,
+//! arena, policies, contexts and locks above it exist once.
 //!
 //! The [`arena::AccessPolicy`] abstraction lets a workload be
 //! compiled twice — baseline and checked — which is how the Table 1
@@ -36,21 +53,20 @@ pub mod arena;
 pub mod events;
 pub mod locks;
 pub mod rc;
-pub mod scalable;
 pub mod scast;
 pub mod shadow;
 pub mod sharded;
-pub mod wide;
 
 pub use arena::{AccessPolicy, Arena, CachedChecked, Checked, Unchecked, GRANULE_WORDS};
 pub use events::{recording_tid, EventLog, EventSink, StreamStats, StreamingSink};
 pub use locks::{LockId, LockNotHeld, LockRegistry, ThreadCtx};
 pub use rc::{LpRc, NaiveRc, ObjId, RcScheme};
-pub use scalable::{ScalableShadow, WideThreadId};
 pub use scast::{sharing_cast, ScastError};
-pub use shadow::{RaceError, Shadow, ShadowWord, ThreadId};
-pub use sharded::{ShardedShadow, MAX_WORDS_PER_GRANULE};
-pub use wide::{
-    WideArena, WideChecked, WideLockNotHeld, WideLockRegistry, WidePolicy, WideThreadCtx,
-    WideUnchecked,
-};
+pub use shadow::{OneWord, RaceError, Shadow, ShadowWord, ThreadId, WordProtocol};
+pub use sharded::{MultiWord, ShardedShadow, MAX_WORDS_PER_GRANULE};
+
+// The names the wide-tid stack used to export, for callers written
+// against them (a `use`-rename carries the tuple constructor).
+pub use arena::CachedChecked as WideChecked;
+pub use arena::Unchecked as WideUnchecked;
+pub use shadow::ThreadId as WideThreadId;

@@ -28,7 +28,7 @@
 //! private.
 
 use sharc_checker::{OwnedCache, ShadowGeometry};
-use sharc_runtime::{ShardedShadow, WideThreadId};
+use sharc_runtime::{ShardedShadow, ThreadId};
 use sharc_testkit::sync::Mutex;
 use sharc_testkit::BarrierSchedule;
 
@@ -49,7 +49,7 @@ fn racing_cross_shard_writers_are_reported_at_least_once_per_round() {
     // Each round races all four writers on a fresh granule (so no
     // round inherits state from the last).
     let out = sched.run(|ctx| {
-        let tid = WideThreadId(CROSS_SHARD_TIDS[ctx.thread]);
+        let tid = ThreadId(CROSS_SHARD_TIDS[ctx.thread]);
         ctx.stagger(200);
         shadow.check_write(ctx.round, tid).is_err()
     });
@@ -72,7 +72,7 @@ fn racing_cross_shard_readers_and_writer_are_reported_at_least_once() {
     // loses the install race must observe the winner: a writer that
     // finds reader bits, or a reader that finds the writer flag.
     let out = sched.run(|ctx| {
-        let tid = WideThreadId(CROSS_SHARD_TIDS[ctx.thread]);
+        let tid = ThreadId(CROSS_SHARD_TIDS[ctx.thread]);
         ctx.stagger(200);
         if ctx.thread == 0 {
             shadow.check_write(ctx.round, tid).is_err()
@@ -102,7 +102,7 @@ fn fenced_clears_force_cache_revalidation_without_false_reports() {
     let caches: Vec<Mutex<OwnedCache>> = (0..n).map(|_| Mutex::new(OwnedCache::new())).collect();
     let sched = BarrierSchedule::new(n, ROUNDS);
     let out = sched.run(|ctx| {
-        let tid = WideThreadId(CROSS_SHARD_TIDS[ctx.thread]);
+        let tid = ThreadId(CROSS_SHARD_TIDS[ctx.thread]);
         let mine = ctx.thread;
         // Phase A: everyone touches their own granule (a cache hit in
         // the steady state).
@@ -166,7 +166,7 @@ fn wide_server_rounds() {
     let caches: Vec<Mutex<OwnedCache>> = (0..n).map(|_| Mutex::new(OwnedCache::new())).collect();
     let sched = BarrierSchedule::new(n, ROUNDS);
     let out = sched.run(|ctx| {
-        let tid = WideThreadId(CROSS_SHARD_TIDS[ctx.thread]);
+        let tid = ThreadId(CROSS_SHARD_TIDS[ctx.thread]);
         let handshake = 2 * ctx.round;
         let contended = 2 * ctx.round + 1;
         // The acceptor is participant 0; the connection's worker

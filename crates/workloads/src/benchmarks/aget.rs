@@ -86,13 +86,13 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
         let chunk = params.chunk;
         let start = w * per_worker;
         let end = ((w + 1) * per_worker).min(params.file_size);
-        let tid = ThreadId(w as u8 + 2);
+        let tid = ThreadId(w as u32 + 2);
         if let Some(s) = &sink {
             // Fork is recorded by the parent *before* the child can
             // emit, so the linearized trace orders it first.
             s.record(CheckEvent::Fork {
                 parent: 1,
-                child: tid.0 as u32,
+                child: tid.0,
             });
         }
         let sink = sink.clone();
@@ -280,17 +280,17 @@ mod tests {
     }
 
     #[test]
-    fn network_bound_overhead_is_negligible() {
-        // With per-chunk latency the checked and unchecked builds run
-        // in nearly the same time (the paper's "n/a" row).
+    fn network_bound_builds_agree() {
+        // With per-chunk latency on, both builds download the same
+        // bytes and the checked one is clean. That the overhead
+        // drowns in latency (the paper's "n/a" row) is measured by
+        // the benchmark's `check_overhead`, not asserted on a wall
+        // clock here.
         let params = Params::scaled(Scale::quick());
-        let (t_orig, _) = crate::table::time_mean(1, || run_native::<Unchecked>(&params));
-        let (t_sharc, _) = crate::table::time_mean(1, || run_native::<Checked>(&params));
-        let ratio = t_sharc.as_secs_f64() / t_orig.as_secs_f64();
-        assert!(
-            ratio < 1.6,
-            "network-bound: overhead should drown in latency (ratio {ratio:.2})"
-        );
+        let orig = run_native::<Unchecked>(&params);
+        let sharc = run_native::<Checked>(&params);
+        assert_eq!(orig.checksum, sharc.checksum);
+        assert_eq!(sharc.conflicts, 0);
     }
 
     #[test]

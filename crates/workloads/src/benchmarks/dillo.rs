@@ -89,11 +89,11 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
 
     let mut handles = Vec::new();
     for w in 0..params.workers {
-        let tid = ThreadId(w as u8 + 2);
+        let tid = ThreadId(w as u32 + 2);
         if let Some(s) = &sink {
             s.record(CheckEvent::Fork {
                 parent: 1,
-                child: tid.0 as u32,
+                child: tid.0,
             });
         }
         let dns = Arc::clone(&dns);
@@ -114,14 +114,14 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
                     let mut q = queue.lock();
                     if let Some(s) = &ctx.sink {
                         s.record(CheckEvent::Acquire {
-                            tid: tid.0 as u32,
+                            tid: tid.0,
                             lock: QUEUE_LOCK,
                         });
                     }
                     let req = q.pop_front();
                     if let Some(s) = &ctx.sink {
                         s.record(CheckEvent::Release {
-                            tid: tid.0 as u32,
+                            tid: tid.0,
                             lock: QUEUE_LOCK,
                         });
                     }

@@ -179,10 +179,10 @@ pub fn run_with_events(params: &Params, sink: Arc<dyn EventSink>) -> NativeRun {
 
     let mut handles = Vec::new();
     for w in 0..params.workers {
-        let tid = ThreadId(w as u8 + 2);
+        let tid = ThreadId(w as u32 + 2);
         sink.record(CheckEvent::Fork {
             parent: 1,
-            child: tid.0 as u32,
+            child: tid.0,
         });
         let arena = Arc::clone(&arena);
         let sink = Arc::clone(&sink);

@@ -93,11 +93,11 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
     // lock held over the payload. An empty pop yields and retries.
     let mut handles = Vec::new();
     for c in 0..params.consumers {
-        let tid = ThreadId(c as u8 + 2);
+        let tid = ThreadId(c as u32 + 2);
         if let Some(s) = &sink {
             s.record(CheckEvent::Fork {
                 parent: 1,
-                child: tid.0 as u32,
+                child: tid.0,
             });
         }
         let arena = Arc::clone(&arena);
@@ -115,14 +115,14 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
                     let mut q = queue.lock();
                     if let Some(s) = &ctx.sink {
                         s.record(CheckEvent::Acquire {
-                            tid: tid.0 as u32,
+                            tid: tid.0,
                             lock: QUEUE_LOCK,
                         });
                     }
                     let job = q.pop_front();
                     if let Some(s) = &ctx.sink {
                         s.record(CheckEvent::Release {
-                            tid: tid.0 as u32,
+                            tid: tid.0,
                             lock: QUEUE_LOCK,
                         });
                     }

@@ -87,12 +87,14 @@ pub fn run_with_events(params: &Params, sink: Arc<dyn EventSink>) -> NativeRun {
 
 fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSink>>) -> NativeRun {
     let fs = SynthFs::generate(params.fs, "needle");
-    let total_bytes = fs.total_bytes();
 
     // The "path producer" loads every file into the shared arena,
     // bytes packed 8 per word as in C memory (so each 16-byte shadow
     // granule covers 16 characters, exactly the paper's layout).
-    let arena: Arc<Arena> = Arc::new(Arena::new(total_bytes.div_ceil(8) + 1));
+    // Every file starts word-aligned, so the arena holds the sum of
+    // the files' *padded* lengths.
+    let file_words: usize = fs.files().iter().map(|f| f.content.len().div_ceil(8)).sum();
+    let arena: Arc<Arena> = Arc::new(Arena::new(file_words + 1));
     let queue: Arc<Mutex<VecDeque<Job>>> = Arc::new(Mutex::new(VecDeque::new()));
     let mut producer_ctx = ThreadCtx::new(ThreadId(1));
     {
@@ -135,7 +137,7 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
             });
         }
         handles.push(std::thread::spawn(move || {
-            let tid = ThreadId(w as u8 + 2);
+            let tid = ThreadId(w as u32 + 2);
             let mut ctx = match sink {
                 Some(sink) => ThreadCtx::with_sink(tid, sink),
                 None => ThreadCtx::new(tid),
@@ -310,6 +312,33 @@ mod tests {
         let sharc = run_native::<Checked>(&params);
         assert_eq!(orig.checksum, expect);
         assert_eq!(sharc.checksum, expect);
+    }
+
+    #[test]
+    fn file_sizes_that_are_not_word_multiples_fit_the_arena() {
+        // Each file is padded to a word boundary in the arena, so the
+        // arena must be sized from the padded sum, not the byte total.
+        for file_size in [1, 9, 17] {
+            let params = Params {
+                fs: FsConfig {
+                    n_dirs: 1,
+                    files_per_dir: 8,
+                    file_size,
+                    needle_every: 1,
+                    ..FsConfig::default()
+                },
+                workers: 2,
+            };
+            let fs = SynthFs::generate(params.fs, "needle");
+            let sharc = run_native::<Checked>(&params);
+            assert_eq!(sharc.checksum, fs.count_occurrences(NEEDLE) as u64);
+            assert_eq!(sharc.conflicts, 0);
+            assert_eq!(
+                sharc.payload_bytes,
+                8 * (8 * file_size.div_ceil(8) + 1),
+                "padded words per file, plus the spare word"
+            );
+        }
     }
 
     #[test]

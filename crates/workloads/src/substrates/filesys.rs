@@ -73,6 +73,11 @@ impl SynthFs {
         SynthFs { files }
     }
 
+    /// Every file, in path order.
+    pub fn files(&self) -> &[File] {
+        &self.files
+    }
+
     /// All file paths (the path-producer thread's work list).
     pub fn paths(&self) -> Vec<String> {
         self.files.iter().map(|f| f.path.clone()).collect()

@@ -1,37 +1,34 @@
-//! Differential testing of the three runtime-check engines that all
-//! claim to implement the §4.2 granule state machine:
+//! Differential testing of everything that claims to implement the
+//! §4.2 granule state machine, against the pure `step` functions:
 //!
-//! * [`BitmapBackend`] — the VM's engine: `bitmap::step` applied
-//!   directly, no atomics (the interpreter serializes instructions);
-//! * [`Shadow`] — the native-threads engine: the same `bitmap::step`
-//!   inside a compare-exchange retry loop, with and without the
-//!   owned-granule epoch cache;
-//! * [`ScalableShadow`] — the adaptive-encoding engine
-//!   (`adaptive::step`), which forgets reader identities once a
-//!   granule is read-shared.
+//! * [`StepOracle`] — `sharded::step` / `sharded::clear_thread`
+//!   applied directly to plain words: no atomics, no caches, no
+//!   epochs, no logs. This *is* the specification.
+//! * [`Shadow`] over each [`WordProtocol`] — the native-threads
+//!   runtime: [`OneWord`] (the paper's single word in a CAS retry
+//!   loop) and [`MultiWord`] (snapshot → step → CAS → revalidate) at
+//!   a five-shard and at the zero-shard (adaptive-only) geometry;
+//!   uncached, through the owned-granule epoch cache, ranged, and
+//!   under region and global epoch tables.
+//! * [`BitmapBackend`] — the VM's and the replayer's engine.
 //!
-//! One seeded operation trace is driven through all of them and the
-//! per-operation verdicts must be *identical* — not just the final
-//! conflict counts. This holds because every engine obeys the shared
-//! contract that a conflicting access leaves the shadow word
-//! unchanged, so the engines stay in lockstep even after conflicts.
-//!
-//! Thread-exit clearing is deliberately absent from the generated
-//! vocabulary: the adaptive encoding documents that it cannot clear
-//! one reader out of a `SHARED_READ` granule (identities are not
-//! tracked), so after `clear_thread` it is *soundly conservative*
-//! rather than exact, and verdicts may legitimately diverge. Full
-//! clears (`free` / sharing casts) are exact in every engine and are
-//! generated.
+//! Each differential is ONE generic body, instantiated per [`Width`].
+//! One seeded operation trace is driven through the oracle and every
+//! subject; the per-operation verdicts must be *identical* — not just
+//! the final conflict counts — and so must every raw shadow word at
+//! the end. This holds because every engine obeys the shared contract
+//! that a conflicting access leaves the shadow words unchanged, so
+//! they stay in lockstep even after conflicts.
 
 use std::collections::HashMap;
 
+use sharc_checker::step::{sharded, Access};
 use sharc_checker::{
     geometry_for_trace, BitmapBackend, CheckBackend, CheckEvent, EventSink, OwnedCache,
     ShadowGeometry, StreamingSink,
 };
 use sharc_detectors::{BaselineBackend, Eraser, VcDetector};
-use sharc_runtime::{ScalableShadow, Shadow, ShardedShadow, ThreadId, WideThreadId};
+use sharc_runtime::{MultiWord, OneWord, Shadow, ShardedShadow, ThreadId, WordProtocol};
 use sharc_testkit::gen::{self, Gen};
 use sharc_testkit::prop::Config;
 use sharc_testkit::{forall, prop_assert};
@@ -39,8 +36,295 @@ use sharc_testkit::{forall, prop_assert};
 /// Granule universe for the generated traces: small enough that
 /// threads collide constantly.
 const GRANULES: usize = 8;
-/// Thread universe: ids 1..=4 (0 is reserved in every encoding).
-const THREADS: u32 = 4;
+/// Tid universe of the wide widths: past four 63-tid shards.
+const WIDE_THREADS: u32 = 256;
+
+fn cfg() -> Config {
+    Config::from_env().with_cases(128)
+}
+
+// ----- the widths, the oracle, the subjects -----
+
+/// One instantiation of the generic differentials: a word protocol at
+/// a geometry, and the tid universe that exercises it.
+trait Width {
+    type P: WordProtocol;
+    const NAME: &'static str;
+    /// Generated tids are `1..=THREADS` (0 is reserved everywhere).
+    const THREADS: u32;
+    /// The geometry the pure-`step` oracle runs under.
+    fn geometry() -> ShadowGeometry;
+    fn shadow(granules: usize) -> Shadow<Self::P>;
+    /// Every shadow word of `granule`, laid out as the oracle's.
+    fn words(shadow: &Shadow<Self::P>, granule: usize) -> Vec<u64>;
+}
+
+/// The paper's configuration: one shadow byte per granule, tids that
+/// fit its seven bits.
+struct Narrow;
+
+impl Width for Narrow {
+    type P = OneWord;
+    const NAME: &'static str = "one-word";
+    const THREADS: u32 = 4;
+    fn geometry() -> ShadowGeometry {
+        ShadowGeometry::default()
+    }
+    fn shadow(granules: usize) -> Shadow {
+        Shadow::new(granules)
+    }
+    fn words(shadow: &Shadow, granule: usize) -> Vec<u64> {
+        // The one-shard oracle's overflow word stays empty at these
+        // tids; its shard word is the paper's single word.
+        vec![shadow.raw(granule), 0]
+    }
+}
+
+/// The multi-word protocol over `SHARDS` bitmap shards, at 256 tids:
+/// cross-shard for five shards, all-overflow for zero.
+struct Sharded<const SHARDS: usize>;
+/// Exact identities for every generated tid.
+type FiveShards = Sharded<5>;
+/// Every tid through the adaptive overflow word.
+type AdaptiveOnly = Sharded<0>;
+
+impl<const SHARDS: usize> Width for Sharded<SHARDS> {
+    type P = MultiWord;
+    const NAME: &'static str = if SHARDS == 0 {
+        "adaptive-only"
+    } else {
+        "sharded"
+    };
+    const THREADS: u32 = WIDE_THREADS;
+    fn geometry() -> ShadowGeometry {
+        ShadowGeometry::with_shards(SHARDS)
+    }
+    fn shadow(granules: usize) -> ShardedShadow {
+        ShardedShadow::with_geometry(granules, Self::geometry())
+    }
+    fn words(shadow: &ShardedShadow, granule: usize) -> Vec<u64> {
+        shadow.raw_words(granule)
+    }
+}
+
+/// The specification: the pure transition functions over plain words.
+struct StepOracle {
+    geom: ShadowGeometry,
+    words: Vec<u64>,
+}
+
+impl StepOracle {
+    fn new(geom: ShadowGeometry, granules: usize) -> Self {
+        StepOracle {
+            geom,
+            words: vec![0; granules * geom.words_per_granule()],
+        }
+    }
+
+    fn words(&self, granule: usize) -> &[u64] {
+        let stride = self.geom.words_per_granule();
+        &self.words[granule * stride..(granule + 1) * stride]
+    }
+
+    /// One access; true iff it conflicts (and so installs nothing).
+    fn check(&mut self, tid: u32, granule: usize, is_write: bool) -> bool {
+        let access = if is_write {
+            Access::Write
+        } else {
+            Access::Read
+        };
+        match sharded::step(self.words(granule), self.geom, tid, access) {
+            sharded::ShardStep::Unchanged => false,
+            sharded::ShardStep::Conflict => true,
+            sharded::ShardStep::Install { index, word } => {
+                self.words[granule * self.geom.words_per_granule() + index] = word;
+                false
+            }
+        }
+    }
+
+    /// The definition a ranged check must reproduce: the conflict
+    /// count of the per-granule fold.
+    fn check_range(&mut self, tid: u32, start: usize, len: usize, is_write: bool) -> usize {
+        (start..start + len)
+            .filter(|&g| self.check(tid, g, is_write))
+            .count()
+    }
+
+    fn clear(&mut self, granule: usize) {
+        let stride = self.geom.words_per_granule();
+        self.words[granule * stride..(granule + 1) * stride].fill(0);
+    }
+
+    fn clear_thread(&mut self, granule: usize, tid: u32) {
+        if let Some((index, word)) = sharded::clear_thread(self.words(granule), self.geom, tid) {
+            self.words[granule * self.geom.words_per_granule() + index] = word;
+        }
+    }
+}
+
+/// A shadow under test, driven uncached or through per-thread owned
+/// caches.
+struct Subject<P: WordProtocol> {
+    label: &'static str,
+    shadow: Shadow<P>,
+    caches: Option<HashMap<u32, OwnedCache>>,
+}
+
+impl<P: WordProtocol> Subject<P> {
+    fn uncached(label: &'static str, shadow: Shadow<P>) -> Self {
+        Subject {
+            label,
+            shadow,
+            caches: None,
+        }
+    }
+
+    fn cached(label: &'static str, shadow: Shadow<P>) -> Self {
+        Subject {
+            label,
+            shadow,
+            caches: Some(HashMap::new()),
+        }
+    }
+
+    /// One point check; true iff it conflicts.
+    fn check(&mut self, tid: u32, granule: usize, is_write: bool) -> bool {
+        let t = ThreadId(tid);
+        let cache = self.caches.as_mut().map(|c| c.entry(tid).or_default());
+        match (cache, is_write) {
+            (None, false) => self.shadow.check_read(granule, t),
+            (None, true) => self.shadow.check_write(granule, t),
+            (Some(c), false) => self.shadow.check_read_cached(granule, t, c),
+            (Some(c), true) => self.shadow.check_write_cached(granule, t, c),
+        }
+        .is_err()
+    }
+
+    /// One ranged check; the number of conflicting granules.
+    fn check_range(&mut self, tid: u32, start: usize, len: usize, is_write: bool) -> usize {
+        let t = ThreadId(tid);
+        let cache = self.caches.as_mut().map(|c| c.entry(tid).or_default());
+        let (s, nop, nop_err) = (&self.shadow, |_| {}, |_| {});
+        match (cache, is_write) {
+            (None, false) => s.check_range_read(start, len, t, nop, nop_err),
+            (None, true) => s.check_range_write(start, len, t, nop, nop_err),
+            (Some(c), false) => s.check_range_read_cached(start, len, t, c, nop, nop_err),
+            (Some(c), true) => s.check_range_write_cached(start, len, t, c, nop, nop_err),
+        }
+    }
+}
+
+/// The oracle and the subjects it judges, moved in lockstep.
+struct Rig<W: Width> {
+    oracle: StepOracle,
+    subjects: Vec<Subject<W::P>>,
+}
+
+impl<W: Width> Rig<W> {
+    fn new(granules: usize, subjects: Vec<Subject<W::P>>) -> Self {
+        Rig {
+            oracle: StepOracle::new(W::geometry(), granules),
+            subjects,
+        }
+    }
+
+    /// A point access on the oracle and every subject; the verdict.
+    fn check(
+        &mut self,
+        op: usize,
+        tid: u32,
+        granule: usize,
+        is_write: bool,
+    ) -> Result<bool, String> {
+        let want = self.oracle.check(tid, granule, is_write);
+        for s in &mut self.subjects {
+            let got = s.check(tid, granule, is_write);
+            prop_assert!(
+                got == want,
+                "{} op {}: {} says conflict={} but step says {} (tid {} granule {} write={})",
+                W::NAME,
+                op,
+                s.label,
+                got,
+                want,
+                tid,
+                granule,
+                is_write
+            );
+        }
+        Ok(want)
+    }
+
+    /// A ranged access on every subject against the oracle's fold.
+    fn check_range(
+        &mut self,
+        op: usize,
+        tid: u32,
+        (start, len): (usize, usize),
+        is_write: bool,
+    ) -> Result<(), String> {
+        let want = self.oracle.check_range(tid, start, len, is_write);
+        for s in &mut self.subjects {
+            let got = s.check_range(tid, start, len, is_write);
+            prop_assert!(
+                got == want,
+                "{} op {}: {} counts {} conflicts but the step fold counts {} \
+                 (tid {} range {}..{} write={})",
+                W::NAME,
+                op,
+                s.label,
+                got,
+                want,
+                tid,
+                start,
+                start + len,
+                is_write
+            );
+        }
+        Ok(())
+    }
+
+    /// `free` / a successful sharing cast of one granule.
+    fn clear(&mut self, granule: usize) {
+        self.oracle.clear(granule);
+        for s in &self.subjects {
+            s.shadow.clear(granule);
+        }
+    }
+
+    /// A thread exit. Clearing a granule the thread never touched is
+    /// a no-op in every engine, so sweeping all of them stands in for
+    /// walking the thread's access log.
+    fn exit(&mut self, tid: u32) {
+        for g in 0..self.subjects[0].shadow.len() {
+            self.oracle.clear_thread(g, tid);
+            for s in &self.subjects {
+                s.shadow.clear_thread(g, ThreadId(tid));
+            }
+        }
+    }
+
+    /// Beyond verdicts: every subject ends with the oracle's words.
+    fn words_agree(&self) -> Result<(), String> {
+        for s in &self.subjects {
+            for g in 0..s.shadow.len() {
+                prop_assert!(
+                    W::words(&s.shadow, g) == self.oracle.words(g),
+                    "{}: {} ends granule {} as {:x?}, step as {:x?}",
+                    W::NAME,
+                    s.label,
+                    g,
+                    W::words(&s.shadow, g),
+                    self.oracle.words(g)
+                );
+            }
+        }
+        Ok(())
+    }
+}
+
+// ----- point accesses, clears, exits -----
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
@@ -53,15 +337,18 @@ enum Op {
         granule: usize,
     },
     /// A full reset of one granule — `free` or a successful sharing
-    /// cast. Exact in every engine.
+    /// cast.
     Clear {
         granule: usize,
     },
+    ThreadExit {
+        tid: u32,
+    },
 }
 
-fn op_gen() -> Gen<Op> {
+fn op_gen(threads: u32) -> Gen<Op> {
     let access = gen::pair(
-        gen::u32_range(1..THREADS + 1),
+        gen::u32_range(1..threads + 1),
         gen::usize_range(0..GRANULES),
     );
     gen::one_of(vec![
@@ -71,76 +358,57 @@ fn op_gen() -> Gen<Op> {
         access
             .clone()
             .map(|&(tid, granule)| Op::Write { tid, granule }),
-        // Clears are rarer than accesses so histories build up.
         gen::usize_range(0..GRANULES).map(|&granule| Op::Clear { granule }),
+        gen::u32_range(1..threads + 1).map(|&tid| Op::ThreadExit { tid }),
     ])
 }
 
-fn trace_gen() -> Gen<Vec<Op>> {
-    gen::vec_of(op_gen(), 0..96)
-}
-
-fn cfg() -> Config {
-    Config::from_env().with_cases(128)
-}
-
-/// The tentpole invariant: the VM's direct-step engine, the CAS
-/// bitmap engine (cached and uncached), and the adaptive engine
-/// return the same verdict for every operation of any trace.
-#[test]
-fn all_engines_agree_on_every_verdict() {
+/// The tentpole invariant, at one width: the runtime's shadow —
+/// uncached and through the owned cache — and the VM's
+/// [`BitmapBackend`] return the pure step's verdict for every
+/// operation of any trace, exits included, and end with its words.
+fn engines_agree_with_the_step_oracle<W: Width>() {
     forall!(
-        "all_engines_agree_on_every_verdict",
+        &format!("engines_agree_with_the_step_oracle/{}", W::NAME),
         cfg(),
-        trace_gen(),
+        gen::vec_of(op_gen(W::THREADS), 0..96),
         |ops| {
-            let mut vm = BitmapBackend::new();
-            let shadow: Shadow = Shadow::new(GRANULES);
-            let cached: Shadow = Shadow::new(GRANULES);
-            let mut caches: HashMap<u32, OwnedCache> = HashMap::new();
-            let scalable = ScalableShadow::new(GRANULES);
-
+            let mut rig = Rig::<W>::new(
+                GRANULES,
+                vec![
+                    Subject::uncached("uncached", W::shadow(GRANULES)),
+                    Subject::cached("cached", W::shadow(GRANULES)),
+                ],
+            );
+            let mut vm = BitmapBackend::with_geometry(W::geometry());
             for (i, &op) in ops.iter().enumerate() {
                 match op {
                     Op::Read { tid, granule } => {
-                        let a = vm.chkread(tid, granule).is_conflict();
-                        let b = shadow.check_read(granule, ThreadId(tid as u8)).is_err();
-                        let cache = caches.entry(tid).or_default();
-                        let c = cached
-                            .check_read_cached(granule, ThreadId(tid as u8), cache)
-                            .is_err();
-                        let d = scalable.check_read(granule, WideThreadId(tid)).is_err();
-                        prop_assert!(a == b, "op {}: vm vs shadow (read)", i);
-                        prop_assert!(b == c, "op {}: shadow vs cached (read)", i);
-                        prop_assert!(b == d, "op {}: shadow vs scalable (read)", i);
+                        let want = rig.check(i, tid, granule, false)?;
+                        let got = vm.chkread(tid, granule).is_conflict();
+                        prop_assert!(got == want, "{} op {}: vm read", W::NAME, i);
                     }
                     Op::Write { tid, granule } => {
-                        let a = vm.chkwrite(tid, granule).is_conflict();
-                        let b = shadow.check_write(granule, ThreadId(tid as u8)).is_err();
-                        let cache = caches.entry(tid).or_default();
-                        let c = cached
-                            .check_write_cached(granule, ThreadId(tid as u8), cache)
-                            .is_err();
-                        let d = scalable.check_write(granule, WideThreadId(tid)).is_err();
-                        prop_assert!(a == b, "op {}: vm vs shadow (write)", i);
-                        prop_assert!(b == c, "op {}: shadow vs cached (write)", i);
-                        prop_assert!(b == d, "op {}: shadow vs scalable (write)", i);
+                        let want = rig.check(i, tid, granule, true)?;
+                        let got = vm.chkwrite(tid, granule).is_conflict();
+                        prop_assert!(got == want, "{} op {}: vm write", W::NAME, i);
                     }
                     Op::Clear { granule } => {
+                        rig.clear(granule);
                         vm.on_alloc(granule);
-                        shadow.clear(granule);
-                        cached.clear(granule);
-                        scalable.clear(granule);
+                    }
+                    Op::ThreadExit { tid } => {
+                        rig.exit(tid);
+                        vm.on_thread_exit(tid);
                     }
                 }
             }
-            // The two bitmap engines also agree on the *state*, word for
-            // word, not only on verdicts.
+            rig.words_agree()?;
             for g in 0..GRANULES {
-                prop_assert!(vm.raw(g) == shadow.raw(g), "final word of granule {}", g);
                 prop_assert!(
-                    shadow.raw(g) == cached.raw(g),
-                    "cached word of granule {}",
+                    vm.raw_words(g) == rig.oracle.words(g),
+                    "{}: vm words of granule {}",
+                    W::NAME,
                     g
                 );
             }
@@ -148,103 +416,137 @@ fn all_engines_agree_on_every_verdict() {
     );
 }
 
-/// The per-region epoch refinement is invisible to verdicts: for any
-/// trace, a cached engine over a real region table (here the finest
-/// one — one granule per region), a cached engine over the degenerate
-/// `R = 1` global table, the uncached engine, the adaptive engine,
-/// and the VM's direct-step oracle all return the same verdict for
-/// every single operation. Only the *cost* differs, which the `misses`
-/// counters make observable: across the whole run the region-epoch
-/// caches can never refill more often than the global-epoch ones.
 #[test]
-fn region_epoch_engines_agree_with_global_epoch() {
-    forall!(
-        "region_epoch_engines_agree_with_global_epoch",
-        cfg(),
-        trace_gen(),
-        |ops| {
-            let mut oracle = BitmapBackend::new();
-            let uncached: Shadow = Shadow::new(GRANULES);
-            let region: Shadow = Shadow::new(GRANULES);
-            let global: Shadow = Shadow::with_epoch_regions(GRANULES, 1);
-            let adaptive = ScalableShadow::new(GRANULES);
-            let adaptive_global = ScalableShadow::with_epoch_regions(GRANULES, 1);
-            prop_assert!(
-                region.epochs().regions() > 1,
-                "the region engine must have a real table"
-            );
-            prop_assert!(global.epochs().regions() == 1, "the R = 1 degeneracy");
-            let mut region_caches: HashMap<u32, OwnedCache> = HashMap::new();
-            let mut global_caches: HashMap<u32, OwnedCache> = HashMap::new();
-            let mut ad_region_caches: HashMap<u32, OwnedCache> = HashMap::new();
-            let mut ad_global_caches: HashMap<u32, OwnedCache> = HashMap::new();
+fn all_engines_agree_on_every_verdict() {
+    engines_agree_with_the_step_oracle::<Narrow>();
+}
 
+/// Beyond 63 threads the multi-word protocol must *stay* exact: tids
+/// `1..=256` over five shards, and the same tids through the
+/// adaptive word alone, against the step oracle of the same geometry.
+#[test]
+fn sharded_engines_agree_up_to_256_threads() {
+    assert!(
+        (1..=FiveShards::THREADS).all(|t| FiveShards::geometry().shard_of(t).is_some()),
+        "five shards keep every generated tid exact"
+    );
+    engines_agree_with_the_step_oracle::<FiveShards>();
+    engines_agree_with_the_step_oracle::<AdaptiveOnly>();
+}
+
+/// What the adaptive-only geometry gives up, pinned against the
+/// *exact* five-shard oracle on the same trace:
+///
+/// * verdicts are *identical* until the first thread exit
+///   (`SHARED_READ` forgets reader identities, so exits are the one
+///   operation it coarsens);
+/// * the first verdict divergence, if any, is always an **extra**
+///   adaptive conflict (a phantom retained reader), never a hidden
+///   one. After that first extra report the histories legitimately
+///   drift — conflicts never install, so the engines record
+///   different access sets and per-op comparison is meaningless
+///   (e.g. the exact engine installs a write the adaptive engine
+///   rejected, and a later read then conflicts only in the exact
+///   engine);
+/// * what survives at whole-execution level: if the exact oracle
+///   reports anything, the adaptive engine reports something too.
+#[test]
+fn adaptive_only_coarsens_exits_soundly() {
+    forall!(
+        "adaptive_only_coarsens_exits_soundly",
+        cfg(),
+        gen::vec_of(op_gen(AdaptiveOnly::THREADS), 0..96),
+        |ops| {
+            let mut exact = StepOracle::new(FiveShards::geometry(), GRANULES);
+            let mut adaptive = Subject::uncached("adaptive", AdaptiveOnly::shadow(GRANULES));
+            let (mut exits_seen, mut diverged) = (false, false);
+            let (mut exact_conflicts, mut adaptive_conflicts) = (0usize, 0usize);
             for (i, &op) in ops.iter().enumerate() {
                 let (tid, granule, is_write) = match op {
                     Op::Read { tid, granule } => (tid, granule, false),
                     Op::Write { tid, granule } => (tid, granule, true),
                     Op::Clear { granule } => {
-                        oracle.on_alloc(granule);
-                        uncached.clear(granule);
-                        region.clear(granule);
-                        global.clear(granule);
-                        adaptive.clear(granule);
-                        adaptive_global.clear(granule);
+                        exact.clear(granule);
+                        adaptive.shadow.clear(granule);
+                        continue;
+                    }
+                    Op::ThreadExit { tid } => {
+                        for g in 0..GRANULES {
+                            exact.clear_thread(g, tid);
+                            adaptive.shadow.clear_thread(g, ThreadId(tid));
+                        }
+                        exits_seen = true;
                         continue;
                     }
                 };
-                let t8 = ThreadId(tid as u8);
-                let tw = WideThreadId(tid);
-                let rc = region_caches.entry(tid).or_default();
-                let gc = global_caches.entry(tid).or_default();
-                let arc = ad_region_caches.entry(tid).or_default();
-                let agc = ad_global_caches.entry(tid).or_default();
-                let verdicts = if is_write {
-                    [
-                        oracle.chkwrite(tid, granule).is_conflict(),
-                        uncached.check_write(granule, t8).is_err(),
-                        region.check_write_cached(granule, t8, rc).is_err(),
-                        global.check_write_cached(granule, t8, gc).is_err(),
-                        adaptive.check_write_cached(granule, tw, arc).is_err(),
-                        adaptive_global
-                            .check_write_cached(granule, tw, agc)
-                            .is_err(),
-                    ]
-                } else {
-                    [
-                        oracle.chkread(tid, granule).is_conflict(),
-                        uncached.check_read(granule, t8).is_err(),
-                        region.check_read_cached(granule, t8, rc).is_err(),
-                        global.check_read_cached(granule, t8, gc).is_err(),
-                        adaptive.check_read_cached(granule, tw, arc).is_err(),
-                        adaptive_global.check_read_cached(granule, tw, agc).is_err(),
-                    ]
-                };
-                prop_assert!(
-                    verdicts.iter().all(|&v| v == verdicts[0]),
-                    "op {} ({}): verdicts diverged {:?} \
-                     [oracle, uncached, region, global, ad-region, ad-global]",
-                    i,
-                    if is_write { "write" } else { "read" },
-                    verdicts
-                );
+                let a = exact.check(tid, granule, is_write);
+                let d = adaptive.check(tid, granule, is_write);
+                exact_conflicts += a as usize;
+                adaptive_conflicts += d as usize;
+                if !diverged && a != d {
+                    prop_assert!(exits_seen, "op {}: adaptive diverged before any exit", i);
+                    prop_assert!(d && !a, "op {}: adaptive hid a conflict", i);
+                    diverged = true;
+                }
             }
-            // States agree word for word across the bitmap engines.
-            for g in 0..GRANULES {
-                prop_assert!(
-                    oracle.raw(g) == region.raw(g) && region.raw(g) == global.raw(g),
-                    "final word of granule {}",
-                    g
-                );
+            prop_assert!(
+                exact_conflicts == 0 || adaptive_conflicts > 0,
+                "adaptive engine hid the whole race ({} exact conflicts)",
+                exact_conflicts
+            );
+        }
+    );
+}
+
+/// The per-region epoch refinement is invisible to verdicts, at one
+/// width: a cached shadow over a real region table (here the finest
+/// one — one granule per region), one over the degenerate `R = 1`
+/// global table, and the uncached one all return the step oracle's
+/// verdict for every operation and end with its words. Only the
+/// *cost* differs, which the `misses` counters make observable:
+/// across the whole run the region-epoch caches can never refill more
+/// often than the global-epoch ones.
+fn region_epochs_are_verdict_invisible<W: Width>() {
+    forall!(
+        &format!("region_epochs_are_verdict_invisible/{}", W::NAME),
+        cfg(),
+        gen::vec_of(op_gen(W::THREADS), 0..96),
+        |ops| {
+            let mut rig = Rig::<W>::new(
+                GRANULES,
+                vec![
+                    Subject::uncached("uncached", W::shadow(GRANULES)),
+                    Subject::cached("region", W::shadow(GRANULES)),
+                    Subject::cached("global", W::shadow(GRANULES).with_epoch_regions(1)),
+                ],
+            );
+            prop_assert!(
+                rig.subjects[1].shadow.epochs().regions() > 1,
+                "the region engine must have a real table"
+            );
+            prop_assert!(
+                rig.subjects[2].shadow.epochs().regions() == 1,
+                "the R = 1 degeneracy"
+            );
+            for (i, &op) in ops.iter().enumerate() {
+                match op {
+                    Op::Read { tid, granule } => drop(rig.check(i, tid, granule, false)?),
+                    Op::Write { tid, granule } => drop(rig.check(i, tid, granule, true)?),
+                    Op::Clear { granule } => rig.clear(granule),
+                    Op::ThreadExit { tid } => rig.exit(tid),
+                }
             }
+            rig.words_agree()?;
             // Cost: partial invalidation can only remove refills. Per
             // thread, the region-epoch cache never misses more often
             // than the global-epoch cache on the identical trace.
-            for (tid, rc) in &region_caches {
-                let gc = &global_caches[tid];
+            let (region, global) = (&rig.subjects[1], &rig.subjects[2]);
+            for (tid, rc) in region.caches.iter().flatten() {
+                let gc = &global.caches.as_ref().expect("cached")[tid];
                 prop_assert!(
                     rc.misses <= gc.misses,
-                    "tid {}: region cache refilled more than global ({} > {})",
+                    "{} tid {}: region cache refilled more than global ({} > {})",
+                    W::NAME,
                     tid,
                     rc.misses,
                     gc.misses
@@ -254,12 +556,18 @@ fn region_epoch_engines_agree_with_global_epoch() {
     );
 }
 
+#[test]
+fn region_epoch_engines_agree_with_global_epoch() {
+    region_epochs_are_verdict_invisible::<Narrow>();
+    region_epochs_are_verdict_invisible::<FiveShards>();
+    region_epochs_are_verdict_invisible::<AdaptiveOnly>();
+}
+
 /// The epoch cache never changes which conflicts exist — only who
 /// pays to discover them. Interleaving clears (epoch bumps) at
 /// arbitrary points must leave the cached engine in lockstep; this
-/// is implied by the test above but called out here because the
-/// cache was *the* reason the engines were unified behind one
-/// transition function.
+/// is implied by the tests above but called out here, with a
+/// two-slot cache that forces collisions.
 #[test]
 fn cache_is_invisible_under_adversarial_clears() {
     let shadow: Shadow = Shadow::new(4);
@@ -286,186 +594,6 @@ fn cache_is_invisible_under_adversarial_clears() {
             "round {round} intruder read"
         );
     }
-}
-
-/// Wide-tid vocabulary for the sharded differential: accesses from
-/// ids spanning several shards, full clears, and thread exits (the
-/// operation the adaptive encoding is documented to coarsen).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WideOp {
-    Read { tid: u32, granule: usize },
-    Write { tid: u32, granule: usize },
-    Clear { granule: usize },
-    ThreadExit { tid: u32 },
-}
-
-const WIDE_THREADS: u32 = 256;
-
-fn wide_op_gen() -> Gen<WideOp> {
-    let access = gen::pair(
-        gen::u32_range(1..WIDE_THREADS + 1),
-        gen::usize_range(0..GRANULES),
-    );
-    gen::one_of(vec![
-        access
-            .clone()
-            .map(|&(tid, granule)| WideOp::Read { tid, granule }),
-        access
-            .clone()
-            .map(|&(tid, granule)| WideOp::Write { tid, granule }),
-        gen::usize_range(0..GRANULES).map(|&granule| WideOp::Clear { granule }),
-        gen::u32_range(1..WIDE_THREADS + 1).map(|&tid| WideOp::ThreadExit { tid }),
-    ])
-}
-
-/// Beyond 63 threads the sharded engines must *stay* exact: for any
-/// trace over tids `1..=256` the lock-free [`ShardedShadow`] (cached
-/// and uncached) returns the same per-operation verdict — and ends
-/// with the same shadow words — as the VM's [`BitmapBackend`] over
-/// the identical five-shard geometry. The adaptive engine rides
-/// along as the soundness baseline, pinned to its exact contract:
-///
-/// * verdicts are *identical* until the first thread exit
-///   (`SHARED_READ` forgets reader identities, so exits are the one
-///   operation it coarsens);
-/// * the first verdict divergence, if any, is always an **extra**
-///   adaptive conflict (a phantom retained reader), never a hidden
-///   one. After that first extra report the histories legitimately
-///   drift — conflicts never install, so the engines record
-///   different access sets and per-op comparison is meaningless
-///   (e.g. the exact engine installs a write the adaptive engine
-///   rejected, and a later read then conflicts only in the exact
-///   engine);
-/// * what survives at whole-execution level: if the exact engines
-///   report anything, the adaptive engine reports something too.
-#[test]
-fn sharded_engines_agree_up_to_256_threads() {
-    let geom = ShadowGeometry::for_threads(WIDE_THREADS as usize);
-    assert!(geom.shards() > 1, "the point is a multi-shard geometry");
-    forall!(
-        "sharded_engines_agree_up_to_256_threads",
-        cfg(),
-        gen::vec_of(wide_op_gen(), 0..96),
-        |ops| {
-            let mut oracle = BitmapBackend::with_geometry(geom);
-            let sharded = ShardedShadow::with_geometry(GRANULES, geom);
-            let cached = ShardedShadow::with_geometry(GRANULES, geom);
-            // The same engine under the degenerate R = 1 epoch table:
-            // the per-region refinement must be invisible to verdicts
-            // even at five-shard geometry and 256 tids.
-            let cached_global = ShardedShadow::with_epoch_regions(GRANULES, geom, 1);
-            let mut caches: HashMap<u32, OwnedCache> = HashMap::new();
-            let mut global_caches: HashMap<u32, OwnedCache> = HashMap::new();
-            let adaptive = ScalableShadow::new(GRANULES);
-            // Adaptive tracking: exact until the first exit; the
-            // first divergence must be an extra adaptive conflict;
-            // afterwards only the whole-trace implication holds.
-            let mut exits_seen = false;
-            let mut diverged = false;
-            let mut exact_conflicts = 0usize;
-            let mut adaptive_conflicts = 0usize;
-
-            for (i, &op) in ops.iter().enumerate() {
-                match op {
-                    WideOp::Read { tid, granule } => {
-                        let a = oracle.chkread(tid, granule).is_conflict();
-                        let b = sharded.check_read(granule, WideThreadId(tid)).is_err();
-                        let cache = caches.entry(tid).or_default();
-                        let c = cached
-                            .check_read_cached(granule, WideThreadId(tid), cache)
-                            .is_err();
-                        let gcache = global_caches.entry(tid).or_default();
-                        let cg = cached_global
-                            .check_read_cached(granule, WideThreadId(tid), gcache)
-                            .is_err();
-                        let d = adaptive.check_read(granule, WideThreadId(tid)).is_err();
-                        prop_assert!(a == b, "op {}: oracle vs sharded (read)", i);
-                        prop_assert!(b == c, "op {}: sharded vs cached (read)", i);
-                        prop_assert!(c == cg, "op {}: region vs global epoch (read)", i);
-                        exact_conflicts += a as usize;
-                        adaptive_conflicts += d as usize;
-                        if !diverged && a != d {
-                            prop_assert!(exits_seen, "op {}: adaptive diverged before any exit", i);
-                            prop_assert!(d && !a, "op {}: adaptive hid a read conflict", i);
-                            diverged = true;
-                        }
-                    }
-                    WideOp::Write { tid, granule } => {
-                        let a = oracle.chkwrite(tid, granule).is_conflict();
-                        let b = sharded.check_write(granule, WideThreadId(tid)).is_err();
-                        let cache = caches.entry(tid).or_default();
-                        let c = cached
-                            .check_write_cached(granule, WideThreadId(tid), cache)
-                            .is_err();
-                        let gcache = global_caches.entry(tid).or_default();
-                        let cg = cached_global
-                            .check_write_cached(granule, WideThreadId(tid), gcache)
-                            .is_err();
-                        let d = adaptive.check_write(granule, WideThreadId(tid)).is_err();
-                        prop_assert!(a == b, "op {}: oracle vs sharded (write)", i);
-                        prop_assert!(b == c, "op {}: sharded vs cached (write)", i);
-                        prop_assert!(c == cg, "op {}: region vs global epoch (write)", i);
-                        exact_conflicts += a as usize;
-                        adaptive_conflicts += d as usize;
-                        if !diverged && a != d {
-                            prop_assert!(exits_seen, "op {}: adaptive diverged before any exit", i);
-                            prop_assert!(d && !a, "op {}: adaptive hid a write conflict", i);
-                            diverged = true;
-                        }
-                    }
-                    WideOp::Clear { granule } => {
-                        oracle.on_alloc(granule);
-                        sharded.clear(granule);
-                        cached.clear(granule);
-                        cached_global.clear(granule);
-                        adaptive.clear(granule);
-                    }
-                    WideOp::ThreadExit { tid } => {
-                        oracle.on_thread_exit(tid);
-                        for g in 0..GRANULES {
-                            // Clearing a granule the thread never
-                            // touched is a no-op in every engine, so
-                            // sweeping all of them mirrors the
-                            // oracle's access-log walk.
-                            sharded.clear_thread(g, WideThreadId(tid));
-                            cached.clear_thread(g, WideThreadId(tid));
-                            cached_global.clear_thread(g, WideThreadId(tid));
-                            adaptive.clear_thread(g, WideThreadId(tid));
-                        }
-                        exits_seen = true;
-                    }
-                }
-            }
-            // Whole-execution soundness for the adaptive engine: it
-            // may report extra conflicts and its history may drift
-            // after doing so, but it never stays silent on a trace
-            // the exact engines flag.
-            prop_assert!(
-                exact_conflicts == 0 || adaptive_conflicts > 0,
-                "adaptive engine hid the whole race ({} exact conflicts)",
-                exact_conflicts
-            );
-            // Beyond per-op verdicts, the sharded engines and the
-            // oracle agree on every shadow word of every granule.
-            for g in 0..GRANULES {
-                prop_assert!(
-                    oracle.raw_words(g) == sharded.raw_words(g),
-                    "final words of granule {}",
-                    g
-                );
-                prop_assert!(
-                    sharded.raw_words(g) == cached.raw_words(g),
-                    "cached words of granule {}",
-                    g
-                );
-                prop_assert!(
-                    cached.raw_words(g) == cached_global.raw_words(g),
-                    "global-epoch words of granule {}",
-                    g
-                );
-            }
-        }
-    );
 }
 
 /// The named cross-shard regression: ownership hand-off where the
@@ -523,10 +651,10 @@ fn cross_shard_ownership_transfer_is_exact() {
 
     // Native level: the lock-free ShardedShadow agrees.
     let s = ShardedShadow::with_geometry(4, geom);
-    s.check_write(g, WideThreadId(producer)).unwrap();
+    s.check_write(g, ThreadId(producer)).unwrap();
     s.clear(g); // the successful sharing cast
-    s.check_read(g, WideThreadId(consumer)).unwrap();
-    s.check_write(g, WideThreadId(consumer)).unwrap();
+    s.check_read(g, ThreadId(consumer)).unwrap();
+    s.check_write(g, ThreadId(consumer)).unwrap();
 
     // And without the cast both levels report the cross-shard race.
     let no_cast: Vec<CheckEvent> = trace
@@ -540,32 +668,40 @@ fn cross_shard_ownership_transfer_is_exact() {
         "without the cast the consumer's access races"
     );
     let s2 = ShardedShadow::with_geometry(4, geom);
-    s2.check_write(g, WideThreadId(producer)).unwrap();
+    s2.check_write(g, ThreadId(producer)).unwrap();
     assert!(
-        s2.check_read(g, WideThreadId(consumer)).is_err(),
+        s2.check_read(g, ThreadId(consumer)).is_err(),
         "sharded engine sees the same cross-shard race"
     );
 }
 
-// ----- Ranged checks (PR 5) -----
+// ----- ranged checks -----
 
 /// Granule universe for the ranged traces: big enough that runs have
 /// room to span several epoch regions, small enough that threads
 /// keep colliding.
 const RANGE_GRANULES: usize = 16;
 
-/// Vocabulary for the ranged differential: buffer sweeps (the new
-/// ranged checks), single-granule accesses (the old vocabulary,
-/// interleaved so point entries and run summaries coexist in one
-/// cache), and **mid-range clears** — the adversarial case, since a
-/// clear inside a summarized run must kill the summary while a clear
-/// elsewhere must not resurrect anything.
+/// A granule run inside the ranged universe.
+fn span_gen() -> Gen<(usize, usize)> {
+    gen::pair(
+        gen::usize_range(0..RANGE_GRANULES),
+        gen::usize_range(1..RANGE_GRANULES + 1),
+    )
+    .map(|&(start, len)| (start, len.min(RANGE_GRANULES - start)))
+}
+
+/// Vocabulary for the ranged differential: buffer sweeps (the ranged
+/// checks), single-granule accesses (interleaved so point entries and
+/// run summaries coexist in one cache), and **mid-range clears** —
+/// the adversarial case, since a clear inside a summarized run must
+/// kill the summary while a clear elsewhere must not resurrect
+/// anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RangeOp {
     Range {
         tid: u32,
-        start: usize,
-        len: usize,
+        span: (usize, usize),
         is_write: bool,
     },
     Point {
@@ -579,297 +715,76 @@ enum RangeOp {
 }
 
 fn range_op_gen(threads: u32) -> Gen<RangeOp> {
-    let sweep = gen::pair(
-        gen::pair(gen::u32_range(1..threads + 1), gen::bool_any()),
-        gen::pair(
-            gen::usize_range(0..RANGE_GRANULES),
-            gen::usize_range(1..RANGE_GRANULES + 1),
-        ),
-    );
+    let who = gen::pair(gen::u32_range(1..threads + 1), gen::bool_any());
     gen::one_of(vec![
-        sweep.map(|&((tid, is_write), (start, len))| RangeOp::Range {
+        gen::pair(who.clone(), span_gen()).map(|&((tid, is_write), span)| RangeOp::Range {
             tid,
-            start,
-            len: len.min(RANGE_GRANULES - start),
+            span,
             is_write,
         }),
-        gen::pair(
-            gen::pair(gen::u32_range(1..threads + 1), gen::bool_any()),
-            gen::usize_range(0..RANGE_GRANULES),
-        )
-        .map(|&((tid, is_write), granule)| RangeOp::Point {
-            tid,
-            granule,
-            is_write,
+        gen::pair(who, gen::usize_range(0..RANGE_GRANULES)).map(|&((tid, is_write), granule)| {
+            RangeOp::Point {
+                tid,
+                granule,
+                is_write,
+            }
         }),
         gen::usize_range(0..RANGE_GRANULES).map(|&granule| RangeOp::Clear { granule }),
     ])
 }
 
-/// Folds the per-granule check over a run on the oracle backend,
-/// returning the conflict count — the definition the ranged checks
-/// must reproduce.
-fn oracle_fold(oracle: &mut BitmapBackend, tid: u32, start: usize, len: usize, w: bool) -> usize {
-    (start..start + len)
-        .filter(|&g| {
-            if w {
-                oracle.chkwrite(tid, g).is_conflict()
-            } else {
-                oracle.chkread(tid, g).is_conflict()
+/// The ranged fold contract, at one width: for any trace of sweeps,
+/// point accesses, and mid-range clears, the per-op conflict count of
+/// `check_range_*` — uncached and cached (owned runs + point entries)
+/// — equals the fold of per-granule verdicts of the pure step, and
+/// every shadow word ends bit-identical to the oracle's.
+fn range_checks_equal_the_step_fold<W: Width>() {
+    forall!(
+        &format!("range_checks_equal_the_step_fold/{}", W::NAME),
+        cfg(),
+        gen::vec_of(range_op_gen(W::THREADS), 0..96),
+        |ops| {
+            let mut rig = Rig::<W>::new(
+                RANGE_GRANULES,
+                vec![
+                    Subject::uncached("ranged", W::shadow(RANGE_GRANULES)),
+                    Subject::cached("ranged+cached", W::shadow(RANGE_GRANULES)),
+                ],
+            );
+            for (i, &op) in ops.iter().enumerate() {
+                match op {
+                    RangeOp::Range {
+                        tid,
+                        span,
+                        is_write,
+                    } => rig.check_range(i, tid, span, is_write)?,
+                    RangeOp::Point {
+                        tid,
+                        granule,
+                        is_write,
+                    } => drop(rig.check(i, tid, granule, is_write)?),
+                    RangeOp::Clear { granule } => rig.clear(granule),
+                }
             }
-        })
-        .count()
+            rig.words_agree()?;
+        }
+    );
 }
 
-/// The ranged fold contract, engine-differentially: for any trace of
-/// sweeps, point accesses, and mid-range clears, the per-op conflict
-/// count of `check_range_*` — uncached, cached (owned runs + point
-/// entries), and on the adaptive engine — equals the fold of
-/// per-granule verdicts on the VM's direct-step oracle, and the
-/// bitmap engines end bit-identical word for word.
 #[test]
 fn range_checks_equal_per_granule_fold() {
-    forall!(
-        "range_checks_equal_per_granule_fold",
-        cfg(),
-        gen::vec_of(range_op_gen(THREADS), 0..96),
-        |ops| {
-            let mut oracle = BitmapBackend::new();
-            let ranged: Shadow = Shadow::new(RANGE_GRANULES);
-            let cached: Shadow = Shadow::new(RANGE_GRANULES);
-            let adaptive = ScalableShadow::new(RANGE_GRANULES);
-            let mut caches: HashMap<u32, OwnedCache> = HashMap::new();
-            let mut ad_caches: HashMap<u32, OwnedCache> = HashMap::new();
-
-            for (i, &op) in ops.iter().enumerate() {
-                match op {
-                    RangeOp::Range {
-                        tid,
-                        start,
-                        len,
-                        is_write,
-                    } => {
-                        let want = oracle_fold(&mut oracle, tid, start, len, is_write);
-                        let t8 = ThreadId(tid as u8);
-                        let tw = WideThreadId(tid);
-                        let cache = caches.entry(tid).or_default();
-                        let ad_cache = ad_caches.entry(tid).or_default();
-                        let got = if is_write {
-                            [
-                                ranged.check_range_write(start, len, t8, |_| {}, |_| {}),
-                                cached.check_range_write_cached(
-                                    start,
-                                    len,
-                                    t8,
-                                    cache,
-                                    |_| {},
-                                    |_| {},
-                                ),
-                                adaptive.check_range_write_cached(
-                                    start,
-                                    len,
-                                    tw,
-                                    ad_cache,
-                                    |_| {},
-                                    |_| {},
-                                ),
-                            ]
-                        } else {
-                            [
-                                ranged.check_range_read(start, len, t8, |_| {}, |_| {}),
-                                cached.check_range_read_cached(
-                                    start,
-                                    len,
-                                    t8,
-                                    cache,
-                                    |_| {},
-                                    |_| {},
-                                ),
-                                adaptive.check_range_read_cached(
-                                    start,
-                                    len,
-                                    tw,
-                                    ad_cache,
-                                    |_| {},
-                                    |_| {},
-                                ),
-                            ]
-                        };
-                        prop_assert!(
-                            got == [want; 3],
-                            "op {} (range {} {}..{}): fold {} vs \
-                             [uncached, cached, adaptive] {:?}",
-                            i,
-                            if is_write { "write" } else { "read" },
-                            start,
-                            start + len,
-                            want,
-                            got
-                        );
-                    }
-                    RangeOp::Point {
-                        tid,
-                        granule,
-                        is_write,
-                    } => {
-                        let t8 = ThreadId(tid as u8);
-                        let tw = WideThreadId(tid);
-                        let cache = caches.entry(tid).or_default();
-                        let ad_cache = ad_caches.entry(tid).or_default();
-                        let verdicts = if is_write {
-                            [
-                                oracle.chkwrite(tid, granule).is_conflict(),
-                                ranged.check_write(granule, t8).is_err(),
-                                cached.check_write_cached(granule, t8, cache).is_err(),
-                                adaptive.check_write_cached(granule, tw, ad_cache).is_err(),
-                            ]
-                        } else {
-                            [
-                                oracle.chkread(tid, granule).is_conflict(),
-                                ranged.check_read(granule, t8).is_err(),
-                                cached.check_read_cached(granule, t8, cache).is_err(),
-                                adaptive.check_read_cached(granule, tw, ad_cache).is_err(),
-                            ]
-                        };
-                        prop_assert!(
-                            verdicts.iter().all(|&v| v == verdicts[0]),
-                            "op {} (point): verdicts diverged {:?}",
-                            i,
-                            verdicts
-                        );
-                    }
-                    RangeOp::Clear { granule } => {
-                        oracle.on_alloc(granule);
-                        ranged.clear(granule);
-                        cached.clear(granule);
-                        adaptive.clear(granule);
-                    }
-                }
-            }
-            for g in 0..RANGE_GRANULES {
-                prop_assert!(
-                    oracle.raw(g) == ranged.raw(g) && ranged.raw(g) == cached.raw(g),
-                    "final word of granule {}",
-                    g
-                );
-            }
-        }
-    );
+    range_checks_equal_the_step_fold::<Narrow>();
 }
 
-/// The same fold contract on the five-shard geometry: ranged checks
-/// from tids up to 256 — cached and uncached, with mid-range clears —
-/// agree per op with the per-granule fold on the wide oracle, and
-/// every shard word ends bit-identical.
+/// The same fold contract on the five-shard and adaptive-only
+/// geometries, with ranged checks from tids up to 256.
 #[test]
 fn ranged_sharded_checks_agree_up_to_256_threads() {
-    let geom = ShadowGeometry::for_threads(WIDE_THREADS as usize);
-    assert!(geom.shards() > 1, "the point is a multi-shard geometry");
-    forall!(
-        "ranged_sharded_checks_agree_up_to_256_threads",
-        cfg(),
-        gen::vec_of(range_op_gen(WIDE_THREADS), 0..96),
-        |ops| {
-            let mut oracle = BitmapBackend::with_geometry(geom);
-            let ranged = ShardedShadow::with_geometry(RANGE_GRANULES, geom);
-            let cached = ShardedShadow::with_geometry(RANGE_GRANULES, geom);
-            let mut caches: HashMap<u32, OwnedCache> = HashMap::new();
-
-            for (i, &op) in ops.iter().enumerate() {
-                match op {
-                    RangeOp::Range {
-                        tid,
-                        start,
-                        len,
-                        is_write,
-                    } => {
-                        let want = oracle_fold(&mut oracle, tid, start, len, is_write);
-                        let tw = WideThreadId(tid);
-                        let cache = caches.entry(tid).or_default();
-                        let got = if is_write {
-                            [
-                                ranged.check_range_write(start, len, tw, |_| {}, |_| {}),
-                                cached.check_range_write_cached(
-                                    start,
-                                    len,
-                                    tw,
-                                    cache,
-                                    |_| {},
-                                    |_| {},
-                                ),
-                            ]
-                        } else {
-                            [
-                                ranged.check_range_read(start, len, tw, |_| {}, |_| {}),
-                                cached.check_range_read_cached(
-                                    start,
-                                    len,
-                                    tw,
-                                    cache,
-                                    |_| {},
-                                    |_| {},
-                                ),
-                            ]
-                        };
-                        prop_assert!(
-                            got == [want; 2],
-                            "op {} (wide range): fold {} vs [uncached, cached] {:?}",
-                            i,
-                            want,
-                            got
-                        );
-                    }
-                    RangeOp::Point {
-                        tid,
-                        granule,
-                        is_write,
-                    } => {
-                        let tw = WideThreadId(tid);
-                        let cache = caches.entry(tid).or_default();
-                        let verdicts = if is_write {
-                            [
-                                oracle.chkwrite(tid, granule).is_conflict(),
-                                ranged.check_write(granule, tw).is_err(),
-                                cached.check_write_cached(granule, tw, cache).is_err(),
-                            ]
-                        } else {
-                            [
-                                oracle.chkread(tid, granule).is_conflict(),
-                                ranged.check_read(granule, tw).is_err(),
-                                cached.check_read_cached(granule, tw, cache).is_err(),
-                            ]
-                        };
-                        prop_assert!(
-                            verdicts.iter().all(|&v| v == verdicts[0]),
-                            "op {} (wide point): verdicts diverged {:?}",
-                            i,
-                            verdicts
-                        );
-                    }
-                    RangeOp::Clear { granule } => {
-                        oracle.on_alloc(granule);
-                        ranged.clear(granule);
-                        cached.clear(granule);
-                    }
-                }
-            }
-            for g in 0..RANGE_GRANULES {
-                prop_assert!(
-                    oracle.raw_words(g) == ranged.raw_words(g),
-                    "final words of granule {}",
-                    g
-                );
-                prop_assert!(
-                    ranged.raw_words(g) == cached.raw_words(g),
-                    "cached words of granule {}",
-                    g
-                );
-            }
-        }
-    );
+    range_checks_equal_the_step_fold::<FiveShards>();
+    range_checks_equal_the_step_fold::<AdaptiveOnly>();
 }
 
-// ----- Ranged casts & frees (this PR) -----
+// ----- ranged casts & frees -----
 
 /// Vocabulary for the ranged-clear differential: cached buffer sweeps
 /// interleaved with **ranged clears** (`free` / block-granular
@@ -883,253 +798,97 @@ fn ranged_sharded_checks_agree_up_to_256_threads() {
 enum HandoffOp {
     Sweep {
         tid: u32,
-        start: usize,
-        len: usize,
+        span: (usize, usize),
         is_write: bool,
     },
     ClearRange {
-        start: usize,
-        len: usize,
+        span: (usize, usize),
     },
     ExitRange {
         tid: u32,
-        start: usize,
-        len: usize,
+        span: (usize, usize),
     },
 }
 
 fn handoff_op_gen(threads: u32) -> Gen<HandoffOp> {
-    let span = gen::pair(
-        gen::usize_range(0..RANGE_GRANULES),
-        gen::usize_range(1..RANGE_GRANULES + 1),
-    );
+    let tid = gen::u32_range(1..threads + 1);
     gen::one_of(vec![
-        gen::pair(
-            gen::pair(gen::u32_range(1..threads + 1), gen::bool_any()),
-            span.clone(),
-        )
-        .map(|&((tid, is_write), (start, len))| HandoffOp::Sweep {
-            tid,
-            start,
-            len: len.min(RANGE_GRANULES - start),
-            is_write,
-        }),
-        span.clone().map(|&(start, len)| HandoffOp::ClearRange {
-            start,
-            len: len.min(RANGE_GRANULES - start),
-        }),
-        gen::pair(gen::u32_range(1..threads + 1), span).map(|&(tid, (start, len))| {
-            HandoffOp::ExitRange {
+        gen::pair(gen::pair(tid.clone(), gen::bool_any()), span_gen()).map(
+            |&((tid, is_write), span)| HandoffOp::Sweep {
                 tid,
-                start,
-                len: len.min(RANGE_GRANULES - start),
-            }
-        }),
+                span,
+                is_write,
+            },
+        ),
+        span_gen().map(|&span| HandoffOp::ClearRange { span }),
+        gen::pair(tid, span_gen()).map(|&(tid, span)| HandoffOp::ExitRange { tid, span }),
     ])
 }
 
-/// The ranged-clear contract on the narrow and adaptive engines: a
-/// `clear_range` / `clear_thread_range` (one word-level sweep, ONE
-/// epoch bump per covered region) leaves verdicts and final shadow
-/// words bit-identical to the per-granule `clear` / `clear_thread`
-/// fold it replaces. The ranged instance runs every sweep through the
-/// owned-run cache so a missing or short epoch bump surfaces as a
-/// stale summary and diverging words.
-#[test]
-fn ranged_clears_equal_per_granule_clear_fold() {
+/// The ranged-clear contract, at one width: a `clear_range` /
+/// `clear_thread_range` (one sweep of stores, ONE epoch bump per
+/// covered region) leaves verdicts and final shadow words
+/// bit-identical to the per-granule `clear` / `clear_thread` fold —
+/// on the runtime and on the pure step alike. The ranged subject runs
+/// every sweep through the owned-run cache so a missing or short
+/// epoch bump surfaces as a stale summary and diverging words.
+fn ranged_clears_equal_the_step_clear_fold<W: Width>() {
     forall!(
-        "ranged_clears_equal_per_granule_clear_fold",
+        &format!("ranged_clears_equal_the_step_clear_fold/{}", W::NAME),
         cfg(),
-        gen::vec_of(handoff_op_gen(THREADS), 0..96),
+        gen::vec_of(handoff_op_gen(W::THREADS), 0..96),
         |ops| {
-            let ranged: Shadow = Shadow::new(RANGE_GRANULES);
-            let folded: Shadow = Shadow::new(RANGE_GRANULES);
-            let ad_ranged = ScalableShadow::new(RANGE_GRANULES);
-            let ad_folded = ScalableShadow::new(RANGE_GRANULES);
-            let mut caches: HashMap<u32, OwnedCache> = HashMap::new();
-            let mut ad_caches: HashMap<u32, OwnedCache> = HashMap::new();
+            let mut rig = Rig::<W>::new(
+                RANGE_GRANULES,
+                vec![
+                    Subject::cached("ranged clears", W::shadow(RANGE_GRANULES)),
+                    Subject::uncached("folded clears", W::shadow(RANGE_GRANULES)),
+                ],
+            );
             for (i, &op) in ops.iter().enumerate() {
                 match op {
                     HandoffOp::Sweep {
                         tid,
-                        start,
-                        len,
+                        span,
                         is_write,
-                    } => {
-                        let t8 = ThreadId(tid as u8);
-                        let tw = WideThreadId(tid);
-                        let cache = caches.entry(tid).or_default();
-                        let ad_cache = ad_caches.entry(tid).or_default();
-                        let got = if is_write {
-                            [
-                                ranged.check_range_write_cached(
-                                    start,
-                                    len,
-                                    t8,
-                                    cache,
-                                    |_| {},
-                                    |_| {},
-                                ),
-                                folded.check_range_write(start, len, t8, |_| {}, |_| {}),
-                                ad_ranged.check_range_write_cached(
-                                    start,
-                                    len,
-                                    tw,
-                                    ad_cache,
-                                    |_| {},
-                                    |_| {},
-                                ),
-                                ad_folded.check_range_write(start, len, tw, |_| {}, |_| {}),
-                            ]
-                        } else {
-                            [
-                                ranged.check_range_read_cached(
-                                    start,
-                                    len,
-                                    t8,
-                                    cache,
-                                    |_| {},
-                                    |_| {},
-                                ),
-                                folded.check_range_read(start, len, t8, |_| {}, |_| {}),
-                                ad_ranged.check_range_read_cached(
-                                    start,
-                                    len,
-                                    tw,
-                                    ad_cache,
-                                    |_| {},
-                                    |_| {},
-                                ),
-                                ad_folded.check_range_read(start, len, tw, |_| {}, |_| {}),
-                            ]
-                        };
-                        prop_assert!(
-                            got[0] == got[1] && got[2] == got[3],
-                            "op {} (sweep {}..{}): [ranged, folded, ad-ranged, ad-folded] {:?}",
-                            i,
-                            start,
-                            start + len,
-                            got
-                        );
-                    }
-                    HandoffOp::ClearRange { start, len } => {
-                        ranged.clear_range(start, len);
-                        ad_ranged.clear_range(start, len);
+                    } => rig.check_range(i, tid, span, is_write)?,
+                    HandoffOp::ClearRange { span: (start, len) } => {
+                        rig.subjects[0].shadow.clear_range(start, len);
                         for g in start..start + len {
-                            folded.clear(g);
-                            ad_folded.clear(g);
+                            rig.subjects[1].shadow.clear(g);
+                            rig.oracle.clear(g);
                         }
                     }
-                    HandoffOp::ExitRange { tid, start, len } => {
-                        ranged.clear_thread_range(start, len, ThreadId(tid as u8));
-                        ad_ranged.clear_thread_range(start, len, WideThreadId(tid));
+                    HandoffOp::ExitRange {
+                        tid,
+                        span: (start, len),
+                    } => {
+                        let t = ThreadId(tid);
+                        rig.subjects[0].shadow.clear_thread_range(start, len, t);
                         for g in start..start + len {
-                            folded.clear_thread(g, ThreadId(tid as u8));
-                            ad_folded.clear_thread(g, WideThreadId(tid));
+                            rig.subjects[1].shadow.clear_thread(g, t);
+                            rig.oracle.clear_thread(g, tid);
                         }
                     }
                 }
             }
-            for g in 0..RANGE_GRANULES {
-                prop_assert!(
-                    ranged.raw(g) == folded.raw(g),
-                    "narrow word of granule {}",
-                    g
-                );
-                prop_assert!(
-                    ad_ranged.raw(g) == ad_folded.raw(g),
-                    "adaptive word of granule {}",
-                    g
-                );
-            }
+            rig.words_agree()?;
         }
     );
 }
 
-/// The same ranged-clear contract on the multi-shard geometry, with
-/// tids up to 256: `clear_range` / `clear_thread_range` on the
-/// sharded engine end bit-identical — every shard word — to the
-/// per-granule clear fold, under cached sweeps from threads that
-/// straddle shard boundaries.
+#[test]
+fn ranged_clears_equal_per_granule_clear_fold() {
+    ranged_clears_equal_the_step_clear_fold::<Narrow>();
+}
+
+/// The same ranged-clear contract on the multi-word protocol, with
+/// tids up to 256: five shards (sweeps from threads that straddle
+/// shard boundaries) and adaptive-only.
 #[test]
 fn wide_ranged_clears_equal_per_granule_clear_fold() {
-    let geom = ShadowGeometry::for_threads(WIDE_THREADS as usize);
-    assert!(geom.shards() > 1, "the point is a multi-shard geometry");
-    forall!(
-        "wide_ranged_clears_equal_per_granule_clear_fold",
-        cfg(),
-        gen::vec_of(handoff_op_gen(WIDE_THREADS), 0..96),
-        |ops| {
-            let ranged = ShardedShadow::with_geometry(RANGE_GRANULES, geom);
-            let folded = ShardedShadow::with_geometry(RANGE_GRANULES, geom);
-            let mut caches: HashMap<u32, OwnedCache> = HashMap::new();
-            for (i, &op) in ops.iter().enumerate() {
-                match op {
-                    HandoffOp::Sweep {
-                        tid,
-                        start,
-                        len,
-                        is_write,
-                    } => {
-                        let tw = WideThreadId(tid);
-                        let cache = caches.entry(tid).or_default();
-                        let got = if is_write {
-                            [
-                                ranged.check_range_write_cached(
-                                    start,
-                                    len,
-                                    tw,
-                                    cache,
-                                    |_| {},
-                                    |_| {},
-                                ),
-                                folded.check_range_write(start, len, tw, |_| {}, |_| {}),
-                            ]
-                        } else {
-                            [
-                                ranged.check_range_read_cached(
-                                    start,
-                                    len,
-                                    tw,
-                                    cache,
-                                    |_| {},
-                                    |_| {},
-                                ),
-                                folded.check_range_read(start, len, tw, |_| {}, |_| {}),
-                            ]
-                        };
-                        prop_assert!(
-                            got[0] == got[1],
-                            "op {} (wide sweep {}..{}): [ranged, folded] {:?}",
-                            i,
-                            start,
-                            start + len,
-                            got
-                        );
-                    }
-                    HandoffOp::ClearRange { start, len } => {
-                        ranged.clear_range(start, len);
-                        for g in start..start + len {
-                            folded.clear(g);
-                        }
-                    }
-                    HandoffOp::ExitRange { tid, start, len } => {
-                        ranged.clear_thread_range(start, len, WideThreadId(tid));
-                        for g in start..start + len {
-                            folded.clear_thread(g, WideThreadId(tid));
-                        }
-                    }
-                }
-            }
-            for g in 0..RANGE_GRANULES {
-                prop_assert!(
-                    ranged.raw_words(g) == folded.raw_words(g),
-                    "wide words of granule {}",
-                    g
-                );
-            }
-        }
-    );
+    ranged_clears_equal_the_step_clear_fold::<FiveShards>();
+    ranged_clears_equal_the_step_clear_fold::<AdaptiveOnly>();
 }
 
 /// The whole `CheckEvent` vocabulary over tids `1..=threads`: point
