@@ -6,6 +6,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Runs `sharc <args>` and insists on the exact exit code: 0 judged
+# clean, 1 judged with conflicts, 2 usage, 3 could not judge. A bare
+# "nonzero" would let an unreadable trace pass for the false positive
+# a baseline is expected to report.
+expect_exit() {
+    local want=$1 got=0
+    shift
+    cargo run --release --offline --bin sharc -- "$@" || got=$?
+    if [ "$got" -ne "$want" ]; then
+        echo "ERROR: sharc $* exited $got, expected $want" >&2
+        exit 1
+    fi
+}
+
 echo "== policy: no external dependencies in any manifest =="
 if grep -rn 'rand\|proptest\|criterion\|crossbeam\|parking_lot\|serde' \
     Cargo.toml crates/*/Cargo.toml; then
@@ -126,10 +140,17 @@ echo "$explain" | grep -q "lock-held" || {
 }
 racy_caught=0
 for seed in 0 1 2 3; do
-    if ! cargo run --release --offline --bin sharc -- \
-        run examples/minic/counter_racy.c --seed "$seed" >/dev/null 2>&1; then
-        racy_caught=1
-    fi
+    code=0
+    cargo run --release --offline --bin sharc -- \
+        run examples/minic/counter_racy.c --seed "$seed" >/dev/null 2>&1 || code=$?
+    case "$code" in
+        0) ;;
+        1) racy_caught=1 ;;
+        *)
+            echo "ERROR: counter_racy.c seed $seed exited $code, not a verdict" >&2
+            exit 1
+            ;;
+    esac
 done
 if [ "$racy_caught" -ne 1 ]; then
     echo "ERROR: counter_racy.c exited 0 on every seed under elision" >&2
@@ -147,21 +168,15 @@ SHARC_TEST_SEED=0x57E5 \
 echo "== native event spine: one execution, two verdicts =="
 # SharC accepts the concurrent hand-off (exit 0); the lockset
 # baseline must false-positive on the identical recorded execution
-# (exit 1 — inverted below). pbzip2 runs the same split through a
+# (exactly exit 1). pbzip2 runs the same split through a
 # trace file: record once with --trace-out, then re-judge the saved
 # trace offline with both engines.
-cargo run --release --offline --bin sharc -- native handoff --detector sharc
-if cargo run --release --offline --bin sharc -- native handoff --detector eraser; then
-    echo "ERROR: eraser accepted the hand-off it should false-positive on" >&2
-    exit 1
-fi
+expect_exit 0 native handoff --detector sharc
+expect_exit 1 native handoff --detector eraser
 trace_file="target/ci-pbzip2.trace"
 cargo run --release --offline --bin sharc -- native pbzip2 --trace-out "$trace_file"
-cargo run --release --offline --bin sharc -- replay "$trace_file" --detector sharc
-if cargo run --release --offline --bin sharc -- replay "$trace_file" --detector eraser; then
-    echo "ERROR: eraser accepted the pbzip2 hand-offs it should false-positive on" >&2
-    exit 1
-fi
+expect_exit 0 replay "$trace_file" --detector sharc
+expect_exit 1 replay "$trace_file" --detector eraser
 # Version-lowering compatibility. The recorded trace must be v3 with
 # ONE rcast/rfree line per block hand-off — a per-granule `cast`
 # expansion leaking back in would be the O(granules) spine this PR
@@ -188,40 +203,57 @@ if grep -q '^rcast \|^rfree \|^rread \|^rwrite ' "$trace_v1"; then
     echo "ERROR: trace convert --lower left range events behind" >&2
     exit 1
 fi
-cargo run --release --offline --bin sharc -- replay "$trace_v1" --detector sharc
-if cargo run --release --offline --bin sharc -- replay "$trace_v1" --detector eraser; then
-    echo "ERROR: eraser accepted the v1-lowered pbzip2 trace" >&2
-    exit 1
-fi
+expect_exit 0 replay "$trace_v1" --detector sharc
+expect_exit 1 replay "$trace_v1" --detector eraser
 # aget on the spine: workers store whole chunks with ranged writes
 # and exit before main's ranged verification sweep — clean under
 # SharC's lifetime model (exit 0), a false positive under Eraser
-# (no lock ever protects the shared buffer; exit 1, inverted).
-cargo run --release --offline --bin sharc -- native aget --detector sharc
-if cargo run --release --offline --bin sharc -- native aget --detector eraser; then
-    echo "ERROR: eraser accepted the aget download it should false-positive on" >&2
-    exit 1
-fi
+# (no lock ever protects the shared buffer; exactly exit 1).
+expect_exit 0 native aget --detector sharc
+expect_exit 1 native aget --detector eraser
+
+echo "== a failure to judge is exit 3, never a verdict =="
+# A trace that cannot be read, or that the decoder refuses because the
+# fold could not survive it (tid 0 used to panic the bitmap engine; a
+# wrapping range used to print "no conflicts"; two lines naming
+# terabytes of shadow used to abort), exits 3 with a one-line reason —
+# under every detector, so no expected-false-positive check above can
+# be satisfied by a broken input. tests/cli_exit_codes.rs repeats this
+# for the .sbt spellings; tests/trace_fuzz.rs fuzzes both decoders.
+hostile="target/ci-hostile.trace"
+for lines in 'read 0 5' \
+    'rwrite 1 18446744073709551615 2' \
+    'write 1073741823 0\nwrite 5 100000' \
+    'write 1 4000000000000'; do
+    printf "# sharc-trace v3\n$lines\n" > "$hostile"
+    expect_exit 3 replay "$hostile" --detector sharc
+    expect_exit 3 replay "$hostile" --detector eraser
+done
+expect_exit 3 replay target/ci-no-such-file.trace --detector eraser
+expect_exit 3 run target/ci-no-such-file.c
+expect_exit 2 replay "$trace_file" --detector helgrind
+# The VM bug the benchmark found and could not fix: a recycled thread
+# id woken as its dead namesake. Completes, clean, on every seed.
+for seed in 0 1 2 3 4 5 6 7; do
+    expect_exit 0 run benchmark/programs/known-bug-tid-reuse.c --seed "$seed"
+done
 
 echo "== wide-tid stunnel smoke: 100+ threads, record -> replay =="
 # The fleet run: 128 real worker threads (tids past the second shard
 # boundary) recorded once, then the saved trace re-judged offline.
 # SharC must stay clean at the wide geometry (exit 0); Eraser must
-# false-positive on the session hand-offs (exit 1, inverted).
+# false-positive on the session hand-offs (exactly exit 1).
 stunnel_trace="target/ci-stunnel.trace"
 cargo run --release --offline --bin sharc -- native stunnel --trace-out "$stunnel_trace"
-cargo run --release --offline --bin sharc -- replay "$stunnel_trace" --detector sharc
-if cargo run --release --offline --bin sharc -- replay "$stunnel_trace" --detector eraser; then
-    echo "ERROR: eraser accepted the stunnel hand-offs it should false-positive on" >&2
-    exit 1
-fi
+expect_exit 0 replay "$stunnel_trace" --detector sharc
+expect_exit 1 replay "$stunnel_trace" --detector eraser
 
 echo "== binary trace smoke: record .sbt -> info -> parallel replay =="
 # The same fleet recorded straight into the v4 binary container
 # (--trace-out picks the format from the .sbt extension), summarized
 # without judging, then re-judged with the region-sharded parallel
-# engine: SharC clean (exit 0), Eraser false-positive (exit 1,
-# inverted) on the SAME .sbt file — verdicts are format- and
+# engine: SharC clean (exit 0), Eraser false-positive (exactly
+# exit 1) on the SAME .sbt file — verdicts are format- and
 # parallelism-independent.
 stunnel_sbt="target/ci-stunnel.sbt"
 cargo run --release --offline --bin sharc -- native stunnel --trace-out "$stunnel_sbt"
@@ -231,11 +263,8 @@ echo "$info" | grep -q "binary v4" || {
     echo "ERROR: trace info does not identify the .sbt file as binary v4" >&2
     exit 1
 }
-cargo run --release --offline --bin sharc -- replay "$stunnel_sbt" --jobs 4 --detector sharc
-if cargo run --release --offline --bin sharc -- replay "$stunnel_sbt" --jobs 4 --detector eraser; then
-    echo "ERROR: eraser accepted the stunnel hand-offs from the binary trace" >&2
-    exit 1
-fi
+expect_exit 0 replay "$stunnel_sbt" --jobs 4 --detector sharc
+expect_exit 1 replay "$stunnel_sbt" --jobs 4 --detector eraser
 # Convert round trip: .sbt -> text -> .sbt must be byte-identical
 # (the binary encoding is deterministic). The size ratio on this
 # recorded run is printed, not gated: it follows how the scheduler
@@ -268,19 +297,13 @@ echo "== streaming online smoke: same verdicts, bounded memory =="
 # The same fleet judged while it runs: the epoch-flip collector
 # drains per-thread rings concurrently with the workload, so the
 # exit code must match the record->replay path above on every
-# detector — SharC clean (exit 0), Eraser false-positive (exit 1,
-# inverted) — with peak resident events held inside the --ring-cap
+# detector — SharC clean (exit 0), Eraser false-positive (exactly
+# exit 1) — with peak resident events held inside the --ring-cap
 # budget instead of the full recorded trace.
-cargo run --release --offline --bin sharc -- native stunnel --detector sharc --online --ring-cap 256
-if cargo run --release --offline --bin sharc -- native stunnel --detector eraser --online --ring-cap 256; then
-    echo "ERROR: eraser accepted the stunnel hand-offs while streaming" >&2
-    exit 1
-fi
-cargo run --release --offline --bin sharc -- native handoff --detector sharc --online
-if cargo run --release --offline --bin sharc -- native handoff --detector eraser --online; then
-    echo "ERROR: eraser accepted the hand-off while streaming" >&2
-    exit 1
-fi
+expect_exit 0 native stunnel --detector sharc --online --ring-cap 256
+expect_exit 1 native stunnel --detector eraser --online --ring-cap 256
+expect_exit 0 native handoff --detector sharc --online
+expect_exit 1 native handoff --detector eraser --online
 
 echo "== checker bench --smoke (epoch-thrash + ranged gates) =="
 # Asserts the perf claims in --smoke mode: the per-region epoch

@@ -24,8 +24,8 @@ use sharc_bench::{
     handoff_trace, scan_workload_baseline, scan_workload_detector, scan_workload_sharc,
     timed_replay,
 };
-use sharc_checker::{BitmapBackend, CheckBackend};
-use sharc_detectors::{BaselineBackend, Detector, Eraser, Online, VcDetector};
+use sharc_checker::{replay, BitmapBackend, CheckBackend};
+use sharc_detectors::{Eraser, Online, VcDetector};
 use sharc_interp::{compile_and_run, VmConfig};
 use sharc_runtime::{Arena, Checked};
 use std::sync::Arc;
@@ -71,8 +71,8 @@ fn main() {
 
     println!("\n== Precision: ownership hand-off (producer -> consumer) ==\n");
     let trace = handoff_trace(50);
-    let eraser_fp = Eraser::new().run(&trace).len();
-    let vc_fp = VcDetector::new().run(&trace).len();
+    let eraser_fp = replay(&trace, &mut Eraser::new()).len();
+    let vc_fp = replay(&trace, &mut VcDetector::new()).len();
 
     // The same idiom under SharC, as a MiniC program with sharing
     // casts: no reports.
@@ -125,9 +125,8 @@ fn main() {
     //
     // The §2.1 ownership-transfer workload runs once with real
     // threads, recording its CheckEvent trace; then every engine —
-    // SharC's bitmap backend, the BaselineBackend adapters, and the
-    // sharded Online front-ends — replays the identical sequence
-    // through the unified CheckBackend interface.
+    // SharC's bitmap backend, Eraser, vector clocks — replays the
+    // identical sequence through the CheckBackend interface.
     println!("\n== One native execution, every engine (CheckBackend replay) ==\n");
     let (nrun, trace) = sharc_workloads::benchmarks::handoff::run_traced(
         &sharc_workloads::benchmarks::handoff::Params::default(),
@@ -142,19 +141,8 @@ fn main() {
     );
     let engines: Vec<(&str, Box<dyn CheckBackend>)> = vec![
         ("SharC bitmap", Box::new(BitmapBackend::new())),
-        (
-            "Eraser (replay)",
-            Box::new(BaselineBackend::new(Eraser::new())),
-        ),
-        (
-            "vector clocks (replay)",
-            Box::new(BaselineBackend::new(VcDetector::new())),
-        ),
-        ("Eraser (online)", Box::new(Online::<Eraser>::new())),
-        (
-            "vector clocks (online)",
-            Box::new(Online::<VcDetector>::new()),
-        ),
+        ("Eraser", Box::new(Eraser::new())),
+        ("vector clocks", Box::new(VcDetector::new())),
     ];
     println!("{:<24} {:>12} {:>10}", "engine", "replay time", "conflicts");
     for (name, mut backend) in engines {

@@ -80,21 +80,19 @@ fn main() {
     );
 
     // Event-spine cross-check: the same kind of native execution the
-    // table timed, replayed through the unified CheckBackend
-    // interface (SharC's own engine and an online lockset monitor
-    // judge one identical run).
+    // table timed, replayed through the CheckBackend interface
+    // (SharC's own engine and the lockset baseline judge one
+    // identical run).
     use sharc_workloads::benchmarks::pfscan;
     let log = std::sync::Arc::new(sharc_checker::EventLog::new());
     let _ = pfscan::run_with_events(&pfscan::Params::scaled(Scale::quick()), log.clone());
     let trace = log.snapshot();
     let mut sharc = sharc_checker::BitmapBackend::new();
     let n_sharc = sharc_checker::replay(&trace, &mut sharc).len();
-    let mut online: sharc_detectors::Online<sharc_detectors::Eraser> =
-        sharc_detectors::Online::new();
-    let n_online = sharc_checker::replay(&trace, &mut online).len();
+    let n_eraser = sharc_checker::replay(&trace, &mut sharc_detectors::Eraser::new()).len();
     println!(
         "\nEvent spine: one native pfscan run ({} events) replayed through \
-         CheckBackend — sharc: {n_sharc} conflicts, online eraser: {n_online}.",
+         CheckBackend — sharc: {n_sharc} conflicts, eraser: {n_eraser}.",
         trace.len()
     );
     // Who paid for the recording: per-thread append counts on the

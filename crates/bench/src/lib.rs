@@ -12,7 +12,7 @@
 //!   vector-clock monitoring of *every* access (§6.2's 10×–30×).
 
 use sharc_checker::{replay, CheckBackend, CheckEvent, Conflict, OwnedCache};
-use sharc_detectors::{Detector, Event, Online};
+use sharc_detectors::Online;
 use sharc_runtime::{AccessPolicy, Arena, ObjId, RcScheme, Shadow, ThreadCtx, ThreadId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -85,8 +85,8 @@ pub fn scan_workload_sharc<P: AccessPolicy>(
 
 /// The same scan monitored by a trace detector on *every* access
 /// (how Eraser-class tools work).
-pub fn scan_workload_detector<D: Detector + Default + Send + 'static>(
-    detector: Arc<Online<D>>,
+pub fn scan_workload_detector<B: CheckBackend + Default + Send + 'static>(
+    detector: Arc<Online<B>>,
     threads: usize,
     words_per_thread: usize,
     passes: usize,
@@ -151,9 +151,8 @@ pub fn scan_workload_baseline(
 /// the replay. This is how the harnesses judge a *single* native run
 /// with every engine: the workload executes once (recording its
 /// [`CheckEvent`] trace), then each [`CheckBackend`] — SharC's
-/// bitmap, the [`sharc_detectors::BaselineBackend`] adapters, or the
-/// sharded [`Online`] front-ends — replays the identical event
-/// sequence.
+/// bitmap, [`sharc_detectors::Eraser`], [`sharc_detectors::VcDetector`]
+/// — replays the identical event sequence.
 pub fn timed_replay(
     trace: &[CheckEvent],
     backend: &mut dyn CheckBackend,
@@ -166,16 +165,20 @@ pub fn timed_replay(
 /// An ownership-transfer trace (producer/consumer via two locks):
 /// legal under SharC's sharing casts, a false positive for the
 /// baselines.
-pub fn handoff_trace(rounds: usize) -> Vec<Event> {
-    let mut t = vec![Event::Fork { tid: 1, child: 2 }];
+pub fn handoff_trace(rounds: usize) -> Vec<CheckEvent> {
+    use CheckEvent::{Acquire, Fork, Release, Write};
+    let mut t = vec![Fork {
+        parent: 1,
+        child: 2,
+    }];
     for r in 0..rounds {
-        let loc = r % 8;
-        t.push(Event::Acquire { tid: 1, lock: 1 });
-        t.push(Event::Write { tid: 1, loc });
-        t.push(Event::Release { tid: 1, lock: 1 });
-        t.push(Event::Acquire { tid: 2, lock: 2 });
-        t.push(Event::Write { tid: 2, loc });
-        t.push(Event::Release { tid: 2, lock: 2 });
+        let granule = r % 8;
+        t.push(Acquire { tid: 1, lock: 1 });
+        t.push(Write { tid: 1, granule });
+        t.push(Release { tid: 1, lock: 1 });
+        t.push(Acquire { tid: 2, lock: 2 });
+        t.push(Write { tid: 2, granule });
+        t.push(Release { tid: 2, lock: 2 });
     }
     t
 }
@@ -1138,7 +1141,7 @@ mod tests {
     fn handoff_trace_is_false_positive_for_baselines() {
         use sharc_detectors::{Eraser, VcDetector};
         let trace = handoff_trace(10);
-        assert!(!Eraser::new().run(&trace).is_empty());
-        assert!(!VcDetector::new().run(&trace).is_empty());
+        assert!(!replay(&trace, &mut Eraser::new()).is_empty());
+        assert!(!replay(&trace, &mut VcDetector::new()).is_empty());
     }
 }

@@ -3,22 +3,22 @@
 //! A [`CheckBackend`] is anything that can answer SharC's four
 //! runtime checks — `chkread`, `chkwrite`, `lock_held`, `oneref` —
 //! while being kept current with the synchronization and lifecycle
-//! events those checks depend on. Three families implement it:
+//! events those checks depend on. Three engines implement it:
 //!
 //! * [`BitmapBackend`] (here) — the paper's own engine: the pure
 //!   bitmap state machine from [`crate::step`] over a growable word
-//!   store, with per-thread access logs and held-lock logs. The
+//!   store, with per-thread access logs and a [`HeldLocks`] log. The
 //!   VM's verdicts coincide with this backend by construction.
-//! * `sharc-detectors`' Eraser lockset and vector-clock engines,
-//!   adapted through the same interface, so `sharc run --detector
-//!   sharc|eraser|vc` can cross-validate *one* seeded execution
-//!   through any engine.
-//! * `sharc-detectors`' `Online<D>` sharded front-end, for real
-//!   threads.
+//! * `sharc-detectors`' `Eraser` (locksets) and `VcDetector`
+//!   (happens-before), which implement the trait themselves, so
+//!   `sharc run --detector sharc|eraser|vc` judges *one* seeded
+//!   execution with any engine.
 //!
-//! [`replay`] drives a [`CheckEvent`] trace through a backend and
-//! collects every conflict — the workhorse of the differential tests
-//! and of the CLI's `--detector` switch.
+//! [`CheckEvent`] is the only event vocabulary in the workspace: the
+//! VM, the native workloads and both trace codecs produce it, and
+//! [`replay`] drives it through a backend and collects every conflict
+//! — the workhorse of the differential tests and of the CLI's
+//! `--detector` switch.
 
 use crate::geometry::ShadowGeometry;
 use crate::step::{sharded, sharded::ShardStep, Access};
@@ -47,25 +47,24 @@ pub struct Conflict {
     pub granule: usize,
 }
 
+/// The report heading of each kind, as the paper's tool prints it.
+impl std::fmt::Display for CheckKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            CheckKind::Read => "read conflict",
+            CheckKind::Write => "write conflict",
+            CheckKind::Lock => "lock not held",
+            CheckKind::OneRef => "sharing cast failed",
+        })
+    }
+}
+
 impl std::fmt::Display for Conflict {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.kind {
-            CheckKind::Read => write!(
-                f,
-                "read conflict at granule {} (thread {})",
-                self.granule, self.tid
-            ),
-            CheckKind::Write => write!(
-                f,
-                "write conflict at granule {} (thread {})",
-                self.granule, self.tid
-            ),
-            CheckKind::Lock => write!(f, "lock {} not held (thread {})", self.granule, self.tid),
-            CheckKind::OneRef => write!(
-                f,
-                "sharing cast failed at granule {} (thread {})",
-                self.granule, self.tid
-            ),
+        let Conflict { kind, tid, granule } = *self;
+        match kind {
+            CheckKind::Lock => write!(f, "lock {granule} not held (thread {tid})"),
+            _ => write!(f, "{kind} at granule {granule} (thread {tid})"),
         }
     }
 }
@@ -349,12 +348,12 @@ pub fn replay(events: &[CheckEvent], backend: &mut dyn CheckBackend) -> Vec<Conf
     out
 }
 
-/// The largest thread id a trace mentions (0 for an empty trace —
-/// `Alloc` carries no tid).
-pub fn max_trace_tid(events: &[CheckEvent]) -> u32 {
-    events
-        .iter()
-        .map(|e| match *e {
+impl CheckEvent {
+    /// The thread ids the event names, its own first (`Alloc` and
+    /// `RangeFree` name none).
+    #[inline]
+    pub fn tids(&self) -> impl Iterator<Item = u32> {
+        let (own, other) = match *self {
             CheckEvent::Read { tid, .. }
             | CheckEvent::Write { tid, .. }
             | CheckEvent::RangeRead { tid, .. }
@@ -364,14 +363,42 @@ pub fn max_trace_tid(events: &[CheckEvent]) -> u32 {
             | CheckEvent::RangeCast { tid, .. }
             | CheckEvent::Acquire { tid, .. }
             | CheckEvent::Release { tid, .. }
-            | CheckEvent::ThreadExit { tid } => tid,
+            | CheckEvent::ThreadExit { tid } => (Some(tid), None),
             CheckEvent::Fork { parent, child } | CheckEvent::Join { parent, child } => {
-                parent.max(child)
+                (Some(parent), Some(child))
             }
-            CheckEvent::Alloc { .. } | CheckEvent::RangeFree { .. } => 0,
-        })
-        .max()
-        .unwrap_or(0)
+            CheckEvent::Alloc { .. } | CheckEvent::RangeFree { .. } => (None, None),
+        };
+        own.into_iter().chain(other)
+    }
+
+    /// The granule run `(first, len)` the event addresses, if it
+    /// addresses memory at all; a point event is a run of one.
+    #[inline]
+    pub fn granules(&self) -> Option<(usize, usize)> {
+        match *self {
+            CheckEvent::Read { granule, .. }
+            | CheckEvent::Write { granule, .. }
+            | CheckEvent::SharingCast { granule, .. }
+            | CheckEvent::Alloc { granule } => Some((granule, 1)),
+            CheckEvent::RangeRead { granule, len, .. }
+            | CheckEvent::RangeWrite { granule, len, .. }
+            | CheckEvent::RangeCast { granule, len, .. }
+            | CheckEvent::RangeFree { granule, len } => Some((granule, len)),
+            CheckEvent::LockedAccess { .. }
+            | CheckEvent::Acquire { .. }
+            | CheckEvent::Release { .. }
+            | CheckEvent::Fork { .. }
+            | CheckEvent::Join { .. }
+            | CheckEvent::ThreadExit { .. } => None,
+        }
+    }
+}
+
+/// The largest thread id a trace mentions (0 for an empty trace —
+/// `Alloc` carries no tid).
+pub fn max_trace_tid(events: &[CheckEvent]) -> u32 {
+    events.iter().flat_map(CheckEvent::tids).max().unwrap_or(0)
 }
 
 /// The shard geometry that keeps every tid in `events` exact: one
@@ -390,22 +417,8 @@ pub fn geometry_for_trace(events: &[CheckEvent]) -> ShadowGeometry {
 pub fn trace_granule_span(events: &[CheckEvent]) -> usize {
     events
         .iter()
-        .map(|e| match *e {
-            CheckEvent::Read { granule, .. }
-            | CheckEvent::Write { granule, .. }
-            | CheckEvent::SharingCast { granule, .. }
-            | CheckEvent::Alloc { granule } => granule + 1,
-            CheckEvent::RangeRead { granule, len, .. }
-            | CheckEvent::RangeWrite { granule, len, .. }
-            | CheckEvent::RangeCast { granule, len, .. }
-            | CheckEvent::RangeFree { granule, len } => granule + len.max(1),
-            CheckEvent::LockedAccess { .. }
-            | CheckEvent::Acquire { .. }
-            | CheckEvent::Release { .. }
-            | CheckEvent::Fork { .. }
-            | CheckEvent::Join { .. }
-            | CheckEvent::ThreadExit { .. } => 0,
-        })
+        .filter_map(CheckEvent::granules)
+        .map(|(granule, len)| granule.saturating_add(len.max(1)))
         .max()
         .unwrap_or(0)
 }
@@ -448,9 +461,48 @@ pub fn lower_ranges(events: &[CheckEvent]) -> Vec<CheckEvent> {
     out
 }
 
+/// The §4.2.2 held-lock log: which locks each thread holds right
+/// now. Every engine keeps one — it answers the `locked(l)` check, and
+/// Eraser refines its candidate locksets against it.
+#[derive(Debug, Default)]
+pub struct HeldLocks {
+    by_thread: HashMap<u32, Vec<usize>>,
+}
+
+impl HeldLocks {
+    /// `tid` acquired `lock`.
+    pub fn acquire(&mut self, tid: u32, lock: usize) {
+        self.by_thread.entry(tid).or_default().push(lock);
+    }
+
+    /// `tid` released `lock` (a release of a lock not held is ignored).
+    pub fn release(&mut self, tid: u32, lock: usize) {
+        if let Some(held) = self.by_thread.get_mut(&tid) {
+            if let Some(p) = held.iter().position(|&l| l == lock) {
+                held.remove(p);
+            }
+        }
+    }
+
+    /// The locks `tid` holds, in acquisition order.
+    pub fn of(&self, tid: u32) -> &[usize] {
+        self.by_thread.get(&tid).map_or(&[], Vec::as_slice)
+    }
+
+    /// Does `tid` hold `lock`?
+    pub fn holds(&self, tid: u32, lock: usize) -> bool {
+        self.of(tid).contains(&lock)
+    }
+
+    /// `tid` exited: its log is dropped.
+    pub fn thread_exit(&mut self, tid: u32) {
+        self.by_thread.remove(&tid);
+    }
+}
+
 /// The reference engine: the sharded bitmap state machine over a
 /// growable word store. Single-threaded (serialize externally — the
-/// VM's scheduler does, `Online` uses sharded locks); the verdicts
+/// VM's scheduler does, the streaming collector does); the verdicts
 /// are identical to `sharc-runtime`'s CAS wrappers because all of
 /// them run [`sharded::step`].
 ///
@@ -466,8 +518,7 @@ pub struct BitmapBackend {
     geom: ShadowGeometry,
     /// Granules each thread installed bits into, for exit clearing.
     logs: HashMap<u32, Vec<usize>>,
-    /// Held-lock log per thread (§4.2.2).
-    held: HashMap<u32, Vec<usize>>,
+    held: HeldLocks,
 }
 
 impl Default for BitmapBackend {
@@ -491,7 +542,7 @@ impl BitmapBackend {
             words: Vec::new(),
             geom,
             logs: HashMap::new(),
-            held: HashMap::new(),
+            held: HeldLocks::default(),
         }
     }
 
@@ -572,19 +623,15 @@ impl CheckBackend for BitmapBackend {
     }
 
     fn lock_held(&self, tid: u32, lock: usize) -> bool {
-        self.held.get(&tid).is_some_and(|h| h.contains(&lock))
+        self.held.holds(tid, lock)
     }
 
     fn on_acquire(&mut self, tid: u32, lock: usize) {
-        self.held.entry(tid).or_default().push(lock);
+        self.held.acquire(tid, lock);
     }
 
     fn on_release(&mut self, tid: u32, lock: usize) {
-        if let Some(h) = self.held.get_mut(&tid) {
-            if let Some(p) = h.iter().position(|&l| l == lock) {
-                h.remove(p);
-            }
-        }
+        self.held.release(tid, lock);
     }
 
     fn on_thread_exit(&mut self, tid: u32) {
@@ -600,7 +647,7 @@ impl CheckBackend for BitmapBackend {
                 }
             }
         }
-        self.held.remove(&tid);
+        self.held.thread_exit(tid);
     }
 
     fn on_alloc(&mut self, granule: usize) {

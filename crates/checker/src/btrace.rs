@@ -51,7 +51,10 @@
 //!
 //! [`BinaryTraceReader`] is zero-copy: it borrows the byte slice
 //! (read, mapped, or in memory), validates the framing once, and
-//! decodes events on demand with [`BinaryTraceReader::events`].
+//! decodes events on demand with [`BinaryTraceReader::events`], which
+//! refuses — naming the block — any event the replay fold could not
+//! survive (tid 0, an overflowing range, a shadow over
+//! [`crate::MAX_TRACE_SHADOW_BYTES`]), exactly as the text parser does.
 //! Round-tripping is exact in both directions and pinned by the
 //! property tests below: `parse_binary ∘ to_binary` is the identity
 //! on any event vector, and text→binary→text reproduces the v3 file
@@ -62,6 +65,7 @@
 use crate::backend::{max_trace_tid, trace_granule_span, CheckEvent};
 use crate::geometry::ShadowGeometry;
 use crate::sink::recording_tid;
+use crate::trace::Admission;
 
 /// Leading magic of a v4 binary trace (`sharc trace` and `sharc
 /// replay` sniff this to tell binary from text).
@@ -402,8 +406,10 @@ impl<'a> BinaryTraceReader<'a> {
             pos: HEADER_LEN,
             end: self.footer_off,
             block_tid: 0,
+            block_no: 0,
             left_in_block: 0,
             prev_granule: 0,
+            admission: Admission::default(),
             failed: false,
         }
     }
@@ -441,14 +447,18 @@ pub struct EventIter<'a> {
     pos: usize,
     end: usize,
     block_tid: u32,
+    /// 1-based index of the block being decoded, for error messages.
+    block_no: u64,
     left_in_block: u64,
     prev_granule: i64,
+    /// The same per-event checks the text parser applies: a binary
+    /// file is no more trusted than a text one.
+    admission: Admission,
     failed: bool,
 }
 
 impl EventIter<'_> {
     fn decode_next(&mut self) -> Result<Option<CheckEvent>, String> {
-        use CheckEvent as E;
         if self.left_in_block == 0 {
             // Block boundary (or clean end of the block region).
             if self.pos == self.end {
@@ -459,81 +469,137 @@ impl EventIter<'_> {
             self.block_tid =
                 u32::try_from(tid).map_err(|_| format!("block tid {tid} overflows u32"))?;
             self.left_in_block = read_uleb(bytes, &mut self.pos)?;
+            self.block_no += 1;
             self.prev_granule = 0;
             if self.left_in_block == 0 {
                 return Err("empty block in binary trace".to_string());
             }
         }
-        let bytes = &self.data[..self.end];
-        let op = *bytes
+        let event = self
+            .decode_event()
+            .map_err(|why| format!("block {} (tid {}): {why}", self.block_no, self.block_tid))?;
+        self.left_in_block -= 1;
+        Ok(Some(event))
+    }
+
+    /// Decodes the next event of the current block, admitting each
+    /// tid and granule run as it is read.
+    fn decode_event(&mut self) -> Result<CheckEvent, String> {
+        use CheckEvent as E;
+        let op = *self.data[..self.end]
             .get(self.pos)
             .ok_or_else(|| "truncated block: opcode missing".to_string())?;
         self.pos += 1;
-        let tid = self.block_tid;
-        let e = match op {
+        Ok(match op {
             OP_READ => E::Read {
-                tid,
-                granule: read_granule_delta(bytes, &mut self.pos, &mut self.prev_granule)?,
+                tid: self.own_tid()?,
+                granule: self.granule()?,
             },
             OP_WRITE => E::Write {
-                tid,
-                granule: read_granule_delta(bytes, &mut self.pos, &mut self.prev_granule)?,
+                tid: self.own_tid()?,
+                granule: self.granule()?,
             },
-            OP_RANGE_READ => E::RangeRead {
-                tid,
-                granule: read_granule_delta(bytes, &mut self.pos, &mut self.prev_granule)?,
-                len: read_uleb(bytes, &mut self.pos)? as usize,
-            },
-            OP_RANGE_WRITE => E::RangeWrite {
-                tid,
-                granule: read_granule_delta(bytes, &mut self.pos, &mut self.prev_granule)?,
-                len: read_uleb(bytes, &mut self.pos)? as usize,
-            },
+            OP_RANGE_READ => {
+                let (granule, len) = self.granule_run()?;
+                E::RangeRead {
+                    tid: self.own_tid()?,
+                    granule,
+                    len,
+                }
+            }
+            OP_RANGE_WRITE => {
+                let (granule, len) = self.granule_run()?;
+                E::RangeWrite {
+                    tid: self.own_tid()?,
+                    granule,
+                    len,
+                }
+            }
             OP_LOCKED => E::LockedAccess {
-                tid,
-                lock: read_uleb(bytes, &mut self.pos)? as usize,
+                tid: self.own_tid()?,
+                lock: self.size()?,
             },
             OP_CAST => E::SharingCast {
-                tid,
-                granule: read_granule_delta(bytes, &mut self.pos, &mut self.prev_granule)?,
-                refs: read_uleb(bytes, &mut self.pos)?,
+                tid: self.own_tid()?,
+                granule: self.granule()?,
+                refs: self.uleb()?,
             },
-            OP_RANGE_CAST => E::RangeCast {
-                tid,
-                granule: read_granule_delta(bytes, &mut self.pos, &mut self.prev_granule)?,
-                len: read_uleb(bytes, &mut self.pos)? as usize,
-                refs: read_uleb(bytes, &mut self.pos)?,
-            },
-            OP_RANGE_FREE => E::RangeFree {
-                granule: read_granule_delta(bytes, &mut self.pos, &mut self.prev_granule)?,
-                len: read_uleb(bytes, &mut self.pos)? as usize,
-            },
+            OP_RANGE_CAST => {
+                let (granule, len) = self.granule_run()?;
+                E::RangeCast {
+                    tid: self.own_tid()?,
+                    granule,
+                    len,
+                    refs: self.uleb()?,
+                }
+            }
+            OP_RANGE_FREE => {
+                let (granule, len) = self.granule_run()?;
+                E::RangeFree { granule, len }
+            }
             OP_ACQUIRE => E::Acquire {
-                tid,
-                lock: read_uleb(bytes, &mut self.pos)? as usize,
+                tid: self.own_tid()?,
+                lock: self.size()?,
             },
             OP_RELEASE => E::Release {
-                tid,
-                lock: read_uleb(bytes, &mut self.pos)? as usize,
+                tid: self.own_tid()?,
+                lock: self.size()?,
             },
             OP_FORK => E::Fork {
-                parent: tid,
-                child: u32::try_from(read_uleb(bytes, &mut self.pos)?)
-                    .map_err(|_| "fork child overflows u32".to_string())?,
+                parent: self.own_tid()?,
+                child: self.other_tid("fork child")?,
             },
             OP_JOIN => E::Join {
-                parent: tid,
-                child: u32::try_from(read_uleb(bytes, &mut self.pos)?)
-                    .map_err(|_| "join child overflows u32".to_string())?,
+                parent: self.own_tid()?,
+                child: self.other_tid("join child")?,
             },
-            OP_EXIT => E::ThreadExit { tid },
+            OP_EXIT => E::ThreadExit {
+                tid: self.own_tid()?,
+            },
             OP_ALLOC => E::Alloc {
-                granule: read_granule_delta(bytes, &mut self.pos, &mut self.prev_granule)?,
+                granule: self.granule()?,
             },
             other => return Err(format!("unknown opcode {other} at byte {}", self.pos - 1)),
-        };
-        self.left_in_block -= 1;
-        Ok(Some(e))
+        })
+    }
+
+    fn uleb(&mut self) -> Result<u64, String> {
+        read_uleb(&self.data[..self.end], &mut self.pos)
+    }
+
+    /// A length or lock id: a varint that must fit `usize`.
+    fn size(&mut self) -> Result<usize, String> {
+        usize::try_from(self.uleb()?).map_err(|_| "operand overflows usize".to_string())
+    }
+
+    /// The block's tid, as the tid of an event that carries one.
+    fn own_tid(&mut self) -> Result<u32, String> {
+        self.admission.tid(self.block_tid)?;
+        Ok(self.block_tid)
+    }
+
+    /// A second tid spelled in the event itself.
+    fn other_tid(&mut self, what: &str) -> Result<u32, String> {
+        let tid = u32::try_from(self.uleb()?).map_err(|_| format!("{what} overflows u32"))?;
+        self.admission.tid(tid)?;
+        Ok(tid)
+    }
+
+    /// A point event's granule, off the block's delta register.
+    fn granule(&mut self) -> Result<usize, String> {
+        let bytes = &self.data[..self.end];
+        let granule = read_granule_delta(bytes, &mut self.pos, &mut self.prev_granule)?;
+        self.admission.run(granule, 1)?;
+        Ok(granule)
+    }
+
+    /// A range event's `(granule, len)`.
+    fn granule_run(&mut self) -> Result<(usize, usize), String> {
+        let bytes = &self.data[..self.end];
+        let granule = read_granule_delta(bytes, &mut self.pos, &mut self.prev_granule)?;
+        let len = self.size()?;
+        self.admission.run(granule, len)?;
+        Ok((granule, len))
     }
 }
 

@@ -12,9 +12,10 @@
 //! * [`backend`] — the [`CheckBackend`] trait covering the four
 //!   runtime checks (`chkread`, `chkwrite`, `lock_held`, `oneref`)
 //!   plus the synchronization/lifecycle events they depend on, a
-//!   [`CheckEvent`] trace vocabulary, and a [`replay`] driver so one
-//!   seeded execution can be cross-validated through any engine
-//!   (SharC's own bitmap, Eraser locksets, vector clocks).
+//!   [`CheckEvent`] vocabulary every producer (VM, native workloads,
+//!   trace files) speaks, and a [`replay`] driver so one seeded
+//!   execution can be judged by any engine (SharC's own bitmap here;
+//!   Eraser locksets and vector clocks in `sharc-detectors`).
 //! * [`cache`] — the owned-granule epoch cache: a per-thread
 //!   set-associative table that skips the CAS entirely on repeated
 //!   private accesses (the common case in pfscan/pbzip2-style
@@ -72,7 +73,7 @@ pub mod trace;
 
 pub use backend::{
     apply_event, geometry_for_trace, lower_ranges, max_trace_tid, replay, trace_granule_span,
-    BitmapBackend, CheckBackend, CheckEvent, CheckKind, Conflict, Verdict,
+    BitmapBackend, CheckBackend, CheckEvent, CheckKind, Conflict, HeldLocks, Verdict,
 };
 pub use btrace::{is_binary as is_binary_trace, parse_binary, to_binary, BinaryTraceReader};
 pub use cache::{OwnedCache, RUN_SLOTS};
@@ -83,7 +84,10 @@ pub use sink::{recording_tid, EventLog, EventSink};
 pub use step::range::RangeStep;
 pub use step::{Access, Transition};
 pub use stream::{StreamStats, StreamingSink};
-pub use trace::{keyword as event_keyword, parse_text as parse_trace, to_text as trace_to_text};
+pub use trace::{
+    keyword as event_keyword, parse_text as parse_trace, to_text as trace_to_text,
+    MAX_TRACE_SHADOW_BYTES,
+};
 
 /// Bytes of payload memory covered by one shadow granule (§4.2.1:
 /// "for every 16 bytes of memory, SharC maintains n additional

@@ -80,21 +80,9 @@ pub trait EventSink: Send + Sync + std::fmt::Debug {
 /// workload convention), and 0 for `Alloc` (recorded by whoever
 /// (re)allocates). Sinks that maintain per-thread state (append
 /// counters, rings) key it off this.
+#[inline]
 pub fn recording_tid(e: &CheckEvent) -> u32 {
-    match *e {
-        CheckEvent::Read { tid, .. }
-        | CheckEvent::Write { tid, .. }
-        | CheckEvent::RangeRead { tid, .. }
-        | CheckEvent::RangeWrite { tid, .. }
-        | CheckEvent::LockedAccess { tid, .. }
-        | CheckEvent::SharingCast { tid, .. }
-        | CheckEvent::RangeCast { tid, .. }
-        | CheckEvent::Acquire { tid, .. }
-        | CheckEvent::Release { tid, .. }
-        | CheckEvent::ThreadExit { tid } => tid,
-        CheckEvent::Fork { parent, .. } | CheckEvent::Join { parent, .. } => parent,
-        CheckEvent::Alloc { .. } | CheckEvent::RangeFree { .. } => 0,
-    }
+    e.tids().next().unwrap_or(0)
 }
 
 #[derive(Debug, Default)]

@@ -43,7 +43,86 @@
 //! pins this over the whole vocabulary.
 
 use crate::backend::CheckEvent;
+use crate::geometry::ShadowGeometry;
+use crate::step::adaptive::TID_MASK;
 use std::fmt::Write as _;
+
+/// The largest shadow a trace *file* may ask the replay fold to
+/// allocate: [`ShadowGeometry::for_threads`] of its widest tid, times
+/// its granule span, times eight bytes a word. A trace is untrusted
+/// input, and two short lines (`write 1073741823 0`, `write 5 100000`)
+/// are enough to name terabytes; a decoder refuses such a file instead
+/// of handing it to a fold that would obey it. 16 MiB is a million
+/// granules at up to 63 threads — 16 MiB of traced memory, eight times
+/// the widest trace this repository generates — and keeps the sparse
+/// per-granule state of the baseline detectors near 100 MB when one
+/// ranged line touches all of it.
+pub const MAX_TRACE_SHADOW_BYTES: u64 = 16 << 20;
+
+/// What both decoders check as they construct each event (the text
+/// parser a whole event at a time, the binary one operand by operand)
+/// — no second pass over the trace: every tid lies in `1..=TID_MASK` (what the
+/// shadow encodings can represent), no granule run overflows, and the
+/// shadow the trace so far would need stays under
+/// [`MAX_TRACE_SHADOW_BYTES`].
+#[derive(Debug, Default)]
+pub(crate) struct Admission {
+    max_tid: u32,
+    granule_span: usize,
+}
+
+impl Admission {
+    /// Admits `e` or says why not.
+    pub(crate) fn admit(&mut self, e: &CheckEvent) -> Result<(), String> {
+        for tid in e.tids() {
+            self.tid(tid)?;
+        }
+        match e.granules() {
+            Some((granule, len)) => self.run(granule, len),
+            None => Ok(()),
+        }
+    }
+
+    /// Admits a thread id an event names.
+    #[inline]
+    pub(crate) fn tid(&mut self, tid: u32) -> Result<(), String> {
+        if tid < 1 || u64::from(tid) > TID_MASK {
+            return Err(format!("thread id {tid} is outside 1..={TID_MASK}"));
+        }
+        if tid > self.max_tid {
+            self.grow(tid, self.granule_span)?;
+        }
+        Ok(())
+    }
+
+    /// Admits the `len` granules from `granule` an event addresses.
+    #[inline]
+    pub(crate) fn run(&mut self, granule: usize, len: usize) -> Result<(), String> {
+        let end = granule
+            .checked_add(len.max(1))
+            .ok_or_else(|| format!("granule run {granule} + {len} overflows"))?;
+        if end > self.granule_span {
+            self.grow(self.max_tid, end)?;
+        }
+        Ok(())
+    }
+
+    /// The trace got wider or longer: re-check the shadow budget.
+    #[cold]
+    fn grow(&mut self, max_tid: u32, granule_span: usize) -> Result<(), String> {
+        let geom = ShadowGeometry::for_threads(max_tid.max(1) as usize);
+        let shadow = geom.bytes_per_granule() as u128 * granule_span as u128;
+        if shadow > u128::from(MAX_TRACE_SHADOW_BYTES) {
+            return Err(format!(
+                "replaying up to here needs {shadow} bytes of shadow ({granule_span} granules x \
+                 {} words for tids up to {max_tid}), over the {MAX_TRACE_SHADOW_BYTES}-byte budget",
+                geom.words_per_granule()
+            ));
+        }
+        (self.max_tid, self.granule_span) = (max_tid, granule_span);
+        Ok(())
+    }
+}
 
 /// The header written at the top of every trace file. Parsing does
 /// not require it (it is a comment), but it lets a future format
@@ -147,9 +226,12 @@ fn line_error(line_no: usize, raw: &str, detail: &str) -> String {
 /// Header comments are the one kind of comment that is *not* waved
 /// through blindly: a `# sharc-trace vN` line with an unknown
 /// version fails loudly (with its line number like any other error)
-/// instead of silently misparsing a future format.
+/// instead of silently misparsing a future format. An event the replay
+/// fold could not survive — tid 0, an overflowing range, a shadow over
+/// [`MAX_TRACE_SHADOW_BYTES`] — is refused on its line the same way.
 pub fn parse_text(text: &str) -> Result<Vec<CheckEvent>, String> {
     let mut events = Vec::new();
+    let mut admission = Admission::default();
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() {
@@ -176,7 +258,10 @@ pub fn parse_text(text: &str) -> Result<Vec<CheckEvent>, String> {
         if line.starts_with('#') {
             continue;
         }
-        events.push(parse_line(line).map_err(|e| line_error(i + 1, raw, &e))?);
+        let event = parse_line(line)
+            .and_then(|e| admission.admit(&e).map(|()| e))
+            .map_err(|e| line_error(i + 1, raw, &e))?;
+        events.push(event);
     }
     Ok(events)
 }
@@ -184,72 +269,74 @@ pub fn parse_text(text: &str) -> Result<Vec<CheckEvent>, String> {
 fn parse_line(line: &str) -> Result<CheckEvent, String> {
     let mut parts = line.split_ascii_whitespace();
     let kw = parts.next().expect("line is non-empty");
-    let mut arg = |name: &str| -> Result<u64, String> {
-        parts
-            .next()
-            .ok_or_else(|| format!("`{kw}` is missing its {name} operand"))?
-            .parse::<u64>()
-            .map_err(|_| format!("`{kw}`: {name} is not a number"))
-    };
+    // Each operand parses at its field's own width, so an id that
+    // does not fit is an error here, never a silent truncation.
+    macro_rules! arg {
+        ($name:literal) => {
+            parts
+                .next()
+                .ok_or_else(|| format!("`{kw}` is missing its {} operand", $name))?
+                .parse()
+                .map_err(|_| format!("`{kw}`: {} is not a number in range", $name))?
+        };
+    }
     let ev = match kw {
         "read" => CheckEvent::Read {
-            tid: arg("tid")? as u32,
-            granule: arg("granule")? as usize,
+            tid: arg!("tid"),
+            granule: arg!("granule"),
         },
         "write" => CheckEvent::Write {
-            tid: arg("tid")? as u32,
-            granule: arg("granule")? as usize,
+            tid: arg!("tid"),
+            granule: arg!("granule"),
         },
         "rread" => CheckEvent::RangeRead {
-            tid: arg("tid")? as u32,
-            granule: arg("granule")? as usize,
-            len: arg("len")? as usize,
+            tid: arg!("tid"),
+            granule: arg!("granule"),
+            len: arg!("len"),
         },
         "rwrite" => CheckEvent::RangeWrite {
-            tid: arg("tid")? as u32,
-            granule: arg("granule")? as usize,
-            len: arg("len")? as usize,
+            tid: arg!("tid"),
+            granule: arg!("granule"),
+            len: arg!("len"),
         },
         "locked" => CheckEvent::LockedAccess {
-            tid: arg("tid")? as u32,
-            lock: arg("lock")? as usize,
+            tid: arg!("tid"),
+            lock: arg!("lock"),
         },
         "cast" => CheckEvent::SharingCast {
-            tid: arg("tid")? as u32,
-            granule: arg("granule")? as usize,
-            refs: arg("refs")?,
+            tid: arg!("tid"),
+            granule: arg!("granule"),
+            refs: arg!("refs"),
         },
         "rcast" => CheckEvent::RangeCast {
-            tid: arg("tid")? as u32,
-            granule: arg("granule")? as usize,
-            len: arg("len")? as usize,
-            refs: arg("refs")?,
+            tid: arg!("tid"),
+            granule: arg!("granule"),
+            len: arg!("len"),
+            refs: arg!("refs"),
         },
         "rfree" => CheckEvent::RangeFree {
-            granule: arg("granule")? as usize,
-            len: arg("len")? as usize,
+            granule: arg!("granule"),
+            len: arg!("len"),
         },
         "acquire" => CheckEvent::Acquire {
-            tid: arg("tid")? as u32,
-            lock: arg("lock")? as usize,
+            tid: arg!("tid"),
+            lock: arg!("lock"),
         },
         "release" => CheckEvent::Release {
-            tid: arg("tid")? as u32,
-            lock: arg("lock")? as usize,
+            tid: arg!("tid"),
+            lock: arg!("lock"),
         },
         "fork" => CheckEvent::Fork {
-            parent: arg("parent")? as u32,
-            child: arg("child")? as u32,
+            parent: arg!("parent"),
+            child: arg!("child"),
         },
         "join" => CheckEvent::Join {
-            parent: arg("parent")? as u32,
-            child: arg("child")? as u32,
+            parent: arg!("parent"),
+            child: arg!("child"),
         },
-        "exit" => CheckEvent::ThreadExit {
-            tid: arg("tid")? as u32,
-        },
+        "exit" => CheckEvent::ThreadExit { tid: arg!("tid") },
         "alloc" => CheckEvent::Alloc {
-            granule: arg("granule")? as usize,
+            granule: arg!("granule"),
         },
         other => return Err(format!("unknown event `{other}`")),
     };
@@ -530,6 +617,34 @@ mod tests {
         let e = parse_text(&long).unwrap_err();
         assert!(e.contains("..."), "{e}");
         assert!(e.len() < 160, "snippet not truncated: {e}");
+    }
+
+    #[test]
+    fn admission_refuses_what_the_fold_could_not_survive() {
+        // (input, what the refusal says); the bad line is the last.
+        let cases: &[(&str, &str)] = &[
+            ("write 1 7\nread 0 5\n", "thread id 0"),
+            ("write 1 7\nfork 1 1073741824\n", "thread id 1073741824"),
+            // An id wider than its field is an error, not a truncation
+            // to tid 1.
+            ("write 1 7\nread 4294967297 5\n", "not a number in range"),
+            ("write 1 7\nrwrite 1 18446744073709551615 2\n", "overflows"),
+            ("write 1 7\nrfree 5 18446744073709551615\n", "overflows"),
+            ("write 1 0\nwrite 1048576 100000\n", "budget"),
+            ("write 1 7\nwrite 1 4000000000000\n", "budget"),
+        ];
+        for (input, why) in cases {
+            let e = parse_text(input).unwrap_err();
+            assert!(e.contains("line 2"), "{input:?}: {e}");
+            assert!(e.contains(why), "{input:?}: expected {why:?} in {e}");
+        }
+        // The budget is exact: the last granule that fits is admitted,
+        // the next one is not (two words a granule up to 63 threads).
+        let fits = (MAX_TRACE_SHADOW_BYTES / 16) as usize;
+        assert!(parse_text(&format!("alloc {}\n", fits - 1)).is_ok());
+        assert!(parse_text(&format!("alloc {fits}\n")).is_err());
+        // ...and a wider tid shrinks it (three words from tid 64 on).
+        assert!(parse_text(&format!("alloc {}\nexit 64\n", fits - 1)).is_err());
     }
 
     #[test]

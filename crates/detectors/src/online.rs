@@ -1,185 +1,87 @@
-//! Thread-safe online detector front-ends for overhead measurement.
+//! A thread-safe sharded detector front-end for overhead measurement.
 //!
 //! Tools like Eraser instrument *every* memory access and consult
 //! shared per-location state; that is where their 10×–30× overhead
 //! comes from. To measure the shape of that cost against SharC's
-//! checks (which only touch a shadow byte for dynamic-mode data), we
-//! wrap each detector's per-location state in a sharded mutex table
-//! that real worker threads feed on every access.
+//! checks (which only touch a shadow byte for dynamic-mode data),
+//! [`Online`] puts one engine per shard behind a mutex table that
+//! real worker threads feed on every access.
 
-use crate::trace::{Detector, Event, Loc, Race, Tid};
-use sharc_checker::{CheckBackend, CheckKind, Conflict, Verdict};
+use sharc_checker::{apply_event, CheckBackend, CheckEvent, Conflict, Verdict};
 use sharc_testkit::sync::Mutex;
-use std::collections::HashMap;
 
-/// Number of shards; accesses hash by location.
+/// Number of shards; accesses hash by granule.
 const SHARDS: usize = 64;
 
-/// A sharded, thread-safe wrapper running one detector instance per
-/// shard. Sound for detectors whose per-location state is
-/// independent given per-thread context that is replicated into
-/// every shard (locks/fork/join events are broadcast).
-pub struct Online<D: Detector> {
-    shards: Vec<Mutex<D>>,
-    races: Mutex<Vec<Race>>,
-    /// Held-lock log per thread, for the [`CheckBackend`] `locked(l)`
-    /// check (the wrapped detectors keep locksets internally but do
-    /// not expose them).
-    held: Mutex<HashMap<Tid, Vec<usize>>>,
+/// One `B` per shard, each behind its own lock. Sound for engines
+/// whose per-granule state is independent given per-thread context:
+/// accesses go to the granule's shard, and synchronization events are
+/// broadcast so every shard sees each thread's lockset / clock.
+pub struct Online<B> {
+    shards: Vec<Mutex<B>>,
+    conflicts: Mutex<Vec<Conflict>>,
 }
 
-impl<D: Detector> std::fmt::Debug for Online<D> {
+impl<B> std::fmt::Debug for Online<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Online").field("shards", &SHARDS).finish()
     }
 }
 
-impl<D: Detector + Default> Default for Online<D> {
+impl<B: CheckBackend + Default> Default for Online<B> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<D: Detector + Default> Online<D> {
+impl<B: CheckBackend + Default> Online<B> {
     /// Creates the sharded detector.
     pub fn new() -> Self {
         let mut shards = Vec::with_capacity(SHARDS);
-        shards.resize_with(SHARDS, || Mutex::new(D::default()));
+        shards.resize_with(SHARDS, || Mutex::new(B::default()));
         Online {
             shards,
-            races: Mutex::new(Vec::new()),
-            held: Mutex::new(HashMap::new()),
+            conflicts: Mutex::new(Vec::new()),
         }
-    }
-}
-
-impl<D: Detector> Online<D> {
-    fn shard(&self, loc: Loc) -> &Mutex<D> {
-        &self.shards[loc % SHARDS]
     }
 
     /// Records a read access.
-    pub fn read(&self, tid: Tid, loc: Loc) {
-        if let Some(r) = self.shard(loc).lock().on_event(Event::Read { tid, loc }) {
-            self.races.lock().push(r);
-        }
+    pub fn read(&self, tid: u32, granule: usize) {
+        let verdict = self.shards[granule % SHARDS].lock().chkread(tid, granule);
+        self.note(verdict);
     }
 
     /// Records a write access.
-    pub fn write(&self, tid: Tid, loc: Loc) {
-        if let Some(r) = self.shard(loc).lock().on_event(Event::Write { tid, loc }) {
-            self.races.lock().push(r);
+    pub fn write(&self, tid: u32, granule: usize) {
+        let verdict = self.shards[granule % SHARDS].lock().chkwrite(tid, granule);
+        self.note(verdict);
+    }
+
+    fn note(&self, verdict: Verdict) {
+        if let Verdict::Fail(c) = verdict {
+            self.conflicts.lock().push(c);
         }
     }
 
-    /// Broadcasts a synchronization event to every shard (each shard
-    /// needs the thread's lockset / clock context).
-    pub fn sync(&self, e: Event) {
-        debug_assert!(!matches!(e, Event::Read { .. } | Event::Write { .. }));
+    /// Broadcasts a synchronization event (acquire, release, fork,
+    /// join, exit) to every shard.
+    pub fn sync(&self, e: CheckEvent) {
+        debug_assert!(e.granules().is_none(), "{e:?} addresses one shard");
         for s in &self.shards {
-            let _ = s.lock().on_event(e);
+            apply_event(e, &mut *s.lock(), &mut Vec::new());
         }
     }
 
-    /// All races recorded so far.
-    pub fn races(&self) -> Vec<Race> {
-        self.races.lock().clone()
-    }
-
-    /// Shared access path for the [`CheckBackend`] impl: runs the
-    /// event on the right shard, records any race, returns a verdict.
-    fn checked_access(&self, tid: Tid, loc: Loc, is_write: bool) -> Verdict {
-        let e = if is_write {
-            Event::Write { tid, loc }
-        } else {
-            Event::Read { tid, loc }
-        };
-        match self.shard(loc).lock().on_event(e) {
-            None => Verdict::Pass,
-            Some(r) => {
-                self.races.lock().push(r);
-                Verdict::Fail(Conflict {
-                    kind: if is_write {
-                        CheckKind::Write
-                    } else {
-                        CheckKind::Read
-                    },
-                    tid,
-                    granule: loc,
-                })
-            }
-        }
-    }
-}
-
-/// The sharded front-end speaks the unified check interface too, so
-/// real-thread harnesses can swap it in wherever a
-/// [`sharc_checker::BitmapBackend`] or a
-/// [`crate::BaselineBackend`] is expected. Like the baselines it
-/// wraps, it ignores `on_cast_clear` and passes every `oneref`.
-impl<D: Detector> CheckBackend for Online<D> {
-    fn name(&self) -> &'static str {
-        "online-baseline"
-    }
-
-    fn chkread(&mut self, tid: u32, granule: usize) -> Verdict {
-        self.checked_access(tid, granule, false)
-    }
-
-    fn chkwrite(&mut self, tid: u32, granule: usize) -> Verdict {
-        self.checked_access(tid, granule, true)
-    }
-
-    fn lock_held(&self, tid: u32, lock: usize) -> bool {
-        self.held
-            .lock()
-            .get(&tid)
-            .is_some_and(|h| h.contains(&lock))
-    }
-
-    fn oneref(&mut self, _tid: u32, _granule: usize, _refs: u64) -> Verdict {
-        Verdict::Pass
-    }
-
-    fn on_acquire(&mut self, tid: u32, lock: usize) {
-        self.held.lock().entry(tid).or_default().push(lock);
-        self.sync(Event::Acquire { tid, lock });
-    }
-
-    fn on_release(&mut self, tid: u32, lock: usize) {
-        if let Some(h) = self.held.lock().get_mut(&tid) {
-            if let Some(p) = h.iter().position(|&l| l == lock) {
-                h.remove(p);
-            }
-        }
-        self.sync(Event::Release { tid, lock });
-    }
-
-    fn on_fork(&mut self, parent: u32, child: u32) {
-        self.sync(Event::Fork { tid: parent, child });
-    }
-
-    fn on_join(&mut self, parent: u32, child: u32) {
-        self.sync(Event::Join { tid: parent, child });
-    }
-
-    fn on_thread_exit(&mut self, tid: u32) {
-        self.held.lock().remove(&tid);
-    }
-
-    fn on_alloc(&mut self, granule: usize) {
-        let _ = self
-            .shard(granule)
-            .lock()
-            .on_event(Event::Alloc { loc: granule });
+    /// All conflicts recorded so far.
+    pub fn conflicts(&self) -> Vec<Conflict> {
+        self.conflicts.lock().clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eraser::Eraser;
-    use crate::vectorclock::VcDetector;
+    use crate::{Eraser, VcDetector};
     use std::sync::Arc;
 
     #[test]
@@ -199,13 +101,16 @@ mod tests {
         });
         h1.join().unwrap();
         h2.join().unwrap();
-        assert!(!d.races().is_empty());
+        assert!(!d.conflicts().is_empty());
     }
 
     #[test]
     fn online_vc_clean_on_disjoint_locations() {
         let d: Arc<Online<VcDetector>> = Arc::new(Online::new());
-        d.sync(Event::Fork { tid: 1, child: 2 });
+        d.sync(CheckEvent::Fork {
+            parent: 1,
+            child: 2,
+        });
         let mut handles = Vec::new();
         for t in 1..=2u32 {
             let d = Arc::clone(&d);
@@ -218,6 +123,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert!(d.races().is_empty(), "{:?}", d.races());
+        assert!(d.conflicts().is_empty(), "{:?}", d.conflicts());
     }
 }

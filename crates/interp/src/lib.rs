@@ -38,8 +38,12 @@ pub mod vm;
 
 pub use bytecode::{Addr, ElisionCounts, Module, Value};
 pub use compile::{compile as compile_module, compile_full_checks};
-pub use report::{ConflictKind, ConflictReport};
-pub use vm::{run, ExitStatus, RunOutcome, SchedPolicy, TraceEvent, VmConfig, VmStats};
+pub use report::ConflictReport;
+/// The kind of sharing-strategy violation a [`ConflictReport`] names:
+/// the checker's own [`sharc_checker::CheckKind`], under the name the
+/// VM's reports have always used.
+pub use sharc_checker::CheckKind as ConflictKind;
+pub use vm::{run, ExitStatus, RunOutcome, SchedPolicy, VmConfig, VmStats};
 
 /// Compiles and runs MiniC source in one call.
 ///

@@ -9,32 +9,9 @@
 
 use crate::bytecode::{Addr, CheckSite};
 use minic::span::SourceMap;
+use sharc_checker::CheckKind;
 use std::collections::HashSet;
 use std::fmt;
-
-/// The kind of sharing-strategy violation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ConflictKind {
-    /// A dynamic-mode read raced with another thread's write.
-    Read,
-    /// A dynamic-mode write raced with another thread's access.
-    Write,
-    /// A `locked(l)` access without holding `l`.
-    Lock,
-    /// A sharing cast on an object with other live references.
-    OneRef,
-}
-
-impl fmt::Display for ConflictKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConflictKind::Read => write!(f, "read conflict"),
-            ConflictKind::Write => write!(f, "write conflict"),
-            ConflictKind::Lock => write!(f, "lock not held"),
-            ConflictKind::OneRef => write!(f, "sharing cast failed"),
-        }
-    }
-}
 
 /// One access in a report: thread, l-value text, `file: line`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,7 +24,7 @@ pub struct AccessInfo {
 /// A rendered conflict report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConflictReport {
-    pub kind: ConflictKind,
+    pub kind: CheckKind,
     pub addr: Addr,
     pub who: AccessInfo,
     /// The previous recorded access (dynamic-mode accesses only).
@@ -84,7 +61,7 @@ pub struct Reporter<'m> {
     sm: &'m SourceMap,
     sites: &'m [CheckSite],
     reports: Vec<ConflictReport>,
-    seen: HashSet<(ConflictKind, u32, Option<u32>)>,
+    seen: HashSet<(CheckKind, u32, Option<u32>)>,
     max: usize,
 }
 
@@ -112,7 +89,7 @@ impl<'m> Reporter<'m> {
     /// Records a read/write conflict (deduplicated per site pair).
     pub fn conflict(
         &mut self,
-        kind: ConflictKind,
+        kind: CheckKind,
         addr: Addr,
         tid: u8,
         site: u32,
@@ -139,12 +116,12 @@ impl<'m> Reporter<'m> {
         if self.reports.len() >= self.max {
             return;
         }
-        let key = (ConflictKind::Lock, site, None);
+        let key = (CheckKind::Lock, site, None);
         if !self.seen.insert(key) {
             return;
         }
         self.reports.push(ConflictReport {
-            kind: ConflictKind::Lock,
+            kind: CheckKind::Lock,
             addr,
             who: self.access(tid, site),
             last: None,
@@ -157,12 +134,12 @@ impl<'m> Reporter<'m> {
         if self.reports.len() >= self.max {
             return;
         }
-        let key = (ConflictKind::OneRef, site, None);
+        let key = (CheckKind::OneRef, site, None);
         if !self.seen.insert(key) {
             return;
         }
         self.reports.push(ConflictReport {
-            kind: ConflictKind::OneRef,
+            kind: CheckKind::OneRef,
             addr,
             who: self.access(tid, site),
             last: None,
@@ -212,7 +189,7 @@ mod tests {
     fn report_format_matches_paper() {
         let (sm, sites) = setup();
         let mut r = Reporter::new(&sm, &sites, 10);
-        r.conflict(ConflictKind::Read, Addr(100), 2, 0, Some((1, 1)));
+        r.conflict(CheckKind::Read, Addr(100), 2, 0, Some((1, 1)));
         let reports = r.into_reports();
         assert_eq!(reports.len(), 1);
         let text = reports[0].to_string();
@@ -232,7 +209,7 @@ mod tests {
         let (sm, sites) = setup();
         let mut r = Reporter::new(&sm, &sites, 10);
         for _ in 0..5 {
-            r.conflict(ConflictKind::Write, Addr(100), 2, 0, Some((1, 1)));
+            r.conflict(CheckKind::Write, Addr(100), 2, 0, Some((1, 1)));
         }
         assert_eq!(r.len(), 1);
     }
@@ -241,8 +218,8 @@ mod tests {
     fn max_reports_cap() {
         let (sm, sites) = setup();
         let mut r = Reporter::new(&sm, &sites, 1);
-        r.conflict(ConflictKind::Read, Addr(100), 2, 0, None);
-        r.conflict(ConflictKind::Write, Addr(101), 3, 1, None);
+        r.conflict(CheckKind::Read, Addr(100), 2, 0, None);
+        r.conflict(CheckKind::Write, Addr(101), 3, 1, None);
         assert_eq!(r.len(), 1);
     }
 

@@ -15,11 +15,11 @@
 //!   cleared when it ends; non-overlapping lifetimes do not race).
 
 use crate::bytecode::*;
-use crate::report::{ConflictKind, ConflictReport, Reporter};
+use crate::report::{ConflictReport, Reporter};
 use minic::ast::BinOp;
 use minic::span::SourceMap;
 use sharc_checker::step::{bitmap, Access, Transition};
-use sharc_checker::{EpochTable, OwnedCache};
+use sharc_checker::{CheckEvent, CheckKind, EpochTable, OwnedCache};
 use sharc_testkit::rng::{Rng, Xoshiro256pp};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -38,58 +38,6 @@ const _: () = assert!(MAX_THREADS == 63);
 /// at the 16-byte granule) before indices wrap — conservative past
 /// that, never unsound.
 const VM_GRANULES_PER_REGION: usize = 8;
-
-/// One memory/synchronization event of an execution, for feeding
-/// trace-based race detectors (cross-validation against the §6.2
-/// baselines). Collected only when [`VmConfig::collect_trace`] is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    Read {
-        tid: u8,
-        addr: u32,
-    },
-    Write {
-        tid: u8,
-        addr: u32,
-    },
-    Acquire {
-        tid: u8,
-        lock: u32,
-    },
-    Release {
-        tid: u8,
-        lock: u32,
-    },
-    Fork {
-        tid: u8,
-        child: u8,
-    },
-    Join {
-        tid: u8,
-        child: u8,
-    },
-    Alloc {
-        addr: u32,
-        size: u32,
-    },
-    /// A successful or failed `SCAST` over `[addr, addr + size)`;
-    /// `refs` is the reference count `oneref` observed.
-    SharingCast {
-        tid: u8,
-        addr: u32,
-        size: u32,
-        refs: u32,
-    },
-    /// The thread ended; its shadow bits were cleared.
-    ThreadExit {
-        tid: u8,
-    },
-    /// `free(addr)`; shadow state for the region was reset.
-    Free {
-        addr: u32,
-        size: u32,
-    },
-}
 
 /// Scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,7 +63,8 @@ pub struct VmConfig {
     pub granule: u32,
     /// Halt the whole VM at the first failed check.
     pub stop_on_error: bool,
-    /// Record every memory/sync event (for trace-based detectors).
+    /// Record every memory/sync event as a [`CheckEvent`], at this
+    /// configuration's `granule` (for trace-based detectors).
     pub collect_trace: bool,
     /// Per-thread owned-granule cache mirroring the native runtime's
     /// [`OwnedCache`]: repeated private accesses skip the shadow
@@ -213,8 +162,10 @@ pub struct RunOutcome {
     pub reports: Vec<ConflictReport>,
     pub output: Vec<String>,
     pub stats: VmStats,
-    /// The event trace, when [`VmConfig::collect_trace`] was set.
-    pub trace: Vec<TraceEvent>,
+    /// The event trace, when [`VmConfig::collect_trace`] was set: every
+    /// load and store (checked or not), lock operation, fork, join,
+    /// exit, allocation, free and sharing cast, in execution order.
+    pub trace: Vec<CheckEvent>,
     /// On deadlock: one line per stuck thread describing what it is
     /// waiting for.
     pub blocked: Vec<String>,
@@ -349,7 +300,7 @@ struct Vm<'m> {
     stats: VmStats,
     current: usize,
     quantum_left: u32,
-    trace: Vec<TraceEvent>,
+    trace: Vec<CheckEvent>,
     blocked: Vec<String>,
 }
 
@@ -691,8 +642,8 @@ impl<'m> Vm<'m> {
             match t {
                 Transition::Conflict => {
                     let kind = match access {
-                        Access::Read => ConflictKind::Read,
-                        Access::Write => ConflictKind::Write,
+                        Access::Read => CheckKind::Read,
+                        Access::Write => CheckKind::Write,
                     };
                     self.conflict(kind, Addr(gi * gran), tid, site, last);
                     clean = false;
@@ -752,7 +703,7 @@ impl<'m> Vm<'m> {
 
     fn conflict(
         &mut self,
-        kind: ConflictKind,
+        kind: CheckKind,
         addr: Addr,
         tid: u8,
         site: u32,
@@ -824,7 +775,7 @@ impl<'m> Vm<'m> {
                 *w = bitmap::clear_thread(*w, tid as u32);
             }
         }
-        self.emit(TraceEvent::ThreadExit { tid });
+        self.emit(|_| CheckEvent::ThreadExit { tid: tid.into() });
         self.threads[idx].status = if failed { Status::Failed } else { Status::Done };
         self.free_tids.push(tid);
         // Wake joiners.
@@ -959,11 +910,25 @@ impl<'m> Vm<'m> {
         }
     }
 
+    /// Records the event `make` builds when tracing is on; the
+    /// untraced path pays one branch and never builds it.
     #[inline]
-    fn emit(&mut self, e: TraceEvent) {
+    fn emit(&mut self, make: impl FnOnce(&Self) -> CheckEvent) {
         if self.config.collect_trace {
-            self.trace.push(e);
+            let event = make(self);
+            self.trace.push(event);
         }
+    }
+
+    /// The shadow granule holding cell `addr`.
+    fn granule_of(&self, addr: u32) -> usize {
+        (addr / self.config.granule) as usize
+    }
+
+    /// The granule run `(first, len)` covering `[addr, addr + size)`.
+    fn granule_run(&self, addr: u32, size: u32) -> (usize, usize) {
+        let first = self.granule_of(addr);
+        (first, self.granule_of(addr + size.max(1) - 1) - first + 1)
     }
 
     fn frame(&mut self) -> &mut Frame {
@@ -1065,7 +1030,10 @@ impl<'m> Vm<'m> {
                     return Err("load out of bounds".into());
                 }
                 self.stats.total_accesses += 1;
-                self.emit(TraceEvent::Read { tid, addr: a.0 });
+                self.emit(|vm| CheckEvent::Read {
+                    tid: tid.into(),
+                    granule: vm.granule_of(a.0),
+                });
                 let v = self.mem[a.0 as usize];
                 self.push(v);
             }
@@ -1076,7 +1044,10 @@ impl<'m> Vm<'m> {
                     return Err("store out of bounds".into());
                 }
                 self.stats.total_accesses += 1;
-                self.emit(TraceEvent::Write { tid, addr: a.0 });
+                self.emit(|vm| CheckEvent::Write {
+                    tid: tid.into(),
+                    granule: vm.granule_of(a.0),
+                });
                 self.write_cell(a.0, v);
             }
             Insn::CopyN(n) => {
@@ -1091,13 +1062,13 @@ impl<'m> Vm<'m> {
                     // detectors cell by cell (ranges are a checker
                     // optimization, not a semantic change), exactly
                     // like the Load/Store pair it replaces.
-                    self.emit(TraceEvent::Read {
-                        tid,
-                        addr: src.0 + i,
+                    self.emit(|vm| CheckEvent::Read {
+                        tid: tid.into(),
+                        granule: vm.granule_of(src.0 + i),
                     });
-                    self.emit(TraceEvent::Write {
-                        tid,
-                        addr: dst.0 + i,
+                    self.emit(|vm| CheckEvent::Write {
+                        tid: tid.into(),
+                        granule: vm.granule_of(dst.0 + i),
                     });
                     let v = self.mem[(src.0 + i) as usize];
                     self.write_cell(dst.0 + i, v);
@@ -1180,7 +1151,10 @@ impl<'m> Vm<'m> {
                 };
                 match self.spawn_thread(fi, arg) {
                     Some(t) => {
-                        self.emit(TraceEvent::Fork { tid, child: t });
+                        self.emit(|_| CheckEvent::Fork {
+                            parent: tid.into(),
+                            child: t.into(),
+                        });
                         self.push(Value::Int(t as i64));
                     }
                     None => return Err(format!("thread limit ({MAX_THREADS}) exceeded")),
@@ -1188,7 +1162,10 @@ impl<'m> Vm<'m> {
             }
             Insn::Join => {
                 let t = self.pop().as_int() as u8;
-                self.emit(TraceEvent::Join { tid, child: t });
+                self.emit(|_| CheckEvent::Join {
+                    parent: tid.into(),
+                    child: t.into(),
+                });
                 let done = self
                     .threads
                     .iter()
@@ -1214,7 +1191,10 @@ impl<'m> Vm<'m> {
                     None => {
                         m.owner = Some(tid);
                         self.threads[self.current].held_locks.push(a);
-                        self.emit(TraceEvent::Acquire { tid, lock: a.0 });
+                        self.emit(|_| CheckEvent::Acquire {
+                            tid: tid.into(),
+                            lock: a.0 as usize,
+                        });
                     }
                     Some(o) if o == tid => {
                         return Err("recursive lock of a non-recursive mutex".into())
@@ -1227,7 +1207,10 @@ impl<'m> Vm<'m> {
             }
             Insn::MutexUnlock => {
                 let a = self.pop_addr("mutex_unlock")?;
-                self.emit(TraceEvent::Release { tid, lock: a.0 });
+                self.emit(|_| CheckEvent::Release {
+                    tid: tid.into(),
+                    lock: a.0 as usize,
+                });
                 self.unlock(a, tid)?;
             }
             Insn::CondWait => {
@@ -1237,7 +1220,10 @@ impl<'m> Vm<'m> {
                 if !holds {
                     return Err("cond_wait without holding the mutex".into());
                 }
-                self.emit(TraceEvent::Release { tid, lock: ma.0 });
+                self.emit(|_| CheckEvent::Release {
+                    tid: tid.into(),
+                    lock: ma.0 as usize,
+                });
                 self.unlock(ma, tid)?;
                 self.cond_waiters.entry(ca).or_default().push_back(tid);
                 self.threads[self.current].status = Status::Waiting(ca, ma);
@@ -1266,7 +1252,12 @@ impl<'m> Vm<'m> {
             }
             Insn::New(size) => {
                 let b = self.alloc_raw(size);
-                self.emit(TraceEvent::Alloc { addr: b, size });
+                if self.config.collect_trace {
+                    // A fresh allocation resets each granule it covers.
+                    let (first, len) = self.granule_run(b, size);
+                    let covered = (first..first + len).map(|granule| CheckEvent::Alloc { granule });
+                    self.trace.extend(covered);
+                }
                 self.push(Value::Ptr(Addr(b)));
             }
             Insn::NewArray(esize) => {
@@ -1288,9 +1279,10 @@ impl<'m> Vm<'m> {
                     return Err("free of interior pointer".into());
                 }
                 self.kill_obj_entry(o - 1);
-                self.emit(TraceEvent::Free {
-                    addr: obj.base,
-                    size: obj.size,
+                // One ranged free for the whole block, as the VM does it.
+                self.emit(|vm| {
+                    let (granule, len) = vm.granule_run(obj.base, obj.size);
+                    CheckEvent::RangeFree { granule, len }
                 });
                 self.release_region(obj.base, obj.size);
                 self.stats.frees += 1;
@@ -1379,11 +1371,16 @@ impl<'m> Vm<'m> {
                         if o != 0 {
                             let count = self.rc[(o - 1) as usize];
                             let obj = self.objs[(o - 1) as usize];
-                            self.emit(TraceEvent::SharingCast {
-                                tid,
-                                addr: obj.base,
-                                size: obj.size,
-                                refs: (count + 1) as u32,
+                            // One ranged cast over the whole referent;
+                            // `refs` is the count `oneref` observed.
+                            self.emit(|vm| {
+                                let (granule, len) = vm.granule_run(obj.base, obj.size);
+                                CheckEvent::RangeCast {
+                                    tid: tid.into(),
+                                    granule,
+                                    len,
+                                    refs: (count + 1) as u64,
+                                }
                             });
                             if count > 0 {
                                 self.reporter.oneref_violation(a, tid, site, count + 1);
@@ -1429,6 +1426,15 @@ impl<'m> Vm<'m> {
         Ok(())
     }
 
+    /// The live thread running as `tid`. Ids are recycled through
+    /// `free_tids` while dead records stay in `threads`, so a lookup by
+    /// id alone would find an exited namesake first.
+    fn live_thread(&self, tid: u8) -> Option<usize> {
+        self.threads
+            .iter()
+            .position(|t| t.id == tid && !matches!(t.status, Status::Done | Status::Failed))
+    }
+
     fn unlock(&mut self, a: Addr, tid: u8) -> Result<(), String> {
         let m = self.mutexes.entry(a).or_default();
         if m.owner != Some(tid) {
@@ -1441,10 +1447,13 @@ impl<'m> Vm<'m> {
         let m = self.mutexes.get_mut(&a).expect("mutex exists");
         if let Some(w) = m.waiters.pop_front() {
             m.owner = Some(w);
-            if let Some(wi) = self.threads.iter().position(|t| t.id == w) {
+            if let Some(wi) = self.live_thread(w) {
                 self.threads[wi].status = Status::Runnable;
                 self.threads[wi].held_locks.push(a);
-                self.emit(TraceEvent::Acquire { tid: w, lock: a.0 });
+                self.emit(|_| CheckEvent::Acquire {
+                    tid: w.into(),
+                    lock: a.0 as usize,
+                });
             }
         } else {
             m.owner = None;
@@ -1454,7 +1463,7 @@ impl<'m> Vm<'m> {
 
     /// A signalled waiter must reacquire its mutex before running.
     fn wake_from_cond(&mut self, w: u8) {
-        let Some(wi) = self.threads.iter().position(|t| t.id == w) else {
+        let Some(wi) = self.live_thread(w) else {
             return;
         };
         let Status::Waiting(_, ma) = self.threads[wi].status else {
@@ -1466,7 +1475,10 @@ impl<'m> Vm<'m> {
                 m.owner = Some(w);
                 self.threads[wi].status = Status::Runnable;
                 self.threads[wi].held_locks.push(ma);
-                self.emit(TraceEvent::Acquire { tid: w, lock: ma.0 });
+                self.emit(|_| CheckEvent::Acquire {
+                    tid: w.into(),
+                    lock: ma.0 as usize,
+                });
             }
             Some(_) => {
                 m.waiters.push_back(w);

@@ -742,3 +742,23 @@ fn freeing_the_struct_flushes_its_owned_run() {
     assert!(out.reports.is_empty(), "{:?}", out.reports);
     assert!(out.stats.range_hits > 0, "repeat sweeps hit the run cache");
 }
+
+#[test]
+fn recycled_tid_is_woken_as_the_live_thread_not_its_dead_namesake() {
+    // The repro spawns and joins one worker (its id goes back to the
+    // free list), then two workers that contend on a mutex; the first
+    // reuses the id. Waking a blocked waiter by id alone used to find
+    // the exited record, mark it runnable, and panic in `frame()`.
+    let src = include_str!("../../../benchmark/programs/known-bug-tid-reuse.c");
+    for seed in 0..8 {
+        let out = compile_and_run("known-bug-tid-reuse.c", src, cfg(seed)).unwrap();
+        assert_eq!(out.status, ExitStatus::Completed, "seed {seed}");
+        assert_eq!(out.output, vec!["400"], "seed {seed}: 2 workers x 200");
+        assert!(out.reports.is_empty(), "seed {seed}: {:?}", out.reports);
+        assert_eq!(out.stats.threads_spawned, 3, "seed {seed}");
+        assert_eq!(
+            out.stats.max_live_threads, 3,
+            "seed {seed}: ids were reused"
+        );
+    }
+}

@@ -300,7 +300,7 @@ mod tests {
         // thread exit, before main's verification sweep) and a false
         // positive under Eraser (no lock ever protects the buffer).
         use sharc_checker::{replay, BitmapBackend};
-        use sharc_detectors::{BaselineBackend, Eraser};
+        use sharc_detectors::Eraser;
         let params = Params {
             latency: Duration::ZERO,
             ..Params::scaled(Scale::quick())
@@ -321,7 +321,7 @@ mod tests {
         );
         let sharc = replay(&trace, &mut BitmapBackend::new());
         assert!(sharc.is_empty(), "SharC models the lifetimes: {sharc:?}");
-        let eraser = replay(&trace, &mut BaselineBackend::new(Eraser::new()));
+        let eraser = replay(&trace, &mut Eraser::new());
         assert!(!eraser.is_empty(), "Eraser has no lifetime model");
     }
 

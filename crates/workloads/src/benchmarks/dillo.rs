@@ -307,7 +307,7 @@ pub fn bench(scale: Scale) -> BenchResult {
 mod tests {
     use super::*;
     use sharc_checker::{replay, BitmapBackend};
-    use sharc_detectors::{BaselineBackend, Eraser, VcDetector};
+    use sharc_detectors::{Eraser, VcDetector};
 
     #[test]
     fn traced_run_splits_sharc_from_eraser() {
@@ -325,9 +325,9 @@ mod tests {
         assert_eq!(run.checksum, run_native::<Checked>(&params).checksum);
         let sharc = replay(&trace, &mut BitmapBackend::new());
         assert!(sharc.is_empty(), "SharC models the lifetimes: {sharc:?}");
-        let vc = replay(&trace, &mut BaselineBackend::new(VcDetector::new()));
+        let vc = replay(&trace, &mut VcDetector::new());
         assert!(vc.is_empty(), "HB sees the join edges: {vc:?}");
-        let eraser = replay(&trace, &mut BaselineBackend::new(Eraser::new()));
+        let eraser = replay(&trace, &mut Eraser::new());
         assert!(!eraser.is_empty(), "Eraser misses the lifetime hand-off");
     }
 

@@ -238,7 +238,7 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
 mod tests {
     use super::*;
     use sharc_checker::{replay, BitmapBackend};
-    use sharc_detectors::{BaselineBackend, Eraser, VcDetector};
+    use sharc_detectors::{Eraser, VcDetector};
     use sharc_runtime::Unchecked;
 
     #[test]
@@ -295,8 +295,8 @@ mod tests {
         // happens-before detector accepts the run because the queue's
         // release/acquire pair orders producer before consumer.
         let (_, trace) = run_traced(&Params::default());
-        let eraser = replay(&trace, &mut BaselineBackend::new(Eraser::new()));
-        let vc = replay(&trace, &mut BaselineBackend::new(VcDetector::new()));
+        let eraser = replay(&trace, &mut Eraser::new());
+        let vc = replay(&trace, &mut VcDetector::new());
         assert!(!eraser.is_empty(), "Eraser misses the ownership transfer");
         assert!(vc.is_empty(), "HB sees the lock edge: {vc:?}");
     }
@@ -317,7 +317,7 @@ mod tests {
             sharc.is_empty(),
             "the cast alone satisfies SharC: {sharc:?}"
         );
-        let vc = replay(&cast_only, &mut BaselineBackend::new(VcDetector::new()));
+        let vc = replay(&cast_only, &mut VcDetector::new());
         assert!(!vc.is_empty(), "the cast is invisible to vector clocks");
     }
 

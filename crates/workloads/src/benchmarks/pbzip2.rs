@@ -515,11 +515,11 @@ mod tests {
         // lockset for the block payload goes empty (the whole point
         // of private annotation is compressing without a lock held).
         use sharc_checker::{replay, BitmapBackend};
-        use sharc_detectors::{BaselineBackend, Eraser};
+        use sharc_detectors::Eraser;
         let (_, trace) = run_traced(&Params::scaled(Scale::quick()));
         let sharc = replay(&trace, &mut BitmapBackend::new());
         assert!(sharc.is_empty(), "SharC models the transfers: {sharc:?}");
-        let eraser = replay(&trace, &mut BaselineBackend::new(Eraser::new()));
+        let eraser = replay(&trace, &mut Eraser::new());
         assert!(!eraser.is_empty(), "Eraser misses the ownership transfer");
     }
 

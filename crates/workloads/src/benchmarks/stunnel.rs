@@ -478,7 +478,7 @@ pub fn bench(scale: Scale) -> BenchResult {
 mod tests {
     use super::*;
     use sharc_checker::{replay, BitmapBackend, ShadowGeometry};
-    use sharc_detectors::{BaselineBackend, Eraser, VcDetector};
+    use sharc_detectors::{Eraser, VcDetector};
 
     /// A smaller fleet for the per-test runs (still wide: tids reach
     /// past the first two shadow shards).
@@ -534,8 +534,8 @@ mod tests {
         // linearizes through the session lock's release/acquire.
         let p = test_params();
         let (_, trace) = run_traced(&p);
-        let eraser = replay(&trace, &mut BaselineBackend::new(Eraser::new()));
-        let vc = replay(&trace, &mut BaselineBackend::new(VcDetector::new()));
+        let eraser = replay(&trace, &mut Eraser::new());
+        let vc = replay(&trace, &mut VcDetector::new());
         assert!(!eraser.is_empty(), "Eraser misses the ownership transfer");
         assert!(vc.is_empty(), "HB sees the session-lock edge: {vc:?}");
     }
@@ -557,7 +557,7 @@ mod tests {
             .collect();
         let sharc = replay(&cast_only, &mut wide_bitmap(&p));
         assert!(sharc.is_empty(), "the casts alone satisfy SharC: {sharc:?}");
-        let vc = replay(&cast_only, &mut BaselineBackend::new(VcDetector::new()));
+        let vc = replay(&cast_only, &mut VcDetector::new());
         assert!(!vc.is_empty(), "the cast is invisible to vector clocks");
     }
 

@@ -11,8 +11,15 @@
 //! cargo run --example race_hunt
 //! ```
 
+use sharc::checker::replay;
+use sharc::checker::CheckEvent::{self, Acquire, Fork, Release, Write};
+use sharc::detectors::{Eraser, VcDetector};
 use sharc::prelude::*;
-use sharc_detectors::{Detector, Eraser, Event, VcDetector};
+
+const FORK: CheckEvent = Fork {
+    parent: 1,
+    child: 2,
+};
 
 fn sharc_reports(src: &str) -> usize {
     let out = sharc::check_and_run("hunt.c", src, RunConfig::default())
@@ -27,9 +34,9 @@ fn main() {
         void main() { int * p; p = new(int);
             spawn(worker, p); spawn(worker, p); join_all(); }";
     let racy_trace = vec![
-        Event::Fork { tid: 1, child: 2 },
-        Event::Write { tid: 1, loc: 0 },
-        Event::Write { tid: 2, loc: 0 },
+        FORK,
+        Write { tid: 1, granule: 0 },
+        Write { tid: 2, granule: 0 },
     ];
 
     // --- Idiom 2: lock-protected sharing -----------------------------
@@ -40,13 +47,13 @@ fn main() {
         void main() { struct c * x = new(struct c);
             spawn(worker, x); spawn(worker, x); join_all(); }";
     let locked_trace = vec![
-        Event::Fork { tid: 1, child: 2 },
-        Event::Acquire { tid: 1, lock: 9 },
-        Event::Write { tid: 1, loc: 0 },
-        Event::Release { tid: 1, lock: 9 },
-        Event::Acquire { tid: 2, lock: 9 },
-        Event::Write { tid: 2, loc: 0 },
-        Event::Release { tid: 2, lock: 9 },
+        FORK,
+        Acquire { tid: 1, lock: 9 },
+        Write { tid: 1, granule: 0 },
+        Release { tid: 1, lock: 9 },
+        Acquire { tid: 2, lock: 9 },
+        Write { tid: 2, granule: 0 },
+        Release { tid: 2, lock: 9 },
     ];
 
     // --- Idiom 3: ownership hand-off ---------------------------------
@@ -71,18 +78,18 @@ fn main() {
                 mutex_unlock(&c->m); }
             join_all(); }";
     let handoff_trace = vec![
-        Event::Fork { tid: 1, child: 2 },
+        FORK,
         // Producer writes under its lock, hands off, consumer uses its
         // own lock: no common lock, no happens-before edge chain.
-        Event::Acquire { tid: 1, lock: 1 },
-        Event::Write { tid: 1, loc: 0 },
-        Event::Release { tid: 1, lock: 1 },
-        Event::Acquire { tid: 2, lock: 2 },
-        Event::Write { tid: 2, loc: 0 },
-        Event::Release { tid: 2, lock: 2 },
-        Event::Acquire { tid: 1, lock: 1 },
-        Event::Write { tid: 1, loc: 0 },
-        Event::Release { tid: 1, lock: 1 },
+        Acquire { tid: 1, lock: 1 },
+        Write { tid: 1, granule: 0 },
+        Release { tid: 1, lock: 1 },
+        Acquire { tid: 2, lock: 2 },
+        Write { tid: 2, granule: 0 },
+        Release { tid: 2, lock: 2 },
+        Acquire { tid: 1, lock: 1 },
+        Write { tid: 1, granule: 0 },
+        Release { tid: 1, lock: 1 },
     ];
 
     println!(
@@ -95,8 +102,8 @@ fn main() {
         ("ownership hand-off", &handoff_trace, handoff_minic, false),
     ];
     for (name, trace, minic_src, is_real_race) in rows {
-        let eraser = Eraser::new().run(trace).len();
-        let vc = VcDetector::new().run(trace).len();
+        let eraser = replay(trace, &mut Eraser::new()).len();
+        let vc = replay(trace, &mut VcDetector::new()).len();
         let sharc = sharc_reports(minic_src);
         println!("{name:<24} {eraser:>8} {vc:>8} {sharc:>14}");
         if !is_real_race {

@@ -15,10 +15,22 @@
 //! sharc trace info <trace-file>
 //! ```
 //!
+//! The exit code says what was found — or that nothing could be:
+//!
+//! ```text
+//! 0  judged, clean          2  usage error
+//! 1  judged, conflicts      3  could not judge (unreadable or refused
+//!                              input, a run that did not complete)
+//! ```
+//!
+//! A failure to judge is never confusable with a verdict: scripts that
+//! expect a detector to report (`--detector eraser` on a hand-off)
+//! compare against exactly 1.
+//!
 //! `--detector` selects which engine judges the execution: SharC's
 //! own runtime checks (default), or one of the §6.2 baselines
-//! (Eraser locksets, vector clocks) replaying the trace of the very
-//! same seeded run through the unified `CheckBackend` interface.
+//! (Eraser locksets, vector clocks) replaying the `CheckEvent` trace of
+//! the very same seeded run.
 //!
 //! `native` runs a *real-thread* workload instead of a MiniC program:
 //! the execution records its `CheckEvent` trace and the selected
@@ -54,6 +66,20 @@
 use sharc::prelude::*;
 use std::process::ExitCode;
 
+/// Judged, and conflicts (or static sharing errors) were reported.
+const CONFLICTS: u8 = 1;
+/// The command line was wrong.
+const USAGE: u8 = 2;
+/// No verdict: the input could not be read, was refused, or the run
+/// did not complete.
+const CANNOT_JUDGE: u8 = 3;
+
+/// Prints the one-line reason there is no verdict; exits 3.
+fn cannot_judge(why: impl std::fmt::Display) -> ExitCode {
+    eprintln!("sharc: {why}");
+    ExitCode::from(CANNOT_JUDGE)
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  sharc check <file.c>\n  sharc infer <file.c>\n  \
@@ -64,9 +90,11 @@ fn usage() -> ExitCode {
          [--online [--ring-cap N]]\n  \
          sharc replay <trace-file> [--detector sharc|eraser|vc] [--jobs N]\n  \
          sharc trace convert <in> <out> [--lower]\n  \
-         sharc trace info <trace-file>"
+         sharc trace info <trace-file>\n\
+         exit codes: 0 clean, 1 conflicts reported, 2 usage, \
+         3 could not judge (unreadable or refused input, incomplete run)"
     );
-    ExitCode::from(2)
+    ExitCode::from(USAGE)
 }
 
 /// Parses a `--detector <kind>` pair at `args[i]`, advancing `i`.
@@ -163,8 +191,7 @@ fn cmd_native(args: &[String]) -> ExitCode {
     let (run, trace) = sharc::native_trace(workload);
     if let Some(path) = &trace_out {
         if let Err(e) = sharc::write_trace_file(std::path::Path::new(path), &trace) {
-            eprintln!("sharc: cannot write trace to {path}: {e}");
-            return ExitCode::FAILURE;
+            return cannot_judge(format_args!("cannot write trace to {path}: {e}"));
         }
         println!("{} trace events written to {path}", trace.len());
     }
@@ -216,10 +243,7 @@ fn cmd_replay(args: &[String]) -> ExitCode {
     }
     let trace = match sharc::read_trace_file(std::path::Path::new(path)) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("sharc: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return cannot_judge(e),
     };
     if jobs > 1 {
         println!("{path}: {} trace events, {jobs} replay jobs", trace.len());
@@ -251,17 +275,13 @@ fn cmd_trace(args: &[String]) -> ExitCode {
             }
             let mut trace = match sharc::read_trace_file(std::path::Path::new(input)) {
                 Ok(t) => t,
-                Err(e) => {
-                    eprintln!("sharc: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return cannot_judge(e),
             };
             if lower {
                 trace = sharc::checker::lower_ranges(&trace);
             }
             if let Err(e) = sharc::write_trace_file(std::path::Path::new(output), &trace) {
-                eprintln!("sharc: cannot write trace to {output}: {e}");
-                return ExitCode::FAILURE;
+                return cannot_judge(format_args!("cannot write trace to {output}: {e}"));
             }
             println!("{} events converted to {output}", trace.len());
             ExitCode::SUCCESS
@@ -273,10 +293,7 @@ fn cmd_trace(args: &[String]) -> ExitCode {
             };
             let info = match sharc::trace_file_info(std::path::Path::new(path)) {
                 Ok(i) => i,
-                Err(e) => {
-                    eprintln!("sharc: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return cannot_judge(e),
             };
             let per_event = if info.events > 0 {
                 info.bytes as f64 / info.events as f64
@@ -308,7 +325,7 @@ fn report_conflicts(detector: &str, conflicts: &[sharc::checker::Conflict]) -> E
         for c in conflicts {
             eprintln!("[{detector}] {c}");
         }
-        ExitCode::FAILURE
+        ExitCode::from(CONFLICTS)
     }
 }
 
@@ -329,10 +346,7 @@ fn main() -> ExitCode {
     };
     let src = match std::fs::read_to_string(path) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("sharc: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return cannot_judge(format_args!("cannot read {path}: {e}")),
     };
     let name = std::path::Path::new(path)
         .file_name()
@@ -341,10 +355,8 @@ fn main() -> ExitCode {
 
     let checked = match sharc::check(&name, &src) {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("{}", e.render(&minic::SourceMap::new(&name, &src)));
-            return ExitCode::FAILURE;
-        }
+        // A file that does not parse was not checked.
+        Err(e) => return cannot_judge(e.render(&minic::SourceMap::new(&name, &src))),
     };
 
     match cmd {
@@ -372,7 +384,9 @@ fn main() -> ExitCode {
             } else {
                 println!("{}", checked.render_diags());
                 if checked.diags.has_errors() {
-                    ExitCode::FAILURE
+                    // The static half of the verdict: the program
+                    // violates its declared sharing strategy.
+                    ExitCode::from(CONFLICTS)
                 } else {
                     ExitCode::SUCCESS
                 }
@@ -381,7 +395,7 @@ fn main() -> ExitCode {
         "infer" => {
             if checked.diags.has_errors() {
                 eprintln!("{}", checked.render_diags());
-                return ExitCode::FAILURE;
+                return ExitCode::from(CONFLICTS);
             }
             print!("{}", minic::pretty::program(&checked.program));
             ExitCode::SUCCESS
@@ -389,7 +403,7 @@ fn main() -> ExitCode {
         "run" => {
             if checked.diags.has_errors() {
                 eprintln!("{}", checked.render_diags());
-                return ExitCode::FAILURE;
+                return ExitCode::from(CONFLICTS);
             }
             let mut seed = 0x5ac5u64;
             let mut trials = 1u64;
@@ -418,20 +432,10 @@ fn main() -> ExitCode {
                         stop_on_error = true;
                         i += 1;
                     }
-                    "--detector" => {
-                        detector = match args.get(i + 1).map(|v| v.parse()) {
-                            Some(Ok(d)) => d,
-                            Some(Err(e)) => {
-                                eprintln!("sharc: {e}");
-                                return usage();
-                            }
-                            None => {
-                                eprintln!("sharc: --detector needs a value");
-                                return usage();
-                            }
-                        };
-                        i += 2;
-                    }
+                    "--detector" => match parse_detector(&args, &mut i) {
+                        Ok(d) => detector = d,
+                        Err(()) => return usage(),
+                    },
                     other => {
                         eprintln!("sharc: unknown flag {other}");
                         return usage();
@@ -453,6 +457,7 @@ fn main() -> ExitCode {
                 }
             }
             let mut any_reports = false;
+            let mut incomplete = false;
             for t in 0..trials {
                 let run = match sharc::run_with_detector(
                     &checked,
@@ -464,10 +469,8 @@ fn main() -> ExitCode {
                     detector,
                 ) {
                     Ok(o) => o,
-                    Err(e) => {
-                        eprintln!("{}", e.render(&checked.source_map));
-                        return ExitCode::FAILURE;
-                    }
+                    // The VM cannot execute this program at all.
+                    Err(e) => return cannot_judge(e.render(&checked.source_map)),
                 };
                 let out = &run.outcome;
                 for line in &out.output {
@@ -488,11 +491,16 @@ fn main() -> ExitCode {
                     }
                 }
                 if out.status != ExitStatus::Completed {
+                    incomplete = true;
                     eprintln!("sharc: run ended with {:?} (seed {})", out.status, seed + t);
                 }
             }
             if any_reports {
-                ExitCode::FAILURE
+                ExitCode::from(CONFLICTS)
+            } else if incomplete {
+                // Silence from a run that deadlocked, hit the step
+                // limit or died is not a clean bill.
+                ExitCode::from(CANNOT_JUDGE)
             } else {
                 ExitCode::SUCCESS
             }

@@ -175,78 +175,29 @@ impl std::str::FromStr for DetectorKind {
     }
 }
 
-/// Converts a VM trace into the unified [`checker::CheckEvent`]
-/// vocabulary: addresses become granules
-/// ([`sharc_checker::GRANULE_CELLS`] cells each), frees become ONE
-/// [`checker::CheckEvent::RangeFree`] per block, sharing casts become
-/// ONE [`checker::CheckEvent::RangeCast`] per referent — the
-/// one-operation block hand-off, never an O(granules) expansion.
-pub fn trace_to_check_events(trace: &[interp::TraceEvent]) -> Vec<checker::CheckEvent> {
-    use checker::CheckEvent as E;
-    use interp::TraceEvent as T;
-    let gran = sharc_checker::GRANULE_CELLS;
-    let granule = |addr: u32| (addr / gran) as usize;
-    let mut out = Vec::with_capacity(trace.len());
-    for &e in trace {
-        match e {
-            T::Read { tid, addr } => out.push(E::Read {
-                tid: tid as u32,
-                granule: granule(addr),
-            }),
-            T::Write { tid, addr } => out.push(E::Write {
-                tid: tid as u32,
-                granule: granule(addr),
-            }),
-            T::Acquire { tid, lock } => out.push(E::Acquire {
-                tid: tid as u32,
-                lock: lock as usize,
-            }),
-            T::Release { tid, lock } => out.push(E::Release {
-                tid: tid as u32,
-                lock: lock as usize,
-            }),
-            T::Fork { tid, child } => out.push(E::Fork {
-                parent: tid as u32,
-                child: child as u32,
-            }),
-            T::Join { tid, child } => out.push(E::Join {
-                parent: tid as u32,
-                child: child as u32,
-            }),
-            T::ThreadExit { tid } => out.push(E::ThreadExit { tid: tid as u32 }),
-            T::Alloc { addr, size } => {
-                for g in granule(addr)..=granule(addr + size.max(1) - 1) {
-                    out.push(E::Alloc { granule: g });
-                }
-            }
-            T::Free { addr, size } => {
-                // A ranged free: ONE event for the whole block, not
-                // one granule reset per covered granule.
-                let g0 = granule(addr);
-                out.push(E::RangeFree {
-                    granule: g0,
-                    len: granule(addr + size.max(1) - 1) - g0 + 1,
-                });
-            }
-            T::SharingCast {
-                tid,
-                addr,
-                size,
-                refs,
-            } => {
-                // A ranged cast: the whole referent hands off as one
-                // operation, exactly as the VM performs it.
-                let g0 = granule(addr);
-                out.push(E::RangeCast {
-                    tid: tid as u32,
-                    granule: g0,
-                    len: granule(addr + size.max(1) - 1) - g0 + 1,
-                    refs: refs as u64,
-                });
-            }
-        }
+impl DetectorKind {
+    /// The engine behind this kind, with the name reports print for
+    /// it — the one place a kind becomes a [`checker::CheckBackend`].
+    /// `geom` sizes SharC's exact shadow (a 300-thread run needs five
+    /// shards, a narrow one the default single shard); the baselines
+    /// keep sparse per-granule state and ignore it.
+    pub fn backend(
+        self,
+        geom: checker::ShadowGeometry,
+    ) -> (&'static str, Box<dyn checker::CheckBackend + Send>) {
+        let backend: Box<dyn checker::CheckBackend + Send> = match self {
+            DetectorKind::Sharc => Box::new(checker::BitmapBackend::with_geometry(geom)),
+            DetectorKind::Eraser => Box::new(detectors::Eraser::new()),
+            DetectorKind::Vc => Box::new(detectors::VcDetector::new()),
+        };
+        // SharC's own engine has always been reported as plain `sharc`.
+        let name = if self == DetectorKind::Sharc {
+            "sharc"
+        } else {
+            backend.name()
+        };
+        (name, backend)
     }
-    out
 }
 
 /// A run judged by a selected detector.
@@ -263,9 +214,8 @@ pub struct DetectorRun {
 }
 
 /// Runs `checked` once and judges the execution with `kind`: SharC's
-/// own checks run inside the VM; the baselines replay the recorded
-/// trace of the *same* execution through the [`checker::CheckBackend`]
-/// adapters.
+/// own checks run inside the VM; a baseline replays the recorded
+/// [`checker::CheckEvent`] trace of the *same* execution.
 ///
 /// # Errors
 ///
@@ -275,41 +225,22 @@ pub fn run_with_detector(
     mut config: RunConfig,
     kind: DetectorKind,
 ) -> Result<DetectorRun, minic::Diagnostic> {
-    use sharc_checker::CheckBackend as _;
-    if kind != DetectorKind::Sharc {
-        config.collect_trace = true;
-    }
+    let granule = config.granule;
+    config.collect_trace |= kind != DetectorKind::Sharc;
     let outcome = run(checked, config)?;
-    let (detector, conflicts) = match kind {
-        DetectorKind::Sharc => {
-            let conflicts = outcome
-                .reports
-                .iter()
-                .map(|r| checker::Conflict {
-                    kind: match r.kind {
-                        interp::ConflictKind::Read => checker::CheckKind::Read,
-                        interp::ConflictKind::Write => checker::CheckKind::Write,
-                        interp::ConflictKind::Lock => checker::CheckKind::Lock,
-                        interp::ConflictKind::OneRef => checker::CheckKind::OneRef,
-                    },
-                    tid: r.who.tid as u32,
-                    granule: (r.addr.0 / sharc_checker::GRANULE_CELLS) as usize,
-                })
-                .collect();
-            ("sharc", conflicts)
-        }
-        DetectorKind::Eraser => {
-            let events = trace_to_check_events(&outcome.trace);
-            let mut backend = detectors::BaselineBackend::new(detectors::Eraser::new());
-            let raw = checker::replay(&events, &mut backend);
-            (backend.name(), dedup_conflicts(raw))
-        }
-        DetectorKind::Vc => {
-            let events = trace_to_check_events(&outcome.trace);
-            let mut backend = detectors::BaselineBackend::new(detectors::VcDetector::new());
-            let raw = checker::replay(&events, &mut backend);
-            (backend.name(), dedup_conflicts(raw))
-        }
+    let (detector, conflicts) = if kind == DetectorKind::Sharc {
+        let conflicts = outcome
+            .reports
+            .iter()
+            .map(|r| checker::Conflict {
+                kind: r.kind,
+                tid: r.who.tid as u32,
+                granule: (r.addr.0 / granule) as usize,
+            })
+            .collect();
+        ("sharc", conflicts)
+    } else {
+        judge_trace(&outcome.trace, kind)
     };
     Ok(DetectorRun {
         outcome,
@@ -398,6 +329,49 @@ pub struct NativeDetectorRun {
     pub conflicts: Vec<checker::Conflict>,
 }
 
+/// A workload's quick-scale run, ready to go: the thread count it
+/// will use and the closure that executes it into a sink.
+type NativePlan = (
+    usize,
+    Box<dyn FnOnce(std::sync::Arc<dyn checker::EventSink>) -> workloads::table::NativeRun>,
+);
+
+/// The one per-workload table: quick-scale parameters, the field
+/// that says how many worker threads they ask for, and the entry
+/// point. [`run_native_events`] runs the plan; the streaming path
+/// reads the thread count off it *before* the run.
+fn native_plan(workload: NativeWorkload) -> NativePlan {
+    use workloads::benchmarks as b;
+    use workloads::table::Scale;
+    macro_rules! plan {
+        ($module:ident, $workers:ident, $params:expr) => {{
+            let params = $params;
+            (
+                params.$workers,
+                Box::new(move |sink| b::$module::run_with_events(&params, sink)),
+            )
+        }};
+    }
+    match workload {
+        NativeWorkload::Pfscan => plan!(pfscan, workers, b::pfscan::Params::scaled(Scale::quick())),
+        NativeWorkload::Handoff => plan!(handoff, consumers, b::handoff::Params::default()),
+        NativeWorkload::Pbzip2 => plan!(pbzip2, workers, b::pbzip2::Params::scaled(Scale::quick())),
+        NativeWorkload::Aget => plan!(aget, workers, b::aget::Params::scaled(Scale::quick())),
+        NativeWorkload::Dillo => plan!(
+            dillo,
+            workers,
+            b::dillo::Params {
+                latency: std::time::Duration::ZERO,
+                ..b::dillo::Params::scaled(Scale::quick())
+            }
+        ),
+        NativeWorkload::Fftw => plan!(fftw, workers, b::fftw::Params::scaled(Scale::quick())),
+        NativeWorkload::Stunnel => {
+            plan!(stunnel, workers, b::stunnel::Params::scaled(Scale::quick()))
+        }
+    }
+}
+
 /// Runs `workload` once with real threads, recording every
 /// [`checker::CheckEvent`] into `sink` — an [`checker::EventLog`]
 /// for record-then-replay, or a [`checker::StreamingSink`] for
@@ -407,44 +381,8 @@ pub fn run_native_events(
     workload: NativeWorkload,
     sink: std::sync::Arc<dyn checker::EventSink>,
 ) -> workloads::table::NativeRun {
-    match workload {
-        NativeWorkload::Pfscan => {
-            let params =
-                workloads::benchmarks::pfscan::Params::scaled(workloads::table::Scale::quick());
-            workloads::benchmarks::pfscan::run_with_events(&params, sink)
-        }
-        NativeWorkload::Handoff => workloads::benchmarks::handoff::run_with_events(
-            &workloads::benchmarks::handoff::Params::default(),
-            sink,
-        ),
-        NativeWorkload::Pbzip2 => {
-            let params =
-                workloads::benchmarks::pbzip2::Params::scaled(workloads::table::Scale::quick());
-            workloads::benchmarks::pbzip2::run_with_events(&params, sink)
-        }
-        NativeWorkload::Aget => {
-            let params =
-                workloads::benchmarks::aget::Params::scaled(workloads::table::Scale::quick());
-            workloads::benchmarks::aget::run_with_events(&params, sink)
-        }
-        NativeWorkload::Dillo => {
-            let params = workloads::benchmarks::dillo::Params {
-                latency: std::time::Duration::ZERO,
-                ..workloads::benchmarks::dillo::Params::scaled(workloads::table::Scale::quick())
-            };
-            workloads::benchmarks::dillo::run_with_events(&params, sink)
-        }
-        NativeWorkload::Fftw => {
-            let params =
-                workloads::benchmarks::fftw::Params::scaled(workloads::table::Scale::quick());
-            workloads::benchmarks::fftw::run_with_events(&params, sink)
-        }
-        NativeWorkload::Stunnel => {
-            let params =
-                workloads::benchmarks::stunnel::Params::scaled(workloads::table::Scale::quick());
-            workloads::benchmarks::stunnel::run_with_events(&params, sink)
-        }
-    }
+    let (_, run) = native_plan(workload);
+    run(sink)
 }
 
 /// Runs `workload` once with real threads and returns its run record
@@ -458,38 +396,6 @@ pub fn native_trace(
     (run, sink.take())
 }
 
-/// The highest checked tid [`run_native_events`]'s quick-scale
-/// execution of `workload` can name: the main/producer/acceptor
-/// thread is 1 and workers are `2 ..= workers + 1`, so the bound is
-/// the thread count itself. The streaming path sizes its shadow
-/// geometry and ring count from this *before* the run, where the
-/// replay path derives the same thing from the finished trace
-/// ([`checker::geometry_for_trace`]).
-fn native_tid_bound(workload: NativeWorkload) -> usize {
-    use workloads::table::Scale;
-    match workload {
-        NativeWorkload::Pfscan => {
-            workloads::benchmarks::pfscan::Params::scaled(Scale::quick()).workers + 1
-        }
-        NativeWorkload::Handoff => workloads::benchmarks::handoff::Params::default().consumers + 1,
-        NativeWorkload::Pbzip2 => {
-            workloads::benchmarks::pbzip2::Params::scaled(Scale::quick()).workers + 1
-        }
-        NativeWorkload::Aget => {
-            workloads::benchmarks::aget::Params::scaled(Scale::quick()).workers + 1
-        }
-        NativeWorkload::Dillo => {
-            workloads::benchmarks::dillo::Params::scaled(Scale::quick()).workers + 1
-        }
-        NativeWorkload::Fftw => {
-            workloads::benchmarks::fftw::Params::scaled(Scale::quick()).workers + 1
-        }
-        NativeWorkload::Stunnel => {
-            workloads::benchmarks::stunnel::Params::scaled(Scale::quick()).workers + 1
-        }
-    }
-}
-
 /// Judges a [`checker::CheckEvent`] trace with the selected engine,
 /// returning the engine's name and its deduplicated conflicts. The
 /// trace may have been recorded seconds ago by [`native_trace`] or
@@ -499,68 +405,30 @@ pub fn judge_trace(
     trace: &[checker::CheckEvent],
     kind: DetectorKind,
 ) -> (&'static str, Vec<checker::Conflict>) {
-    use sharc_checker::CheckBackend as _;
-    match kind {
-        DetectorKind::Sharc => {
-            // Size the exact shadow to the widest tid the trace
-            // names: a 300-thread stunnel run replays on a 5-shard
-            // geometry, while narrow traces keep the 1-shard default.
-            let mut backend =
-                checker::BitmapBackend::with_geometry(checker::geometry_for_trace(trace));
-            let raw = checker::replay(trace, &mut backend);
-            ("sharc", dedup_conflicts(raw))
-        }
-        DetectorKind::Eraser => {
-            let mut backend = detectors::BaselineBackend::new(detectors::Eraser::new());
-            let raw = checker::replay(trace, &mut backend);
-            (backend.name(), dedup_conflicts(raw))
-        }
-        DetectorKind::Vc => {
-            let mut backend = detectors::BaselineBackend::new(detectors::VcDetector::new());
-            let raw = checker::replay(trace, &mut backend);
-            (backend.name(), dedup_conflicts(raw))
-        }
-    }
+    judge_trace_jobs(trace, kind, 1)
 }
 
 /// [`judge_trace`], replayed by [`checker::ParallelReplay`] over
 /// `jobs` region-sharded workers instead of the sequential fold.
 /// Verdicts are bit-identical to [`judge_trace`]'s for every engine
 /// (the 256-tid `forall!` differential pins this); only wall-clock
-/// changes. `jobs <= 1` falls back to the sequential path.
+/// changes. `jobs <= 1` is the sequential fold.
 pub fn judge_trace_jobs(
     trace: &[checker::CheckEvent],
     kind: DetectorKind,
     jobs: usize,
 ) -> (&'static str, Vec<checker::Conflict>) {
-    use sharc_checker::CheckBackend as _;
-    if jobs <= 1 {
-        return judge_trace(trace, kind);
-    }
-    let engine = checker::ParallelReplay::new(jobs);
-    match kind {
-        DetectorKind::Sharc => {
-            let geom = checker::geometry_for_trace(trace);
-            let raw = engine.replay(trace, move || {
-                Box::new(checker::BitmapBackend::with_geometry(geom)) as _
-            });
-            ("sharc", dedup_conflicts(raw))
-        }
-        DetectorKind::Eraser => {
-            let name = detectors::BaselineBackend::new(detectors::Eraser::new()).name();
-            let raw = engine.replay(trace, || {
-                Box::new(detectors::BaselineBackend::new(detectors::Eraser::new())) as _
-            });
-            (name, dedup_conflicts(raw))
-        }
-        DetectorKind::Vc => {
-            let name = detectors::BaselineBackend::new(detectors::VcDetector::new()).name();
-            let raw = engine.replay(trace, || {
-                Box::new(detectors::BaselineBackend::new(detectors::VcDetector::new())) as _
-            });
-            (name, dedup_conflicts(raw))
-        }
-    }
+    // Size the exact shadow to the widest tid the trace names: a
+    // 300-thread stunnel run replays on a 5-shard geometry, while
+    // narrow traces keep the 1-shard default.
+    let geom = checker::geometry_for_trace(trace);
+    let (name, mut backend) = kind.backend(geom);
+    let raw = if jobs <= 1 {
+        checker::replay(trace, &mut *backend)
+    } else {
+        checker::ParallelReplay::new(jobs).replay(trace, move || kind.backend(geom).1)
+    };
+    (name, dedup_conflicts(raw))
 }
 
 /// Writes a trace file: the binary v4 format of [`checker::btrace`]
@@ -714,27 +582,16 @@ pub fn run_native_streaming(
     kind: DetectorKind,
     ring_cap: usize,
 ) -> StreamingRun {
-    use sharc_checker::CheckBackend as _;
-    let bound = native_tid_bound(workload);
-    let (detector, backend): (&'static str, Box<dyn checker::CheckBackend + Send>) = match kind {
-        DetectorKind::Sharc => (
-            "sharc",
-            Box::new(checker::BitmapBackend::with_geometry(
-                checker::ShadowGeometry::for_threads(bound),
-            )),
-        ),
-        DetectorKind::Eraser => {
-            let b = detectors::BaselineBackend::new(detectors::Eraser::new());
-            (b.name(), Box::new(b))
-        }
-        DetectorKind::Vc => {
-            let b = detectors::BaselineBackend::new(detectors::VcDetector::new());
-            (b.name(), Box::new(b))
-        }
-    };
+    // The main/producer/acceptor thread is tid 1 and workers are
+    // `2 ..= workers + 1`, so the highest tid is the thread count. The
+    // replay path derives the same bound from the finished trace
+    // ([`checker::geometry_for_trace`]); here it is needed up front.
+    let (workers, run) = native_plan(workload);
+    let bound = workers + 1;
+    let (detector, backend) = kind.backend(checker::ShadowGeometry::for_threads(bound));
     // One ring per thread (tids are 1-based, ring 0 takes Alloc).
     let sink = std::sync::Arc::new(checker::StreamingSink::new(bound + 1, ring_cap, backend));
-    let run = run_native_events(workload, sink.clone());
+    let run = run(sink.clone());
     let (raw, stats) = sink.finish();
     StreamingRun {
         run,

@@ -27,7 +27,7 @@ use sharc_checker::{
     geometry_for_trace, BitmapBackend, CheckBackend, CheckEvent, EventSink, OwnedCache,
     ShadowGeometry, StreamingSink,
 };
-use sharc_detectors::{BaselineBackend, Eraser, VcDetector};
+use sharc_detectors::{Eraser, VcDetector};
 use sharc_runtime::{MultiWord, OneWord, Shadow, ShardedShadow, ThreadId, WordProtocol};
 use sharc_testkit::gen::{self, Gen};
 use sharc_testkit::prop::Config;
@@ -947,7 +947,6 @@ fn spine_event_gen(threads: u32) -> Gen<CheckEvent> {
 #[test]
 fn range_replay_lowering_is_bit_identical_for_every_backend() {
     use sharc_checker::lower_ranges;
-    use sharc_detectors::VcDetector;
 
     forall!(
         "range_replay_lowering_is_bit_identical_for_every_backend",
@@ -968,11 +967,11 @@ fn range_replay_lowering_is_bit_identical_for_every_backend() {
             let a = sharc_checker::replay(events, &mut BitmapBackend::new());
             let b = sharc_checker::replay(&lowered, &mut BitmapBackend::new());
             prop_assert!(a == b, "sharc: ranged {:?} vs lowered {:?}", a, b);
-            let a = sharc_checker::replay(events, &mut BaselineBackend::new(Eraser::new()));
-            let b = sharc_checker::replay(&lowered, &mut BaselineBackend::new(Eraser::new()));
+            let a = sharc_checker::replay(events, &mut Eraser::new());
+            let b = sharc_checker::replay(&lowered, &mut Eraser::new());
             prop_assert!(a == b, "eraser: ranged {:?} vs lowered {:?}", a, b);
-            let a = sharc_checker::replay(events, &mut BaselineBackend::new(VcDetector::new()));
-            let b = sharc_checker::replay(&lowered, &mut BaselineBackend::new(VcDetector::new()));
+            let a = sharc_checker::replay(events, &mut VcDetector::new());
+            let b = sharc_checker::replay(&lowered, &mut VcDetector::new());
             prop_assert!(a == b, "vc: ranged {:?} vs lowered {:?}", a, b);
         }
     );
@@ -987,7 +986,6 @@ fn range_replay_lowering_is_bit_identical_for_every_backend() {
 #[test]
 fn parallel_replay_is_bit_identical_to_sequential_for_every_backend() {
     use sharc_checker::{geometry_for_trace, ParallelReplay};
-    use sharc_detectors::VcDetector;
 
     forall!(
         "parallel_replay_is_bit_identical_to_sequential_for_every_backend",
@@ -1004,15 +1002,11 @@ fn parallel_replay_is_bit_identical_to_sequential_for_every_backend() {
                 Box::new(BitmapBackend::with_geometry(geom)) as _
             });
             prop_assert!(seq == par, "sharc jobs={}: {:?} vs {:?}", jobs, seq, par);
-            let seq = sharc_checker::replay(events, &mut BaselineBackend::new(Eraser::new()));
-            let par = engine.replay(events, || {
-                Box::new(BaselineBackend::new(Eraser::new())) as _
-            });
+            let seq = sharc_checker::replay(events, &mut Eraser::new());
+            let par = engine.replay(events, || Box::new(Eraser::new()) as _);
             prop_assert!(seq == par, "eraser jobs={}: {:?} vs {:?}", jobs, seq, par);
-            let seq = sharc_checker::replay(events, &mut BaselineBackend::new(VcDetector::new()));
-            let par = engine.replay(events, || {
-                Box::new(BaselineBackend::new(VcDetector::new())) as _
-            });
+            let seq = sharc_checker::replay(events, &mut VcDetector::new());
+            let par = engine.replay(events, || Box::new(VcDetector::new()) as _);
             prop_assert!(seq == par, "vc jobs={}: {:?} vs {:?}", jobs, seq, par);
         }
     );
@@ -1053,7 +1047,7 @@ fn ownership_transfer_sharc_silent_eraser_false_positive() {
         "SharC accepts the hand-off: {sharc_conflicts:?}"
     );
 
-    let mut eraser = BaselineBackend::new(Eraser::new());
+    let mut eraser = Eraser::new();
     let eraser_conflicts = sharc_checker::replay(&trace, &mut eraser);
     assert!(
         !eraser_conflicts.is_empty(),
@@ -1132,14 +1126,14 @@ fn stunnel_wide_trace_pins_all_backends() {
     );
 
     // Eraser on the identical execution.
-    let mut eraser = BaselineBackend::new(Eraser::new());
+    let mut eraser = Eraser::new();
     assert!(
         !sharc_checker::replay(&trace, &mut eraser).is_empty(),
         "Eraser must false-positive on the unlocked ownership transfers"
     );
 
     // Vector clocks on the identical execution.
-    let mut vc = BaselineBackend::new(VcDetector::new());
+    let mut vc = VcDetector::new();
     let vc_conflicts = sharc_checker::replay(&trace, &mut vc);
     assert!(
         vc_conflicts.is_empty(),
@@ -1177,8 +1171,6 @@ fn stunnel_wide_trace_pins_all_backends() {
 /// and the peak resident count never exceeds the ring budget.
 #[test]
 fn streaming_verdicts_equal_replay_fold_for_every_backend() {
-    use sharc_detectors::VcDetector;
-
     type BackendFactory = Box<dyn Fn() -> Box<dyn CheckBackend + Send>>;
 
     let scenario = gen::pair(
@@ -1204,14 +1196,8 @@ fn streaming_verdicts_equal_replay_fold_for_every_backend() {
                     "sharc",
                     Box::new(move || Box::new(BitmapBackend::with_geometry(geom))),
                 ),
-                (
-                    "eraser",
-                    Box::new(|| Box::new(BaselineBackend::new(Eraser::new()))),
-                ),
-                (
-                    "vc",
-                    Box::new(|| Box::new(BaselineBackend::new(VcDetector::new()))),
-                ),
+                ("eraser", Box::new(|| Box::new(Eraser::new()))),
+                ("vc", Box::new(|| Box::new(VcDetector::new()))),
             ];
             for (name, make) in &backends {
                 let mut replay_backend = make();
@@ -1336,11 +1322,7 @@ fn stunnel_streaming_is_bit_identical_to_replay_at_fleet_width() {
     assert_eq!(live_stats.drained, live_stats.recorded);
 
     // Eraser live-streams its ownership-transfer false positive too.
-    let eraser = Arc::new(StreamingSink::new(
-        8,
-        64,
-        Box::new(BaselineBackend::new(Eraser::new())),
-    ));
+    let eraser = Arc::new(StreamingSink::new(8, 64, Box::new(Eraser::new())));
     stunnel::run_with_events(&params, eraser.clone());
     let (eraser_conflicts, _) = eraser.finish();
     assert!(

@@ -1,77 +1,43 @@
 //! Cross-validation between SharC and the §6.2 baseline detectors on
-//! *identical executions*: the VM records the event trace of a run,
-//! which is then replayed through Eraser and the vector-clock
-//! detector. Agreement/disagreement must match the paper's analysis:
+//! *identical executions*, through `run_with_detector` — the path
+//! `sharc run --detector …` takes: the VM records the `CheckEvent`
+//! trace of a seeded run, which Eraser and the vector-clock detector
+//! then judge. Agreement/disagreement must match the paper's analysis:
 //!
 //! * honest races: everyone reports;
 //! * lock-protected sharing: nobody reports;
 //! * ownership hand-off via sharing casts: SharC is silent (the cast
 //!   models the transfer), the baselines report a false positive.
 
+use sharc::checker::{CheckEvent, Conflict};
 use sharc::prelude::*;
-use sharc_detectors::{Detector, Eraser, Event, Race, VcDetector};
-use sharc_interp::TraceEvent;
 
-/// Converts a VM trace into detector events. Sharing casts, thread
-/// exits and frees have no baseline counterpart — the baselines'
-/// blindness to ownership transfer is exactly what the comparison
-/// demonstrates — so those events are dropped.
-fn convert(trace: &[TraceEvent]) -> Vec<Event> {
+/// One seeded execution of `src` as judged by `kind`.
+fn judged(src: &str, seed: u64, kind: DetectorKind) -> DetectorRun {
+    let checked = sharc::check("xval.c", src).expect("program parses");
+    let config = RunConfig {
+        seed,
+        ..RunConfig::default()
+    };
+    sharc::run_with_detector(&checked, config, kind).expect("program checks cleanly")
+}
+
+/// The granule of the run's first `new()`: the shared heap object.
+fn first_alloc(trace: &[CheckEvent]) -> usize {
     trace
         .iter()
-        .filter_map(|e| match *e {
-            TraceEvent::Read { tid, addr } => Some(Event::Read {
-                tid: tid as u32,
-                loc: addr as usize,
-            }),
-            TraceEvent::Write { tid, addr } => Some(Event::Write {
-                tid: tid as u32,
-                loc: addr as usize,
-            }),
-            TraceEvent::Acquire { tid, lock } => Some(Event::Acquire {
-                tid: tid as u32,
-                lock: lock as usize,
-            }),
-            TraceEvent::Release { tid, lock } => Some(Event::Release {
-                tid: tid as u32,
-                lock: lock as usize,
-            }),
-            TraceEvent::Fork { tid, child } => Some(Event::Fork {
-                tid: tid as u32,
-                child: child as u32,
-            }),
-            TraceEvent::Join { tid, child } => Some(Event::Join {
-                tid: tid as u32,
-                child: child as u32,
-            }),
-            TraceEvent::Alloc { addr, .. } => Some(Event::Alloc { loc: addr as usize }),
-            TraceEvent::SharingCast { .. }
-            | TraceEvent::ThreadExit { .. }
-            | TraceEvent::Free { .. } => None,
+        .find_map(|e| match *e {
+            CheckEvent::Alloc { granule } => Some(granule),
+            _ => None,
         })
-        .collect()
+        .expect("new() allocates")
 }
 
-fn run_traced(src: &str, seed: u64) -> (RunOutcome, Vec<Event>) {
-    let out = sharc::check_and_run(
-        "xval.c",
-        src,
-        RunConfig {
-            seed,
-            collect_trace: true,
-            ..RunConfig::default()
-        },
-    )
-    .expect("program checks cleanly");
-    let events = convert(&out.trace);
-    (out, events)
-}
-
-fn heap_races(races: &[Race], heap_floor: usize) -> usize {
-    // Filter to races on heap data (ignore stack-frame locations the
-    // detectors see because the VM allocates frames in main memory —
-    // a real tool would know the stack is thread-private).
-    races.iter().filter(|r| r.loc >= heap_floor).count()
+/// Conflicts at or above `heap_floor`. The detectors also see stack
+/// frames, because the VM allocates them in main memory; a real tool
+/// would know the stack is thread-private.
+fn heap_conflicts(conflicts: &[Conflict], heap_floor: usize) -> usize {
+    conflicts.iter().filter(|c| c.granule >= heap_floor).count()
 }
 
 #[test]
@@ -83,10 +49,15 @@ fn honest_race_everyone_agrees() {
     let mut eraser_found = false;
     let mut vc_found = false;
     for seed in 0..6 {
-        let (out, events) = run_traced(src, seed);
-        sharc_found |= !out.reports.is_empty();
-        eraser_found |= !Eraser::new().run(&events).is_empty();
-        vc_found |= !VcDetector::new().run(&events).is_empty();
+        sharc_found |= !judged(src, seed, DetectorKind::Sharc).conflicts.is_empty();
+        // The baselines must name the shared counter itself.
+        let on_counter = |kind| {
+            let run = judged(src, seed, kind);
+            let counter = first_alloc(&run.outcome.trace);
+            run.conflicts.iter().any(|c| c.granule == counter)
+        };
+        eraser_found |= on_counter(DetectorKind::Eraser);
+        vc_found |= on_counter(DetectorKind::Vc);
     }
     assert!(sharc_found, "SharC reports the race");
     assert!(eraser_found, "Eraser reports the race");
@@ -100,21 +71,21 @@ fn lock_protected_everyone_silent_on_the_data() {
                  mutex_lock(&x->m); x->v = x->v + 1; mutex_unlock(&x->m); } }\n\
                void main() { struct c * x = new(struct c);\n\
                  spawn(w, x); spawn(w, x); join_all(); }";
-    let (out, events) = run_traced(src, 2);
-    assert!(out.reports.is_empty(), "SharC: {:?}", out.reports);
+    let sharc = judged(src, 2, DetectorKind::Sharc);
+    assert!(sharc.conflicts.is_empty(), "SharC: {:?}", sharc.conflicts);
     // The protected counter lives in the heap object allocated by
-    // `new`; find its allocation to scope the comparison.
-    let heap_floor = events
-        .iter()
-        .find_map(|e| match e {
-            Event::Alloc { loc } => Some(*loc),
-            _ => None,
-        })
-        .expect("new() allocates");
-    let eraser = Eraser::new().run(&events);
-    let vc = VcDetector::new().run(&events);
-    assert_eq!(heap_races(&eraser, heap_floor), 0, "{eraser:?}");
-    assert_eq!(heap_races(&vc, heap_floor), 0, "{vc:?}");
+    // `new`; its allocation scopes the comparison.
+    for kind in [DetectorKind::Eraser, DetectorKind::Vc] {
+        let run = judged(src, 2, kind);
+        let heap_floor = first_alloc(&run.outcome.trace);
+        assert_eq!(
+            heap_conflicts(&run.conflicts, heap_floor),
+            0,
+            "{}: {:?}",
+            run.detector,
+            run.conflicts
+        );
+    }
 }
 
 #[test]
@@ -154,8 +125,12 @@ fn handoff_sharc_accepts_baselines_object() {
             }
             join_all();
         }";
-    let (out, events) = run_traced(src, 3);
-    assert!(out.reports.is_empty(), "SharC accepts: {:?}", out.reports);
+    let sharc = judged(src, 3, DetectorKind::Sharc);
+    assert!(
+        sharc.outcome.reports.is_empty(),
+        "SharC accepts: {:?}",
+        sharc.outcome.reports
+    );
 
     // The producer writes each buffer before publishing; the consumer
     // writes it after taking. Same location, both orders mediated by
@@ -164,9 +139,10 @@ fn handoff_sharc_accepts_baselines_object() {
     // blindness to ownership we check Eraser's lockset view: the
     // buffer is written both with and without the channel lock held,
     // emptying its candidate lockset.
-    let eraser = Eraser::new().run(&events);
+    let eraser = judged(src, 3, DetectorKind::Eraser);
+    assert_eq!(eraser.detector, "eraser-lockset");
     assert!(
-        !eraser.is_empty(),
+        heap_conflicts(&eraser.conflicts, first_alloc(&eraser.outcome.trace)) > 0,
         "Eraser false-positives on the ownership hand-off"
     );
 }
@@ -174,26 +150,21 @@ fn handoff_sharc_accepts_baselines_object() {
 #[test]
 fn trace_is_complete_and_ordered() {
     let src = "void main() { int * p; p = new(int); *p = 4; print(*p); free(p); }";
-    let (out, events) = run_traced(src, 0);
-    assert_eq!(out.output, vec!["4"]);
-    let allocs = events
+    let run = judged(src, 0, DetectorKind::Vc);
+    assert_eq!(run.outcome.output, vec!["4"]);
+    let trace = &run.outcome.trace;
+    let allocs = trace
         .iter()
-        .filter(|e| matches!(e, Event::Alloc { .. }))
+        .filter(|e| matches!(e, CheckEvent::Alloc { .. }))
         .count();
     assert_eq!(allocs, 1);
-    // The write to *p precedes the read of *p.
-    let heap_loc = events
-        .iter()
-        .find_map(|e| match e {
-            Event::Alloc { loc } => Some(*loc),
-            _ => None,
-        })
-        .unwrap();
-    let w = events
-        .iter()
-        .position(|e| matches!(e, Event::Write { loc, .. } if *loc == heap_loc));
-    let r = events
-        .iter()
-        .position(|e| matches!(e, Event::Read { loc, .. } if *loc == heap_loc));
-    assert!(w.unwrap() < r.unwrap());
+    // The write to *p precedes the read of *p, and the free is last.
+    let heap = first_alloc(trace);
+    let at = |wanted: &dyn Fn(&CheckEvent) -> bool| trace.iter().position(wanted);
+    let w = at(&|e| matches!(*e, CheckEvent::Write { granule, .. } if granule == heap));
+    let r = at(&|e| matches!(*e, CheckEvent::Read { granule, .. } if granule == heap));
+    let f = at(&|e| matches!(*e, CheckEvent::RangeFree { granule, .. } if granule == heap));
+    assert!(w.unwrap() < r.unwrap() && r.unwrap() < f.unwrap());
+    // The SharC path does not pay for a trace it does not need.
+    assert!(judged(src, 0, DetectorKind::Sharc).outcome.trace.is_empty());
 }
