@@ -305,13 +305,33 @@ expect_exit 1 native stunnel --detector eraser --online --ring-cap 256
 expect_exit 0 native handoff --detector sharc --online
 expect_exit 1 native handoff --detector eraser --online
 
+echo "== benchmark answer keys: handoff-write and scan-read, --smoke =="
+# The two workloads that run the runtime's check path end to end, at
+# 1/20 scale: every lap's checksum and conflict count is held against
+# the generator's answer key, for the unchecked and the checked build.
+# The last line of a run is its result object; anything but a fully
+# correct one fails the gate (so does a host with one CPU, where the
+# workload prints `unmeasured` and no result line at all).
+for workload in handoff-write scan-read; do
+    result=$(bash benchmark/run.sh --smoke --workload "$workload" | tail -n 1)
+    echo "$workload: ${result%%, \"metrics\"*}}"
+    case "$result" in
+        '{"correct": true, '*'"failed": 0, '*) ;;
+        *)
+            echo "ERROR: benchmark workload $workload did not report correct: true, failed: 0" >&2
+            exit 1
+            ;;
+    esac
+done
+
 echo "== checker bench --smoke (epoch-thrash + ranged gates) =="
 # Asserts the perf claims in --smoke mode: the per-region epoch
 # table is >=2x faster than the R=1 global geometry under
-# clear-thrash and within noise on the private loop, the cached
-# fast path stays competitive with the raw CAS protocol, and the
+# clear-thrash and within noise on the private loop (both on the
+# sharded protocol, where the owned cache the epochs guard exists),
+# that cache beats the sharded snapshot protocol >=2x, and the
 # ranged owned-4k sweep (one epoch-sum + run-slot compare per lap)
-# beats the per-granule cached loop >=4x. Full rows — including the
+# beats the per-granule loop >=4x. Full rows — including the
 # range/* family and the epoch-geom/r{R}-ws{WS} geometry sweep —
 # plus deterministic flush/miss counters land in the repo-root
 # BENCH_checker.json, the single canonical location (nothing is

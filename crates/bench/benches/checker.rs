@@ -1,6 +1,6 @@
-//! Bench for the unified checker layer: the owned-granule epoch
-//! cache against the raw CAS slow path, on the workload shape the
-//! cache is built for — one thread repeatedly touching granules it
+//! Bench for the unified checker layer: the per-granule check with
+//! and without the owned-granule epoch cache, on the workload shape
+//! the cache is built for — one thread repeatedly touching granules it
 //! already owns (pfscan's scan buffers, pbzip2's per-worker blocks).
 //!
 //! Runs on the sharc-testkit bench harness (`harness = false`);
@@ -38,8 +38,8 @@ fn main() {
         });
     }
 
-    // The epoch cache: after the first lap every access is one
-    // relaxed epoch load plus a direct-mapped probe.
+    // Through the cached entry point: on the one-word protocol the
+    // same load-and-compare as above (no epoch load, no probe).
     {
         let s: Shadow = Shadow::new(GRANULES);
         let mut cache: OwnedCache = OwnedCache::new();
@@ -72,11 +72,15 @@ fn main() {
     // Historic worst case for the cache: a clear between laps. Under
     // the global epoch this forced a whole-cache flush plus refill
     // each lap; with the per-region table (the default geometry) the
-    // point clear now stales only the 4 granules of its own region —
+    // point clear now stales only the granules of its own region —
     // the `epoch/*` rows below measure the two geometries head to
-    // head on exactly this pattern.
+    // head on exactly this pattern. On the sharded protocol, like
+    // every row that measures the per-granule cache: the one-word
+    // protocol's cached check is its uncached one
+    // (`WordProtocol::OWNED_CACHE`), which is what the
+    // `owned-*/cached` rows above now show.
     {
-        let s: Shadow = Shadow::new(GRANULES);
+        let s = ShardedShadow::with_geometry(GRANULES, ShadowGeometry::default());
         let mut cache: OwnedCache = OwnedCache::new();
         g.bench("owned-write/cached-epoch-thrash", || {
             for i in 0..GRANULES {
@@ -197,8 +201,9 @@ fn main() {
         // aliased pair: two residents fit a 2-way set but thrash a
         // direct-mapped one.
         let span = slots * 2 + GRANULES;
+        let shadow = || ShardedShadow::with_geometry(span, ShadowGeometry::default());
         {
-            let s: Shadow = Shadow::new(span);
+            let s = shadow();
             let mut c = OwnedCache::<1>::with_slots(slots);
             g.bench(&format!("assoc/w1-s{slots}-alias"), || {
                 for i in 0..slots / 2 {
@@ -208,7 +213,7 @@ fn main() {
             });
         }
         {
-            let s: Shadow = Shadow::new(span);
+            let s = shadow();
             let mut c = OwnedCache::<2>::with_slots(slots);
             g.bench(&format!("assoc/w2-s{slots}-alias"), || {
                 for i in 0..slots / 2 {
@@ -218,7 +223,7 @@ fn main() {
             });
         }
         {
-            let s: Shadow = Shadow::new(span);
+            let s = shadow();
             let mut c = OwnedCache::<1>::with_slots(slots);
             g.bench(&format!("assoc/w1-s{slots}-seq"), || {
                 for i in 0..slots / 2 {
@@ -227,7 +232,7 @@ fn main() {
             });
         }
         {
-            let s: Shadow = Shadow::new(span);
+            let s = shadow();
             let mut c = OwnedCache::<2>::with_slots(slots);
             g.bench(&format!("assoc/w2-s{slots}-seq"), || {
                 for i in 0..slots / 2 {
@@ -350,16 +355,16 @@ fn main() {
         &trace_rows,
     );
 
-    // The acceptance criterion, enforced at bench time: the cached
-    // fast path must stay competitive with the uncached CAS on the
-    // single-owner workload. Under the global epoch of PR 2/3 the
-    // epoch check was loop-invariant and the cache strictly won this
-    // microloop; the per-region tag makes the guard load per-access
-    // (it indexes by granule), so on x86 — where a SeqCst load is a
-    // plain mov — pure hits are now parity, within noise. The cache's
-    // wins live elsewhere and are asserted elsewhere: first-contact
-    // CAS elision, the >=2x thrash resilience checked by
-    // `assert_epoch_wins` below, and the end-to-end VM delta.
+    // The acceptance criterion, enforced at bench time: the owned
+    // cache must pay where it is kept. `MultiWord::OWNED_CACHE` is true
+    // because a cache hit (one relaxed epoch load, one probe) replaces
+    // a SeqCst snapshot of every shard word plus the sharded step; the
+    // gate holds it to at least 2x on the five-shard geometry. On the
+    // one-word protocol the const is false — `recorded` is one load
+    // and one compare, cheaper than the probe — so `owned-*/cached`
+    // and `owned-*/uncached` time the same inlined test; the pair is
+    // printed, not gated (two copies of one loop differ by their
+    // alignment, which is not a property of the checker).
     let results = g.results();
     // Minima, not medians or means: these are constant-work loops, so
     // the fastest sample is the least noise-contaminated one — a
@@ -374,10 +379,15 @@ fn main() {
             .expect("bench ran")
     };
     let (unc, cac) = (min("owned-write/uncached"), min("owned-write/cached"));
-    eprintln!("checker bench: uncached {unc} ns/lap (min), cached {cac} ns/lap");
+    eprintln!("one-word owned write: uncached {unc} ns/lap (min), cached entry point {cac} ns/lap");
+    let (unc, cac) = (
+        min("sharded/5shard-write-tid200"),
+        min("sharded/5shard-write-tid200-cached"),
+    );
+    eprintln!("sharded owned write: uncached {unc} ns/lap (min), cached {cac} ns/lap (want >=2x)");
     assert!(
-        cac <= unc + unc / 5,
-        "epoch cache fell off the CAS slow path by >20% ({cac} vs {unc} ns)"
+        cac * 2 <= unc,
+        "the owned cache must beat the sharded snapshot protocol >=2x ({cac} * 2 > {unc} ns)"
     );
 
     // And the tentpole claim: the region table wins >=2x under thrash

@@ -11,9 +11,9 @@
 //! * `detector_comparison` — SharC's checks vs Eraser-lockset and
 //!   vector-clock monitoring of *every* access (§6.2's 10×–30×).
 
-use sharc_checker::{replay, CheckBackend, CheckEvent, Conflict, OwnedCache};
+use sharc_checker::{replay, CheckBackend, CheckEvent, Conflict, OwnedCache, ShadowGeometry};
 use sharc_detectors::Online;
-use sharc_runtime::{AccessPolicy, Arena, ObjId, RcScheme, Shadow, ThreadCtx, ThreadId};
+use sharc_runtime::{AccessPolicy, Arena, ObjId, RcScheme, ShardedShadow, ThreadCtx, ThreadId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -203,29 +203,34 @@ pub struct EpochCounters {
     pub misses: u64,
 }
 
-fn epoch_shadow(global: bool) -> Shadow {
+/// The shadow the epoch rows run on: the sharded protocol at its
+/// default one-shard geometry, because that is where the owned cache
+/// the epochs guard exists (`WordProtocol::OWNED_CACHE`) — on the
+/// one-word protocol a cached check never reads an epoch.
+fn epoch_shadow(global: bool) -> ShardedShadow {
+    let s = ShardedShadow::with_geometry(EPOCH_GRANULES, ShadowGeometry::default());
     if global {
         // The R = 1 degenerate geometry: the pre-region behaviour
         // where any clear invalidates every cached entry.
-        Shadow::new(EPOCH_GRANULES).with_epoch_regions(1)
+        s.with_epoch_regions(1)
     } else {
-        // The default geometry: 64 regions of 4 granules.
-        Shadow::new(EPOCH_GRANULES)
+        // The default geometry: 128 regions of 2 granules.
+        s
     }
 }
 
 /// Steady-state private loop — no clears, so the epoch geometry is
 /// irrelevant and both tables must time the same.
-fn epoch_lap_private(s: &Shadow, t: ThreadId, cache: &mut OwnedCache) {
+fn epoch_lap_private(s: &ShardedShadow, t: ThreadId, cache: &mut OwnedCache) {
     for i in 0..EPOCH_GRANULES {
         s.check_write_cached(i, t, cache).unwrap();
     }
 }
 
 /// The ROADMAP's `cached-epoch-thrash` worst case: a point clear per
-/// lap. Region table: one region (4 granules) refills. Global table:
+/// lap. Region table: one region (2 granules) refills. Global table:
 /// the whole cache refills through the slow path.
-fn epoch_lap_thrash(s: &Shadow, t: ThreadId, cache: &mut OwnedCache) {
+fn epoch_lap_thrash(s: &ShardedShadow, t: ThreadId, cache: &mut OwnedCache) {
     epoch_lap_private(s, t, cache);
     s.clear(0);
 }
@@ -234,7 +239,7 @@ fn epoch_lap_thrash(s: &Shadow, t: ThreadId, cache: &mut OwnedCache) {
 /// prefix of alloc-use-free granules (each freed granule's shadow is
 /// reset, bumping its region). Clears stay confined to the low
 /// regions; the hot half must stay cached under the region table.
-fn epoch_lap_mixed(s: &Shadow, t: ThreadId, cache: &mut OwnedCache) {
+fn epoch_lap_mixed(s: &ShardedShadow, t: ThreadId, cache: &mut OwnedCache) {
     for i in EPOCH_GRANULES / 2..EPOCH_GRANULES {
         s.check_write_cached(i, t, cache).unwrap();
     }
@@ -248,7 +253,7 @@ fn epoch_lap_mixed(s: &Shadow, t: ThreadId, cache: &mut OwnedCache) {
 /// geometry on the private, thrash, and mixed patterns) and returns
 /// exact flush/miss counters from a deterministic side pass.
 pub fn epoch_rows(g: &mut sharc_testkit::Bench) -> Vec<EpochCounters> {
-    type Lap = fn(&Shadow, ThreadId, &mut OwnedCache);
+    type Lap = fn(&ShardedShadow, ThreadId, &mut OwnedCache);
     let rows: [(&'static str, bool, Lap); 6] = [
         ("epoch/region-private", false, epoch_lap_private),
         ("epoch/global-private", true, epoch_lap_private),
@@ -292,7 +297,8 @@ pub fn epoch_geometry_rows(g: &mut sharc_testkit::Bench) {
     let t = ThreadId(1);
     for &ws in &[64usize, 256, 1024] {
         for &r in &[1usize, 16, 64, 256] {
-            let s: Shadow = Shadow::new(ws).with_epoch_regions(r);
+            let s =
+                ShardedShadow::with_geometry(ws, ShadowGeometry::default()).with_epoch_regions(r);
             let mut cache: OwnedCache = OwnedCache::new();
             let churn = (ws / 16).max(4);
             g.bench(&format!("epoch-geom/r{r}-ws{ws}"), || {
@@ -1103,7 +1109,7 @@ mod tests {
         // `counters`: on every pattern the region table discards no
         // more entries and misses no more often than the global one.
         let t = ThreadId(1);
-        type Lap = fn(&Shadow, ThreadId, &mut OwnedCache);
+        type Lap = fn(&ShardedShadow, ThreadId, &mut OwnedCache);
         let laps: [(&str, Lap); 3] = [
             ("private", epoch_lap_private),
             ("thrash", epoch_lap_thrash),
@@ -1124,8 +1130,8 @@ mod tests {
             assert!(rm <= gm, "{pat}: region misses {rm} > global {gm}");
         }
         // And the thrash pattern specifically must show the point:
-        // a point clear costs 4 granules under the region table, the
-        // whole table under the global one.
+        // a point clear costs one region's granules under the region
+        // table, the whole table under the global one.
         let thrash = |global: bool| {
             let s = epoch_shadow(global);
             let mut c: OwnedCache = OwnedCache::new();

@@ -1,13 +1,20 @@
 //! The owned-granule epoch cache: a per-thread, set-associative
-//! table that lets repeated private accesses skip the shadow CAS
+//! table that lets repeated private accesses skip the shadow check
 //! entirely.
 //!
 //! In the paper's workloads the overwhelmingly common case is a
 //! thread re-touching dynamic-mode data it already owns (pfscan's
-//! scan buffers, pbzip2's per-worker blocks). The slow path pays an
-//! atomic load plus, on first contact, a compare-exchange. This
-//! cache reduces the steady state to one relaxed epoch load and one
-//! array probe.
+//! scan buffers, pbzip2's per-worker blocks). Where answering "is this
+//! access already recorded?" from the shadow itself is expensive — the
+//! sharded multi-word encoding snapshots every word of the granule
+//! with `SeqCst` loads and runs the sharded step — this cache reduces
+//! the steady state to one relaxed epoch load and one array probe.
+//! Where the shadow answers in one load and one compare (the paper's
+//! single word per granule) the probe is the dearer of the two and a
+//! first touch pays a fill on top, so the runtime consults the
+//! per-granule table only for protocols that declare it worthwhile
+//! (`sharc_runtime::WordProtocol::OWNED_CACHE`); the VM keeps its own
+//! instance. The run summaries below are used everywhere.
 //!
 //! ## Associativity
 //!
@@ -15,12 +22,12 @@
 //! generic defaulting to 1 (direct-mapped — the paper-era
 //! configuration). `OwnedCache<2>` halves conflict misses on
 //! workloads whose working set aliases in the low index bits, at the
-//! cost of one extra compare per probe; the `cache_geometry` bench in
-//! `crates/bench/benches/checker.rs` sweeps associativity ×
-//! slot-count on the Table 1 access patterns and records both in
-//! `BENCH_checker.json`. Direct-mapped stays the default: on the
-//! streaming-scan patterns the second compare costs more than the
-//! aliasing it saves (see EXPERIMENTS.md).
+//! cost of one extra compare per probe; the `assoc/*` rows of
+//! `crates/bench/benches/checker.rs` sweep associativity × slot-count
+//! over the sharded shadow and record both in `BENCH_checker.json`.
+//! Direct-mapped stays the default: on the streaming-scan patterns
+//! the second compare costs more than the aliasing it saves (see
+//! EXPERIMENTS.md).
 //!
 //! ## Soundness invariants
 //!

@@ -4,7 +4,7 @@
 //! sound: every `clear`/`free`/`cast`/`thread_exit` bumps an epoch,
 //! and cache entries recorded under an older epoch never answer. With
 //! a *single global* epoch that protocol has a worst case the
-//! `cached-epoch-thrash` bench row pins exactly: one `free` anywhere
+//! `epoch/global-thrash` bench row pins exactly: one `free` anywhere
 //! invalidates every thread's *entire* cache, even though only a
 //! handful of granules changed state.
 //!
@@ -59,9 +59,10 @@
 
 use core::sync::atomic::{AtomicU64, Ordering};
 
-/// Default number of epoch regions for sized shadows. 64 keeps the
-/// table in one cache line and already makes a point `free`
-/// invalidate 1/64th of a resident working set instead of all of it.
+/// Default number of epoch regions for sized shadows. 64 counters are
+/// 512 bytes — eight cache lines, so bumps of distant regions do not
+/// share a line — and already make a point `free` invalidate 1/64th
+/// of a resident working set instead of all of it.
 pub const DEFAULT_REGIONS: usize = 64;
 
 /// A table of per-region epoch counters over a granule space.

@@ -6,6 +6,7 @@
 use crate::locks::ThreadCtx;
 use crate::shadow::{OneWord, Shadow, ShadowWord, WordProtocol};
 use crate::sharded::{MultiWord, ShardedShadow};
+use sharc_checker::step::Access;
 use sharc_checker::ShadowGeometry;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -29,31 +30,6 @@ pub fn granule_span(start: usize, words: usize) -> (usize, usize) {
     let g0 = start / GRANULE_WORDS;
     let g1 = (start + words - 1) / GRANULE_WORDS;
     (g0, g1 - g0 + 1)
-}
-
-/// Sorts and dedupes a thread's logged granules, coalescing them into
-/// maximal consecutive runs — `clear_run(start, len)` fires once per
-/// run — and leaves the log empty. A hot-loop thread re-logs a
-/// granule every time a clear lets it re-install its bit, so the raw
-/// log carries duplicates; draining runs instead of entries means
-/// exit pays one ranged clear (one epoch bump per covered region)
-/// per contiguous footprint rather than one clear-plus-bump per
-/// logged access.
-fn drain_logged_runs(log: &mut Vec<usize>, mut clear_run: impl FnMut(usize, usize)) {
-    log.sort_unstable();
-    log.dedup();
-    let mut i = 0;
-    while i < log.len() {
-        let start = log[i];
-        let mut end = start + 1;
-        i += 1;
-        while i < log.len() && log[i] == end {
-            end += 1;
-            i += 1;
-        }
-        clear_run(start, end - start);
-    }
-    log.clear();
 }
 
 /// A word arena with shadow state, generic over the shadow's word
@@ -135,51 +111,77 @@ impl<P: WordProtocol> Arena<P> {
         self.data[i].store(v, Ordering::Relaxed);
     }
 
-    /// A dynamic-mode read: `chkread` on the word's granule, then the
-    /// load. Conflicts are counted in `ctx` (logging mode) rather
-    /// than aborting, like the tool's default reporting behaviour.
+    /// The check half of every per-word dynamic access, through the
+    /// owned cache or not: count it, emit it, judge it, log a newly
+    /// set bit for exit-time clearing. Conflicts are counted in `ctx`
+    /// (logging mode) rather than aborting, like the tool's default
+    /// reporting behaviour.
     #[inline]
-    pub fn read_checked(&self, ctx: &mut ThreadCtx, i: usize) -> u64 {
+    fn check_word<const CACHED: bool>(&self, ctx: &mut ThreadCtx, i: usize, access: Access) {
         ctx.checked_accesses += 1;
         let g = i / GRANULE_WORDS;
-        ctx.emit_access(g, false);
-        match self.shadow.check_read(g, ctx.tid) {
-            Ok(true) => ctx.access_log.push(g),
+        ctx.emit_access(g, access.is_write());
+        let verdict = if CACHED {
+            self.shadow
+                .check_cached(g, ctx.tid, access, &mut ctx.owned_cache)
+        } else {
+            self.shadow.check(g, ctx.tid, access)
+        };
+        match verdict {
+            Ok(true) => ctx.access_log.note(g),
             Ok(false) => {}
             Err(_) => ctx.conflicts += 1,
         }
+    }
+
+    /// The check half of every ranged dynamic access: ONE check over
+    /// the whole granule span of `start .. start + words` (`words >
+    /// 0`). The verdict is the fold of per-granule checks (see
+    /// [`crate::Shadow::check_range`]), but conflicts are counted
+    /// **per granule**, not per word: a per-word loop re-reports a
+    /// conflicting granule for every word that touches it.
+    fn check_words<const CACHED: bool>(
+        &self,
+        ctx: &mut ThreadCtx,
+        start: usize,
+        words: usize,
+        access: Access,
+    ) {
+        ctx.checked_accesses += words as u64;
+        let (g0, glen) = granule_span(start, words);
+        ctx.emit_range(g0, glen, access.is_write());
+        let (tid, log) = (ctx.tid, &mut ctx.access_log);
+        ctx.conflicts += if CACHED {
+            let cache = &mut ctx.owned_cache;
+            self.shadow
+                .check_range_cached(g0, glen, tid, access, cache, |g| log.note(g), |_| {})
+        } else {
+            self.shadow
+                .check_range(g0, glen, tid, access, |g| log.note(g), |_| {})
+        };
+    }
+
+    /// A dynamic-mode read: `chkread` on the word's granule, then the
+    /// load.
+    #[inline]
+    pub fn read_checked(&self, ctx: &mut ThreadCtx, i: usize) -> u64 {
+        self.check_word::<false>(ctx, i, Access::Read);
         self.data[i].load(Ordering::Acquire)
     }
 
     /// A dynamic-mode write: `chkwrite`, then the store.
     #[inline]
     pub fn write_checked(&self, ctx: &mut ThreadCtx, i: usize, v: u64) {
-        ctx.checked_accesses += 1;
-        let g = i / GRANULE_WORDS;
-        ctx.emit_access(g, true);
-        match self.shadow.check_write(g, ctx.tid) {
-            Ok(true) => ctx.access_log.push(g),
-            Ok(false) => {}
-            Err(_) => ctx.conflicts += 1,
-        }
+        self.check_word::<false>(ctx, i, Access::Write);
         self.data[i].store(v, Ordering::Release);
     }
 
-    /// [`Arena::read_checked`] through the owned-granule epoch cache:
-    /// repeated private reads skip the atomic shadow check.
+    /// [`Arena::read_checked`] through the owned-granule epoch cache
+    /// (see [`crate::Shadow::check_cached`]): repeated private reads
+    /// skip the atomic shadow check.
     #[inline]
     pub fn read_cached(&self, ctx: &mut ThreadCtx, i: usize) -> u64 {
-        ctx.checked_accesses += 1;
-        let g = i / GRANULE_WORDS;
-        ctx.emit_access(g, false);
-        match self
-            .shadow
-            .check_read_cached(g, ctx.tid, &mut ctx.owned_cache)
-        {
-            Ok(true) => ctx.access_log.push(g),
-            Ok(false) => {}
-            Err(_) => ctx.conflicts += 1,
-        }
+        self.check_word::<true>(ctx, i, Access::Read);
         self.data[i].load(Ordering::Acquire)
     }
 
@@ -188,48 +190,21 @@ impl<P: WordProtocol> Arena<P> {
     /// array probe instead of the CAS protocol.
     #[inline]
     pub fn write_cached(&self, ctx: &mut ThreadCtx, i: usize, v: u64) {
-        ctx.checked_accesses += 1;
-        let g = i / GRANULE_WORDS;
-        ctx.emit_access(g, true);
-        match self
-            .shadow
-            .check_write_cached(g, ctx.tid, &mut ctx.owned_cache)
-        {
-            Ok(true) => ctx.access_log.push(g),
-            Ok(false) => {}
-            Err(_) => ctx.conflicts += 1,
-        }
+        self.check_word::<true>(ctx, i, Access::Write);
         self.data[i].store(v, Ordering::Release);
     }
 
     /// A dynamic-mode **ranged** read: ONE `chkread` over the whole
     /// granule span of `start .. start + words`, then the loads —
-    /// `each(i, value)` fires once per word. The verdict is the fold
-    /// of per-granule checks (see
-    /// [`crate::Shadow::check_range_read`]), but conflicts are
-    /// counted **per granule**, not per word: a per-word loop through
-    /// [`Arena::read_checked`] re-reports a conflicting granule for
-    /// every word that touches it.
+    /// `each(i, value)` fires once per word.
     pub fn read_range_checked(
         &self,
         ctx: &mut ThreadCtx,
         start: usize,
         words: usize,
-        mut each: impl FnMut(usize, u64),
+        each: impl FnMut(usize, u64),
     ) {
-        if words == 0 {
-            return;
-        }
-        ctx.checked_accesses += words as u64;
-        let (g0, glen) = granule_span(start, words);
-        ctx.emit_range(g0, glen, false);
-        let tid = ctx.tid;
-        ctx.conflicts +=
-            self.shadow
-                .check_range_read(g0, glen, tid, |g| ctx.access_log.push(g), |_| {});
-        for i in start..start + words {
-            each(i, self.data[i].load(Ordering::Acquire));
-        }
+        self.read_words::<false>(ctx, start, words, each);
     }
 
     /// A dynamic-mode **ranged** write: one `chkwrite` over the
@@ -239,21 +214,9 @@ impl<P: WordProtocol> Arena<P> {
         ctx: &mut ThreadCtx,
         start: usize,
         words: usize,
-        mut value: impl FnMut(usize) -> u64,
+        value: impl FnMut(usize) -> u64,
     ) {
-        if words == 0 {
-            return;
-        }
-        ctx.checked_accesses += words as u64;
-        let (g0, glen) = granule_span(start, words);
-        ctx.emit_range(g0, glen, true);
-        let tid = ctx.tid;
-        ctx.conflicts +=
-            self.shadow
-                .check_range_write(g0, glen, tid, |g| ctx.access_log.push(g), |_| {});
-        for i in start..start + words {
-            self.data[i].store(value(i), Ordering::Release);
-        }
+        self.write_words::<false>(ctx, start, words, value);
     }
 
     /// [`Arena::read_range_checked`] through the owned-**run** cache:
@@ -265,30 +228,39 @@ impl<P: WordProtocol> Arena<P> {
         ctx: &mut ThreadCtx,
         start: usize,
         words: usize,
+        each: impl FnMut(usize, u64),
+    ) {
+        self.read_words::<true>(ctx, start, words, each);
+    }
+
+    /// [`Arena::write_range_checked`] through the owned-run cache.
+    pub fn write_range_cached(
+        &self,
+        ctx: &mut ThreadCtx,
+        start: usize,
+        words: usize,
+        value: impl FnMut(usize) -> u64,
+    ) {
+        self.write_words::<true>(ctx, start, words, value);
+    }
+
+    fn read_words<const CACHED: bool>(
+        &self,
+        ctx: &mut ThreadCtx,
+        start: usize,
+        words: usize,
         mut each: impl FnMut(usize, u64),
     ) {
         if words == 0 {
             return;
         }
-        ctx.checked_accesses += words as u64;
-        let (g0, glen) = granule_span(start, words);
-        ctx.emit_range(g0, glen, false);
-        let tid = ctx.tid;
-        ctx.conflicts += self.shadow.check_range_read_cached(
-            g0,
-            glen,
-            tid,
-            &mut ctx.owned_cache,
-            |g| ctx.access_log.push(g),
-            |_| {},
-        );
+        self.check_words::<CACHED>(ctx, start, words, Access::Read);
         for i in start..start + words {
             each(i, self.data[i].load(Ordering::Acquire));
         }
     }
 
-    /// [`Arena::write_range_checked`] through the owned-run cache.
-    pub fn write_range_cached(
+    fn write_words<const CACHED: bool>(
         &self,
         ctx: &mut ThreadCtx,
         start: usize,
@@ -298,18 +270,7 @@ impl<P: WordProtocol> Arena<P> {
         if words == 0 {
             return;
         }
-        ctx.checked_accesses += words as u64;
-        let (g0, glen) = granule_span(start, words);
-        ctx.emit_range(g0, glen, true);
-        let tid = ctx.tid;
-        ctx.conflicts += self.shadow.check_range_write_cached(
-            g0,
-            glen,
-            tid,
-            &mut ctx.owned_cache,
-            |g| ctx.access_log.push(g),
-            |_| {},
-        );
+        self.check_words::<CACHED>(ctx, start, words, Access::Write);
         for i in start..start + words {
             self.data[i].store(value(i), Ordering::Release);
         }
@@ -329,15 +290,14 @@ impl<P: WordProtocol> Arena<P> {
 
     /// Thread exit: clears every shadow bit this thread set
     /// (non-overlapping lifetimes are not races). The access log is
-    /// coalesced into contiguous runs — duplicates and all — so a
-    /// hot-loop thread pays one ranged clear per footprint, not one
-    /// clear per logged access.
+    /// merged into disjoint runs first, so the thread pays one ranged
+    /// clear per contiguous footprint.
     pub fn thread_exit(&self, ctx: &mut ThreadCtx) {
         let tid = ctx.tid;
         ctx.owned_cache.invalidate_all();
-        drain_logged_runs(&mut ctx.access_log, |start, len| {
-            self.shadow.clear_thread_range(start, len, tid)
-        });
+        for (start, end) in ctx.access_log.drain_merged() {
+            self.shadow.clear_thread_range(start, end - start, tid);
+        }
         if let Some(sink) = &ctx.sink {
             sink.record(sharc_checker::CheckEvent::ThreadExit { tid: tid.0 });
         }
@@ -477,7 +437,10 @@ impl AccessPolicy for Checked {
 
 /// SharC dynamic-mode checking through the owned-granule epoch cache
 /// fast path — same verdicts as [`Checked`], cheaper steady state on
-/// thread-private data.
+/// thread-private data. Repeat sweeps hit the owned-run summaries on
+/// every arena; per-word accesses consult the cache only where the
+/// shadow's protocol says it pays ([`WordProtocol::OWNED_CACHE`]) and
+/// are [`Checked`]'s otherwise.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CachedChecked;
 
@@ -523,6 +486,9 @@ mod tests {
     use crate::events::EventLog;
     use crate::shadow::ThreadId;
     use sharc_checker::{replay, BitmapBackend, CheckEvent};
+    use sharc_testkit::gen;
+    use sharc_testkit::prop::Config;
+    use sharc_testkit::{forall, prop_assert};
     use std::sync::Arc;
 
     /// Four tids a generic test may use: ids the one-byte shadow can
@@ -566,6 +532,8 @@ mod tests {
         ranged_policies_agree_with_per_word_policies,
         ranged_sweeps_emit_range_events_that_replay_clean,
         concurrent_partitioned_checked_access_is_clean,
+        thread_exit_equals_the_per_granule_log_fold,
+        reinstalling_one_block_between_casts_keeps_the_log_flat,
     );
 
     #[test]
@@ -633,15 +601,16 @@ mod tests {
         make: impl Fn(usize) -> Arena<P>,
         t: Tids,
     ) {
-        // `thread_exit` coalesces the access log into runs and clears
-        // them with `clear_thread_range`; the final shadow words must
-        // be bit-identical to the per-granule `clear_thread` fold it
-        // replaced — including granules another thread still reads.
+        // `thread_exit` merges the run log and clears the runs with
+        // `clear_thread_range`; the final shadow words must be
+        // bit-identical to the per-granule `clear_thread` fold over
+        // the logged granules — including granules another thread
+        // still reads.
         let drive = |a: &Arena<P>| -> (ThreadCtx, ThreadCtx) {
             let mut c1 = ThreadCtx::new(t[0]);
             let mut c2 = ThreadCtx::new(t[1]);
             // Two disjoint runs, logged out of order and with
-            // duplicates (read-then-write registers a granule twice).
+            // duplicates (read-then-write installs a granule twice).
             for i in (20..28).rev() {
                 a.write_checked(&mut c1, i, i as u64);
             }
@@ -659,11 +628,13 @@ mod tests {
         };
         let (coalesced, folded) = (make(32), make(32));
         let (mut exit_c1, _keep2) = drive(&coalesced);
-        let (mut fold_c1, _keep2b) = drive(&folded);
-        assert_eq!(exit_c1.access_log, fold_c1.access_log);
+        let (fold_c1, _keep2b) = drive(&folded);
+        let logged = fold_c1.access_log.granules();
+        assert_eq!(exit_c1.access_log.granules(), logged);
+        assert_eq!(logged, (0..4).chain(10..14).collect::<Vec<_>>());
         coalesced.thread_exit(&mut exit_c1);
-        // The pre-coalescing semantics: one clear per logged granule.
-        for g in fold_c1.access_log.drain(..) {
+        // The per-granule semantics: one clear per logged granule.
+        for g in logged {
             folded.shadow.clear_thread(g, t[0]);
         }
         for g in 0..16 {
@@ -673,7 +644,7 @@ mod tests {
                 "granule {g} diverged"
             );
         }
-        assert!(exit_c1.access_log.is_empty(), "exit drains the log");
+        assert_eq!(exit_c1.access_log.len(), 0, "exit drains the log");
         // Thread 2 still reads granules 0..2; everything else thread 1
         // touched is free again.
         let mut c3 = ThreadCtx::new(t[2]);
@@ -728,11 +699,13 @@ mod tests {
             }
         }
         assert_eq!(c1.conflicts, 0);
-        assert_eq!(
-            c1.owned_cache.misses,
-            16 / GRANULE_WORDS as u64,
-            "one fill per granule, every repeat on the fast path"
-        );
+        if P::OWNED_CACHE {
+            assert_eq!(
+                c1.owned_cache.misses,
+                16 / GRANULE_WORDS as u64,
+                "one fill per granule, every repeat on the fast path"
+            );
+        }
         // Cross-thread conflict still observed by the slow path.
         let mut c2 = ThreadCtx::new(t[1]);
         a.write_cached(&mut c2, 0, 9);
@@ -777,10 +750,15 @@ mod tests {
             "the distant free must not cost a refill"
         );
         // Same trace under the degenerate R = 1 table: the free
-        // flushes the cache and the next access refills.
+        // flushes the cache, where there is one, and the next access
+        // refills.
         let mut global = make(256);
         global.shadow = global.shadow.with_epoch_regions(1);
-        assert_eq!(free_far_away(&global), 1, "global epoch refills");
+        assert_eq!(
+            free_far_away(&global),
+            P::OWNED_CACHE as u64,
+            "global epoch refills"
+        );
     }
 
     fn ranged_sweep_data_and_verdicts_match_per_word_loop<P: WordProtocol>(
@@ -810,11 +788,7 @@ mod tests {
         assert_eq!(sa, sb);
         assert_eq!(ca.checked_accesses, cb.checked_accesses);
         // Both record ownership of the same granules.
-        let mut la = ca.access_log.clone();
-        la.sort_unstable();
-        let mut lb = cb.access_log.clone();
-        lb.sort_unstable();
-        assert_eq!(la, lb);
+        assert_eq!(ca.access_log.granules(), cb.access_log.granules());
     }
 
     fn ranged_sweep_counts_conflicting_granules_once<P: WordProtocol>(
@@ -933,5 +907,176 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
         assert_eq!(conflicts, 0);
+    }
+
+    // ----- the run log -----
+
+    #[derive(Debug, Clone, Copy)]
+    enum LogOp {
+        /// `words` words from `start` by thread `who`; one word is a
+        /// per-word access, more are one ranged sweep.
+        Access {
+            who: usize,
+            start: usize,
+            words: usize,
+            access: Access,
+            cached: bool,
+        },
+        Cast {
+            start: usize,
+            words: usize,
+        },
+        Exit {
+            who: usize,
+        },
+    }
+
+    fn thread_exit_equals_the_per_granule_log_fold<P: WordProtocol>(
+        make: impl Fn(usize) -> Arena<P>,
+        t: Tids,
+    ) {
+        // The run log is an encoding of the per-granule install log:
+        // for any sequence of accesses, casts and exits, an arena
+        // driven through the public entry points and `thread_exit`
+        // ends every exit with the shadow of a model that pushes one
+        // entry per install and clears them one `clear_thread` each.
+        const WORDS: usize = 48;
+        let span = || {
+            gen::pair(gen::usize_range(0..WORDS), gen::usize_range(1..13))
+                .map(|&(start, words)| (start, words.min(WORDS - start)))
+        };
+        let who = || gen::usize_range(0..3);
+        let access = gen::triple(who(), span(), gen::pair(gen::bool_any(), gen::bool_any())).map(
+            |&(who, (start, words), (write, cached))| LogOp::Access {
+                who,
+                start,
+                words,
+                access: if write { Access::Write } else { Access::Read },
+                cached,
+            },
+        );
+        let ops = gen::one_of(vec![
+            access.clone(),
+            access.clone(),
+            access,
+            span().map(|&(start, words)| LogOp::Cast { start, words }),
+            who().map(|&who| LogOp::Exit { who }),
+        ]);
+        forall!(
+            "thread_exit_equals_the_per_granule_log_fold",
+            Config::from_env().with_cases(128),
+            gen::vec_of(ops, 0..64),
+            |ops| {
+                let (a, model) = (make(WORDS), make(WORDS));
+                let mut ctxs: Vec<ThreadCtx> = t.iter().map(|&tid| ThreadCtx::new(tid)).collect();
+                let mut logs: Vec<Vec<usize>> = vec![Vec::new(); ctxs.len()];
+                for (i, &op) in ops.iter().enumerate() {
+                    match op {
+                        LogOp::Access {
+                            who,
+                            start,
+                            words,
+                            access,
+                            cached,
+                        } => {
+                            let ctx = &mut ctxs[who];
+                            match (words, access, cached) {
+                                (1, Access::Read, false) => drop(a.read_checked(ctx, start)),
+                                (1, Access::Read, true) => drop(a.read_cached(ctx, start)),
+                                (1, Access::Write, false) => a.write_checked(ctx, start, 0),
+                                (1, Access::Write, true) => a.write_cached(ctx, start, 0),
+                                (_, Access::Read, false) => {
+                                    a.read_range_checked(ctx, start, words, |_, _| {})
+                                }
+                                (_, Access::Read, true) => {
+                                    a.read_range_cached(ctx, start, words, |_, _| {})
+                                }
+                                (_, Access::Write, false) => {
+                                    a.write_range_checked(ctx, start, words, |_| 0)
+                                }
+                                (_, Access::Write, true) => {
+                                    a.write_range_cached(ctx, start, words, |_| 0)
+                                }
+                            }
+                            let (g0, glen) = granule_span(start, words);
+                            for g in g0..g0 + glen {
+                                if model.shadow.check(g, t[who], access) == Ok(true) {
+                                    logs[who].push(g);
+                                }
+                            }
+                        }
+                        LogOp::Cast { start, words } => {
+                            a.clear_range(start, words);
+                            model.clear_range(start, words);
+                        }
+                        LogOp::Exit { who } => {
+                            let mut logged = std::mem::take(&mut logs[who]);
+                            logged.sort_unstable();
+                            logged.dedup();
+                            prop_assert!(
+                                ctxs[who].access_log.granules() == logged,
+                                "op {}: the runs cover {:?}, the installs were {:?}",
+                                i,
+                                ctxs[who].access_log.granules(),
+                                logged
+                            );
+                            a.thread_exit(&mut ctxs[who]);
+                            for g in logged {
+                                model.shadow.clear_thread(g, t[who]);
+                            }
+                        }
+                    }
+                    // Every word, as far as any thread can tell.
+                    for g in 0..a.shadow.len() {
+                        prop_assert!(
+                            a.shadow.raw(g) == model.shadow.raw(g),
+                            "op {} ({:?}): granule {} is {:#x}, the fold's {:#x}",
+                            i,
+                            op,
+                            g,
+                            a.shadow.raw(g),
+                            model.shadow.raw(g)
+                        );
+                        for &tid in &t {
+                            for access in [Access::Read, Access::Write] {
+                                prop_assert!(
+                                    a.shadow.words().recorded(g, tid, access)
+                                        == model.shadow.words().recorded(g, tid, access),
+                                    "op {} ({:?}): granule {} differs for {:?} {:?}",
+                                    i,
+                                    op,
+                                    g,
+                                    tid,
+                                    access
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        );
+    }
+
+    fn reinstalling_one_block_between_casts_keeps_the_log_flat<P: WordProtocol>(
+        make: impl Fn(usize) -> Arena<P>,
+        t: Tids,
+    ) {
+        // The hand-off's hot loop: fill a block, cast it away, fill it
+        // again. Every round re-installs every granule of the block,
+        // and a log of installs grows by the block each round; the run
+        // log has seen those granules before and stays where it was.
+        const BLOCK_WORDS: usize = 4;
+        let a = make(BLOCK_WORDS);
+        let mut ctx = ThreadCtx::new(t[0]);
+        let mut longest = 0;
+        for round in 0..1_000_000u64 {
+            for i in 0..BLOCK_WORDS {
+                a.write_cached(&mut ctx, i, round);
+            }
+            a.clear_range(0, BLOCK_WORDS);
+            longest = longest.max(ctx.access_log.len());
+        }
+        assert_eq!(ctx.conflicts, 0);
+        assert_eq!(longest, 1, "one block, one run, however many rounds");
     }
 }

@@ -12,8 +12,10 @@
 //! the only thing that varies, the [`WordProtocol`] that keeps one
 //! granule's shadow words consistent:
 //!
-//! * [`OneWord`] — the paper's n-byte word per 16-byte granule and a
-//!   CAS retry loop ([`Arena::new`]; 1 byte per granule, 7 threads, by
+//! * [`OneWord`] — the paper's n-byte word per 16-byte granule,
+//!   packed `8 / n` to an `AtomicU64`: one load and one compare when
+//!   the access is already recorded, a lane-splicing CAS loop when it
+//!   is not ([`Arena::new`]; 1 byte per granule, 7 threads, by
 //!   default);
 //! * [`MultiWord`] — several 8-byte words per granule laid out by a
 //!   `ShadowGeometry`, snapshot → step → CAS → revalidate
@@ -21,9 +23,10 @@
 //!   a single word cannot encode.
 //!
 //! The trait hides the per-granule check, the "already recorded"
-//! predicate, the per-granule clears and the shadow footprint; the
-//! owned-granule cache, ranged sweeps, run summaries, epoch bumps,
-//! arena, policies, contexts and locks above it exist once.
+//! predicate, the clears, the shadow footprint, and whether the
+//! owned-granule cache is worth consulting (it is on [`MultiWord`]
+//! only); the cache, ranged sweeps, run summaries, epoch bumps, arena,
+//! policies, contexts, run logs and locks above it exist once.
 //!
 //! The [`arena::AccessPolicy`] abstraction lets a workload be
 //! compiled twice — baseline and checked — which is how the Table 1

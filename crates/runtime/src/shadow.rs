@@ -8,8 +8,11 @@
 //! and nothing else. There are two protocols:
 //!
 //! * [`OneWord<W>`] (here): the paper's n-byte single word per
-//!   granule and a CAS retry loop around `bitmap::step`, exact for
-//!   `8n − 1` threads. `n = 1` is the default and the paper's
+//!   granule, exact for `8n − 1` threads, **lane-packed** `8 / n` to an
+//!   `AtomicU64`. A check is one load and one compare when the access
+//!   is already recorded, else a lane-splicing CAS loop around
+//!   `bitmap::step`; ranged clears handle one whole `AtomicU64` per
+//!   atomic operation. `n = 1` is the default and the paper's
 //!   evaluation configuration.
 //! * [`MultiWord`](crate::sharded::MultiWord): several 8-byte words
 //!   per granule laid out by a `ShadowGeometry`, with a snapshot →
@@ -17,10 +20,12 @@
 //!
 //! What the trait hides is exactly what differs between them: the
 //! per-granule check, the "already recorded" fast predicate, the
-//! per-granule clears, and the shadow footprint. Everything above —
-//! the *owned-granule epoch cache* fast path
+//! clears, the shadow footprint, and whether the *owned-granule epoch
+//! cache* pays ([`WordProtocol::OWNED_CACHE`]: it does where `recorded`
+//! costs a multi-word snapshot, it does not where `recorded` is one L1
+//! load). Everything above — the cached entry points
 //! ([`Shadow::check_read_cached`] / [`Shadow::check_write_cached`])
-//! with its outlined cold fills, the ranged sweeps, the owned-run
+//! with their outlined cold fills, the ranged sweeps, the owned-run
 //! summaries, and the clears with their per-region [`EpochTable`]
 //! bumps — is one monomorphised implementation. See
 //! `sharc_checker::cache` and `sharc_checker::epoch` for the
@@ -28,6 +33,7 @@
 
 use sharc_checker::step::{bitmap, range, Access, Transition};
 use sharc_checker::{EpochTable, OwnedCache};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 /// A checked-thread identifier (1-based). How many ids a shadow can
@@ -65,9 +71,17 @@ impl std::error::Error for RaceError {}
 /// The shadow words of a run of granules and the protocol that keeps
 /// one granule's words consistent under concurrent checks: the only
 /// part of the runtime that differs between the paper's single-word
-/// encoding and the sharded one. Every method addresses one granule;
-/// epochs, caches and ranges are [`Shadow`]'s job.
+/// encoding and the sharded one. Epochs, caches and range verdicts are
+/// [`Shadow`]'s job.
 pub trait WordProtocol: Send + Sync {
+    /// Whether a per-thread [`OwnedCache`] probe (region-epoch load,
+    /// slot probe, tag compare, and a fill on every miss) is cheaper
+    /// than this protocol's own [`WordProtocol::recorded`] test. Where
+    /// it is not, the cached entry points of [`Shadow`] skip the
+    /// per-granule cache and test the shadow words directly; the
+    /// owned-*run* summaries are kept either way.
+    const OWNED_CACHE: bool;
+
     /// Number of granules covered.
     fn len(&self) -> usize;
 
@@ -99,53 +113,47 @@ pub trait WordProtocol: Send + Sync {
     /// Subtracts `tid`'s contribution from `granule`.
     fn clear_thread(&self, granule: usize, tid: ThreadId);
 
+    /// [`WordProtocol::clear`] over `len` contiguous granules.
+    fn clear_run(&self, start: usize, len: usize) {
+        for g in start..start + len {
+            self.clear(g);
+        }
+    }
+
+    /// [`WordProtocol::clear_thread`] over `len` contiguous granules.
+    fn clear_thread_run(&self, start: usize, len: usize, tid: ThreadId) {
+        for g in start..start + len {
+            self.clear_thread(g, tid);
+        }
+    }
+
     /// The granule's first word, for tests and diagnostics.
     fn raw(&self, granule: usize) -> u64;
 }
 
-/// The atomic word backing one granule's shadow state. Implemented
-/// for 1, 2, 4, and 8 byte widths (`n` in the paper's `8n - 1`).
-pub trait ShadowWord: Default + Sync + Send {
+/// The width of one granule's shadow word: a tag type naming `n` in
+/// the paper's `8n - 1`. Implemented for the 1, 2, 4 and 8 byte
+/// atomics; the storage itself is always `AtomicU64`s (see
+/// [`OneWord`]).
+pub trait ShadowWord: Send + Sync {
     /// Number of shadow bytes per granule.
     const BYTES: usize;
     /// Maximum checked-thread id representable.
     const MAX_THREAD: u32 = (Self::BYTES * 8 - 1) as u32;
-    fn load(&self) -> u64;
-    /// Compare-exchange; returns the previous value on failure.
-    fn compare_exchange(&self, current: u64, new: u64) -> Result<u64, u64>;
-    /// Unconditional clear.
-    fn clear(&self);
 }
 
-macro_rules! impl_shadow_word {
-    ($atomic:ty, $raw:ty, $bytes:expr) => {
-        impl ShadowWord for $atomic {
-            const BYTES: usize = $bytes;
-            fn load(&self) -> u64 {
-                <$atomic>::load(self, Ordering::Acquire) as u64
-            }
-            fn compare_exchange(&self, current: u64, new: u64) -> Result<u64, u64> {
-                <$atomic>::compare_exchange_weak(
-                    self,
-                    current as $raw,
-                    new as $raw,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .map(|v| v as u64)
-                .map_err(|v| v as u64)
-            }
-            fn clear(&self) {
-                <$atomic>::store(self, 0, Ordering::Release);
-            }
-        }
-    };
+impl ShadowWord for AtomicU8 {
+    const BYTES: usize = 1;
 }
-
-impl_shadow_word!(AtomicU8, u8, 1);
-impl_shadow_word!(AtomicU16, u16, 2);
-impl_shadow_word!(AtomicU32, u32, 4);
-impl_shadow_word!(AtomicU64, u64, 8);
+impl ShadowWord for AtomicU16 {
+    const BYTES: usize = 2;
+}
+impl ShadowWord for AtomicU32 {
+    const BYTES: usize = 4;
+}
+impl ShadowWord for AtomicU64 {
+    const BYTES: usize = 8;
+}
 
 // The widest word's capacity is the workspace-wide thread bound; the
 // VM checks its own MAX_THREADS against the same constant.
@@ -159,89 +167,202 @@ const _: () = assert!(
 ///
 /// The default width (`AtomicU8`, n = 1) matches the paper's
 /// evaluation configuration: "setting n = 1 has been sufficient".
+///
+/// The words are **lanes** of `AtomicU64`s, `8 / n` to a word, granule
+/// `g` in lane `g % LANES` of word `g / LANES`. A per-granule
+/// transition is a CAS on the containing word that splices the one
+/// lane and retries when a neighbour lane moved under it; a ranged
+/// clear handles every lane of a word with one atomic operation. The
+/// footprint is unchanged: `n` bytes per granule.
 #[derive(Debug)]
 pub struct OneWord<W: ShadowWord = AtomicU8> {
-    words: Vec<W>,
+    words: Vec<AtomicU64>,
+    granules: usize,
+    width: PhantomData<W>,
 }
 
 impl<W: ShadowWord> OneWord<W> {
+    /// Bits per lane.
+    const BITS: usize = W::BYTES * 8;
+    /// Granules per `AtomicU64`.
+    const LANES: usize = 8 / W::BYTES;
+    /// One lane's worth of ones, in lane 0.
+    const LANE_MASK: u64 = u64::MAX >> (64 - Self::BITS);
+    /// Bit 0 of every lane: times a lane value, that value in every
+    /// lane.
+    const LANE_ONES: u64 = u64::MAX / Self::LANE_MASK;
+
     fn new(n_granules: usize) -> Self {
-        let mut words = Vec::with_capacity(n_granules);
-        words.resize_with(n_granules, W::default);
-        OneWord { words }
+        let mut words = Vec::new();
+        words.resize_with(n_granules.div_ceil(Self::LANES), AtomicU64::default);
+        OneWord {
+            words,
+            granules: n_granules,
+            width: PhantomData,
+        }
     }
-}
 
-impl<W: ShadowWord> WordProtocol for OneWord<W> {
+    /// The word holding `granule` and its lane's bit offset.
     #[inline]
-    fn len(&self) -> usize {
-        self.words.len()
+    fn lane(&self, granule: usize) -> (&AtomicU64, usize) {
+        debug_assert!(granule < self.granules, "granule out of range");
+        (
+            &self.words[granule / Self::LANES],
+            (granule % Self::LANES) * Self::BITS,
+        )
     }
 
-    fn shadow_bytes(&self) -> usize {
-        self.words.len() * W::BYTES
-    }
-
-    /// The CAS retry loop over the pure transition function — the
-    /// one place the paper's `cmpxchg` protocol is written down.
+    /// The protocol's capacity check, where a bad `tid` would set or
+    /// clear a bit outside its lane.
     #[inline]
-    fn check(&self, granule: usize, tid: ThreadId, access: Access) -> Result<bool, RaceError> {
+    fn assert_tid(tid: ThreadId) {
         assert!(
             tid.0 >= 1 && tid.0 <= W::MAX_THREAD,
             "thread id out of range"
         );
-        let w = &self.words[granule];
-        let mut cur = w.load();
+    }
+
+    /// Calls `f(word, cover)` for every word overlapping granules
+    /// `start .. start + len`, `cover` masking the lanes of that word
+    /// inside the run — all of them except at an edge word.
+    #[inline]
+    fn for_each_word(&self, start: usize, len: usize, mut f: impl FnMut(&AtomicU64, u64)) {
+        let end = start + len;
+        debug_assert!(end <= self.granules, "granule run out of range");
+        let mut g = start;
+        while g < end {
+            let lo = g % Self::LANES;
+            let n = (Self::LANES - lo).min(end - g);
+            let cover = (u64::MAX >> (64 - n * Self::BITS)) << (lo * Self::BITS);
+            f(&self.words[g / Self::LANES], cover);
+            g += n;
+        }
+    }
+
+    /// The slow half of [`WordProtocol::check`]: the CAS retry loop
+    /// over the pure transition function — the one place the paper's
+    /// `cmpxchg` protocol is written down. Outlined, so the caller's
+    /// inlined half stays one load and one compare.
+    #[inline(never)]
+    fn transition(&self, granule: usize, tid: ThreadId, access: Access) -> Result<bool, RaceError> {
+        let (w, shift) = self.lane(granule);
+        let mut cur = w.load(Ordering::Acquire);
         loop {
-            match bitmap::step(cur, tid.0, access) {
+            let lane = (cur >> shift) & Self::LANE_MASK;
+            match bitmap::step(lane, tid.0, access) {
                 Transition::Unchanged => return Ok(false),
                 Transition::Conflict => {
                     return Err(RaceError {
                         granule,
                         was_write: access.is_write(),
-                        observed: cur,
+                        observed: lane,
                     })
                 }
-                Transition::Install(new) => match w.compare_exchange(cur, new) {
-                    Ok(_) => return Ok(true),
-                    Err(now) => cur = now,
-                },
+                Transition::Install(new) => {
+                    let spliced = (cur & !(Self::LANE_MASK << shift)) | (new << shift);
+                    match w.compare_exchange_weak(cur, spliced, Ordering::AcqRel, Ordering::Acquire)
+                    {
+                        Ok(_) => return Ok(true),
+                        // This lane or a neighbour moved: step again.
+                        Err(now) => cur = now,
+                    }
+                }
             }
         }
+    }
+}
+
+impl<W: ShadowWord> WordProtocol for OneWord<W> {
+    /// `recorded` is one L1 load and one compare; the cache is an
+    /// epoch load, a slot probe and a fill on every first touch.
+    const OWNED_CACHE: bool = false;
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.granules
+    }
+
+    fn shadow_bytes(&self) -> usize {
+        self.granules * W::BYTES
+    }
+
+    /// The `recorded` test inline, [`OneWord::transition`] behind it.
+    #[inline]
+    fn check(&self, granule: usize, tid: ThreadId, access: Access) -> Result<bool, RaceError> {
+        Self::assert_tid(tid);
+        if self.recorded(granule, tid, access) {
+            return Ok(false);
+        }
+        self.transition(granule, tid, access)
     }
 
     /// One load + one branch-light test per granule.
     #[inline]
     fn recorded(&self, granule: usize, tid: ThreadId, access: Access) -> bool {
-        range::recorded(self.words[granule].load(), tid.0, access)
+        range::recorded(self.raw(granule), tid.0, access)
     }
 
-    /// A release store — no CAS, the clear is unconditional.
     #[inline]
     fn clear(&self, granule: usize) {
-        self.words[granule].clear();
+        self.clear_run(granule, 1);
     }
 
-    /// A bit-subtracting CAS loop (a concurrent access may race the
-    /// subtraction).
     #[inline]
     fn clear_thread(&self, granule: usize, tid: ThreadId) {
-        let w = &self.words[granule];
-        let mut cur = w.load();
-        loop {
-            let new = bitmap::clear_thread(cur, tid.0);
-            if new == cur {
-                break;
-            }
-            match w.compare_exchange(cur, new) {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
-        }
+        self.clear_thread_run(granule, 1, tid);
     }
 
+    /// A release store per whole word, one `fetch_and` per edge word —
+    /// no CAS, the clear is unconditional.
+    fn clear_run(&self, start: usize, len: usize) {
+        self.for_each_word(start, len, |w, cover| {
+            if cover == u64::MAX {
+                w.store(0, Ordering::Release);
+            } else {
+                w.fetch_and(!cover, Ordering::AcqRel);
+            }
+        });
+    }
+
+    /// A bit-subtracting CAS per word (a concurrent access may race
+    /// the subtraction): every covered lane steps through
+    /// `bitmap::clear_thread`, every other lane is spliced back as
+    /// found. A word `tid` left nothing in costs one load.
+    fn clear_thread_run(&self, start: usize, len: usize, tid: ThreadId) {
+        Self::assert_tid(tid);
+        // Every lane exclusively owned by `tid`: the common exit.
+        let owned = Self::LANE_ONES * (bitmap::WRITER_FLAG | 1 << tid.0);
+        self.for_each_word(start, len, |w, cover| {
+            let mut cur = w.load(Ordering::Acquire);
+            loop {
+                let new = if cur & cover == owned & cover {
+                    cur & !cover
+                } else {
+                    let mut new = cur;
+                    for shift in (0..64).step_by(Self::BITS) {
+                        if cover >> shift & 1 != 0 {
+                            let lane = (cur >> shift) & Self::LANE_MASK;
+                            new ^= (lane ^ bitmap::clear_thread(lane, tid.0)) << shift;
+                        }
+                    }
+                    new
+                };
+                if new == cur {
+                    break;
+                }
+                match w.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire) {
+                    Ok(_) => break,
+                    Err(now) => cur = now,
+                }
+            }
+        });
+    }
+
+    /// The granule's lane.
+    #[inline]
     fn raw(&self, granule: usize) -> u64 {
-        self.words[granule].load()
+        let (w, shift) = self.lane(granule);
+        (w.load(Ordering::Acquire) >> shift) & Self::LANE_MASK
     }
 }
 
@@ -321,7 +442,8 @@ impl<P: WordProtocol> Shadow<P> {
         &self.epochs
     }
 
-    /// Performs the `chkread` check-and-record for `tid` on `granule`.
+    /// The check-and-record for `tid` on `granule`: `chkread` or
+    /// `chkwrite` by `access`.
     ///
     /// Returns `Ok(newly_set)` — `newly_set` tells the caller to log
     /// the granule for exit-time clearing — or the conflict.
@@ -330,23 +452,51 @@ impl<P: WordProtocol> Shadow<P> {
     ///
     /// Panics if `tid` is zero or exceeds the protocol's capacity.
     #[inline]
-    pub fn check_read(&self, granule: usize, tid: ThreadId) -> Result<bool, RaceError> {
-        self.words.check(granule, tid, Access::Read)
+    pub fn check(&self, granule: usize, tid: ThreadId, access: Access) -> Result<bool, RaceError> {
+        self.words.check(granule, tid, access)
     }
 
-    /// Performs the `chkwrite` check-and-record for `tid`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tid` is zero or exceeds the protocol's capacity.
+    /// [`Shadow::check`] for a read.
+    #[inline]
+    pub fn check_read(&self, granule: usize, tid: ThreadId) -> Result<bool, RaceError> {
+        self.check(granule, tid, Access::Read)
+    }
+
+    /// [`Shadow::check`] for a write.
     #[inline]
     pub fn check_write(&self, granule: usize, tid: ThreadId) -> Result<bool, RaceError> {
-        self.words.check(granule, tid, Access::Write)
+        self.check(granule, tid, Access::Write)
     }
 
-    /// [`Shadow::check_read`] with the owned-granule fast path: if
-    /// `cache` proves this thread's read bit is already installed
-    /// (and no clear intervened), the atomic check is skipped.
+    /// [`Shadow::check`] with the owned-granule fast path: if `cache`
+    /// proves the access is already recorded for this thread (and no
+    /// clear intervened), the atomic check is skipped — a cached
+    /// exclusive owner never reaches the shadow words. Where the
+    /// protocol's own `recorded` test is the cheaper one
+    /// ([`WordProtocol::OWNED_CACHE`] false) this *is*
+    /// [`Shadow::check`] and `cache` is left alone.
+    #[inline]
+    pub fn check_cached<const WAYS: usize>(
+        &self,
+        granule: usize,
+        tid: ThreadId,
+        access: Access,
+        cache: &mut OwnedCache<WAYS>,
+    ) -> Result<bool, RaceError> {
+        if !P::OWNED_CACHE {
+            return self.check(granule, tid, access);
+        }
+        // The region epoch must be observed before the slow-path
+        // check (and before the shadow-word read inside it) so a
+        // concurrent clear invalidates whatever we are about to cache.
+        let epoch = self.epochs.epoch_of(granule);
+        if cache.lookup(epoch, granule, access.is_write()) {
+            return Ok(false);
+        }
+        self.fill(granule, tid, access, cache, epoch)
+    }
+
+    /// [`Shadow::check_cached`] for a read.
     #[inline]
     pub fn check_read_cached<const WAYS: usize>(
         &self,
@@ -354,37 +504,10 @@ impl<P: WordProtocol> Shadow<P> {
         tid: ThreadId,
         cache: &mut OwnedCache<WAYS>,
     ) -> Result<bool, RaceError> {
-        // The region epoch must be observed before the slow-path
-        // check (and before the shadow-word read inside it) so a
-        // concurrent clear invalidates whatever we are about to cache.
-        let epoch = self.epochs.epoch_of(granule);
-        if cache.lookup(epoch, granule, false) {
-            return Ok(false);
-        }
-        self.fill_read(granule, tid, cache, epoch)
+        self.check_cached(granule, tid, Access::Read, cache)
     }
 
-    /// The outlined miss path of [`Shadow::check_read_cached`]:
-    /// run the full check, then remember the verdict. Outlining
-    /// keeps the caller's inlined fast path to a handful of
-    /// instructions (epoch load, table probe, compare).
-    #[cold]
-    #[inline(never)]
-    fn fill_read<const WAYS: usize>(
-        &self,
-        granule: usize,
-        tid: ThreadId,
-        cache: &mut OwnedCache<WAYS>,
-        epoch: u64,
-    ) -> Result<bool, RaceError> {
-        let newly = self.check_read(granule, tid)?;
-        cache.insert(granule, false, epoch);
-        Ok(newly)
-    }
-
-    /// [`Shadow::check_write`] with the owned-granule fast path: a
-    /// cached exclusive owner skips the CAS entirely — the common
-    /// case on thread-private dynamic data.
+    /// [`Shadow::check_cached`] for a write.
     #[inline]
     pub fn check_write_cached<const WAYS: usize>(
         &self,
@@ -392,29 +515,28 @@ impl<P: WordProtocol> Shadow<P> {
         tid: ThreadId,
         cache: &mut OwnedCache<WAYS>,
     ) -> Result<bool, RaceError> {
-        let epoch = self.epochs.epoch_of(granule);
-        if cache.lookup(epoch, granule, true) {
-            return Ok(false);
-        }
-        self.fill_write(granule, tid, cache, epoch)
+        self.check_cached(granule, tid, Access::Write, cache)
     }
 
-    /// The outlined miss path of [`Shadow::check_write_cached`].
+    /// The outlined miss path of [`Shadow::check_cached`]: run the
+    /// full check, then remember the verdict. Outlining keeps the
+    /// caller's inlined fast path to a handful of instructions (epoch
+    /// load, table probe, compare).
     #[cold]
     #[inline(never)]
-    fn fill_write<const WAYS: usize>(
+    fn fill<const WAYS: usize>(
         &self,
         granule: usize,
         tid: ThreadId,
+        access: Access,
         cache: &mut OwnedCache<WAYS>,
         epoch: u64,
     ) -> Result<bool, RaceError> {
-        let newly = self.check_write(granule, tid)?;
+        let newly = self.check(granule, tid, access)?;
         // After a passing chkwrite this thread is the granule's
-        // exclusive owner in every word: the one-word encoding holds
-        // exactly WRITER_FLAG | bit(tid), the sharded one holds that
-        // in the thread's shard word and zero everywhere else.
-        cache.insert(granule, true, epoch);
+        // exclusive owner in every word: its shard word holds exactly
+        // WRITER_FLAG | bit(tid) and every other word is zero.
+        cache.insert(granule, access.is_write(), epoch);
         Ok(newly)
     }
 
@@ -436,7 +558,7 @@ impl<P: WordProtocol> Shadow<P> {
     /// The shared ranged sweep: skips granules that already record
     /// the access, runs the full per-granule check for the rest.
     #[inline]
-    fn check_range(
+    pub fn check_range(
         &self,
         start: usize,
         len: usize,
@@ -501,12 +623,35 @@ impl<P: WordProtocol> Shadow<P> {
         self.check_range(start, len, tid, Access::Write, on_newly, on_conflict)
     }
 
-    /// [`Shadow::check_range_read`] with the owned-run fast path: if
-    /// `cache` holds a summary proving this thread already swept
-    /// exactly this run (and no covered region was cleared since —
-    /// the epoch-*sum* covering constraint), the whole sweep is
-    /// skipped. The miss path runs per-granule cached checks and, if
-    /// the run came back conflict-free, records the summary.
+    /// The ranged check with the owned-run fast path: if `cache` holds
+    /// a summary proving this thread already swept exactly this run
+    /// (and no covered region was cleared since — the epoch-*sum*
+    /// covering constraint), the whole sweep is skipped. The miss path
+    /// runs the per-granule sweep and, if the run came back
+    /// conflict-free, records the summary.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn check_range_cached<const WAYS: usize>(
+        &self,
+        start: usize,
+        len: usize,
+        tid: ThreadId,
+        access: Access,
+        cache: &mut OwnedCache<WAYS>,
+        on_newly: impl FnMut(usize),
+        on_conflict: impl FnMut(RaceError),
+    ) -> usize {
+        // The covering stamp must be observed before the sweep, so
+        // the run entry can never be newer than the epochs guarding
+        // it (the per-region invariant, summed over the run).
+        let stamp = self.epochs.epoch_sum_of_range(start, start + len);
+        if cache.lookup_run(stamp, start, len, access.is_write()) {
+            return 0;
+        }
+        self.fill_range(start, len, tid, cache, stamp, access, on_newly, on_conflict)
+    }
+
+    /// [`Shadow::check_range_read`] with the owned-run fast path.
     #[inline]
     pub fn check_range_read_cached<const WAYS: usize>(
         &self,
@@ -517,27 +662,10 @@ impl<P: WordProtocol> Shadow<P> {
         on_newly: impl FnMut(usize),
         on_conflict: impl FnMut(RaceError),
     ) -> usize {
-        // The covering stamp must be observed before the sweep, so
-        // the run entry can never be newer than the epochs guarding
-        // it (the per-region invariant, summed over the run).
-        let stamp = self.epochs.epoch_sum_of_range(start, start + len);
-        if cache.lookup_run(stamp, start, len, false) {
-            return 0;
-        }
-        self.fill_range(
-            start,
-            len,
-            tid,
-            cache,
-            stamp,
-            Access::Read,
-            on_newly,
-            on_conflict,
-        )
+        self.check_range_cached(start, len, tid, Access::Read, cache, on_newly, on_conflict)
     }
 
-    /// [`Shadow::check_range_write`] with the owned-run fast path;
-    /// see [`Shadow::check_range_read_cached`].
+    /// [`Shadow::check_range_write`] with the owned-run fast path.
     #[inline]
     pub fn check_range_write_cached<const WAYS: usize>(
         &self,
@@ -548,26 +676,14 @@ impl<P: WordProtocol> Shadow<P> {
         on_newly: impl FnMut(usize),
         on_conflict: impl FnMut(RaceError),
     ) -> usize {
-        let stamp = self.epochs.epoch_sum_of_range(start, start + len);
-        if cache.lookup_run(stamp, start, len, true) {
-            return 0;
-        }
-        self.fill_range(
-            start,
-            len,
-            tid,
-            cache,
-            stamp,
-            Access::Write,
-            on_newly,
-            on_conflict,
-        )
+        self.check_range_cached(start, len, tid, Access::Write, cache, on_newly, on_conflict)
     }
 
-    /// The outlined miss path of the cached ranged checks: per-granule
-    /// cached checks (so single-granule entries refill too), then the
-    /// run summary — only when **zero** granules conflicted, since a
-    /// summary cannot remember a conflicting granule inside it.
+    /// The outlined miss path of the cached ranged checks: the
+    /// per-granule sweep — through the owned cache where it exists, so
+    /// single-granule entries refill too — then the run summary, only
+    /// when **zero** granules conflicted, since a summary cannot
+    /// remember a conflicting granule inside it.
     #[cold]
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
@@ -582,25 +698,22 @@ impl<P: WordProtocol> Shadow<P> {
         mut on_newly: impl FnMut(usize),
         mut on_conflict: impl FnMut(RaceError),
     ) -> usize {
-        let mut conflicts = 0;
-        for g in start..start + len {
-            let epoch = self.epochs.epoch_of(g);
-            if cache.lookup(epoch, g, access.is_write()) {
-                continue;
-            }
-            match self.words.check(g, tid, access) {
-                Ok(newly) => {
-                    cache.insert(g, access.is_write(), epoch);
-                    if newly {
-                        on_newly(g);
+        let conflicts = if P::OWNED_CACHE {
+            let mut conflicts = 0;
+            for g in start..start + len {
+                match self.check_cached(g, tid, access, cache) {
+                    Ok(true) => on_newly(g),
+                    Ok(false) => {}
+                    Err(e) => {
+                        conflicts += 1;
+                        on_conflict(e);
                     }
                 }
-                Err(e) => {
-                    conflicts += 1;
-                    on_conflict(e);
-                }
             }
-        }
+            conflicts
+        } else {
+            self.check_range(start, len, tid, access, on_newly, on_conflict)
+        };
         if conflicts == 0 {
             cache.insert_run(start, len, access.is_write(), stamp);
         }
@@ -624,31 +737,26 @@ impl<P: WordProtocol> Shadow<P> {
     }
 
     /// Clears `len` contiguous granules at once (a whole-block `free`
-    /// or sharing cast): a straight sweep of unconditional stores
-    /// followed by ONE [`EpochTable::bump_granule_range`] covering the
-    /// span, so a block hand-off invalidates exactly the owned runs it
-    /// covers, once per region instead of once per granule.
+    /// or sharing cast): the protocol's ranged reset followed by ONE
+    /// [`EpochTable::bump_granule_range`] covering the span, so a block
+    /// hand-off invalidates exactly the owned runs it covers, once per
+    /// region instead of once per granule.
     pub fn clear_range(&self, start: usize, len: usize) {
         if len == 0 {
             return;
         }
-        for g in start..start + len {
-            self.words.clear(g);
-        }
+        self.words.clear_run(start, len);
         self.epochs.bump_granule_range(start, start + len);
     }
 
     /// [`Shadow::clear_thread`] over `len` contiguous granules: the
-    /// per-granule subtracting CAS loop is kept, but the
-    /// O(granules) epoch traffic collapses to one bump per covered
-    /// region.
+    /// protocol's ranged subtraction, and the O(granules) epoch
+    /// traffic collapses to one bump per covered region.
     pub fn clear_thread_range(&self, start: usize, len: usize, tid: ThreadId) {
         if len == 0 {
             return;
         }
-        for g in start..start + len {
-            self.words.clear_thread(g, tid);
-        }
+        self.words.clear_thread_run(start, len, tid);
         self.epochs.bump_granule_range(start, start + len);
     }
 
@@ -840,7 +948,9 @@ mod tests {
             assert_eq!(cached.check_write_cached(0, t[1], &mut cache), Ok(false));
             assert_eq!(cached.check_read_cached(0, t[1], &mut cache), Ok(false));
         }
-        assert_eq!(cache.misses, 1, "one fill, then 20 fast-path hits");
+        if P::OWNED_CACHE {
+            assert_eq!(cache.misses, 1, "one fill, then 20 fast-path hits");
+        }
         assert_eq!(
             cached.raw(0),
             plain.raw(0),
@@ -890,14 +1000,18 @@ mod tests {
         assert!(s.epochs().regions() > 1, "a real region table");
         let mut c: OwnedCache = OwnedCache::new();
         s.check_write_cached(127, t[3], &mut c).unwrap();
-        assert_eq!(c.misses, 1);
+        assert_eq!(c.misses, P::OWNED_CACHE as u64);
         s.clear(0);
         assert_eq!(
             s.check_write_cached(127, t[3], &mut c),
             Ok(false),
             "entry in an unaffected region still answers"
         );
-        assert_eq!(c.misses, 1, "no refill after the distant clear");
+        assert_eq!(
+            c.misses,
+            P::OWNED_CACHE as u64,
+            "no refill after the distant clear"
+        );
         assert_eq!(c.flushes, 0, "nothing was discarded");
         // The degenerate R = 1 geometry still flushes everything.
         let s1 = make(128).with_epoch_regions(1);
@@ -906,7 +1020,11 @@ mod tests {
         s1.check_write_cached(127, t[3], &mut c1).unwrap();
         s1.clear(0);
         assert_eq!(s1.check_write_cached(127, t[3], &mut c1), Ok(false));
-        assert_eq!(c1.misses, 2, "global epoch: the clear cost a refill");
+        assert_eq!(
+            c1.misses,
+            2 * P::OWNED_CACHE as u64,
+            "global epoch: the clear cost a refill"
+        );
     }
 
     fn clear_thread_invalidates_via_epoch<P: WordProtocol>(

@@ -150,6 +150,10 @@ impl MultiWord {
 }
 
 impl WordProtocol for MultiWord {
+    /// `recorded` is a `SeqCst` snapshot of every word plus the
+    /// sharded step; a cache hit is one relaxed load and one probe.
+    const OWNED_CACHE: bool = true;
+
     #[inline]
     fn len(&self) -> usize {
         self.words.len() / self.geom.words_per_granule()
