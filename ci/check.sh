@@ -237,6 +237,7 @@ expect_exit 2 replay "$trace_file" --detector helgrind
 for seed in 0 1 2 3 4 5 6 7; do
     expect_exit 0 run benchmark/programs/known-bug-tid-reuse.c --seed "$seed"
 done
+expect_exit 1 run examples/minic/fleet.c # 100 live threads, one planted race
 
 echo "== wide-tid stunnel smoke: 100+ threads, record -> replay =="
 # The fleet run: 128 real worker threads (tids past the second shard
@@ -379,11 +380,10 @@ for row in "cast/block-4k-ranged" "cast/block-4k-granule" \
         exit 1
     }
 done
-# The elision record: the three vm/private-loop rows (the elided row
-# must have beaten checked+cached for the bench to have exited 0 —
-# assert_elision_wins), plus per-workload static percentages with
-# nonzero elision on the private-heavy ports.
-for row in "vm/private-loop/elided" "vm/private-loop/cache-on" "vm/private-loop/cache-off"; do
+# The elision record: the two vm/private-loop rows (the bench exits 0
+# only if elided beat checked — assert_elision_wins), plus per-workload
+# static percentages with nonzero elision on the private-heavy ports.
+for row in "vm/private-loop/elided" "vm/private-loop/checked"; do
     grep -q "$row" BENCH_checker.json || {
         echo "ERROR: BENCH_checker.json is missing the $row row" >&2
         exit 1

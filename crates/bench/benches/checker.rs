@@ -293,13 +293,9 @@ fn main() {
 
     // ---- VM private loop: elision vs the owned-granule cache ----
     //
-    // The same check-dominated private loop the cache delta has
-    // always used, now three ways: the default build (the elision
-    // pass deletes every check in the worker body) and the
-    // fully-checked reference build with the per-thread cache on and
-    // off. The default build stopped being a cache benchmark when
-    // elision landed — it has no check instructions to cache — so the
-    // cache rows pin the full-checks build explicitly.
+    // A check-dominated private loop, two ways: the default build
+    // (the elision pass deletes every check in the worker body) and
+    // the fully-checked reference build.
     sharc_bench::elision_vm_rows(&mut g);
 
     // ---- Per-workload static elision ----

@@ -690,21 +690,18 @@ pub fn elision_rows() -> Vec<ElisionRow> {
         .collect()
 }
 
-/// The check-dominated private loop the VM cache rows have always
-/// used, minus the `print(*p)` tail: a main-side read is one more
-/// access to the object, which (soundly) defeats the spawn-unique
-/// argument, so the bench program keeps every access inside the one
-/// spawned worker.
+/// A check-dominated private loop with no `print(*p)` tail: a
+/// main-side read is one more access to the object, which (soundly)
+/// defeats the spawn-unique argument, so the bench program keeps
+/// every access inside the one spawned worker.
 const ELIDE_SRC: &str = "void worker(int * d) { int i; for (i = 0; i < 3000; i++) \
      { *d = *d + 1; *d = *d + 1; *d = *d + 1; *d = *d + 1; } }\n\
      void main() { int * p; int t; p = new(int); \
      t = spawn(worker, p); join(t); }";
 
-/// Benches the three `vm/private-loop/*` rows: the default (eliding)
-/// build against the fully-checked build with the owned cache on and
-/// off. Ordering claim on this loop: elided < checked-cached <
-/// checked-uncached — each layer removes work the previous one only
-/// made cheaper. Returns nothing; the gate is [`assert_elision_wins`].
+/// Benches the two `vm/private-loop/*` rows: the default (eliding)
+/// build against the fully-checked build. Returns nothing; the gate
+/// is [`assert_elision_wins`].
 pub fn elision_vm_rows(g: &mut sharc_testkit::Bench) {
     use sharc_interp::{compile_full_checks, compile_module, run, VmConfig};
     let checked = sharc_core::compile("v.c", ELIDE_SRC).expect("bench source parses");
@@ -722,26 +719,15 @@ pub fn elision_vm_rows(g: &mut sharc_testkit::Bench) {
     g.bench("vm/private-loop/elided", || {
         run(&elided, &checked.source_map, VmConfig::default())
     });
-    g.bench("vm/private-loop/cache-on", || {
+    g.bench("vm/private-loop/checked", || {
         run(&full, &checked.source_map, VmConfig::default())
-    });
-    g.bench("vm/private-loop/cache-off", || {
-        run(
-            &full,
-            &checked.source_map,
-            VmConfig {
-                owned_cache: false,
-                ..VmConfig::default()
-            },
-        )
     });
 }
 
 /// The elision acceptance gate: on the check-dominated private loop,
 /// the eliding build (no check instructions at all) must beat the
-/// fully-checked build even with the PR 5 owned-granule cache turned
-/// on — deleting a check statically is cheaper than any way of
-/// passing it dynamically. Compared on per-row minima like
+/// fully-checked build — deleting a check statically is cheaper than
+/// any way of passing it dynamically. Compared on per-row minima like
 /// [`assert_epoch_wins`].
 pub fn assert_elision_wins(g: &sharc_testkit::Bench) {
     let row_min = |name: &str| {
@@ -753,12 +739,12 @@ pub fn assert_elision_wins(g: &sharc_testkit::Bench) {
     };
     let (e, c) = (
         row_min("vm/private-loop/elided"),
-        row_min("vm/private-loop/cache-on"),
+        row_min("vm/private-loop/checked"),
     );
-    eprintln!("vm private loop: elided {e} ns/run (min) vs checked+cached {c} ns/run");
+    eprintln!("vm private loop: elided {e} ns/run (min) vs checked {c} ns/run");
     assert!(
         e < c,
-        "the eliding build must beat the checked+cached build ({e} ns vs {c} ns)"
+        "the eliding build must beat the checked build ({e} ns vs {c} ns)"
     );
 }
 

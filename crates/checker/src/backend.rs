@@ -8,7 +8,7 @@
 //! * [`BitmapBackend`] (here) — the paper's own engine: the pure
 //!   bitmap state machine from [`crate::step`] over a growable word
 //!   store, with per-thread access logs and a [`HeldLocks`] log. The
-//!   VM's verdicts coincide with this backend by construction.
+//!   VM drives this backend: it keeps no shadow state of its own.
 //! * `sharc-detectors`' `Eraser` (locksets) and `VcDetector`
 //!   (happens-before), which implement the trait themselves, so
 //!   `sharc run --detector sharc|eraser|vc` judges *one* seeded

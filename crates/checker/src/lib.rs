@@ -7,8 +7,8 @@
 //!   for both shadow-word encodings (the paper's reader/writer
 //!   bitmap and the scalable adaptive encoding). `sharc-runtime`
 //!   wraps them in compare-exchange retry loops for real threads;
-//!   `sharc-interp`'s VM applies them directly under its scheduler
-//!   lock. One state machine, one set of verdicts.
+//!   `sharc-interp`'s VM calls [`BitmapBackend`], which applies them
+//!   to a plain word store. One state machine, one set of verdicts.
 //! * [`backend`] — the [`CheckBackend`] trait covering the four
 //!   runtime checks (`chkread`, `chkwrite`, `lock_held`, `oneref`)
 //!   plus the synchronization/lifecycle events they depend on, a

@@ -4,7 +4,8 @@
 //! runs instrumented MiniC programs with multiple simulated threads
 //! under a seeded scheduler, executing the paper's runtime checks
 //! (reader/writer sets per 16-byte granule, held-lock logs, and
-//! reference-counted sharing casts), plus the §3 formal core calculus
+//! reference-counted sharing casts) as calls on
+//! [`sharc_checker::BitmapBackend`], plus the §3 formal core calculus
 //! in [`formal`].
 //!
 //! ## Example

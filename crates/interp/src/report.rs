@@ -16,7 +16,7 @@ use std::fmt;
 /// One access in a report: thread, l-value text, `file: line`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessInfo {
-    pub tid: u8,
+    pub tid: u32,
     pub lvalue: String,
     pub location: String,
 }
@@ -77,7 +77,7 @@ impl<'m> Reporter<'m> {
         }
     }
 
-    fn access(&self, tid: u8, site: u32) -> AccessInfo {
+    fn access(&self, tid: u32, site: u32) -> AccessInfo {
         let s = &self.sites[site as usize];
         AccessInfo {
             tid,
@@ -91,9 +91,9 @@ impl<'m> Reporter<'m> {
         &mut self,
         kind: CheckKind,
         addr: Addr,
-        tid: u8,
+        tid: u32,
         site: u32,
-        last: Option<(u8, u32)>,
+        last: Option<(u32, u32)>,
     ) {
         if self.reports.len() >= self.max {
             return;
@@ -112,7 +112,7 @@ impl<'m> Reporter<'m> {
     }
 
     /// Records a `locked(l)` access without the lock held.
-    pub fn lock_violation(&mut self, addr: Addr, tid: u8, site: u32) {
+    pub fn lock_violation(&mut self, addr: Addr, tid: u32, site: u32) {
         if self.reports.len() >= self.max {
             return;
         }
@@ -130,7 +130,7 @@ impl<'m> Reporter<'m> {
     }
 
     /// Records a failed `oneref` check at a sharing cast.
-    pub fn oneref_violation(&mut self, addr: Addr, tid: u8, site: u32, count: i64) {
+    pub fn oneref_violation(&mut self, addr: Addr, tid: u32, site: u32, count: i64) {
         if self.reports.len() >= self.max {
             return;
         }

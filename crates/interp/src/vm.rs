@@ -2,42 +2,29 @@
 //!
 //! Executes [`Module`] bytecode with multiple simulated threads,
 //! preemptible between instructions under a seeded scheduler, so race
-//! exposure is reproducible. Implements the paper's runtime (§4.2):
+//! exposure is reproducible. The paper's runtime (§4.2) is not
+//! implemented here: every dynamic check is a call on one
+//! [`BitmapBackend`], the engine `sharc replay` and the streaming
+//! collector judge with.
 //!
-//! * **Reader/writer sets** per 16-byte granule of memory (2 cells),
-//!   updated atomically with each `chkread`/`chkwrite`; the
-//!   n-readers-xor-1-writer rule of the formal semantics.
-//! * **Held-lock logs** per thread, consulted by `locked(l)` checks.
-//! * **Exact reference counts** maintained on every pointer store,
-//!   consulted by `oneref` at sharing casts, which also null the
-//!   source and clear the object's reader/writer sets.
-//! * **Cleanup** on `free` and thread exit (a thread's bits are
-//!   cleared when it ends; non-overlapping lifetimes do not race).
+//! * **Reader/writer sets** per 16-byte granule of memory (2 cells):
+//!   `chkread` / `chkwrite` per granule a checked access covers.
+//! * **Held-lock logs** per thread: `on_acquire` / `on_release` at
+//!   every mutex hand-over, `lock_held` at `locked(l)` checks.
+//! * **Exact reference counts** maintained here on every pointer
+//!   store and handed to `oneref` at sharing casts; a passing cast
+//!   clears the object's granules (`on_cast_clear`).
+//! * **Cleanup** on `free` (`on_alloc` per granule) and thread exit
+//!   (`on_thread_exit`; non-overlapping lifetimes do not race).
 
 use crate::bytecode::*;
 use crate::report::{ConflictReport, Reporter};
 use minic::ast::BinOp;
 use minic::span::SourceMap;
-use sharc_checker::step::{bitmap, Access, Transition};
-use sharc_checker::{CheckEvent, CheckKind, EpochTable, OwnedCache};
+use sharc_checker::step::adaptive::TID_MASK;
+use sharc_checker::{Access, BitmapBackend, CheckBackend, CheckEvent, Verdict};
 use sharc_testkit::rng::{Rng, Xoshiro256pp};
-use std::collections::{HashMap, HashSet, VecDeque};
-
-/// Maximum simultaneously-live threads (the paper's encoding supports
-/// `8n - 1` threads for `n` shadow bytes; a `u64` mask gives us 63).
-pub const MAX_THREADS: usize = sharc_checker::MAX_CHECKED_THREADS;
-
-// The VM's simulated threads and the real-thread runtime must agree
-// on the bitmap width; both are pinned by the checker core.
-const _: () = assert!(MAX_THREADS == 63);
-
-/// Granules per epoch region in the VM (power of two). The VM's heap
-/// is small and grows on demand, so a small block keeps point frees
-/// local: with the default [`VmConfig::epoch_regions`] = 64 regions
-/// the table covers 512 distinct granules (4 KiB of modelled memory
-/// at the 16-byte granule) before indices wrap — conservative past
-/// that, never unsound.
-const VM_GRANULES_PER_REGION: usize = 8;
+use std::collections::{HashMap, VecDeque};
 
 /// Scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,20 +53,6 @@ pub struct VmConfig {
     /// Record every memory/sync event as a [`CheckEvent`], at this
     /// configuration's `granule` (for trace-based detectors).
     pub collect_trace: bool,
-    /// Per-thread owned-granule cache mirroring the native runtime's
-    /// [`OwnedCache`]: repeated private accesses skip the shadow
-    /// transition entirely, guarded by per-region epochs that every
-    /// shadow clear (free, sharing cast, thread exit) bumps for the
-    /// region(s) actually cleared. Verdicts are identical with the
-    /// cache on or off; only the work per check changes (the
-    /// `vm_cache` bench group measures the delta).
-    pub owned_cache: bool,
-    /// Number of epoch regions guarding the owned cache
-    /// ([`sharc_checker::EpochTable`]; rounded up to a power of two).
-    /// `1` is the degenerate global epoch — every clear flushes every
-    /// thread's whole cache, the pre-region behaviour, kept for
-    /// differential comparison. Verdicts are identical for any value.
-    pub epoch_regions: usize,
 }
 
 impl Default for VmConfig {
@@ -92,8 +65,6 @@ impl Default for VmConfig {
             granule: sharc_checker::GRANULE_CELLS,
             stop_on_error: false,
             collect_trace: false,
-            owned_cache: true,
-            epoch_regions: sharc_checker::DEFAULT_REGIONS,
         }
     }
 }
@@ -125,15 +96,13 @@ pub struct VmStats {
     pub oneref_checks: u64,
     pub allocations: u64,
     pub frees: u64,
-    /// Distinct shadow granules ever touched (memory-overhead proxy).
+    /// Distinct shadow granules ever checked (memory-overhead proxy).
     pub shadow_granules: u64,
     pub threads_spawned: u64,
     pub max_live_threads: usize,
-    /// Checked granule-accesses served by the per-thread owned-granule
-    /// cache (a subset of `dynamic_accesses`' granule visits).
+    /// Always 0: the VM has no owned cache; `benchmark/` still reads it.
     pub cache_hits: u64,
-    /// Multi-granule checks answered whole by an owned-run summary
-    /// (each such hit also adds its span to `cache_hits`).
+    /// Always 0: the VM has no owned-run cache; `benchmark/` still reads it.
     pub range_hits: u64,
     /// Check slots the front end statically elided (copied from the
     /// module; these never became instructions, so they cost nothing
@@ -192,7 +161,7 @@ enum Status {
     Blocked(Addr),
     /// Waiting on a condition variable (remembering the mutex).
     Waiting(Addr, Addr),
-    Joining(u8),
+    Joining(u32),
     JoiningAll,
     Done,
     Failed,
@@ -209,47 +178,25 @@ struct Frame {
 
 #[derive(Debug)]
 struct Thread {
-    id: u8,
+    id: u32,
     frames: Vec<Frame>,
     status: Status,
-    held_locks: Vec<Addr>,
-    /// Granules where this thread set shadow bits (cleared at exit).
-    access_log: Vec<u32>,
-    /// The thread's owned-granule cache (mirrors the native runtime's
-    /// per-`ThreadCtx` cache; see [`VmConfig::owned_cache`]).
-    owned: OwnedCache,
-    /// The latest cache-served access per kind (`[read, write]`,
-    /// indexed by `is_write`): a hit skips the granule's `last_*`
-    /// bookkeeping, so without this a report after a hot private loop
-    /// would name the stale install site. One entry per kind is
-    /// enough to fix exactly that case — the hot loop's latest read
-    /// (write) *is* the thread's latest read (write) hit.
-    last_hit: [Option<LastHit>; 2],
 }
 
-/// Compact per-thread record of the most recent cache-served access
-/// of one kind (see [`Thread::last_hit`]).
-#[derive(Debug, Clone, Copy)]
-struct LastHit {
-    granule: u32,
-    site: u32,
-}
-
-/// One shadow granule. `word` is the checker core's reader/writer
-/// bitmap ([`bitmap::step`]): bit 0 = writer flag, bit `t` = thread
-/// `t` has read (the writer is the thread whose bit accompanies the
-/// flag). The `last_*` fields are reporting metadata only — they
-/// never influence verdicts.
+/// One granule's reporting metadata. The backend holds the shadow
+/// state; nothing here ever influences a verdict.
 #[derive(Debug, Default, Clone, Copy)]
 struct Granule {
-    word: u64,
-    last_read: Option<LastAccess>,
-    last_write: Option<LastAccess>,
+    /// Already counted in [`VmStats::shadow_granules`].
+    counted: bool,
+    /// The latest passing checked access per kind (`[read, write]`,
+    /// indexed by `is_write`), reset on free and successful cast.
+    last: [Option<LastAccess>; 2],
 }
 
 #[derive(Debug, Clone, Copy)]
 struct LastAccess {
-    tid: u8,
+    tid: u32,
     site: u32,
 }
 
@@ -262,8 +209,8 @@ struct Obj {
 
 #[derive(Debug, Default)]
 struct MutexState {
-    owner: Option<u8>,
-    waiters: VecDeque<u8>,
+    owner: Option<u32>,
+    waiters: VecDeque<u32>,
 }
 
 struct Vm<'m> {
@@ -276,20 +223,15 @@ struct Vm<'m> {
     rc: Vec<i64>,
     free_objs: Vec<u32>,
     free_blocks: HashMap<u32, Vec<u32>>,
-    shadow: Vec<Granule>,
-    /// Per-region clear epochs (the native runtime's exact
-    /// invalidation rule): a shadow clear bumps only the region(s) it
-    /// touches, and stale per-thread cache entries of those regions
-    /// fail their tag compare on the next lookup. The VM's granule
-    /// space grows on demand, so the table wraps granule indices
-    /// modulo its region count — conservative, never unsound.
-    shadow_epochs: EpochTable,
-    touched_granules: HashSet<u32>,
+    /// The §4.2 engine: every dynamic check is a call on it.
+    backend: BitmapBackend,
+    /// Reporting metadata per granule, grown as granules are checked.
+    granules: Vec<Granule>,
     threads: Vec<Thread>,
-    free_tids: Vec<u8>,
-    next_tid: u8,
+    free_tids: Vec<u32>,
+    next_tid: u32,
     mutexes: HashMap<Addr, MutexState>,
-    cond_waiters: HashMap<Addr, VecDeque<u8>>,
+    cond_waiters: HashMap<Addr, VecDeque<u32>>,
     /// Per-function slot offsets (prefix sums of slot sizes).
     slot_offsets: Vec<Vec<u32>>,
     frame_sizes: Vec<u32>,
@@ -325,7 +267,6 @@ impl<'m> Vm<'m> {
             .map(|f| f.slot_sizes.iter().sum::<u32>().max(1))
             .collect();
         let max_reports = config.max_reports;
-        let shadow_epochs = EpochTable::new(config.epoch_regions, VM_GRANULES_PER_REGION);
         let mut vm = Vm {
             module,
             rng: Xoshiro256pp::seed_from_u64(config.seed),
@@ -336,9 +277,8 @@ impl<'m> Vm<'m> {
             rc: Vec::new(),
             free_objs: Vec::new(),
             free_blocks: HashMap::new(),
-            shadow: Vec::new(),
-            shadow_epochs,
-            touched_granules: HashSet::new(),
+            backend: BitmapBackend::new(),
+            granules: Vec::new(),
             threads: Vec::new(),
             free_tids: Vec::new(),
             next_tid: 1,
@@ -516,210 +456,77 @@ impl<'m> Vm<'m> {
             self.mem[c as usize] = Value::ZERO;
             self.obj_of[c as usize] = 0;
         }
-        let g0 = base / self.config.granule;
-        let g1 = (base + size - 1) / self.config.granule;
-        for g in g0..=g1 {
-            if (g as usize) < self.shadow.len() {
-                self.shadow[g as usize] = Granule::default();
-            }
+        let (first, len) = self.granule_run(base, size);
+        for g in first..first + len {
+            self.backend.on_alloc(g);
         }
-        // Bump only the region(s) covering the freed object: every
-        // other region's cached entries stay live.
-        self.shadow_epochs
-            .bump_granule_range(g0 as usize, g1 as usize + 1);
+        self.forget_last(first, len);
         self.free_blocks.entry(size).or_default().push(base);
     }
 
-    // ----- shadow -----
+    // ----- checks -----
 
-    fn granule_mut(&mut self, g: u32) -> &mut Granule {
-        if g as usize >= self.shadow.len() {
-            self.shadow.resize(g as usize + 1, Granule::default());
+    /// Drops the reporting metadata of a freed or cast-away granule
+    /// run: accesses from before the reset are nobody's `last`.
+    fn forget_last(&mut self, first: usize, len: usize) {
+        let end = (first + len).min(self.granules.len());
+        for g in &mut self.granules[first.min(end)..end] {
+            g.last = [None; 2];
         }
-        if self.touched_granules.insert(g) {
-            self.stats.shadow_granules += 1;
-        }
-        &mut self.shadow[g as usize]
     }
 
-    /// The shared check-and-record over the unified transition
-    /// function: conflicts are reported and — exactly like the real
-    /// runtime and the reference backend — do *not* modify the
-    /// shadow word, so all three engines agree on every verdict.
-    fn chk_access(&mut self, tid: u8, addr: u32, size: u32, site: u32, access: Access) {
+    /// One checked access: the backend judges each granule it covers.
+    /// A conflict is reported and — as in the native runtime — leaves
+    /// the shadow state alone; a pass becomes the granule's latest
+    /// access of its kind, so `last` in a later report is never stale.
+    fn chk_access(&mut self, tid: u32, addr: u32, size: u32, site: u32, access: Access) {
         self.stats.dynamic_accesses += size as u64;
-        let gran = self.config.granule;
-        let g0 = addr / gran;
-        let g1 = (addr + size - 1) / gran;
-        let is_write = matches!(access, Access::Write);
-        // Ranged fast path: a bulk op (struct copy, checked library
-        // sweep) spans several granules, and a single owned-run probe
-        // can answer the whole sweep.  The stamp is the wrapping sum
-        // of the covered region epochs, read *before* any transition
-        // below so a summary can never be newer than the epochs
-        // guarding it; any clear in the range bumps a covered epoch
-        // and fails the compare.
-        let span = (g1 - g0 + 1) as usize;
-        let run_stamp = if self.config.owned_cache && span > 1 {
-            let stamp = self
-                .shadow_epochs
-                .epoch_sum_of_range(g0 as usize, g1 as usize + 1);
-            if self.threads[self.current]
-                .owned
-                .lookup_run(stamp, g0 as usize, span, is_write)
-            {
-                self.stats.cache_hits += span as u64;
-                self.stats.range_hits += 1;
-                self.threads[self.current].last_hit[is_write as usize] =
-                    Some(LastHit { granule: g1, site });
-                return;
-            }
-            Some(stamp)
-        } else {
-            None
-        };
-        let mut clean = true;
-        for gi in g0..=g1 {
-            // Owned-granule fast path: a cache hit proves this thread
-            // already holds the exact ownership the access needs
-            // (read bit for reads, exclusive writer state for
-            // writes), so the transition would be `Unchanged` — skip
-            // it. Every shadow clear bumps the epoch of the region(s)
-            // it touches; entries tagged with an older region epoch
-            // fail their compare on the next lookup, while entries
-            // for unaffected regions keep answering.
-            // Read the region epoch *before* the transition below, so
-            // an entry can never be newer than the epoch guarding it.
-            let region_epoch = self.shadow_epochs.epoch_of(gi as usize);
-            if self.config.owned_cache
-                && self.threads[self.current]
-                    .owned
-                    .lookup(region_epoch, gi as usize, is_write)
-            {
-                self.stats.cache_hits += 1;
-                // The granule's `last_*` bookkeeping is skipped on
-                // hits; remember the site per thread so a later
-                // conflict report can still name the true latest
-                // access (see `Thread::last_hit`).
-                self.threads[self.current].last_hit[is_write as usize] =
-                    Some(LastHit { granule: gi, site });
-                continue;
-            }
-            let (t, last) = {
-                let g = self.granule_mut(gi);
-                // Report another thread's access as the "last" one
-                // (offending writer first on write conflicts),
-                // remembering which kind of record it came from.
-                let last = match access {
-                    Access::Read => g.last_write.filter(|l| l.tid != tid).map(|l| (l, true)),
-                    Access::Write => g
-                        .last_write
-                        .filter(|l| l.tid != tid)
-                        .map(|l| (l, true))
-                        .or(g.last_read.filter(|l| l.tid != tid).map(|l| (l, false))),
-                };
-                (bitmap::step(g.word, tid as u32, access), last)
+        let (first, len) = self.granule_run(addr, size);
+        if first + len > self.granules.len() {
+            self.granules.resize(first + len, Granule::default());
+        }
+        for g in first..first + len {
+            let verdict = match access {
+                Access::Read => self.backend.chkread(tid, g),
+                Access::Write => self.backend.chkwrite(tid, g),
             };
-            // If the reported thread's latest touch of this granule
-            // was served by its cache, the granule metadata is stale:
-            // the per-thread last-hit record is newer by construction
-            // (hits happen only after the recorded install).
-            let last = last.map(|(l, was_write)| {
-                let newer = self.threads.iter().rev().find_map(|th| {
-                    (th.id == l.tid)
-                        .then_some(th.last_hit[was_write as usize])
-                        .flatten()
-                        .filter(|h| h.granule == gi)
-                });
-                match newer {
-                    Some(h) => LastAccess {
-                        tid: l.tid,
-                        site: h.site,
-                    },
-                    None => l,
+            let meta = &mut self.granules[g];
+            if !meta.counted {
+                meta.counted = true;
+                self.stats.shadow_granules += 1;
+            }
+            match verdict {
+                Verdict::Pass => {
+                    meta.last[access.is_write() as usize] = Some(LastAccess { tid, site });
                 }
-            });
-            match t {
-                Transition::Conflict => {
-                    let kind = match access {
-                        Access::Read => CheckKind::Read,
-                        Access::Write => CheckKind::Write,
+                Verdict::Fail(conflict) => {
+                    // Report another thread's access as the "last"
+                    // one, the offending writer first.
+                    let [read, write] = meta.last.map(|l| l.filter(|l| l.tid != tid));
+                    let last = match access {
+                        Access::Read => write,
+                        Access::Write => write.or(read),
                     };
-                    self.conflict(kind, Addr(gi * gran), tid, site, last);
-                    clean = false;
-                }
-                Transition::Install(new) => {
-                    let g = self.granule_mut(gi);
-                    g.word = new;
-                    match access {
-                        Access::Read => g.last_read = Some(LastAccess { tid, site }),
-                        Access::Write => g.last_write = Some(LastAccess { tid, site }),
-                    }
-                    self.threads[self.current].access_log.push(gi);
-                    if self.config.owned_cache {
-                        self.threads[self.current].owned.insert(
-                            gi as usize,
-                            is_write,
-                            region_epoch,
-                        );
-                    }
-                }
-                Transition::Unchanged => {
-                    let g = self.granule_mut(gi);
-                    match access {
-                        Access::Read => g.last_read = Some(LastAccess { tid, site }),
-                        Access::Write => g.last_write = Some(LastAccess { tid, site }),
-                    }
-                    if self.config.owned_cache {
-                        self.threads[self.current].owned.insert(
-                            gi as usize,
-                            is_write,
-                            region_epoch,
-                        );
-                    }
+                    self.reporter.conflict(
+                        conflict.kind,
+                        Addr(g as u32 * self.config.granule),
+                        tid,
+                        site,
+                        last.map(|l| (l.tid, l.site)),
+                    );
                 }
             }
         }
-        // A clean multi-granule sweep becomes one owned-run summary:
-        // the next identical bulk op is a single stamp compare.  A
-        // sweep that reported a conflict is never summarized — a run
-        // entry cannot remember a conflicting granule.
-        if clean {
-            if let Some(stamp) = run_stamp {
-                self.threads[self.current]
-                    .owned
-                    .insert_run(g0 as usize, span, is_write, stamp);
-            }
-        }
-    }
-
-    fn chk_read(&mut self, tid: u8, addr: u32, size: u32, site: u32) {
-        self.chk_access(tid, addr, size, site, Access::Read);
-    }
-
-    fn chk_write(&mut self, tid: u8, addr: u32, size: u32, site: u32) {
-        self.chk_access(tid, addr, size, site, Access::Write);
-    }
-
-    fn conflict(
-        &mut self,
-        kind: CheckKind,
-        addr: Addr,
-        tid: u8,
-        site: u32,
-        last: Option<LastAccess>,
-    ) {
-        self.reporter
-            .conflict(kind, addr, tid, site, last.map(|l| (l.tid, l.site)));
     }
 
     // ----- threads -----
 
-    fn spawn_thread(&mut self, fn_idx: u32, arg: Value) -> Option<u8> {
+    fn spawn_thread(&mut self, fn_idx: u32, arg: Value) -> Option<u32> {
         let tid = match self.free_tids.pop() {
             Some(t) => t,
             None => {
-                if (self.next_tid as usize) > MAX_THREADS {
+                // The largest id the backend's shadow words can name.
+                if u64::from(self.next_tid) > TID_MASK {
                     return None;
                 }
                 let t = self.next_tid;
@@ -741,10 +548,6 @@ impl<'m> Vm<'m> {
                 ops: Vec::new(),
             }],
             status: Status::Runnable,
-            held_locks: Vec::new(),
-            access_log: Vec::new(),
-            owned: OwnedCache::new(),
-            last_hit: [None; 2],
         };
         self.threads.push(th);
         self.stats.threads_spawned += 1;
@@ -761,21 +564,8 @@ impl<'m> Vm<'m> {
         let tid = self.threads[idx].id;
         // Clear this thread's shadow bits: non-overlapping thread
         // lifetimes do not constitute races.
-        let log = std::mem::take(&mut self.threads[idx].access_log);
-        // Bump each region the exiting thread actually touched, once.
-        let mut bumped: HashSet<usize> = HashSet::new();
-        for &g in &log {
-            if bumped.insert(self.shadow_epochs.region_of(g as usize)) {
-                self.shadow_epochs.bump(g as usize);
-            }
-        }
-        for g in log {
-            if (g as usize) < self.shadow.len() {
-                let w = &mut self.shadow[g as usize].word;
-                *w = bitmap::clear_thread(*w, tid as u32);
-            }
-        }
-        self.emit(|_| CheckEvent::ThreadExit { tid: tid.into() });
+        self.backend.on_thread_exit(tid);
+        self.emit(|_| CheckEvent::ThreadExit { tid });
         self.threads[idx].status = if failed { Status::Failed } else { Status::Done };
         self.free_tids.push(tid);
         // Wake joiners.
@@ -825,10 +615,6 @@ impl<'m> Vm<'m> {
                 ops: Vec::new(),
             }],
             status: Status::Runnable,
-            held_locks: Vec::new(),
-            access_log: Vec::new(),
-            owned: OwnedCache::new(),
-            last_hit: [None; 2],
         });
         self.stats.max_live_threads = 1;
 
@@ -888,9 +674,6 @@ impl<'m> Vm<'m> {
             if let Err(fatal) = self.step() {
                 let idx = self.current;
                 self.thread_exit(idx, true);
-                if self.config.stop_on_error || idx == 0 {
-                    // Thread index 0 is main.
-                }
                 if self.config.stop_on_error {
                     break ExitStatus::Failed(fatal);
                 }
@@ -1031,7 +814,7 @@ impl<'m> Vm<'m> {
                 }
                 self.stats.total_accesses += 1;
                 self.emit(|vm| CheckEvent::Read {
-                    tid: tid.into(),
+                    tid,
                     granule: vm.granule_of(a.0),
                 });
                 let v = self.mem[a.0 as usize];
@@ -1045,7 +828,7 @@ impl<'m> Vm<'m> {
                 }
                 self.stats.total_accesses += 1;
                 self.emit(|vm| CheckEvent::Write {
-                    tid: tid.into(),
+                    tid,
                     granule: vm.granule_of(a.0),
                 });
                 self.write_cell(a.0, v);
@@ -1063,11 +846,11 @@ impl<'m> Vm<'m> {
                     // optimization, not a semantic change), exactly
                     // like the Load/Store pair it replaces.
                     self.emit(|vm| CheckEvent::Read {
-                        tid: tid.into(),
+                        tid,
                         granule: vm.granule_of(src.0 + i),
                     });
                     self.emit(|vm| CheckEvent::Write {
-                        tid: tid.into(),
+                        tid,
                         granule: vm.granule_of(dst.0 + i),
                     });
                     let v = self.mem[(src.0 + i) as usize];
@@ -1152,19 +935,19 @@ impl<'m> Vm<'m> {
                 match self.spawn_thread(fi, arg) {
                     Some(t) => {
                         self.emit(|_| CheckEvent::Fork {
-                            parent: tid.into(),
-                            child: t.into(),
+                            parent: tid,
+                            child: t,
                         });
                         self.push(Value::Int(t as i64));
                     }
-                    None => return Err(format!("thread limit ({MAX_THREADS}) exceeded")),
+                    None => return Err(format!("thread limit ({TID_MASK}) exceeded")),
                 }
             }
             Insn::Join => {
-                let t = self.pop().as_int() as u8;
+                let t = self.pop().as_int() as u32;
                 self.emit(|_| CheckEvent::Join {
-                    parent: tid.into(),
-                    child: t.into(),
+                    parent: tid,
+                    child: t,
                 });
                 let done = self
                     .threads
@@ -1190,11 +973,7 @@ impl<'m> Vm<'m> {
                 match m.owner {
                     None => {
                         m.owner = Some(tid);
-                        self.threads[self.current].held_locks.push(a);
-                        self.emit(|_| CheckEvent::Acquire {
-                            tid: tid.into(),
-                            lock: a.0 as usize,
-                        });
+                        self.acquired(tid, a);
                     }
                     Some(o) if o == tid => {
                         return Err("recursive lock of a non-recursive mutex".into())
@@ -1208,7 +987,7 @@ impl<'m> Vm<'m> {
             Insn::MutexUnlock => {
                 let a = self.pop_addr("mutex_unlock")?;
                 self.emit(|_| CheckEvent::Release {
-                    tid: tid.into(),
+                    tid,
                     lock: a.0 as usize,
                 });
                 self.unlock(a, tid)?;
@@ -1216,12 +995,11 @@ impl<'m> Vm<'m> {
             Insn::CondWait => {
                 let ma = self.pop_addr("cond_wait mutex")?;
                 let ca = self.pop_addr("cond_wait cond")?;
-                let holds = self.threads[self.current].held_locks.contains(&ma);
-                if !holds {
+                if !self.backend.lock_held(tid, ma.0 as usize) {
                     return Err("cond_wait without holding the mutex".into());
                 }
                 self.emit(|_| CheckEvent::Release {
-                    tid: tid.into(),
+                    tid,
                     lock: ma.0 as usize,
                 });
                 self.unlock(ma, tid)?;
@@ -1238,7 +1016,7 @@ impl<'m> Vm<'m> {
             }
             Insn::CondBroadcast => {
                 let ca = self.pop_addr("cond_broadcast")?;
-                let waiters: Vec<u8> = self
+                let waiters: Vec<u32> = self
                     .cond_waiters
                     .get_mut(&ca)
                     .map(|q| q.drain(..).collect())
@@ -1312,7 +1090,7 @@ impl<'m> Vm<'m> {
                 let mut s = String::new();
                 let mut c = a.0 as usize;
                 while c < self.mem.len() {
-                    self.chk_read(tid, c as u32, 1, site);
+                    self.chk_access(tid, c as u32, 1, site, Access::Read);
                     self.stats.total_accesses += 1;
                     let b = self.mem[c].as_int();
                     if b == 0 {
@@ -1337,14 +1115,14 @@ impl<'m> Vm<'m> {
             Insn::ChkRead { site, size } => {
                 if let Value::Ptr(a) = self.peek() {
                     if !a.is_null() {
-                        self.chk_read(tid, a.0, size, site);
+                        self.chk_access(tid, a.0, size, site, Access::Read);
                     }
                 }
             }
             Insn::ChkWrite { site, size } => {
                 if let Value::Ptr(a) = self.peek() {
                     if !a.is_null() {
-                        self.chk_write(tid, a.0, size, site);
+                        self.chk_access(tid, a.0, size, site, Access::Write);
                     }
                 }
             }
@@ -1352,7 +1130,7 @@ impl<'m> Vm<'m> {
                 self.stats.lock_checks += 1;
                 let lock = self.pop();
                 let held = match lock {
-                    Value::Ptr(a) => self.threads[self.current].held_locks.contains(&a),
+                    Value::Ptr(a) => self.backend.lock_held(tid, a.0 as usize),
                     _ => false,
                 };
                 if !held {
@@ -1373,30 +1151,27 @@ impl<'m> Vm<'m> {
                             let obj = self.objs[(o - 1) as usize];
                             // One ranged cast over the whole referent;
                             // `refs` is the count `oneref` observed.
-                            self.emit(|vm| {
-                                let (granule, len) = vm.granule_run(obj.base, obj.size);
-                                CheckEvent::RangeCast {
-                                    tid: tid.into(),
-                                    granule,
-                                    len,
-                                    refs: (count + 1) as u64,
-                                }
+                            let (granule, len) = self.granule_run(obj.base, obj.size);
+                            self.emit(|_| CheckEvent::RangeCast {
+                                tid,
+                                granule,
+                                len,
+                                refs: (count + 1) as u64,
                             });
-                            if count > 0 {
+                            // Overwriting a stale pointer into a
+                            // recycled block drives `count` below
+                            // zero: no other live reference either.
+                            let refs = count.max(0) as u64 + 1;
+                            if self.backend.oneref(tid, granule, refs).is_conflict() {
                                 self.reporter.oneref_violation(a, tid, site, count + 1);
                             } else {
                                 // The cast succeeds: the object changes
                                 // mode, so past accesses no longer
                                 // constitute sharing.
-                                let g0 = obj.base / self.config.granule;
-                                let g1 = (obj.base + obj.size - 1) / self.config.granule;
-                                for g in g0..=g1 {
-                                    if (g as usize) < self.shadow.len() {
-                                        self.shadow[g as usize] = Granule::default();
-                                    }
+                                for g in granule..granule + len {
+                                    self.backend.on_cast_clear(g);
                                 }
-                                self.shadow_epochs
-                                    .bump_granule_range(g0 as usize, g1 as usize + 1);
+                                self.forget_last(granule, len);
                             }
                         }
                     }
@@ -1429,31 +1204,31 @@ impl<'m> Vm<'m> {
     /// The live thread running as `tid`. Ids are recycled through
     /// `free_tids` while dead records stay in `threads`, so a lookup by
     /// id alone would find an exited namesake first.
-    fn live_thread(&self, tid: u8) -> Option<usize> {
+    fn live_thread(&self, tid: u32) -> Option<usize> {
         self.threads
             .iter()
             .position(|t| t.id == tid && !matches!(t.status, Status::Done | Status::Failed))
     }
 
-    fn unlock(&mut self, a: Addr, tid: u8) -> Result<(), String> {
+    /// `tid` now owns mutex `a`: tell the held-lock log and the trace.
+    fn acquired(&mut self, tid: u32, a: Addr) {
+        let lock = a.0 as usize;
+        self.backend.on_acquire(tid, lock);
+        self.emit(|_| CheckEvent::Acquire { tid, lock });
+    }
+
+    fn unlock(&mut self, a: Addr, tid: u32) -> Result<(), String> {
         let m = self.mutexes.entry(a).or_default();
         if m.owner != Some(tid) {
             return Err("unlock of a mutex not held by this thread".into());
         }
-        let held = &mut self.threads[self.current].held_locks;
-        if let Some(p) = held.iter().position(|&l| l == a) {
-            held.remove(p);
-        }
+        self.backend.on_release(tid, a.0 as usize);
         let m = self.mutexes.get_mut(&a).expect("mutex exists");
         if let Some(w) = m.waiters.pop_front() {
             m.owner = Some(w);
             if let Some(wi) = self.live_thread(w) {
                 self.threads[wi].status = Status::Runnable;
-                self.threads[wi].held_locks.push(a);
-                self.emit(|_| CheckEvent::Acquire {
-                    tid: w.into(),
-                    lock: a.0 as usize,
-                });
+                self.acquired(w, a);
             }
         } else {
             m.owner = None;
@@ -1462,7 +1237,7 @@ impl<'m> Vm<'m> {
     }
 
     /// A signalled waiter must reacquire its mutex before running.
-    fn wake_from_cond(&mut self, w: u8) {
+    fn wake_from_cond(&mut self, w: u32) {
         let Some(wi) = self.live_thread(w) else {
             return;
         };
@@ -1474,11 +1249,7 @@ impl<'m> Vm<'m> {
             None => {
                 m.owner = Some(w);
                 self.threads[wi].status = Status::Runnable;
-                self.threads[wi].held_locks.push(ma);
-                self.emit(|_| CheckEvent::Acquire {
-                    tid: w.into(),
-                    lock: ma.0 as usize,
-                });
+                self.acquired(w, ma);
             }
             Some(_) => {
                 m.waiters.push_back(w);

@@ -79,6 +79,18 @@ pub fn check(name: &str, src: &str) -> Result<CheckedProgram, minic::Diagnostic>
     sharc_core::compile(name, src)
 }
 
+/// The VM runs no program that still has hard errors: its first one.
+fn refuse_hard_errors(checked: &CheckedProgram) -> Result<(), minic::Diagnostic> {
+    match checked
+        .diags
+        .iter()
+        .find(|d| d.severity == minic::Severity::Error)
+    {
+        Some(first) => Err(first.clone()),
+        None => Ok(()),
+    }
+}
+
 /// Executes a checked program on the VM with SharC's runtime checks.
 ///
 /// # Errors
@@ -87,15 +99,7 @@ pub fn check(name: &str, src: &str) -> Result<CheckedProgram, minic::Diagnostic>
 /// cannot execute (e.g. struct-by-value parameters) or if `checked`
 /// still has hard errors.
 pub fn run(checked: &CheckedProgram, config: RunConfig) -> Result<RunOutcome, minic::Diagnostic> {
-    if checked.diags.has_errors() {
-        let first = checked
-            .diags
-            .iter()
-            .find(|d| d.severity == minic::Severity::Error)
-            .expect("has_errors implies an error")
-            .clone();
-        return Err(first);
-    }
+    refuse_hard_errors(checked)?;
     let module = sharc_interp::compile::compile(checked)?;
     Ok(sharc_interp::run(&module, &checked.source_map, config))
 }
@@ -112,15 +116,7 @@ pub fn run_full_checks(
     checked: &CheckedProgram,
     config: RunConfig,
 ) -> Result<RunOutcome, minic::Diagnostic> {
-    if checked.diags.has_errors() {
-        let first = checked
-            .diags
-            .iter()
-            .find(|d| d.severity == minic::Severity::Error)
-            .expect("has_errors implies an error")
-            .clone();
-        return Err(first);
-    }
+    refuse_hard_errors(checked)?;
     let module = sharc_interp::compile_full_checks(checked)?;
     Ok(sharc_interp::run(&module, &checked.source_map, config))
 }
@@ -151,7 +147,8 @@ pub fn check_and_run(
 /// cross-validation-on-one-trace is the workspace's §6.2 methodology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DetectorKind {
-    /// SharC's own engine: the VM's built-in checks (the default).
+    /// SharC's own engine (the default): the [`checker::BitmapBackend`]
+    /// the VM calls for every dynamic check while it runs.
     #[default]
     Sharc,
     /// Eraser's lockset algorithm over the recorded trace.
@@ -234,7 +231,7 @@ pub fn run_with_detector(
             .iter()
             .map(|r| checker::Conflict {
                 kind: r.kind,
-                tid: r.who.tid as u32,
+                tid: r.who.tid,
                 granule: (r.addr.0 / granule) as usize,
             })
             .collect();

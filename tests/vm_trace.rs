@@ -46,6 +46,41 @@ fn emitted_traces_are_byte_identical_to_the_converted_fixtures() {
     }
 }
 
+/// The `*.reports` fixtures were rendered at the commit before the VM
+/// judged through `BitmapBackend`, with its owned cache off: seeds
+/// 0–3, every report's `who` and `last` line. A wrong `last` changes
+/// the text and — through the `(kind, site, last site)` dedup key —
+/// can change the report count.
+#[test]
+fn conflict_report_text_is_pinned_on_every_example() {
+    for (name, fixture) in [
+        (
+            "counter_locked",
+            include_str!("fixtures/counter_locked.reports"),
+        ),
+        (
+            "counter_racy",
+            include_str!("fixtures/counter_racy.reports"),
+        ),
+        ("elision", include_str!("fixtures/elision.reports")),
+        ("handoff", include_str!("fixtures/handoff.reports")),
+    ] {
+        let mut text = String::new();
+        for seed in 0..4 {
+            let config = RunConfig {
+                seed,
+                ..RunConfig::default()
+            };
+            let out = traced(&format!("examples/minic/{name}.c"), config);
+            text.push_str(&format!("# seed {seed}\n"));
+            for r in &out.reports {
+                text.push_str(&format!("{r}\n"));
+            }
+        }
+        assert_eq!(text, fixture, "{name}.c: reports drifted");
+    }
+}
+
 #[test]
 fn trace_and_reports_name_the_same_granules_at_any_granule_size() {
     for granule in [1, 4] {
@@ -59,7 +94,7 @@ fn trace_and_reports_name_the_same_granules_at_any_granule_size() {
             };
             let out = traced("examples/minic/counter_racy.c", config);
             for r in &out.reports {
-                let (who, at) = (u32::from(r.who.tid), (r.addr.0 / granule) as usize);
+                let (who, at) = (r.who.tid, (r.addr.0 / granule) as usize);
                 let in_trace = out.trace.iter().any(|e| match (r.kind, *e) {
                     (ConflictKind::Read, CheckEvent::Read { tid, granule })
                     | (ConflictKind::Write, CheckEvent::Write { tid, granule }) => {
