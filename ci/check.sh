@@ -46,37 +46,25 @@ cargo run --release --offline -p sharc-bench --bin table1 -- --smoke
 echo "== high-thread smoke: engine-vs-step differential, tids past 63 =="
 # One generic body per differential, instantiated per word protocol
 # and checked against the pure step functions. The wide
-# instantiations (five shards and adaptive-only, tids 1..=256)
-# normally run under the property-test default case count; this pins
-# a fixed-seed, reduced run so CI exercises the multi-word protocol
+# instantiations (five shards and adaptive-only, tids 1..=256) run
+# at least 128 cases (SHARC_TEST_CASES can only raise that); this pins
+# a fixed seed so CI exercises the multi-word protocol
 # deterministically, next to the one-word instantiation and the
 # adaptive-only coarsening contract.
-SHARC_TEST_SEED=0xC1 SHARC_TEST_CASES=32 \
+SHARC_TEST_SEED=0xC1 \
     cargo test -q --offline --release --test checker_differential -- \
     all_engines_agree_on_every_verdict \
     sharded_engines_agree_up_to_256_threads \
     adaptive_only_coarsens_exits_soundly \
     cross_shard_ownership_transfer_is_exact
 
-echo "== epoch geometry: region-vs-global differential, fixed seed =="
-# The per-region epoch table must be verdict-invisible: the same
-# trace through the R=1 (global) geometry, the default region
-# geometry, and the uncached engine agrees with the pure step on
-# every verdict, on both word protocols. Pinned to a fixed seed so
-# CI replays one known exploration.
-SHARC_TEST_SEED=0xE9 SHARC_TEST_CASES=64 \
-    cargo test -q --offline --release --test checker_differential -- \
-    region_epoch_engines_agree_with_global_epoch \
-    cache_is_invisible_under_adversarial_clears
-
 echo "== ranged checks: range-vs-fold differential, fixed seed =="
 # A range verdict must equal the pure step's per-granule fold on
 # both word protocols (one-word; five-shard and adaptive-only at
-# 256 tids), uncached and through the owned-run cache, with
-# adversarial mid-range clears, and replay-lowering a ranged trace
-# must be bit-identical for SharC, Eraser, and the vector-clock
-# detector alike. Fixed seed pins one known exploration.
-SHARC_TEST_SEED=0x4A6E SHARC_TEST_CASES=64 \
+# 256 tids), with adversarial mid-range clears, and replay-lowering
+# a ranged trace must be bit-identical for SharC, Eraser, and the
+# vector-clock detector alike. Fixed seed pins one known exploration.
+SHARC_TEST_SEED=0x4A6E \
     cargo test -q --offline --release --test checker_differential -- \
     range_checks_equal_per_granule_fold \
     ranged_sharded_checks_agree_up_to_256_threads \
@@ -84,12 +72,12 @@ SHARC_TEST_SEED=0x4A6E SHARC_TEST_CASES=64 \
 
 echo "== ranged casts & frees: clear-vs-fold differential, fixed seed =="
 # The ranged hand-off must be verdict- and word-invisible: a
-# clear_range / clear_thread_range (one sweep of stores, one epoch
-# bump per covered region) leaves the shadow bit-identical to the
-# per-granule clear fold on the runtime and on the pure step, under
-# cached sweeps on the one-word, five-shard and adaptive-only
-# widths. Fixed seed pins one known exploration.
-SHARC_TEST_SEED=0xCA57 SHARC_TEST_CASES=64 \
+# clear_range / clear_thread_range (one sweep of word-at-a-time
+# stores) leaves the shadow bit-identical to the per-granule clear
+# fold on the runtime and on the pure step, on the one-word,
+# five-shard and adaptive-only widths. Fixed seed pins one known
+# exploration.
+SHARC_TEST_SEED=0xCA57 \
     cargo test -q --offline --release --test checker_differential -- \
     ranged_clears_equal_per_granule_clear_fold \
     wide_ranged_clears_equal_per_granule_clear_fold
@@ -104,7 +92,7 @@ echo "== streaming detection: stream-vs-replay differential, fixed seed =="
 # streams one >200-thread recorded stunnel execution through tiny
 # rings and re-runs it live against the collector. Fixed seed pins
 # one known exploration.
-SHARC_TEST_SEED=0x51EA SHARC_TEST_CASES=64 \
+SHARC_TEST_SEED=0x51EA \
     cargo test -q --offline --release --test checker_differential -- \
     streaming_verdicts_equal_replay_fold_for_every_backend \
     stunnel_streaming_is_bit_identical_to_replay_at_fleet_width
@@ -160,8 +148,9 @@ fi
 echo "== sharded revalidation stress: barrier-aligned real races =="
 # Real threads, barrier-aligned into the cross-shard conflict
 # window: a racing conflict must be reported by at least one
-# participant, and fenced clears must force cache revalidation
-# without false reports. Fixed seed pins the jitter streams.
+# participant, on point and on ranged checks, and fenced clears must
+# force re-installs without false reports. Fixed seed pins the
+# jitter streams.
 SHARC_TEST_SEED=0x57E5 \
     cargo test -q --offline --release -p sharc-runtime --test sharded_stress
 
@@ -289,7 +278,7 @@ echo "== parallel replay: region-sharded differential, fixed seed =="
 # clocks at 256 tids over every worker count 1-5, plus the
 # cross-version parity suite (text/binary archives, v1 lowering).
 # Fixed seed pins one known exploration.
-SHARC_TEST_SEED=0x9A12 SHARC_TEST_CASES=64 \
+SHARC_TEST_SEED=0x9A12 \
     cargo test -q --offline --release --test checker_differential -- \
     parallel_replay_is_bit_identical_to_sequential_for_every_backend
 cargo test -q --offline --release --test trace_parity
@@ -325,19 +314,15 @@ for workload in handoff-write scan-read; do
     esac
 done
 
-echo "== checker bench --smoke (epoch-thrash + ranged gates) =="
-# Asserts the perf claims in --smoke mode: the per-region epoch
-# table is >=2x faster than the R=1 global geometry under
-# clear-thrash and within noise on the private loop (both on the
-# sharded protocol, where the owned cache the epochs guard exists),
-# that cache beats the sharded snapshot protocol >=2x, and the
-# ranged owned-4k sweep (one epoch-sum + run-slot compare per lap)
-# beats the per-granule loop >=4x. Full rows — including the
-# range/* family and the epoch-geom/r{R}-ws{WS} geometry sweep —
-# plus deterministic flush/miss counters land in the repo-root
-# BENCH_checker.json, the single canonical location (nothing is
-# written under target/ anymore; also written by table1 --smoke
-# above).
+echo "== checker bench --smoke (ranged-cast, elision, trace gates) =="
+# Runs every checker row once in --smoke mode and asserts the gates
+# that compare two rows of the same run: the elided VM loop beats the
+# checked one, the one-operation block cast beats the per-granule
+# loop, the binary trace beats text on bytes and codec time, and the
+# streaming rows stay inside their ring budget. The rows (range/*,
+# cast/*, sharded/*, stunnel/*, online/*, trace/*) land in the
+# repo-root BENCH_checker.json, the single canonical location (also
+# written by table1 --smoke above).
 cargo bench --offline -p sharc-bench --bench checker -- --smoke
 test -f BENCH_checker.json || {
     echo "ERROR: BENCH_checker.json missing at the repo root" >&2

@@ -5,7 +5,7 @@
 //! Runs on the sharc-testkit bench harness (`harness = false`);
 //! results land in `target/BENCH_table1.json`.
 
-use sharc_runtime::{CachedChecked, Checked, Unchecked};
+use sharc_runtime::{Checked, Unchecked};
 use sharc_testkit::Bench;
 use sharc_workloads::benchmarks::{aget, dillo, fftw, pbzip2, pfscan, stunnel};
 
@@ -35,9 +35,7 @@ fn main() {
 
     let st = stunnel_params();
     g.bench("stunnel/orig", || stunnel::run_native::<Unchecked>(&st));
-    g.bench("stunnel/sharc", || {
-        stunnel::run_native::<CachedChecked>(&st)
-    });
+    g.bench("stunnel/sharc", || stunnel::run_native::<Checked>(&st));
 
     g.finish();
 }

@@ -109,23 +109,19 @@ fn main() {
     );
 
     // In smoke mode also regenerate the repo-root `BENCH_checker.json`
-    // (the epoch-geometry rows plus exact flush/miss counters) and
-    // enforce the region-vs-global win, so the CI pipeline records
-    // the bench trajectory without a separate `cargo bench` step.
+    // (the stunnel, streaming, elision and trace rows) and enforce
+    // their gates, so the CI pipeline records the bench trajectory
+    // without a separate `cargo bench` step.
     if quick {
         let mut b = sharc_testkit::Bench::new("checker");
         b.sample_size(5);
-        let counters = sharc_bench::epoch_rows(&mut b);
         let stunnel = sharc_bench::stunnel_rows(&mut b, true);
         let online = sharc_bench::online_rows(&mut b, true);
         sharc_bench::elision_vm_rows(&mut b);
         let elision = sharc_bench::elision_rows();
         b.sample_size(3);
         let trace = vec![sharc_bench::trace_replay_rows(&mut b, true)];
-        sharc_bench::write_checker_json_at_repo_root(
-            &b, &counters, &stunnel, &online, &elision, &trace,
-        );
-        sharc_bench::assert_epoch_wins(&b);
+        sharc_bench::write_checker_json_at_repo_root(&b, &stunnel, &online, &elision, &trace);
         sharc_bench::assert_online_bounds(&b, &online);
         sharc_bench::assert_elision_wins(&b);
         sharc_bench::assert_trace_wins(&b, &trace[0]);

@@ -11,9 +11,9 @@
 //! * `detector_comparison` — SharC's checks vs Eraser-lockset and
 //!   vector-clock monitoring of *every* access (§6.2's 10×–30×).
 
-use sharc_checker::{replay, CheckBackend, CheckEvent, Conflict, OwnedCache, ShadowGeometry};
+use sharc_checker::{replay, CheckBackend, CheckEvent, Conflict};
 use sharc_detectors::Online;
-use sharc_runtime::{AccessPolicy, Arena, ObjId, RcScheme, ShardedShadow, ThreadCtx, ThreadId};
+use sharc_runtime::{AccessPolicy, Arena, ObjId, RcScheme, ThreadCtx, ThreadId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -183,182 +183,15 @@ pub fn handoff_trace(rounds: usize) -> Vec<CheckEvent> {
     t
 }
 
-// ---- Epoch-geometry rows (benches/checker.rs and `table1 --smoke`) ----
-
-/// Granule count for the `epoch/*` rows: matches the cache's default
-/// slot count so every granule is resident in steady state.
-pub const EPOCH_GRANULES: usize = 256;
-
-/// Lap count for the deterministic counter pass behind the
-/// `counters` section of `BENCH_checker.json`.
-pub const EPOCH_COUNTER_LAPS: usize = 10;
-
-/// Exact cache counters for one `epoch/*` row, measured over
-/// [`EPOCH_COUNTER_LAPS`] laps on fresh state (independent of the
-/// timing sample count, so the JSON is reproducible).
-#[derive(Debug, Clone)]
-pub struct EpochCounters {
-    pub name: &'static str,
-    pub flushes: u64,
-    pub misses: u64,
-}
-
-/// The shadow the epoch rows run on: the sharded protocol at its
-/// default one-shard geometry, because that is where the owned cache
-/// the epochs guard exists (`WordProtocol::OWNED_CACHE`) — on the
-/// one-word protocol a cached check never reads an epoch.
-fn epoch_shadow(global: bool) -> ShardedShadow {
-    let s = ShardedShadow::with_geometry(EPOCH_GRANULES, ShadowGeometry::default());
-    if global {
-        // The R = 1 degenerate geometry: the pre-region behaviour
-        // where any clear invalidates every cached entry.
-        s.with_epoch_regions(1)
-    } else {
-        // The default geometry: 128 regions of 2 granules.
-        s
-    }
-}
-
-/// Steady-state private loop — no clears, so the epoch geometry is
-/// irrelevant and both tables must time the same.
-fn epoch_lap_private(s: &ShardedShadow, t: ThreadId, cache: &mut OwnedCache) {
-    for i in 0..EPOCH_GRANULES {
-        s.check_write_cached(i, t, cache).unwrap();
-    }
-}
-
-/// The ROADMAP's `cached-epoch-thrash` worst case: a point clear per
-/// lap. Region table: one region (2 granules) refills. Global table:
-/// the whole cache refills through the slow path.
-fn epoch_lap_thrash(s: &ShardedShadow, t: ThreadId, cache: &mut OwnedCache) {
-    epoch_lap_private(s, t, cache);
-    s.clear(0);
-}
-
-/// Mixed alloc/free/access: a hot cached upper half plus a churn
-/// prefix of alloc-use-free granules (each freed granule's shadow is
-/// reset, bumping its region). Clears stay confined to the low
-/// regions; the hot half must stay cached under the region table.
-fn epoch_lap_mixed(s: &ShardedShadow, t: ThreadId, cache: &mut OwnedCache) {
-    for i in EPOCH_GRANULES / 2..EPOCH_GRANULES {
-        s.check_write_cached(i, t, cache).unwrap();
-    }
-    for i in 0..16 {
-        s.check_write(i, t).unwrap(); // alloc + use
-        s.clear(i); // free
-    }
-}
-
-/// Benches the six `epoch/*` rows into `g` (region vs global
-/// geometry on the private, thrash, and mixed patterns) and returns
-/// exact flush/miss counters from a deterministic side pass.
-pub fn epoch_rows(g: &mut sharc_testkit::Bench) -> Vec<EpochCounters> {
-    type Lap = fn(&ShardedShadow, ThreadId, &mut OwnedCache);
-    let rows: [(&'static str, bool, Lap); 6] = [
-        ("epoch/region-private", false, epoch_lap_private),
-        ("epoch/global-private", true, epoch_lap_private),
-        ("epoch/region-thrash", false, epoch_lap_thrash),
-        ("epoch/global-thrash", true, epoch_lap_thrash),
-        ("epoch/region-mixed", false, epoch_lap_mixed),
-        ("epoch/global-mixed", true, epoch_lap_mixed),
-    ];
-    let t = ThreadId(1);
-    let mut counters = Vec::new();
-    for (name, global, lap) in rows {
-        {
-            let s = epoch_shadow(global);
-            let mut cache: OwnedCache = OwnedCache::new();
-            g.bench(name, || lap(&s, t, &mut cache));
-        }
-        let s = epoch_shadow(global);
-        let mut cache: OwnedCache = OwnedCache::new();
-        for _ in 0..EPOCH_COUNTER_LAPS {
-            lap(&s, t, &mut cache);
-        }
-        counters.push(EpochCounters {
-            name,
-            flushes: cache.flushes,
-            misses: cache.misses,
-        });
-    }
-    counters
-}
-
-/// The `epoch-geom/r{R}-ws{WS}` grid: region count × working set on
-/// the Table 1 access shape the region table exists for — a hot
-/// private upper half (pfscan scan buffers, pbzip2 per-worker blocks)
-/// plus an alloc-use-free churn prefix whose clears bump epochs.
-/// With R = 1 every clear flushes the hot half's entries (the
-/// degenerate global epoch); as R grows the churn confines itself to
-/// the low regions until, past ~one region per churn granule, extra
-/// regions buy nothing — the knee that grounds `DEFAULT_REGIONS =
-/// 64`. Rows land in `BENCH_checker.json` with everything else.
-pub fn epoch_geometry_rows(g: &mut sharc_testkit::Bench) {
-    let t = ThreadId(1);
-    for &ws in &[64usize, 256, 1024] {
-        for &r in &[1usize, 16, 64, 256] {
-            let s =
-                ShardedShadow::with_geometry(ws, ShadowGeometry::default()).with_epoch_regions(r);
-            let mut cache: OwnedCache = OwnedCache::new();
-            let churn = (ws / 16).max(4);
-            g.bench(&format!("epoch-geom/r{r}-ws{ws}"), || {
-                for i in ws / 2..ws {
-                    s.check_write_cached(i, t, &mut cache).unwrap();
-                }
-                for i in 0..churn {
-                    s.check_write(i, t).unwrap(); // alloc + use
-                    s.clear(i); // free
-                }
-            });
-        }
-    }
-}
-
-/// Asserts the epoch-table perf claims: region-epoch ≥2× faster than
-/// global-epoch under thrash, and within noise of it on the no-clear
-/// private loop. Compared on per-row minima — the loops do constant
-/// work, so the fastest sample is the least noise-contaminated one
-/// and the comparison stays stable at CI's small sample counts.
-pub fn assert_epoch_wins(g: &sharc_testkit::Bench) {
-    let row_min = |name: &str| {
-        g.results()
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| s.min_ns)
-            .expect("epoch row ran")
-    };
-    let (rt, gt) = (
-        row_min("epoch/region-thrash"),
-        row_min("epoch/global-thrash"),
-    );
-    eprintln!("epoch thrash: region {rt} ns/lap vs global {gt} ns/lap (want >=2x)");
-    assert!(
-        rt * 2 <= gt,
-        "region-epoch must beat global-epoch >=2x under thrash ({rt} * 2 > {gt} ns)"
-    );
-    let (rp, gp) = (
-        row_min("epoch/region-private"),
-        row_min("epoch/global-private"),
-    );
-    eprintln!("epoch private: region {rp} ns/lap vs global {gp} ns/lap (want within noise)");
-    // Both laps do identical all-hit work; allow generous slack (2x
-    // plus a 2 us floor) so scheduler jitter cannot flake CI, while
-    // still catching a geometry-dependent fast-path regression.
-    assert!(
-        rp <= gp.saturating_mul(2).max(2_000),
-        "region-epoch private loop regressed vs global ({rp} ns vs {gp} ns)"
-    );
-}
-
 /// The ranged-cast acceptance gate on the `cast/*` rows: a block
 /// hand-off as ONE `RangeCast` + `clear_range` (one spine record, one
-/// epoch bump per covered region) must beat the per-granule
-/// `SharingCast` + `clear` loop by >= 4x on 4 KiB blocks, and the win
-/// must hold at 64 KiB — the ranged path's per-block overhead (one
-/// record, <= R region bumps) does not grow with block length, so a
-/// longer block can only widen the gap. Minima, not medians, for the
-/// same reason as every other gate here: constant-work loops, least
-/// noise-contaminated sample.
+/// word-at-a-time clear) must beat the per-granule `SharingCast` +
+/// `clear` loop by >= 4x on 4 KiB blocks, and the win must hold at
+/// 64 KiB — the ranged path's per-block overhead (one record) does not
+/// grow with block length, so a longer block can only widen the gap.
+/// Compared on per-row minima: the loops do constant work, so the
+/// fastest sample is the least noise-contaminated one and the
+/// comparison stays stable at CI's small sample counts.
 pub fn assert_ranged_cast_wins(g: &sharc_testkit::Bench) {
     let row_min = |name: &str| {
         g.results()
@@ -410,7 +243,7 @@ pub struct StunnelRow {
 /// contention on the session and counter locks. Returns the derived
 /// throughput records for the JSON document.
 pub fn stunnel_rows(g: &mut sharc_testkit::Bench, smoke: bool) -> Vec<StunnelRow> {
-    use sharc_runtime::{CachedChecked, Unchecked};
+    use sharc_runtime::{Checked, Unchecked};
     use sharc_workloads::benchmarks::stunnel::{run_native, Params};
 
     let shape = |clients: usize, workers: usize| Params {
@@ -438,7 +271,7 @@ pub fn stunnel_rows(g: &mut sharc_testkit::Bench, smoke: bool) -> Vec<StunnelRow
     let mut rows = Vec::new();
     for (name, params, checked) in specs {
         if checked {
-            g.bench(&name, || run_native::<CachedChecked>(&params));
+            g.bench(&name, || run_native::<Checked>(&params));
         } else {
             g.bench(&name, || run_native::<Unchecked>(&params));
         }
@@ -499,7 +332,7 @@ pub struct OnlineRow {
 /// rings rather than the trace having fit in them.
 pub fn online_rows(g: &mut sharc_testkit::Bench, smoke: bool) -> Vec<OnlineRow> {
     use sharc_checker::{BitmapBackend, ShadowGeometry, StreamingSink};
-    use sharc_runtime::CachedChecked;
+    use sharc_runtime::Checked;
     use sharc_workloads::benchmarks::{pbzip2, stunnel};
 
     let stunnel_params = stunnel::Params {
@@ -545,7 +378,7 @@ pub fn online_rows(g: &mut sharc_testkit::Bench, smoke: bool) -> Vec<OnlineRow> 
     let (rings, cap) = (4usize, 256usize);
     g.bench("online/stunnel-stream", || stunnel_stream(rings, cap));
     g.bench("online/stunnel-orig", || {
-        stunnel::run_native::<CachedChecked>(&stunnel_params)
+        stunnel::run_native::<Checked>(&stunnel_params)
     });
     let (_, stats) = stunnel_stream(rings, cap);
     rows.push(OnlineRow {
@@ -586,14 +419,13 @@ pub fn online_rows(g: &mut sharc_testkit::Bench, smoke: bool) -> Vec<OnlineRow> 
     rows
 }
 
-/// Asserts the streaming pipeline's two claims on the `online/*`
-/// rows. Memory: peak resident events stay under the ring budget,
-/// and the budget itself is a real constraint (the run recorded more
-/// events than the rings could ever hold at once). Throughput: the
-/// streamed stunnel fleet finishes within 1.25x of the untraced
-/// checked run — compared on per-row minima like
-/// [`assert_epoch_wins`], with a small absolute floor so scheduler
-/// jitter on CI cannot flake the gate.
+/// Asserts the streaming pipeline's memory claim on the `online/*`
+/// rows: peak resident events stay under the ring budget, the budget
+/// itself is a real constraint (the run recorded more events than the
+/// rings could ever hold at once), and the collector drained
+/// mid-stream. The streamed-vs-untraced stunnel wall-clock ratio is
+/// printed, not asserted: a wall-clock bound in CI fails on a busy
+/// host without saying anything about the code.
 pub fn assert_online_bounds(g: &sharc_testkit::Bench, rows: &[OnlineRow]) {
     for r in rows {
         assert!(
@@ -628,10 +460,9 @@ pub fn assert_online_bounds(g: &sharc_testkit::Bench, rows: &[OnlineRow]) {
         row_min("online/stunnel-stream"),
         row_min("online/stunnel-orig"),
     );
-    eprintln!("online stunnel: stream {sm} ns vs untraced {um} ns (want <=1.25x)");
-    assert!(
-        sm <= um.saturating_mul(5) / 4 + 2_000_000,
-        "streamed stunnel exceeded 1.25x of the untraced run ({sm} ns vs {um} ns)"
+    eprintln!(
+        "online stunnel: stream {sm} ns vs untraced {um} ns (min), {:.2}x",
+        sm as f64 / um.max(1) as f64
     );
 }
 
@@ -658,7 +489,7 @@ pub struct ElisionRow {
 
 /// Compiles each Table 1 workload's MiniC port and reads the elision
 /// summary off the checked program — a deterministic, timing-free
-/// pass, like the epoch counter pass.
+/// pass.
 pub fn elision_rows() -> Vec<ElisionRow> {
     use sharc_workloads::benchmarks::{aget, dillo, fftw, pbzip2, pfscan, stunnel};
     let sources: [(&'static str, &'static str); 6] = [
@@ -728,7 +559,7 @@ pub fn elision_vm_rows(g: &mut sharc_testkit::Bench) {
 /// the eliding build (no check instructions at all) must beat the
 /// fully-checked build — deleting a check statically is cheaper than
 /// any way of passing it dynamically. Compared on per-row minima like
-/// [`assert_epoch_wins`].
+/// [`assert_ranged_cast_wins`].
 pub fn assert_elision_wins(g: &sharc_testkit::Bench) {
     let row_min = |name: &str| {
         g.results()
@@ -757,8 +588,8 @@ pub fn assert_elision_wins(g: &sharc_testkit::Bench) {
 /// the full event vocabulary at server-fleet ratios — point accesses
 /// dominate, with ranges, lock triples, and casts mixed in. The
 /// xorshift `seed` makes the trace byte-identical across runs, and
-/// one band spans exactly one epoch region at the default geometry,
-/// so the parallel partition is balanced by construction.
+/// one band spans exactly one parallel-replay region, so the parallel
+/// partition is balanced by construction.
 pub fn synthetic_spine_trace(
     events: usize,
     threads: u32,
@@ -959,13 +790,11 @@ pub fn assert_trace_wins(g: &sharc_testkit::Bench, row: &TraceRow) {
 }
 
 /// Writes `BENCH_checker.json` at the repo root: the standard bench
-/// document augmented with the exact `flushes`/`misses` counters,
-/// the stunnel fleet's derived throughput records, the streaming
-/// pipeline's memory accounting, and the per-workload static elision
-/// percentages, so the bench trajectory is recorded across PRs.
+/// document augmented with the stunnel fleet's derived throughput
+/// records, the streaming pipeline's memory accounting, the
+/// per-workload static elision percentages, and the trace sizes.
 pub fn write_checker_json_at_repo_root(
     g: &sharc_testkit::Bench,
-    counters: &[EpochCounters],
     stunnel: &[StunnelRow],
     online: &[OnlineRow],
     elision: &[ElisionRow],
@@ -973,19 +802,6 @@ pub fn write_checker_json_at_repo_root(
 ) {
     use sharc_testkit::Json;
     let mut doc = g.to_json();
-    let arr = Json::Arr(
-        counters
-            .iter()
-            .map(|c| {
-                Json::obj([
-                    ("name", Json::Str(c.name.to_string())),
-                    ("laps", Json::Int(EPOCH_COUNTER_LAPS as i64)),
-                    ("flushes", Json::Int(c.flushes as i64)),
-                    ("misses", Json::Int(c.misses as i64)),
-                ])
-            })
-            .collect(),
-    );
     let stunnel_arr = Json::Arr(
         stunnel
             .iter()
@@ -1048,7 +864,6 @@ pub fn write_checker_json_at_repo_root(
             .collect(),
     );
     if let Json::Obj(pairs) = &mut doc {
-        pairs.push(("counters".to_string(), arr));
         pairs.push(("stunnel".to_string(), stunnel_arr));
         pairs.push(("online".to_string(), online_arr));
         pairs.push(("elision".to_string(), elision_arr));
@@ -1087,46 +902,6 @@ mod tests {
         let (_, c3) = scan_workload_baseline(2, 32, 3);
         assert_eq!(c1, c2);
         assert_eq!(c1, c3);
-    }
-
-    #[test]
-    fn epoch_counter_pass_shows_region_dominance() {
-        // The deterministic side pass behind BENCH_checker.json's
-        // `counters`: on every pattern the region table discards no
-        // more entries and misses no more often than the global one.
-        let t = ThreadId(1);
-        type Lap = fn(&ShardedShadow, ThreadId, &mut OwnedCache);
-        let laps: [(&str, Lap); 3] = [
-            ("private", epoch_lap_private),
-            ("thrash", epoch_lap_thrash),
-            ("mixed", epoch_lap_mixed),
-        ];
-        for (pat, lap) in laps {
-            let run = |global: bool| {
-                let s = epoch_shadow(global);
-                let mut c: OwnedCache = OwnedCache::new();
-                for _ in 0..EPOCH_COUNTER_LAPS {
-                    lap(&s, t, &mut c);
-                }
-                (c.flushes, c.misses)
-            };
-            let (rf, rm) = run(false);
-            let (gf, gm) = run(true);
-            assert!(rf <= gf, "{pat}: region flushes {rf} > global {gf}");
-            assert!(rm <= gm, "{pat}: region misses {rm} > global {gm}");
-        }
-        // And the thrash pattern specifically must show the point:
-        // a point clear costs one region's granules under the region
-        // table, the whole table under the global one.
-        let thrash = |global: bool| {
-            let s = epoch_shadow(global);
-            let mut c: OwnedCache = OwnedCache::new();
-            for _ in 0..EPOCH_COUNTER_LAPS {
-                epoch_lap_thrash(&s, t, &mut c);
-            }
-            c.misses
-        };
-        assert!(thrash(false) * 2 < thrash(true));
     }
 
     #[test]

@@ -16,18 +16,10 @@
 //!   trace files) speaks, and a [`replay`] driver so one seeded
 //!   execution can be judged by any engine (SharC's own bitmap here;
 //!   Eraser locksets and vector clocks in `sharc-detectors`).
-//! * [`cache`] — the owned-granule epoch cache: a per-thread
-//!   set-associative table that skips the CAS entirely on repeated
-//!   private accesses (the common case in pfscan/pbzip2-style
-//!   workloads). See the module docs for the soundness invariants.
 //! * [`geometry`] — [`ShadowGeometry`]: how many 63-thread bitmap
 //!   shards back each granule ([`step::sharded`] is the matching
 //!   transition function). This is what lifts the paper's 63-thread
 //!   cap without forgetting reader identities.
-//! * [`epoch`] — [`EpochTable`]: per-region epoch counters so a
-//!   `free`/cast/clear invalidates only the cache entries whose
-//!   region actually changed, instead of flushing every thread's
-//!   whole cache. `R = 1` degenerates to the old global epoch.
 //! * [`sink`] — the [`EventSink`] consumer interface native
 //!   workloads emit into, with [`EventLog`] (record-then-replay,
 //!   with append/contention counters) as the compat sink.
@@ -47,9 +39,14 @@
 //!   10⁷–10⁸-event runs practical to keep and re-judge.
 //! * [`parallel`] — [`ParallelReplay`]: region-sharded parallel
 //!   replay over N worker threads, each running [`apply_event`]
-//!   against its own backend on a disjoint set of
-//!   [`EpochTable::region_of`] granule regions, with sync events
-//!   broadcast; merged conflicts are bit-identical to [`replay`].
+//!   against its own backend on a disjoint set of granule regions,
+//!   with sync events broadcast; merged conflicts are bit-identical
+//!   to [`replay`].
+//!
+//! There is no second copy of the shadow state: §4.2 keeps one
+//! bitmap word per granule and no cache, and so does this crate. A
+//! thread's "is this access already mine?" is answered by the shadow
+//! words themselves ([`step::range::recorded`]).
 //!
 //! ## The granule constant
 //!
@@ -62,8 +59,6 @@
 
 pub mod backend;
 pub mod btrace;
-pub mod cache;
-pub mod epoch;
 pub mod geometry;
 pub mod parallel;
 pub mod sink;
@@ -76,18 +71,25 @@ pub use backend::{
     BitmapBackend, CheckBackend, CheckEvent, CheckKind, Conflict, HeldLocks, Verdict,
 };
 pub use btrace::{is_binary as is_binary_trace, parse_binary, to_binary, BinaryTraceReader};
-pub use cache::{OwnedCache, RUN_SLOTS};
-pub use epoch::{EpochTable, DEFAULT_REGIONS};
 pub use geometry::{ShadowGeometry, THREADS_PER_SHARD};
 pub use parallel::ParallelReplay;
 pub use sink::{recording_tid, EventLog, EventSink};
-pub use step::range::RangeStep;
 pub use step::{Access, Transition};
 pub use stream::{StreamStats, StreamingSink};
 pub use trace::{
     keyword as event_keyword, parse_text as parse_trace, to_text as trace_to_text,
     MAX_TRACE_SHADOW_BYTES,
 };
+
+/// Kept for `benchmark/`: a stateless stand-in for the deleted owned cache.
+#[derive(Debug, Default)]
+pub struct OwnedCache;
+
+impl OwnedCache {
+    pub fn new() -> Self {
+        OwnedCache
+    }
+}
 
 /// Bytes of payload memory covered by one shadow granule (§4.2.1:
 /// "for every 16 bytes of memory, SharC maintains n additional

@@ -19,9 +19,9 @@
 //! lowering" of the region-sharded design):
 //!
 //! * **granule events** (`read`/`write`/`cast`/`alloc`) go to the one
-//!   worker that owns the granule's region — the same
-//!   [`EpochTable::region_of`] block map the owned-granule cache
-//!   invalidates by, taken modulo the worker count;
+//!   worker that owns the granule's region — at most 64 contiguous
+//!   power-of-two blocks over the trace's granule span, taken modulo
+//!   the worker count;
 //! * **range events** are split at region-block boundaries and each
 //!   worker applies only the sub-ranges it owns ([`apply_event`]
 //!   already defines a range as exactly its per-granule expansion,
@@ -50,34 +50,35 @@
 //! alike.
 
 use crate::backend::{apply_event, replay, trace_granule_span, CheckBackend, CheckEvent, Conflict};
-use crate::epoch::EpochTable;
 
-/// The region→worker map: [`EpochTable`]'s block geometry over the
-/// trace's granule span, taken modulo the worker count. Granules past
-/// the span wrap like the epoch table wraps — still a pure function,
-/// so the partition stays a partition.
+/// Most regions a trace's granule span is cut into.
+const MAX_REGIONS: usize = 64;
+
+/// The region→worker map: the granule span cut into at most
+/// [`MAX_REGIONS`] contiguous blocks of `1 << shift` granules (region
+/// `(g >> shift) & mask`), taken modulo the worker count. Granules
+/// past the span wrap onto earlier regions — still a pure function, so
+/// the partition stays a partition.
 struct Partition {
-    regions: EpochTable,
+    shift: u32,
+    mask: usize,
     jobs: usize,
-    /// Granules per region block (`1 << region_shift`), for walking
-    /// range events one block at a time.
-    block: usize,
 }
 
 impl Partition {
     fn new(span: usize, jobs: usize) -> Self {
-        let regions = EpochTable::for_granules(span.max(1));
-        let block = (span.max(1).div_ceil(regions.regions())).next_power_of_two();
+        let span = span.max(1);
+        let regions = MAX_REGIONS.min(span.next_power_of_two());
         Partition {
-            regions,
+            shift: span.div_ceil(regions).next_power_of_two().trailing_zeros(),
+            mask: regions - 1,
             jobs,
-            block,
         }
     }
 
     #[inline]
     fn worker_of(&self, granule: usize) -> usize {
-        self.regions.region_of(granule) % self.jobs
+        ((granule >> self.shift) & self.mask) % self.jobs
     }
 }
 
@@ -242,7 +243,7 @@ fn owned_runs(
     len: usize,
 ) -> impl Iterator<Item = (usize, usize)> + '_ {
     let end = granule + len;
-    let block = part.block;
+    let block = 1 << part.shift;
     let mut g = granule;
     std::iter::from_fn(move || {
         while g < end {

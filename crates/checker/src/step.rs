@@ -20,8 +20,9 @@
 //! The contract shared by both encodings: **a conflicting access
 //! does not modify the shadow word.** This is what the paper's
 //! runtime does (the check aborts/logs before the update), and it is
-//! also the invariant the owned-granule epoch cache relies on (see
-//! [`crate::cache`]).
+//! also what lets a thread's own shadow word answer "is this access
+//! already recorded for me?" (see [`range`]): once set, a thread's
+//! bits change only by its own transitions or by a clear.
 
 /// Whether an access is a read or a write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -376,47 +377,22 @@ pub mod sharded {
     }
 }
 
-/// Ranged classification: one sweep over a contiguous granule run.
+/// The *recorded* predicates: the pure half of every fast path that
+/// skips a granule.
 ///
-/// SharC's §4.2 checks are defined per 16-byte granule, and until PR 5
-/// every bulk copy or scan paid the full snapshot→step→CAS pipeline
-/// `len` times even when every granule was already recorded for the
-/// accessing thread. This module is the pure half of the ranged fast
-/// path: a per-word *recorded* predicate (true exactly when
-/// [`bitmap::step`] / [`sharded::step`] would return `Unchanged`, i.e.
-/// the access is legal **and** the shadow word needs no update) and a
-/// run classifier that sweeps a snapshot slice word-at-a-time.
-///
-/// ## The fold contract
-///
-/// **A range verdict equals the fold of per-granule verdicts.** The
-/// classifier never invents a verdict of its own: it either proves
-/// every granule is `Unchanged` (so the per-granule loop would have
-/// passed without installing anything) or it stops at the *first*
-/// granule needing a state transition and reports its index, leaving
-/// that granule — and everything after it — to the per-granule `step`
-/// the runtime wrappers already run. Boundary granules, granules
-/// still needing their first-contact install, and conflicts all take
-/// the fallback; only the provably-silent prefix is skipped. The
-/// tests in this module (and the engine differential in
-/// `tests/checker_differential.rs`) pin the equivalence.
+/// SharC's §4.2 checks are defined per 16-byte granule. Each predicate
+/// here is true exactly when [`bitmap::step`] / [`sharded::step`]
+/// would return `Unchanged` — the access is legal **and** the shadow
+/// word needs no update — so a caller that skips such a granule does
+/// exactly what the per-granule step would have done. That is the
+/// **fold contract** of the runtime's ranged sweeps: a range verdict
+/// equals the fold of per-granule verdicts, because only granules the
+/// step would leave silent are skipped. The tests in this module (and
+/// the engine differential in `tests/checker_differential.rs`) pin the
+/// equivalence.
 pub mod range {
-    use super::{adaptive, bitmap, sharded, Access, Transition};
+    use super::{bitmap, sharded, Access, Transition};
     use crate::geometry::ShadowGeometry;
-
-    /// Classification of a contiguous granule run against a snapshot
-    /// of its shadow words.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RangeStep {
-        /// Every granule in the run already records the access for the
-        /// thread: the whole-range verdict is pass, nothing to install.
-        AllRecorded,
-        /// Granules `0 .. first` (relative to the run) are recorded;
-        /// granule `first` needs a per-granule transition (an install
-        /// or a conflict — the classifier does not distinguish, the
-        /// fallback `step` will).
-        Partial { first: usize },
-    }
 
     /// True iff `bitmap::step(word, tid, access)` would return
     /// [`Transition::Unchanged`]: the access is legal and already
@@ -450,15 +426,6 @@ pub mod range {
         hit
     }
 
-    /// The [`adaptive`] analogue of [`recorded`]: true iff
-    /// `adaptive::step(word, tid, access)` is `Unchanged` (the granule
-    /// is `EXCL(tid)` for writes; `EXCL(tid)`/`READ1(tid)`/
-    /// `SHARED_READ` for reads).
-    #[inline]
-    pub fn recorded_adaptive(word: u64, tid: u32, access: Access) -> bool {
-        adaptive::step(word, tid, access) == Transition::Unchanged
-    }
-
     /// The [`sharded`] analogue of [`recorded`] over one granule's
     /// snapshot (`words.len() == geom.words_per_granule()`): true iff
     /// `sharded::step` is `Unchanged` — the thread's own word records
@@ -466,38 +433,6 @@ pub mod range {
     #[inline]
     pub fn recorded_sharded(words: &[u64], geom: ShadowGeometry, tid: u32, access: Access) -> bool {
         sharded::step(words, geom, tid, access) == sharded::ShardStep::Unchanged
-    }
-
-    /// Classifies a run of single-word granules in one sweep.
-    /// `words[i]` is the snapshot of granule `start + i`'s shadow
-    /// word; the result speaks in the same relative indices.
-    #[inline]
-    pub fn classify(words: &[u64], tid: u32, access: Access) -> RangeStep {
-        match words.iter().position(|&w| !recorded(w, tid, access)) {
-            None => RangeStep::AllRecorded,
-            Some(first) => RangeStep::Partial { first },
-        }
-    }
-
-    /// Classifies a run of sharded granules: `words` is the
-    /// concatenation of per-granule snapshots, each
-    /// `geom.words_per_granule()` wide.
-    #[inline]
-    pub fn classify_sharded(
-        words: &[u64],
-        geom: ShadowGeometry,
-        tid: u32,
-        access: Access,
-    ) -> RangeStep {
-        let stride = geom.words_per_granule();
-        debug_assert_eq!(words.len() % stride, 0, "whole granule snapshots");
-        match words
-            .chunks_exact(stride)
-            .position(|snap| !recorded_sharded(snap, geom, tid, access))
-        {
-            None => RangeStep::AllRecorded,
-            Some(first) => RangeStep::Partial { first },
-        }
     }
 }
 
@@ -532,9 +467,9 @@ mod tests {
 
     #[test]
     fn bitmap_conflict_does_not_modify() {
-        // The invariant the epoch cache depends on: a conflicting
-        // access yields no Install, so an exclusive owner's word is
-        // stable until an explicit clear.
+        // The invariant the own-word `recorded` test depends on: a
+        // conflicting access yields no Install, so an exclusive
+        // owner's word is stable until an explicit clear.
         let Transition::Install(w) = bitmap::step(0, 1, Access::Write) else {
             panic!("first write installs");
         };
@@ -748,9 +683,7 @@ mod tests {
         assert_eq!(adaptive::clear_thread(w, 9), 0);
     }
 
-    // ----- ranged classification -----
-
-    use range::RangeStep;
+    // ----- recorded predicates -----
 
     /// Exhaustive-ish word soup: every interesting bitmap shape for
     /// tids 1..=3 (empty, sole reader, reader crowd, exclusive owner,
@@ -779,83 +712,27 @@ mod tests {
                         bitmap::step(w, tid, acc) == Transition::Unchanged,
                         "word {w:#x} tid {tid} {acc:?}"
                     );
-                    assert_eq!(
-                        range::recorded_adaptive(w & 0x7, tid, acc),
-                        adaptive::step(w & 0x7, tid, acc) == Transition::Unchanged,
-                    );
                 }
             }
         }
     }
 
     #[test]
-    fn classify_is_the_fold_of_per_granule_steps() {
-        // Every 4-granule run drawn from the zoo: the classifier must
-        // report AllRecorded exactly when every per-granule step is
-        // Unchanged, and otherwise name the *first* non-Unchanged
-        // granule — the fold contract.
-        let zoo = word_zoo();
-        for a in 0..zoo.len() {
-            for b in 0..zoo.len() {
-                for c in 0..zoo.len() {
-                    let words = [zoo[a], zoo[b], zoo[c]];
-                    for tid in 1..=3u32 {
-                        for acc in [Access::Read, Access::Write] {
-                            let fold = words
-                                .iter()
-                                .position(|&w| bitmap::step(w, tid, acc) != Transition::Unchanged);
-                            let want = match fold {
-                                None => RangeStep::AllRecorded,
-                                Some(first) => RangeStep::Partial { first },
-                            };
-                            assert_eq!(range::classify(&words, tid, acc), want);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn classify_sharded_walks_granule_snapshots() {
+    fn recorded_sharded_reads_whole_granule_snapshots() {
         let geom = ShadowGeometry::for_threads(128);
-        let stride = geom.words_per_granule();
-        // Three granules: owned by 70, owned by 70, owned by 1.
-        let mut words = vec![0u64; 3 * stride];
-        for g in 0..3 {
-            let tid = if g == 2 { 1 } else { 70 };
-            let snap = &mut words[g * stride..(g + 1) * stride];
-            if let ShardStep::Install { index, word } =
-                sharded::step(snap, geom, tid, Access::Write)
-            {
-                snap[index] = word;
-            }
-        }
-        assert_eq!(
-            range::classify_sharded(&words, geom, 70, Access::Write),
-            RangeStep::Partial { first: 2 },
-            "granule 2 belongs to tid 1"
-        );
-        assert_eq!(
-            range::classify_sharded(&words[..2 * stride], geom, 70, Access::Write),
-            RangeStep::AllRecorded
-        );
-        assert_eq!(
-            range::classify_sharded(&words, geom, 1, Access::Read),
-            RangeStep::Partial { first: 0 },
-            "cross-shard writer blocks immediately"
+        let mut owned = vec![0u64; geom.words_per_granule()];
+        apply(&mut owned, geom, 70, Access::Write);
+        assert!(range::recorded_sharded(&owned, geom, 70, Access::Write));
+        assert!(range::recorded_sharded(&owned, geom, 70, Access::Read));
+        assert!(
+            !range::recorded_sharded(&owned, geom, 1, Access::Read),
+            "cross-shard writer blocks"
         );
         // SHARED_READ in the overflow word: reads are recorded for any
         // overflow tid, writes are not.
-        let mut ov = vec![0u64; stride];
+        let mut ov = vec![0u64; geom.words_per_granule()];
         ov[geom.overflow_index()] = adaptive::pack(adaptive::TAG_SHARED, 0);
-        assert_eq!(
-            range::classify_sharded(&ov, geom, 5000, Access::Read),
-            RangeStep::AllRecorded
-        );
-        assert_eq!(
-            range::classify_sharded(&ov, geom, 5000, Access::Write),
-            RangeStep::Partial { first: 0 }
-        );
+        assert!(range::recorded_sharded(&ov, geom, 5000, Access::Read));
+        assert!(!range::recorded_sharded(&ov, geom, 5000, Access::Write));
     }
 }

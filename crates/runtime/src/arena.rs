@@ -111,23 +111,16 @@ impl<P: WordProtocol> Arena<P> {
         self.data[i].store(v, Ordering::Relaxed);
     }
 
-    /// The check half of every per-word dynamic access, through the
-    /// owned cache or not: count it, emit it, judge it, log a newly
-    /// set bit for exit-time clearing. Conflicts are counted in `ctx`
-    /// (logging mode) rather than aborting, like the tool's default
-    /// reporting behaviour.
+    /// The check half of every per-word dynamic access: count it, emit
+    /// it, judge it, log a newly set bit for exit-time clearing.
+    /// Conflicts are counted in `ctx` (logging mode) rather than
+    /// aborting, like the tool's default reporting behaviour.
     #[inline]
-    fn check_word<const CACHED: bool>(&self, ctx: &mut ThreadCtx, i: usize, access: Access) {
+    fn check_word(&self, ctx: &mut ThreadCtx, i: usize, access: Access) {
         ctx.checked_accesses += 1;
         let g = i / GRANULE_WORDS;
         ctx.emit_access(g, access.is_write());
-        let verdict = if CACHED {
-            self.shadow
-                .check_cached(g, ctx.tid, access, &mut ctx.owned_cache)
-        } else {
-            self.shadow.check(g, ctx.tid, access)
-        };
-        match verdict {
+        match self.shadow.check(g, ctx.tid, access) {
             Ok(true) => ctx.access_log.note(g),
             Ok(false) => {}
             Err(_) => ctx.conflicts += 1,
@@ -140,57 +133,28 @@ impl<P: WordProtocol> Arena<P> {
     /// [`crate::Shadow::check_range`]), but conflicts are counted
     /// **per granule**, not per word: a per-word loop re-reports a
     /// conflicting granule for every word that touches it.
-    fn check_words<const CACHED: bool>(
-        &self,
-        ctx: &mut ThreadCtx,
-        start: usize,
-        words: usize,
-        access: Access,
-    ) {
+    fn check_words(&self, ctx: &mut ThreadCtx, start: usize, words: usize, access: Access) {
         ctx.checked_accesses += words as u64;
         let (g0, glen) = granule_span(start, words);
         ctx.emit_range(g0, glen, access.is_write());
         let (tid, log) = (ctx.tid, &mut ctx.access_log);
-        ctx.conflicts += if CACHED {
-            let cache = &mut ctx.owned_cache;
-            self.shadow
-                .check_range_cached(g0, glen, tid, access, cache, |g| log.note(g), |_| {})
-        } else {
-            self.shadow
-                .check_range(g0, glen, tid, access, |g| log.note(g), |_| {})
-        };
+        ctx.conflicts += self
+            .shadow
+            .check_range(g0, glen, tid, access, |g| log.note(g), |_| {});
     }
 
     /// A dynamic-mode read: `chkread` on the word's granule, then the
     /// load.
     #[inline]
     pub fn read_checked(&self, ctx: &mut ThreadCtx, i: usize) -> u64 {
-        self.check_word::<false>(ctx, i, Access::Read);
+        self.check_word(ctx, i, Access::Read);
         self.data[i].load(Ordering::Acquire)
     }
 
     /// A dynamic-mode write: `chkwrite`, then the store.
     #[inline]
     pub fn write_checked(&self, ctx: &mut ThreadCtx, i: usize, v: u64) {
-        self.check_word::<false>(ctx, i, Access::Write);
-        self.data[i].store(v, Ordering::Release);
-    }
-
-    /// [`Arena::read_checked`] through the owned-granule epoch cache
-    /// (see [`crate::Shadow::check_cached`]): repeated private reads
-    /// skip the atomic shadow check.
-    #[inline]
-    pub fn read_cached(&self, ctx: &mut ThreadCtx, i: usize) -> u64 {
-        self.check_word::<true>(ctx, i, Access::Read);
-        self.data[i].load(Ordering::Acquire)
-    }
-
-    /// [`Arena::write_checked`] through the owned-granule epoch
-    /// cache: a cached exclusive owner pays one relaxed load and one
-    /// array probe instead of the CAS protocol.
-    #[inline]
-    pub fn write_cached(&self, ctx: &mut ThreadCtx, i: usize, v: u64) {
-        self.check_word::<true>(ctx, i, Access::Write);
+        self.check_word(ctx, i, Access::Write);
         self.data[i].store(v, Ordering::Release);
     }
 
@@ -202,9 +166,15 @@ impl<P: WordProtocol> Arena<P> {
         ctx: &mut ThreadCtx,
         start: usize,
         words: usize,
-        each: impl FnMut(usize, u64),
+        mut each: impl FnMut(usize, u64),
     ) {
-        self.read_words::<false>(ctx, start, words, each);
+        if words == 0 {
+            return;
+        }
+        self.check_words(ctx, start, words, Access::Read);
+        for i in start..start + words {
+            each(i, self.data[i].load(Ordering::Acquire));
+        }
     }
 
     /// A dynamic-mode **ranged** write: one `chkwrite` over the
@@ -214,63 +184,12 @@ impl<P: WordProtocol> Arena<P> {
         ctx: &mut ThreadCtx,
         start: usize,
         words: usize,
-        value: impl FnMut(usize) -> u64,
-    ) {
-        self.write_words::<false>(ctx, start, words, value);
-    }
-
-    /// [`Arena::read_range_checked`] through the owned-**run** cache:
-    /// a repeat sweep over a run this thread already owns costs one
-    /// epoch-stamp compare for the whole buffer (see
-    /// [`sharc_checker::cache`]'s run slots).
-    pub fn read_range_cached(
-        &self,
-        ctx: &mut ThreadCtx,
-        start: usize,
-        words: usize,
-        each: impl FnMut(usize, u64),
-    ) {
-        self.read_words::<true>(ctx, start, words, each);
-    }
-
-    /// [`Arena::write_range_checked`] through the owned-run cache.
-    pub fn write_range_cached(
-        &self,
-        ctx: &mut ThreadCtx,
-        start: usize,
-        words: usize,
-        value: impl FnMut(usize) -> u64,
-    ) {
-        self.write_words::<true>(ctx, start, words, value);
-    }
-
-    fn read_words<const CACHED: bool>(
-        &self,
-        ctx: &mut ThreadCtx,
-        start: usize,
-        words: usize,
-        mut each: impl FnMut(usize, u64),
-    ) {
-        if words == 0 {
-            return;
-        }
-        self.check_words::<CACHED>(ctx, start, words, Access::Read);
-        for i in start..start + words {
-            each(i, self.data[i].load(Ordering::Acquire));
-        }
-    }
-
-    fn write_words<const CACHED: bool>(
-        &self,
-        ctx: &mut ThreadCtx,
-        start: usize,
-        words: usize,
         mut value: impl FnMut(usize) -> u64,
     ) {
         if words == 0 {
             return;
         }
-        self.check_words::<CACHED>(ctx, start, words, Access::Write);
+        self.check_words(ctx, start, words, Access::Write);
         for i in start..start + words {
             self.data[i].store(value(i), Ordering::Release);
         }
@@ -278,8 +197,7 @@ impl<P: WordProtocol> Arena<P> {
 
     /// Clears the shadow state covering `words` starting at `start`
     /// (used by `free` and after successful sharing casts): ONE
-    /// word-level ranged clear with a single epoch bump per covered
-    /// region, not a per-granule loop.
+    /// word-level ranged clear, not a per-granule loop.
     pub fn clear_range(&self, start: usize, words: usize) {
         if words == 0 {
             return;
@@ -294,7 +212,6 @@ impl<P: WordProtocol> Arena<P> {
     /// clear per contiguous footprint.
     pub fn thread_exit(&self, ctx: &mut ThreadCtx) {
         let tid = ctx.tid;
-        ctx.owned_cache.invalidate_all();
         for (start, end) in ctx.access_log.drain_merged() {
             self.shadow.clear_thread_range(start, end - start, tid);
         }
@@ -435,51 +352,6 @@ impl AccessPolicy for Checked {
     }
 }
 
-/// SharC dynamic-mode checking through the owned-granule epoch cache
-/// fast path — same verdicts as [`Checked`], cheaper steady state on
-/// thread-private data. Repeat sweeps hit the owned-run summaries on
-/// every arena; per-word accesses consult the cache only where the
-/// shadow's protocol says it pays ([`WordProtocol::OWNED_CACHE`]) and
-/// are [`Checked`]'s otherwise.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CachedChecked;
-
-impl AccessPolicy for CachedChecked {
-    const NAME: &'static str = "sharc-cached";
-    #[inline(always)]
-    fn read<P: WordProtocol>(arena: &Arena<P>, ctx: &mut ThreadCtx, i: usize) -> u64 {
-        ctx.total_accesses += 1;
-        arena.read_cached(ctx, i)
-    }
-    #[inline(always)]
-    fn write<P: WordProtocol>(arena: &Arena<P>, ctx: &mut ThreadCtx, i: usize, v: u64) {
-        ctx.total_accesses += 1;
-        arena.write_cached(ctx, i, v);
-    }
-    #[inline]
-    fn read_range<P: WordProtocol>(
-        arena: &Arena<P>,
-        ctx: &mut ThreadCtx,
-        start: usize,
-        words: usize,
-        each: &mut dyn FnMut(usize, u64),
-    ) {
-        ctx.total_accesses += words as u64;
-        arena.read_range_cached(ctx, start, words, each);
-    }
-    #[inline]
-    fn write_range<P: WordProtocol>(
-        arena: &Arena<P>,
-        ctx: &mut ThreadCtx,
-        start: usize,
-        words: usize,
-        value: &mut dyn FnMut(usize) -> u64,
-    ) {
-        ctx.total_accesses += words as u64;
-        arena.write_range_cached(ctx, start, words, value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,12 +395,9 @@ mod tests {
         coalesced_thread_exit_matches_per_granule_clear,
         false_sharing_at_16_byte_granularity,
         policies_are_equivalent_functionally,
-        cached_policy_matches_checked_verdicts,
-        cached_policy_sees_clear_range,
-        cached_policy_survives_unrelated_free,
         ranged_sweep_data_and_verdicts_match_per_word_loop,
         ranged_sweep_counts_conflicting_granules_once,
-        cached_ranged_repeat_sweep_skips_the_shadow,
+        repeat_sweeps_are_clean_until_a_free_lets_a_thief_in,
         ranged_policies_agree_with_per_word_policies,
         ranged_sweeps_emit_range_events_that_replay_clean,
         concurrent_partitioned_checked_access_is_clean,
@@ -575,10 +444,10 @@ mod tests {
     fn thread_exit_enables_reuse<P: WordProtocol>(make: impl Fn(usize) -> Arena<P>, t: Tids) {
         let a = make(2);
         let mut c1 = ThreadCtx::new(t[1]);
-        a.write_cached(&mut c1, 0, 1);
+        a.write_checked(&mut c1, 0, 1);
         a.thread_exit(&mut c1);
         let mut c2 = ThreadCtx::new(t[2]);
-        a.write_cached(&mut c2, 0, 2);
+        a.write_checked(&mut c2, 0, 2);
         assert_eq!(c2.conflicts, 0, "exited writer's bits are gone");
     }
 
@@ -592,9 +461,12 @@ mod tests {
         }
         a.clear_range(0, 8);
         let mut c2 = ThreadCtx::new(t[3]);
-        a.read_range_cached(&mut c2, 0, 8, |_, _| {});
-        a.write_range_cached(&mut c2, 0, 8, |i| i as u64 + 1);
+        a.read_range_checked(&mut c2, 0, 8, |_, _| {});
+        a.write_range_checked(&mut c2, 0, 8, |i| i as u64 + 1);
         assert_eq!(c2.conflicts, 0);
+        // The old owner lost the buffer with the cast.
+        a.write_checked(&mut c1, 0, 9);
+        assert_eq!(c1.conflicts, 1);
     }
 
     fn coalesced_thread_exit_matches_per_granule_clear<P: WordProtocol>(
@@ -681,84 +553,9 @@ mod tests {
         let mut ctx = ThreadCtx::new(t[2]);
         assert_eq!(sum::<Unchecked, P>(&a, &mut ctx), 120);
         assert_eq!(sum::<Checked, P>(&a, &mut ctx), 120);
-        assert_eq!(sum::<CachedChecked, P>(&a, &mut ctx), 120);
-        assert_eq!(ctx.total_accesses, 96);
-        assert_eq!(ctx.checked_accesses, 64);
+        assert_eq!(ctx.total_accesses, 64);
+        assert_eq!(ctx.checked_accesses, 32);
         assert_eq!(ctx.conflicts, 0);
-    }
-
-    fn cached_policy_matches_checked_verdicts<P: WordProtocol>(
-        make: impl Fn(usize) -> Arena<P>,
-        t: Tids,
-    ) {
-        let a = make(16);
-        let mut c1 = ThreadCtx::new(t[0]);
-        for rep in 0..8 {
-            for i in 0..16 {
-                a.write_cached(&mut c1, i, rep);
-            }
-        }
-        assert_eq!(c1.conflicts, 0);
-        if P::OWNED_CACHE {
-            assert_eq!(
-                c1.owned_cache.misses,
-                16 / GRANULE_WORDS as u64,
-                "one fill per granule, every repeat on the fast path"
-            );
-        }
-        // Cross-thread conflict still observed by the slow path.
-        let mut c2 = ThreadCtx::new(t[1]);
-        a.write_cached(&mut c2, 0, 9);
-        assert_eq!(c2.conflicts, 1);
-    }
-
-    fn cached_policy_sees_clear_range<P: WordProtocol>(make: impl Fn(usize) -> Arena<P>, t: Tids) {
-        let a = make(4);
-        let mut c1 = ThreadCtx::new(t[0]);
-        a.write_cached(&mut c1, 0, 1);
-        a.clear_range(0, 4);
-        let mut c2 = ThreadCtx::new(t[1]);
-        a.write_cached(&mut c2, 0, 2);
-        assert_eq!(c2.conflicts, 0);
-        // Thread 1's cached ownership was invalidated by the clear:
-        // its next access runs the real check and conflicts with the
-        // new owner.
-        a.write_cached(&mut c1, 0, 3);
-        assert_eq!(c1.conflicts, 1);
-    }
-
-    fn cached_policy_survives_unrelated_free<P: WordProtocol>(
-        make: impl Fn(usize) -> Arena<P>,
-        t: Tids,
-    ) {
-        // 256 words = 128 granules over at least 64 regions: freeing
-        // the low granules must not flush a worker's cached ownership
-        // of the high granules (the cached-epoch-thrash worst case
-        // per-region epochs exist to fix).
-        let free_far_away = |a: &Arena<P>| {
-            let mut c1 = ThreadCtx::new(t[0]);
-            a.write_cached(&mut c1, 255, 1);
-            let fills = c1.owned_cache.misses;
-            a.clear_range(0, 2); // a distant free
-            a.write_cached(&mut c1, 255, 2);
-            assert_eq!(c1.conflicts, 0, "verdicts never change");
-            c1.owned_cache.misses - fills
-        };
-        assert_eq!(
-            free_far_away(&make(256)),
-            0,
-            "the distant free must not cost a refill"
-        );
-        // Same trace under the degenerate R = 1 table: the free
-        // flushes the cache, where there is one, and the next access
-        // refills.
-        let mut global = make(256);
-        global.shadow = global.shadow.with_epoch_regions(1);
-        assert_eq!(
-            free_far_away(&global),
-            P::OWNED_CACHE as u64,
-            "global epoch refills"
-        );
     }
 
     fn ranged_sweep_data_and_verdicts_match_per_word_loop<P: WordProtocol>(
@@ -809,31 +606,26 @@ mod tests {
         assert!(ctx2.conflicts >= 2, "per-word re-reports the granule");
     }
 
-    fn cached_ranged_repeat_sweep_skips_the_shadow<P: WordProtocol>(
+    fn repeat_sweeps_are_clean_until_a_free_lets_a_thief_in<P: WordProtocol>(
         make: impl Fn(usize) -> Arena<P>,
         t: Tids,
     ) {
         let a = make(256);
         let mut ctx = ThreadCtx::new(t[3]);
-        a.write_range_cached(&mut ctx, 0, 256, |i| i as u64);
-        let fills = ctx.owned_cache.misses;
+        a.write_range_checked(&mut ctx, 0, 256, |i| i as u64);
         for rep in 0..20 {
-            a.write_range_cached(&mut ctx, 0, 256, |i| i as u64 + rep);
+            a.write_range_checked(&mut ctx, 0, 256, |i| i as u64 + rep);
             let mut sum = 0u64;
-            a.read_range_cached(&mut ctx, 0, 256, |_, v| sum += v);
+            a.read_range_checked(&mut ctx, 0, 256, |_, v| sum += v);
         }
         assert_eq!(ctx.conflicts, 0);
-        assert_eq!(
-            ctx.owned_cache.misses, fills,
-            "every repeat sweep is one run-stamp compare"
-        );
-        // A free inside the buffer invalidates the run; the next
-        // sweep refills and still sees the new owner's conflict.
+        // A free inside the buffer hands granule 2 to a thief; the
+        // next sweep sees the new owner's conflict.
         a.clear_range(4, 2);
         let mut thief = ThreadCtx::new(t[0]);
         a.write_checked(&mut thief, 4, 1);
-        a.write_range_cached(&mut ctx, 0, 256, |i| i as u64);
-        assert_eq!(ctx.conflicts, 1, "stale run cannot hide the thief");
+        a.write_range_checked(&mut ctx, 0, 256, |i| i as u64);
+        assert_eq!(ctx.conflicts, 1, "the sweep cannot miss the thief");
     }
 
     fn ranged_policies_agree_with_per_word_policies<P: WordProtocol>(
@@ -850,9 +642,8 @@ mod tests {
         let mut ctx = ThreadCtx::new(t[1]);
         assert_eq!(sweep::<Unchecked, P>(&a, &mut ctx), 120);
         assert_eq!(sweep::<Checked, P>(&a, &mut ctx), 120);
-        assert_eq!(sweep::<CachedChecked, P>(&a, &mut ctx), 120);
         assert_eq!(ctx.conflicts, 0);
-        assert_eq!(ctx.total_accesses, 96);
+        assert_eq!(ctx.total_accesses, 64);
     }
 
     fn ranged_sweeps_emit_range_events_that_replay_clean<P: WordProtocol>(
@@ -865,7 +656,7 @@ mod tests {
         let mut ctx = ThreadCtx::with_sink(t[3], log.clone());
         a.write_range_checked(&mut ctx, 0, 8, |i| i as u64);
         a.read_range_checked(&mut ctx, 0, 8, |_, _| {});
-        CachedChecked::write(&a, &mut ctx, 0, 42);
+        Checked::write(&a, &mut ctx, 0, 42);
         a.thread_exit(&mut ctx);
         let (granule, len) = (0, 4);
         let evs = log.snapshot();
@@ -920,7 +711,6 @@ mod tests {
             start: usize,
             words: usize,
             access: Access,
-            cached: bool,
         },
         Cast {
             start: usize,
@@ -946,15 +736,15 @@ mod tests {
                 .map(|&(start, words)| (start, words.min(WORDS - start)))
         };
         let who = || gen::usize_range(0..3);
-        let access = gen::triple(who(), span(), gen::pair(gen::bool_any(), gen::bool_any())).map(
-            |&(who, (start, words), (write, cached))| LogOp::Access {
-                who,
-                start,
-                words,
-                access: if write { Access::Write } else { Access::Read },
-                cached,
-            },
-        );
+        let access =
+            gen::triple(who(), span(), gen::bool_any()).map(|&(who, (start, words), write)| {
+                LogOp::Access {
+                    who,
+                    start,
+                    words,
+                    access: if write { Access::Write } else { Access::Read },
+                }
+            });
         let ops = gen::one_of(vec![
             access.clone(),
             access.clone(),
@@ -977,25 +767,16 @@ mod tests {
                             start,
                             words,
                             access,
-                            cached,
                         } => {
                             let ctx = &mut ctxs[who];
-                            match (words, access, cached) {
-                                (1, Access::Read, false) => drop(a.read_checked(ctx, start)),
-                                (1, Access::Read, true) => drop(a.read_cached(ctx, start)),
-                                (1, Access::Write, false) => a.write_checked(ctx, start, 0),
-                                (1, Access::Write, true) => a.write_cached(ctx, start, 0),
-                                (_, Access::Read, false) => {
+                            match (words, access) {
+                                (1, Access::Read) => drop(a.read_checked(ctx, start)),
+                                (1, Access::Write) => a.write_checked(ctx, start, 0),
+                                (_, Access::Read) => {
                                     a.read_range_checked(ctx, start, words, |_, _| {})
                                 }
-                                (_, Access::Read, true) => {
-                                    a.read_range_cached(ctx, start, words, |_, _| {})
-                                }
-                                (_, Access::Write, false) => {
+                                (_, Access::Write) => {
                                     a.write_range_checked(ctx, start, words, |_| 0)
-                                }
-                                (_, Access::Write, true) => {
-                                    a.write_range_cached(ctx, start, words, |_| 0)
                                 }
                             }
                             let (g0, glen) = granule_span(start, words);
@@ -1071,7 +852,7 @@ mod tests {
         let mut longest = 0;
         for round in 0..1_000_000u64 {
             for i in 0..BLOCK_WORDS {
-                a.write_cached(&mut ctx, i, round);
+                a.write_checked(&mut ctx, i, round);
             }
             a.clear_range(0, BLOCK_WORDS);
             longest = longest.max(ctx.access_log.len());

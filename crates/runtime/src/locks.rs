@@ -8,7 +8,6 @@
 
 use crate::events::EventSink;
 use crate::shadow::ThreadId;
-use sharc_checker::OwnedCache;
 use sharc_testkit::sync::RawMutex;
 use std::sync::Arc;
 
@@ -132,10 +131,6 @@ pub struct ThreadCtx {
     pub checked_accesses: u64,
     /// All accesses performed through this context.
     pub total_accesses: u64,
-    /// The per-thread owned-granule epoch cache: repeated private
-    /// accesses hit here and skip the shadow CAS entirely (see
-    /// [`sharc_checker::OwnedCache`] for the soundness invariants).
-    pub owned_cache: OwnedCache,
     /// When set, every checked access through this context is also
     /// recorded into the shared [`EventSink`] — the native-execution
     /// event spine that lets `sharc run --detector` and the bench
@@ -156,7 +151,6 @@ impl ThreadCtx {
             conflicts: 0,
             checked_accesses: 0,
             total_accesses: 0,
-            owned_cache: OwnedCache::new(),
             sink: None,
         }
     }

@@ -5,7 +5,7 @@
 //! ([`sharc_checker::step`]). This module is everything around it,
 //! written once: [`Shadow<P>`] is generic over a [`WordProtocol`] —
 //! how one granule's words are loaded, stepped and compare-exchanged —
-//! and nothing else. There are two protocols:
+//! and holds nothing but those words. There are two protocols:
 //!
 //! * [`OneWord<W>`] (here): the paper's n-byte single word per
 //!   granule, exact for `8n − 1` threads, **lane-packed** `8 / n` to an
@@ -20,19 +20,16 @@
 //!
 //! What the trait hides is exactly what differs between them: the
 //! per-granule check, the "already recorded" fast predicate, the
-//! clears, the shadow footprint, and whether the *owned-granule epoch
-//! cache* pays ([`WordProtocol::OWNED_CACHE`]: it does where `recorded`
-//! costs a multi-word snapshot, it does not where `recorded` is one L1
-//! load). Everything above — the cached entry points
-//! ([`Shadow::check_read_cached`] / [`Shadow::check_write_cached`])
-//! with their outlined cold fills, the ranged sweeps, the owned-run
-//! summaries, and the clears with their per-region [`EpochTable`]
-//! bumps — is one monomorphised implementation. See
-//! `sharc_checker::cache` and `sharc_checker::epoch` for the
-//! soundness invariants of the cache.
+//! clears and the shadow footprint. Everything above — the ranged
+//! sweeps and the ranged clears — is one monomorphised
+//! implementation. The shadow words are the one ownership table: no
+//! per-thread cache keeps a second copy of them, so nothing has to be
+//! invalidated when a clear changes them, and a thread asks the words
+//! themselves whether an access is already its own
+//! ([`WordProtocol::recorded`]).
 
 use sharc_checker::step::{bitmap, range, Access, Transition};
-use sharc_checker::{EpochTable, OwnedCache};
+use sharc_checker::OwnedCache;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
@@ -71,17 +68,8 @@ impl std::error::Error for RaceError {}
 /// The shadow words of a run of granules and the protocol that keeps
 /// one granule's words consistent under concurrent checks: the only
 /// part of the runtime that differs between the paper's single-word
-/// encoding and the sharded one. Epochs, caches and range verdicts are
-/// [`Shadow`]'s job.
+/// encoding and the sharded one. Range verdicts are [`Shadow`]'s job.
 pub trait WordProtocol: Send + Sync {
-    /// Whether a per-thread [`OwnedCache`] probe (region-epoch load,
-    /// slot probe, tag compare, and a fill on every miss) is cheaper
-    /// than this protocol's own [`WordProtocol::recorded`] test. Where
-    /// it is not, the cached entry points of [`Shadow`] skip the
-    /// per-granule cache and test the shadow words directly; the
-    /// owned-*run* summaries are kept either way.
-    const OWNED_CACHE: bool;
-
     /// Number of granules covered.
     fn len(&self) -> usize;
 
@@ -105,6 +93,14 @@ pub trait WordProtocol: Send + Sync {
     /// True iff [`WordProtocol::check`] would return `Ok(false)`
     /// without changing a word: the access is legal and already
     /// recorded, so a ranged sweep may skip the granule.
+    ///
+    /// The answer may come from `tid`'s own word alone. Conflicts never
+    /// install, so once `tid`'s own word records an access it changes
+    /// only by `tid`'s own transitions or by a clear; when accesses are
+    /// serialized the full step is then `Unchanged`. Under races on the
+    /// multi-word protocol the guarantee is the one its `check` gives
+    /// (see [`crate::sharded`]): a racing conflict is reported by at
+    /// least one participant, not on every later access.
     fn recorded(&self, granule: usize, tid: ThreadId, access: Access) -> bool;
 
     /// Resets every word of `granule`.
@@ -155,8 +151,7 @@ impl ShadowWord for AtomicU64 {
     const BYTES: usize = 8;
 }
 
-// The widest word's capacity is the workspace-wide thread bound; the
-// VM checks its own MAX_THREADS against the same constant.
+// The widest word's capacity is the capacity of one bitmap shard.
 const _: () = assert!(
     AtomicU64::MAX_THREAD as usize == sharc_checker::MAX_CHECKED_THREADS,
     "the 8n-1 rule must agree with sharc-checker"
@@ -273,10 +268,6 @@ impl<W: ShadowWord> OneWord<W> {
 }
 
 impl<W: ShadowWord> WordProtocol for OneWord<W> {
-    /// `recorded` is one L1 load and one compare; the cache is an
-    /// epoch load, a slot probe and a fill on every first touch.
-    const OWNED_CACHE: bool = false;
-
     #[inline]
     fn len(&self) -> usize {
         self.granules
@@ -367,26 +358,16 @@ impl<W: ShadowWord> WordProtocol for OneWord<W> {
 }
 
 /// Shadow state for a payload arena: the granule words of protocol
-/// `P` plus the per-region clear epochs that guard every thread's
-/// [`OwnedCache`] over them.
+/// `P`.
 #[derive(Debug)]
 pub struct Shadow<P: WordProtocol = OneWord> {
     words: P,
-    /// Per-region clear epochs; a clear bumps only the region holding
-    /// the cleared granule, and owned-granule caches self-invalidate
-    /// entries of regions whose epoch moved.
-    epochs: EpochTable,
 }
 
 impl<W: ShadowWord> Shadow<OneWord<W>> {
-    /// Creates single-word shadow state for `n_granules` granules,
-    /// with the default epoch-region geometry
-    /// ([`EpochTable::for_granules`]).
+    /// Creates single-word shadow state for `n_granules` granules.
     pub fn new(n_granules: usize) -> Self {
-        Shadow::from_parts(
-            OneWord::new(n_granules),
-            EpochTable::for_granules(n_granules),
-        )
+        Shadow::from_words(OneWord::new(n_granules))
     }
 
     /// The largest thread id this width supports (`8n - 1`).
@@ -396,18 +377,8 @@ impl<W: ShadowWord> Shadow<OneWord<W>> {
 }
 
 impl<P: WordProtocol> Shadow<P> {
-    pub(crate) fn from_parts(words: P, epochs: EpochTable) -> Self {
-        Shadow { words, epochs }
-    }
-
-    /// Replaces the epoch table with one of `regions` regions.
-    /// `regions = 1` is the degenerate global-epoch geometry: every
-    /// clear invalidates every cache wholesale (the pre-region
-    /// behaviour, kept for differential tests and benches).
-    pub fn with_epoch_regions(mut self, regions: usize) -> Self {
-        let per_region = self.len().max(1).div_ceil(regions.max(1));
-        self.epochs = EpochTable::new(regions, per_region);
-        self
+    pub(crate) fn from_words(words: P) -> Self {
+        Shadow { words }
     }
 
     /// The word protocol's state (geometry, raw words).
@@ -428,18 +399,6 @@ impl<P: WordProtocol> Shadow<P> {
     /// Shadow bytes consumed (the paper's memory overhead source).
     pub fn shadow_bytes(&self) -> usize {
         self.words.shadow_bytes()
-    }
-
-    /// The current clear-epoch of `granule`'s region (see
-    /// [`sharc_checker::cache`] / [`sharc_checker::epoch`]).
-    #[inline]
-    pub fn epoch_of(&self, granule: usize) -> u64 {
-        self.epochs.epoch_of(granule)
-    }
-
-    /// The epoch-region table guarding this shadow.
-    pub fn epochs(&self) -> &EpochTable {
-        &self.epochs
     }
 
     /// The check-and-record for `tid` on `granule`: `chkread` or
@@ -468,92 +427,37 @@ impl<P: WordProtocol> Shadow<P> {
         self.check(granule, tid, Access::Write)
     }
 
-    /// [`Shadow::check`] with the owned-granule fast path: if `cache`
-    /// proves the access is already recorded for this thread (and no
-    /// clear intervened), the atomic check is skipped — a cached
-    /// exclusive owner never reaches the shadow words. Where the
-    /// protocol's own `recorded` test is the cheaper one
-    /// ([`WordProtocol::OWNED_CACHE`] false) this *is*
-    /// [`Shadow::check`] and `cache` is left alone.
-    #[inline]
-    pub fn check_cached<const WAYS: usize>(
+    /// Kept for `benchmark/`: [`Shadow::check_read`].
+    pub fn check_read_cached(
         &self,
-        granule: usize,
+        g: usize,
         tid: ThreadId,
-        access: Access,
-        cache: &mut OwnedCache<WAYS>,
+        _: &mut OwnedCache,
     ) -> Result<bool, RaceError> {
-        if !P::OWNED_CACHE {
-            return self.check(granule, tid, access);
-        }
-        // The region epoch must be observed before the slow-path
-        // check (and before the shadow-word read inside it) so a
-        // concurrent clear invalidates whatever we are about to cache.
-        let epoch = self.epochs.epoch_of(granule);
-        if cache.lookup(epoch, granule, access.is_write()) {
-            return Ok(false);
-        }
-        self.fill(granule, tid, access, cache, epoch)
+        self.check_read(g, tid)
     }
 
-    /// [`Shadow::check_cached`] for a read.
-    #[inline]
-    pub fn check_read_cached<const WAYS: usize>(
+    /// Kept for `benchmark/`: [`Shadow::check_write`].
+    pub fn check_write_cached(
         &self,
-        granule: usize,
+        g: usize,
         tid: ThreadId,
-        cache: &mut OwnedCache<WAYS>,
+        _: &mut OwnedCache,
     ) -> Result<bool, RaceError> {
-        self.check_cached(granule, tid, Access::Read, cache)
-    }
-
-    /// [`Shadow::check_cached`] for a write.
-    #[inline]
-    pub fn check_write_cached<const WAYS: usize>(
-        &self,
-        granule: usize,
-        tid: ThreadId,
-        cache: &mut OwnedCache<WAYS>,
-    ) -> Result<bool, RaceError> {
-        self.check_cached(granule, tid, Access::Write, cache)
-    }
-
-    /// The outlined miss path of [`Shadow::check_cached`]: run the
-    /// full check, then remember the verdict. Outlining keeps the
-    /// caller's inlined fast path to a handful of instructions (epoch
-    /// load, table probe, compare).
-    #[cold]
-    #[inline(never)]
-    fn fill<const WAYS: usize>(
-        &self,
-        granule: usize,
-        tid: ThreadId,
-        access: Access,
-        cache: &mut OwnedCache<WAYS>,
-        epoch: u64,
-    ) -> Result<bool, RaceError> {
-        let newly = self.check(granule, tid, access)?;
-        // After a passing chkwrite this thread is the granule's
-        // exclusive owner in every word: its shard word holds exactly
-        // WRITER_FLAG | bit(tid) and every other word is zero.
-        cache.insert(granule, access.is_write(), epoch);
-        Ok(newly)
+        self.check_write(g, tid)
     }
 
     // ----- ranged checks -----
     //
     // One `chkread`/`chkwrite` per buffer sweep instead of one per
-    // granule. The uncached pair is a sweep over the protocol's
-    // `recorded` predicate, falling back to the full CAS protocol
-    // only for granules that need a state transition; the cached pair
-    // adds the owned-*run* summary on top, so a repeat sweep over the
-    // same buffer is one epoch-sum compare. **The fold contract:**
-    // every variant's verdict equals the fold of per-granule verdicts
-    // — each granule is judged by the same `step` against its own
-    // shadow words, conflicts are reported per granule via
-    // `on_conflict`, and newly-installed granules via `on_newly` (for
-    // exit-time clearing logs). The return value is the number of
-    // conflicting granules.
+    // granule: a sweep over the protocol's `recorded` predicate,
+    // falling back to the full CAS protocol only for granules that
+    // need a state transition. **The fold contract:** the verdict
+    // equals the fold of per-granule verdicts — each granule is judged
+    // by the same `step` against its own shadow words, conflicts are
+    // reported per granule via `on_conflict`, and newly-installed
+    // granules via `on_newly` (for exit-time clearing logs). The
+    // return value is the number of conflicting granules.
 
     /// The shared ranged sweep: skips granules that already record
     /// the access, runs the full per-granule check for the rest.
@@ -623,141 +527,29 @@ impl<P: WordProtocol> Shadow<P> {
         self.check_range(start, len, tid, Access::Write, on_newly, on_conflict)
     }
 
-    /// The ranged check with the owned-run fast path: if `cache` holds
-    /// a summary proving this thread already swept exactly this run
-    /// (and no covered region was cleared since — the epoch-*sum*
-    /// covering constraint), the whole sweep is skipped. The miss path
-    /// runs the per-granule sweep and, if the run came back
-    /// conflict-free, records the summary.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn check_range_cached<const WAYS: usize>(
-        &self,
-        start: usize,
-        len: usize,
-        tid: ThreadId,
-        access: Access,
-        cache: &mut OwnedCache<WAYS>,
-        on_newly: impl FnMut(usize),
-        on_conflict: impl FnMut(RaceError),
-    ) -> usize {
-        // The covering stamp must be observed before the sweep, so
-        // the run entry can never be newer than the epochs guarding
-        // it (the per-region invariant, summed over the run).
-        let stamp = self.epochs.epoch_sum_of_range(start, start + len);
-        if cache.lookup_run(stamp, start, len, access.is_write()) {
-            return 0;
-        }
-        self.fill_range(start, len, tid, cache, stamp, access, on_newly, on_conflict)
-    }
-
-    /// [`Shadow::check_range_read`] with the owned-run fast path.
-    #[inline]
-    pub fn check_range_read_cached<const WAYS: usize>(
-        &self,
-        start: usize,
-        len: usize,
-        tid: ThreadId,
-        cache: &mut OwnedCache<WAYS>,
-        on_newly: impl FnMut(usize),
-        on_conflict: impl FnMut(RaceError),
-    ) -> usize {
-        self.check_range_cached(start, len, tid, Access::Read, cache, on_newly, on_conflict)
-    }
-
-    /// [`Shadow::check_range_write`] with the owned-run fast path.
-    #[inline]
-    pub fn check_range_write_cached<const WAYS: usize>(
-        &self,
-        start: usize,
-        len: usize,
-        tid: ThreadId,
-        cache: &mut OwnedCache<WAYS>,
-        on_newly: impl FnMut(usize),
-        on_conflict: impl FnMut(RaceError),
-    ) -> usize {
-        self.check_range_cached(start, len, tid, Access::Write, cache, on_newly, on_conflict)
-    }
-
-    /// The outlined miss path of the cached ranged checks: the
-    /// per-granule sweep — through the owned cache where it exists, so
-    /// single-granule entries refill too — then the run summary, only
-    /// when **zero** granules conflicted, since a summary cannot
-    /// remember a conflicting granule inside it.
-    #[cold]
-    #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
-    fn fill_range<const WAYS: usize>(
-        &self,
-        start: usize,
-        len: usize,
-        tid: ThreadId,
-        cache: &mut OwnedCache<WAYS>,
-        stamp: u64,
-        access: Access,
-        mut on_newly: impl FnMut(usize),
-        mut on_conflict: impl FnMut(RaceError),
-    ) -> usize {
-        let conflicts = if P::OWNED_CACHE {
-            let mut conflicts = 0;
-            for g in start..start + len {
-                match self.check_cached(g, tid, access, cache) {
-                    Ok(true) => on_newly(g),
-                    Ok(false) => {}
-                    Err(e) => {
-                        conflicts += 1;
-                        on_conflict(e);
-                    }
-                }
-            }
-            conflicts
-        } else {
-            self.check_range(start, len, tid, access, on_newly, on_conflict)
-        };
-        if conflicts == 0 {
-            cache.insert_run(start, len, access.is_write(), stamp);
-        }
-        conflicts
-    }
-
     /// Clears a thread's contribution on exit ("SharC does not
     /// consider it a race for two threads to access the same location
     /// if their execution does not overlap").
     pub fn clear_thread(&self, granule: usize, tid: ThreadId) {
         self.words.clear_thread(granule, tid);
-        self.epochs.bump(granule);
     }
 
     /// Clears a granule entirely (`free`, or a successful sharing
-    /// cast's mode change). Bumps only the epoch of the granule's
-    /// region: caches keep entries for every other region.
+    /// cast's mode change).
     pub fn clear(&self, granule: usize) {
         self.words.clear(granule);
-        self.epochs.bump(granule);
     }
 
     /// Clears `len` contiguous granules at once (a whole-block `free`
-    /// or sharing cast): the protocol's ranged reset followed by ONE
-    /// [`EpochTable::bump_granule_range`] covering the span, so a block
-    /// hand-off invalidates exactly the owned runs it covers, once per
-    /// region instead of once per granule.
+    /// or sharing cast): the protocol's ranged reset.
     pub fn clear_range(&self, start: usize, len: usize) {
-        if len == 0 {
-            return;
-        }
         self.words.clear_run(start, len);
-        self.epochs.bump_granule_range(start, start + len);
     }
 
     /// [`Shadow::clear_thread`] over `len` contiguous granules: the
-    /// protocol's ranged subtraction, and the O(granules) epoch
-    /// traffic collapses to one bump per covered region.
+    /// protocol's ranged subtraction.
     pub fn clear_thread_range(&self, start: usize, len: usize, tid: ThreadId) {
-        if len == 0 {
-            return;
-        }
         self.words.clear_thread_run(start, len, tid);
-        self.epochs.bump_granule_range(start, start + len);
     }
 
     /// The granule's first shadow word, for tests and diagnostics.
@@ -819,15 +611,9 @@ mod tests {
         concurrent_readers_never_conflict,
         concurrent_disjoint_writers_never_conflict,
         concurrent_same_granule_writers_conflict,
-        cached_write_skips_but_agrees,
-        cache_never_hides_a_conflict_from_the_other_thread,
-        clear_invalidates_cached_ownership,
-        clear_leaves_other_regions_cached,
-        clear_thread_invalidates_via_epoch,
         range_verdict_equals_the_per_granule_fold,
-        cached_range_repeat_sweep_is_one_stamp_compare,
-        clear_inside_run_kills_it_clear_outside_does_not,
-        cached_range_never_hides_a_conflict,
+        repeat_sweep_is_silent_until_a_clear_lets_an_intruder_in,
+        conflicting_sweep_reports_every_granule,
     );
 
     fn single_thread_lifecycle<P: WordProtocol>(make: impl Fn(usize) -> Shadow<P>, t: Tids) {
@@ -835,8 +621,10 @@ mod tests {
         assert_eq!(s.check_read(0, t[0]), Ok(true));
         assert_eq!(s.check_read(0, t[0]), Ok(false));
         assert!(s.check_write(0, t[0]).is_ok(), "own upgrade");
-        assert!(s.check_read(0, t[0]).is_ok());
-        assert!(s.check_write(0, t[0]).is_ok());
+        for _ in 0..10 {
+            assert_eq!(s.check_read(0, t[0]), Ok(false), "recorded by the write");
+            assert_eq!(s.check_write(0, t[0]), Ok(false), "already the owner");
+        }
     }
 
     fn many_readers_ok<P: WordProtocol>(make: impl Fn(usize) -> Shadow<P>, t: Tids) {
@@ -864,8 +652,10 @@ mod tests {
             assert!(s.check_read(0, other).is_err(), "reader {other:?}");
             assert!(s.check_write(0, other).is_err(), "writer {other:?}");
         }
-        assert!(s.check_read(0, t[2]).is_ok(), "owner free");
-        assert!(s.check_write(0, t[2]).is_ok(), "owner free");
+        // Conflicts installed nothing: the owner's access is still
+        // recorded.
+        assert_eq!(s.check_read(0, t[2]), Ok(false), "owner free");
+        assert_eq!(s.check_write(0, t[2]), Ok(false), "owner free");
     }
 
     fn exclusive_exit_clears<P: WordProtocol>(make: impl Fn(usize) -> Shadow<P>, t: Tids) {
@@ -875,6 +665,9 @@ mod tests {
         assert_eq!(s.raw(0), 0, "writer flag cleared with the writer");
         // A different thread may now use the granule freely.
         assert!(s.check_write(0, t[1]).is_ok());
+        // An exit forgets reads too: the next read installs again.
+        s.clear_thread(0, t[1]);
+        assert_eq!(s.check_read(0, t[1]), Ok(true));
     }
 
     fn clear_resets<P: WordProtocol>(make: impl Fn(usize) -> Shadow<P>, t: Tids) {
@@ -883,6 +676,9 @@ mod tests {
         s.clear(0);
         assert_eq!(s.raw(0), 0);
         assert!(s.check_write(0, t[3]).is_ok());
+        // The clear revoked the old owner: its next access is a real
+        // conflict with the new one.
+        assert!(s.check_write(0, t[2]).is_err());
     }
 
     fn concurrent_readers_never_conflict<P: WordProtocol>(
@@ -935,109 +731,6 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
         assert!(total > 0, "competing writers must conflict");
-    }
-
-    // ----- owned-granule fast path -----
-
-    fn cached_write_skips_but_agrees<P: WordProtocol>(make: impl Fn(usize) -> Shadow<P>, t: Tids) {
-        let (cached, plain) = (make(4), make(4));
-        let mut cache: OwnedCache = OwnedCache::new();
-        assert_eq!(cached.check_write_cached(0, t[1], &mut cache), Ok(true));
-        plain.check_write(0, t[1]).unwrap();
-        for _ in 0..10 {
-            assert_eq!(cached.check_write_cached(0, t[1], &mut cache), Ok(false));
-            assert_eq!(cached.check_read_cached(0, t[1], &mut cache), Ok(false));
-        }
-        if P::OWNED_CACHE {
-            assert_eq!(cache.misses, 1, "one fill, then 20 fast-path hits");
-        }
-        assert_eq!(
-            cached.raw(0),
-            plain.raw(0),
-            "same word as the uncached path"
-        );
-    }
-
-    fn cache_never_hides_a_conflict_from_the_other_thread<P: WordProtocol>(
-        make: impl Fn(usize) -> Shadow<P>,
-        t: Tids,
-    ) {
-        let s = make(1);
-        let mut c1: OwnedCache = OwnedCache::new();
-        s.check_write_cached(0, t[0], &mut c1).unwrap();
-        // Thread 2 runs the full check and sees the conflict.
-        let mut c2: OwnedCache = OwnedCache::new();
-        assert!(s.check_write_cached(0, t[1], &mut c2).is_err());
-        // ...and thread 1's cache still answers correctly (owner
-        // stable: the conflicting access did not install).
-        assert_eq!(s.check_write_cached(0, t[0], &mut c1), Ok(false));
-    }
-
-    fn clear_invalidates_cached_ownership<P: WordProtocol>(
-        make: impl Fn(usize) -> Shadow<P>,
-        t: Tids,
-    ) {
-        let s = make(1);
-        let mut c1: OwnedCache = OwnedCache::new();
-        s.check_write_cached(0, t[0], &mut c1).unwrap();
-        // free / sharing cast: the granule resets and the epoch moves.
-        s.clear(0);
-        let mut c2: OwnedCache = OwnedCache::new();
-        s.check_write_cached(0, t[1], &mut c2).unwrap();
-        // Thread 1's next cached access must NOT fast-path: the new
-        // owner is thread 2 and the access is a real conflict.
-        assert!(s.check_write_cached(0, t[0], &mut c1).is_err());
-    }
-
-    fn clear_leaves_other_regions_cached<P: WordProtocol>(
-        make: impl Fn(usize) -> Shadow<P>,
-        t: Tids,
-    ) {
-        // 128 granules over at least 64 regions: granules 0 and 127
-        // are guarded by different epochs, so clearing 0 must not
-        // cost 127 a refill.
-        let s = make(128);
-        assert!(s.epochs().regions() > 1, "a real region table");
-        let mut c: OwnedCache = OwnedCache::new();
-        s.check_write_cached(127, t[3], &mut c).unwrap();
-        assert_eq!(c.misses, P::OWNED_CACHE as u64);
-        s.clear(0);
-        assert_eq!(
-            s.check_write_cached(127, t[3], &mut c),
-            Ok(false),
-            "entry in an unaffected region still answers"
-        );
-        assert_eq!(
-            c.misses,
-            P::OWNED_CACHE as u64,
-            "no refill after the distant clear"
-        );
-        assert_eq!(c.flushes, 0, "nothing was discarded");
-        // The degenerate R = 1 geometry still flushes everything.
-        let s1 = make(128).with_epoch_regions(1);
-        assert_eq!(s1.epochs().regions(), 1);
-        let mut c1: OwnedCache = OwnedCache::new();
-        s1.check_write_cached(127, t[3], &mut c1).unwrap();
-        s1.clear(0);
-        assert_eq!(s1.check_write_cached(127, t[3], &mut c1), Ok(false));
-        assert_eq!(
-            c1.misses,
-            2 * P::OWNED_CACHE as u64,
-            "global epoch: the clear cost a refill"
-        );
-    }
-
-    fn clear_thread_invalidates_via_epoch<P: WordProtocol>(
-        make: impl Fn(usize) -> Shadow<P>,
-        t: Tids,
-    ) {
-        let s = make(1);
-        let mut c1: OwnedCache = OwnedCache::new();
-        s.check_read_cached(0, t[0], &mut c1).unwrap();
-        s.clear_thread(0, t[0]);
-        // After the exit-clear the cached read entry is discarded and
-        // the slow path re-installs.
-        assert_eq!(s.check_read_cached(0, t[0], &mut c1), Ok(true));
     }
 
     // ----- ranged checks -----
@@ -1109,74 +802,51 @@ mod tests {
         }
     }
 
-    fn cached_range_repeat_sweep_is_one_stamp_compare<P: WordProtocol>(
+    fn repeat_sweep_is_silent_until_a_clear_lets_an_intruder_in<P: WordProtocol>(
         make: impl Fn(usize) -> Shadow<P>,
         t: Tids,
     ) {
         let s = make(64);
-        let mut c: OwnedCache = OwnedCache::new();
         let mut newly = 0;
-        let n = s.check_range_write_cached(0, 64, t[2], &mut c, |_| newly += 1, |_| {});
+        let n = s.check_range_write(0, 64, t[2], |_| newly += 1, |_| {});
         assert_eq!((n, newly), (0, 64), "first sweep installs everything");
-        let misses_after_fill = c.misses;
         for _ in 0..5 {
-            let n = s.check_range_write_cached(0, 64, t[2], &mut c, |_| panic!(), |_| panic!());
+            let n = s.check_range_write(0, 64, t[2], |_| panic!(), |_| panic!());
             assert_eq!(n, 0);
-            // Reads of a writable run ride the same summary slot.
-            let n = s.check_range_read_cached(0, 64, t[2], &mut c, |_| panic!(), |_| panic!());
+            // A write records the read too.
+            let n = s.check_range_read(0, 64, t[2], |_| panic!(), |_| panic!());
             assert_eq!(n, 0);
         }
-        assert_eq!(c.misses, misses_after_fill, "repeat sweeps are run hits");
-        // A clear inside the run discards the summary, and the refill
-        // sees the intruder.
+        // A clear inside the run: the next sweep re-installs exactly
+        // the cleared granule.
+        s.clear(3);
+        let mut newly = Vec::new();
+        let n = s.check_range_write(0, 64, t[2], |g| newly.push(g), |_| panic!());
+        assert_eq!((n, newly), (0, vec![3]));
+        // A clear that lets an intruder in: the sweep sees it.
         s.clear(3);
         s.check_write(3, t[0]).unwrap();
         let mut conflicts = Vec::new();
-        s.check_range_write_cached(0, 64, t[2], &mut c, |_| {}, |e| conflicts.push(e.granule));
-        assert_eq!(conflicts, vec![3], "stale run cannot hide the intruder");
+        s.check_range_write(0, 64, t[2], |_| {}, |e| conflicts.push(e.granule));
+        assert_eq!(conflicts, vec![3], "the sweep cannot miss the intruder");
     }
 
-    fn clear_inside_run_kills_it_clear_outside_does_not<P: WordProtocol>(
-        make: impl Fn(usize) -> Shadow<P>,
-        t: Tids,
-    ) {
-        // 128 granules over at least 64 regions: the run 0..8 and
-        // granule 100 live in different regions.
-        let s = make(128);
-        let mut c: OwnedCache = OwnedCache::new();
-        s.check_range_write_cached(0, 8, t[0], &mut c, |_| {}, |_| {});
-        let baseline = c.misses;
-        s.clear(100); // outside the run's regions
-        s.check_range_write_cached(0, 8, t[0], &mut c, |_| {}, |_| {});
-        assert_eq!(c.misses, baseline, "distant clear leaves the run live");
-        s.clear(3); // inside
-        let n = s.check_range_write_cached(0, 8, t[0], &mut c, |_| {}, |_| {});
-        assert_eq!(n, 0);
-        assert!(c.misses > baseline, "covered bump forced a re-sweep");
-        // The re-swept run answers again.
-        let m = c.misses;
-        s.check_range_write_cached(0, 8, t[0], &mut c, |_| panic!(), |_| panic!());
-        assert_eq!(c.misses, m);
-    }
-
-    fn cached_range_never_hides_a_conflict<P: WordProtocol>(
+    fn conflicting_sweep_reports_every_granule<P: WordProtocol>(
         make: impl Fn(usize) -> Shadow<P>,
         t: Tids,
     ) {
         let s = make(8);
-        let mut c1: OwnedCache = OwnedCache::new();
-        let mut c2: OwnedCache = OwnedCache::new();
-        s.check_range_write_cached(0, 8, t[0], &mut c1, |_| {}, |_| {});
+        s.check_range_write(0, 8, t[0], |_| {}, |_| {});
         // Thread 2 sweeps the same buffer: every granule conflicts,
-        // and no run summary may be recorded for it.
-        let mut conf = Vec::new();
-        let n = s.check_range_write_cached(0, 8, t[1], &mut c2, |_| {}, |e| conf.push(e.granule));
-        assert_eq!(n, 8);
-        assert_eq!(conf, (0..8).collect::<Vec<_>>());
-        let n = s.check_range_write_cached(0, 8, t[1], &mut c2, |_| {}, |_| {});
-        assert_eq!(n, 8, "conflicting sweep was not summarised");
-        // Thread 1's run is still valid (conflicts never install).
-        s.check_range_write_cached(0, 8, t[0], &mut c1, |_| panic!(), |_| panic!());
+        // every time.
+        for _ in 0..2 {
+            let mut conf = Vec::new();
+            let n = s.check_range_write(0, 8, t[1], |_| panic!(), |e| conf.push(e.granule));
+            assert_eq!(n, 8);
+            assert_eq!(conf, (0..8).collect::<Vec<_>>());
+        }
+        // Thread 1 still owns the run (conflicts never install).
+        s.check_range_write(0, 8, t[0], |_| panic!(), |_| panic!());
     }
 
     // ----- what only the one-word bitmap guarantees -----
@@ -1193,8 +863,7 @@ mod tests {
     #[test]
     fn owner_word_is_writer_flag_plus_own_bit() {
         let s: Shadow = Shadow::new(1);
-        let mut cache: OwnedCache = OwnedCache::new();
-        s.check_write_cached(0, ThreadId(1), &mut cache).unwrap();
+        s.check_write(0, ThreadId(1)).unwrap();
         assert_eq!(s.raw(0), 1 | (1 << 1));
     }
 

@@ -34,12 +34,26 @@
 //! verdicts coincide with the pure step, i.e. with the bitmap
 //! oracle.
 //!
-//! Everything above the per-granule protocol — the owned-granule
-//! epoch cache, the ranged sweeps, the clears and their epoch bumps —
-//! is [`Shadow`]'s one generic implementation; the cache invariants
-//! carry over verbatim, since a passing write still implies every
-//! other word was empty and conflicts still install nothing *into the
-//! winner's ownership*.
+//! **"Already recorded?" is one load.** The sharded step can leave a
+//! granule unchanged only if the thread's own shard word already
+//! records the access, and conflicts never install, so that word's
+//! bits for the thread change only by the thread's own transitions or
+//! by a clear. When accesses are serialized, the own word recording
+//! the access therefore implies the full step is `Unchanged`: a
+//! passing write left every other word empty and nobody can install
+//! next to it; a passing read excluded every foreign writer, and none
+//! can install over its bit. So [`WordProtocol::recorded`] tests the
+//! own word alone — one `SeqCst` load and `range::recorded` — and
+//! takes the full snapshot only for tids that live in the adaptive
+//! overflow word, whose `SHARED_READ` state is not per-thread. Under
+//! races this is the weaker contract above: a thread whose install
+//! lost a cross-shard race reports that conflict once, from its
+//! revalidation, and is not re-judged on later accesses its own word
+//! records; the racing conflict is still reported, and its installed
+//! state still excludes third parties.
+//!
+//! Everything above the per-granule protocol — the ranged sweeps and
+//! the clears — is [`Shadow`]'s one generic implementation.
 //!
 //! A **zero-shard** geometry ([`ShadowGeometry::adaptive_only`]) is
 //! the scalable encoding §4.2.1 and §7 name as future work: one
@@ -58,7 +72,7 @@ use sharc_checker::step::{
     sharded::{self, ShardStep},
     Access,
 };
-use sharc_checker::{EpochTable, ShadowGeometry};
+use sharc_checker::ShadowGeometry;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Upper bound on words per granule the stack-allocated snapshot
@@ -96,12 +110,7 @@ impl ShardedShadow {
         );
         let mut words = Vec::with_capacity(n_granules * stride);
         words.resize_with(n_granules * stride, AtomicU64::default);
-        // Wider geometries pay more per refill, so the region table
-        // scales with the geometry (see `EpochTable::for_geometry`).
-        Shadow::from_parts(
-            MultiWord { words, geom },
-            EpochTable::for_geometry(geom, n_granules),
-        )
+        Shadow::from_words(MultiWord { words, geom })
     }
 
     /// The shard layout.
@@ -150,10 +159,6 @@ impl MultiWord {
 }
 
 impl WordProtocol for MultiWord {
-    /// `recorded` is a `SeqCst` snapshot of every word plus the
-    /// sharded step; a cache hit is one relaxed load and one probe.
-    const OWNED_CACHE: bool = true;
-
     #[inline]
     fn len(&self) -> usize {
         self.words.len() / self.geom.words_per_granule()
@@ -212,10 +217,20 @@ impl WordProtocol for MultiWord {
         }
     }
 
+    /// The own shard word alone (module docs); the snapshot and the
+    /// sharded step only for overflow tids.
     #[inline]
     fn recorded(&self, granule: usize, tid: ThreadId, access: Access) -> bool {
-        let mut buf = [0u64; MAX_WORDS_PER_GRANULE];
-        range::recorded_sharded(self.snapshot(granule, &mut buf), self.geom, tid.0, access)
+        match self.geom.shard_of(tid.0) {
+            Some(s) => {
+                let own = self.words[self.base(granule) + s].load(Ordering::SeqCst);
+                range::recorded(own, self.geom.local_bit(tid.0), access)
+            }
+            None => {
+                let mut buf = [0u64; MAX_WORDS_PER_GRANULE];
+                range::recorded_sharded(self.snapshot(granule, &mut buf), self.geom, tid.0, access)
+            }
+        }
     }
 
     /// Unconditional stores over every shard and overflow word — the

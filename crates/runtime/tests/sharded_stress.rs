@@ -19,27 +19,39 @@
 //! legitimately sees no conflict) and not "by a specific one" (that
 //! is scheduling), but never zero: SeqCst ordering across the
 //! shard words means at least one revalidation observes the other
-//! install.
+//! install. The ranged variant puts the own-word `recorded` test —
+//! a ranged sweep's way of skipping granules the thread already
+//! owns — on the same racing schedule.
 //!
-//! The fenced-clear test covers the other half of the protocol: a
-//! clear bumps the region epoch, so per-thread owned caches must
-//! revalidate through the full sharded slow path — and doing so must
+//! The fenced-clear tests cover the other half of the protocol: a
+//! clear resets a granule's words, so a thread that owned it must
+//! re-install through the full sharded slow path — and doing so must
 //! produce *no* false reports when the accesses themselves are
 //! private.
 
-use sharc_checker::{OwnedCache, ShadowGeometry};
+use sharc_checker::ShadowGeometry;
 use sharc_runtime::{ShardedShadow, ThreadId};
-use sharc_testkit::sync::Mutex;
 use sharc_testkit::BarrierSchedule;
 
 /// Tids chosen to span shards under `for_threads(256)` (5 shards of
 /// 63): shard 0, 1, 2, 3.
 const CROSS_SHARD_TIDS: [u32; 4] = [1, 70, 140, 200];
 
+/// A tid in the fifth shard, outside the racing roster.
+const FIFTH_SHARD_TID: ThreadId = ThreadId(260);
+
 const ROUNDS: usize = 400;
 
 fn wide(granules: usize) -> ShardedShadow {
     ShardedShadow::with_geometry(granules, ShadowGeometry::for_threads(256))
+}
+
+/// A ranged `chkwrite` over `start .. start + len`: (newly installed
+/// granules, conflicting granules).
+fn sweep_write(s: &ShardedShadow, start: usize, len: usize, tid: ThreadId) -> (usize, usize) {
+    let mut newly = 0;
+    let conflicts = s.check_range_write(start, len, tid, |_| newly += 1, |_| {});
+    (newly, conflicts)
 }
 
 #[test]
@@ -91,117 +103,143 @@ fn racing_cross_shard_readers_and_writer_are_reported_at_least_once() {
 }
 
 #[test]
-fn fenced_clears_force_cache_revalidation_without_false_reports() {
-    // Each participant owns one granule and re-touches it (cached)
-    // every round; between rounds a fenced clear revokes one
-    // victim's granule. The victim's next access must revalidate
-    // through the sharded slow path — and the whole run must be
-    // conflict-free, because every access really is private.
+fn racing_cross_shard_ranged_sweeps_are_reported_at_least_once_per_round() {
+    // Each round the four cross-shard tids race a ranged chkwrite over
+    // a fresh two-granule run, then each sweeps it again — a re-sweep
+    // skips whatever its own shard word already records, so it reports
+    // only granules the first sweep reported and did not install (a
+    // lost race whose install stands is reported once). After a fence,
+    // a fifth-shard tid writes into the raced run: every granule kept
+    // at least one racer's install, so that write must conflict.
+    let shadow = wide(2 * ROUNDS);
+    let sched = BarrierSchedule::new(CROSS_SHARD_TIDS.len(), ROUNDS);
+    let out = sched.run(|ctx| {
+        let tid = ThreadId(CROSS_SHARD_TIDS[ctx.thread]);
+        let run = 2 * ctx.round;
+        ctx.stagger(200);
+        let (_, raced) = sweep_write(&shadow, run, 2, tid);
+        let (_, resweep) = sweep_write(&shadow, run, 2, tid);
+        ctx.sync();
+        let fifth = ctx.thread == 0
+            && shadow
+                .check_write(run + ctx.round % 2, FIFTH_SHARD_TID)
+                .is_err();
+        (raced, resweep, fifth)
+    });
+    for (r, row) in out.iter().enumerate() {
+        let reports: usize = row.iter().map(|&(n, m, _)| n + m).sum();
+        assert!(
+            reports >= 1,
+            "round {r}: {} cross-shard sweeps raced one run and nobody reported",
+            row.len()
+        );
+        for (t, &(raced, resweep, _)) in row.iter().enumerate() {
+            assert!(
+                resweep <= raced,
+                "round {r}: participant {t}'s re-sweep reported {resweep} granules, \
+                 more than the {raced} its racing sweep reported"
+            );
+        }
+        assert!(
+            row[0].2,
+            "round {r}: a fenced fifth-shard write into the raced run went unreported"
+        );
+    }
+}
+
+#[test]
+fn fenced_clears_force_revalidation_without_false_reports() {
+    // Each participant owns a two-granule run and re-touches it every
+    // round, by a plain check and by a ranged sweep; between rounds a
+    // fenced clear revokes one victim's run. The victim's next sweep
+    // must re-install through the sharded slow path — and the whole
+    // run must be conflict-free, because every access really is
+    // private.
     let n = CROSS_SHARD_TIDS.len();
-    let shadow = wide(n);
-    let caches: Vec<Mutex<OwnedCache>> = (0..n).map(|_| Mutex::new(OwnedCache::new())).collect();
+    let shadow = wide(2 * n);
     let sched = BarrierSchedule::new(n, ROUNDS);
     let out = sched.run(|ctx| {
         let tid = ThreadId(CROSS_SHARD_TIDS[ctx.thread]);
-        let mine = ctx.thread;
-        // Phase A: everyone touches their own granule (a cache hit in
-        // the steady state).
-        let mut cache = caches[mine].lock();
-        let a = shadow.check_write_cached(mine, tid, &mut cache).is_err();
-        drop(cache);
+        let mine = 2 * ctx.thread;
+        // Phase A: everyone touches their own run.
+        let mut reported = shadow.check_write(mine, tid).is_err();
+        reported |= sweep_write(&shadow, mine, 2, tid).1 != 0;
         ctx.sync();
-        // Phase B: participant 0 revokes one victim's granule. The
-        // clear is fenced by the surrounding barriers, so it cannot
-        // race the accesses — its effect on the epoch table is what
-        // is under test, not the boundary ambiguity.
+        // Phase B: participant 0 revokes one victim's run. The clear
+        // is fenced by the surrounding barriers, so it cannot race the
+        // accesses — its effect on the words is what is under test,
+        // not the boundary ambiguity.
         if ctx.thread == 0 {
-            shadow.clear(ctx.round % n);
+            shadow.clear_range(2 * (ctx.round % n), 2);
         }
         ctx.sync();
-        // Phase C: everyone touches their granule again. The victim's
-        // cache entry is stale (its region epoch moved) and must
-        // refill; nobody may report.
-        let mut cache = caches[mine].lock();
-        let c = shadow.check_write_cached(mine, tid, &mut cache).is_err();
-        a || c
+        // Phase C: everyone sweeps their run again; only the victim
+        // re-installs, and nobody may report.
+        let (newly, conflicts) = sweep_write(&shadow, mine, 2, tid);
+        reported |= conflicts != 0 || shadow.check_write(mine + 1, tid).is_err();
+        (reported, newly)
     });
     for (r, row) in out.iter().enumerate() {
         assert!(
-            row.iter().all(|&c| !c),
+            row.iter().all(|&(reported, _)| !reported),
             "round {r}: private re-acquisition after a fenced clear \
              was misreported as a conflict"
         );
-    }
-    // The clears really did reach the caches: every participant was
-    // the victim ROUNDS / n times, and each revocation costs at
-    // least one slow-path refill (the first fill costs one more).
-    for (t, cache) in caches.iter().enumerate() {
-        let c = cache.lock();
-        assert!(
-            c.misses as usize >= ROUNDS / n,
-            "participant {t}: {} misses — the fenced clears never \
-             invalidated its cache",
-            c.misses
-        );
-        assert!(
-            c.flushes >= 1,
-            "participant {t}: no stale entry was ever discarded"
-        );
+        let victim = r % n;
+        for (t, &(_, newly)) in row.iter().enumerate() {
+            let want = if t == victim { 2 } else { 0 };
+            assert_eq!(
+                newly, want,
+                "round {r}: participant {t} re-installed {newly} granules"
+            );
+        }
     }
 }
 
 #[test]
 fn wide_server_rounds() {
     // The stunnel geometry, one connection per round: an acceptor in
-    // shard 0 initializes a handshake granule, casts it away (a
-    // fenced clear), and a worker in *another shard* takes ownership
-    // through its owned cache. A second fenced clear models the
-    // connection teardown, so the worker's next touch must flush the
-    // stale entry and refill through the sharded slow path. The whole
+    // shard 0 initializes a two-granule handshake run, casts it away
+    // (a fenced clear), and a worker in *another shard* takes
+    // ownership with a ranged read and a plain write. A second fenced
+    // clear models the connection teardown, so the worker's next
+    // sweep must re-install through the sharded slow path. The whole
     // hand-off schedule is clean — zero reports — while a deliberate
     // all-writers race on a sibling granule closes every round and
     // must be reported at least once.
     let n = CROSS_SHARD_TIDS.len();
-    let shadow = wide(2 * ROUNDS);
-    let caches: Vec<Mutex<OwnedCache>> = (0..n).map(|_| Mutex::new(OwnedCache::new())).collect();
+    let shadow = wide(3 * ROUNDS);
     let sched = BarrierSchedule::new(n, ROUNDS);
     let out = sched.run(|ctx| {
         let tid = ThreadId(CROSS_SHARD_TIDS[ctx.thread]);
-        let handshake = 2 * ctx.round;
-        let contended = 2 * ctx.round + 1;
+        let handshake = 3 * ctx.round;
+        let contended = 3 * ctx.round + 2;
         // The acceptor is participant 0; the connection's worker
         // rotates over the cross-shard rest.
         let worker = 1 + ctx.round % (n - 1);
         let mut clean = false;
         // Accept: private init, then the sharing cast.
         if ctx.thread == 0 {
-            clean |= shadow.check_write(handshake, tid).is_err();
-            shadow.clear(handshake);
+            clean |= sweep_write(&shadow, handshake, 2, tid).1 != 0;
+            shadow.clear_range(handshake, 2);
         }
         ctx.sync();
-        // Hand-off: the worker adopts the granule through its cache.
+        // Hand-off: the worker adopts the run.
         if ctx.thread == worker {
-            let mut cache = caches[ctx.thread].lock();
-            clean |= shadow
-                .check_read_cached(handshake, tid, &mut cache)
-                .is_err();
-            clean |= shadow
-                .check_write_cached(handshake, tid, &mut cache)
-                .is_err();
+            clean |= shadow.check_range_read(handshake, 2, tid, |_| {}, |_| {}) != 0;
+            clean |= shadow.check_write(handshake, tid).is_err();
+            clean |= shadow.check_write(handshake + 1, tid).is_err();
         }
         ctx.sync();
         // Teardown: the fenced clear revokes the worker's ownership.
         if ctx.thread == 0 {
-            shadow.clear(handshake);
+            shadow.clear_range(handshake, 2);
         }
         ctx.sync();
-        // Reuse: the worker's cache entry is stale and must refill —
+        // Reuse: the worker's run is gone and must re-install —
         // still private, still silent.
         if ctx.thread == worker {
-            let mut cache = caches[ctx.thread].lock();
-            clean |= shadow
-                .check_write_cached(handshake, tid, &mut cache)
-                .is_err();
+            clean |= sweep_write(&shadow, handshake, 2, tid).1 != 0;
         }
         ctx.sync();
         // The racing coda: every participant writes the sibling
@@ -221,25 +259,6 @@ fn wide_server_rounds() {
             "round {r}: {} cross-shard writers raced one granule and \
              nobody reported",
             row.len()
-        );
-    }
-    // Cache-economics lower bounds: each worker served ROUNDS / (n-1)
-    // connections; every connection costs a fill miss plus a
-    // post-teardown flush-and-refill.
-    for (t, slot) in caches.iter().enumerate().skip(1) {
-        let cache = slot.lock();
-        let served = ROUNDS / (n - 1);
-        assert!(
-            cache.misses as usize >= 2 * served,
-            "worker {t}: {} misses for {served} connections — the \
-             hand-offs never went through the slow path",
-            cache.misses
-        );
-        assert!(
-            cache.flushes as usize >= served,
-            "worker {t}: {} flushes for {served} teardowns — stale \
-             ownership was never discarded",
-            cache.flushes
         );
     }
 }

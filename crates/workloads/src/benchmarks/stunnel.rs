@@ -11,7 +11,7 @@
 //! The paper ran three connections; this port runs the production
 //! shape instead: 100–300 real worker threads (one per simulated
 //! client) on the sharded wide geometry, so checked tids span 2–5
-//! shards and every check goes through the owned cache over
+//! shards and every check runs against
 //! [`sharc_runtime::ShardedShadow`] under real contention — the same
 //! `Arena` / `ThreadCtx` / `LockRegistry` / `AccessPolicy` types as
 //! the other workloads, over the other word protocol. Per connection:
@@ -22,7 +22,7 @@
 //!   and publishes the session slot under the session-table lock —
 //!   so the hand-off linearizes through the lock-held [`EventLog`];
 //! - the **worker** (tids 2..) confirms the slot under the same lock
-//!   (`locked(l)` check), sweeps the handshake with a ranged cached
+//!   (`locked(l)` check), sweeps the handshake with a ranged checked
 //!   read, stamps a session nonce back into it, then encrypts and
 //!   echoes its messages through a per-connection buffer with one
 //!   ranged `chkwrite` + one ranged `chkread` per message;
@@ -40,8 +40,8 @@ use crate::substrates::cipher::{decrypt, encrypt};
 use crate::table::{run_benchmark, BenchResult, NativeRun, Scale};
 use sharc_checker::CheckEvent;
 use sharc_runtime::{
-    AccessPolicy, Arena, CachedChecked, EventLog, EventSink, LockId, LockRegistry, MultiWord,
-    ThreadCtx, ThreadId, Unchecked, GRANULE_WORDS,
+    AccessPolicy, Arena, Checked, EventLog, EventSink, LockId, LockRegistry, MultiWord, ThreadCtx,
+    ThreadId, Unchecked, GRANULE_WORDS,
 };
 use std::sync::Arc;
 
@@ -150,7 +150,7 @@ pub fn run_traced(params: &Params) -> (NativeRun, Vec<CheckEvent>) {
 /// Runs the fleet checked, recording into any [`EventSink`] — the
 /// entry the online (`StreamingSink`) detector path uses.
 pub fn run_with_events(params: &Params, sink: Arc<dyn EventSink>) -> NativeRun {
-    run_with_sink::<CachedChecked>(params, Some(sink))
+    run_with_sink::<Checked>(params, Some(sink))
 }
 
 fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSink>>) -> NativeRun {
@@ -467,7 +467,7 @@ pub fn bench(scale: Scale) -> BenchResult {
     let params = Params::scaled(scale);
     run_benchmark("stunnel", minic_source(), scale.reps, |checked| {
         if checked {
-            run_native::<CachedChecked>(&params)
+            run_native::<Checked>(&params)
         } else {
             run_native::<Unchecked>(&params)
         }
@@ -504,7 +504,7 @@ mod tests {
             msg_len: 64,
         };
         let a = run_native::<Unchecked>(&params);
-        let b = run_native::<CachedChecked>(&params);
+        let b = run_native::<Checked>(&params);
         assert_eq!(a.checksum, b.checksum);
         // checksum encodes ok-count * 1000 + message counter.
         let expect = (params.clients * params.messages) as u64;

@@ -44,7 +44,7 @@
 //! a function of the file alone, so the same execution can be
 //! interrogated by every engine long after the threads are gone.
 //! `replay --jobs N` shards the granule space across N worker
-//! threads by epoch region; the merged verdict is bit-identical to
+//! threads by granule region; the merged verdict is bit-identical to
 //! the sequential replay for every detector.
 //!
 //! `trace convert` rewrites a trace between the text and binary

@@ -2,14 +2,13 @@
 //! §4.2 granule state machine, against the pure `step` functions:
 //!
 //! * [`StepOracle`] — `sharded::step` / `sharded::clear_thread`
-//!   applied directly to plain words: no atomics, no caches, no
-//!   epochs, no logs. This *is* the specification.
+//!   applied directly to plain words: no atomics, no logs. This *is*
+//!   the specification.
 //! * [`Shadow`] over each [`WordProtocol`] — the native-threads
 //!   runtime: [`OneWord`] (the paper's single word in a CAS retry
 //!   loop) and [`MultiWord`] (snapshot → step → CAS → revalidate) at
 //!   a five-shard and at the zero-shard (adaptive-only) geometry;
-//!   uncached, through the owned-granule epoch cache, ranged, and
-//!   under region and global epoch tables.
+//!   point checks, ranged checks, and ranged clears.
 //! * [`BitmapBackend`] — the VM's and the replayer's engine.
 //!
 //! Each differential is ONE generic body, instantiated per [`Width`].
@@ -20,12 +19,10 @@
 //! that a conflicting access leaves the shadow words unchanged, so
 //! they stay in lockstep even after conflicts.
 
-use std::collections::HashMap;
-
 use sharc_checker::step::{sharded, Access};
 use sharc_checker::{
-    geometry_for_trace, BitmapBackend, CheckBackend, CheckEvent, EventSink, OwnedCache,
-    ShadowGeometry, StreamingSink,
+    geometry_for_trace, BitmapBackend, CheckBackend, CheckEvent, EventSink, ShadowGeometry,
+    StreamingSink,
 };
 use sharc_detectors::{Eraser, VcDetector};
 use sharc_runtime::{MultiWord, OneWord, Shadow, ShardedShadow, ThreadId, WordProtocol};
@@ -39,8 +36,11 @@ const GRANULES: usize = 8;
 /// Tid universe of the wide widths: past four 63-tid shards.
 const WIDE_THREADS: u32 = 256;
 
+/// At least 128 cases; `SHARC_TEST_CASES` can only raise the count.
 fn cfg() -> Config {
-    Config::from_env().with_cases(128)
+    let cfg = Config::from_env();
+    let cases = cfg.cases.max(128);
+    cfg.with_cases(cases)
 }
 
 // ----- the widths, the oracle, the subjects -----
@@ -163,54 +163,35 @@ impl StepOracle {
     }
 }
 
-/// A shadow under test, driven uncached or through per-thread owned
-/// caches.
+/// A shadow under test.
 struct Subject<P: WordProtocol> {
     label: &'static str,
     shadow: Shadow<P>,
-    caches: Option<HashMap<u32, OwnedCache>>,
 }
 
 impl<P: WordProtocol> Subject<P> {
-    fn uncached(label: &'static str, shadow: Shadow<P>) -> Self {
-        Subject {
-            label,
-            shadow,
-            caches: None,
-        }
-    }
-
-    fn cached(label: &'static str, shadow: Shadow<P>) -> Self {
-        Subject {
-            label,
-            shadow,
-            caches: Some(HashMap::new()),
-        }
+    fn new(label: &'static str, shadow: Shadow<P>) -> Self {
+        Subject { label, shadow }
     }
 
     /// One point check; true iff it conflicts.
-    fn check(&mut self, tid: u32, granule: usize, is_write: bool) -> bool {
-        let t = ThreadId(tid);
-        let cache = self.caches.as_mut().map(|c| c.entry(tid).or_default());
-        match (cache, is_write) {
-            (None, false) => self.shadow.check_read(granule, t),
-            (None, true) => self.shadow.check_write(granule, t),
-            (Some(c), false) => self.shadow.check_read_cached(granule, t, c),
-            (Some(c), true) => self.shadow.check_write_cached(granule, t, c),
-        }
-        .is_err()
+    fn check(&self, tid: u32, granule: usize, is_write: bool) -> bool {
+        let access = if is_write {
+            Access::Write
+        } else {
+            Access::Read
+        };
+        self.shadow.check(granule, ThreadId(tid), access).is_err()
     }
 
     /// One ranged check; the number of conflicting granules.
-    fn check_range(&mut self, tid: u32, start: usize, len: usize, is_write: bool) -> usize {
+    fn check_range(&self, tid: u32, start: usize, len: usize, is_write: bool) -> usize {
         let t = ThreadId(tid);
-        let cache = self.caches.as_mut().map(|c| c.entry(tid).or_default());
         let (s, nop, nop_err) = (&self.shadow, |_| {}, |_| {});
-        match (cache, is_write) {
-            (None, false) => s.check_range_read(start, len, t, nop, nop_err),
-            (None, true) => s.check_range_write(start, len, t, nop, nop_err),
-            (Some(c), false) => s.check_range_read_cached(start, len, t, c, nop, nop_err),
-            (Some(c), true) => s.check_range_write_cached(start, len, t, c, nop, nop_err),
+        if is_write {
+            s.check_range_write(start, len, t, nop, nop_err)
+        } else {
+            s.check_range_read(start, len, t, nop, nop_err)
         }
     }
 }
@@ -238,7 +219,7 @@ impl<W: Width> Rig<W> {
         is_write: bool,
     ) -> Result<bool, String> {
         let want = self.oracle.check(tid, granule, is_write);
-        for s in &mut self.subjects {
+        for s in &self.subjects {
             let got = s.check(tid, granule, is_write);
             prop_assert!(
                 got == want,
@@ -265,7 +246,7 @@ impl<W: Width> Rig<W> {
         is_write: bool,
     ) -> Result<(), String> {
         let want = self.oracle.check_range(tid, start, len, is_write);
-        for s in &mut self.subjects {
+        for s in &self.subjects {
             let got = s.check_range(tid, start, len, is_write);
             prop_assert!(
                 got == want,
@@ -363,9 +344,8 @@ fn op_gen(threads: u32) -> Gen<Op> {
     ])
 }
 
-/// The tentpole invariant, at one width: the runtime's shadow —
-/// uncached and through the owned cache — and the VM's
-/// [`BitmapBackend`] return the pure step's verdict for every
+/// The tentpole invariant, at one width: the runtime's shadow and the
+/// VM's [`BitmapBackend`] return the pure step's verdict for every
 /// operation of any trace, exits included, and end with its words.
 fn engines_agree_with_the_step_oracle<W: Width>() {
     forall!(
@@ -373,13 +353,8 @@ fn engines_agree_with_the_step_oracle<W: Width>() {
         cfg(),
         gen::vec_of(op_gen(W::THREADS), 0..96),
         |ops| {
-            let mut rig = Rig::<W>::new(
-                GRANULES,
-                vec![
-                    Subject::uncached("uncached", W::shadow(GRANULES)),
-                    Subject::cached("cached", W::shadow(GRANULES)),
-                ],
-            );
+            let mut rig =
+                Rig::<W>::new(GRANULES, vec![Subject::new("shadow", W::shadow(GRANULES))]);
             let mut vm = BitmapBackend::with_geometry(W::geometry());
             for (i, &op) in ops.iter().enumerate() {
                 match op {
@@ -458,7 +433,7 @@ fn adaptive_only_coarsens_exits_soundly() {
         gen::vec_of(op_gen(AdaptiveOnly::THREADS), 0..96),
         |ops| {
             let mut exact = StepOracle::new(FiveShards::geometry(), GRANULES);
-            let mut adaptive = Subject::uncached("adaptive", AdaptiveOnly::shadow(GRANULES));
+            let adaptive = Subject::new("adaptive", AdaptiveOnly::shadow(GRANULES));
             let (mut exits_seen, mut diverged) = (false, false);
             let (mut exact_conflicts, mut adaptive_conflicts) = (0usize, 0usize);
             for (i, &op) in ops.iter().enumerate() {
@@ -496,104 +471,6 @@ fn adaptive_only_coarsens_exits_soundly() {
             );
         }
     );
-}
-
-/// The per-region epoch refinement is invisible to verdicts, at one
-/// width: a cached shadow over a real region table (here the finest
-/// one — one granule per region), one over the degenerate `R = 1`
-/// global table, and the uncached one all return the step oracle's
-/// verdict for every operation and end with its words. Only the
-/// *cost* differs, which the `misses` counters make observable:
-/// across the whole run the region-epoch caches can never refill more
-/// often than the global-epoch ones.
-fn region_epochs_are_verdict_invisible<W: Width>() {
-    forall!(
-        &format!("region_epochs_are_verdict_invisible/{}", W::NAME),
-        cfg(),
-        gen::vec_of(op_gen(W::THREADS), 0..96),
-        |ops| {
-            let mut rig = Rig::<W>::new(
-                GRANULES,
-                vec![
-                    Subject::uncached("uncached", W::shadow(GRANULES)),
-                    Subject::cached("region", W::shadow(GRANULES)),
-                    Subject::cached("global", W::shadow(GRANULES).with_epoch_regions(1)),
-                ],
-            );
-            prop_assert!(
-                rig.subjects[1].shadow.epochs().regions() > 1,
-                "the region engine must have a real table"
-            );
-            prop_assert!(
-                rig.subjects[2].shadow.epochs().regions() == 1,
-                "the R = 1 degeneracy"
-            );
-            for (i, &op) in ops.iter().enumerate() {
-                match op {
-                    Op::Read { tid, granule } => drop(rig.check(i, tid, granule, false)?),
-                    Op::Write { tid, granule } => drop(rig.check(i, tid, granule, true)?),
-                    Op::Clear { granule } => rig.clear(granule),
-                    Op::ThreadExit { tid } => rig.exit(tid),
-                }
-            }
-            rig.words_agree()?;
-            // Cost: partial invalidation can only remove refills. Per
-            // thread, the region-epoch cache never misses more often
-            // than the global-epoch cache on the identical trace.
-            let (region, global) = (&rig.subjects[1], &rig.subjects[2]);
-            for (tid, rc) in region.caches.iter().flatten() {
-                let gc = &global.caches.as_ref().expect("cached")[tid];
-                prop_assert!(
-                    rc.misses <= gc.misses,
-                    "{} tid {}: region cache refilled more than global ({} > {})",
-                    W::NAME,
-                    tid,
-                    rc.misses,
-                    gc.misses
-                );
-            }
-        }
-    );
-}
-
-#[test]
-fn region_epoch_engines_agree_with_global_epoch() {
-    region_epochs_are_verdict_invisible::<Narrow>();
-    region_epochs_are_verdict_invisible::<FiveShards>();
-    region_epochs_are_verdict_invisible::<AdaptiveOnly>();
-}
-
-/// The epoch cache never changes which conflicts exist — only who
-/// pays to discover them. Interleaving clears (epoch bumps) at
-/// arbitrary points must leave the cached engine in lockstep; this
-/// is implied by the tests above but called out here, with a
-/// two-slot cache that forces collisions.
-#[test]
-fn cache_is_invisible_under_adversarial_clears() {
-    let shadow: Shadow = Shadow::new(4);
-    let cached: Shadow = Shadow::new(4);
-    let mut cache: OwnedCache = OwnedCache::with_slots(2); // force collisions
-    let t1 = ThreadId(1);
-    let t2 = ThreadId(2);
-    for round in 0..50 {
-        let g = round % 4;
-        assert_eq!(
-            shadow.check_write(g, t1).is_err(),
-            cached.check_write_cached(g, t1, &mut cache).is_err(),
-            "round {round} owner write"
-        );
-        if round % 7 == 0 {
-            shadow.clear(g);
-            cached.clear(g);
-        }
-        // The second thread always takes the slow path and must see
-        // the conflict iff the uncached engine does.
-        assert_eq!(
-            shadow.check_read(g, t2).is_err(),
-            cached.check_read(g, t2).is_err(),
-            "round {round} intruder read"
-        );
-    }
 }
 
 /// The named cross-shard regression: ownership hand-off where the
@@ -678,7 +555,7 @@ fn cross_shard_ownership_transfer_is_exact() {
 // ----- ranged checks -----
 
 /// Granule universe for the ranged traces: big enough that runs have
-/// room to span several epoch regions, small enough that threads
+/// room to span several packed shadow words, small enough that threads
 /// keep colliding.
 const RANGE_GRANULES: usize = 16;
 
@@ -692,11 +569,9 @@ fn span_gen() -> Gen<(usize, usize)> {
 }
 
 /// Vocabulary for the ranged differential: buffer sweeps (the ranged
-/// checks), single-granule accesses (interleaved so point entries and
-/// run summaries coexist in one cache), and **mid-range clears** —
-/// the adversarial case, since a clear inside a summarized run must
-/// kill the summary while a clear elsewhere must not resurrect
-/// anything.
+/// checks), single-granule accesses interleaved with them, and
+/// **mid-range clears** — the adversarial case, since a sweep over a
+/// run it already owns must notice the one granule a clear reset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RangeOp {
     Range {
@@ -735,9 +610,8 @@ fn range_op_gen(threads: u32) -> Gen<RangeOp> {
 
 /// The ranged fold contract, at one width: for any trace of sweeps,
 /// point accesses, and mid-range clears, the per-op conflict count of
-/// `check_range_*` — uncached and cached (owned runs + point entries)
-/// — equals the fold of per-granule verdicts of the pure step, and
-/// every shadow word ends bit-identical to the oracle's.
+/// `check_range_*` equals the fold of per-granule verdicts of the pure
+/// step, and every shadow word ends bit-identical to the oracle's.
 fn range_checks_equal_the_step_fold<W: Width>() {
     forall!(
         &format!("range_checks_equal_the_step_fold/{}", W::NAME),
@@ -746,10 +620,7 @@ fn range_checks_equal_the_step_fold<W: Width>() {
         |ops| {
             let mut rig = Rig::<W>::new(
                 RANGE_GRANULES,
-                vec![
-                    Subject::uncached("ranged", W::shadow(RANGE_GRANULES)),
-                    Subject::cached("ranged+cached", W::shadow(RANGE_GRANULES)),
-                ],
+                vec![Subject::new("ranged", W::shadow(RANGE_GRANULES))],
             );
             for (i, &op) in ops.iter().enumerate() {
                 match op {
@@ -786,14 +657,13 @@ fn ranged_sharded_checks_agree_up_to_256_threads() {
 
 // ----- ranged casts & frees -----
 
-/// Vocabulary for the ranged-clear differential: cached buffer sweeps
+/// Vocabulary for the ranged-clear differential: buffer sweeps
 /// interleaved with **ranged clears** (`free` / block-granular
 /// sharing casts) and **ranged thread exits**. The adversarial case
-/// is a sweep that summarizes a run into the owned cache followed by
-/// a `clear_range` through the middle of it: the single ranged epoch
-/// bump must invalidate the summary exactly like the per-granule
-/// clear fold's one-bump-per-granule does, or the cached instance
-/// skips re-registration and its shadow words drift from the fold's.
+/// is a `clear_range` or `clear_thread_range` whose edges cut a packed
+/// shadow word: the ranged clear must reset exactly the lanes the
+/// per-granule fold resets, or a later sweep's words drift from the
+/// fold's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum HandoffOp {
     Sweep {
@@ -826,12 +696,10 @@ fn handoff_op_gen(threads: u32) -> Gen<HandoffOp> {
 }
 
 /// The ranged-clear contract, at one width: a `clear_range` /
-/// `clear_thread_range` (one sweep of stores, ONE epoch bump per
-/// covered region) leaves verdicts and final shadow words
-/// bit-identical to the per-granule `clear` / `clear_thread` fold —
-/// on the runtime and on the pure step alike. The ranged subject runs
-/// every sweep through the owned-run cache so a missing or short
-/// epoch bump surfaces as a stale summary and diverging words.
+/// `clear_thread_range` (one sweep of word-at-a-time stores) leaves
+/// verdicts and final shadow words bit-identical to the per-granule
+/// `clear` / `clear_thread` fold — on the runtime and on the pure
+/// step alike.
 fn ranged_clears_equal_the_step_clear_fold<W: Width>() {
     forall!(
         &format!("ranged_clears_equal_the_step_clear_fold/{}", W::NAME),
@@ -841,8 +709,8 @@ fn ranged_clears_equal_the_step_clear_fold<W: Width>() {
             let mut rig = Rig::<W>::new(
                 RANGE_GRANULES,
                 vec![
-                    Subject::cached("ranged clears", W::shadow(RANGE_GRANULES)),
-                    Subject::uncached("folded clears", W::shadow(RANGE_GRANULES)),
+                    Subject::new("ranged clears", W::shadow(RANGE_GRANULES)),
+                    Subject::new("folded clears", W::shadow(RANGE_GRANULES)),
                 ],
             );
             for (i, &op) in ops.iter().enumerate() {
