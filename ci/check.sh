@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The offline CI gate: proves the workspace builds, tests, and
-# regenerates the Table 1 smoke run with zero registry access.
+# prints the Table 1 smoke run with zero registry access.
 #
 # Usage: ci/check.sh   (from anywhere; cds to the repo root)
 set -euo pipefail
@@ -41,6 +41,8 @@ echo "== cargo test -q --offline --workspace =="
 cargo test -q --offline --workspace
 
 echo "== table1 --smoke =="
+# The Table 1 printer at quick scale: every MiniC port still checks and
+# every native workload runs under both builds. Timings are not gated.
 cargo run --release --offline -p sharc-bench --bin table1 -- --smoke
 
 echo "== high-thread smoke: engine-vs-step differential, tids past 63 =="
@@ -314,95 +316,10 @@ for workload in handoff-write scan-read; do
     esac
 done
 
-echo "== checker bench --smoke (ranged-cast, elision, trace gates) =="
-# Runs every checker row once in --smoke mode and asserts the gates
-# that compare two rows of the same run: the elided VM loop beats the
-# checked one, the one-operation block cast beats the per-granule
-# loop, the binary trace beats text on bytes and codec time, and the
-# streaming rows stay inside their ring budget. The rows (range/*,
-# cast/*, sharded/*, stunnel/*, online/*, trace/*) land in the
-# repo-root BENCH_checker.json, the single canonical location (also
-# written by table1 --smoke above).
+echo "== checker bench --smoke (does it run; no gate) =="
+# The mechanism rows benchmark/ has not ported (range/*, cast/*,
+# sharded/*, stunnel/fleet-*). Timings are printed and written to the
+# git-ignored crates/bench/target/; nothing is asserted on them.
 cargo bench --offline -p sharc-bench --bench checker -- --smoke
-test -f BENCH_checker.json || {
-    echo "ERROR: BENCH_checker.json missing at the repo root" >&2
-    exit 1
-}
-# The stunnel fleet must be in the record: the headline timing rows
-# (throughput pair + contention sweep, p50/p95 with every other row)
-# and the derived messages-per-second figures.
-for row in "stunnel/fleet-sharc" "stunnel/fleet-orig" "stunnel/sweep-c64-w16"; do
-    grep -q "$row" BENCH_checker.json || {
-        echo "ERROR: BENCH_checker.json is missing the $row row" >&2
-        exit 1
-    }
-done
-grep -q "msgs_per_sec" BENCH_checker.json || {
-    echo "ERROR: BENCH_checker.json has no stunnel throughput records" >&2
-    exit 1
-}
-# The streaming pipeline must be in the record too: timing rows for
-# the streamed-vs-untraced pairs and the memory accounting (peak
-# resident vs ring budget) the bench gate asserts.
-for row in "online/stunnel-stream" "online/stunnel-orig" "online/pbzip2-stream"; do
-    grep -q "$row" BENCH_checker.json || {
-        echo "ERROR: BENCH_checker.json is missing the $row row" >&2
-        exit 1
-    }
-done
-grep -q "ring_budget" BENCH_checker.json || {
-    echo "ERROR: BENCH_checker.json has no streaming memory accounting" >&2
-    exit 1
-}
-# The ranged-cast rows: one-operation block hand-off vs the
-# per-granule cast+clear loop at both block sizes (the >=4x win is
-# asserted inside the bench by assert_ranged_cast_wins; this pins
-# the rows into the machine-readable record).
-for row in "cast/block-4k-ranged" "cast/block-4k-granule" \
-    "cast/block-64k-ranged" "cast/block-64k-granule"; do
-    grep -q "$row" BENCH_checker.json || {
-        echo "ERROR: BENCH_checker.json is missing the $row row" >&2
-        exit 1
-    }
-done
-# The elision record: the two vm/private-loop rows (the bench exits 0
-# only if elided beat checked — assert_elision_wins), plus per-workload
-# static percentages with nonzero elision on the private-heavy ports.
-for row in "vm/private-loop/elided" "vm/private-loop/checked"; do
-    grep -q "$row" BENCH_checker.json || {
-        echo "ERROR: BENCH_checker.json is missing the $row row" >&2
-        exit 1
-    }
-done
-grep -q "elided_pct" BENCH_checker.json || {
-    echo "ERROR: BENCH_checker.json has no per-workload elision records" >&2
-    exit 1
-}
-for w in pfscan stunnel dillo; do
-    slots=$(grep -A2 "\"name\": \"$w\"," BENCH_checker.json \
-        | grep '"elided_slots"' | grep -o '[0-9]\+' || true)
-    if [ -z "$slots" ] || [ "$slots" -eq 0 ]; then
-        echo "ERROR: $w must show nonzero static elision (got '${slots:-missing}')" >&2
-        exit 1
-    fi
-done
-# The binary-trace + parallel-replay record: codec rows for both
-# formats (their byte and speed gates are asserted inside the bench
-# by assert_trace_wins) and the seq/par replay pair, which is
-# reported, not gated — a >=2x parallel win cannot bind on a 2-CPU
-# host. This pins the rows into the machine-readable record, plus
-# the size comparison itself.
-for row in "trace/encode-text" "trace/encode-binary" \
-    "trace/decode-text" "trace/decode-binary" \
-    "replay/seq" "replay/par-4"; do
-    grep -q "$row" BENCH_checker.json || {
-        echo "ERROR: BENCH_checker.json is missing the $row row" >&2
-        exit 1
-    }
-done
-grep -q "binary_bytes" BENCH_checker.json || {
-    echo "ERROR: BENCH_checker.json has no trace size records" >&2
-    exit 1
-}
 
 echo "All checks passed."

@@ -20,15 +20,130 @@
 //! cargo run -p sharc-bench --release --bin detector_comparison [-- --quick]
 //! ```
 
-use sharc_bench::{
-    handoff_trace, scan_workload_baseline, scan_workload_detector, scan_workload_sharc,
-    timed_replay,
-};
-use sharc_checker::{replay, BitmapBackend, CheckBackend};
+use sharc_checker::{replay, BitmapBackend, CheckBackend, CheckEvent};
 use sharc_detectors::{Eraser, Online, VcDetector};
 use sharc_interp::{compile_and_run, VmConfig};
-use sharc_runtime::{Arena, Checked};
+use sharc_runtime::{AccessPolicy, Arena, Checked, ThreadCtx, ThreadId};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// The memory-scan workload: `threads` workers sum disjoint regions of
+/// shared memory, every access checked by SharC's shadow under policy
+/// `P`. Returns (elapsed, sum-checksum).
+fn scan_workload_sharc<P: AccessPolicy>(
+    arena: Arc<Arena>,
+    threads: usize,
+    words_per_thread: usize,
+    passes: usize,
+) -> (Duration, u64) {
+    let start = Instant::now();
+    let mut handles = Vec::new();
+    for t in 0..threads {
+        let arena = Arc::clone(&arena);
+        handles.push(std::thread::spawn(move || {
+            let mut ctx = ThreadCtx::new(ThreadId(t as u32 + 1));
+            let base = t * words_per_thread;
+            let mut sum = 0u64;
+            for _ in 0..passes {
+                for i in 0..words_per_thread {
+                    P::write(&arena, &mut ctx, base + i, (i as u64) ^ sum);
+                    sum = sum.wrapping_add(P::read(&arena, &mut ctx, base + i));
+                }
+            }
+            arena.thread_exit(&mut ctx);
+            sum
+        }));
+    }
+    let mut checksum = 0u64;
+    for h in handles {
+        checksum = checksum.wrapping_add(h.join().expect("worker"));
+    }
+    (start.elapsed(), checksum)
+}
+
+/// The same scan monitored by a trace detector on *every* access
+/// (how Eraser-class tools work).
+fn scan_workload_detector<B: CheckBackend + Default + Send + 'static>(
+    detector: Arc<Online<B>>,
+    threads: usize,
+    words_per_thread: usize,
+    passes: usize,
+) -> (Duration, u64) {
+    let start = Instant::now();
+    let mut handles = Vec::new();
+    for t in 0..threads {
+        let d = Arc::clone(&detector);
+        handles.push(std::thread::spawn(move || {
+            let tid = t as u32 + 1;
+            let base = t * words_per_thread;
+            let mut mem = vec![0u64; words_per_thread];
+            let mut sum = 0u64;
+            for _ in 0..passes {
+                for (i, cell) in mem.iter_mut().enumerate() {
+                    d.write(tid, base + i);
+                    *cell = (i as u64) ^ sum;
+                    d.read(tid, base + i);
+                    sum = sum.wrapping_add(*cell);
+                }
+            }
+            sum
+        }));
+    }
+    let mut checksum = 0u64;
+    for h in handles {
+        checksum = checksum.wrapping_add(h.join().expect("worker"));
+    }
+    (start.elapsed(), checksum)
+}
+
+/// Uninstrumented baseline of the same scan.
+fn scan_workload_baseline(
+    threads: usize,
+    words_per_thread: usize,
+    passes: usize,
+) -> (Duration, u64) {
+    let start = Instant::now();
+    let mut handles = Vec::new();
+    for _ in 0..threads {
+        handles.push(std::thread::spawn(move || {
+            let mut mem = vec![0u64; words_per_thread];
+            let mut sum = 0u64;
+            for _ in 0..passes {
+                for (i, cell) in mem.iter_mut().enumerate() {
+                    *cell = (i as u64) ^ sum;
+                    sum = sum.wrapping_add(std::hint::black_box(*cell));
+                }
+            }
+            sum
+        }));
+    }
+    let mut checksum = 0u64;
+    for h in handles {
+        checksum = checksum.wrapping_add(h.join().expect("worker"));
+    }
+    (start.elapsed(), checksum)
+}
+
+/// An ownership-transfer trace (producer/consumer via two locks):
+/// legal under SharC's sharing casts, a false positive for the
+/// baselines.
+fn handoff_trace(rounds: usize) -> Vec<CheckEvent> {
+    use CheckEvent::{Acquire, Fork, Release, Write};
+    let mut t = vec![Fork {
+        parent: 1,
+        child: 2,
+    }];
+    for r in 0..rounds {
+        let granule = r % 8;
+        t.push(Acquire { tid: 1, lock: 1 });
+        t.push(Write { tid: 1, granule });
+        t.push(Release { tid: 1, lock: 1 });
+        t.push(Acquire { tid: 2, lock: 2 });
+        t.push(Write { tid: 2, granule });
+        t.push(Release { tid: 2, lock: 2 });
+    }
+    t
+}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -51,7 +166,7 @@ fn main() {
         scan_workload_detector(d, threads, words, passes)
     };
     assert!(c0 == c1 && c0 == c2 && c0 == c3, "checksum mismatch");
-    let x = |d: std::time::Duration| d.as_secs_f64() / base.as_secs_f64();
+    let x = |d: Duration| d.as_secs_f64() / base.as_secs_f64();
     println!("{:<22} {:>12} {:>8}", "monitor", "time", "slowdown");
     println!("{:<22} {:>12.2?} {:>7.2}x", "none (orig)", base, 1.0);
     println!(
@@ -146,7 +261,9 @@ fn main() {
     ];
     println!("{:<24} {:>12} {:>10}", "engine", "replay time", "conflicts");
     for (name, mut backend) in engines {
-        let (d, conflicts) = timed_replay(&trace, backend.as_mut());
+        let start = Instant::now();
+        let conflicts = replay(&trace, backend.as_mut());
+        let d = start.elapsed();
         println!("{name:<24} {d:>12.2?} {:>10}", conflicts.len());
     }
     println!(
@@ -154,4 +271,28 @@ fn main() {
          lockset engines false-positive; happens-before engines accept only\n\
          because the queue lock orders the hand-off."
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sharc_runtime::Unchecked;
+
+    #[test]
+    fn scan_checksums_agree() {
+        let a1: Arc<Arena> = Arc::new(Arena::new(64));
+        let a2: Arc<Arena> = Arc::new(Arena::new(64));
+        let (_, c1) = scan_workload_sharc::<Unchecked>(a1, 2, 32, 3);
+        let (_, c2) = scan_workload_sharc::<Checked>(a2, 2, 32, 3);
+        let (_, c3) = scan_workload_baseline(2, 32, 3);
+        assert_eq!(c1, c2);
+        assert_eq!(c1, c3);
+    }
+
+    #[test]
+    fn handoff_trace_is_false_positive_for_baselines() {
+        let trace = handoff_trace(10);
+        assert!(!replay(&trace, &mut Eraser::new()).is_empty());
+        assert!(!replay(&trace, &mut VcDetector::new()).is_empty());
+    }
 }

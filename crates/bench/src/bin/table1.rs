@@ -78,52 +78,4 @@ fn main() {
         "\nTotals: {total_annots} annotations, {total_changes} sharing casts \
          (paper: 60 annotations, 122 other changes over 600k lines)"
     );
-
-    // Event-spine cross-check: the same kind of native execution the
-    // table timed, replayed through the CheckBackend interface
-    // (SharC's own engine and the lockset baseline judge one
-    // identical run).
-    use sharc_workloads::benchmarks::pfscan;
-    let log = std::sync::Arc::new(sharc_checker::EventLog::new());
-    let _ = pfscan::run_with_events(&pfscan::Params::scaled(Scale::quick()), log.clone());
-    let trace = log.snapshot();
-    let mut sharc = sharc_checker::BitmapBackend::new();
-    let n_sharc = sharc_checker::replay(&trace, &mut sharc).len();
-    let n_eraser = sharc_checker::replay(&trace, &mut sharc_detectors::Eraser::new()).len();
-    println!(
-        "\nEvent spine: one native pfscan run ({} events) replayed through \
-         CheckBackend — sharc: {n_sharc} conflicts, eraser: {n_eraser}.",
-        trace.len()
-    );
-    // Who paid for the recording: per-thread append counts on the
-    // shared log, and how often an append found the log lock busy.
-    let appends: Vec<String> = log
-        .append_counts()
-        .iter()
-        .map(|(tid, n)| format!("t{tid}: {n}"))
-        .collect();
-    println!(
-        "Event log appends by recording thread: {} ({} contended).",
-        appends.join(", "),
-        log.contended_appends()
-    );
-
-    // In smoke mode also regenerate the repo-root `BENCH_checker.json`
-    // (the stunnel, streaming, elision and trace rows) and enforce
-    // their gates, so the CI pipeline records the bench trajectory
-    // without a separate `cargo bench` step.
-    if quick {
-        let mut b = sharc_testkit::Bench::new("checker");
-        b.sample_size(5);
-        let stunnel = sharc_bench::stunnel_rows(&mut b, true);
-        let online = sharc_bench::online_rows(&mut b, true);
-        sharc_bench::elision_vm_rows(&mut b);
-        let elision = sharc_bench::elision_rows();
-        b.sample_size(3);
-        let trace = vec![sharc_bench::trace_replay_rows(&mut b, true)];
-        sharc_bench::write_checker_json_at_repo_root(&b, &stunnel, &online, &elision, &trace);
-        sharc_bench::assert_online_bounds(&b, &online);
-        sharc_bench::assert_elision_wins(&b);
-        sharc_bench::assert_trace_wins(&b, &trace[0]);
-    }
 }

@@ -21,7 +21,6 @@
 //! workload code at the point it performs them.
 
 use crate::backend::CheckEvent;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
 
@@ -78,18 +77,11 @@ pub trait EventSink: Send + Sync + std::fmt::Debug {
 /// The thread *performing* the recording of `e` — the event's tid,
 /// the parent for fork/join (the parent records both, per the
 /// workload convention), and 0 for `Alloc` (recorded by whoever
-/// (re)allocates). Sinks that maintain per-thread state (append
-/// counters, rings) key it off this.
+/// (re)allocates). Sinks that maintain per-thread state (rings,
+/// binary-trace blocks) key it off this.
 #[inline]
 pub fn recording_tid(e: &CheckEvent) -> u32 {
     e.tids().next().unwrap_or(0)
-}
-
-#[derive(Debug, Default)]
-struct LogInner {
-    events: Vec<CheckEvent>,
-    /// Events appended per recording thread.
-    appends: HashMap<u32, u64>,
 }
 
 /// A thread-safe, append-only `CheckEvent` buffer — the
@@ -101,13 +93,12 @@ struct LogInner {
 /// linearized trace preserves the synchronization order the
 /// detectors reason about.
 ///
-/// The log also counts its own bottleneck: per-thread append totals
-/// and the number of appends that found the lock already held
-/// ([`EventLog::contended_appends`]) quantify the serialization the
-/// streaming sink removes.
+/// The log also counts its own bottleneck: the number of appends that
+/// found the lock already held ([`EventLog::contended_appends`])
+/// quantifies the serialization the streaming sink removes.
 #[derive(Debug, Default)]
 pub struct EventLog {
-    inner: Mutex<LogInner>,
+    events: Mutex<Vec<CheckEvent>>,
     /// Appends whose `try_lock` lost to another thread.
     contended: AtomicU64,
 }
@@ -119,12 +110,12 @@ impl EventLog {
     }
 
     /// Locks the buffer, counting contention on the way in.
-    fn guard(&self) -> MutexGuard<'_, LogInner> {
-        match self.inner.try_lock() {
+    fn guard(&self) -> MutexGuard<'_, Vec<CheckEvent>> {
+        match self.events.try_lock() {
             Ok(g) => g,
             Err(TryLockError::WouldBlock) => {
                 self.contended.fetch_add(1, Ordering::Relaxed);
-                self.inner.lock().expect("event log poisoned")
+                self.events.lock().expect("event log poisoned")
             }
             Err(TryLockError::Poisoned(_)) => panic!("event log poisoned"),
         }
@@ -132,7 +123,7 @@ impl EventLog {
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.guard().events.len()
+        self.guard().len()
     }
 
     /// True if nothing has been recorded.
@@ -142,21 +133,13 @@ impl EventLog {
 
     /// Clones the events out (the log keeps them).
     pub fn snapshot(&self) -> Vec<CheckEvent> {
-        self.guard().events.clone()
+        self.guard().clone()
     }
 
-    /// Drains the events out, leaving the log empty (the counters
-    /// keep their totals).
+    /// Drains the events out, leaving the log empty (the contention
+    /// counter keeps its total).
     pub fn take(&self) -> Vec<CheckEvent> {
-        std::mem::take(&mut self.guard().events)
-    }
-
-    /// `(tid, appends)` per recording thread, sorted by tid.
-    pub fn append_counts(&self) -> Vec<(u32, u64)> {
-        let mut counts: Vec<(u32, u64)> =
-            self.guard().appends.iter().map(|(&t, &n)| (t, n)).collect();
-        counts.sort_unstable();
-        counts
+        std::mem::take(&mut *self.guard())
     }
 
     /// Appends that hit the serialized log's lock while another
@@ -171,9 +154,7 @@ impl EventSink for EventLog {
     /// Appends one event (linearized under the log's lock).
     #[inline]
     fn record(&self, e: CheckEvent) {
-        let mut g = self.guard();
-        *g.appends.entry(recording_tid(&e)).or_insert(0) += 1;
-        g.events.push(e);
+        self.guard().push(e);
     }
 }
 
@@ -233,24 +214,16 @@ mod tests {
     }
 
     #[test]
-    fn append_counters_attribute_by_recording_thread() {
+    fn single_threaded_appends_never_contend() {
         let log = EventLog::new();
-        // tid 1 records its own access, a fork, and a join; tid 2
-        // records two accesses. Alloc is charged to thread 0.
         log.record_access(1, 0, true);
         log.record(CheckEvent::Fork {
             parent: 1,
             child: 2,
         });
         log.record_access(2, 1, false);
-        log.record_access(2, 2, false);
-        log.record(CheckEvent::Join {
-            parent: 1,
-            child: 2,
-        });
         log.record(CheckEvent::Alloc { granule: 9 });
-        assert_eq!(log.append_counts(), vec![(0, 1), (1, 3), (2, 2)]);
-        // Single-threaded appends never contend.
+        assert_eq!(log.len(), 4);
         assert_eq!(log.contended_appends(), 0);
     }
 }

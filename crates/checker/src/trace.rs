@@ -126,16 +126,9 @@ impl Admission {
 
 /// The header written at the top of every trace file. Parsing does
 /// not require it (it is a comment), but it lets a future format
-/// bump fail loudly instead of misparsing.
+/// bump fail loudly instead of misparsing. The `v1` and `v2` headers
+/// are still accepted: their vocabularies are subsets of `v3`'s.
 pub const TRACE_HEADER: &str = "# sharc-trace v3";
-
-/// The `v1` header, still accepted (it is a comment): a `v1` file
-/// contains only per-granule lines, all of which parse unchanged.
-pub const TRACE_HEADER_V1: &str = "# sharc-trace v1";
-
-/// The `v2` header, still accepted: a `v2` file contains per-granule
-/// lines plus `rread`/`rwrite`, all of which parse unchanged.
-pub const TRACE_HEADER_V2: &str = "# sharc-trace v2";
 
 /// Renders `events` in the line format, header included.
 pub fn to_text(events: &[CheckEvent]) -> String {
@@ -464,61 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_still_parse_under_the_v2_parser() {
-        // A file written by the v1 `--trace-out` (v1 header, only
-        // per-granule lines) parses unchanged: the header is a
-        // comment and every v1 keyword survived the format bump.
-        let v1 = format!("{TRACE_HEADER_V1}\nfork 1 2\nwrite 1 17\nread 2 17\nexit 2\n");
-        let parsed = parse_text(&v1).expect("v1 compatible");
-        assert_eq!(
-            parsed,
-            vec![
-                CheckEvent::Fork {
-                    parent: 1,
-                    child: 2
-                },
-                CheckEvent::Write {
-                    tid: 1,
-                    granule: 17
-                },
-                CheckEvent::Read {
-                    tid: 2,
-                    granule: 17
-                },
-                CheckEvent::ThreadExit { tid: 2 },
-            ]
-        );
-    }
-
-    #[test]
-    fn v2_files_still_parse_under_the_v3_parser() {
-        // A file written by the v2 `--trace-out` (v2 header, ranged
-        // access lines but no ranged casts/frees) parses unchanged.
-        let v2 = format!("{TRACE_HEADER_V2}\nfork 1 2\nrwrite 1 16 4\ncast 1 16 1\nexit 1\n");
-        let parsed = parse_text(&v2).expect("v2 compatible");
-        assert_eq!(
-            parsed,
-            vec![
-                CheckEvent::Fork {
-                    parent: 1,
-                    child: 2
-                },
-                CheckEvent::RangeWrite {
-                    tid: 1,
-                    granule: 16,
-                    len: 4
-                },
-                CheckEvent::SharingCast {
-                    tid: 1,
-                    granule: 16,
-                    refs: 1
-                },
-                CheckEvent::ThreadExit { tid: 1 },
-            ]
-        );
-    }
-
-    #[test]
     fn v3_trace_and_its_v1_lowering_replay_identically() {
         // The v1 -> v3 round trip: any v3 trace (ranged accesses,
         // casts, and frees included) can be lowered to a pure-v1
@@ -649,7 +587,7 @@ mod tests {
 
     #[test]
     fn v1_through_v3_headers_still_parse() {
-        for h in [TRACE_HEADER_V1, TRACE_HEADER_V2, TRACE_HEADER] {
+        for h in ["# sharc-trace v1", "# sharc-trace v2", "# sharc-trace v3"] {
             let parsed = parse_text(&format!("{h}\nread 2 7\n")).expect("supported version");
             assert_eq!(parsed, vec![CheckEvent::Read { tid: 2, granule: 7 }]);
         }

@@ -16,4 +16,4 @@ pub mod benchmarks;
 pub mod substrates;
 pub mod table;
 
-pub use table::{run_all, BenchResult, TableRow};
+pub use table::{run_all, BenchResult};

@@ -3,7 +3,6 @@
 //! annotation columns, and renders rows in the paper's format.
 
 use crate::benchmarks;
-use sharc_runtime::{Checked, Unchecked};
 use std::time::{Duration, Instant};
 
 /// What one native run reports back.
@@ -55,10 +54,6 @@ impl BenchResult {
         (self.time_sharc.as_secs_f64() / self.time_orig.as_secs_f64() - 1.0) * 100.0
     }
 }
-
-/// A rendered table row.
-#[derive(Debug, Clone)]
-pub struct TableRow(pub String);
 
 /// Times the orig/sharc pair *interleaved* (o,s,o,s,...) and takes
 /// medians, which resists the scheduling drift that plagues
@@ -245,23 +240,3 @@ pub fn render_table(results: &[BenchResult]) -> String {
     ));
     out
 }
-
-/// Dispatches a policy-generic closure on the orig/sharc flag. This
-/// keeps each benchmark's `run` monomorphized per policy.
-#[macro_export]
-macro_rules! with_policy {
-    ($checked:expr, $p:ident => $body:expr) => {
-        if $checked {
-            type $p = $crate::table::SharcPolicy;
-            $body
-        } else {
-            type $p = $crate::table::OrigPolicy;
-            $body
-        }
-    };
-}
-
-/// Re-exports used by [`with_policy!`].
-pub type OrigPolicy = Unchecked;
-/// Re-exports used by [`with_policy!`].
-pub type SharcPolicy = Checked;

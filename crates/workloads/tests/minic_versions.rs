@@ -79,6 +79,31 @@ fn minic_ports_produce_output() {
 }
 
 #[test]
+fn static_elision_is_pinned_per_port() {
+    // `(checked_slots, elided_slots, collapsed_reads)` of each port's
+    // elision summary: how much instrumentation the escape+lockset
+    // pre-analysis deletes before it can cost anything at runtime.
+    let ports: [(&str, &str, (usize, usize, usize)); 6] = [
+        ("pfscan.c", pfscan::minic_source(), (16, 6, 0)),
+        ("aget.c", aget::minic_source(), (4, 2, 0)),
+        ("pbzip2.c", pbzip2::minic_source(), (14, 2, 0)),
+        ("dillo.c", dillo::minic_source(), (14, 6, 0)),
+        ("fftw.c", fftw::minic_source(), (8, 2, 0)),
+        ("stunnel.c", stunnel::minic_source(), (7, 4, 0)),
+    ];
+    for (name, src, want) in ports {
+        let checked = sharc_core::compile(name, src).expect("port parses");
+        assert!(!checked.diags.has_errors(), "{name} must check cleanly");
+        let s = &checked.elision.summary;
+        assert_eq!(
+            (s.checked_slots, s.elided_slots, s.collapsed_reads),
+            want,
+            "{name}: (checked, elided, collapsed)"
+        );
+    }
+}
+
+#[test]
 fn dynamic_fraction_ranks_like_the_paper() {
     // The VM's own %dynamic measurement must rank the MiniC ports the
     // way Table 1 ranks the C programs: pfscan high, pbzip2/fftw low.

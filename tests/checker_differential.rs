@@ -1187,6 +1187,17 @@ fn stunnel_streaming_is_bit_identical_to_replay_at_fleet_width() {
         live_stats.peak_resident,
         live_stats.ring_budget
     );
+    assert!(
+        live_stats.recorded > live_stats.ring_budget as u64,
+        "live budget {} must bind over {} recorded events",
+        live_stats.ring_budget,
+        live_stats.recorded
+    );
+    assert!(
+        live_stats.drains >= 2,
+        "the live collector must drain ({} drains)",
+        live_stats.drains
+    );
     assert_eq!(live_stats.drained, live_stats.recorded);
 
     // Eraser live-streams its ownership-transfer false positive too.
