@@ -591,13 +591,15 @@ impl Parser {
                 } else {
                     let mut tmp = Vec::new();
                     self.simple_stmt_into(&mut tmp)?;
-                    if tmp.len() != 1 {
-                        return Err(Diagnostic::error(
-                            "for-step must be a single assignment",
-                            start,
-                        ));
+                    match <[Stmt; 1]>::try_from(tmp) {
+                        Ok([s]) if matches!(s.kind, StmtKind::Assign { .. }) => Some(Box::new(s)),
+                        _ => {
+                            return Err(Diagnostic::error(
+                                "for-step must be a single assignment",
+                                start,
+                            ))
+                        }
                     }
-                    Some(Box::new(tmp.pop().unwrap()))
                 };
                 self.expect(TokenKind::RParen)?;
                 let body = self.block_or_single()?;
@@ -1138,6 +1140,19 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.fns.len(), 1);
+    }
+
+    #[test]
+    fn for_step_must_be_an_assignment() {
+        for step in ["i = i + 1", "i++", "i += 2"] {
+            let src = format!("void f() {{ int i; for (i = 0; i < 3; {step}) {{ }} }}");
+            assert!(parse(&src).is_ok(), "{src}");
+        }
+        for step in ["int j = 1", "int j", "f()", "i", "int j, k"] {
+            let src = format!("void f() {{ int i; for (i = 0; i < 3; {step}) {{ }} }}");
+            let err = parse(&src).expect_err(&src);
+            assert!(err.message.contains("for-step"), "{src}: {}", err.message);
+        }
     }
 
     #[test]

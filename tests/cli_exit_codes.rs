@@ -123,3 +123,20 @@ fn a_failure_to_judge_is_three_in_both_trace_formats() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_syntax_error_is_three() {
+    let dir = std::env::temp_dir().join(format!("sharc-cli-syntax-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    // A declaration where a `for` step must be a single assignment.
+    let src = dir.join("for_step.c");
+    std::fs::write(
+        &src,
+        "void main() { int i; for (i = 0; i < 3; int j = 1) { } }\n",
+    )
+    .expect("scratch file");
+    let src = src.to_str().expect("utf-8 temp path");
+    assert_cannot_judge(&["check", src]);
+    assert_cannot_judge(&["run", src]);
+    std::fs::remove_dir_all(&dir).ok();
+}
