@@ -88,7 +88,16 @@ pub fn analyze(program: &mut Program, structs: &StructTable, n_vars: u32) -> Sha
             ret: f.ret.clone(),
         };
         gen.block(&f.body);
-        ref_ctor_decls(&f.body, &mut cs);
+        f.body.walk(&mut |n| {
+            if let Node::Stmt(Stmt {
+                kind: StmtKind::Decl { ty, .. },
+                ..
+            }) = n
+            {
+                ref_ctor_type(ty, &mut cs);
+            }
+            true
+        });
     }
 
     // Seeds: globals touched by thread-reachable code.
@@ -448,151 +457,17 @@ fn ref_ctor_type(ty: &Type, cs: &mut ConstraintSet) {
     }
 }
 
-fn ref_ctor_decls(b: &Block, cs: &mut ConstraintSet) {
-    for s in &b.stmts {
-        match &s.kind {
-            StmtKind::Decl { ty, .. } => ref_ctor_type(ty, cs),
-            StmtKind::If {
-                then_blk, else_blk, ..
-            } => {
-                ref_ctor_decls(then_blk, cs);
-                if let Some(eb) = else_blk {
-                    ref_ctor_decls(eb, cs);
-                }
-            }
-            StmtKind::While { body, .. } => ref_ctor_decls(body, cs),
-            StmtKind::For {
-                init, step, body, ..
-            } => {
-                if let Some(i) = init {
-                    if let StmtKind::Decl { ty, .. } = &i.kind {
-                        ref_ctor_type(ty, cs);
-                    }
-                }
-                let _ = step;
-                ref_ctor_decls(body, cs);
-            }
-            StmtKind::Block(b) => ref_ctor_decls(b, cs),
-            _ => {}
-        }
-    }
-}
-
 // ----- substitution -----
 
 /// Replaces every `Qual::Var` in the program with its solution.
 pub fn substitute_program(p: &mut Program, sol: &Solution) {
-    let subst = |ty: &mut Type| {
+    p.for_each_type_mut(&mut |ty, _| {
         ty.for_each_level_mut(&mut |l| {
             if let Qual::Var(v) = l.qual {
                 l.qual = sol.qual(v);
             }
         });
-    };
-    for g in &mut p.globals {
-        subst(&mut g.ty);
-    }
-    for sd in &mut p.structs {
-        for f in &mut sd.fields {
-            subst(&mut f.ty);
-        }
-    }
-    for f in &mut p.fns {
-        subst(&mut f.ret);
-        for param in &mut f.params {
-            subst(&mut param.ty);
-        }
-        subst_block(&mut f.body, &subst);
-    }
-}
-
-fn subst_block(b: &mut Block, subst: &impl Fn(&mut Type)) {
-    for s in &mut b.stmts {
-        subst_stmt(s, subst);
-    }
-}
-
-fn subst_stmt(s: &mut Stmt, subst: &impl Fn(&mut Type)) {
-    match &mut s.kind {
-        StmtKind::Decl { ty, init, .. } => {
-            subst(ty);
-            if let Some(e) = init {
-                subst_expr(e, subst);
-            }
-        }
-        StmtKind::Assign { lhs, rhs } => {
-            subst_expr(lhs, subst);
-            subst_expr(rhs, subst);
-        }
-        StmtKind::Expr(e) => subst_expr(e, subst),
-        StmtKind::If {
-            cond,
-            then_blk,
-            else_blk,
-        } => {
-            subst_expr(cond, subst);
-            subst_block(then_blk, subst);
-            if let Some(eb) = else_blk {
-                subst_block(eb, subst);
-            }
-        }
-        StmtKind::While { cond, body } => {
-            subst_expr(cond, subst);
-            subst_block(body, subst);
-        }
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            if let Some(i) = init {
-                subst_stmt(i, subst);
-            }
-            if let Some(c) = cond {
-                subst_expr(c, subst);
-            }
-            if let Some(st) = step {
-                subst_stmt(st, subst);
-            }
-            subst_block(body, subst);
-        }
-        StmtKind::Return(Some(e)) => subst_expr(e, subst),
-        StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
-        StmtKind::Block(b) => subst_block(b, subst),
-    }
-}
-
-fn subst_expr(e: &mut Expr, subst: &impl Fn(&mut Type)) {
-    match &mut e.kind {
-        ExprKind::Unary(_, a) => subst_expr(a, subst),
-        ExprKind::Binary(_, a, b) => {
-            subst_expr(a, subst);
-            subst_expr(b, subst);
-        }
-        ExprKind::Index(a, b) => {
-            subst_expr(a, subst);
-            subst_expr(b, subst);
-        }
-        ExprKind::Field(a, _, _) => subst_expr(a, subst),
-        ExprKind::Call(f, args) => {
-            subst_expr(f, subst);
-            for a in args {
-                subst_expr(a, subst);
-            }
-        }
-        ExprKind::Cast(ty, a) | ExprKind::Scast(ty, a) | ExprKind::NewArray(ty, a) => {
-            subst(ty);
-            subst_expr(a, subst);
-        }
-        ExprKind::New(ty) | ExprKind::Sizeof(ty) => subst(ty),
-        ExprKind::Ternary(c, a, b) => {
-            subst_expr(c, subst);
-            subst_expr(a, subst);
-            subst_expr(b, subst);
-        }
-        _ => {}
-    }
+    });
 }
 
 #[cfg(test)]

@@ -119,7 +119,18 @@ pub fn check(program: &Program, structs: &StructTable, sharing: &SharingAnalysis
             fn_name: &f.name,
         };
         ck.block(&f.body);
-        wf_decl_types(&f.body, &mut diags);
+        f.body.walk(&mut |n| {
+            if let Node::Stmt(
+                s @ Stmt {
+                    kind: StmtKind::Decl { ty, .. },
+                    ..
+                },
+            ) = n
+            {
+                wf_type(ty, s.span, &mut diags);
+            }
+            true
+        });
     }
 
     CheckResult { diags, instr }
@@ -189,129 +200,29 @@ fn wf_field_type(ty: &Type, span: Span, diags: &mut Diagnostics) {
     }
 }
 
-fn wf_decl_types(b: &Block, diags: &mut Diagnostics) {
-    for s in &b.stmts {
-        match &s.kind {
-            StmtKind::Decl { ty, .. } => wf_type(ty, s.span, diags),
-            StmtKind::If {
-                then_blk, else_blk, ..
-            } => {
-                wf_decl_types(then_blk, diags);
-                if let Some(eb) = else_blk {
-                    wf_decl_types(eb, diags);
-                }
-            }
-            StmtKind::While { body, .. } => wf_decl_types(body, diags),
-            StmtKind::For { init, body, .. } => {
-                if let Some(i) = init {
-                    if let StmtKind::Decl { ty, .. } = &i.kind {
-                        wf_type(ty, i.span, diags);
-                    }
-                }
-                wf_decl_types(body, diags);
-            }
-            StmtKind::Block(b) => wf_decl_types(b, diags),
-            _ => {}
-        }
-    }
-}
-
-/// Names assigned (or address-taken) anywhere in the function; used
-/// for the `locked(l)` verifiable-constancy requirement.
+/// Names assigned anywhere in the function; used for the `locked(l)`
+/// verifiable-constancy requirement. Taking an address (e.g.
+/// `mutex_lock(&gm)`) does not by itself modify the variable; only
+/// assignments and sharing casts (which null their source) do.
 fn collect_assigned_names(f: &FnDef) -> HashSet<String> {
     let mut names = HashSet::new();
-    fn expr_walk(e: &Expr, names: &mut HashSet<String>) {
-        match &e.kind {
-            // Taking an address (e.g. `mutex_lock(&gm)`) does not by
-            // itself modify the variable; only assignments and
-            // sharing casts (which null their source) do.
-            ExprKind::Unary(_, a) => expr_walk(a, names),
-            ExprKind::Binary(_, a, b) => {
-                expr_walk(a, names);
-                expr_walk(b, names);
-            }
-            ExprKind::Index(a, b) => {
-                expr_walk(a, names);
-                expr_walk(b, names);
-            }
-            ExprKind::Field(a, _, _) => expr_walk(a, names),
-            ExprKind::Call(f, args) => {
-                expr_walk(f, names);
-                for a in args {
-                    expr_walk(a, names);
-                }
-            }
-            ExprKind::Cast(_, a) | ExprKind::NewArray(_, a) => expr_walk(a, names),
-            ExprKind::Scast(_, a) => {
-                // The source of a sharing cast is nulled out: it is a
-                // modification.
-                if let ExprKind::Ident(n) = &a.kind {
-                    names.insert(n.clone());
-                }
-                expr_walk(a, names);
-            }
-            ExprKind::Ternary(c, a, b) => {
-                expr_walk(c, names);
-                expr_walk(a, names);
-                expr_walk(b, names);
-            }
-            _ => {}
+    f.body.walk(&mut |n| {
+        let target = match n {
+            Node::Stmt(Stmt {
+                kind: StmtKind::Assign { lhs, .. },
+                ..
+            }) => lhs,
+            Node::Expr(Expr {
+                kind: ExprKind::Scast(_, src),
+                ..
+            }) => src,
+            _ => return true,
+        };
+        if let ExprKind::Ident(name) = &target.kind {
+            names.insert(name.clone());
         }
-    }
-    fn stmt_walk(s: &Stmt, names: &mut HashSet<String>) {
-        match &s.kind {
-            StmtKind::Decl { init: Some(e), .. } => expr_walk(e, names),
-            StmtKind::Assign { lhs, rhs } => {
-                if let ExprKind::Ident(n) = &lhs.kind {
-                    names.insert(n.clone());
-                }
-                expr_walk(lhs, names);
-                expr_walk(rhs, names);
-            }
-            StmtKind::Expr(e) => expr_walk(e, names),
-            StmtKind::If {
-                cond,
-                then_blk,
-                else_blk,
-            } => {
-                expr_walk(cond, names);
-                block_walk(then_blk, names);
-                if let Some(eb) = else_blk {
-                    block_walk(eb, names);
-                }
-            }
-            StmtKind::While { cond, body } => {
-                expr_walk(cond, names);
-                block_walk(body, names);
-            }
-            StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                if let Some(i) = init {
-                    stmt_walk(i, names);
-                }
-                if let Some(c) = cond {
-                    expr_walk(c, names);
-                }
-                if let Some(st) = step {
-                    stmt_walk(st, names);
-                }
-                block_walk(body, names);
-            }
-            StmtKind::Return(Some(e)) => expr_walk(e, names),
-            StmtKind::Block(b) => block_walk(b, names),
-            _ => {}
-        }
-    }
-    fn block_walk(b: &Block, names: &mut HashSet<String>) {
-        for s in &b.stmts {
-            stmt_walk(s, names);
-        }
-    }
-    block_walk(&f.body, &mut names);
+        true
+    });
     names
 }
 
@@ -986,27 +897,13 @@ enum UseOrDef {
 /// only straight-line structure (conditionals count as possible uses
 /// but not definite ones, so they are skipped for "definitely live").
 fn first_use_or_def(s: &Stmt, name: &str) -> Option<UseOrDef> {
-    fn in_expr(e: &Expr, name: &str) -> Option<Span> {
-        match &e.kind {
-            ExprKind::Ident(n) if n == name => Some(e.span),
-            ExprKind::Unary(_, a) => in_expr(a, name),
-            ExprKind::Binary(_, a, b) => in_expr(a, name).or_else(|| in_expr(b, name)),
-            ExprKind::Index(a, b) => in_expr(a, name).or_else(|| in_expr(b, name)),
-            ExprKind::Field(a, _, _) => in_expr(a, name),
-            ExprKind::Call(f, args) => {
-                in_expr(f, name).or_else(|| args.iter().find_map(|a| in_expr(a, name)))
-            }
-            ExprKind::Cast(_, a) | ExprKind::NewArray(_, a) => in_expr(a, name),
-            ExprKind::Scast(_, a) => in_expr(a, name),
-            ExprKind::Ternary(c, a, b) => in_expr(c, name)
-                .or_else(|| in_expr(a, name))
-                .or_else(|| in_expr(b, name)),
-            _ => None,
-        }
-    }
+    let in_expr = |e: &Expr| {
+        e.find(|n| matches!(&n.kind, ExprKind::Ident(x) if x == name))
+            .map(|n| n.span)
+    };
     match &s.kind {
         StmtKind::Assign { lhs, rhs } => {
-            if let Some(sp) = in_expr(rhs, name) {
+            if let Some(sp) = in_expr(rhs) {
                 return Some(UseOrDef::Use(sp));
             }
             if let ExprKind::Ident(n) = &lhs.kind {
@@ -1014,11 +911,11 @@ fn first_use_or_def(s: &Stmt, name: &str) -> Option<UseOrDef> {
                     return Some(UseOrDef::Def);
                 }
             }
-            in_expr(lhs, name).map(UseOrDef::Use)
+            in_expr(lhs).map(UseOrDef::Use)
         }
-        StmtKind::Expr(e) => in_expr(e, name).map(UseOrDef::Use),
-        StmtKind::Decl { init: Some(e), .. } => in_expr(e, name).map(UseOrDef::Use),
-        StmtKind::Return(Some(e)) => in_expr(e, name).map(UseOrDef::Use),
+        StmtKind::Expr(e) => in_expr(e).map(UseOrDef::Use),
+        StmtKind::Decl { init: Some(e), .. } => in_expr(e).map(UseOrDef::Use),
+        StmtKind::Return(Some(e)) => in_expr(e).map(UseOrDef::Use),
         // Control flow ends the "definite" straight-line scan.
         _ => Some(UseOrDef::Def),
     }

@@ -63,7 +63,8 @@ pub fn elaborate(program: &mut Program) -> ElabResult {
         for p in &mut f.params {
             e.code_type(&mut p.ty, p.span);
         }
-        e.block(&mut f.body);
+        f.body
+            .for_each_type_mut(&mut |ty, span| e.code_type(ty, span));
     }
     e.force_lock_globals(program);
 
@@ -208,106 +209,15 @@ impl Elab {
         }
     }
 
-    fn block(&mut self, b: &mut Block) {
-        for s in &mut b.stmts {
-            self.stmt(s);
-        }
-    }
-
-    fn stmt(&mut self, s: &mut Stmt) {
-        let span = s.span;
-        match &mut s.kind {
-            StmtKind::Decl { ty, init, .. } => {
-                self.code_type(ty, span);
-                if let Some(e) = init {
-                    self.expr(e);
-                }
-            }
-            StmtKind::Assign { lhs, rhs } => {
-                self.expr(lhs);
-                self.expr(rhs);
-            }
-            StmtKind::Expr(e) => self.expr(e),
-            StmtKind::If {
-                cond,
-                then_blk,
-                else_blk,
-            } => {
-                self.expr(cond);
-                self.block(then_blk);
-                if let Some(eb) = else_blk {
-                    self.block(eb);
-                }
-            }
-            StmtKind::While { cond, body } => {
-                self.expr(cond);
-                self.block(body);
-            }
-            StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                if let Some(i) = init {
-                    self.stmt(i);
-                }
-                if let Some(c) = cond {
-                    self.expr(c);
-                }
-                if let Some(st) = step {
-                    self.stmt(st);
-                }
-                self.block(body);
-            }
-            StmtKind::Return(Some(e)) => self.expr(e),
-            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
-            StmtKind::Block(b) => self.block(b),
-        }
-    }
-
-    fn expr(&mut self, e: &mut Expr) {
-        let span = e.span;
-        match &mut e.kind {
-            ExprKind::Unary(_, a) => self.expr(a),
-            ExprKind::Binary(_, a, b) => {
-                self.expr(a);
-                self.expr(b);
-            }
-            ExprKind::Index(a, b) => {
-                self.expr(a);
-                self.expr(b);
-            }
-            ExprKind::Field(a, _, _) => self.expr(a),
-            ExprKind::Call(f, args) => {
-                self.expr(f);
-                for a in args {
-                    self.expr(a);
-                }
-            }
-            ExprKind::Cast(ty, a) | ExprKind::Scast(ty, a) | ExprKind::NewArray(ty, a) => {
-                self.code_type(ty, span);
-                self.expr(a);
-            }
-            ExprKind::New(ty) | ExprKind::Sizeof(ty) => self.code_type(ty, span),
-            ExprKind::Ternary(c, a, b) => {
-                self.expr(c);
-                self.expr(a);
-                self.expr(b);
-            }
-            _ => {}
-        }
-    }
-
     /// Rule 6 (fields): any sibling field named as a lock base must be
     /// `readonly`.
     fn force_lock_fields(&mut self, program: &mut Program) {
         for sd in &mut program.structs {
-            let mut lock_bases: Vec<(String, Span)> = Vec::new();
+            let mut lock_bases = Vec::new();
             for f in &sd.fields {
                 collect_lock_bases(&f.ty, &mut lock_bases);
             }
-            for (base, span) in lock_bases {
+            for base in lock_bases {
                 if let Some(f) = sd.fields.iter_mut().find(|f| f.name == base) {
                     // A by-value mutex field *is* the lock; its cell is
                     // mutated by lock operations and stays racy.
@@ -331,7 +241,6 @@ impl Elab {
                         }
                     }
                 }
-                let _ = span;
             }
         }
     }
@@ -339,7 +248,7 @@ impl Elab {
     /// Rule 6 (globals): a global named as a lock base anywhere in the
     /// program must be `readonly`.
     fn force_lock_globals(&mut self, program: &mut Program) {
-        let mut bases: Vec<(String, Span)> = Vec::new();
+        let mut bases = Vec::new();
         for sd in &program.structs {
             for f in &sd.fields {
                 collect_lock_bases(&f.ty, &mut bases);
@@ -352,11 +261,20 @@ impl Elab {
             for p in &f.params {
                 collect_lock_bases(&p.ty, &mut bases);
             }
-            collect_lock_bases_block(&f.body, &mut bases);
+            f.body.walk(&mut |n| {
+                if let Node::Stmt(Stmt {
+                    kind: StmtKind::Decl { ty, .. },
+                    ..
+                }) = n
+                {
+                    collect_lock_bases(ty, &mut bases);
+                }
+                true
+            });
         }
         let global_names: HashSet<String> =
             program.globals.iter().map(|g| g.name.clone()).collect();
-        for (base, _) in bases {
+        for base in bases {
             if global_names.contains(&base) {
                 let g = program
                     .globals
@@ -386,54 +304,13 @@ impl Elab {
     }
 }
 
-fn collect_lock_bases(ty: &Type, out: &mut Vec<(String, Span)>) {
-    if let Qual::Locked(path) = &ty.qual {
-        out.push((path.segs[0].clone(), path.span));
-    }
-    match &ty.kind {
-        TypeKind::Ptr(inner) | TypeKind::Array(inner, _) => collect_lock_bases(inner, out),
-        TypeKind::Fn(sig) => {
-            collect_lock_bases(&sig.ret, out);
-            for p in &sig.params {
-                collect_lock_bases(&p.ty, out);
-            }
+/// The base of every `locked(...)` path written at any level of `ty`.
+fn collect_lock_bases(ty: &Type, out: &mut Vec<String>) {
+    ty.for_each_level(&mut |l| {
+        if let Qual::Locked(path) = &l.qual {
+            out.push(path.base().to_string());
         }
-        _ => {}
-    }
-}
-
-fn collect_lock_bases_block(b: &Block, out: &mut Vec<(String, Span)>) {
-    for s in &b.stmts {
-        collect_lock_bases_stmt(s, out);
-    }
-}
-
-fn collect_lock_bases_stmt(s: &Stmt, out: &mut Vec<(String, Span)>) {
-    match &s.kind {
-        StmtKind::Decl { ty, .. } => collect_lock_bases(ty, out),
-        StmtKind::If {
-            then_blk, else_blk, ..
-        } => {
-            collect_lock_bases_block(then_blk, out);
-            if let Some(eb) = else_blk {
-                collect_lock_bases_block(eb, out);
-            }
-        }
-        StmtKind::While { body, .. } => collect_lock_bases_block(body, out),
-        StmtKind::For {
-            init, step, body, ..
-        } => {
-            if let Some(i) = init {
-                collect_lock_bases_stmt(i, out);
-            }
-            if let Some(st) = step {
-                collect_lock_bases_stmt(st, out);
-            }
-            collect_lock_bases_block(body, out);
-        }
-        StmtKind::Block(b) => collect_lock_bases_block(b, out),
-        _ => {}
-    }
+    });
 }
 
 #[cfg(test)]

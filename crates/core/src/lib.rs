@@ -36,7 +36,7 @@ pub mod elaborate;
 pub mod elide;
 pub mod typer;
 
-use minic::ast::{Program, Qual, Type};
+use minic::ast::{Node, Program, Stmt, StmtKind, Type};
 use minic::diag::Diagnostics;
 use minic::env::StructTable;
 use minic::span::SourceMap;
@@ -140,38 +140,18 @@ pub fn count_annotations(program: &Program) -> usize {
         for p in &f.params {
             count_ty(&p.ty);
         }
-        count_decl_annotations(&f.body, &mut count_ty);
+        f.body.walk(&mut |n| {
+            if let Node::Stmt(Stmt {
+                kind: StmtKind::Decl { ty, .. },
+                ..
+            }) = n
+            {
+                count_ty(ty);
+            }
+            true
+        });
     }
-    let _ = Qual::Infer;
     count
-}
-
-fn count_decl_annotations(b: &minic::ast::Block, count_ty: &mut impl FnMut(&Type)) {
-    use minic::ast::StmtKind;
-    for s in &b.stmts {
-        match &s.kind {
-            StmtKind::Decl { ty, .. } => count_ty(ty),
-            StmtKind::If {
-                then_blk, else_blk, ..
-            } => {
-                count_decl_annotations(then_blk, count_ty);
-                if let Some(eb) = else_blk {
-                    count_decl_annotations(eb, count_ty);
-                }
-            }
-            StmtKind::While { body, .. } => count_decl_annotations(body, count_ty),
-            StmtKind::For { init, body, .. } => {
-                if let Some(i) = init {
-                    if let StmtKind::Decl { ty, .. } = &i.kind {
-                        count_ty(ty);
-                    }
-                }
-                count_decl_annotations(body, count_ty);
-            }
-            StmtKind::Block(inner) => count_decl_annotations(inner, count_ty),
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]

@@ -4,9 +4,16 @@
 //! Every expression and statement carries a [`NodeId`] so later phases
 //! (type checking, instrumentation, the VM compiler) can attach side
 //! tables without mutating the tree.
+//!
+//! The tree's shape is spelled out once, in the walks: [`Expr::walk`],
+//! [`Block::walk`] and `for_each_type_mut` on [`Block`] and
+//! [`Program`]. A pass that treats every node kind alike calls a walk;
+//! only a pass that treats statement or expression kinds differently
+//! writes its own `match`.
 
 use crate::span::Span;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// A unique id for an AST node, assigned by the parser.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -280,6 +287,29 @@ impl Program {
     pub fn global_by_name(&self, name: &str) -> Option<&GlobalDef> {
         self.globals.iter().find(|g| g.name == name)
     }
+
+    /// Visits every written type with the span elaboration reports it
+    /// at: struct fields, then globals, then per function its return
+    /// type (the function's span), its parameters, and its body as
+    /// [`Block::for_each_type_mut`] does. Global initializers are not
+    /// visited: the VM compiler accepts only constants there.
+    pub fn for_each_type_mut(&mut self, f: &mut impl FnMut(&mut Type, Span)) {
+        for sd in &mut self.structs {
+            for fld in &mut sd.fields {
+                f(&mut fld.ty, fld.span);
+            }
+        }
+        for g in &mut self.globals {
+            f(&mut g.ty, g.span);
+        }
+        for func in &mut self.fns {
+            f(&mut func.ret, func.span);
+            for p in &mut func.params {
+                f(&mut p.ty, p.span);
+            }
+            func.body.for_each_type_mut(f);
+        }
+    }
 }
 
 /// A struct definition, optionally marked inherently `racy`.
@@ -341,6 +371,148 @@ impl FnDef {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Block {
     pub stmts: Vec<Stmt>,
+}
+
+/// One node handed to a [`Block::walk`] callback.
+#[derive(Debug, Clone, Copy)]
+pub enum Node<'a> {
+    Stmt(&'a Stmt),
+    Expr(&'a Expr),
+}
+
+impl Block {
+    /// Pre-order walk over every statement, nested ones included, and
+    /// every expression, in source order; see [`Stmt::walk`]. `f`
+    /// returns `false` to skip the node's children.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(Node<'a>) -> bool) {
+        for s in &self.stmts {
+            s.walk(f);
+        }
+    }
+
+    /// Visits every type written in the block with the span
+    /// elaboration reports it at: a declaration's type (the
+    /// statement's span) before its initializer, and the type of a
+    /// `Cast`, `Scast`, `New`, `NewArray` or `Sizeof` (the expression's
+    /// span) before its operand, in [`Block::walk`] order.
+    pub fn for_each_type_mut(&mut self, f: &mut impl FnMut(&mut Type, Span)) {
+        for s in &mut self.stmts {
+            s.for_each_type_mut(f);
+        }
+    }
+}
+
+impl Stmt {
+    /// Pre-order walk over this statement, its nested statements and
+    /// every expression, in source order: a declaration's initializer;
+    /// an assignment's lhs, then rhs; a condition before its branches;
+    /// a `for`'s init, cond, step, then body. Each expression is walked
+    /// as [`Expr::walk`] does. `f` returns `false` to skip the node's
+    /// children.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(Node<'a>) -> bool) {
+        fn expr<'a>(e: &'a Expr, f: &mut impl FnMut(Node<'a>) -> bool) {
+            e.walk(&mut |e| f(Node::Expr(e)));
+        }
+        if !f(Node::Stmt(self)) {
+            return;
+        }
+        match &self.kind {
+            StmtKind::Decl { init, .. } => {
+                if let Some(e) = init {
+                    expr(e, f);
+                }
+            }
+            StmtKind::Assign { lhs, rhs } => {
+                expr(lhs, f);
+                expr(rhs, f);
+            }
+            StmtKind::Expr(e) | StmtKind::Return(Some(e)) => expr(e, f),
+            StmtKind::If {
+                cond,
+                then_blk,
+                else_blk,
+            } => {
+                expr(cond, f);
+                then_blk.walk(f);
+                if let Some(b) = else_blk {
+                    b.walk(f);
+                }
+            }
+            StmtKind::While { cond, body } => {
+                expr(cond, f);
+                body.walk(f);
+            }
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            } => {
+                if let Some(s) = init {
+                    s.walk(f);
+                }
+                if let Some(e) = cond {
+                    expr(e, f);
+                }
+                if let Some(s) = step {
+                    s.walk(f);
+                }
+                body.walk(f);
+            }
+            StmtKind::Block(b) => b.walk(f),
+            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
+        }
+    }
+
+    fn for_each_type_mut(&mut self, f: &mut impl FnMut(&mut Type, Span)) {
+        match &mut self.kind {
+            StmtKind::Decl { ty, init, .. } => {
+                f(ty, self.span);
+                if let Some(e) = init {
+                    e.for_each_type_mut(f);
+                }
+            }
+            StmtKind::Assign { lhs, rhs } => {
+                lhs.for_each_type_mut(f);
+                rhs.for_each_type_mut(f);
+            }
+            StmtKind::Expr(e) | StmtKind::Return(Some(e)) => e.for_each_type_mut(f),
+            StmtKind::If {
+                cond,
+                then_blk,
+                else_blk,
+            } => {
+                cond.for_each_type_mut(f);
+                then_blk.for_each_type_mut(f);
+                if let Some(b) = else_blk {
+                    b.for_each_type_mut(f);
+                }
+            }
+            StmtKind::While { cond, body } => {
+                cond.for_each_type_mut(f);
+                body.for_each_type_mut(f);
+            }
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            } => {
+                if let Some(s) = init {
+                    s.for_each_type_mut(f);
+                }
+                if let Some(e) = cond {
+                    e.for_each_type_mut(f);
+                }
+                if let Some(s) = step {
+                    s.for_each_type_mut(f);
+                }
+                body.for_each_type_mut(f);
+            }
+            StmtKind::Block(b) => b.for_each_type_mut(f),
+            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
+        }
+    }
 }
 
 /// A statement with id and span.
@@ -406,6 +578,108 @@ impl Expr {
                 | ExprKind::Index(..)
                 | ExprKind::Field(..)
         )
+    }
+
+    /// Pre-order walk over this expression and every sub-expression,
+    /// left to right: a call's callee before its arguments, a cast's
+    /// operand after the cast. `f` returns `false` to skip the node's
+    /// sub-expressions.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr) -> bool) {
+        let _ = self.try_walk(&mut |e| ControlFlow::<(), _>::Continue(f(e)));
+    }
+
+    /// The first node in [`Expr::walk`] order that satisfies `pred`;
+    /// the walk stops there.
+    pub fn find<'a>(&'a self, mut pred: impl FnMut(&'a Expr) -> bool) -> Option<&'a Expr> {
+        let hit = self.try_walk(&mut |e| {
+            if pred(e) {
+                ControlFlow::Break(e)
+            } else {
+                ControlFlow::Continue(true)
+            }
+        });
+        match hit {
+            ControlFlow::Break(e) => Some(e),
+            ControlFlow::Continue(()) => None,
+        }
+    }
+
+    /// True if `pred` holds for this expression or any sub-expression.
+    pub fn any(&self, pred: impl FnMut(&Expr) -> bool) -> bool {
+        self.find(pred).is_some()
+    }
+
+    /// The walk itself: `f` answers `Continue(descend?)` or `Break`.
+    fn try_walk<'a, B>(
+        &'a self,
+        f: &mut impl FnMut(&'a Expr) -> ControlFlow<B, bool>,
+    ) -> ControlFlow<B> {
+        if !f(self)? {
+            return ControlFlow::Continue(());
+        }
+        match &self.kind {
+            ExprKind::IntLit(_)
+            | ExprKind::CharLit(_)
+            | ExprKind::BoolLit(_)
+            | ExprKind::StrLit(_)
+            | ExprKind::Null
+            | ExprKind::Ident(_)
+            | ExprKind::New(_)
+            | ExprKind::Sizeof(_) => {}
+            ExprKind::Unary(_, a)
+            | ExprKind::Field(a, _, _)
+            | ExprKind::Cast(_, a)
+            | ExprKind::Scast(_, a)
+            | ExprKind::NewArray(_, a) => a.try_walk(f)?,
+            ExprKind::Binary(_, a, b) | ExprKind::Index(a, b) => {
+                a.try_walk(f)?;
+                b.try_walk(f)?;
+            }
+            ExprKind::Call(callee, args) => {
+                callee.try_walk(f)?;
+                for a in args {
+                    a.try_walk(f)?;
+                }
+            }
+            ExprKind::Ternary(c, a, b) => {
+                c.try_walk(f)?;
+                a.try_walk(f)?;
+                b.try_walk(f)?;
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn for_each_type_mut(&mut self, f: &mut impl FnMut(&mut Type, Span)) {
+        match &mut self.kind {
+            ExprKind::IntLit(_)
+            | ExprKind::CharLit(_)
+            | ExprKind::BoolLit(_)
+            | ExprKind::StrLit(_)
+            | ExprKind::Null
+            | ExprKind::Ident(_) => {}
+            ExprKind::New(ty) | ExprKind::Sizeof(ty) => f(ty, self.span),
+            ExprKind::Cast(ty, a) | ExprKind::Scast(ty, a) | ExprKind::NewArray(ty, a) => {
+                f(ty, self.span);
+                a.for_each_type_mut(f);
+            }
+            ExprKind::Unary(_, a) | ExprKind::Field(a, _, _) => a.for_each_type_mut(f),
+            ExprKind::Binary(_, a, b) | ExprKind::Index(a, b) => {
+                a.for_each_type_mut(f);
+                b.for_each_type_mut(f);
+            }
+            ExprKind::Call(callee, args) => {
+                callee.for_each_type_mut(f);
+                for a in args {
+                    a.for_each_type_mut(f);
+                }
+            }
+            ExprKind::Ternary(c, a, b) => {
+                c.for_each_type_mut(f);
+                a.for_each_type_mut(f);
+                b.for_each_type_mut(f);
+            }
+        }
     }
 }
 

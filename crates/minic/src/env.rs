@@ -20,8 +20,6 @@ pub struct StructId(pub usize);
 ///
 /// Run this once on a freshly parsed program, before analysis.
 pub fn canonicalize_struct_names(program: &mut Program) {
-    use crate::ast::{Block, Expr, ExprKind, Stmt, StmtKind};
-    use std::collections::HashMap;
     let aliases: HashMap<String, String> = program
         .structs
         .iter()
@@ -35,7 +33,7 @@ pub fn canonicalize_struct_names(program: &mut Program) {
     if aliases.is_empty() {
         return;
     }
-    let fix = |ty: &mut Type| {
+    program.for_each_type_mut(&mut |ty, _| {
         ty.for_each_level_mut(&mut |l| {
             if let TypeKind::Named(n) = &mut l.kind {
                 if let Some(canon) = aliases.get(n) {
@@ -43,108 +41,7 @@ pub fn canonicalize_struct_names(program: &mut Program) {
                 }
             }
         });
-    };
-    fn fix_expr(e: &mut Expr, fix: &impl Fn(&mut Type)) {
-        match &mut e.kind {
-            ExprKind::Unary(_, a) => fix_expr(a, fix),
-            ExprKind::Binary(_, a, b) => {
-                fix_expr(a, fix);
-                fix_expr(b, fix);
-            }
-            ExprKind::Index(a, b) => {
-                fix_expr(a, fix);
-                fix_expr(b, fix);
-            }
-            ExprKind::Field(a, _, _) => fix_expr(a, fix),
-            ExprKind::Call(f, args) => {
-                fix_expr(f, fix);
-                for a in args {
-                    fix_expr(a, fix);
-                }
-            }
-            ExprKind::Cast(ty, a) | ExprKind::Scast(ty, a) | ExprKind::NewArray(ty, a) => {
-                fix(ty);
-                fix_expr(a, fix);
-            }
-            ExprKind::New(ty) | ExprKind::Sizeof(ty) => fix(ty),
-            ExprKind::Ternary(c, a, b) => {
-                fix_expr(c, fix);
-                fix_expr(a, fix);
-                fix_expr(b, fix);
-            }
-            _ => {}
-        }
-    }
-    fn fix_stmt(s: &mut Stmt, fix: &impl Fn(&mut Type)) {
-        match &mut s.kind {
-            StmtKind::Decl { ty, init, .. } => {
-                fix(ty);
-                if let Some(e) = init {
-                    fix_expr(e, fix);
-                }
-            }
-            StmtKind::Assign { lhs, rhs } => {
-                fix_expr(lhs, fix);
-                fix_expr(rhs, fix);
-            }
-            StmtKind::Expr(e) => fix_expr(e, fix),
-            StmtKind::If {
-                cond,
-                then_blk,
-                else_blk,
-            } => {
-                fix_expr(cond, fix);
-                fix_block(then_blk, fix);
-                if let Some(eb) = else_blk {
-                    fix_block(eb, fix);
-                }
-            }
-            StmtKind::While { cond, body } => {
-                fix_expr(cond, fix);
-                fix_block(body, fix);
-            }
-            StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                if let Some(i) = init {
-                    fix_stmt(i, fix);
-                }
-                if let Some(c) = cond {
-                    fix_expr(c, fix);
-                }
-                if let Some(st) = step {
-                    fix_stmt(st, fix);
-                }
-                fix_block(body, fix);
-            }
-            StmtKind::Return(Some(e)) => fix_expr(e, fix),
-            StmtKind::Block(b) => fix_block(b, fix),
-            _ => {}
-        }
-    }
-    fn fix_block(b: &mut Block, fix: &impl Fn(&mut Type)) {
-        for s in &mut b.stmts {
-            fix_stmt(s, fix);
-        }
-    }
-    for sd in &mut program.structs {
-        for f in &mut sd.fields {
-            fix(&mut f.ty);
-        }
-    }
-    for g in &mut program.globals {
-        fix(&mut g.ty);
-    }
-    for f in &mut program.fns {
-        fix(&mut f.ret);
-        for p in &mut f.params {
-            fix(&mut p.ty);
-        }
-        fix_block(&mut f.body, &fix);
-    }
+    });
 }
 
 /// Layout information for one struct.
