@@ -9,9 +9,12 @@
 //! Two experiments:
 //!
 //! 1. **Overhead** — a memory-scan workload run (a) uninstrumented,
-//!    (b) with SharC's shadow checks on every access, (c) with the
-//!    online Eraser detector, (d) with the online vector-clock
-//!    detector. Expected shape: SharC ≪ Eraser/VC.
+//!    (b) with SharC's shadow checks on every access, (c) with every
+//!    access streamed to Eraser, (d) with every access streamed to the
+//!    vector-clock detector. (c) and (d) record into a `StreamingSink`,
+//!    as `sharc native --online --detector …` does, and the timed
+//!    region includes the final drain. Expected shape: SharC ≪
+//!    Eraser/VC.
 //! 2. **Precision** — the ownership-transfer hand-off trace: SharC
 //!    accepts it (the sharing cast models the transfer); both
 //!    baselines report a false positive.
@@ -20,12 +23,18 @@
 //! cargo run -p sharc-bench --release --bin detector_comparison [-- --quick]
 //! ```
 
-use sharc_checker::{replay, BitmapBackend, CheckBackend, CheckEvent};
-use sharc_detectors::{Eraser, Online, VcDetector};
+use sharc_checker::{
+    replay, BitmapBackend, CheckBackend, CheckEvent, Conflict, EventSink, StreamStats,
+    StreamingSink,
+};
+use sharc_detectors::{Eraser, VcDetector};
 use sharc_interp::{compile_and_run, VmConfig};
 use sharc_runtime::{AccessPolicy, Arena, Checked, ThreadCtx, ThreadId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Events per ring buffer: `sharc native --online`'s default.
+const RING_CAP: usize = 4096;
 
 /// The memory-scan workload: `threads` workers sum disjoint regions of
 /// shared memory, every access checked by SharC's shadow under policy
@@ -61,18 +70,22 @@ fn scan_workload_sharc<P: AccessPolicy>(
     (start.elapsed(), checksum)
 }
 
-/// The same scan monitored by a trace detector on *every* access
-/// (how Eraser-class tools work).
-fn scan_workload_detector<B: CheckBackend + Default + Send + 'static>(
-    detector: Arc<Online<B>>,
+/// The same scan with *every* access streamed to `backend` (how
+/// Eraser-class tools work), through one ring per thread. Returns
+/// (elapsed including the final drain, sum-checksum, conflicts, ring
+/// counters).
+fn scan_workload_streamed(
+    backend: Box<dyn CheckBackend + Send>,
     threads: usize,
     words_per_thread: usize,
     passes: usize,
-) -> (Duration, u64) {
+) -> (Duration, u64, Vec<Conflict>, StreamStats) {
     let start = Instant::now();
+    // Tids are 1-based: ring `tid` for each worker.
+    let sink = Arc::new(StreamingSink::new(threads + 1, RING_CAP, backend));
     let mut handles = Vec::new();
     for t in 0..threads {
-        let d = Arc::clone(&detector);
+        let sink = Arc::clone(&sink);
         handles.push(std::thread::spawn(move || {
             let tid = t as u32 + 1;
             let base = t * words_per_thread;
@@ -80,9 +93,9 @@ fn scan_workload_detector<B: CheckBackend + Default + Send + 'static>(
             let mut sum = 0u64;
             for _ in 0..passes {
                 for (i, cell) in mem.iter_mut().enumerate() {
-                    d.write(tid, base + i);
+                    sink.record_access(tid, base + i, true);
                     *cell = (i as u64) ^ sum;
-                    d.read(tid, base + i);
+                    sink.record_access(tid, base + i, false);
                     sum = sum.wrapping_add(*cell);
                 }
             }
@@ -93,7 +106,8 @@ fn scan_workload_detector<B: CheckBackend + Default + Send + 'static>(
     for h in handles {
         checksum = checksum.wrapping_add(h.join().expect("worker"));
     }
-    (start.elapsed(), checksum)
+    let (conflicts, stats) = sink.finish();
+    (start.elapsed(), checksum, conflicts, stats)
 }
 
 /// Uninstrumented baseline of the same scan.
@@ -157,14 +171,8 @@ fn main() {
         let arena: Arc<Arena> = Arc::new(Arena::new(threads * words));
         scan_workload_sharc::<Checked>(arena, threads, words, passes)
     };
-    let (eraser, c2) = {
-        let d: Arc<Online<Eraser>> = Arc::new(Online::new());
-        scan_workload_detector(d, threads, words, passes)
-    };
-    let (vc, c3) = {
-        let d: Arc<Online<VcDetector>> = Arc::new(Online::new());
-        scan_workload_detector(d, threads, words, passes)
-    };
+    let (eraser, c2, ..) = scan_workload_streamed(Box::new(Eraser::new()), threads, words, passes);
+    let (vc, c3, ..) = scan_workload_streamed(Box::new(VcDetector::new()), threads, words, passes);
     assert!(c0 == c1 && c0 == c2 && c0 == c3, "checksum mismatch");
     let x = |d: Duration| d.as_secs_f64() / base.as_secs_f64();
     println!("{:<22} {:>12} {:>8}", "monitor", "time", "slowdown");
@@ -287,6 +295,17 @@ mod tests {
         let (_, c3) = scan_workload_baseline(2, 32, 3);
         assert_eq!(c1, c2);
         assert_eq!(c1, c3);
+        // Every streamed access reaches the backend, and disjoint
+        // regions are clean under both baselines.
+        let backends: [Box<dyn CheckBackend + Send>; 2] =
+            [Box::new(Eraser::new()), Box::new(VcDetector::new())];
+        for backend in backends {
+            let (_, c, conflicts, stats) = scan_workload_streamed(backend, 2, 32, 3);
+            assert_eq!(c, c3);
+            assert!(conflicts.is_empty(), "{conflicts:?}");
+            assert_eq!(stats.recorded, 2 * 32 * 3 * 2);
+            assert_eq!(stats.drained, stats.recorded);
+        }
     }
 
     #[test]

@@ -412,8 +412,8 @@ pub fn geometry_for_trace(events: &[CheckEvent]) -> ShadowGeometry {
 /// One past the largest granule any event in `events` touches (0 for
 /// a trace with no granule-addressed events). Range events count
 /// their whole extent. This is the granule-space twin of
-/// [`max_trace_tid`]: the binary trace header records it, and the
-/// parallel replay partition is sized from it.
+/// [`max_trace_tid`]: the binary trace header records it, and
+/// `sharc trace info` prints it.
 pub fn trace_granule_span(events: &[CheckEvent]) -> usize {
     events
         .iter()

@@ -37,11 +37,9 @@
 //!   deltas, a block index footer, and a zero-copy
 //!   [`BinaryTraceReader`] — the archive format that makes
 //!   10⁷–10⁸-event runs practical to keep and re-judge.
-//! * [`parallel`] — [`ParallelReplay`]: region-sharded parallel
-//!   replay over N worker threads, each running [`apply_event`]
-//!   against its own backend on a disjoint set of granule regions,
-//!   with sync events broadcast; merged conflicts are bit-identical
-//!   to [`replay`].
+//!
+//! Every verdict is one [`apply_event`] fold over one linearized log:
+//! offline through [`replay`], online through [`StreamingSink`].
 //!
 //! There is no second copy of the shadow state: §4.2 keeps one
 //! bitmap word per granule and no cache, and so does this crate. A
@@ -60,7 +58,6 @@
 pub mod backend;
 pub mod btrace;
 pub mod geometry;
-pub mod parallel;
 pub mod sink;
 pub mod step;
 pub mod stream;
@@ -72,7 +69,6 @@ pub use backend::{
 };
 pub use btrace::{is_binary as is_binary_trace, parse_binary, to_binary, BinaryTraceReader};
 pub use geometry::{ShadowGeometry, THREADS_PER_SHARD};
-pub use parallel::ParallelReplay;
 pub use sink::{recording_tid, EventLog, EventSink};
 pub use step::{Access, Transition};
 pub use stream::{StreamStats, StreamingSink};
@@ -88,6 +84,24 @@ pub struct OwnedCache;
 impl OwnedCache {
     pub fn new() -> Self {
         OwnedCache
+    }
+}
+
+/// Kept for `benchmark/`: the deleted region-sharded replay, now the
+/// sequential fold whatever `jobs` says.
+#[derive(Debug, Clone, Copy)]
+pub struct ParallelReplay;
+
+impl ParallelReplay {
+    pub fn new(_jobs: usize) -> Self {
+        ParallelReplay
+    }
+
+    pub fn replay<F>(&self, events: &[CheckEvent], make_backend: F) -> Vec<Conflict>
+    where
+        F: Fn() -> Box<dyn CheckBackend + Send> + Sync,
+    {
+        replay(events, &mut *make_backend())
     }
 }
 

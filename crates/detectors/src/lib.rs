@@ -4,8 +4,8 @@
 //! (§6): the Eraser lockset algorithm and a vector-clock
 //! happens-before detector. Both are [`sharc_checker::CheckBackend`]s
 //! — they read the same [`sharc_checker::CheckEvent`] traces SharC's
-//! own engine does, through the same [`sharc_checker::replay`] — plus
-//! a thread-safe sharded front-end for overhead measurement.
+//! own engine does, through the same [`sharc_checker::replay`], or
+//! online through a [`sharc_checker::StreamingSink`].
 //!
 //! The key qualitative reproduction: both baselines report *false
 //! positives* on ownership-transfer idioms (see the test fixtures),
@@ -31,11 +31,9 @@
 pub mod eraser;
 #[cfg(test)]
 mod fixtures;
-pub mod online;
 pub mod vectorclock;
 
 pub use eraser::Eraser;
-pub use online::Online;
 pub use vectorclock::{VcDetector, VectorClock};
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! sharc native <pfscan|handoff|pbzip2|aget|dillo|fftw|stunnel>
 //!              [--detector sharc|eraser|vc] [--trace-out <path>]
 //!              [--online [--ring-cap N]]
-//! sharc replay <trace-file>       [--detector sharc|eraser|vc] [--jobs N]
+//! sharc replay <trace-file>       [--detector sharc|eraser|vc]
 //! sharc trace convert <in> <out>  [--lower]
 //! sharc trace info <trace-file>
 //! ```
@@ -43,9 +43,6 @@
 //! trace offline (sniffing text vs binary by magic) — the verdict is
 //! a function of the file alone, so the same execution can be
 //! interrogated by every engine long after the threads are gone.
-//! `replay --jobs N` shards the granule space across N worker
-//! threads by granule region; the merged verdict is bit-identical to
-//! the sequential replay for every detector.
 //!
 //! `trace convert` rewrites a trace between the text and binary
 //! formats (output format chosen by the `.sbt` extension); `--lower`
@@ -88,7 +85,7 @@ fn usage() -> ExitCode {
          sharc native <pfscan|handoff|pbzip2|aget|dillo|fftw|stunnel> \
          [--detector sharc|eraser|vc] [--trace-out <path>] \
          [--online [--ring-cap N]]\n  \
-         sharc replay <trace-file> [--detector sharc|eraser|vc] [--jobs N]\n  \
+         sharc replay <trace-file> [--detector sharc|eraser|vc]\n  \
          sharc trace convert <in> <out> [--lower]\n  \
          sharc trace info <trace-file>\n\
          exit codes: 0 clean, 1 conflicts reported, 2 usage, \
@@ -115,6 +112,26 @@ fn parse_detector(args: &[String], i: &mut usize) -> Result<DetectorKind, ()> {
     }
 }
 
+/// Parses the number after the flag at `args[i]`, advancing `i`. A
+/// missing or malformed value, or one below `min`, is a usage error.
+fn parse_number(args: &[String], i: &mut usize, min: u64) -> Result<u64, ()> {
+    match args.get(*i + 1).and_then(|v| v.parse::<u64>().ok()) {
+        Some(n) if n >= min => {
+            *i += 2;
+            Ok(n)
+        }
+        _ => {
+            let what = if min == 0 {
+                "an integer"
+            } else {
+                "a positive integer"
+            };
+            eprintln!("sharc: {} needs {what}", args[*i]);
+            Err(())
+        }
+    }
+}
+
 /// `sharc native <workload> [--detector …] [--trace-out <path>]`: run
 /// a real-thread workload, record its event trace, judge it with one
 /// engine, optionally saving the trace for offline replay.
@@ -132,7 +149,7 @@ fn cmd_native(args: &[String]) -> ExitCode {
     let mut detector = DetectorKind::Sharc;
     let mut trace_out: Option<String> = None;
     let mut online = false;
-    let mut ring_cap = sharc::DEFAULT_RING_CAP;
+    let mut ring_cap = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -152,27 +169,26 @@ fn cmd_native(args: &[String]) -> ExitCode {
                 online = true;
                 i += 1;
             }
-            "--ring-cap" => {
-                match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => ring_cap = n,
-                    _ => {
-                        eprintln!("sharc: --ring-cap needs a positive integer");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
+            "--ring-cap" => match parse_number(args, &mut i, 1) {
+                Ok(n) => ring_cap = Some(n as usize),
+                Err(()) => return usage(),
+            },
             other => {
                 eprintln!("sharc: unknown flag {other}");
                 return usage();
             }
         }
     }
+    if ring_cap.is_some() && !online {
+        eprintln!("sharc: --ring-cap sizes the --online rings; without --online it does nothing");
+        return usage();
+    }
     if online {
         if trace_out.is_some() {
             eprintln!("sharc: --online streams events into the collector; there is no trace to save (drop --trace-out)");
             return usage();
         }
+        let ring_cap = ring_cap.unwrap_or(sharc::DEFAULT_RING_CAP);
         let streamed = sharc::run_native_streaming(workload, detector, ring_cap);
         let run = &streamed.run;
         println!(
@@ -208,16 +224,14 @@ fn cmd_native(args: &[String]) -> ExitCode {
     report_conflicts(name, &conflicts)
 }
 
-/// `sharc replay <trace-file> [--detector …] [--jobs N]`: re-judge a
-/// saved trace offline, without re-running any threads. Text or
-/// binary input is sniffed by magic; `--jobs N` replays with the
-/// region-sharded parallel engine (verdicts unchanged).
+/// `sharc replay <trace-file> [--detector …]`: re-judge a saved trace
+/// offline, without re-running any threads. Text or binary input is
+/// sniffed by magic.
 fn cmd_replay(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else {
         return usage();
     };
     let mut detector = DetectorKind::Sharc;
-    let mut jobs = 1usize;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -225,16 +239,6 @@ fn cmd_replay(args: &[String]) -> ExitCode {
                 Ok(d) => detector = d,
                 Err(()) => return usage(),
             },
-            "--jobs" => {
-                match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => jobs = n,
-                    _ => {
-                        eprintln!("sharc: --jobs needs a positive integer");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
             other => {
                 eprintln!("sharc: unknown flag {other}");
                 return usage();
@@ -245,12 +249,8 @@ fn cmd_replay(args: &[String]) -> ExitCode {
         Ok(t) => t,
         Err(e) => return cannot_judge(e),
     };
-    if jobs > 1 {
-        println!("{path}: {} trace events, {jobs} replay jobs", trace.len());
-    } else {
-        println!("{path}: {} trace events", trace.len());
-    }
-    let (name, conflicts) = sharc::judge_trace_jobs(&trace, detector, jobs);
+    println!("{path}: {} trace events", trace.len());
+    let (name, conflicts) = sharc::judge_trace(&trace, detector);
     report_conflicts(name, &conflicts)
 }
 
@@ -417,17 +417,15 @@ fn main() -> ExitCode {
                         explain = true;
                         i += 1;
                     }
-                    "--seed" => {
-                        seed = args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(seed);
-                        i += 2;
-                    }
-                    "--trials" => {
-                        trials = args
-                            .get(i + 1)
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or(trials);
-                        i += 2;
-                    }
+                    "--seed" => match parse_number(&args, &mut i, 0) {
+                        Ok(n) => seed = n,
+                        Err(()) => return usage(),
+                    },
+                    // Zero trials would judge nothing and exit 0.
+                    "--trials" => match parse_number(&args, &mut i, 1) {
+                        Ok(n) => trials = n,
+                        Err(()) => return usage(),
+                    },
                     "--stop-on-error" => {
                         stop_on_error = true;
                         i += 1;
@@ -459,10 +457,11 @@ fn main() -> ExitCode {
             let mut any_reports = false;
             let mut incomplete = false;
             for t in 0..trials {
+                let seed = seed.wrapping_add(t);
                 let run = match sharc::run_with_detector(
                     &checked,
                     RunConfig {
-                        seed: seed + t,
+                        seed,
                         stop_on_error,
                         ..RunConfig::default()
                     },
@@ -492,7 +491,7 @@ fn main() -> ExitCode {
                 }
                 if out.status != ExitStatus::Completed {
                     incomplete = true;
-                    eprintln!("sharc: run ended with {:?} (seed {})", out.status, seed + t);
+                    eprintln!("sharc: run ended with {:?} (seed {seed})", out.status);
                 }
             }
             if any_reports {

@@ -402,30 +402,21 @@ pub fn judge_trace(
     trace: &[checker::CheckEvent],
     kind: DetectorKind,
 ) -> (&'static str, Vec<checker::Conflict>) {
-    judge_trace_jobs(trace, kind, 1)
-}
-
-/// [`judge_trace`], replayed by [`checker::ParallelReplay`] over
-/// `jobs` region-sharded workers instead of the sequential fold.
-/// Verdicts are bit-identical to [`judge_trace`]'s for every engine
-/// (the 256-tid `forall!` differential pins this); only wall-clock
-/// changes. `jobs <= 1` is the sequential fold.
-pub fn judge_trace_jobs(
-    trace: &[checker::CheckEvent],
-    kind: DetectorKind,
-    jobs: usize,
-) -> (&'static str, Vec<checker::Conflict>) {
     // Size the exact shadow to the widest tid the trace names: a
     // 300-thread stunnel run replays on a 5-shard geometry, while
     // narrow traces keep the 1-shard default.
-    let geom = checker::geometry_for_trace(trace);
-    let (name, mut backend) = kind.backend(geom);
-    let raw = if jobs <= 1 {
-        checker::replay(trace, &mut *backend)
-    } else {
-        checker::ParallelReplay::new(jobs).replay(trace, move || kind.backend(geom).1)
-    };
-    (name, dedup_conflicts(raw))
+    let (name, mut backend) = kind.backend(checker::geometry_for_trace(trace));
+    (name, dedup_conflicts(checker::replay(trace, &mut *backend)))
+}
+
+/// Kept for `benchmark/`: [`judge_trace`], whatever `jobs` says.
+#[doc(hidden)]
+pub fn judge_trace_jobs(
+    trace: &[checker::CheckEvent],
+    kind: DetectorKind,
+    _jobs: usize,
+) -> (&'static str, Vec<checker::Conflict>) {
+    judge_trace(trace, kind)
 }
 
 /// Writes a trace file: the binary v4 format of [`checker::btrace`]
@@ -601,11 +592,11 @@ pub fn run_native_streaming(
 /// The most common imports for users of the crate.
 pub mod prelude {
     pub use crate::{
-        check, check_and_run, explain_elision, judge_trace, judge_trace_jobs, native_trace,
-        read_trace_file, run, run_full_checks, run_native_events, run_native_streaming,
-        run_native_with_detector, run_with_detector, trace_file_info, write_trace_file,
-        CheckedProgram, DetectorKind, DetectorRun, NativeDetectorRun, NativeWorkload, RunConfig,
-        RunOutcome, StreamingRun, TraceInfo, DEFAULT_RING_CAP,
+        check, check_and_run, explain_elision, judge_trace, native_trace, read_trace_file, run,
+        run_full_checks, run_native_events, run_native_streaming, run_native_with_detector,
+        run_with_detector, trace_file_info, write_trace_file, CheckedProgram, DetectorKind,
+        DetectorRun, NativeDetectorRun, NativeWorkload, RunConfig, RunOutcome, StreamingRun,
+        TraceInfo, DEFAULT_RING_CAP,
     };
     pub use minic::{Diagnostic, Severity};
     pub use sharc_interp::{ConflictKind, ExitStatus, SchedPolicy};

@@ -845,41 +845,6 @@ fn range_replay_lowering_is_bit_identical_for_every_backend() {
     );
 }
 
-/// Parallel region-sharded replay is bit-identical to the sequential
-/// fold for **every** backend — at cross-shard tids (256 threads,
-/// five shards), over the full spine vocabulary, for every worker
-/// count 1–5. Conflict *lists*, order included, not just sets: this
-/// is the acceptance differential licensing `sharc replay --jobs N`
-/// to stand in for the sequential judge.
-#[test]
-fn parallel_replay_is_bit_identical_to_sequential_for_every_backend() {
-    use sharc_checker::{geometry_for_trace, ParallelReplay};
-
-    forall!(
-        "parallel_replay_is_bit_identical_to_sequential_for_every_backend",
-        cfg(),
-        gen::pair(
-            gen::vec_of(spine_event_gen(WIDE_THREADS), 0..96),
-            gen::usize_range(1..6),
-        ),
-        |(events, jobs)| {
-            let engine = ParallelReplay::new(*jobs);
-            let geom = geometry_for_trace(events);
-            let seq = sharc_checker::replay(events, &mut BitmapBackend::with_geometry(geom));
-            let par = engine.replay(events, move || {
-                Box::new(BitmapBackend::with_geometry(geom)) as _
-            });
-            prop_assert!(seq == par, "sharc jobs={}: {:?} vs {:?}", jobs, seq, par);
-            let seq = sharc_checker::replay(events, &mut Eraser::new());
-            let par = engine.replay(events, || Box::new(Eraser::new()) as _);
-            prop_assert!(seq == par, "eraser jobs={}: {:?} vs {:?}", jobs, seq, par);
-            let seq = sharc_checker::replay(events, &mut VcDetector::new());
-            let par = engine.replay(events, || Box::new(VcDetector::new()) as _);
-            prop_assert!(seq == par, "vc jobs={}: {:?} vs {:?}", jobs, seq, par);
-        }
-    );
-}
-
 /// The named regression: ownership hand-off through a sharing cast
 /// (the paper's §2.1 producer/consumer idiom, `examples/minic/handoff.c`).
 /// SharC's engine is silent — the `oneref`-checked cast transfers the

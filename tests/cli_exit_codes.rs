@@ -62,6 +62,32 @@ fn usage_errors_are_two() {
     assert_exit(&["replay", "x.trace", "--detector", "helgrind"], 2);
     assert_exit(&["run", "examples/minic/handoff.c", "--bogus"], 2);
     assert_exit(&["native", "doom"], 2);
+    // Parallel replay is gone; its flag is unknown.
+    assert_exit(&["replay", "x.trace", "--jobs", "2"], 2);
+    // Each input used to be accepted and ignored. Zero trials judged
+    // nothing and exited 0 on a racy program.
+    let racy = "examples/minic/counter_racy.c";
+    for flags in [
+        &["--trials", "0"][..],
+        &["--trials"],
+        &["--trials", "many"],
+        &["--seed"],
+        &["--seed", "abc"],
+    ] {
+        assert_usage_error(&[&["run", racy][..], flags].concat());
+    }
+    assert_usage_error(&["native", "handoff", "--ring-cap", "64"]);
+}
+
+/// Exit 2, and exactly one `sharc: …` line before the usage text.
+#[track_caller]
+fn assert_usage_error(args: &[&str]) {
+    let out = assert_exit(args, 2);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("sharc: ") && stderr.matches("sharc: ").count() == 1,
+        "sharc {args:?} should explain itself in one line, got:\n{stderr}"
+    );
 }
 
 #[test]
@@ -117,7 +143,6 @@ fn a_failure_to_judge_is_three_in_both_trace_formats() {
             for detector in ["sharc", "eraser", "vc"] {
                 assert_cannot_judge(&["replay", path, "--detector", detector]);
             }
-            assert_cannot_judge(&["replay", path, "--jobs", "2"]);
             assert_cannot_judge(&["trace", "info", path]);
         }
     }

@@ -1,7 +1,7 @@
 //! Cross-version trace parity: one recorded execution, archived as
 //! v3 text and v4 binary, re-judged by every detector — identical
 //! conflict sets and exit-code verdicts regardless of the container
-//! format, sequentially or region-sharded over worker threads. Also
+//! format. Also
 //! promotes the old CI awk v3→v2 lowering hack into a Rust test on
 //! the same `lower_ranges` path `sharc trace convert --lower` uses.
 
@@ -14,8 +14,8 @@ fn tmp(name: &str) -> PathBuf {
 
 /// One stunnel fleet run, emitted as v3 text and v4 binary; both
 /// files decode to the recorded events exactly, all three detectors
-/// reach the same conflicts through either container (and through
-/// parallel replay), and the exit-code split is the documented one
+/// reach the same conflicts through either container, and the
+/// exit-code split is the documented one
 /// (sharc clean, eraser false-positive). The size of the binary file
 /// is not asserted here: it follows how the scheduler cut the run
 /// into per-thread blocks; `sharc-checker`'s `btrace` tests pin the
@@ -54,13 +54,6 @@ fn stunnel_text_and_binary_archives_replay_identically() {
         let (_, via_bin) = judge_trace(&from_bin, kind);
         assert_eq!(via_text, from_memory, "{name}: text archive diverged");
         assert_eq!(via_bin, from_memory, "{name}: binary archive diverged");
-        for jobs in [2, 4] {
-            let (_, par) = sharc::judge_trace_jobs(&from_bin, kind, jobs);
-            assert_eq!(
-                par, from_memory,
-                "{name}: parallel replay (jobs={jobs}) diverged"
-            );
-        }
         // Exit-code parity with the CLI smoke: sharc accepts the
         // session hand-offs, the lockset baseline must not.
         match kind {
