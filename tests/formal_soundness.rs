@@ -44,8 +44,8 @@ fn locals() -> Vec<(String, FType)> {
 
 /// A menu of well-typed statements over that environment. Shrinks
 /// toward the earlier (simpler) entries.
-fn stmt_gen(can_spawn: bool) -> Gen<FStmt> {
-    let mut choices = vec![
+fn stmt_gen() -> Gen<FStmt> {
+    gen::choose(vec![
         // a no-op (the shrink target)
         FStmt::Skip,
         // writes to dynamic globals
@@ -67,11 +67,7 @@ fn stmt_gen(can_spawn: bool) -> Gen<FStmt> {
             LVal::Var("y".into()),
             RExpr::Scast(FType::int(Mode::Private), "x".into()),
         ),
-    ];
-    if can_spawn {
-        choices.push(FStmt::Spawn("helper".into()));
-    }
-    gen::choose(choices)
+    ])
 }
 
 fn make_program(main_body: Vec<FStmt>, helper_body: Vec<FStmt>) -> FProgram {
@@ -93,17 +89,21 @@ fn make_program(main_body: Vec<FStmt>, helper_body: Vec<FStmt>) -> FProgram {
     }
 }
 
+/// Two-thread programs: `main` spawns `helper` first, so every
+/// generated statement of one thread can interleave with every
+/// statement of the other.
 fn program_gen() -> Gen<FProgram> {
-    gen::pair(
-        gen::vec_of(stmt_gen(true), 1..4),
-        gen::vec_of(stmt_gen(false), 1..4),
-    )
-    .map(|p| make_program(p.0.clone(), p.1.clone()))
+    gen::pair(gen::vec_of(stmt_gen(), 1..4), gen::vec_of(stmt_gen(), 1..4)).map(|p| {
+        let main = std::iter::once(FStmt::Spawn("helper".into()))
+            .chain(p.0.iter().cloned())
+            .collect();
+        make_program(main, p.1.clone())
+    })
 }
 
 fn cfg() -> Config {
     Config::from_env()
-        .with_cases(64)
+        .at_least(64)
         .persist_to("tests/formal_soundness.regressions")
 }
 
@@ -140,10 +140,10 @@ fn checked_programs_never_violate_soundness() {
 #[test]
 fn guards_are_load_bearing() {
     forall!("guards_are_load_bearing", cfg(), program_gen(), |p| {
-        // Force a cross-thread write/write pair on global g: the
-        // spawn goes first in main, both threads end with a g write.
-        // Deref statements are dropped so a null dereference cannot
-        // kill a thread before it reaches its racing write.
+        // Force a cross-thread write/write pair on global g: both
+        // threads end with a g write. Deref statements are dropped so
+        // a null dereference cannot kill a thread before it reaches
+        // its racing write.
         let mut p = p.clone();
         for t in &mut p.threads {
             t.body.retain(|s| {
@@ -155,8 +155,6 @@ fn guards_are_load_bearing() {
             t.body
                 .push(FStmt::Assign(LVal::Var("g".into()), RExpr::Const(9)));
         }
-        p.threads[0].body.retain(|s| !matches!(s, FStmt::Spawn(_)));
-        p.threads[0].body.insert(0, FStmt::Spawn("helper".into()));
 
         let checked = typecheck(&p).expect("well-typed");
         let (violations, _) = explore(&strip_guards(&checked), 150_000);
@@ -188,7 +186,10 @@ fn guards_are_load_bearing() {
 #[test]
 fn regression_dynamic_write_vs_read() {
     let p = make_program(
-        vec![FStmt::Assign(LVal::Var("g".into()), RExpr::Const(1))],
+        vec![
+            FStmt::Spawn("helper".into()),
+            FStmt::Assign(LVal::Var("g".into()), RExpr::Const(1)),
+        ],
         vec![FStmt::Assign(
             LVal::Var("a".into()),
             RExpr::L(LVal::Var("g".into())),
