@@ -754,7 +754,7 @@ mod tests {
         ]);
         forall!(
             "thread_exit_equals_the_per_granule_log_fold",
-            Config::from_env().with_cases(128),
+            Config::from_env().at_least(128),
             gen::vec_of(ops, 0..64),
             |ops| {
                 let (a, model) = (make(WORDS), make(WORDS));

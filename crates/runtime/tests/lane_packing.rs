@@ -96,7 +96,7 @@ fn op_gen(max_thread: u32) -> Gen<Op> {
 fn lanes_agree_with_the_step_oracle<W: ShadowWord>(name: &str) {
     forall!(
         &format!("lanes_agree_with_the_step_oracle/{name}"),
-        Config::from_env().with_cases(128),
+        Config::from_env().at_least(128),
         gen::vec_of(op_gen(W::MAX_THREAD), 0..96),
         |ops| {
             let shadow: Shadow<OneWord<W>> = Shadow::new(GRANULES);

@@ -44,21 +44,24 @@ pub struct Config {
 impl Config {
     /// `cases` and `seed` from the environment, defaults otherwise.
     pub fn from_env() -> Self {
-        let cases = std::env::var("SHARC_TEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(64);
         Config {
-            cases,
+            cases: env_cases().unwrap_or(64),
             seed: crate::rng::seed_from_env(DEFAULT_SEED),
             max_shrink_steps: 4096,
             regressions: None,
         }
     }
 
-    /// Overrides the case count.
+    /// Overrides the case count, whatever `SHARC_TEST_CASES` says.
     pub fn with_cases(mut self, cases: u32) -> Self {
         self.cases = cases;
+        self
+    }
+
+    /// A property's floor of `n` cases: `SHARC_TEST_CASES` can raise
+    /// the count above `n`, never lower it.
+    pub fn at_least(mut self, n: u32) -> Self {
+        self.cases = env_cases().map_or(n, |c| c.max(n));
         self
     }
 
@@ -73,6 +76,10 @@ impl Default for Config {
     fn default() -> Self {
         Config::from_env()
     }
+}
+
+fn env_cases() -> Option<u32> {
+    std::env::var("SHARC_TEST_CASES").ok()?.parse().ok()
 }
 
 /// The per-case seed: mixes the case index into the base seed so

@@ -36,11 +36,8 @@ const GRANULES: usize = 8;
 /// Tid universe of the wide widths: past four 63-tid shards.
 const WIDE_THREADS: u32 = 256;
 
-/// At least 128 cases; `SHARC_TEST_CASES` can only raise the count.
 fn cfg() -> Config {
-    let cfg = Config::from_env();
-    let cases = cfg.cases.max(128);
-    cfg.with_cases(cases)
+    Config::from_env().at_least(128)
 }
 
 // ----- the widths, the oracle, the subjects -----

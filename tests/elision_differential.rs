@@ -99,7 +99,7 @@ fn program(k: &Knobs) -> String {
 }
 
 fn cfg() -> Config {
-    Config::from_env().with_cases(96)
+    Config::from_env().at_least(96)
 }
 
 /// The tentpole differential: on race-free program shapes the

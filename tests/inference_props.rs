@@ -85,7 +85,7 @@ fn program_gen() -> Gen<String> {
 }
 
 fn cfg() -> Config {
-    Config::from_env().with_cases(48)
+    Config::from_env().at_least(48)
 }
 
 /// Inference always terminates with every qualifier concrete, and
