@@ -7,8 +7,11 @@
 //!
 //! * [`BitmapBackend`] (here) — the paper's own engine: the pure
 //!   bitmap state machine from [`crate::step`] over a growable word
-//!   store, with per-thread access logs and a [`HeldLocks`] log. The
-//!   VM drives this backend: it keeps no shadow state of its own.
+//!   store, with per-thread access logs and a [`HeldLocks`] log. Two
+//!   clients judge through it and keep no shadow state of their own:
+//!   `sharc-interp`'s VM, and its §3 formal model (`formal`), where
+//!   every `chkread` / `chkwrite` / `oneref` / held-lock guard that
+//!   `explore` runs on every interleaving is a call on this engine.
 //! * `sharc-detectors`' `Eraser` (locksets) and `VcDetector`
 //!   (happens-before), which implement the trait themselves, so
 //!   `sharc run --detector sharc|eraser|vc` judges *one* seeded
@@ -23,6 +26,7 @@
 use crate::geometry::ShadowGeometry;
 use crate::step::{sharded, sharded::ShardStep, Access};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Which check a conflict came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -464,9 +468,23 @@ pub fn lower_ranges(events: &[CheckEvent]) -> Vec<CheckEvent> {
 /// The §4.2.2 held-lock log: which locks each thread holds right
 /// now. Every engine keeps one — it answers the `locked(l)` check, and
 /// Eraser refines its candidate locksets against it.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct HeldLocks {
     by_thread: HashMap<u32, Vec<usize>>,
+}
+
+/// Hashes what [`HeldLocks::holds`] can observe: the non-empty lists,
+/// in tid order (a release can leave a thread an empty list).
+impl Hash for HeldLocks {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let mut held: Vec<_> = self
+            .by_thread
+            .iter()
+            .filter(|(_, l)| !l.is_empty())
+            .collect();
+        held.sort_unstable_by_key(|&(tid, _)| *tid);
+        held.hash(state);
+    }
 }
 
 impl HeldLocks {
@@ -510,7 +528,10 @@ impl HeldLocks {
 /// configuration. [`BitmapBackend::with_geometry`] scales the exact
 /// range arbitrarily (e.g. `ShadowGeometry::for_threads(256)` for
 /// the high-tid differential oracle).
-#[derive(Debug)]
+///
+/// Two engines that hash equal judge every later event alike, which
+/// is what lets the formal model's `explore` deduplicate states.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitmapBackend {
     /// Flat store: granule `g`'s words live at
     /// `g * stride .. (g + 1) * stride`.
@@ -519,6 +540,35 @@ pub struct BitmapBackend {
     /// Granules each thread installed bits into, for exit clearing.
     logs: HashMap<u32, Vec<usize>>,
     held: HeldLocks,
+}
+
+/// Hashes what decides a later verdict, not how the engine got there:
+/// the words without the trailing zero words `ensure` grows on first
+/// touch, and each tid's log as a sorted, deduplicated set (exit
+/// clearing reads only that set).
+impl Hash for BitmapBackend {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let live = self
+            .words
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |i| i + 1);
+        self.words[..live].hash(state);
+        self.geom.hash(state);
+        let mut logs: Vec<(u32, Vec<usize>)> = self
+            .logs
+            .iter()
+            .map(|(&tid, log)| {
+                let mut set = log.clone();
+                set.sort_unstable();
+                set.dedup();
+                (tid, set)
+            })
+            .collect();
+        logs.sort_unstable();
+        logs.hash(state);
+        self.held.hash(state);
+    }
 }
 
 impl Default for BitmapBackend {
