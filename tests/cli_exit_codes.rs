@@ -53,6 +53,42 @@ fn verdicts_are_zero_and_one() {
         1,
     );
     assert_exit(&["check", "examples/minic/handoff.c"], 0);
+    // 100 live threads, one planted race past tid 63.
+    assert_exit(&["run", "examples/minic/fleet.c"], 1);
+}
+
+/// Elision may never hide a report: the racy counter, run under the
+/// default (eliding) build, ends in a verdict on every seed and is
+/// caught on at least one.
+#[test]
+fn a_racy_program_is_caught_under_elision() {
+    let codes: Vec<_> = (0..4)
+        .map(|seed| {
+            let seed = seed.to_string();
+            let args = ["run", "examples/minic/counter_racy.c", "--seed", &seed];
+            let code = sharc(&args).status.code();
+            assert!(
+                matches!(code, Some(0 | 1)),
+                "sharc {args:?} exited {code:?}"
+            );
+            code
+        })
+        .collect();
+    assert!(codes.contains(&Some(1)), "exit 0 on every seed: {codes:?}");
+}
+
+/// `--explain-elision` names the reason for each elided check: the
+/// exemplar has a spawn-unique loop and a lock-dominated region.
+#[test]
+fn explain_elision_names_both_reasons() {
+    let out = assert_exit(&["run", "examples/minic/elision.c", "--explain-elision"], 0);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for reason in ["spawn-unique", "lock-held"] {
+        assert!(
+            stdout.contains(reason),
+            "no {reason} explanation in:\n{stdout}"
+        );
+    }
 }
 
 #[test]
