@@ -11,11 +11,13 @@
 //! * its `MultiWord` protocol runs [`sharded::step`] — which is
 //!   [`adaptive::step`] alone under a zero-shard geometry — inside a
 //!   snapshot → CAS → revalidate loop;
-//! * `sharc-interp`'s VM applies [`bitmap::step`] directly — its
-//!   scheduler serializes instructions, so no CAS is needed, and the
-//!   verdicts are *identical by construction* to the real-thread
-//!   runtime's (the differential property test in
-//!   `tests/checker_differential.rs` pins this).
+//! * [`crate::BitmapBackend`] applies [`sharded::step`] to a plain
+//!   word store. Its callers serialize every call — the VM's
+//!   scheduler, `replay`, the streaming collector, and the §3 formal
+//!   model's `explore` — so no CAS is needed, and the verdicts are
+//!   *identical by construction* to the real-thread runtime's (the
+//!   differential property test in `tests/checker_differential.rs`
+//!   pins this).
 //!
 //! The contract shared by both encodings: **a conflicting access
 //! does not modify the shadow word.** This is what the paper's
