@@ -60,43 +60,11 @@ SHARC_TEST_SEED=0xC1 \
 echo "== native event spine: one execution, two verdicts =="
 # SharC accepts the concurrent hand-off (exit 0); the lockset
 # baseline must false-positive on the identical recorded execution
-# (exactly exit 1). pbzip2 runs the same split through a
-# trace file: record once with --trace-out, then re-judge the saved
-# trace offline with both engines.
+# (exactly exit 1). The pbzip2 record -> replay split, the recorded
+# trace's v3 shape and its `trace convert --lower` twin are
+# tests/cli_exit_codes.rs.
 expect_exit 0 native handoff --detector sharc
 expect_exit 1 native handoff --detector eraser
-trace_file="target/ci-pbzip2.trace"
-cargo run --release --offline --bin sharc -- native pbzip2 --trace-out "$trace_file"
-expect_exit 0 replay "$trace_file" --detector sharc
-expect_exit 1 replay "$trace_file" --detector eraser
-# Version-lowering compatibility. The recorded trace must be v3 with
-# ONE rcast/rfree line per block hand-off — a per-granule `cast`
-# expansion leaking back in would be the O(granules) spine this PR
-# removed. Its lowered twin (`trace convert --lower`: every range
-# event expanded to per-granule lines, the v1 vocabulary — what the
-# old awk hack hand-rolled) must replay to the identical exit code on
-# both detectors. tests/trace_parity.rs pins the conflict sets; this
-# smokes the CLI surface.
-grep -q '^# sharc-trace v3$' "$trace_file" || {
-    echo "ERROR: recorded pbzip2 trace is not v3" >&2
-    exit 1
-}
-grep -q '^rcast ' "$trace_file" || {
-    echo "ERROR: pbzip2 trace has no ranged casts" >&2
-    exit 1
-}
-if grep -q '^cast ' "$trace_file"; then
-    echo "ERROR: per-granule cast lines leaked into the pbzip2 trace" >&2
-    exit 1
-fi
-trace_v1="target/ci-pbzip2-v1.trace"
-cargo run --release --offline --bin sharc -- trace convert "$trace_file" "$trace_v1" --lower
-if grep -q '^rcast \|^rfree \|^rread \|^rwrite ' "$trace_v1"; then
-    echo "ERROR: trace convert --lower left range events behind" >&2
-    exit 1
-fi
-expect_exit 0 replay "$trace_v1" --detector sharc
-expect_exit 1 replay "$trace_v1" --detector eraser
 # aget on the spine: workers store whole chunks with ranged writes
 # and exit before main's ranged verification sweep — clean under
 # SharC's lifetime model (exit 0), a false positive under Eraser
@@ -130,22 +98,8 @@ echo "$info" | grep -q "binary v4" || {
 }
 expect_exit 0 replay "$stunnel_sbt" --detector sharc
 expect_exit 1 replay "$stunnel_sbt" --detector eraser
-# Convert round trip: .sbt -> text -> .sbt must be byte-identical
-# (the binary encoding is deterministic). The size ratio on this
-# recorded run is printed, not gated: it follows how the scheduler
-# cut the per-thread blocks (3.3-3.9x on 2 CPUs); the <=1/4 bound is
-# asserted where it is deterministic, in sharc-checker's btrace tests.
-roundtrip_txt="target/ci-stunnel-rt.trace"
-roundtrip_sbt="target/ci-stunnel-rt.sbt"
-cargo run --release --offline --bin sharc -- trace convert "$stunnel_sbt" "$roundtrip_txt"
-cargo run --release --offline --bin sharc -- trace convert "$roundtrip_txt" "$roundtrip_sbt"
-cmp "$stunnel_sbt" "$roundtrip_sbt" || {
-    echo "ERROR: .sbt -> text -> .sbt convert round trip is not byte-identical" >&2
-    exit 1
-}
-sbt_bytes=$(wc -c < "$stunnel_sbt")
-txt_bytes=$(wc -c < "$roundtrip_txt")
-echo "recorded stunnel trace: binary $sbt_bytes B, text $txt_bytes B"
+# The .sbt -> text -> .sbt byte-identical round trip is
+# tests/cli_exit_codes.rs.
 # The cross-version parity suite (text/binary archives, v1 lowering).
 cargo test -q --offline --release --test trace_parity
 
@@ -161,14 +115,16 @@ expect_exit 1 native stunnel --detector eraser --online --ring-cap 256
 expect_exit 0 native handoff --detector sharc --online
 expect_exit 1 native handoff --detector eraser --online
 
-echo "== benchmark answer keys: handoff-write and scan-read, --smoke =="
+echo "== benchmark answer keys: handoff-write, scan-read, minic-pipeline, --smoke =="
 # The two workloads that run the runtime's check path end to end, at
 # 1/20 scale: every lap's checksum and conflict count is held against
 # the generator's answer key, for the unchecked and the checked build.
+# minic-pipeline holds every port's and example's programs/*.expected
+# against the VM at scheduler seeds 1-4: the gate on seeded schedules.
 # The last line of a run is its result object; anything but a fully
 # correct one fails the gate (so does a host with one CPU, where the
 # workload prints `unmeasured` and no result line at all).
-for workload in handoff-write scan-read; do
+for workload in handoff-write scan-read minic-pipeline; do
     result=$(bash benchmark/run.sh --smoke --workload "$workload" | tail -n 1)
     echo "$workload: ${result%%, \"metrics\"*}}"
     case "$result" in

@@ -201,3 +201,63 @@ fn a_syntax_error_is_three() {
     assert_cannot_judge(&["run", src]);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A fresh scratch directory for one test's trace files.
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("sharc-cli-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+fn lines_starting(text: &str, prefixes: &[&str]) -> usize {
+    text.lines()
+        .filter(|l| prefixes.iter().any(|p| l.starts_with(p)))
+        .count()
+}
+
+/// `native pbzip2 --trace-out` records a v3 text trace with one ranged
+/// `rcast` per block hand-off: a per-granule `cast` line would mean the
+/// O(granules) expansion came back. `trace convert --lower` expands
+/// every range event into per-granule lines (the v1 vocabulary), and
+/// both traces replay to the same verdicts: SharC clean, Eraser's
+/// false positive exactly 1.
+#[test]
+fn a_recorded_pbzip2_trace_is_ranged_v3_and_lowers_to_the_same_verdicts() {
+    let dir = scratch_dir("pbzip2");
+    let [trace, lowered] = ["pbzip2.trace", "pbzip2-v1.trace"]
+        .map(|f| dir.join(f).to_str().expect("utf-8 temp path").to_owned());
+    assert_exit(&["native", "pbzip2", "--trace-out", &trace], 0);
+    let text = std::fs::read_to_string(&trace).expect("recorded trace");
+    assert_eq!(text.lines().next(), Some("# sharc-trace v3"));
+    assert!(lines_starting(&text, &["rcast "]) > 0, "no ranged casts");
+    assert_eq!(lines_starting(&text, &["cast "]), 0, "per-granule casts");
+
+    assert_exit(&["trace", "convert", &trace, &lowered, "--lower"], 0);
+    let text = std::fs::read_to_string(&lowered).expect("lowered trace");
+    let ranged = ["rcast ", "rfree ", "rread ", "rwrite "];
+    assert_eq!(lines_starting(&text, &ranged), 0, "range events left");
+    for path in [&trace, &lowered] {
+        assert_exit(&["replay", path, "--detector", "sharc"], 0);
+        assert_exit(&["replay", path, "--detector", "eraser"], 1);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `.sbt` encoding is deterministic: a recorded binary trace
+/// converted to text and back is byte-identical.
+#[test]
+fn a_recorded_sbt_survives_the_text_round_trip_byte_for_byte() {
+    let dir = scratch_dir("roundtrip");
+    let [sbt, text, again] = ["stunnel.sbt", "stunnel.trace", "stunnel-rt.sbt"]
+        .map(|f| dir.join(f).to_str().expect("utf-8 temp path").to_owned());
+    assert_exit(&["native", "stunnel", "--trace-out", &sbt], 0);
+    assert_exit(&["trace", "convert", &sbt, &text], 0);
+    assert_exit(&["trace", "convert", &text, &again], 0);
+    let read = |p: &str| std::fs::read(p).expect("trace file");
+    assert!(read(&text).starts_with(b"# sharc-trace v3\n"));
+    assert!(
+        read(&sbt) == read(&again),
+        ".sbt -> text -> .sbt changed bytes"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
