@@ -10,9 +10,13 @@
 //! Nothing here asserts on a timing: ratios are printed, not gated.
 
 use sharc_checker::{CheckEvent, EventLog, EventSink, ShadowGeometry};
-use sharc_runtime::{Checked, Shadow, ShardedShadow, ThreadId, Unchecked};
+use sharc_runtime::{
+    AccessPolicy, Arena, Checked, Shadow, ShardedShadow, ThreadCtx, ThreadId, Unchecked,
+    GRANULE_WORDS,
+};
 use sharc_testkit::Bench;
 use sharc_workloads::benchmarks::stunnel::{run_native, Params};
+use std::sync::Arc;
 
 /// Working set of the per-granule rows: 4 KiB of payload.
 const GRANULES: usize = 256;
@@ -57,16 +61,17 @@ fn main() {
     //
     // The block hand-off exactly as pbzip2/stunnel/handoff perform
     // it: record the cast on the spine, then clear the block's
-    // shadow. Ranged: ONE `RangeCast` plus `clear_range` (a word
-    // sweep). Granule: one `SharingCast` record plus one `clear` per
+    // shadow. Ranged: `Checked::cast_range`, ONE `RangeCast` plus one
+    // ranged clear. Granule: one `SharingCast` record plus one `clear` per
     // granule, the pre-ranged shape.
     for &(kb, granules) in &[(4usize, 256usize), (64, 4096)] {
         {
-            let s: Shadow = Shadow::new(granules);
-            let log = EventLog::new();
+            let words = granules * GRANULE_WORDS;
+            let arena: Arena = Arena::new(words);
+            let log = Arc::new(EventLog::new());
+            let ctx = ThreadCtx::with_sink(t, log.clone());
             g.bench(&format!("cast/block-{kb}k-ranged"), || {
-                log.record_range_cast(1, 0, granules, 1);
-                s.clear_range(0, granules);
+                Checked::cast_range(&arena, &ctx, 0, words);
                 log.take().len()
             });
         }

@@ -24,7 +24,7 @@
 //! ```
 
 use sharc_checker::{
-    replay, BitmapBackend, CheckBackend, CheckEvent, Conflict, EventSink, StreamStats,
+    replay, BitmapBackend, CheckBackend, CheckEvent, Conflict, EventLog, EventSink, StreamStats,
     StreamingSink,
 };
 use sharc_detectors::{Eraser, VcDetector};
@@ -93,9 +93,10 @@ fn scan_workload_streamed(
             let mut sum = 0u64;
             for _ in 0..passes {
                 for (i, cell) in mem.iter_mut().enumerate() {
-                    sink.record_access(tid, base + i, true);
+                    let granule = base + i;
+                    sink.record(CheckEvent::Write { tid, granule });
                     *cell = (i as u64) ^ sum;
-                    sink.record_access(tid, base + i, false);
+                    sink.record(CheckEvent::Read { tid, granule });
                     sum = sum.wrapping_add(*cell);
                 }
             }
@@ -251,9 +252,10 @@ fn main() {
     // SharC's bitmap backend, Eraser, vector clocks — replays the
     // identical sequence through the CheckBackend interface.
     println!("\n== One native execution, every engine (CheckBackend replay) ==\n");
-    let (nrun, trace) = sharc_workloads::benchmarks::handoff::run_traced(
-        &sharc_workloads::benchmarks::handoff::Params::default(),
-    );
+    let params = sharc_workloads::benchmarks::handoff::Params::default();
+    let (nrun, trace) = EventLog::capture(|sink| {
+        sharc_workloads::benchmarks::handoff::run_with_events(&params, sink)
+    });
     println!(
         "native handoff: {} threads, {} checked accesses, {} trace events, \
          {} inline conflicts\n",

@@ -433,7 +433,10 @@ mod tests {
                 // only pressure is volume (4 × 500 events through a
                 // 128-event budget).
                 for i in 0..500usize {
-                    sink.record_access(t, t as usize * 1000 + i, true);
+                    sink.record(CheckEvent::Write {
+                        tid: t,
+                        granule: t as usize * 1000 + i,
+                    });
                 }
             }));
         }

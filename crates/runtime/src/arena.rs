@@ -3,7 +3,7 @@
 //! (baseline) or with SharC's dynamic checks — the methodology behind
 //! Table 1's "Time Orig./SharC" columns.
 
-use crate::locks::ThreadCtx;
+use crate::locks::{LockId, LockNotHeld, ThreadCtx};
 use crate::shadow::{OneWord, Shadow, ShadowWord, WordProtocol};
 use crate::sharded::{MultiWord, ShardedShadow};
 use sharc_checker::step::Access;
@@ -215,9 +215,7 @@ impl<P: WordProtocol> Arena<P> {
         for (start, end) in ctx.access_log.drain_merged() {
             self.shadow.clear_thread_range(start, end - start, tid);
         }
-        if let Some(sink) = &ctx.sink {
-            sink.record(sharc_checker::CheckEvent::ThreadExit { tid: tid.0 });
-        }
+        ctx.emit_exit();
     }
 
     /// Direct access to the shadow, for tests and detectors.
@@ -266,6 +264,19 @@ pub trait AccessPolicy: Copy + Send + 'static {
             Self::write(arena, ctx, i, v);
         }
     }
+
+    /// The sharing cast (`SCAST`, Fig. 7) of words `start .. start +
+    /// words`, whose one reference the caller is handing off: the
+    /// words' history is forgotten, so the next owner starts clean.
+    fn cast_range<P: WordProtocol>(arena: &Arena<P>, ctx: &ThreadCtx, start: usize, words: usize);
+
+    /// The `locked(l)` check on an access to data `lock` protects.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LockNotHeld`] if a checking policy finds `lock`
+    /// missing from the thread's held-lock log.
+    fn check_held(ctx: &ThreadCtx, lock: LockId) -> Result<(), LockNotHeld>;
 }
 
 /// Baseline: no instrumentation at all.
@@ -310,6 +321,14 @@ impl AccessPolicy for Unchecked {
             arena.write_unchecked(i, value(i));
         }
     }
+    /// Nothing: the baseline keeps no history to forget.
+    #[inline(always)]
+    fn cast_range<P: WordProtocol>(_: &Arena<P>, _: &ThreadCtx, _: usize, _: usize) {}
+    /// Nothing: the baseline trusts the lock discipline.
+    #[inline(always)]
+    fn check_held(_: &ThreadCtx, _: LockId) -> Result<(), LockNotHeld> {
+        Ok(())
+    }
 }
 
 /// SharC dynamic-mode checking.
@@ -349,6 +368,25 @@ impl AccessPolicy for Checked {
     ) {
         ctx.total_accesses += words as u64;
         arena.write_range_checked(ctx, start, words, value);
+    }
+    /// Records ONE [`sharc_checker::CheckEvent::RangeCast`] over the
+    /// words' granule span, then clears that span's shadow.
+    fn cast_range<P: WordProtocol>(arena: &Arena<P>, ctx: &ThreadCtx, start: usize, words: usize) {
+        if words == 0 {
+            return;
+        }
+        let (g0, glen) = granule_span(start, words);
+        ctx.emit_range_cast(g0, glen);
+        arena.shadow.clear_range(g0, glen);
+    }
+    /// Records the [`sharc_checker::CheckEvent::LockedAccess`], then
+    /// looks `lock` up in the held-lock log.
+    fn check_held(ctx: &ThreadCtx, lock: LockId) -> Result<(), LockNotHeld> {
+        ctx.emit(sharc_checker::CheckEvent::LockedAccess {
+            tid: ctx.tid.0,
+            lock: lock.0,
+        });
+        ctx.assert_held(lock)
     }
 }
 
@@ -404,6 +442,74 @@ mod tests {
         thread_exit_equals_the_per_granule_log_fold,
         reinstalling_one_block_between_casts_keeps_the_log_flat,
     );
+
+    #[test]
+    fn unchecked_cast_range_neither_records_nor_clears() {
+        let a: Arena = Arena::new(8);
+        let log = Arc::new(EventLog::new());
+        let mut ctx = ThreadCtx::with_sink(ThreadId(1), log.clone());
+        a.write_range_checked(&mut ctx, 0, 8, |_| 1);
+        let before: Vec<_> = (0..4).map(|g| a.shadow.raw(g)).collect();
+        log.take();
+        Unchecked::cast_range(&a, &ctx, 0, 8);
+        assert!(log.is_empty(), "{:?}", log.snapshot());
+        assert_eq!((0..4).map(|g| a.shadow.raw(g)).collect::<Vec<_>>(), before);
+        assert!(before.iter().all(|&w| w != 0));
+    }
+
+    #[test]
+    fn checked_cast_range_records_one_range_cast_and_clears_the_span() {
+        let a: Arena = Arena::new(16);
+        let log = Arc::new(EventLog::new());
+        let mut ctx = ThreadCtx::with_sink(ThreadId(2), log.clone());
+        a.write_range_checked(&mut ctx, 0, 16, |_| 1);
+        log.take();
+        // Words 3..9 straddle granules 1..=4 at both ends.
+        let (start, words) = (3, 6);
+        let (granule, len) = granule_span(start, words);
+        assert_eq!((granule, len), (1, 4));
+        Checked::cast_range(&a, &ctx, start, words);
+        assert_eq!(
+            log.take(),
+            vec![CheckEvent::RangeCast {
+                tid: 2,
+                granule,
+                len,
+                refs: 1
+            }]
+        );
+        for g in 0..a.shadow.len() {
+            let cleared = (granule..granule + len).contains(&g);
+            assert_eq!(a.shadow.raw(g) == 0, cleared, "granule {g}");
+        }
+    }
+
+    #[test]
+    fn check_held_fails_without_the_lock_and_records_the_access() {
+        let locks = crate::locks::LockRegistry::new(2);
+        let log = Arc::new(EventLog::new());
+        let mut ctx = ThreadCtx::with_sink(ThreadId(4), log.clone());
+        let (held, other) = (LockId(0), LockId(1));
+        locks.lock(&mut ctx, held);
+        log.take();
+        assert_eq!(Checked::check_held(&ctx, held), Ok(()));
+        assert_eq!(
+            Checked::check_held(&ctx, other),
+            Err(LockNotHeld {
+                lock: other,
+                tid: ThreadId(4)
+            })
+        );
+        let locked = |lock: LockId| CheckEvent::LockedAccess {
+            tid: 4,
+            lock: lock.0,
+        };
+        assert_eq!(log.take(), vec![locked(held), locked(other)]);
+        // The baseline checks nothing and records nothing.
+        assert_eq!(Unchecked::check_held(&ctx, other), Ok(()));
+        assert!(log.is_empty());
+        locks.unlock(&mut ctx, held);
+    }
 
     #[test]
     fn unchecked_roundtrip() {

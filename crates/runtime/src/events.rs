@@ -16,11 +16,13 @@
 //! * [`StreamingSink`] — online: per-thread bounded rings drained
 //!   under an epoch flip, feeding a backend during the run.
 //!
-//! Access events are emitted *by the arena* whenever a checked
-//! access runs with a sink attached to the [`ThreadCtx`]
-//! ([`crate::locks::ThreadCtx::with_sink`]); lifecycle events —
-//! fork/join, sharing casts, frees — are recorded by the workload
-//! code at the point it performs them.
+//! The runtime builds every native event: a [`ThreadCtx`] with a sink
+//! attached ([`ThreadCtx::with_sink`]) records each operation made
+//! through it — checked accesses (the arena), lock operations
+//! ([`crate::LockRegistry`], [`ThreadCtx::critical_section`]), sharing
+//! casts and `locked(l)` checks ([`crate::AccessPolicy`]), forks,
+//! joins and exits — at the point the operation takes effect. A
+//! workload never names a [`sharc_checker::CheckEvent`].
 
 pub use sharc_checker::sink::{recording_tid, EventLog, EventSink};
 pub use sharc_checker::stream::{StreamStats, StreamingSink};

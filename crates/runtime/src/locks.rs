@@ -8,6 +8,7 @@
 
 use crate::events::EventSink;
 use crate::shadow::ThreadId;
+use sharc_checker::CheckEvent;
 use sharc_testkit::sync::RawMutex;
 use std::sync::Arc;
 
@@ -119,6 +120,12 @@ impl RunLog {
 /// Per-thread runtime context: the checked thread id, the held-lock
 /// log, the shadow-granule access log (cleared at exit), and counters
 /// used for the evaluation's "% dynamic accesses" column.
+///
+/// It is also the thread's recorder: with a sink attached
+/// ([`ThreadCtx::with_sink`]), every runtime operation performed
+/// through the context — checked accesses, lock operations, sharing
+/// casts, forks, joins, exits — records its [`CheckEvent`] at the
+/// point it takes effect. Nothing outside the runtime builds one.
 #[derive(Debug)]
 pub struct ThreadCtx {
     pub tid: ThreadId,
@@ -131,18 +138,15 @@ pub struct ThreadCtx {
     pub checked_accesses: u64,
     /// All accesses performed through this context.
     pub total_accesses: u64,
-    /// When set, every checked access through this context is also
-    /// recorded into the shared [`EventSink`] — the native-execution
-    /// event spine that lets `sharc run --detector` and the bench
-    /// binaries judge a *real-thread* run through any
-    /// `CheckBackend`, either by replay (`EventLog`) or online
-    /// (`StreamingSink`). `None` (the default) keeps the hot path
-    /// free of the recording branch's work.
-    pub sink: Option<Arc<dyn EventSink>>,
+    /// Where this thread's events go: an `EventLog` to replay later
+    /// or a `StreamingSink` judging online. `None` (the default)
+    /// records nothing.
+    sink: Option<Arc<dyn EventSink>>,
 }
 
 impl ThreadCtx {
-    /// Creates a context for checked thread `tid` (1-based).
+    /// Creates a context for checked thread `tid` (1-based) that
+    /// records nothing.
     pub fn new(tid: ThreadId) -> Self {
         ThreadCtx {
             tid,
@@ -155,30 +159,101 @@ impl ThreadCtx {
         }
     }
 
-    /// Creates a context whose checked accesses are mirrored into
-    /// `sink` as [`sharc_checker::CheckEvent`]s.
+    /// Creates a context that records into `sink`.
     pub fn with_sink(tid: ThreadId, sink: Arc<dyn EventSink>) -> Self {
-        let mut ctx = Self::new(tid);
-        ctx.sink = Some(sink);
-        ctx
+        ThreadCtx {
+            sink: Some(sink),
+            ..Self::new(tid)
+        }
     }
 
-    /// Emits an access event if a sink is attached (called by the
-    /// arena's checked paths).
+    /// Records `e` if a sink is attached.
+    #[inline]
+    pub(crate) fn emit(&self, e: CheckEvent) {
+        if let Some(sink) = &self.sink {
+            sink.record(e);
+        }
+    }
+
+    /// Records one per-granule access (the arena's checked paths).
     #[inline]
     pub(crate) fn emit_access(&self, granule: usize, is_write: bool) {
-        if let Some(sink) = &self.sink {
-            sink.record_access(self.tid.0, granule, is_write);
+        let tid = self.tid.0;
+        self.emit(if is_write {
+            CheckEvent::Write { tid, granule }
+        } else {
+            CheckEvent::Read { tid, granule }
+        });
+    }
+
+    /// Records one ranged access: a whole sweep over `len` granules
+    /// from `granule`. Replay lowers it to per-granule checks, so it
+    /// judges like `len` single accesses.
+    #[inline]
+    pub fn emit_range(&self, granule: usize, len: usize, is_write: bool) {
+        let tid = self.tid.0;
+        self.emit(if is_write {
+            CheckEvent::RangeWrite { tid, granule, len }
+        } else {
+            CheckEvent::RangeRead { tid, granule, len }
+        });
+    }
+
+    /// Records one sharing cast of `len` granules from `granule`, the
+    /// single reference moving with it.
+    pub fn emit_range_cast(&self, granule: usize, len: usize) {
+        self.emit(CheckEvent::RangeCast {
+            tid: self.tid.0,
+            granule,
+            len,
+            refs: 1,
+        });
+    }
+
+    /// Records the free of `len` granules from `granule`.
+    pub fn emit_range_free(&self, granule: usize, len: usize) {
+        self.emit(CheckEvent::RangeFree { granule, len });
+    }
+
+    /// Records this thread's exit.
+    pub fn emit_exit(&self) {
+        self.emit(CheckEvent::ThreadExit { tid: self.tid.0 });
+    }
+
+    /// Spawn's half of the context: records the fork of `child` —
+    /// call it before the spawn, so the child's first event cannot
+    /// precede it — and returns the child's context, recording into
+    /// this context's sink (or nowhere, if this one records nowhere).
+    pub fn fork(&self, child: ThreadId) -> ThreadCtx {
+        self.emit(CheckEvent::Fork {
+            parent: self.tid.0,
+            child: child.0,
+        });
+        ThreadCtx {
+            sink: self.sink.clone(),
+            ..Self::new(child)
         }
     }
 
-    /// Emits one ranged-access event for a whole buffer sweep if a
-    /// sink is attached (called by the arena's ranged checked paths).
-    #[inline]
-    pub(crate) fn emit_range(&self, granule: usize, len: usize, is_write: bool) {
-        if let Some(sink) = &self.sink {
-            sink.record_range(self.tid.0, granule, len, is_write);
-        }
+    /// Records that this thread joined `child`: call it after the
+    /// join returns.
+    pub fn join(&self, child: ThreadId) {
+        self.emit(CheckEvent::Join {
+            parent: self.tid.0,
+            child: child.0,
+        });
+    }
+
+    /// Records one critical section on `lock`, a data-carrying mutex
+    /// (a queue, a slot) the caller holds right now: the
+    /// [`CheckEvent::Acquire`] / [`CheckEvent::Release`] pair. Made
+    /// while the mutex is held, it lands between the previous
+    /// holder's pair and the next one's, so the recorded lock order is
+    /// the real one.
+    pub fn critical_section(&self, lock: LockId) {
+        let tid = self.tid.0;
+        self.emit(CheckEvent::Acquire { tid, lock: lock.0 });
+        self.emit(CheckEvent::Release { tid, lock: lock.0 });
     }
 
     /// True if `lock` is in this thread's held-lock log.
@@ -241,12 +316,10 @@ impl LockRegistry {
     pub fn lock(&self, ctx: &mut ThreadCtx, lock: LockId) {
         self.locks[lock.0].lock();
         ctx.held.push(lock);
-        if let Some(sink) = &ctx.sink {
-            sink.record(sharc_checker::CheckEvent::Acquire {
-                tid: ctx.tid.0,
-                lock: lock.0,
-            });
-        }
+        ctx.emit(CheckEvent::Acquire {
+            tid: ctx.tid.0,
+            lock: lock.0,
+        });
     }
 
     /// Releases `lock` and removes it from the log.
@@ -264,12 +337,10 @@ impl LockRegistry {
         ctx.held.remove(pos);
         // Record the release *while still holding* so no other
         // thread's acquire can be logged between it and us.
-        if let Some(sink) = &ctx.sink {
-            sink.record(sharc_checker::CheckEvent::Release {
-                tid: ctx.tid.0,
-                lock: lock.0,
-            });
-        }
+        ctx.emit(CheckEvent::Release {
+            tid: ctx.tid.0,
+            lock: lock.0,
+        });
         // SAFETY: the log proves this thread acquired the lock.
         unsafe { self.locks[lock.0].unlock() };
     }
@@ -352,6 +423,60 @@ mod tests {
         let reg = LockRegistry::new(1);
         let mut ctx = ThreadCtx::new(ThreadId(1));
         reg.unlock(&mut ctx, LockId(0));
+    }
+
+    #[test]
+    fn fork_is_recorded_before_any_event_of_the_child() {
+        let log = Arc::new(crate::events::EventLog::new());
+        let parent = ThreadCtx::with_sink(ThreadId(1), log.clone());
+        let (p, c) = (1, 2);
+        let child = parent.fork(ThreadId(c));
+        std::thread::spawn(move || {
+            child.critical_section(LockId(0));
+            child.emit_exit();
+        })
+        .join()
+        .unwrap();
+        parent.join(ThreadId(c));
+        assert_eq!(
+            log.take(),
+            vec![
+                CheckEvent::Fork {
+                    parent: p,
+                    child: c
+                },
+                CheckEvent::Acquire { tid: c, lock: 0 },
+                CheckEvent::Release { tid: c, lock: 0 },
+                CheckEvent::ThreadExit { tid: c },
+                CheckEvent::Join {
+                    parent: p,
+                    child: c
+                },
+            ],
+            "the child records into its parent's sink, after the fork"
+        );
+        // A context that records nowhere forks children that record
+        // nowhere.
+        let silent = ThreadCtx::new(ThreadId(1)).fork(ThreadId(2));
+        assert!(silent.sink.is_none());
+    }
+
+    #[test]
+    fn a_critical_section_records_acquire_then_release() {
+        let log = Arc::new(crate::events::EventLog::new());
+        let ctx = ThreadCtx::with_sink(ThreadId(9), log.clone());
+        let queue = sharc_testkit::sync::Mutex::new(vec![1]);
+        let mut q = queue.lock();
+        ctx.critical_section(LockId(3));
+        q.pop();
+        drop(q);
+        assert_eq!(
+            log.take(),
+            vec![
+                CheckEvent::Acquire { tid: 9, lock: 3 },
+                CheckEvent::Release { tid: 9, lock: 3 },
+            ]
+        );
     }
 
     #[test]

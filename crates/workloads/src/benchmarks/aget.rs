@@ -12,10 +12,7 @@
 
 use crate::substrates::net::{fnv, ChunkServer};
 use crate::table::{run_benchmark, BenchResult, NativeRun, Scale};
-use sharc_checker::CheckEvent;
-use sharc_runtime::{
-    AccessPolicy, Arena, Checked, EventLog, EventSink, ThreadCtx, ThreadId, Unchecked,
-};
+use sharc_runtime::{AccessPolicy, Arena, Checked, EventSink, ThreadCtx, ThreadId, Unchecked};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -49,31 +46,25 @@ impl Params {
 /// output buffer; each worker owns a disjoint range but the buffer is
 /// a single dynamic-mode object (as in aget's shared output file).
 pub fn run_native<P: AccessPolicy>(params: &Params) -> NativeRun {
-    run_with_sink::<P>(params, None)
+    run::<P>(params, ThreadCtx::new(ThreadId(1)))
 }
 
-/// Runs the download **checked and traced**: every fetched chunk's
-/// store is one ranged write event, the workers' exits clear their
-/// shadow footprint, and main's verification sweep is one ranged read
-/// — so the exact native execution replays through any
-/// [`sharc_checker::CheckBackend`] (`sharc native aget --detector …`).
-/// SharC is clean (the exits end the workers' lifetimes before main
-/// reads); Eraser's lockset for the buffer is empty — the whole point
-/// of segment ownership is downloading without a lock held — so it
-/// false-positives on the same execution.
-pub fn run_traced(params: &Params) -> (NativeRun, Vec<CheckEvent>) {
-    let sink = Arc::new(EventLog::new());
-    let run = run_with_events(params, sink.clone());
-    (run, sink.take())
-}
-
-/// Runs the download checked, recording into any [`EventSink`] — the
-/// entry the online (`StreamingSink`) detector path uses.
+/// Runs the download checked, recording into any [`EventSink`] (a
+/// log to replay, or a streaming sink judging online): every
+/// fetched chunk's store is one ranged write event, the workers'
+/// exits clear their shadow footprint, and main's verification sweep
+/// is one ranged read — so the exact native execution replays through
+/// any [`sharc_checker::CheckBackend`] (`sharc native aget --detector
+/// …`). SharC is clean (the exits end the workers' lifetimes before
+/// main reads); Eraser's lockset for the buffer is empty — the whole
+/// point of segment ownership is downloading without a lock held — so
+/// it false-positives on the same execution.
 pub fn run_with_events(params: &Params, sink: Arc<dyn EventSink>) -> NativeRun {
-    run_with_sink::<Checked>(params, Some(sink))
+    run::<Checked>(params, ThreadCtx::with_sink(ThreadId(1), sink))
 }
 
-fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSink>>) -> NativeRun {
+/// The download, with `main_ctx` (tid 1) as the main thread's context.
+fn run<P: AccessPolicy>(params: &Params, mut main_ctx: ThreadCtx) -> NativeRun {
     let server = Arc::new(ChunkServer::new(params.file_size, params.latency, 0xA6E7));
     // The output buffer packs 8 bytes per word, as C memory does.
     let arena: Arc<Arena> = Arc::new(Arena::new(params.file_size.div_ceil(8) + 1));
@@ -86,21 +77,8 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
         let chunk = params.chunk;
         let start = w * per_worker;
         let end = ((w + 1) * per_worker).min(params.file_size);
-        let tid = ThreadId(w as u32 + 2);
-        if let Some(s) = &sink {
-            // Fork is recorded by the parent *before* the child can
-            // emit, so the linearized trace orders it first.
-            s.record(CheckEvent::Fork {
-                parent: 1,
-                child: tid.0,
-            });
-        }
-        let sink = sink.clone();
+        let mut ctx = main_ctx.fork(ThreadId(w as u32 + 2));
         handles.push(std::thread::spawn(move || {
-            let mut ctx = match sink {
-                Some(s) => ThreadCtx::with_sink(tid, s),
-                None => ThreadCtx::new(tid),
-            };
             let mut off = start;
             let mut words: Vec<u64> = Vec::new();
             while off < end {
@@ -138,23 +116,14 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
         total += t;
         conflicts += cf;
     }
-    if let Some(s) = &sink {
-        for w in 0..params.workers {
-            s.record(CheckEvent::Join {
-                parent: 1,
-                child: w as u32 + 2,
-            });
-        }
+    for w in 0..params.workers {
+        main_ctx.join(ThreadId(w as u32 + 2));
     }
 
     // Main verifies the download — one ranged sweep over the whole
     // buffer through the policy. The workers' exits cleared their
     // shadow bits (non-overlapping lifetimes are not races), so the
     // sweep is clean under SharC.
-    let mut main_ctx = match &sink {
-        Some(s) => ThreadCtx::with_sink(ThreadId(1), Arc::clone(s)),
-        None => ThreadCtx::new(ThreadId(1)),
-    };
     let n_words = params.file_size.div_ceil(8);
     let mut assembled = Vec::with_capacity(params.file_size);
     let mut word0 = 0u64;
@@ -252,6 +221,7 @@ pub fn bench(scale: Scale) -> BenchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sharc_checker::{CheckEvent, EventLog};
 
     #[test]
     fn download_matches_server_checksum() {
@@ -305,7 +275,7 @@ mod tests {
             latency: Duration::ZERO,
             ..Params::scaled(Scale::quick())
         };
-        let (run, trace) = run_traced(&params);
+        let (run, trace) = EventLog::capture(|s| run_with_events(&params, s));
         assert_eq!(run.conflicts, 0, "the native run itself is clean");
         assert!(
             trace

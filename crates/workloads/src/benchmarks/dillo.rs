@@ -17,10 +17,9 @@
 
 use crate::substrates::net::DnsServer;
 use crate::table::{run_benchmark, BenchResult, NativeRun, Scale};
-use sharc_checker::CheckEvent;
 use sharc_runtime::{
-    AccessPolicy, Arena, Checked, EventLog, EventSink, NaiveRc, ObjId, RcScheme, ThreadCtx,
-    ThreadId, Unchecked,
+    AccessPolicy, Arena, Checked, EventSink, LockId, NaiveRc, ObjId, RcScheme, ThreadCtx, ThreadId,
+    Unchecked,
 };
 use sharc_testkit::sync::Mutex;
 use std::collections::VecDeque;
@@ -28,7 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Lock id of the request queue in the emitted trace.
-const QUEUE_LOCK: usize = 0;
+const QUEUE_LOCK: LockId = LockId(0);
 
 /// Workload parameters.
 #[derive(Debug, Clone, Copy)]
@@ -55,26 +54,19 @@ impl Params {
     }
 }
 
-/// Runs the DNS-prefetch pipeline.
+/// Runs the DNS-prefetch pipeline with access policy `P`.
 pub fn run_native<P: AccessPolicy>(params: &Params) -> NativeRun {
-    run_with_sink::<P>(params, None)
+    run::<P>(params, ThreadCtx::new(ThreadId(1)))
 }
 
-/// Runs the pipeline **checked and traced**, returning the run record
-/// and the linearized native event trace for detector replay.
-pub fn run_traced(params: &Params) -> (NativeRun, Vec<CheckEvent>) {
-    let sink = Arc::new(EventLog::new());
-    let run = run_with_events(params, sink.clone());
-    (run, sink.take())
-}
-
-/// Runs the pipeline checked, recording into any [`EventSink`] — the
-/// entry the online (`StreamingSink`) detector path uses.
+/// Runs the pipeline checked, recording into any [`EventSink`]: a
+/// log to replay, or a streaming sink judging online.
 pub fn run_with_events(params: &Params, sink: Arc<dyn EventSink>) -> NativeRun {
-    run_with_sink::<Checked>(params, Some(sink))
+    run::<Checked>(params, ThreadCtx::with_sink(ThreadId(1), sink))
 }
 
-fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSink>>) -> NativeRun {
+/// The pipeline, with `main_ctx` (tid 1) as the main thread's context.
+fn run<P: AccessPolicy>(params: &Params, mut main_ctx: ThreadCtx) -> NativeRun {
     let dns = Arc::new(DnsServer::new(params.n_hosts, params.latency, 0xD111));
     // The shared result cache: one granule (16 bytes) per request,
     // matching dillo's 16-byte-aligned request allocations (§4.5's
@@ -85,47 +77,22 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
     // get reference-counted — one RC slot per request whose updates
     // touch count memory (the paper's bogus-pointer overhead).
     let bogus_rc = Arc::new(NaiveRc::new(params.n_requests, params.n_requests.max(1)));
-    let is_checked = P::NAME == "sharc";
+    let is_checked = P::NAME == Checked::NAME;
 
     let mut handles = Vec::new();
     for w in 0..params.workers {
-        let tid = ThreadId(w as u32 + 2);
-        if let Some(s) = &sink {
-            s.record(CheckEvent::Fork {
-                parent: 1,
-                child: tid.0,
-            });
-        }
+        let mut ctx = main_ctx.fork(ThreadId(w as u32 + 2));
         let dns = Arc::clone(&dns);
         let arena = Arc::clone(&arena);
         let queue = Arc::clone(&queue);
         let bogus_rc = Arc::clone(&bogus_rc);
-        let sink = sink.clone();
         handles.push(std::thread::spawn(move || {
-            let mut ctx = match sink {
-                Some(s) => ThreadCtx::with_sink(tid, s),
-                None => ThreadCtx::new(tid),
-            };
             loop {
-                // Claim a request under the queue lock; the events
-                // are recorded while the lock is held so the trace
-                // linearizes through it.
+                // Claim a request under the queue lock.
                 let req = {
                     let mut q = queue.lock();
-                    if let Some(s) = &ctx.sink {
-                        s.record(CheckEvent::Acquire {
-                            tid: tid.0,
-                            lock: QUEUE_LOCK,
-                        });
-                    }
-                    let req = q.pop_front();
-                    if let Some(s) = &ctx.sink {
-                        s.record(CheckEvent::Release {
-                            tid: tid.0,
-                            lock: QUEUE_LOCK,
-                        });
-                    }
-                    req
+                    ctx.critical_section(QUEUE_LOCK);
+                    q.pop_front()
                 };
                 let Some(req) = req else { break };
                 if is_checked {
@@ -151,12 +118,7 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
     let mut conflicts = 0usize;
     for (w, h) in handles.into_iter().enumerate() {
         let (c, t, cf) = h.join().expect("worker panicked");
-        if let Some(s) = &sink {
-            s.record(CheckEvent::Join {
-                parent: 1,
-                child: w as u32 + 2,
-            });
-        }
+        main_ctx.join(ThreadId(w as u32 + 2));
         checked += c;
         total += t;
         conflicts += cf;
@@ -169,10 +131,6 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
     // SharC accepts main's reads; a lockset detector replaying the
     // same trace sees unlocked cross-thread read-then-write and
     // reports.
-    let mut main_ctx = match &sink {
-        Some(s) => ThreadCtx::with_sink(ThreadId(1), Arc::clone(s)),
-        None => ThreadCtx::new(ThreadId(1)),
-    };
     let mut checksum = 0u64;
     let mut first = 0u64;
     P::read_range(
@@ -306,7 +264,7 @@ pub fn bench(scale: Scale) -> BenchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharc_checker::{replay, BitmapBackend};
+    use sharc_checker::{replay, BitmapBackend, EventLog};
     use sharc_detectors::{Eraser, VcDetector};
 
     #[test]
@@ -321,7 +279,7 @@ mod tests {
             latency: Duration::ZERO,
             ..Params::scaled(Scale::quick())
         };
-        let (run, trace) = run_traced(&params);
+        let (run, trace) = EventLog::capture(|s| run_with_events(&params, s));
         assert_eq!(run.checksum, run_native::<Checked>(&params).checksum);
         let sharc = replay(&trace, &mut BitmapBackend::new());
         assert!(sharc.is_empty(), "SharC models the lifetimes: {sharc:?}");

@@ -10,17 +10,16 @@
 //! locksets, vector clocks judging by pre-transfer history) flag it
 //! as a race — the §6.2 comparison.
 //!
-//! Because [`run_traced`] emits the [`CheckEvent`] vocabulary from a
-//! *real multithreaded execution*, the same run can be replayed
+//! Because [`run_with_events`] records the `CheckEvent` vocabulary
+//! from a *real multithreaded execution*, the same run can be replayed
 //! through every [`sharc_checker::CheckBackend`]: SharC stays silent,
 //! the baselines false-positive, and stripping the `SharingCast`
 //! events from the trace makes SharC report too — the cast is
 //! exactly the information the others are missing.
 
 use crate::table::NativeRun;
-use sharc_checker::CheckEvent;
 use sharc_runtime::{
-    AccessPolicy, Arena, Checked, EventLog, EventSink, ThreadCtx, ThreadId, GRANULE_WORDS,
+    AccessPolicy, Arena, Checked, EventSink, LockId, ThreadCtx, ThreadId, GRANULE_WORDS,
 };
 use sharc_testkit::sync::Mutex;
 use std::collections::VecDeque;
@@ -30,7 +29,7 @@ use std::sync::Arc;
 const DONE: usize = usize::MAX;
 
 /// Lock id used for the job queue in the emitted trace.
-const QUEUE_LOCK: usize = 0;
+const QUEUE_LOCK: LockId = LockId(0);
 
 /// Workload parameters.
 #[derive(Debug, Clone, Copy)]
@@ -65,24 +64,17 @@ impl Params {
 
 /// Runs the handoff workload with access policy `P`.
 pub fn run_native<P: AccessPolicy>(params: &Params) -> NativeRun {
-    run_with_sink::<P>(params, None)
+    run::<P>(params, ThreadCtx::new(ThreadId(1)))
 }
 
-/// Runs the workload **checked and traced**, returning the run record
-/// and the linearized native event trace for detector replay.
-pub fn run_traced(params: &Params) -> (NativeRun, Vec<CheckEvent>) {
-    let sink = Arc::new(EventLog::new());
-    let run = run_with_events(params, sink.clone());
-    (run, sink.take())
-}
-
-/// Runs the handoff checked, recording into any [`EventSink`] — the
-/// entry the online (`StreamingSink`) detector path uses.
+/// Runs the handoff checked, recording into any [`EventSink`]: a
+/// log to replay, or a streaming sink judging online.
 pub fn run_with_events(params: &Params, sink: Arc<dyn EventSink>) -> NativeRun {
-    run_with_sink::<Checked>(params, Some(sink))
+    run::<Checked>(params, ThreadCtx::with_sink(ThreadId(1), sink))
 }
 
-fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSink>>) -> NativeRun {
+/// The workload, with `producer` (tid 1) as the main thread's context.
+fn run<P: AccessPolicy>(params: &Params, mut producer: ThreadCtx) -> NativeRun {
     let words = params.aligned_words();
     let arena: Arc<Arena> = Arc::new(Arena::new(params.blocks * words));
     let queue: Arc<Mutex<VecDeque<usize>>> = Arc::new(Mutex::new(VecDeque::new()));
@@ -93,40 +85,17 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
     // lock held over the payload. An empty pop yields and retries.
     let mut handles = Vec::new();
     for c in 0..params.consumers {
-        let tid = ThreadId(c as u32 + 2);
-        if let Some(s) = &sink {
-            s.record(CheckEvent::Fork {
-                parent: 1,
-                child: tid.0,
-            });
-        }
+        let mut ctx = producer.fork(ThreadId(c as u32 + 2));
         let arena = Arc::clone(&arena);
         let queue = Arc::clone(&queue);
-        let sink = sink.clone();
         handles.push(std::thread::spawn(move || {
-            let mut ctx = match sink {
-                Some(s) => ThreadCtx::with_sink(tid, s),
-                None => ThreadCtx::new(tid),
-            };
             let mut sum = 0u64;
             let mut vals: Vec<u64> = Vec::new();
             loop {
                 let job = {
                     let mut q = queue.lock();
-                    if let Some(s) = &ctx.sink {
-                        s.record(CheckEvent::Acquire {
-                            tid: tid.0,
-                            lock: QUEUE_LOCK,
-                        });
-                    }
-                    let job = q.pop_front();
-                    if let Some(s) = &ctx.sink {
-                        s.record(CheckEvent::Release {
-                            tid: tid.0,
-                            lock: QUEUE_LOCK,
-                        });
-                    }
-                    job
+                    ctx.critical_section(QUEUE_LOCK);
+                    q.pop_front()
                 };
                 match job {
                     Some(DONE) => break,
@@ -159,10 +128,6 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
     // build), so before the cast the shadow records tid 1 as the
     // block's writer — exactly the state a detector would hold
     // against the consumer if the transfer were invisible.
-    let mut producer = match &sink {
-        Some(s) => ThreadCtx::with_sink(ThreadId(1), Arc::clone(s)),
-        None => ThreadCtx::new(ThreadId(1)),
-    };
     for b in 0..params.blocks {
         let start = b * words;
         // Private initialization, ranged: one chkwrite for the whole
@@ -171,37 +136,12 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
             (b as u64) << 8 | (i - start) as u64
         });
         // The sharing cast: one reference, ownership moves. The whole
-        // block hands off as ONE ranged event — clearing the shadow
-        // range is the runtime effect; the event records it for
-        // replay.
-        let g0 = start / GRANULE_WORDS;
-        let g1 = (start + words - 1) / GRANULE_WORDS;
-        if let Some(s) = &sink {
-            s.record(CheckEvent::RangeCast {
-                tid: 1,
-                granule: g0,
-                len: g1 - g0 + 1,
-                refs: 1,
-            });
-        }
-        arena.clear_range(start, words);
-        // Publish the block index. The queue itself is lock-protected;
-        // the lock events are recorded while the lock is held so the
-        // linearized trace preserves acquisition order.
+        // block hands off as ONE ranged cast.
+        P::cast_range(&arena, &producer, start, words);
+        // Publish the block index under the queue lock.
         let mut q = queue.lock();
-        if let Some(s) = &sink {
-            s.record(CheckEvent::Acquire {
-                tid: 1,
-                lock: QUEUE_LOCK,
-            });
-        }
+        producer.critical_section(QUEUE_LOCK);
         q.push_back(b);
-        if let Some(s) = &sink {
-            s.record(CheckEvent::Release {
-                tid: 1,
-                lock: QUEUE_LOCK,
-            });
-        }
     }
     {
         let mut q = queue.lock();
@@ -237,7 +177,7 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharc_checker::{replay, BitmapBackend};
+    use sharc_checker::{replay, BitmapBackend, CheckEvent, EventLog};
     use sharc_detectors::{Eraser, VcDetector};
     use sharc_runtime::Unchecked;
 
@@ -254,7 +194,7 @@ mod tests {
     #[test]
     fn traced_run_matches_untraced() {
         let p = Params::default();
-        let (run, trace) = run_traced(&p);
+        let (run, trace) = EventLog::capture(|s| run_with_events(&p, s));
         assert_eq!(run.checksum, run_native::<Checked>(&p).checksum);
         // Checked accesses are covered by ranged events now — one
         // RangeRead/RangeWrite per block sweep, each spanning
@@ -278,7 +218,7 @@ mod tests {
 
     #[test]
     fn sharc_is_silent_on_the_native_trace() {
-        let (_, trace) = run_traced(&Params::default());
+        let (_, trace) = EventLog::capture(|s| run_with_events(&Params::default(), s));
         let conflicts = replay(&trace, &mut BitmapBackend::new());
         assert!(
             conflicts.is_empty(),
@@ -294,7 +234,7 @@ mod tests {
         // for the blocks goes empty and it reports — while the
         // happens-before detector accepts the run because the queue's
         // release/acquire pair orders producer before consumer.
-        let (_, trace) = run_traced(&Params::default());
+        let (_, trace) = EventLog::capture(|s| run_with_events(&Params::default(), s));
         let eraser = replay(&trace, &mut Eraser::new());
         let vc = replay(&trace, &mut VcDetector::new());
         assert!(!eraser.is_empty(), "Eraser misses the ownership transfer");
@@ -307,7 +247,7 @@ mod tests {
         // the transfer is the sharing cast itself. SharC still
         // accepts (the cast is its evidence); the happens-before
         // detector now has no edge and flags the consumer.
-        let (_, trace) = run_traced(&Params::default());
+        let (_, trace) = EventLog::capture(|s| run_with_events(&Params::default(), s));
         let cast_only: Vec<CheckEvent> = trace
             .into_iter()
             .filter(|e| !matches!(e, CheckEvent::Acquire { .. } | CheckEvent::Release { .. }))
@@ -326,7 +266,7 @@ mod tests {
         // The cast is the load-bearing event: without it, tid 1's
         // writer state survives and the consumer's first access is a
         // genuine sharing violation.
-        let (_, trace) = run_traced(&Params::default());
+        let (_, trace) = EventLog::capture(|s| run_with_events(&Params::default(), s));
         let stripped: Vec<CheckEvent> = trace
             .into_iter()
             .filter(|e| {
@@ -342,7 +282,7 @@ mod tests {
 
     #[test]
     fn trace_carries_the_full_event_vocabulary() {
-        let (_, trace) = run_traced(&Params::default());
+        let (_, trace) = EventLog::capture(|s| run_with_events(&Params::default(), s));
         let has = |f: fn(&CheckEvent) -> bool| trace.iter().any(f);
         assert!(has(|e| matches!(e, CheckEvent::Fork { .. })));
         assert!(has(|e| matches!(e, CheckEvent::RangeRead { .. })));

@@ -12,10 +12,7 @@
 
 use crate::substrates::filesys::{FsConfig, SynthFs};
 use crate::table::{run_benchmark, BenchResult, NativeRun, Scale};
-use sharc_checker::CheckEvent;
-use sharc_runtime::{
-    AccessPolicy, Arena, Checked, EventLog, EventSink, ThreadCtx, ThreadId, Unchecked,
-};
+use sharc_runtime::{AccessPolicy, Arena, Checked, EventSink, ThreadCtx, ThreadId, Unchecked};
 use sharc_testkit::sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -65,27 +62,19 @@ fn byte_of(words: &[u64], pos: usize) -> u8 {
 
 /// Runs the scan with access policy `P`, returning the run record.
 pub fn run_native<P: AccessPolicy>(params: &Params) -> NativeRun {
-    run_with_sink::<P>(params, None)
+    run::<P>(params, ThreadCtx::new(ThreadId(1)))
 }
 
-/// Runs the scan **checked and traced**: every checked access, lock
-/// operation, fork and thread exit is mirrored into an [`EventLog`],
-/// so the exact native execution can be replayed through any
-/// [`sharc_checker::CheckBackend`] — this is the native end of the
-/// event spine (`sharc native pfscan --detector ...`).
-pub fn run_traced(params: &Params) -> (NativeRun, Vec<CheckEvent>) {
-    let sink = Arc::new(EventLog::new());
-    let run = run_with_events(params, sink.clone());
-    (run, sink.take())
-}
-
-/// Runs the scan checked, recording into any [`EventSink`] — the
-/// entry the online (`StreamingSink`) detector path uses.
+/// Runs the scan checked, recording every checked access, fork and
+/// thread exit into any [`EventSink`] — the native end of the event
+/// spine (`sharc native pfscan --detector ...`): a log to
+/// replay, or a `StreamingSink` judging online.
 pub fn run_with_events(params: &Params, sink: Arc<dyn EventSink>) -> NativeRun {
-    run_with_sink::<Checked>(params, Some(sink))
+    run::<Checked>(params, ThreadCtx::with_sink(ThreadId(1), sink))
 }
 
-fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSink>>) -> NativeRun {
+/// The scan, with `producer` (tid 1) as the main thread's context.
+fn run<P: AccessPolicy>(params: &Params, mut producer: ThreadCtx) -> NativeRun {
     let fs = SynthFs::generate(params.fs, "needle");
 
     // The "path producer" loads every file into the shared arena,
@@ -96,7 +85,6 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
     let file_words: usize = fs.files().iter().map(|f| f.content.len().div_ceil(8)).sum();
     let arena: Arc<Arena> = Arc::new(Arena::new(file_words + 1));
     let queue: Arc<Mutex<VecDeque<Job>>> = Arc::new(Mutex::new(VecDeque::new()));
-    let mut producer_ctx = ThreadCtx::new(ThreadId(1));
     {
         let mut off = 0usize;
         let mut q = queue.lock();
@@ -110,7 +98,7 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
                 // The producer owns the buffer while filling it
                 // (private mode): unchecked in both builds, but still
                 // counted toward the total-access denominator.
-                Unchecked::write(&arena, &mut producer_ctx, off / 8 + i, w);
+                Unchecked::write(&arena, &mut producer, off / 8 + i, w);
             }
             q.push_back(Job {
                 offset: off,
@@ -125,23 +113,10 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
     // dynamic-mode (accessible by any worker), so scans go through P.
     let mut handles = Vec::new();
     for w in 0..params.workers {
+        let mut ctx = producer.fork(ThreadId(w as u32 + 2));
         let arena = Arc::clone(&arena);
         let queue = Arc::clone(&queue);
-        let sink = sink.clone();
-        if let Some(sink) = &sink {
-            // Fork is recorded by the parent *before* the child can
-            // emit, so the linearized trace orders it first.
-            sink.record(CheckEvent::Fork {
-                parent: 1,
-                child: w as u32 + 2,
-            });
-        }
         handles.push(std::thread::spawn(move || {
-            let tid = ThreadId(w as u32 + 2);
-            let mut ctx = match sink {
-                Some(sink) => ThreadCtx::with_sink(tid, sink),
-                None => ThreadCtx::new(tid),
-            };
             let mut matches = 0u64;
             let mut buf: Vec<u64> = Vec::new();
             loop {
@@ -181,7 +156,7 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
 
     let mut checksum = 0u64;
     let mut checked = 0u64;
-    let mut total = producer_ctx.total_accesses;
+    let mut total = producer.total_accesses;
     let mut conflicts = 0usize;
     for h in handles {
         let (m, c, t, cf) = h.join().expect("worker panicked");
@@ -302,6 +277,7 @@ pub fn bench(scale: Scale) -> BenchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sharc_checker::{CheckEvent, EventLog};
 
     #[test]
     fn native_matches_oracle() {
@@ -372,7 +348,7 @@ mod tests {
         // the native trace replays clean through SharC's own backend.
         let params = Params::scaled(Scale::quick());
         let fs = SynthFs::generate(params.fs, "needle");
-        let (run, trace) = run_traced(&params);
+        let (run, trace) = EventLog::capture(|s| run_with_events(&params, s));
         assert_eq!(run.checksum, fs.count_occurrences(NEEDLE) as u64);
         // Every checked access is covered by the trace — now mostly
         // as ranged events, one per buffer sweep (a RangeRead of

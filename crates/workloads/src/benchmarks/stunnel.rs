@@ -18,9 +18,9 @@
 //!
 //! - the **acceptor** (tid 1) fills the client's handshake buffer
 //!   with one ranged checked write, *sharing-casts* it to the worker
-//!   (`SharingCast` + shadow clear, the `dynamic` hand-off of §2.1),
+//!   (`RangeCast` + shadow clear, the `dynamic` hand-off of §2.1),
 //!   and publishes the session slot under the session-table lock —
-//!   so the hand-off linearizes through the lock-held [`EventLog`];
+//!   so the hand-off linearizes through the lock-held event log;
 //! - the **worker** (tids 2..) confirms the slot under the same lock
 //!   (`locked(l)` check), sweeps the handshake with a ranged checked
 //!   read, stamps a session nonce back into it, then encrypts and
@@ -38,10 +38,9 @@
 
 use crate::substrates::cipher::{decrypt, encrypt};
 use crate::table::{run_benchmark, BenchResult, NativeRun, Scale};
-use sharc_checker::CheckEvent;
 use sharc_runtime::{
-    AccessPolicy, Arena, Checked, EventLog, EventSink, LockId, LockRegistry, MultiWord, ThreadCtx,
-    ThreadId, Unchecked, GRANULE_WORDS,
+    AccessPolicy, Arena, Checked, EventSink, LockId, LockRegistry, MultiWord, ThreadCtx, ThreadId,
+    Unchecked, GRANULE_WORDS,
 };
 use std::sync::Arc;
 
@@ -136,49 +135,30 @@ fn pack_word(bytes: &[u8], i: usize) -> u64 {
 
 /// Runs the tunnel fleet with access policy `P` (no trace).
 pub fn run_native<P: AccessPolicy>(params: &Params) -> NativeRun {
-    run_with_sink::<P>(params, None)
+    run::<P>(params, ThreadCtx::new(ThreadId(1)))
 }
 
-/// Runs the fleet **checked and traced**, returning the run record
-/// and the linearized native event trace for detector replay.
-pub fn run_traced(params: &Params) -> (NativeRun, Vec<CheckEvent>) {
-    let sink = Arc::new(EventLog::new());
-    let run = run_with_events(params, sink.clone());
-    (run, sink.take())
-}
-
-/// Runs the fleet checked, recording into any [`EventSink`] — the
-/// entry the online (`StreamingSink`) detector path uses.
+/// Runs the fleet checked, recording into any [`EventSink`]: a
+/// log to replay, or a streaming sink judging online.
 pub fn run_with_events(params: &Params, sink: Arc<dyn EventSink>) -> NativeRun {
-    run_with_sink::<Checked>(params, Some(sink))
+    run::<Checked>(params, ThreadCtx::with_sink(ThreadId(1), sink))
 }
 
-fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSink>>) -> NativeRun {
-    let is_checked = P::NAME != Unchecked::NAME;
+/// The fleet, with `acceptor` (tid 1) as the main thread's context.
+fn run<P: AccessPolicy>(params: &Params, mut acceptor: ThreadCtx) -> NativeRun {
+    let is_checked = P::NAME == Checked::NAME;
     // Exact identities for the acceptor plus every worker tid.
     let arena = Arc::new(Arena::for_threads(params.arena_words(), params.workers + 2));
     let locks = Arc::new(LockRegistry::new(2));
 
-    let mut acceptor = match &sink {
-        Some(s) => ThreadCtx::with_sink(ThreadId(1), Arc::clone(s)),
-        None => ThreadCtx::new(ThreadId(1)),
-    };
-
     let mut handles = Vec::new();
     for w in 0..params.workers {
-        let tid = ThreadId(w as u32 + 2);
-        if let Some(s) = &acceptor.sink {
-            s.record(CheckEvent::Fork {
-                parent: 1,
-                child: tid.0,
-            });
-        }
+        let ctx = acceptor.fork(ThreadId(w as u32 + 2));
         let arena = Arc::clone(&arena);
         let locks = Arc::clone(&locks);
-        let sink = sink.clone();
         let params = *params;
         handles.push(std::thread::spawn(move || {
-            worker_thread::<P>(&params, &arena, &locks, tid, sink, w)
+            worker_thread::<P>(&params, &arena, &locks, ctx, w)
         }));
     }
 
@@ -190,32 +170,12 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
         P::write_range(&arena, &mut acceptor, params.hs(c), HS_WORDS, &mut |i| {
             key.wrapping_add((i - params.hs(c)) as u64)
         });
-        if is_checked {
-            // The dynamic hand-off: ONE ranged `oneref` cast for the
-            // whole handshake buffer, then the shadow forgets the
-            // acceptor ever owned it.
-            let g0 = params.hs(c) / GRANULE_WORDS;
-            let g1 = (params.hs(c) + HS_WORDS - 1) / GRANULE_WORDS;
-            if let Some(s) = &acceptor.sink {
-                s.record(CheckEvent::RangeCast {
-                    tid: 1,
-                    granule: g0,
-                    len: g1 - g0 + 1,
-                    refs: 1,
-                });
-            }
-            arena.clear_range(params.hs(c), HS_WORDS);
-        }
+        // The dynamic hand-off: ONE ranged `oneref` cast for the whole
+        // handshake buffer, then the shadow forgets the acceptor ever
+        // owned it.
+        P::cast_range(&arena, &acceptor, params.hs(c), HS_WORDS);
         locks.lock(&mut acceptor, SESSION_LOCK);
-        if is_checked {
-            acceptor.assert_held(SESSION_LOCK).expect("session lock");
-        }
-        if let Some(s) = &acceptor.sink {
-            s.record(CheckEvent::LockedAccess {
-                tid: 1,
-                lock: SESSION_LOCK.0,
-            });
-        }
+        P::check_held(&acceptor, SESSION_LOCK).expect("session lock");
         arena.write_unchecked(params.slot(c), 1);
         acceptor.total_accesses += 1;
         locks.unlock(&mut acceptor, SESSION_LOCK);
@@ -227,12 +187,7 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
     let mut conflicts = 0usize;
     for (w, h) in handles.into_iter().enumerate() {
         let (ok, ch, tt, cf) = h.join().expect("worker panicked");
-        if let Some(s) = &acceptor.sink {
-            s.record(CheckEvent::Join {
-                parent: 1,
-                child: w as u32 + 2,
-            });
-        }
+        acceptor.join(ThreadId(w as u32 + 2));
         checksum += ok;
         checked += ch;
         total += tt;
@@ -241,15 +196,9 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
 
     // Final tally under the counter lock (`locked(l)` read).
     locks.lock(&mut acceptor, COUNTER_LOCK);
+    P::check_held(&acceptor, COUNTER_LOCK).expect("counter lock");
     if is_checked {
-        acceptor.assert_held(COUNTER_LOCK).expect("counter lock");
         checked += 1;
-    }
-    if let Some(s) = &acceptor.sink {
-        s.record(CheckEvent::LockedAccess {
-            tid: 1,
-            lock: COUNTER_LOCK.0,
-        });
     }
     let msgs = arena.read_unchecked(params.counters());
     acceptor.total_accesses += 1;
@@ -278,15 +227,10 @@ fn worker_thread<P: AccessPolicy>(
     params: &Params,
     arena: &Arena<MultiWord>,
     locks: &LockRegistry,
-    tid: ThreadId,
-    sink: Option<Arc<dyn EventSink>>,
+    mut ctx: ThreadCtx,
     w: usize,
 ) -> (u64, u64, u64, usize) {
-    let is_checked = P::NAME != Unchecked::NAME;
-    let mut ctx = match sink {
-        Some(s) => ThreadCtx::with_sink(tid, s),
-        None => ThreadCtx::new(tid),
-    };
+    let is_checked = P::NAME == Checked::NAME;
     let mut ok = 0u64;
     let mut lock_checks = 0u64;
     let msg_words = params.msg_words();
@@ -301,15 +245,9 @@ fn worker_thread<P: AccessPolicy>(
             std::thread::yield_now();
         }
         locks.lock(&mut ctx, SESSION_LOCK);
+        P::check_held(&ctx, SESSION_LOCK).expect("session lock");
         if is_checked {
-            ctx.assert_held(SESSION_LOCK).expect("session lock");
             lock_checks += 1;
-        }
-        if let Some(s) = &ctx.sink {
-            s.record(CheckEvent::LockedAccess {
-                tid: tid.0,
-                lock: SESSION_LOCK.0,
-            });
         }
         let ready = arena.read_unchecked(params.slot(c));
         ctx.total_accesses += 2;
@@ -352,19 +290,11 @@ fn worker_thread<P: AccessPolicy>(
             // Locked global counters: held-lock checks plus raw
             // accesses, the `locked(l)` mode of the original port.
             locks.lock(&mut ctx, COUNTER_LOCK);
-            if is_checked {
-                ctx.assert_held(COUNTER_LOCK).expect("counter lock");
-                lock_checks += 2;
+            for _ in 0..2 {
+                P::check_held(&ctx, COUNTER_LOCK).expect("counter lock");
             }
-            if let Some(s) = &ctx.sink {
-                s.record(CheckEvent::LockedAccess {
-                    tid: tid.0,
-                    lock: COUNTER_LOCK.0,
-                });
-                s.record(CheckEvent::LockedAccess {
-                    tid: tid.0,
-                    lock: COUNTER_LOCK.0,
-                });
+            if is_checked {
+                lock_checks += 2;
             }
             let msgs = arena.read_unchecked(params.counters());
             arena.write_unchecked(params.counters(), msgs + 1);
@@ -477,7 +407,7 @@ pub fn bench(scale: Scale) -> BenchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharc_checker::{replay, BitmapBackend, ShadowGeometry};
+    use sharc_checker::{replay, BitmapBackend, CheckEvent, EventLog, ShadowGeometry};
     use sharc_detectors::{Eraser, VcDetector};
 
     /// A smaller fleet for the per-test runs (still wide: tids reach
@@ -515,7 +445,7 @@ mod tests {
     #[test]
     fn sharc_is_silent_on_the_native_trace() {
         let p = test_params();
-        let (run, trace) = run_traced(&p);
+        let (run, trace) = EventLog::capture(|s| run_with_events(&p, s));
         assert_eq!(run.conflicts, 0);
         let conflicts = replay(&trace, &mut wide_bitmap(&p));
         assert!(
@@ -533,7 +463,7 @@ mod tests {
         // vector-clock detector accepts because every hand-off
         // linearizes through the session lock's release/acquire.
         let p = test_params();
-        let (_, trace) = run_traced(&p);
+        let (_, trace) = EventLog::capture(|s| run_with_events(&p, s));
         let eraser = replay(&trace, &mut Eraser::new());
         let vc = replay(&trace, &mut VcDetector::new());
         assert!(!eraser.is_empty(), "Eraser misses the ownership transfer");
@@ -543,7 +473,7 @@ mod tests {
     #[test]
     fn without_lock_edges_even_happens_before_false_positives() {
         let p = test_params();
-        let (_, trace) = run_traced(&p);
+        let (_, trace) = EventLog::capture(|s| run_with_events(&p, s));
         let cast_only: Vec<CheckEvent> = trace
             .into_iter()
             .filter(|e| {
@@ -564,7 +494,7 @@ mod tests {
     #[test]
     fn stripping_the_casts_makes_sharc_report_too() {
         let p = test_params();
-        let (_, trace) = run_traced(&p);
+        let (_, trace) = EventLog::capture(|s| run_with_events(&p, s));
         let stripped: Vec<CheckEvent> = trace
             .into_iter()
             .filter(|e| {
@@ -581,7 +511,7 @@ mod tests {
     #[test]
     fn trace_carries_wide_tids_and_the_full_vocabulary() {
         let p = test_params();
-        let (_, trace) = run_traced(&p);
+        let (_, trace) = EventLog::capture(|s| run_with_events(&p, s));
         let has = |f: fn(&CheckEvent) -> bool| trace.iter().any(f);
         assert!(has(|e| matches!(e, CheckEvent::Fork { .. })));
         assert!(has(|e| matches!(e, CheckEvent::RangeRead { .. })));

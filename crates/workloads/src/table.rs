@@ -6,7 +6,7 @@ use crate::benchmarks;
 use std::time::{Duration, Instant};
 
 /// What one native run reports back.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NativeRun {
     /// A result checksum; must be identical across policies.
     pub checksum: u64,

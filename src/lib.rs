@@ -388,9 +388,7 @@ pub fn run_native_events(
 pub fn native_trace(
     workload: NativeWorkload,
 ) -> (workloads::table::NativeRun, Vec<checker::CheckEvent>) {
-    let sink = std::sync::Arc::new(checker::EventLog::new());
-    let run = run_native_events(workload, sink.clone());
-    (run, sink.take())
+    checker::EventLog::capture(|sink| run_native_events(workload, sink))
 }
 
 /// Judges a [`checker::CheckEvent`] trace with the selected engine,

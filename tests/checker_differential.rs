@@ -21,8 +21,8 @@
 
 use sharc_checker::step::{sharded, Access};
 use sharc_checker::{
-    geometry_for_trace, BitmapBackend, CheckBackend, CheckEvent, EventSink, ShadowGeometry,
-    StreamingSink,
+    geometry_for_trace, BitmapBackend, CheckBackend, CheckEvent, EventLog, EventSink,
+    ShadowGeometry, StreamingSink,
 };
 use sharc_detectors::{Eraser, VcDetector};
 use sharc_runtime::{MultiWord, OneWord, Shadow, ShardedShadow, ThreadId, WordProtocol};
@@ -925,7 +925,7 @@ fn stunnel_wide_trace_pins_all_backends() {
         messages: 2,
         msg_len: 64,
     };
-    let (run, trace) = stunnel::run_traced(&params);
+    let (run, trace) = EventLog::capture(|sink| stunnel::run_with_events(&params, sink));
     assert!(
         run.threads > 200,
         "fleet width: got {} threads",
@@ -1090,7 +1090,7 @@ fn stunnel_streaming_is_bit_identical_to_replay_at_fleet_width() {
         messages: 2,
         msg_len: 64,
     };
-    let (run, trace) = stunnel::run_traced(&params);
+    let (run, trace) = EventLog::capture(|sink| stunnel::run_with_events(&params, sink));
     assert!(
         run.threads > 200,
         "fleet width: got {} threads",
