@@ -6,20 +6,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Runs `sharc <args>` and insists on the exact exit code: 0 judged
-# clean, 1 judged with conflicts, 2 usage, 3 could not judge. A bare
-# "nonzero" would let an unreadable trace pass for the false positive
-# a baseline is expected to report.
-expect_exit() {
-    local want=$1 got=0
-    shift
-    cargo run --release --offline --bin sharc -- "$@" || got=$?
-    if [ "$got" -ne "$want" ]; then
-        echo "ERROR: sharc $* exited $got, expected $want" >&2
-        exit 1
-    fi
-}
-
 echo "== policy: no external dependencies in any manifest =="
 if grep -rn 'rand\|proptest\|criterion\|crossbeam\|parking_lot\|serde' \
     Cargo.toml crates/*/Cargo.toml; then
@@ -51,69 +37,13 @@ echo "== property tests at one fixed seed, release =="
 # adaptive-only, tids past 63), range-vs-fold, clear-vs-fold,
 # stream-vs-replay, the elision differential, and the barrier-aligned
 # sharded stress. Each property keeps its own case floor
-# (SHARC_TEST_CASES can only raise it). Exit-code checks on the
-# examples are tests/cli_exit_codes.rs, which tier-1 runs.
+# (SHARC_TEST_CASES can only raise it). The `sharc` exit-code checks
+# (the examples, and the native spine's record -> replay, .sbt and
+# --online detector splits) are tests/cli_exit_codes.rs, which
+# tier-1 runs.
 SHARC_TEST_SEED=0xC1 \
     cargo test -q --offline --release -p sharc -p sharc-runtime \
     --test checker_differential --test elision_differential --test sharded_stress
-
-echo "== native event spine: one execution, two verdicts =="
-# SharC accepts the concurrent hand-off (exit 0); the lockset
-# baseline must false-positive on the identical recorded execution
-# (exactly exit 1). The pbzip2 record -> replay split, the recorded
-# trace's v3 shape and its `trace convert --lower` twin are
-# tests/cli_exit_codes.rs.
-expect_exit 0 native handoff --detector sharc
-expect_exit 1 native handoff --detector eraser
-# aget on the spine: workers store whole chunks with ranged writes
-# and exit before main's ranged verification sweep — clean under
-# SharC's lifetime model (exit 0), a false positive under Eraser
-# (no lock ever protects the shared buffer; exactly exit 1).
-expect_exit 0 native aget --detector sharc
-expect_exit 1 native aget --detector eraser
-
-echo "== wide-tid stunnel smoke: 100+ threads, record -> replay =="
-# The fleet run: 128 real worker threads (tids past the second shard
-# boundary) recorded once, then the saved trace re-judged offline.
-# SharC must stay clean at the wide geometry (exit 0); Eraser must
-# false-positive on the session hand-offs (exactly exit 1).
-stunnel_trace="target/ci-stunnel.trace"
-cargo run --release --offline --bin sharc -- native stunnel --trace-out "$stunnel_trace"
-expect_exit 0 replay "$stunnel_trace" --detector sharc
-expect_exit 1 replay "$stunnel_trace" --detector eraser
-
-echo "== binary trace smoke: record .sbt -> info -> replay =="
-# The same fleet recorded straight into the v4 binary container
-# (--trace-out picks the format from the .sbt extension), summarized
-# without judging, then re-judged: SharC clean (exit 0), Eraser
-# false-positive (exactly exit 1) on the SAME .sbt file — verdicts
-# are format-independent.
-stunnel_sbt="target/ci-stunnel.sbt"
-cargo run --release --offline --bin sharc -- native stunnel --trace-out "$stunnel_sbt"
-info=$(cargo run --release --offline --bin sharc -- trace info "$stunnel_sbt")
-echo "$info"
-echo "$info" | grep -q "binary v4" || {
-    echo "ERROR: trace info does not identify the .sbt file as binary v4" >&2
-    exit 1
-}
-expect_exit 0 replay "$stunnel_sbt" --detector sharc
-expect_exit 1 replay "$stunnel_sbt" --detector eraser
-# The .sbt -> text -> .sbt byte-identical round trip is
-# tests/cli_exit_codes.rs.
-# The cross-version parity suite (text/binary archives, v1 lowering).
-cargo test -q --offline --release --test trace_parity
-
-echo "== streaming online smoke: same verdicts, bounded memory =="
-# The same fleet judged while it runs: the epoch-flip collector
-# drains per-thread rings concurrently with the workload, so the
-# exit code must match the record->replay path above on every
-# detector — SharC clean (exit 0), Eraser false-positive (exactly
-# exit 1) — with peak resident events held inside the --ring-cap
-# budget instead of the full recorded trace.
-expect_exit 0 native stunnel --detector sharc --online --ring-cap 256
-expect_exit 1 native stunnel --detector eraser --online --ring-cap 256
-expect_exit 0 native handoff --detector sharc --online
-expect_exit 1 native handoff --detector eraser --online
 
 echo "== benchmark answer keys: handoff-write, scan-read, minic-pipeline, --smoke =="
 # The two workloads that run the runtime's check path end to end, at

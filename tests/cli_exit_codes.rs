@@ -243,14 +243,22 @@ fn a_recorded_pbzip2_trace_is_ranged_v3_and_lowers_to_the_same_verdicts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The `.sbt` encoding is deterministic: a recorded binary trace
-/// converted to text and back is byte-identical.
+/// One native stunnel fleet (128 worker threads, tids past the second
+/// shard boundary) recorded straight into the binary v4 container,
+/// summarized without judging, then re-judged offline from the file
+/// and from its text conversion: SharC clean (exit 0), Eraser's false
+/// positive on the session hand-offs exactly 1 — verdicts are
+/// format-independent. The `.sbt` encoding is deterministic: the
+/// binary trace converted to text and back is byte-identical.
 #[test]
 fn a_recorded_sbt_survives_the_text_round_trip_byte_for_byte() {
     let dir = scratch_dir("roundtrip");
     let [sbt, text, again] = ["stunnel.sbt", "stunnel.trace", "stunnel-rt.sbt"]
         .map(|f| dir.join(f).to_str().expect("utf-8 temp path").to_owned());
     assert_exit(&["native", "stunnel", "--trace-out", &sbt], 0);
+    let info = assert_exit(&["trace", "info", &sbt], 0);
+    let info = String::from_utf8_lossy(&info.stdout);
+    assert!(info.contains("binary v4"), "not a binary v4 trace:\n{info}");
     assert_exit(&["trace", "convert", &sbt, &text], 0);
     assert_exit(&["trace", "convert", &text, &again], 0);
     let read = |p: &str| std::fs::read(p).expect("trace file");
@@ -259,5 +267,35 @@ fn a_recorded_sbt_survives_the_text_round_trip_byte_for_byte() {
         read(&sbt) == read(&again),
         ".sbt -> text -> .sbt changed bytes"
     );
+    for path in [&sbt, &text] {
+        assert_exit(&["replay", path, "--detector", "sharc"], 0);
+        assert_exit(&["replay", path, "--detector", "eraser"], 1);
+    }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One native execution, two verdicts: SharC accepts the hand-off and
+/// the segment lifetimes (exit 0); the lockset baseline must
+/// false-positive on the identical recorded execution (exactly 1).
+#[test]
+fn native_handoff_and_aget_split_sharc_from_eraser() {
+    for workload in ["handoff", "aget"] {
+        assert_exit(&["native", workload, "--detector", "sharc"], 0);
+        assert_exit(&["native", workload, "--detector", "eraser"], 1);
+    }
+}
+
+/// Judged while it runs (`--online`: per-thread rings drained
+/// concurrently with the workload), a native execution gets the
+/// recorded path's verdicts on every detector — SharC clean, Eraser
+/// exactly 1 — for the stunnel fleet at a small ring budget and for
+/// the hand-off at the default one.
+#[test]
+fn online_verdicts_match_the_recorded_ones() {
+    let stunnel = ["native", "stunnel", "--online", "--ring-cap", "256"];
+    let handoff = ["native", "handoff", "--online"];
+    for run in [&stunnel[..], &handoff] {
+        assert_exit(&[run, &["--detector", "sharc"]].concat(), 0);
+        assert_exit(&[run, &["--detector", "eraser"]].concat(), 1);
+    }
 }
