@@ -12,8 +12,8 @@
 //!    (b) with SharC's shadow checks on every access, (c) with every
 //!    access streamed to Eraser, (d) with every access streamed to the
 //!    vector-clock detector. (c) and (d) record into a `StreamingSink`,
-//!    as `sharc native --online --detector …` does, and the timed
-//!    region includes the final drain. Expected shape: SharC ≪
+//!    as `sharc native --detector …` does, and the timed region
+//!    includes the final drain. Expected shape: SharC ≪
 //!    Eraser/VC.
 //! 2. **Precision** — the ownership-transfer hand-off trace: SharC
 //!    accepts it (the sharing cast models the transfer); both
@@ -33,7 +33,7 @@ use sharc_runtime::{AccessPolicy, Arena, Checked, ThreadCtx, ThreadId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Events per ring buffer: `sharc native --online`'s default.
+/// Events per ring buffer: `sharc native`'s default.
 const RING_CAP: usize = 4096;
 
 /// The memory-scan workload: `threads` workers sum disjoint regions of

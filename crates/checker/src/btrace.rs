@@ -362,11 +362,6 @@ impl<'a> BinaryTraceReader<'a> {
         self.granule_span
     }
 
-    /// Total size in bytes of the framed trace.
-    pub fn len_bytes(&self) -> usize {
-        self.data.len()
-    }
-
     /// Parses the block index footer: one entry per per-thread block,
     /// in file (= linearization) order.
     pub fn blocks(&self) -> Result<Vec<BlockEntry>, String> {

@@ -170,27 +170,32 @@ pub fn to_text(events: &[CheckEvent]) -> String {
     out
 }
 
-/// The text-format keyword for `e` — the same vocabulary
-/// [`to_text`]/[`parse_text`] speak, exposed so tooling (`sharc
-/// trace info`) can bucket per-kind counts without re-matching the
-/// enum.
+/// Every text-format keyword, one per [`CheckEvent`] kind — the
+/// vocabulary [`to_text`]/[`parse_text`] speak, in the order `sharc
+/// trace info` lists per-kind counts.
+pub const KEYWORDS: [&str; 14] = [
+    "read", "write", "rread", "rwrite", "locked", "cast", "rcast", "rfree", "acquire", "release",
+    "fork", "join", "exit", "alloc",
+];
+
+/// The text-format keyword for `e`, from [`KEYWORDS`].
 pub fn keyword(e: &CheckEvent) -> &'static str {
-    match e {
-        CheckEvent::Read { .. } => "read",
-        CheckEvent::Write { .. } => "write",
-        CheckEvent::RangeRead { .. } => "rread",
-        CheckEvent::RangeWrite { .. } => "rwrite",
-        CheckEvent::LockedAccess { .. } => "locked",
-        CheckEvent::SharingCast { .. } => "cast",
-        CheckEvent::RangeCast { .. } => "rcast",
-        CheckEvent::RangeFree { .. } => "rfree",
-        CheckEvent::Acquire { .. } => "acquire",
-        CheckEvent::Release { .. } => "release",
-        CheckEvent::Fork { .. } => "fork",
-        CheckEvent::Join { .. } => "join",
-        CheckEvent::ThreadExit { .. } => "exit",
-        CheckEvent::Alloc { .. } => "alloc",
-    }
+    KEYWORDS[match e {
+        CheckEvent::Read { .. } => 0,
+        CheckEvent::Write { .. } => 1,
+        CheckEvent::RangeRead { .. } => 2,
+        CheckEvent::RangeWrite { .. } => 3,
+        CheckEvent::LockedAccess { .. } => 4,
+        CheckEvent::SharingCast { .. } => 5,
+        CheckEvent::RangeCast { .. } => 6,
+        CheckEvent::RangeFree { .. } => 7,
+        CheckEvent::Acquire { .. } => 8,
+        CheckEvent::Release { .. } => 9,
+        CheckEvent::Fork { .. } => 10,
+        CheckEvent::Join { .. } => 11,
+        CheckEvent::ThreadExit { .. } => 12,
+        CheckEvent::Alloc { .. } => 13,
+    }]
 }
 
 /// Renders a parse failure: the 1-based line number, a snippet of
@@ -396,6 +401,15 @@ mod tests {
                 prop_assert_eq!(&parsed, events);
             }
         );
+    }
+
+    #[test]
+    fn keyword_is_the_word_each_line_starts_with() {
+        forall!("keyword_matches_the_text_line", event_gen(), |e| {
+            let text = to_text(std::slice::from_ref(e));
+            let line = text.lines().last().expect("one event line");
+            prop_assert_eq!(line.split(' ').next(), Some(keyword(e)));
+        });
     }
 
     #[test]

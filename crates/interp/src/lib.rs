@@ -59,14 +59,8 @@ pub fn compile_and_run(
     config: VmConfig,
 ) -> Result<RunOutcome, minic::Diagnostic> {
     let checked = sharc_core::compile(name, src)?;
-    if checked.diags.has_errors() {
-        let first = checked
-            .diags
-            .iter()
-            .find(|d| d.severity == minic::Severity::Error)
-            .expect("has_errors implies an error exists")
-            .clone();
-        return Err(first);
+    if let Some(first) = checked.diags.first_error() {
+        return Err(first.clone());
     }
     let module = compile::compile(&checked)?;
     Ok(vm::run(&module, &checked.source_map, config))

@@ -22,9 +22,10 @@ use crate::report::{ConflictReport, Reporter};
 use minic::ast::BinOp;
 use minic::span::SourceMap;
 use sharc_checker::step::adaptive::TID_MASK;
-use sharc_checker::{Access, BitmapBackend, CheckBackend, CheckEvent, Verdict};
+use sharc_checker::{Access, BitmapBackend, CheckBackend, CheckEvent, EventSink, Verdict};
 use sharc_testkit::rng::{Rng, Xoshiro256pp};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,9 +51,11 @@ pub struct VmConfig {
     pub granule: u32,
     /// Halt the whole VM at the first failed check.
     pub stop_on_error: bool,
-    /// Record every memory/sync event as a [`CheckEvent`], at this
-    /// configuration's `granule` (for trace-based detectors).
-    pub collect_trace: bool,
+    /// Where every memory/sync event goes as a [`CheckEvent`], at this
+    /// configuration's `granule`, in execution order: every load and
+    /// store (checked or not), lock operation, fork, join, exit,
+    /// allocation, free and sharing cast. `None` records nothing.
+    pub sink: Option<Arc<dyn EventSink>>,
 }
 
 impl Default for VmConfig {
@@ -64,7 +67,7 @@ impl Default for VmConfig {
             max_reports: 64,
             granule: sharc_checker::GRANULE_CELLS,
             stop_on_error: false,
-            collect_trace: false,
+            sink: None,
         }
     }
 }
@@ -131,10 +134,6 @@ pub struct RunOutcome {
     pub reports: Vec<ConflictReport>,
     pub output: Vec<String>,
     pub stats: VmStats,
-    /// The event trace, when [`VmConfig::collect_trace`] was set: every
-    /// load and store (checked or not), lock operation, fork, join,
-    /// exit, allocation, free and sharing cast, in execution order.
-    pub trace: Vec<CheckEvent>,
     /// On deadlock: one line per stuck thread describing what it is
     /// waiting for.
     pub blocked: Vec<String>,
@@ -265,7 +264,6 @@ struct Vm<'m> {
     stats: VmStats,
     current: usize,
     quantum_left: u32,
-    trace: Vec<CheckEvent>,
     blocked: Vec<String>,
 }
 
@@ -323,7 +321,6 @@ impl<'m> Vm<'m> {
             },
             current: 0,
             quantum_left: 0,
-            trace: Vec::new(),
             blocked: Vec::new(),
         };
         // Globals.
@@ -721,18 +718,16 @@ impl<'m> Vm<'m> {
             reports: self.reporter.into_reports(),
             output: self.output,
             stats: self.stats,
-            trace: self.trace,
             blocked: self.blocked,
         }
     }
 
-    /// Records the event `make` builds when tracing is on; the
-    /// untraced path pays one branch and never builds it.
+    /// Records the event `make` builds into the configured sink; the
+    /// unsinked path pays one branch and never builds it.
     #[inline]
-    fn emit(&mut self, make: impl FnOnce(&Self) -> CheckEvent) {
-        if self.config.collect_trace {
-            let event = make(self);
-            self.trace.push(event);
+    fn emit(&self, make: impl FnOnce(&Self) -> CheckEvent) {
+        if let Some(sink) = &self.config.sink {
+            sink.record(make(self));
         }
     }
 
@@ -1055,11 +1050,10 @@ impl<'m> Vm<'m> {
             }
             Insn::New(size) => {
                 let b = self.alloc_raw(size);
-                if self.config.collect_trace {
-                    // A fresh allocation resets each granule it covers.
-                    let (first, len) = self.granule_run(b, size);
-                    let covered = (first..first + len).map(|granule| CheckEvent::Alloc { granule });
-                    self.trace.extend(covered);
+                // A fresh allocation resets each granule it covers.
+                let (first, len) = self.granule_run(b, size);
+                for granule in first..first + len {
+                    self.emit(|_| CheckEvent::Alloc { granule });
                 }
                 self.push(Value::Ptr(Addr(b)));
             }

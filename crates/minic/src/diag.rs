@@ -114,7 +114,12 @@ impl Diagnostics {
 
     /// Returns true if any diagnostic is an error.
     pub fn has_errors(&self) -> bool {
-        self.items.iter().any(|d| d.severity == Severity::Error)
+        self.first_error().is_some()
+    }
+
+    /// The first hard error, in insertion order.
+    pub fn first_error(&self) -> Option<&Diagnostic> {
+        self.items.iter().find(|d| d.severity == Severity::Error)
     }
 
     /// Number of diagnostics collected.
@@ -139,11 +144,6 @@ impl Diagnostics {
             .map(|d| d.render(sm))
             .collect::<Vec<_>>()
             .join("\n")
-    }
-
-    /// Consumes the collection, yielding the underlying vector.
-    pub fn into_vec(self) -> Vec<Diagnostic> {
-        self.items
     }
 }
 
@@ -180,9 +180,12 @@ mod tests {
         let mut ds = Diagnostics::new();
         ds.push(Diagnostic::warning("w", Span::DUMMY));
         assert!(!ds.has_errors());
+        assert!(ds.first_error().is_none());
         ds.push(Diagnostic::error("e", Span::DUMMY));
+        ds.push(Diagnostic::error("f", Span::DUMMY));
         assert!(ds.has_errors());
-        assert_eq!(ds.len(), 2);
+        assert_eq!(ds.first_error().map(|d| d.message.as_str()), Some("e"));
+        assert_eq!(ds.len(), 3);
     }
 
     #[test]

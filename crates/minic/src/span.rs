@@ -29,11 +29,6 @@ impl Span {
             hi: self.hi.max(other.hi),
         }
     }
-
-    /// Returns true if this is the dummy span.
-    pub fn is_dummy(self) -> bool {
-        self == Span::DUMMY
-    }
 }
 
 /// A line/column pair (both 1-based) produced by [`SourceMap::lookup`].

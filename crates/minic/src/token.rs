@@ -148,12 +148,6 @@ impl TokenKind {
             KwInt | KwChar | KwBool | KwVoid | KwMutex | KwCond | KwStruct
         )
     }
-
-    /// Returns true for sharing-mode qualifier keywords.
-    pub fn is_qualifier(&self) -> bool {
-        use TokenKind::*;
-        matches!(self, KwPrivate | KwReadonly | KwRacy | KwDynamic | KwLocked)
-    }
 }
 
 impl fmt::Display for TokenKind {

@@ -8,8 +8,7 @@
 //! sharc run    <file.c> [--seed N] [--trials N] [--stop-on-error]
 //!                       [--detector sharc|eraser|vc] [--explain-elision]
 //! sharc native <pfscan|handoff|pbzip2|aget|dillo|fftw|stunnel>
-//!              [--detector sharc|eraser|vc] [--trace-out <path>]
-//!              [--online [--ring-cap N]]
+//!              [--detector sharc|eraser|vc] [--ring-cap N | --trace-out <path>]
 //! sharc replay <trace-file>       [--detector sharc|eraser|vc]
 //! sharc trace convert <in> <out>  [--lower]
 //! sharc trace info <trace-file>
@@ -29,20 +28,24 @@
 //!
 //! `--detector` selects which engine judges the execution: SharC's
 //! own runtime checks (default), or one of the §6.2 baselines
-//! (Eraser locksets, vector clocks) replaying the `CheckEvent` trace of
-//! the very same seeded run.
+//! (Eraser locksets, vector clocks) fed the `CheckEvent`s of the very
+//! same seeded run while it runs.
 //!
-//! `native` runs a *real-thread* workload instead of a MiniC program:
-//! the execution records its `CheckEvent` trace and the selected
-//! detector judges that single native run through the same replay
-//! interface — `sharc native handoff --detector eraser` shows the
-//! lockset false positive on an ownership transfer that
-//! `--detector sharc` accepts. `--trace-out` saves the recorded
-//! trace as line-oriented text — or as the binary v4 `.sbt` format
-//! when the path ends in `.sbt` — and `replay` re-judges a saved
-//! trace offline (sniffing text vs binary by magic) — the verdict is
-//! a function of the file alone, so the same execution can be
-//! interrogated by every engine long after the threads are gone.
+//! `native` runs a *real-thread* workload instead of a MiniC program,
+//! judged while it runs: its `CheckEvent`s flow through bounded rings
+//! drained by an epoch-flip collector into the selected detector, so
+//! the verdict comes inside a fixed memory budget (`--ring-cap`
+//! events per ring buffer, default 4096) — `sharc native handoff
+//! --detector eraser` shows the lockset false positive on an
+//! ownership transfer that `--detector sharc` accepts. The report
+//! also shows peak resident events and how many collector drains it
+//! took. `--trace-out` instead records the whole run and saves it as
+//! line-oriented text — or as the binary v4 `.sbt` format when the
+//! path ends in `.sbt` — before judging it; `replay` re-judges a
+//! saved trace offline (sniffing text vs binary by magic). Both give
+//! the streamed verdict: it is a function of the events alone, so
+//! the same execution can be interrogated by every engine long after
+//! the threads are gone.
 //!
 //! `trace convert` rewrites a trace between the text and binary
 //! formats (output format chosen by the `.sbt` extension); `--lower`
@@ -50,15 +53,6 @@
 //! the v1 vocabulary, for feeding old readers. `trace info` prints a
 //! file's version, size, per-kind event counts, widest tid, granule
 //! span, and bytes/event without judging it.
-//!
-//! `--online` switches `native` from record-then-replay to the
-//! streaming pipeline: events flow through per-thread bounded rings
-//! drained by an epoch-flip collector, so the verdict is produced
-//! concurrently with the run inside a fixed memory budget
-//! (`--ring-cap` events per ring buffer, default 4096). The exit code
-//! and the conflicts are the same as the replay path on the same
-//! seeded run; the report additionally shows peak resident events
-//! and how many collector drains it took.
 
 use sharc::prelude::*;
 use std::process::ExitCode;
@@ -83,8 +77,7 @@ fn usage() -> ExitCode {
          sharc run <file.c> [--seed N] [--trials N] [--stop-on-error] \
          [--detector sharc|eraser|vc] [--explain-elision]\n  \
          sharc native <pfscan|handoff|pbzip2|aget|dillo|fftw|stunnel> \
-         [--detector sharc|eraser|vc] [--trace-out <path>] \
-         [--online [--ring-cap N]]\n  \
+         [--detector sharc|eraser|vc] [--ring-cap N | --trace-out <path>]\n  \
          sharc replay <trace-file> [--detector sharc|eraser|vc]\n  \
          sharc trace convert <in> <out> [--lower]\n  \
          sharc trace info <trace-file>\n\
@@ -132,9 +125,10 @@ fn parse_number(args: &[String], i: &mut usize, min: u64) -> Result<u64, ()> {
     }
 }
 
-/// `sharc native <workload> [--detector …] [--trace-out <path>]`: run
-/// a real-thread workload, record its event trace, judge it with one
-/// engine, optionally saving the trace for offline replay.
+/// `sharc native <workload> [--detector …] [--ring-cap N | --trace-out
+/// <path>]`: run a real-thread workload and judge it with one engine
+/// while it runs — or, when a trace file is asked for, record the
+/// whole run, save it for offline replay, and judge the recording.
 fn cmd_native(args: &[String]) -> ExitCode {
     let Some(workload) = args.first() else {
         return usage();
@@ -148,7 +142,6 @@ fn cmd_native(args: &[String]) -> ExitCode {
     };
     let mut detector = DetectorKind::Sharc;
     let mut trace_out: Option<String> = None;
-    let mut online = false;
     let mut ring_cap = None;
     let mut i = 1;
     while i < args.len() {
@@ -165,10 +158,6 @@ fn cmd_native(args: &[String]) -> ExitCode {
                 trace_out = Some(path.clone());
                 i += 2;
             }
-            "--online" => {
-                online = true;
-                i += 1;
-            }
             "--ring-cap" => match parse_number(args, &mut i, 1) {
                 Ok(n) => ring_cap = Some(n as usize),
                 Err(()) => return usage(),
@@ -179,48 +168,35 @@ fn cmd_native(args: &[String]) -> ExitCode {
             }
         }
     }
-    if ring_cap.is_some() && !online {
-        eprintln!("sharc: --ring-cap sizes the --online rings; without --online it does nothing");
+    if ring_cap.is_some() && trace_out.is_some() {
+        eprintln!("sharc: --ring-cap sizes the streamed run's rings; --trace-out records the whole run instead");
         return usage();
     }
-    if online {
-        if trace_out.is_some() {
-            eprintln!("sharc: --online streams events into the collector; there is no trace to save (drop --trace-out)");
-            return usage();
-        }
-        let ring_cap = ring_cap.unwrap_or(sharc::DEFAULT_RING_CAP);
-        let streamed = sharc::run_native_streaming(workload, detector, ring_cap);
-        let run = &streamed.run;
+    let print_run = |run: &sharc::workloads::table::NativeRun| {
         println!(
-            "{workload:?} (online): {} threads, {} checked / {} total accesses, \
-             checksum {:#x}",
+            "{workload:?}: {} threads, {} checked / {} total accesses, checksum {:#x}",
             run.threads, run.checked, run.total, run.checksum
         );
+    };
+    let Some(path) = trace_out else {
+        let ring_cap = ring_cap.unwrap_or(sharc::DEFAULT_RING_CAP);
+        let streamed = sharc::run_native_streaming(workload, detector, ring_cap);
+        print_run(&streamed.run);
         let s = &streamed.stats;
         println!(
-            "online: {} events recorded, {} drained over {} collector drains, \
+            "streamed: {} events recorded, {} drained over {} collector drains, \
              peak resident {} (ring budget {})",
             s.recorded, s.drained, s.drains, s.peak_resident, s.ring_budget
         );
         return report_conflicts(streamed.detector, &streamed.conflicts);
-    }
+    };
     let (run, trace) = sharc::native_trace(workload);
-    if let Some(path) = &trace_out {
-        if let Err(e) = sharc::write_trace_file(std::path::Path::new(path), &trace) {
-            return cannot_judge(format_args!("cannot write trace to {path}: {e}"));
-        }
-        println!("{} trace events written to {path}", trace.len());
+    if let Err(e) = sharc::write_trace_file(std::path::Path::new(&path), &trace) {
+        return cannot_judge(format_args!("cannot write trace to {path}: {e}"));
     }
+    println!("{} trace events written to {path}", trace.len());
+    print_run(&run);
     let (name, conflicts) = sharc::judge_trace(&trace, detector);
-    println!(
-        "{workload:?}: {} threads, {} checked / {} total accesses, \
-         {} trace events, checksum {:#x}",
-        run.threads,
-        run.checked,
-        run.total,
-        trace.len(),
-        run.checksum
-    );
     report_conflicts(name, &conflicts)
 }
 

@@ -64,6 +64,8 @@ pub use sharc_workloads as workloads;
 pub use sharc_core::CheckedProgram;
 pub use sharc_interp::{ConflictReport, RunOutcome};
 
+use std::sync::Arc;
+
 /// VM configuration re-exported as the run configuration.
 pub type RunConfig = sharc_interp::VmConfig;
 
@@ -81,14 +83,10 @@ pub fn check(name: &str, src: &str) -> Result<CheckedProgram, minic::Diagnostic>
 
 /// The VM runs no program that still has hard errors: its first one.
 fn refuse_hard_errors(checked: &CheckedProgram) -> Result<(), minic::Diagnostic> {
-    match checked
+    checked
         .diags
-        .iter()
-        .find(|d| d.severity == minic::Severity::Error)
-    {
-        Some(first) => Err(first.clone()),
-        None => Ok(()),
-    }
+        .first_error()
+        .map_or(Ok(()), |first| Err(first.clone()))
 }
 
 /// Executes a checked program on the VM with SharC's runtime checks.
@@ -151,9 +149,9 @@ pub enum DetectorKind {
     /// the VM calls for every dynamic check while it runs.
     #[default]
     Sharc,
-    /// Eraser's lockset algorithm over the recorded trace.
+    /// Eraser's lockset algorithm over the run's events.
     Eraser,
-    /// Vector-clock happens-before over the recorded trace.
+    /// Vector-clock happens-before over the run's events.
     Vc,
 }
 
@@ -206,26 +204,27 @@ pub struct DetectorRun {
     pub detector: &'static str,
     /// Deduplicated conflicts from the selected engine. For
     /// [`DetectorKind::Sharc`] this mirrors `outcome.reports` (one
-    /// entry per report); for the baselines it is the replay result.
+    /// entry per report); for the baselines it is what the engine
+    /// found while the run was streamed into it.
     pub conflicts: Vec<checker::Conflict>,
 }
 
 /// Runs `checked` once and judges the execution with `kind`: SharC's
-/// own checks run inside the VM; a baseline replays the recorded
-/// [`checker::CheckEvent`] trace of the *same* execution.
+/// own checks run inside the VM; a baseline is fed the *same*
+/// execution's [`checker::CheckEvent`]s while it runs, through a
+/// [`checker::StreamingSink`] that takes the place of `config.sink`.
 ///
 /// # Errors
 ///
 /// Propagates the same diagnostics as [`run`].
 pub fn run_with_detector(
     checked: &CheckedProgram,
-    mut config: RunConfig,
+    config: RunConfig,
     kind: DetectorKind,
 ) -> Result<DetectorRun, minic::Diagnostic> {
-    let granule = config.granule;
-    config.collect_trace |= kind != DetectorKind::Sharc;
-    let outcome = run(checked, config)?;
-    let (detector, conflicts) = if kind == DetectorKind::Sharc {
+    if kind == DetectorKind::Sharc {
+        let granule = config.granule;
+        let outcome = run(checked, config)?;
         let conflicts = outcome
             .reports
             .iter()
@@ -235,15 +234,57 @@ pub fn run_with_detector(
                 granule: (r.addr.0 / granule) as usize,
             })
             .collect();
-        ("sharc", conflicts)
-    } else {
-        judge_trace(&outcome.trace, kind)
-    };
+        return Ok(DetectorRun {
+            outcome,
+            detector: "sharc",
+            conflicts,
+        });
+    }
+    // The VM records from one OS thread, so one ring holds its order.
+    // The baselines keep sparse state and ignore the geometry.
+    let (outcome, detector, conflicts, _) = judge_live(
+        kind,
+        checker::ShadowGeometry::default(),
+        1,
+        DEFAULT_RING_CAP,
+        |sink| {
+            run(
+                checked,
+                RunConfig {
+                    sink: Some(sink),
+                    ..config
+                },
+            )
+        },
+    );
     Ok(DetectorRun {
-        outcome,
+        outcome: outcome?,
         detector,
         conflicts,
     })
+}
+
+/// Judges a live run while it runs: `run` records into a
+/// [`checker::StreamingSink`] of `rings` rings of `ring_cap` events
+/// each, which feeds `kind`'s engine sized by `geom`. When `run`
+/// returns, the sink is finished and its conflicts de-duplicated.
+fn judge_live<R>(
+    kind: DetectorKind,
+    geom: checker::ShadowGeometry,
+    rings: usize,
+    ring_cap: usize,
+    run: impl FnOnce(Arc<dyn checker::EventSink>) -> R,
+) -> (
+    R,
+    &'static str,
+    Vec<checker::Conflict>,
+    checker::StreamStats,
+) {
+    let (detector, backend) = kind.backend(geom);
+    let sink = Arc::new(checker::StreamingSink::new(rings, ring_cap, backend));
+    let out = run(sink.clone());
+    let (raw, stats) = sink.finish();
+    (out, detector, dedup_conflicts(raw), stats)
 }
 
 fn dedup_conflicts(raw: Vec<checker::Conflict>) -> Vec<checker::Conflict> {
@@ -251,11 +292,11 @@ fn dedup_conflicts(raw: Vec<checker::Conflict>) -> Vec<checker::Conflict> {
     raw.into_iter().filter(|c| seen.insert(*c)).collect()
 }
 
-/// A *native* (real-thread) workload that can emit a
-/// [`checker::CheckEvent`] trace — the native end of the event
-/// spine. `sharc native <workload> --detector …` replays one real
-/// multithreaded execution through the selected engine, exactly as
-/// `sharc run --detector` does for VM executions.
+/// A *native* (real-thread) workload that records its
+/// [`checker::CheckEvent`]s — the native end of the event spine.
+/// `sharc native <workload> --detector …` judges one real
+/// multithreaded execution with the selected engine while it runs,
+/// exactly as `sharc run --detector` does for VM executions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NativeWorkload {
     /// The parallel file scanner (Table 1 row 1): read-shared
@@ -313,24 +354,11 @@ impl std::str::FromStr for NativeWorkload {
     }
 }
 
-/// A native execution judged by a selected detector.
-#[derive(Debug)]
-pub struct NativeDetectorRun {
-    /// The workload's run record (checksum, access counters, sizes).
-    pub run: workloads::table::NativeRun,
-    /// Number of events in the recorded trace.
-    pub events: usize,
-    /// The engine's name, for output headers.
-    pub detector: &'static str,
-    /// Deduplicated conflicts from replaying the trace.
-    pub conflicts: Vec<checker::Conflict>,
-}
-
 /// A workload's quick-scale run, ready to go: the thread count it
 /// will use and the closure that executes it into a sink.
 type NativePlan = (
     usize,
-    Box<dyn FnOnce(std::sync::Arc<dyn checker::EventSink>) -> workloads::table::NativeRun>,
+    Box<dyn FnOnce(Arc<dyn checker::EventSink>) -> workloads::table::NativeRun>,
 );
 
 /// The one per-workload table: quick-scale parameters, the field
@@ -370,21 +398,21 @@ fn native_plan(workload: NativeWorkload) -> NativePlan {
 }
 
 /// Runs `workload` once with real threads, recording every
-/// [`checker::CheckEvent`] into `sink` — an [`checker::EventLog`]
-/// for record-then-replay, or a [`checker::StreamingSink`] for
-/// bounded-memory online detection. One dispatcher, one set of
-/// quick-scale parameters, both detection modes.
+/// [`checker::CheckEvent`] into `sink`: the [`checker::EventLog`]
+/// behind [`native_trace`], or the [`checker::StreamingSink`] behind
+/// [`run_native_streaming`]. One dispatcher, one set of quick-scale
+/// parameters.
 pub fn run_native_events(
     workload: NativeWorkload,
-    sink: std::sync::Arc<dyn checker::EventSink>,
+    sink: Arc<dyn checker::EventSink>,
 ) -> workloads::table::NativeRun {
     let (_, run) = native_plan(workload);
     run(sink)
 }
 
 /// Runs `workload` once with real threads and returns its run record
-/// plus the recorded [`checker::CheckEvent`] trace — the raw material
-/// for [`judge_trace`], `--trace-out`, or an offline `sharc replay`.
+/// plus the recorded [`checker::CheckEvent`] trace — what
+/// `--trace-out` writes for an offline `sharc replay`.
 pub fn native_trace(
     workload: NativeWorkload,
 ) -> (workloads::table::NativeRun, Vec<checker::CheckEvent>) {
@@ -395,7 +423,8 @@ pub fn native_trace(
 /// returning the engine's name and its deduplicated conflicts. The
 /// trace may have been recorded seconds ago by [`native_trace`] or
 /// read back from a `--trace-out` file in a different process — the
-/// verdict is a function of the trace alone.
+/// verdict is a function of the trace alone, and equals the one the
+/// same events get while they stream ([`run_native_streaming`]).
 pub fn judge_trace(
     trace: &[checker::CheckEvent],
     kind: DetectorKind,
@@ -487,18 +516,9 @@ pub fn trace_file_info(path: &std::path::Path) -> Result<TraceInfo, String> {
             .unwrap_or(1);
         ("text", version, checker::trace::parse_text(&text)?)
     };
-    const VOCABULARY: [&str; 14] = [
-        "read", "write", "rread", "rwrite", "locked", "cast", "rcast", "rfree", "acquire",
-        "release", "fork", "join", "exit", "alloc",
-    ];
-    let mut tally = [0usize; VOCABULARY.len()];
+    let mut tally = std::collections::HashMap::new();
     for e in &events {
-        let kw = checker::event_keyword(e);
-        let slot = VOCABULARY
-            .iter()
-            .position(|&k| k == kw)
-            .expect("keyword is in the vocabulary");
-        tally[slot] += 1;
+        *tally.entry(checker::event_keyword(e)).or_insert(0) += 1;
     }
     Ok(TraceInfo {
         format,
@@ -507,39 +527,20 @@ pub fn trace_file_info(path: &std::path::Path) -> Result<TraceInfo, String> {
         events: events.len(),
         max_tid: checker::max_trace_tid(&events),
         granule_span: checker::trace_granule_span(&events),
-        counts: VOCABULARY
+        counts: checker::trace::KEYWORDS
             .iter()
-            .zip(tally)
-            .filter(|&(_, n)| n > 0)
-            .map(|(&k, n)| (k, n))
+            .filter_map(|&k| tally.get(k).map(|&n| (k, n)))
             .collect(),
     })
 }
 
-/// Runs `workload` once with real threads, recording its
-/// [`checker::CheckEvent`] trace, and judges that single execution
-/// with `kind`. For [`DetectorKind::Sharc`] the trace is replayed
-/// through [`checker::BitmapBackend`] — the same engine that ran
-/// inline during the execution, so its verdict mirrors the native
-/// conflict count.
-pub fn run_native_with_detector(workload: NativeWorkload, kind: DetectorKind) -> NativeDetectorRun {
-    let (run, trace) = native_trace(workload);
-    let (detector, conflicts) = judge_trace(&trace, kind);
-    NativeDetectorRun {
-        run,
-        events: trace.len(),
-        detector,
-        conflicts,
-    }
-}
-
-/// The default per-ring buffer capacity of the streaming path
+/// The default per-ring buffer capacity of every streamed run
 /// (`--ring-cap`): small enough that a long stunnel round drains
 /// hundreds of times, large enough that drains amortize.
 pub const DEFAULT_RING_CAP: usize = 4096;
 
-/// A native execution judged *online*: the workload ran with a
-/// [`checker::StreamingSink`] attached, so the verdict was produced
+/// A native execution judged while it ran: the workload recorded into
+/// a [`checker::StreamingSink`], so the verdict was produced
 /// concurrently with the run inside a fixed memory budget — no full
 /// trace ever existed.
 #[derive(Debug)]
@@ -558,7 +559,7 @@ pub struct StreamingRun {
 /// Runs `workload` once with real threads, feeding the selected
 /// engine *during* the run through a [`checker::StreamingSink`] of
 /// one ring per thread with `ring_cap` events each. The verdict
-/// matches [`run_native_with_detector`]'s replay of the same
+/// matches [`judge_trace`] on a [`native_trace`] of the same
 /// execution order event for event (both folds run
 /// [`checker::apply_event`] over the same linearization); what
 /// changes is memory — peak resident events stay under
@@ -574,15 +575,13 @@ pub fn run_native_streaming(
     // ([`checker::geometry_for_trace`]); here it is needed up front.
     let (workers, run) = native_plan(workload);
     let bound = workers + 1;
-    let (detector, backend) = kind.backend(checker::ShadowGeometry::for_threads(bound));
     // One ring per thread (tids are 1-based, ring 0 takes Alloc).
-    let sink = std::sync::Arc::new(checker::StreamingSink::new(bound + 1, ring_cap, backend));
-    let run = run(sink.clone());
-    let (raw, stats) = sink.finish();
+    let geom = checker::ShadowGeometry::for_threads(bound);
+    let (run, detector, conflicts, stats) = judge_live(kind, geom, bound + 1, ring_cap, run);
     StreamingRun {
         run,
         detector,
-        conflicts: dedup_conflicts(raw),
+        conflicts,
         stats,
     }
 }
@@ -591,10 +590,9 @@ pub fn run_native_streaming(
 pub mod prelude {
     pub use crate::{
         check, check_and_run, explain_elision, judge_trace, native_trace, read_trace_file, run,
-        run_full_checks, run_native_events, run_native_streaming, run_native_with_detector,
-        run_with_detector, trace_file_info, write_trace_file, CheckedProgram, DetectorKind,
-        DetectorRun, NativeDetectorRun, NativeWorkload, RunConfig, RunOutcome, StreamingRun,
-        TraceInfo, DEFAULT_RING_CAP,
+        run_full_checks, run_native_events, run_native_streaming, run_with_detector,
+        trace_file_info, write_trace_file, CheckedProgram, DetectorKind, DetectorRun,
+        NativeWorkload, RunConfig, RunOutcome, StreamingRun, TraceInfo, DEFAULT_RING_CAP,
     };
     pub use minic::{Diagnostic, Severity};
     pub use sharc_interp::{ConflictKind, ExitStatus, SchedPolicy};
@@ -615,16 +613,21 @@ mod tests {
         assert_eq!(out.output, vec!["42"]);
     }
 
+    /// One native run, judged while it runs at the default ring size.
+    fn streamed(workload: NativeWorkload, kind: DetectorKind) -> StreamingRun {
+        run_native_streaming(workload, kind, DEFAULT_RING_CAP)
+    }
+
     #[test]
     fn native_handoff_splits_sharc_from_eraser() {
         // The acceptance criterion for the event spine: one *native*
         // execution, judged through the same CheckBackend interface,
         // with SharC silent and Eraser false-positiving on the
         // ownership transfer.
-        let sharc = run_native_with_detector(NativeWorkload::Handoff, DetectorKind::Sharc);
+        let sharc = streamed(NativeWorkload::Handoff, DetectorKind::Sharc);
         assert!(sharc.conflicts.is_empty(), "{:?}", sharc.conflicts);
-        assert!(sharc.events > 0);
-        let eraser = run_native_with_detector(NativeWorkload::Handoff, DetectorKind::Eraser);
+        assert!(sharc.stats.recorded > 0);
+        let eraser = streamed(NativeWorkload::Handoff, DetectorKind::Eraser);
         assert!(!eraser.conflicts.is_empty(), "Eraser cannot see the cast");
         assert_eq!(eraser.detector, "eraser-lockset");
     }
@@ -652,16 +655,16 @@ mod tests {
 
     #[test]
     fn native_pfscan_is_clean_under_sharc() {
-        let r = run_native_with_detector(NativeWorkload::Pfscan, DetectorKind::Sharc);
+        let r = streamed(NativeWorkload::Pfscan, DetectorKind::Sharc);
         assert!(r.conflicts.is_empty(), "{:?}", r.conflicts);
-        // The scans ride the ranged path now, so the trace is far
-        // *shorter* than the checked-access count — one event per
+        // The scans ride the ranged path now, so the run records far
+        // *fewer* events than it checks accesses — one event per
         // buffer sweep, not per word.
-        assert!(r.run.checked > 0 && r.events > 0);
+        let events = r.stats.recorded;
+        assert!(r.run.checked > 0 && events > 0);
         assert!(
-            (r.events as u64) < r.run.checked,
-            "ranged events compress the trace ({} events, {} checked)",
-            r.events,
+            events < r.run.checked,
+            "ranged events compress the trace ({events} events, {} checked)",
             r.run.checked
         );
     }
@@ -672,10 +675,10 @@ mod tests {
         // execution is clean under SharC (the workers' lifetimes end
         // before main's verification sweep) and a false positive
         // under Eraser (the buffer is never lock-protected).
-        let sharc = run_native_with_detector(NativeWorkload::Aget, DetectorKind::Sharc);
+        let sharc = streamed(NativeWorkload::Aget, DetectorKind::Sharc);
         assert!(sharc.conflicts.is_empty(), "{:?}", sharc.conflicts);
-        assert!(sharc.events > 0);
-        let eraser = run_native_with_detector(NativeWorkload::Aget, DetectorKind::Eraser);
+        assert!(sharc.stats.recorded > 0);
+        let eraser = streamed(NativeWorkload::Aget, DetectorKind::Eraser);
         assert!(!eraser.conflicts.is_empty(), "Eraser has no lifetime model");
     }
 
@@ -708,10 +711,10 @@ mod tests {
     #[test]
     fn native_dillo_and_fftw_are_on_the_spine() {
         for w in [NativeWorkload::Dillo, NativeWorkload::Fftw] {
-            let sharc = run_native_with_detector(w, DetectorKind::Sharc);
+            let sharc = streamed(w, DetectorKind::Sharc);
             assert!(sharc.conflicts.is_empty(), "{w:?}: {:?}", sharc.conflicts);
-            assert!(sharc.events > 0);
-            let eraser = run_native_with_detector(w, DetectorKind::Eraser);
+            assert!(sharc.stats.recorded > 0);
+            let eraser = streamed(w, DetectorKind::Eraser);
             assert!(
                 !eraser.conflicts.is_empty(),
                 "{w:?}: Eraser misses the transfer"

@@ -112,7 +112,17 @@ fn usage_errors_are_two() {
     ] {
         assert_usage_error(&[&["run", racy][..], flags].concat());
     }
-    assert_usage_error(&["native", "handoff", "--ring-cap", "64"]);
+    // A live run is always judged while it runs: the flag that chose
+    // that is gone, and a recorded run has no rings to size.
+    assert_usage_error(&["native", "handoff", "--online"]);
+    assert_usage_error(&[
+        "native",
+        "handoff",
+        "--ring-cap",
+        "64",
+        "--trace-out",
+        "x.trace",
+    ]);
 }
 
 /// Exit 2, and exactly one `sharc: …` line before the usage text.
@@ -285,17 +295,23 @@ fn native_handoff_and_aget_split_sharc_from_eraser() {
     }
 }
 
-/// Judged while it runs (`--online`: per-thread rings drained
+/// Judged while it runs (the default: per-thread rings drained
 /// concurrently with the workload), a native execution gets the
-/// recorded path's verdicts on every detector — SharC clean, Eraser
-/// exactly 1 — for the stunnel fleet at a small ring budget and for
-/// the hand-off at the default one.
+/// verdicts its `--trace-out` recording gets on replay — SharC clean,
+/// Eraser exactly 1 — for the stunnel fleet at a small ring budget and
+/// for the hand-off at the default one.
 #[test]
 fn online_verdicts_match_the_recorded_ones() {
-    let stunnel = ["native", "stunnel", "--online", "--ring-cap", "256"];
-    let handoff = ["native", "handoff", "--online"];
-    for run in [&stunnel[..], &handoff] {
-        assert_exit(&[run, &["--detector", "sharc"]].concat(), 0);
-        assert_exit(&[run, &["--detector", "eraser"]].concat(), 1);
+    let dir = scratch_dir("online");
+    for (workload, rings) in [("stunnel", &["--ring-cap", "256"][..]), ("handoff", &[])] {
+        let trace = dir.join(format!("{workload}.sbt"));
+        let trace = trace.to_str().expect("utf-8 temp path");
+        assert_exit(&["native", workload, "--trace-out", trace], 0);
+        for (detector, code) in [("sharc", 0), ("eraser", 1)] {
+            let streamed = [&["native", workload][..], rings, &["--detector", detector]].concat();
+            assert_exit(&streamed, code);
+            assert_exit(&["replay", trace, "--detector", detector], code);
+        }
     }
+    std::fs::remove_dir_all(&dir).ok();
 }

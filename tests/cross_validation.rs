@@ -1,25 +1,45 @@
 //! Cross-validation between SharC and the §6.2 baseline detectors on
 //! *identical executions*, through `run_with_detector` — the path
-//! `sharc run --detector …` takes: the VM records the `CheckEvent`
-//! trace of a seeded run, which Eraser and the vector-clock detector
-//! then judge. Agreement/disagreement must match the paper's analysis:
+//! `sharc run --detector …` takes: the VM streams the `CheckEvent`s
+//! of a seeded run into Eraser or the vector-clock detector while it
+//! runs. Agreement/disagreement must match the paper's analysis:
 //!
 //! * honest races: everyone reports;
 //! * lock-protected sharing: nobody reports;
 //! * ownership hand-off via sharing casts: SharC is silent (the cast
 //!   models the transfer), the baselines report a false positive.
 
-use sharc::checker::{CheckEvent, Conflict};
+use sharc::checker::{CheckEvent, Conflict, EventLog};
 use sharc::prelude::*;
+
+fn config(seed: u64) -> RunConfig {
+    RunConfig {
+        seed,
+        ..RunConfig::default()
+    }
+}
 
 /// One seeded execution of `src` as judged by `kind`.
 fn judged(src: &str, seed: u64, kind: DetectorKind) -> DetectorRun {
     let checked = sharc::check("xval.c", src).expect("program parses");
-    let config = RunConfig {
-        seed,
-        ..RunConfig::default()
-    };
-    sharc::run_with_detector(&checked, config, kind).expect("program checks cleanly")
+    sharc::run_with_detector(&checked, config(seed), kind).expect("program checks cleanly")
+}
+
+/// The same seeded execution of `src`, recorded: its output and every
+/// event it emitted.
+fn recorded(src: &str, seed: u64) -> (RunOutcome, Vec<CheckEvent>) {
+    let checked = sharc::check("xval.c", src).expect("program parses");
+    let (out, trace) = EventLog::capture(|sink| {
+        let sink = Some(sink);
+        sharc::run(
+            &checked,
+            RunConfig {
+                sink,
+                ..config(seed)
+            },
+        )
+    });
+    (out.expect("program checks cleanly"), trace)
 }
 
 /// The granule of the run's first `new()`: the shared heap object.
@@ -52,8 +72,8 @@ fn honest_race_everyone_agrees() {
         sharc_found |= !judged(src, seed, DetectorKind::Sharc).conflicts.is_empty();
         // The baselines must name the shared counter itself.
         let on_counter = |kind| {
+            let counter = first_alloc(&recorded(src, seed).1);
             let run = judged(src, seed, kind);
-            let counter = first_alloc(&run.outcome.trace);
             run.conflicts.iter().any(|c| c.granule == counter)
         };
         eraser_found |= on_counter(DetectorKind::Eraser);
@@ -77,7 +97,7 @@ fn lock_protected_everyone_silent_on_the_data() {
     // `new`; its allocation scopes the comparison.
     for kind in [DetectorKind::Eraser, DetectorKind::Vc] {
         let run = judged(src, 2, kind);
-        let heap_floor = first_alloc(&run.outcome.trace);
+        let heap_floor = first_alloc(&recorded(src, 2).1);
         assert_eq!(
             heap_conflicts(&run.conflicts, heap_floor),
             0,
@@ -142,7 +162,7 @@ fn handoff_sharc_accepts_baselines_object() {
     let eraser = judged(src, 3, DetectorKind::Eraser);
     assert_eq!(eraser.detector, "eraser-lockset");
     assert!(
-        heap_conflicts(&eraser.conflicts, first_alloc(&eraser.outcome.trace)) > 0,
+        heap_conflicts(&eraser.conflicts, first_alloc(&recorded(src, 3).1)) > 0,
         "Eraser false-positives on the ownership hand-off"
     );
 }
@@ -150,21 +170,18 @@ fn handoff_sharc_accepts_baselines_object() {
 #[test]
 fn trace_is_complete_and_ordered() {
     let src = "void main() { int * p; p = new(int); *p = 4; print(*p); free(p); }";
-    let run = judged(src, 0, DetectorKind::Vc);
-    assert_eq!(run.outcome.output, vec!["4"]);
-    let trace = &run.outcome.trace;
+    let (out, trace) = recorded(src, 0);
+    assert_eq!(out.output, vec!["4"]);
     let allocs = trace
         .iter()
         .filter(|e| matches!(e, CheckEvent::Alloc { .. }))
         .count();
     assert_eq!(allocs, 1);
     // The write to *p precedes the read of *p, and the free is last.
-    let heap = first_alloc(trace);
+    let heap = first_alloc(&trace);
     let at = |wanted: &dyn Fn(&CheckEvent) -> bool| trace.iter().position(wanted);
     let w = at(&|e| matches!(*e, CheckEvent::Write { granule, .. } if granule == heap));
     let r = at(&|e| matches!(*e, CheckEvent::Read { granule, .. } if granule == heap));
     let f = at(&|e| matches!(*e, CheckEvent::RangeFree { granule, .. } if granule == heap));
     assert!(w.unwrap() < r.unwrap() && r.unwrap() < f.unwrap());
-    // The SharC path does not pay for a trace it does not need.
-    assert!(judged(src, 0, DetectorKind::Sharc).outcome.trace.is_empty());
 }

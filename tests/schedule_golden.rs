@@ -11,7 +11,7 @@
 
 mod corpus;
 
-use sharc::checker::trace_to_text;
+use sharc::checker::{trace_to_text, EventLog};
 use sharc::prelude::*;
 use sharc::workloads::substrates::net::fnv;
 
@@ -31,14 +31,17 @@ const CONFIGS: [(&str, SchedPolicy, u64); 6] = [
 const FLEET: &str = "examples-fleet";
 
 fn line(name: &str, src: &str, label: &str, policy: SchedPolicy, seed: u64) -> String {
-    let config = RunConfig {
-        seed,
-        policy,
-        collect_trace: true,
-        ..RunConfig::default()
-    };
     let checked = sharc::check(&format!("{name}.c"), src).expect("corpus program parses");
-    let run = sharc::run(&checked, config).expect("corpus program runs");
+    let (run, trace) = EventLog::capture(|sink| {
+        let config = RunConfig {
+            seed,
+            policy,
+            sink: Some(sink),
+            ..RunConfig::default()
+        };
+        sharc::run(&checked, config)
+    });
+    let run = run.expect("corpus program runs");
     let s = &run.stats;
     format!(
         "{name} {label} seed={seed} steps={} spawned={} max_live={} reports={} \
@@ -48,7 +51,7 @@ fn line(name: &str, src: &str, label: &str, policy: SchedPolicy, seed: u64) -> S
         s.max_live_threads,
         run.reports.len(),
         fnv(run.output.join("\n").as_bytes()),
-        fnv(trace_to_text(&run.trace).as_bytes()),
+        fnv(trace_to_text(&trace).as_bytes()),
         run.status,
     )
 }

@@ -8,20 +8,17 @@
 //! constant `GRANULE_CELLS`), it must name the same granules the VM's
 //! own reports do at *any* configured granule.
 
-use sharc::checker::{trace_to_text, CheckEvent};
+use sharc::checker::{trace_to_text, CheckEvent, EventLog};
 use sharc::prelude::*;
 
-fn traced(path: &str, config: RunConfig) -> RunOutcome {
+fn traced(path: &str, config: RunConfig) -> (RunOutcome, Vec<CheckEvent>) {
     let src = std::fs::read_to_string(path).expect("example exists");
     let checked = sharc::check(path, &src).expect("example parses");
-    sharc::run(
-        &checked,
-        RunConfig {
-            collect_trace: true,
-            ..config
-        },
-    )
-    .expect("example runs")
+    let (out, trace) = EventLog::capture(|sink| {
+        let sink = Some(sink);
+        sharc::run(&checked, RunConfig { sink, ..config })
+    });
+    (out.expect("example runs"), trace)
 }
 
 #[test]
@@ -38,9 +35,9 @@ fn emitted_traces_are_byte_identical_to_the_converted_fixtures() {
             seed: 0,
             ..RunConfig::default()
         };
-        let out = traced(&format!("examples/minic/{name}.c"), config);
+        let (_, trace) = traced(&format!("examples/minic/{name}.c"), config);
         assert!(
-            trace_to_text(&out.trace) == fixture,
+            trace_to_text(&trace) == fixture,
             "{name}.c: the emitted trace drifted from tests/fixtures/{name}.seed0.trace"
         );
     }
@@ -71,7 +68,7 @@ fn conflict_report_text_is_pinned_on_every_example() {
                 seed,
                 ..RunConfig::default()
             };
-            let out = traced(&format!("examples/minic/{name}.c"), config);
+            let (out, _) = traced(&format!("examples/minic/{name}.c"), config);
             text.push_str(&format!("# seed {seed}\n"));
             for r in &out.reports {
                 text.push_str(&format!("{r}\n"));
@@ -92,10 +89,10 @@ fn trace_and_reports_name_the_same_granules_at_any_granule_size() {
                 granule,
                 ..RunConfig::default()
             };
-            let out = traced("examples/minic/counter_racy.c", config);
+            let (out, trace) = traced("examples/minic/counter_racy.c", config);
             for r in &out.reports {
                 let (who, at) = (r.who.tid, (r.addr.0 / granule) as usize);
-                let in_trace = out.trace.iter().any(|e| match (r.kind, *e) {
+                let in_trace = trace.iter().any(|e| match (r.kind, *e) {
                     (ConflictKind::Read, CheckEvent::Read { tid, granule })
                     | (ConflictKind::Write, CheckEvent::Write { tid, granule }) => {
                         (tid, granule) == (who, at)
