@@ -27,15 +27,11 @@ echo "== cargo test -q --offline --workspace =="
 cargo test -q --offline --workspace
 
 echo "== property tests at one fixed seed, release =="
-# The differentials and the real-thread stress in release mode, with
-# one pinned seed: engine-vs-step (one-word, five-shard and
-# adaptive-only, tids past 63), range-vs-fold, clear-vs-fold,
-# stream-vs-replay, the elision differential, and the barrier-aligned
-# sharded stress. Each property keeps its own case floor
-# (SHARC_TEST_CASES can only raise it). The `sharc` exit-code checks
-# (the examples, and the native spine's streamed, record -> replay
-# and .sbt detector splits) are tests/cli_exit_codes.rs, which
-# tier-1 runs.
+# The checker and elision differentials and the sharded stress, in
+# release mode at one pinned seed (each property keeps its case floor;
+# SHARC_TEST_CASES can only raise it). Every `sharc` exit-code check,
+# the native streamed, recorded and .sbt splits included, is
+# tests/cli_exit_codes.rs, which tier-1 runs.
 SHARC_TEST_SEED=0xC1 \
     cargo test -q --offline --release -p sharc -p sharc-runtime \
     --test checker_differential --test elision_differential --test sharded_stress

@@ -248,13 +248,8 @@ pub fn run_with_detector(
         1,
         DEFAULT_RING_CAP,
         |sink| {
-            run(
-                checked,
-                RunConfig {
-                    sink: Some(sink),
-                    ..config
-                },
-            )
+            let sink = Some(sink);
+            run(checked, RunConfig { sink, ..config })
         },
     );
     Ok(DetectorRun {
