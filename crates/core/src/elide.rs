@@ -8,19 +8,9 @@
 //! machine-checkable [`Reason`] per elided check slot; the VM compiler
 //! consults it and emits **no instruction** for an elided slot.
 //!
-//! Four elision rules, each a thread-locality or lock-domination proof:
+//! Three rules, one per [`Reason`]. Two delete a check slot, each a
+//! thread-locality or lock-domination proof:
 //!
-//! * **E1 `PrivateActuals`** — a `dynamic` formal of a function that is
-//!   never a thread root, never aliased, and never leaks its parameter
-//!   is checked only so `dynamic_in` callers can pass private data. If
-//!   *every* call site passes a private pointer (or a provably fresh,
-//!   non-escaping local), the object is single-threaded for the whole
-//!   call and the callee's checks are dead.
-//! * **E2 `FreshPrivate`** — a local pointer assigned only fresh
-//!   allocations (or NULL) whose value never escapes the function
-//!   (no address-taken, no aliasing copy, no spawn, only sink-safe
-//!   call sites) points at thread-local storage; its `dynamic`
-//!   accesses cannot race.
 //! * **E3 `SpawnUnique`** — a thread function spawned at exactly one
 //!   non-loop site, with its sole argument a fresh local the spawner
 //!   never dereferences, receives an object only the spawned thread
@@ -32,21 +22,26 @@
 //!   `ChkLockHeld`; the check installs nothing, so skipping it is
 //!   bit-identical on every execution.
 //!
-//! Plus one peephole: **E5 `ReadOfWrite`** collapses the read check of
-//! a compound assignment (`*p = *p + 1`) into its write check when the
-//! address expression is side-effect-free. E5 is applied by the
-//! default compile only (a conflicted write installs no shadow state,
-//! so on already-racy runs the read check can fire where the write
-//! does not); the fully-checked build keeps both.
+//! The third is a peephole: **E5 `ReadOfWrite`** collapses the read
+//! check of a compound assignment (`*p = *p + 1`) into its write check
+//! when the address expression is side-effect-free. E5 is applied by
+//! the default compile only (a conflicted write installs no shadow
+//! state, so on already-racy runs the read check can fire where the
+//! write does not); the fully-checked build keeps both.
 //!
 //! Two traversals are the pass's own, because they treat node kinds
 //! differently: the per-function scan `FnScan` (loops set the
-//! "spawned in a loop" bit, calls classify their actuals) and E4's
+//! "spawned in a loop" bit, calls count their local actuals) and E4's
 //! dataflow `LockFlow` (branches meet, loops start from their kill
 //! set). Everything else reads the tree through the `minic::ast`
 //! walks: the declared locals, a loop's kill set (every call in it),
 //! E4's per-statement elision (which does not enter a sharing cast's
 //! operand: those checks are kept on purpose) and E5's assignments.
+//!
+//! Each rule earns its place in `tests/elision_ledger.rs`, which pins
+//! the executed checks it removes on every corpus program and fails
+//! when a rule removes none. (Rules E1, private actuals, and E2, fresh
+//! non-escaping locals, removed none and were deleted.)
 //!
 //! Soundness is pinned by `tests/elision_differential.rs`: a `forall!`
 //! differential (elided and fully-checked builds agree bit-for-bit on
@@ -63,10 +58,6 @@ use std::collections::{HashMap, HashSet};
 /// `--explain-elision` and the differential can audit the proof.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reason {
-    /// E1: every call site passes a private or fresh-local actual.
-    PrivateActuals,
-    /// E2: fresh allocation that never escapes its function.
-    FreshPrivate,
     /// E3: unique spawn hand-off; only the spawned thread touches it.
     SpawnUnique,
     /// E4: access dominated by a held lock on a stable path.
@@ -76,22 +67,15 @@ pub enum Reason {
 }
 
 impl Reason {
-    /// Stable index into [`ElisionSummary::by_reason`].
+    /// Stable index into [`ElisionSummary::by_reason`]: the
+    /// discriminant.
     pub fn index(self) -> usize {
-        match self {
-            Reason::PrivateActuals => 0,
-            Reason::FreshPrivate => 1,
-            Reason::SpawnUnique => 2,
-            Reason::LockHeld => 3,
-            Reason::ReadOfWrite => 4,
-        }
+        self as usize
     }
 
     /// Short machine-checkable label used in explain output.
     pub fn label(self) -> &'static str {
         match self {
-            Reason::PrivateActuals => "private-actuals",
-            Reason::FreshPrivate => "fresh-private",
             Reason::SpawnUnique => "spawn-unique",
             Reason::LockHeld => "lock-held",
             Reason::ReadOfWrite => "read-of-write",
@@ -99,13 +83,7 @@ impl Reason {
     }
 
     /// All reasons in [`Reason::index`] order (for reporting).
-    pub const ALL: [Reason; 5] = [
-        Reason::PrivateActuals,
-        Reason::FreshPrivate,
-        Reason::SpawnUnique,
-        Reason::LockHeld,
-        Reason::ReadOfWrite,
-    ];
+    pub const ALL: [Reason; 3] = [Reason::SpawnUnique, Reason::LockHeld, Reason::ReadOfWrite];
 }
 
 /// Elision verdicts for one instrumented l-value occurrence.
@@ -121,16 +99,16 @@ pub struct SiteFacts {
 pub struct ElisionSummary {
     /// Check slots the checker emitted (each read/write slot is one).
     pub checked_slots: usize,
-    /// Slots deleted outright by E1–E4.
+    /// Slots deleted outright by E3 and E4.
     pub elided_slots: usize,
     /// Read slots collapsed into their write check by E5.
     pub collapsed_reads: usize,
     /// Per-[`Reason`] tally, indexed by [`Reason::index`].
-    pub by_reason: [usize; 5],
+    pub by_reason: [usize; Reason::ALL.len()],
 }
 
 impl ElisionSummary {
-    /// Percentage of static check slots deleted (E1–E4 only).
+    /// Percentage of static check slots deleted (E3 and E4 only).
     pub fn elided_pct(&self) -> f64 {
         if self.checked_slots == 0 {
             0.0
@@ -173,20 +151,6 @@ impl ElisionFacts {
     }
 }
 
-/// How one call-site actual presents to the escape analysis.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Actual {
-    /// The literal NULL: nothing to protect.
-    Null,
-    /// An expression whose pointee mode is `private` (the type system
-    /// already proves the object never crosses threads).
-    PrivatePtr,
-    /// A named local of the caller; qualified if private-pointee or
-    /// provably fresh and non-escaping.
-    Local(String),
-    Other,
-}
-
 /// Everything the scan learned about one local or formal.
 #[derive(Debug, Default)]
 struct VarUse {
@@ -203,8 +167,8 @@ struct VarUse {
     /// L-value nodes that access storage *through* this pointer
     /// (single-level paths only: `*x`, `x[i]`, `x->f`, `*(x + i)`).
     accesses: Vec<NodeId>,
-    /// Direct calls this var is passed to, as (callee, position).
-    call_args: Vec<(String, usize)>,
+    /// Times passed as an argument of a direct call.
+    call_args: usize,
     /// Times passed as the data argument of `spawn`.
     spawn_args: usize,
     freed: usize,
@@ -212,19 +176,6 @@ struct VarUse {
     /// Any use the rules cannot account for (value copied, returned,
     /// stored, scast, compared, indirect-call arg, ...).
     other: usize,
-}
-
-impl VarUse {
-    fn pointee_qual(&self) -> Option<&Qual> {
-        self.ty.as_ref().and_then(|t| t.pointee()).map(|p| &p.qual)
-    }
-}
-
-/// One direct call site of a user function.
-#[derive(Debug)]
-struct CallSite {
-    caller: String,
-    actuals: Vec<Actual>,
 }
 
 /// One `spawn(f, arg)` site.
@@ -255,8 +206,8 @@ struct FnInfo {
 /// Whole-program facts.
 #[derive(Debug, Default)]
 struct ProgFacts {
-    /// Direct call sites per callee.
-    callsites: HashMap<String, Vec<CallSite>>,
+    /// User functions called directly somewhere.
+    called: HashSet<String>,
     /// Spawn sites per target function.
     spawn_sites: HashMap<String, Vec<SpawnSite>>,
     /// Function names used as values (taken as pointers).
@@ -300,73 +251,13 @@ pub fn elide(program: &Program, instr: &Instrumentation) -> ElisionFacts {
 
     let mut facts = ElisionFacts::default();
 
-    // E1: PrivateActuals.
-    for f in &program.fns {
-        if graph.thread_roots.contains(&f.name) || prog.aliased(&f.name) {
-            continue;
-        }
-        let info = &infos[&f.name];
-        for (i, p) in f.params.iter().enumerate() {
-            let Some(u) = info.uses.get(&p.name) else {
-                continue;
-            };
-            if !matches!(u.pointee_qual(), Some(Qual::Dynamic)) {
-                continue;
-            }
-            if !sink_safe(info, i, f, instr) {
-                continue;
-            }
-            let all_ok = prog
-                .callsites
-                .get(&f.name)
-                .map(|sites| {
-                    sites.iter().all(|cs| match cs.actuals.get(i) {
-                        Some(Actual::Null) | Some(Actual::PrivatePtr) => true,
-                        Some(Actual::Local(x)) => {
-                            // Re-resolve against the *caller's* scan: a
-                            // private-pointee local is safe by typing; a
-                            // fresh, never-escaping local is safe by E2's
-                            // own argument.
-                            infos.get(&cs.caller).is_some_and(|ci| {
-                                ci.uses.get(x).is_some_and(|u| {
-                                    matches!(u.pointee_qual(), Some(Qual::Private))
-                                        || fresh_local(u, &infos, &prog, &graph, program, instr)
-                                })
-                            })
-                        }
-                        _ => false,
-                    })
-                })
-                .unwrap_or(true);
-            if all_ok {
-                elide_dynamic_accesses(&mut facts, u, instr, Reason::PrivateActuals);
-            }
-        }
-    }
-
-    // E2: FreshPrivate.
-    for f in &program.fns {
-        let info = &infos[&f.name];
-        for u in info.uses.values() {
-            if u.is_param || !matches!(u.pointee_qual(), Some(Qual::Dynamic)) {
-                continue;
-            }
-            if fresh_local(u, &infos, &prog, &graph, program, instr) {
-                elide_dynamic_accesses(&mut facts, u, instr, Reason::FreshPrivate);
-            }
-        }
-    }
-
     // E3: SpawnUnique.
     for f in &program.fns {
-        if !graph.thread_roots.contains(&f.name) || prog.aliased(&f.name) {
-            continue;
-        }
-        if prog.all_fns_aliased || f.params.len() != 1 {
-            continue;
-        }
-        let direct_calls = prog.callsites.get(&f.name).map_or(0, |v| v.len());
-        if direct_calls != 0 {
+        if !graph.thread_roots.contains(&f.name)
+            || prog.aliased(&f.name)
+            || prog.called.contains(&f.name)
+            || f.params.len() != 1
+        {
             continue;
         }
         let sites = match prog.spawn_sites.get(&f.name) {
@@ -388,13 +279,11 @@ pub fn elide(program: &Program, instr: &Instrumentation) -> ElisionFacts {
             && !gu.addr_taken
             && gu.freed == 0
             && gu.spawn_args == 1
-            && gu.call_args.is_empty()
+            && gu.call_args == 0
             && gu.accesses.is_empty();
-        let finfo = &infos[&f.name];
-        if hand_off_ok && sink_safe(finfo, 0, f, instr) {
-            if let Some(u) = finfo.uses.get(&f.params[0].name) {
-                elide_dynamic_accesses(&mut facts, u, instr, Reason::SpawnUnique);
-            }
+        let formal = &infos[&f.name].uses[&f.params[0].name];
+        if hand_off_ok && sink_safe(formal, instr) {
+            elide_dynamic_accesses(&mut facts, formal, instr, Reason::SpawnUnique);
         }
     }
 
@@ -481,13 +370,7 @@ fn elide_dynamic_accesses(
 /// hand it to another thread: never reassigned or shadowed, never
 /// address-taken, freed, spawned, or passed on, and every recorded
 /// access carries only Dynamic-kind checks.
-fn sink_safe(info: &FnInfo, i: usize, f: &FnDef, instr: &Instrumentation) -> bool {
-    let Some(p) = f.params.get(i) else {
-        return false;
-    };
-    let Some(u) = info.uses.get(&p.name) else {
-        return false;
-    };
+fn sink_safe(u: &VarUse, instr: &Instrumentation) -> bool {
     u.decls == 0
         && u.fresh_assigns == 0
         && u.null_assigns == 0
@@ -496,41 +379,12 @@ fn sink_safe(info: &FnInfo, i: usize, f: &FnDef, instr: &Instrumentation) -> boo
         && u.freed == 0
         && !u.addr_taken
         && u.other == 0
-        && u.call_args.is_empty()
+        && u.call_args == 0
         && !u.accesses.iter().any(|id| {
             instr.checks.get(id).is_some_and(|ac| {
                 matches!(ac.read, Some(CheckKind::Locked(_)))
                     || matches!(ac.write, Some(CheckKind::Locked(_)))
             })
-        })
-}
-
-/// A local is *fresh* when it only ever holds freshly-allocated (or
-/// NULL) thread-local storage and its value never escapes: it may be
-/// dereferenced and passed to sink-safe callees, nothing else.
-fn fresh_local(
-    u: &VarUse,
-    infos: &HashMap<String, FnInfo>,
-    prog: &ProgFacts,
-    graph: &crate::callgraph::CallGraph,
-    program: &Program,
-    instr: &Instrumentation,
-) -> bool {
-    u.decls == 1
-        && !u.is_param
-        && u.other_assigns == 0
-        && u.other == 0
-        && !u.addr_taken
-        && u.spawn_args == 0
-        && u.freed == 0
-        && matches!(u.pointee_qual(), Some(Qual::Dynamic) | Some(Qual::Private))
-        && u.call_args.iter().all(|(callee, pos)| {
-            !graph.thread_roots.contains(callee)
-                && !prog.aliased(callee)
-                && program
-                    .fn_by_name(callee)
-                    .zip(infos.get(callee))
-                    .is_some_and(|(fd, fi)| sink_safe(fi, *pos, fd, instr))
         })
 }
 
@@ -958,26 +812,17 @@ impl<'a> FnScan<'a> {
                 return;
             }
             if self.fn_names.contains(name) {
-                let mut actuals = Vec::with_capacity(args.len());
-                for (i, a) in args.iter().enumerate() {
-                    let act = self.classify_actual(a);
-                    if let Actual::Local(x) = &act {
-                        if let Some(u) = self.use_mut(x) {
-                            u.call_args.push((name.clone(), i));
+                for a in args {
+                    match &a.kind {
+                        ExprKind::Ident(x) if self.is_local(x) => {
+                            if let Some(u) = self.use_mut(x) {
+                                u.call_args += 1;
+                            }
                         }
-                    } else {
-                        self.expr(a);
+                        _ => self.expr(a),
                     }
-                    actuals.push(act);
                 }
-                self.prog
-                    .callsites
-                    .entry(name.clone())
-                    .or_default()
-                    .push(CallSite {
-                        caller: self.caller.clone(),
-                        actuals,
-                    });
+                self.prog.called.insert(name.clone());
                 return;
             }
         }
@@ -990,37 +835,6 @@ impl<'a> FnScan<'a> {
                     if let Some(u) = self.use_mut(x) {
                         u.other += 1;
                     }
-                }
-            }
-        }
-    }
-
-    fn classify_actual(&self, a: &Expr) -> Actual {
-        match &a.kind {
-            ExprKind::Null => Actual::Null,
-            ExprKind::Ident(x) if self.is_local(x) => Actual::Local(x.clone()),
-            ExprKind::Unary(UnOp::AddrOf, inner) => {
-                if let ExprKind::Ident(x) = &inner.kind {
-                    let qual = self
-                        .info
-                        .uses
-                        .get(x)
-                        .and_then(|u| u.ty.as_ref())
-                        .map(|t| t.qual.clone());
-                    if matches!(qual, Some(Qual::Private)) {
-                        return Actual::PrivatePtr;
-                    }
-                }
-                Actual::Other
-            }
-            _ => {
-                if matches!(
-                    self.static_ty(a).as_ref().and_then(|t| t.pointee()),
-                    Some(p) if matches!(p.qual, Qual::Private)
-                ) {
-                    Actual::PrivatePtr
-                } else {
-                    Actual::Other
                 }
             }
         }
@@ -1483,60 +1297,39 @@ mod tests {
     }
 
     #[test]
+    fn spawner_call_arg_blocks_spawn_unique() {
+        // main hands p to poke, which writes *p while worker may:
+        // eliding worker's checks would hide that race.
+        let c = run("void worker(int * d) { *d = 1; }\n\
+             void poke(int * x) { *x = 2; }\n\
+             void main() { int * p; p = new(int); spawn(worker, p); poke(p); }");
+        assert!(
+            !reasons(&c).contains(&Reason::SpawnUnique),
+            "{:?}",
+            c.elision.summary
+        );
+    }
+
+    #[test]
+    fn direct_call_of_worker_blocks_spawn_unique() {
+        // worker also runs as a plain call on main's thread, so its
+        // formal is not only ever the spawned thread's object.
+        let c = run("void worker(int * d) { *d = 1; }\n\
+             void main() { int * p; int * q; p = new(int); q = new(int); \
+              spawn(worker, p); worker(q); }");
+        assert!(
+            !reasons(&c).contains(&Reason::SpawnUnique),
+            "{:?}",
+            c.elision.summary
+        );
+    }
+
+    #[test]
     fn spawn_in_loop_blocks_spawn_unique() {
         let c = run("void worker(int * d) { *d = 1; }\n\
              void main() { int * p; int i; p = new(int); \
               for (i = 0; i < 2; i = i + 1) spawn(worker, p); }");
         assert_eq!(c.elision.summary.elided_slots, 0);
-    }
-
-    #[test]
-    fn fresh_private_local_elides_dynamic_checks() {
-        // g is inferred dynamic because the global leak makes the
-        // *other* pointer thread-shared; b stays fresh & local.
-        let c = run("int dynamic * leak;\n\
-             void worker(int * d) { *d = 2; }\n\
-             void main() { int dynamic * b; int v; b = new(int dynamic); \
-              *b = 7; v = *b; leak = b; }");
-        // `leak = b` makes b escape: other > 0, nothing elided for b.
-        assert!(!c
-            .elision
-            .sites
-            .values()
-            .any(|s| s.write == Some(Reason::FreshPrivate)));
-
-        let c2 = run(
-            "void main() { int dynamic * b; int v; b = new(int dynamic); \
-              *b = 7; v = *b; }",
-        );
-        let s = &c2.elision.summary;
-        assert_eq!(s.checked_slots, 2);
-        assert_eq!(s.elided_slots, 2);
-        assert!(reasons(&c2).iter().all(|r| *r == Reason::FreshPrivate));
-    }
-
-    #[test]
-    fn private_actuals_elide_callee_formal_checks() {
-        // helper's formal is inferred dynamic (dynamic_in from worker
-        // would block it), so use only private/fresh callers.
-        let c = run("void bump(int dynamic * x) { *x = *x + 1; }\n\
-             void main() { int * q; q = new(int); bump(q); }");
-        let s = &c.elision.summary;
-        assert!(s.elided_slots >= 2, "summary: {s:?}");
-        assert!(reasons(&c).contains(&Reason::PrivateActuals));
-    }
-
-    #[test]
-    fn shared_actual_blocks_private_actuals() {
-        let c = run("void bump(int * x) { *x = *x + 1; }\n\
-             void worker(int * d) { bump(d); }\n\
-             void main() { int * p; int * q; p = new(int); q = new(int); \
-              spawn(worker, p); bump(q); }");
-        assert!(!c
-            .elision
-            .sites
-            .values()
-            .any(|s| s.write == Some(Reason::PrivateActuals)));
     }
 
     #[test]

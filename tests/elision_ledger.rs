@@ -78,7 +78,7 @@ fn executed_checks_removed_per_rule_are_pinned() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/elision_ledger.golden"
     );
-    let (got, _) = render();
+    let (got, totals) = render();
     let golden = std::fs::read_to_string(fixture).unwrap_or_default();
     if got != golden {
         let actual =
@@ -87,6 +87,13 @@ fn executed_checks_removed_per_rule_are_pinned() {
         panic!(
             "elision ledger drifted: diff {fixture} {}",
             actual.display()
+        );
+    }
+    for reason in Reason::ALL {
+        assert!(
+            totals[reason.index()] > 0,
+            "{} removes no executed check on the corpus: delete the rule",
+            reason.label()
         );
     }
 }
