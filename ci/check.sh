@@ -23,6 +23,10 @@ cargo build --release --offline
 echo "== cargo clippy --offline -D warnings =="
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
+echo "== cargo doc --offline, rustdoc warnings denied =="
+# A doc link to a deleted or private item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo test -q --offline --workspace =="
 cargo test -q --offline --workspace
 

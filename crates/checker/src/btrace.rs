@@ -1,4 +1,4 @@
-//! Binary [`CheckEvent`](crate::CheckEvent) traces — format **v4**,
+//! Binary [`CheckEvent`] traces — format **v4**,
 //! the archive format for full-scale runs (`.sbt`, "sharc binary
 //! trace").
 //!

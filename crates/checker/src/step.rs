@@ -225,8 +225,8 @@ pub mod adaptive {
 ///
 /// The transition function stays pure and atomics-free: it reads a
 /// *snapshot* of the granule's words and returns at most **one**
-/// word to install ([`ShardStep::Install`]). That single-word
-/// property is what lets the concurrent wrapper
+/// word to install ([`sharded::ShardStep::Install`]). That
+/// single-word property is what lets the concurrent wrapper
 /// (`sharc-runtime`'s `ShardedShadow`) stay a plain CAS loop: the
 /// cross-word precondition ("no foreign state elsewhere") is checked
 /// on the snapshot before the CAS and revalidated after it.

@@ -41,8 +41,8 @@
 //! lives in the same modification order, every event of epoch *k*
 //! has a smaller sequence number than every event of epoch *k + 1*.
 //! Concatenating per-epoch sorted batches replays the events in
-//! precisely the order a serialized [`EventLog`] would have recorded
-//! them — the streaming fold and the replay fold run the same
+//! precisely the order a serialized [`EventLog`](crate::EventLog)
+//! would have recorded them — the streaming fold and the replay fold run the same
 //! [`apply_event`] on the same sequence, so the verdicts are
 //! bit-identical by construction.
 //!

@@ -1,4 +1,4 @@
-//! Offline [`CheckEvent`](crate::CheckEvent) traces: a line-oriented
+//! Offline [`CheckEvent`] traces: a line-oriented
 //! text format so one recorded execution can leave the process and be
 //! re-judged later (`sharc native --trace-out` writes it, `sharc
 //! replay` reads it back into [`crate::replay`]).

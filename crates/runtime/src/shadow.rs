@@ -277,7 +277,7 @@ impl<W: ShadowWord> WordProtocol for OneWord<W> {
         self.granules * W::BYTES
     }
 
-    /// The `recorded` test inline, [`OneWord::transition`] behind it.
+    /// The `recorded` test inline, `OneWord::transition` behind it.
     #[inline]
     fn check(&self, granule: usize, tid: ThreadId, access: Access) -> Result<bool, RaceError> {
         Self::assert_tid(tid);

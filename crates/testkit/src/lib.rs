@@ -18,7 +18,7 @@
 //!   failing-seed persistence ([`prop::Config::persist_to`]).
 //!   Use the [`forall!`], [`prop_assert!`], and [`prop_assert_eq!`]
 //!   macros.
-//! * [`bench`] — warmup + timed-sample micro-benchmarks reporting
+//! * [`bench`](mod@bench) — warmup + timed-sample micro-benchmarks reporting
 //!   median/p95 and emitting `target/BENCH_<group>.json` through the
 //!   in-tree JSON writer.
 //! * [`json`] — a minimal JSON document model with a pretty emitter

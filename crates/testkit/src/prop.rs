@@ -232,7 +232,7 @@ where
 }
 
 /// Runs a property over generated inputs; the body uses
-/// [`prop_assert!`]/[`prop_assert_eq!`] (or plain `assert!`, caught
+/// [`crate::prop_assert!`]/[`crate::prop_assert_eq!`] (or plain `assert!`, caught
 /// via unwind) to signal failure.
 #[macro_export]
 macro_rules! forall {
