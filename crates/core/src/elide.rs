@@ -40,8 +40,8 @@
 //!
 //! Each rule earns its place in `tests/elision_ledger.rs`, which pins
 //! the executed checks it removes on every corpus program and fails
-//! when a rule removes none. (Rules E1, private actuals, and E2, fresh
-//! non-escaping locals, removed none and were deleted.)
+//! when a rule removes none. The numbers start at E3 because E1 and E2
+//! removed none and were deleted.
 //!
 //! Soundness is pinned by `tests/elision_differential.rs`: a `forall!`
 //! differential (elided and fully-checked builds agree bit-for-bit on
