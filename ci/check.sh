@@ -40,6 +40,13 @@ SHARC_TEST_SEED=0xC1 \
     cargo test -q --offline --release -p sharc -p sharc-runtime \
     --test checker_differential --test elision_differential --test sharded_stress
 
+echo "== benchmark package tests, release =="
+# benchmark/ is its own package: its tests hold every workload's answer
+# keys and metric names at smoke scale. Built into the root target/ so
+# the workspace's crates compile once.
+root=$PWD
+(cd benchmark && CARGO_TARGET_DIR="$root/target" cargo test -q --release --offline)
+
 echo "== benchmark answer keys: handoff-write, scan-read, minic-pipeline, --smoke =="
 # The two workloads that run the runtime's check path end to end, at
 # 1/20 scale: every lap's checksum and conflict count is held against

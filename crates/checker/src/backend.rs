@@ -24,9 +24,10 @@
 //! `--detector` switch.
 
 use crate::geometry::ShadowGeometry;
+use crate::runlog::RunLog;
 use crate::step::{sharded, sharded::ShardStep, Access};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Which check a conflict came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -538,8 +539,31 @@ pub struct BitmapBackend {
     words: Vec<u64>,
     geom: ShadowGeometry,
     /// Granules each thread installed bits into, for exit clearing.
-    logs: HashMap<u32, Vec<usize>>,
+    logs: HashMap<u32, RunLog, BuildHasherDefault<TidHasher>>,
     held: HeldLocks,
+}
+
+/// Hashes a thread id for the per-thread log table: one multiply.
+/// Every install looks its thread's log up, and tids are small dense
+/// integers, so the default DoS-resistant hasher only costs time here.
+#[derive(Default)]
+struct TidHasher(u64);
+
+impl Hasher for TidHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+    fn write_u32(&mut self, tid: u32) {
+        self.write_u64(u64::from(tid));
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
 }
 
 /// Hashes what decides a later verdict, not how the engine got there:
@@ -558,12 +582,7 @@ impl Hash for BitmapBackend {
         let mut logs: Vec<(u32, Vec<usize>)> = self
             .logs
             .iter()
-            .map(|(&tid, log)| {
-                let mut set = log.clone();
-                set.sort_unstable();
-                set.dedup();
-                (tid, set)
-            })
+            .map(|(&tid, log)| (tid, log.granules()))
             .collect();
         logs.sort_unstable();
         logs.hash(state);
@@ -591,7 +610,7 @@ impl BitmapBackend {
         BitmapBackend {
             words: Vec::new(),
             geom,
-            logs: HashMap::new(),
+            logs: HashMap::default(),
             held: HeldLocks::default(),
         }
     }
@@ -622,7 +641,7 @@ impl BitmapBackend {
             ShardStep::Unchanged => Verdict::Pass,
             ShardStep::Install { index, word } => {
                 self.words[base + index] = word;
-                self.logs.entry(tid).or_default().push(granule);
+                self.logs.entry(tid).or_default().note(granule);
                 Verdict::Pass
             }
             ShardStep::Conflict => Verdict::Fail(Conflict {
@@ -686,8 +705,8 @@ impl CheckBackend for BitmapBackend {
 
     fn on_thread_exit(&mut self, tid: u32) {
         let stride = self.geom.words_per_granule();
-        if let Some(log) = self.logs.remove(&tid) {
-            for g in log {
+        if let Some(mut log) = self.logs.remove(&tid) {
+            for g in log.drain_merged().flat_map(|(start, end)| start..end) {
                 let base = g * stride;
                 if base + stride <= self.words.len() {
                     let snapshot = &self.words[base..base + stride];
@@ -717,6 +736,20 @@ impl CheckBackend for BitmapBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn re_installing_one_granule_after_every_cast_keeps_one_run() {
+        let mut engine = BitmapBackend::new();
+        for _ in 0..100_000 {
+            assert!(!engine.chkwrite(1, 7).is_conflict());
+            engine.on_cast_clear(7);
+        }
+        assert!(!engine.chkwrite(1, 7).is_conflict());
+        assert_eq!(engine.logs[&1].len(), 1, "one granule, one run");
+        engine.on_thread_exit(1);
+        assert_eq!(engine.raw(7), 0, "exit clears what the log names");
+        assert!(!engine.logs.contains_key(&1));
+    }
 
     #[test]
     fn bitmap_backend_basic_race() {

@@ -104,24 +104,64 @@ pub fn is_binary(bytes: &[u8]) -> bool {
     bytes.len() >= 4 && bytes[..4] == BTRACE_MAGIC
 }
 
-fn write_uleb(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
+/// Where the encoder writes: the output buffer, or a [`Tally`] that
+/// sizes it first.
+trait ByteOut {
+    fn push(&mut self, byte: u8);
+    fn extend_from_slice(&mut self, bytes: &[u8]);
+    fn len(&self) -> usize;
+
+    /// Writes `v` as unsigned LEB128.
+    fn uleb(&mut self, mut v: u64) {
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                self.push(byte);
+                return;
+            }
+            self.push(byte | 0x80);
         }
-        out.push(byte | 0x80);
     }
 }
 
-fn write_granule_delta(out: &mut Vec<u8>, prev: &mut i64, granule: usize) {
+impl ByteOut for Vec<u8> {
+    fn push(&mut self, byte: u8) {
+        Vec::push(self, byte);
+    }
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        Vec::extend_from_slice(self, bytes);
+    }
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+}
+
+/// Counts the bytes an encoding would write, and writes none.
+struct Tally(usize);
+
+impl ByteOut for Tally {
+    fn push(&mut self, _: u8) {
+        self.0 += 1;
+    }
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+    fn len(&self) -> usize {
+        self.0
+    }
+    fn uleb(&mut self, v: u64) {
+        // Seven payload bits a byte, and at least one byte.
+        self.0 += (64 - (v | 1).leading_zeros() as usize).div_ceil(7);
+    }
+}
+
+fn write_granule_delta(out: &mut impl ByteOut, prev: &mut i64, granule: usize) {
     let g = granule as i64;
     let delta = g.wrapping_sub(*prev);
     *prev = g;
     // Zigzag: small negative deltas stay one byte.
-    write_uleb(out, ((delta << 1) ^ (delta >> 63)) as u64);
+    out.uleb(((delta << 1) ^ (delta >> 63)) as u64);
 }
 
 fn read_uleb(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
@@ -158,19 +198,36 @@ fn read_granule_delta(bytes: &[u8], pos: &mut usize, prev: &mut i64) -> Result<u
 /// same event vector always produces the same bytes, so
 /// binary→text→binary round trips are byte-identical (`cmp`-clean),
 /// not merely event-identical.
+///
+/// The buffer is sized exactly before it is written — one counting
+/// pass of the same encoder — so it never grows: no reallocation ever
+/// copies the encoded bytes while both copies are alive.
 pub fn to_binary(events: &[CheckEvent]) -> Vec<u8> {
-    // ~2.5 bytes/event is the steady state for access-dominated
-    // traces; headroom avoids one realloc on the tail.
-    let mut out = Vec::with_capacity(HEADER_LEN + TRAILER_LEN + events.len() * 3 + 64);
+    let header = header(events);
+    let mut size = Tally(0);
+    encode(events, &header, &mut size);
+    let mut out = Vec::with_capacity(size.0);
+    encode(events, &header, &mut out);
+    debug_assert_eq!(out.len(), size.0);
+    out
+}
+
+/// The fixed header: the fields that take a pass over the events.
+fn header(events: &[CheckEvent]) -> [u8; HEADER_LEN] {
     let max_tid = max_trace_tid(events);
     let shards = ShadowGeometry::for_threads((max_tid as usize).max(1)).shards();
-    out.extend_from_slice(&BTRACE_MAGIC);
-    out.push(BTRACE_VERSION);
-    out.extend_from_slice(&[0u8; 3]);
-    out.extend_from_slice(&max_tid.to_le_bytes());
-    out.extend_from_slice(&(shards as u32).to_le_bytes());
-    out.extend_from_slice(&(events.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(trace_granule_span(events) as u64).to_le_bytes());
+    let mut header = [0u8; HEADER_LEN];
+    header[..4].copy_from_slice(&BTRACE_MAGIC);
+    header[4] = BTRACE_VERSION;
+    header[8..12].copy_from_slice(&max_tid.to_le_bytes());
+    header[12..16].copy_from_slice(&(shards as u32).to_le_bytes());
+    header[16..24].copy_from_slice(&(events.len() as u64).to_le_bytes());
+    header[24..32].copy_from_slice(&(trace_granule_span(events) as u64).to_le_bytes());
+    header
+}
+
+fn encode(events: &[CheckEvent], header: &[u8; HEADER_LEN], out: &mut impl ByteOut) {
+    out.extend_from_slice(header);
 
     // (absolute offset, tid, event count) per block, for the footer.
     let mut index: Vec<(u64, u32, u64)> = Vec::new();
@@ -182,71 +239,71 @@ pub fn to_binary(events: &[CheckEvent]) -> Vec<u8> {
             end += 1;
         }
         index.push((out.len() as u64, tid, (end - i) as u64));
-        write_uleb(&mut out, u64::from(tid));
-        write_uleb(&mut out, (end - i) as u64);
+        out.uleb(u64::from(tid));
+        out.uleb((end - i) as u64);
         let mut prev: i64 = 0;
         for e in &events[i..end] {
             match *e {
                 CheckEvent::Read { granule, .. } => {
                     out.push(OP_READ);
-                    write_granule_delta(&mut out, &mut prev, granule);
+                    write_granule_delta(out, &mut prev, granule);
                 }
                 CheckEvent::Write { granule, .. } => {
                     out.push(OP_WRITE);
-                    write_granule_delta(&mut out, &mut prev, granule);
+                    write_granule_delta(out, &mut prev, granule);
                 }
                 CheckEvent::RangeRead { granule, len, .. } => {
                     out.push(OP_RANGE_READ);
-                    write_granule_delta(&mut out, &mut prev, granule);
-                    write_uleb(&mut out, len as u64);
+                    write_granule_delta(out, &mut prev, granule);
+                    out.uleb(len as u64);
                 }
                 CheckEvent::RangeWrite { granule, len, .. } => {
                     out.push(OP_RANGE_WRITE);
-                    write_granule_delta(&mut out, &mut prev, granule);
-                    write_uleb(&mut out, len as u64);
+                    write_granule_delta(out, &mut prev, granule);
+                    out.uleb(len as u64);
                 }
                 CheckEvent::LockedAccess { lock, .. } => {
                     out.push(OP_LOCKED);
-                    write_uleb(&mut out, lock as u64);
+                    out.uleb(lock as u64);
                 }
                 CheckEvent::SharingCast { granule, refs, .. } => {
                     out.push(OP_CAST);
-                    write_granule_delta(&mut out, &mut prev, granule);
-                    write_uleb(&mut out, refs);
+                    write_granule_delta(out, &mut prev, granule);
+                    out.uleb(refs);
                 }
                 CheckEvent::RangeCast {
                     granule, len, refs, ..
                 } => {
                     out.push(OP_RANGE_CAST);
-                    write_granule_delta(&mut out, &mut prev, granule);
-                    write_uleb(&mut out, len as u64);
-                    write_uleb(&mut out, refs);
+                    write_granule_delta(out, &mut prev, granule);
+                    out.uleb(len as u64);
+                    out.uleb(refs);
                 }
                 CheckEvent::RangeFree { granule, len } => {
                     out.push(OP_RANGE_FREE);
-                    write_granule_delta(&mut out, &mut prev, granule);
-                    write_uleb(&mut out, len as u64);
+                    write_granule_delta(out, &mut prev, granule);
+                    out.uleb(len as u64);
                 }
                 CheckEvent::Acquire { lock, .. } => {
                     out.push(OP_ACQUIRE);
-                    write_uleb(&mut out, lock as u64);
+                    out.uleb(lock as u64);
                 }
                 CheckEvent::Release { lock, .. } => {
                     out.push(OP_RELEASE);
-                    write_uleb(&mut out, lock as u64);
+                    out.uleb(lock as u64);
                 }
                 CheckEvent::Fork { child, .. } => {
                     out.push(OP_FORK);
-                    write_uleb(&mut out, u64::from(child));
+                    out.uleb(u64::from(child));
                 }
                 CheckEvent::Join { child, .. } => {
                     out.push(OP_JOIN);
-                    write_uleb(&mut out, u64::from(child));
+                    out.uleb(u64::from(child));
                 }
                 CheckEvent::ThreadExit { .. } => out.push(OP_EXIT),
                 CheckEvent::Alloc { granule } => {
                     out.push(OP_ALLOC);
-                    write_granule_delta(&mut out, &mut prev, granule);
+                    write_granule_delta(out, &mut prev, granule);
                 }
             }
         }
@@ -254,17 +311,16 @@ pub fn to_binary(events: &[CheckEvent]) -> Vec<u8> {
     }
 
     let footer_off = out.len() as u64;
-    write_uleb(&mut out, index.len() as u64);
+    out.uleb(index.len() as u64);
     let mut prev_off = 0u64;
     for &(off, tid, count) in &index {
-        write_uleb(&mut out, off - prev_off);
+        out.uleb(off - prev_off);
         prev_off = off;
-        write_uleb(&mut out, u64::from(tid));
-        write_uleb(&mut out, count);
+        out.uleb(u64::from(tid));
+        out.uleb(count);
     }
     out.extend_from_slice(&footer_off.to_le_bytes());
     out.extend_from_slice(&BTRACE_END_MAGIC);
-    out
 }
 
 /// One entry of the block index footer.
@@ -702,6 +758,52 @@ mod tests {
                         .expect("v4 parses"),
                 );
                 prop_assert_eq!(&via_binary, &text);
+            }
+        );
+    }
+
+    #[test]
+    fn encoding_a_spine_shaped_trace_never_grows_the_buffer() {
+        // The shape a native fleet records: 128 workers on private
+        // bands of 512 granules, in bursts of 16-63 events, with the
+        // write / read / range / lock / cast mix of a server. Such a
+        // trace encodes to just over 3 bytes an event.
+        use sharc_testkit::rng::{Rng, Xoshiro256pp};
+        let mut rng = Xoshiro256pp::seed_from_u64(0x5b7);
+        let mut events: Vec<CheckEvent> = (2..130)
+            .map(|child| CheckEvent::Fork { parent: 1, child })
+            .collect();
+        while events.len() < 200_000 {
+            let tid = rng.gen_range(2..130u32);
+            let band = (tid as usize - 2) * 512;
+            for _ in 0..rng.gen_range(16..64usize) {
+                let (granule, len) = (band + rng.gen_range(0..500usize), rng.gen_range(1..8usize));
+                events.push(match rng.gen_range(0..100u32) {
+                    0..=54 => CheckEvent::Write { tid, granule },
+                    55..=84 => CheckEvent::Read { tid, granule },
+                    85..=93 => CheckEvent::RangeWrite { tid, granule, len },
+                    94..=97 => CheckEvent::LockedAccess {
+                        tid,
+                        lock: tid as usize,
+                    },
+                    _ => CheckEvent::SharingCast {
+                        tid,
+                        granule,
+                        refs: 1,
+                    },
+                });
+            }
+        }
+        let bytes = to_binary(&events);
+        assert!(bytes.len() > 3 * events.len(), "{} bytes", bytes.len());
+        assert_eq!(bytes.capacity(), bytes.len(), "the buffer grew");
+        assert_eq!(parse_binary(&bytes).expect("parses"), events);
+        forall!(
+            "btrace_buffer_is_sized_exactly",
+            gen::vec_of(event_gen(), 0..96),
+            |events| {
+                let bytes = to_binary(events);
+                prop_assert_eq!(bytes.capacity(), bytes.len());
             }
         );
     }

@@ -37,6 +37,8 @@
 //!   deltas, a block index footer, and a zero-copy
 //!   [`BinaryTraceReader`] — the archive format that makes
 //!   10⁷–10⁸-event runs practical to keep and re-judge.
+//! * [`runlog`] — [`RunLog`]: a thread's exit-clearing log as merged
+//!   granule runs, bounded by its footprint; both engines keep one.
 //!
 //! Every verdict is one [`apply_event`] fold over one linearized log:
 //! offline through [`replay`], online through [`StreamingSink`].
@@ -58,6 +60,7 @@
 pub mod backend;
 pub mod btrace;
 pub mod geometry;
+pub mod runlog;
 pub mod sink;
 pub mod step;
 pub mod stream;
@@ -69,6 +72,7 @@ pub use backend::{
 };
 pub use btrace::{is_binary as is_binary_trace, parse_binary, to_binary, BinaryTraceReader};
 pub use geometry::{ShadowGeometry, THREADS_PER_SHARD};
+pub use runlog::RunLog;
 pub use sink::{recording_tid, EventLog, EventSink};
 pub use step::{Access, Transition};
 pub use stream::{StreamStats, StreamingSink};

@@ -1,8 +1,13 @@
 //! Bytecode for the MiniC virtual machine.
 //!
-//! A compact stack machine. Preemption happens between instructions,
-//! so races are exposed at memory-access granularity — the same
-//! granularity SharC's runtime checks operate at.
+//! A compact stack machine. Preemption happens only after a *schedule
+//! point* ([`Insn::is_schedule_point`]): an access to memory whose
+//! inferred sharing mode is not `private`, or an operation another
+//! thread can observe (locks, conditions, spawn, join, exit, casts,
+//! allocation, output, `random()`). Private steps commute with every
+//! other thread's (the §3.4 theorem), so running them back to back
+//! hides no interleaving of the shared ones, and races are still
+//! exposed at memory-access granularity.
 
 use minic::span::Span;
 use std::fmt;
@@ -104,12 +109,21 @@ pub enum Insn {
     ConstOffset(u32),
 
     // --- memory ---
+    // `shared` is false exactly when the compiler inferred the
+    // accessed storage `private`: no other thread can reach it.
     /// addr -> value.
-    Load,
+    Load {
+        shared: bool,
+    },
     /// addr, value -> (writes one cell).
-    Store,
-    /// dst, src -> (copies `n` cells; struct assignment).
-    CopyN(u32),
+    Store {
+        shared: bool,
+    },
+    /// dst, src -> (copies `cells` cells; struct assignment).
+    CopyN {
+        cells: u32,
+        shared: bool,
+    },
 
     // --- arithmetic ---
     Binop(minic::ast::BinOp),
@@ -188,6 +202,64 @@ pub enum Insn {
     OneRef {
         site: u32,
     },
+}
+
+impl Insn {
+    /// True if another thread could observe this step, so the
+    /// scheduler is consulted after it: a load, store or copy of
+    /// non-`private` memory; a lock, condition, spawn, join or yield
+    /// operation; a `oneref` cast; an allocation or `free`; output;
+    /// `random()`. Check instructions never are, so a build with its
+    /// checks stripped runs on the same schedule as the checked one.
+    /// (A thread's exit, and any step that blocks or kills its thread,
+    /// is a schedule point too; the VM sees those at run time.)
+    pub fn is_schedule_point(&self) -> bool {
+        match self {
+            Insn::Load { shared } | Insn::Store { shared } | Insn::CopyN { shared, .. } => *shared,
+            Insn::Spawn
+            | Insn::Join
+            | Insn::JoinAll
+            | Insn::MutexLock
+            | Insn::MutexUnlock
+            | Insn::CondWait
+            | Insn::CondSignal
+            | Insn::CondBroadcast
+            | Insn::YieldNow
+            | Insn::OneRef { .. }
+            | Insn::New(_)
+            | Insn::NewArray(_)
+            | Insn::Free
+            | Insn::Print
+            | Insn::PrintStr
+            | Insn::PrintStrChecked { .. }
+            | Insn::Random => true,
+            Insn::PushInt(_)
+            | Insn::PushNull
+            | Insn::PushFn(_)
+            | Insn::Dup
+            | Insn::Pop
+            | Insn::Swap
+            | Insn::LocalAddr(_)
+            | Insn::GlobalAddr(_)
+            | Insn::StrAddr(_)
+            | Insn::IndexAddr(_)
+            | Insn::ConstOffset(_)
+            | Insn::Binop(_)
+            | Insn::Neg
+            | Insn::Not
+            | Insn::BitNot
+            | Insn::Jump(_)
+            | Insn::JumpIfZero(_)
+            | Insn::JumpIfNonZero(_)
+            | Insn::Call(..)
+            | Insn::CallIndirect(_)
+            | Insn::Ret(_)
+            | Insn::Assert
+            | Insn::ChkRead { .. }
+            | Insn::ChkWrite { .. }
+            | Insn::ChkLockHeld { .. } => false,
+        }
+    }
 }
 
 /// A compiled function.

@@ -5,9 +5,16 @@
 //! occurrence, the corresponding `ChkRead`/`ChkWrite`/`ChkLockHeld`/
 //! `OneRef` instruction is emitted immediately before the access —
 //! the `when .1(t1),...` guards of the paper's formal model.
+//!
+//! It also marks the schedule points ([`Insn::is_schedule_point`]):
+//! every load, store and copy carries whether its storage's inferred
+//! sharing mode is something other than `private`. The mark comes from
+//! the solved type alone, never from the check table, so an access
+//! whose check was elided is still a schedule point, and a build with
+//! every check stripped runs on the checked build's schedule.
 
 use crate::bytecode::*;
-use minic::ast::{self, BinOp, Block, Expr, ExprKind, Stmt, StmtKind, Type, TypeKind, UnOp};
+use minic::ast::{self, BinOp, Block, Expr, ExprKind, Qual, Stmt, StmtKind, Type, TypeKind, UnOp};
 use minic::diag::Diagnostic;
 use minic::env::StructTable;
 use minic::span::Span;
@@ -169,7 +176,8 @@ struct FnCompiler<'a> {
     strings: &'a mut Vec<Vec<u8>>,
     sites: &'a mut Vec<CheckSite>,
     site_map: &'a mut HashMap<ast::NodeId, u32>,
-    /// Disabled while compiling synthesized lock expressions.
+    /// Disabled while compiling synthesized lock expressions: they
+    /// emit no checks and no schedule points.
     checks_enabled: bool,
     /// Elision facts to consult, or `None` for the full-checks build.
     elision: Option<&'a sharc_core::ElisionFacts>,
@@ -266,6 +274,19 @@ impl<'a> FnCompiler<'a> {
         self.structs.size_of(ty) as u32
     }
 
+    /// True if an access to storage of type `ty` is a schedule point:
+    /// another thread may reach it, because its inferred mode is not
+    /// `private`. A lock expression's loads only evaluate a check's
+    /// operand, so they never are.
+    fn shared(&self, ty: &Type) -> bool {
+        self.checks_enabled && !matches!(ty.qual, Qual::Private)
+    }
+
+    /// [`Self::shared`] for the storage l-value `e` names.
+    fn shared_lvalue(&self, e: &Expr) -> CResult<bool> {
+        Ok(self.shared(&self.ty_of(e)?))
+    }
+
     fn site_for(&mut self, id: ast::NodeId) -> u32 {
         if let Some(&s) = self.site_map.get(&id) {
             return s;
@@ -358,14 +379,18 @@ impl<'a> FnCompiler<'a> {
                 let size = self.size_of(ty);
                 let slot = self.declare_slot(name, ty.clone(), size);
                 if let Some(e) = init {
+                    let shared = self.shared(ty);
+                    self.code.push(Insn::LocalAddr(slot));
                     if size == 1 {
-                        self.code.push(Insn::LocalAddr(slot));
                         self.rvalue(e)?;
-                        self.code.push(Insn::Store);
+                        self.code.push(Insn::Store { shared });
                     } else {
-                        self.code.push(Insn::LocalAddr(slot));
                         self.addr(e)?;
-                        self.code.push(Insn::CopyN(size));
+                        let shared = shared || self.shared_lvalue(e)?;
+                        self.code.push(Insn::CopyN {
+                            cells: size,
+                            shared,
+                        });
                     }
                 }
                 Ok(())
@@ -373,17 +398,22 @@ impl<'a> FnCompiler<'a> {
             StmtKind::Assign { lhs, rhs } => {
                 let lt = self.ty_of(lhs)?;
                 let size = self.size_of(&lt);
+                let shared = self.shared(&lt);
                 if size == 1 {
                     self.addr(lhs)?;
                     self.emit_check(lhs.id, 1, true)?;
                     self.rvalue(rhs)?;
-                    self.code.push(Insn::Store);
+                    self.code.push(Insn::Store { shared });
                 } else {
                     self.addr(lhs)?;
                     self.emit_check(lhs.id, size, true)?;
                     self.addr(rhs)?;
                     self.emit_check(rhs.id, size, false)?;
-                    self.code.push(Insn::CopyN(size));
+                    let shared = shared || self.shared_lvalue(rhs)?;
+                    self.code.push(Insn::CopyN {
+                        cells: size,
+                        shared,
+                    });
                 }
                 Ok(())
             }
@@ -580,7 +610,8 @@ impl<'a> FnCompiler<'a> {
                 }
                 self.addr(e)?;
                 self.emit_check(e.id, 1, false)?;
-                self.code.push(Insn::Load);
+                let shared = self.shared_lvalue(e)?;
+                self.code.push(Insn::Load { shared });
                 Ok(())
             }
             ExprKind::Unary(UnOp::Deref, _) | ExprKind::Index(..) | ExprKind::Field(..) => {
@@ -589,7 +620,8 @@ impl<'a> FnCompiler<'a> {
                 self.addr(e)?;
                 if size == 1 {
                     self.emit_check(e.id, 1, false)?;
-                    self.code.push(Insn::Load);
+                    let shared = self.shared(&ty);
+                    self.code.push(Insn::Load { shared });
                 } else {
                     // A struct-typed r-value is represented by its
                     // address (consumed by CopyN in assignments).
@@ -725,14 +757,15 @@ impl<'a> FnCompiler<'a> {
     fn scast(&mut self, e: &Expr, src: &Expr) -> CResult<()> {
         // addr; dup; [chkread]; load; swap; [chkwrite]; null; store;
         // oneref  — nulls the source and checks single ownership.
+        let shared = self.shared_lvalue(src)?;
         self.addr(src)?;
         self.code.push(Insn::Dup);
         self.emit_check(src.id, 1, false)?;
-        self.code.push(Insn::Load);
+        self.code.push(Insn::Load { shared });
         self.code.push(Insn::Swap);
         self.emit_check(src.id, 1, true)?;
         self.code.push(Insn::PushNull);
-        self.code.push(Insn::Store);
+        self.code.push(Insn::Store { shared });
         let site = if self.checked.instr.checks.contains_key(&src.id) {
             self.site_for(src.id)
         } else {

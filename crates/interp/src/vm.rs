@@ -1,8 +1,11 @@
 //! The MiniC virtual machine with SharC's runtime checking.
 //!
-//! Executes [`Module`] bytecode with multiple simulated threads,
-//! preemptible between instructions under a seeded scheduler, so race
-//! exposure is reproducible. The paper's runtime (§4.2) is not
+//! Executes [`Module`] bytecode with multiple simulated threads under
+//! a seeded scheduler, so race exposure is reproducible. The scheduler
+//! is consulted only after a schedule point
+//! ([`Insn::is_schedule_point`]) or a step that leaves the running
+//! thread unable to run; every other step is private to the running
+//! thread, which keeps the CPU. The paper's runtime (§4.2) is not
 //! implemented here: every dynamic check is a call on one
 //! [`BitmapBackend`], the engine `sharc replay` and the streaming
 //! collector judge with.
@@ -30,9 +33,10 @@ use std::sync::Arc;
 /// Scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedPolicy {
-    /// Uniformly random runnable thread each step (seeded).
+    /// Uniformly random runnable thread at each pick (seeded).
     Random,
-    /// Round-robin with the given quantum in instructions.
+    /// Round-robin: a thread keeps the CPU for the given number of
+    /// further schedule points before the next runnable thread runs.
     RoundRobin(u32),
 }
 
@@ -90,6 +94,10 @@ pub enum ExitStatus {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VmStats {
     pub steps: u64,
+    /// Times the scheduler was consulted: once at the start, then
+    /// after every schedule point and every step that blocked, ended
+    /// or killed the running thread.
+    pub picks: u64,
     /// Memory cells read or written.
     pub total_accesses: u64,
     /// Cells covered by dynamic-mode checks (the paper's "% dynamic
@@ -103,6 +111,10 @@ pub struct VmStats {
     pub shadow_granules: u64,
     pub threads_spawned: u64,
     pub max_live_threads: usize,
+    /// Thread records held at the end: one slot per thread id ever
+    /// handed out. Ids are recycled, so this never exceeds
+    /// `max_live_threads`, however many threads were spawned.
+    pub thread_slots: usize,
     /// Always 0: the VM has no owned cache; `benchmark/` still reads it.
     pub cache_hits: u64,
     /// Always 0: the VM has no owned-run cache; `benchmark/` still reads it.
@@ -184,7 +196,6 @@ struct Frame {
 
 #[derive(Debug)]
 struct Thread {
-    id: u32,
     frames: Vec<Frame>,
     status: Status,
 }
@@ -233,23 +244,22 @@ struct Vm<'m> {
     backend: BitmapBackend,
     /// Reporting metadata per granule, grown as granules are checked.
     granules: Vec<Granule>,
-    /// One record per thread ever spawned, in spawn order. Records are
-    /// never re-keyed by tid and never compacted: a seeded schedule is
-    /// a sequence of picks by position in this order. `Random` draws
-    /// one `k` in `0..runnable.len()` and runs the k-th runnable record
-    /// in index order; `RoundRobin` runs the first runnable index after
-    /// `current`, else the first runnable index.
+    /// The thread records, a slot map keyed by tid: slot `i` holds the
+    /// thread running as tid `i + 1`, or its exited predecessor until
+    /// the id is handed out again. Exited ids are recycled through
+    /// `free_tids` before a new one is minted, so there are never more
+    /// slots than the peak number of live threads. A seeded schedule
+    /// is a sequence of picks by tid: `Random` draws one `k` in
+    /// `0..runnable.len()` and runs the k-th runnable tid in ascending
+    /// order; `RoundRobin` runs the first runnable slot after
+    /// `current`, else the first runnable slot.
     threads: Vec<Thread>,
-    /// That order kept up to date: the indices of every `Runnable`
-    /// record, ascending, so a pick reads one slot and no record. Only
-    /// [`Vm::set_status`] writes it, together with `live` and
-    /// `live_by_tid`.
+    /// That order kept up to date: the slots of every `Runnable`
+    /// record, ascending, so a pick reads one entry and no record.
+    /// Only [`Vm::set_status`] writes it, together with `live`.
     runnable: Vec<usize>,
     /// Records not yet `Done` or `Failed`.
     live: usize,
-    /// tid → index of the live record running as it. Ids are recycled
-    /// through `free_tids` while dead records stay in `threads`.
-    live_by_tid: Vec<Option<usize>>,
     free_tids: Vec<u32>,
     next_tid: u32,
     mutexes: HashMap<Addr, MutexState>,
@@ -303,7 +313,6 @@ impl<'m> Vm<'m> {
             threads: Vec::new(),
             runnable: Vec::new(),
             live: 0,
-            live_by_tid: Vec::new(),
             free_tids: Vec::new(),
             next_tid: 1,
             mutexes: HashMap::new(),
@@ -568,11 +577,10 @@ impl<'m> Vm<'m> {
         Some(tid)
     }
 
-    /// Appends a runnable record for `tid`, entering `fn_idx` with its
-    /// frame at `base`.
+    /// Puts a runnable record for `tid` in its slot, entering `fn_idx`
+    /// with its frame at `base`.
     fn add_thread(&mut self, tid: u32, fn_idx: u32, base: u32) {
-        self.threads.push(Thread {
-            id: tid,
+        let record = Thread {
             frames: vec![Frame {
                 fn_idx,
                 pc: 0,
@@ -581,16 +589,21 @@ impl<'m> Vm<'m> {
             }],
             // Not live until `set_status` has booked it.
             status: Status::Done,
-        });
-        self.set_status(self.threads.len() - 1, Status::Runnable);
+        };
+        let slot = slot_of(tid);
+        if slot == self.threads.len() {
+            self.threads.push(record);
+        } else {
+            self.threads[slot] = record;
+        }
+        self.stats.thread_slots = self.threads.len();
+        self.set_status(slot, Status::Runnable);
     }
 
-    /// The one place a thread's status changes: keeps `runnable`,
-    /// `live` and `live_by_tid` in step with the records.
+    /// The one place a thread's status changes: keeps `runnable` and
+    /// `live` in step with the records.
     fn set_status(&mut self, idx: usize, status: Status) {
-        let th = &mut self.threads[idx];
-        let old = std::mem::replace(&mut th.status, status);
-        let tid = th.id as usize;
+        let old = std::mem::replace(&mut self.threads[idx].status, status);
         match (
             self.runnable.binary_search(&idx),
             status == Status::Runnable,
@@ -602,28 +615,21 @@ impl<'m> Vm<'m> {
             _ => {}
         }
         match (old.is_live(), status.is_live()) {
-            (false, true) => {
-                self.live += 1;
-                if tid >= self.live_by_tid.len() {
-                    self.live_by_tid.resize(tid + 1, None);
-                }
-                self.live_by_tid[tid] = Some(idx);
-            }
-            (true, false) => {
-                self.live -= 1;
-                self.live_by_tid[tid] = None;
-            }
+            (false, true) => self.live += 1,
+            (true, false) => self.live -= 1,
             _ => {}
         }
     }
 
     fn thread_exit(&mut self, idx: usize, failed: bool) {
-        let tid = self.threads[idx].id;
+        let tid = tid_of(idx);
         // Clear this thread's shadow bits: non-overlapping thread
         // lifetimes do not constitute races.
         self.backend.on_thread_exit(tid);
         self.emit(|_| CheckEvent::ThreadExit { tid });
         self.set_status(idx, if failed { Status::Failed } else { Status::Done });
+        // The record's frames die with it; the slot waits for the id.
+        self.threads[idx].frames = Vec::new();
         self.free_tids.push(tid);
         // Wake joiners.
         for i in 0..self.threads.len() {
@@ -658,58 +664,34 @@ impl<'m> Vm<'m> {
         self.add_thread(main_tid, self.module.entry, main_base);
         self.stats.max_live_threads = 1;
 
-        let status = loop {
-            if self.stats.steps >= self.config.max_steps {
-                break ExitStatus::StepLimit;
-            }
-            // Pick a runnable thread.
+        let status = 'run: loop {
             if self.runnable.is_empty() {
-                let stuck: Vec<String> = self
-                    .threads
-                    .iter()
-                    .filter_map(|t| match t.status {
-                        Status::Blocked(a) => {
-                            Some(format!("thread {} blocked acquiring mutex {a}", t.id))
-                        }
-                        Status::Waiting(c, _) => {
-                            Some(format!("thread {} waiting on condition {c}", t.id))
-                        }
-                        Status::Joining(j) => Some(format!("thread {} joining thread {j}", t.id)),
-                        Status::JoiningAll => Some(format!("thread {} in join_all", t.id)),
-                        _ => None,
-                    })
-                    .collect();
-                break if stuck.is_empty() {
-                    ExitStatus::Completed
-                } else {
-                    self.blocked = stuck;
-                    ExitStatus::Deadlock
-                };
+                break self.finish();
             }
-            let runnable = &self.runnable;
-            self.current = match self.config.policy {
-                SchedPolicy::Random => runnable[self.rng.gen_range(0..runnable.len())],
-                SchedPolicy::RoundRobin(q) => {
-                    if self.quantum_left == 0 || runnable.binary_search(&self.current).is_err() {
-                        self.quantum_left = q;
-                        let after = runnable.partition_point(|&i| i <= self.current);
-                        *runnable.get(after).unwrap_or(&runnable[0])
-                    } else {
-                        self.quantum_left -= 1;
-                        self.current
+            self.pick();
+            // The picked thread keeps the CPU until its next schedule
+            // point, or until it can no longer run.
+            loop {
+                if self.stats.steps >= self.config.max_steps {
+                    break 'run ExitStatus::StepLimit;
+                }
+                self.stats.steps += 1;
+                let point = match self.step() {
+                    Ok(point) => point,
+                    Err(fatal) => {
+                        self.thread_exit(self.current, true);
+                        if self.config.stop_on_error {
+                            break 'run ExitStatus::Failed(fatal);
+                        }
+                        true
                     }
+                };
+                if self.config.stop_on_error && !self.reporter.is_empty() {
+                    break 'run ExitStatus::Failed("sharing-strategy violation".into());
                 }
-            };
-            self.stats.steps += 1;
-            if let Err(fatal) = self.step() {
-                let idx = self.current;
-                self.thread_exit(idx, true);
-                if self.config.stop_on_error {
-                    break ExitStatus::Failed(fatal);
+                if point || self.threads[self.current].status != Status::Runnable {
+                    break;
                 }
-            }
-            if self.config.stop_on_error && !self.reporter.is_empty() {
-                break ExitStatus::Failed("sharing-strategy violation".into());
             }
         };
 
@@ -719,6 +701,52 @@ impl<'m> Vm<'m> {
             output: self.output,
             stats: self.stats,
             blocked: self.blocked,
+        }
+    }
+
+    /// Consults the scheduler: sets `current` to the thread that runs
+    /// next. There is at least one runnable thread.
+    fn pick(&mut self) {
+        self.stats.picks += 1;
+        let runnable = &self.runnable;
+        self.current = match self.config.policy {
+            SchedPolicy::Random => runnable[self.rng.gen_range(0..runnable.len())],
+            SchedPolicy::RoundRobin(q) => {
+                if self.quantum_left == 0 || runnable.binary_search(&self.current).is_err() {
+                    self.quantum_left = q;
+                    let after = runnable.partition_point(|&i| i <= self.current);
+                    *runnable.get(after).unwrap_or(&runnable[0])
+                } else {
+                    self.quantum_left -= 1;
+                    self.current
+                }
+            }
+        };
+    }
+
+    /// No thread can run: the program completed, or whatever is left
+    /// is stuck and the run deadlocked.
+    fn finish(&mut self) -> ExitStatus {
+        let stuck: Vec<String> = self
+            .threads
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| {
+                let tid = tid_of(i);
+                match t.status {
+                    Status::Blocked(a) => Some(format!("thread {tid} blocked acquiring mutex {a}")),
+                    Status::Waiting(c, _) => Some(format!("thread {tid} waiting on condition {c}")),
+                    Status::Joining(j) => Some(format!("thread {tid} joining thread {j}")),
+                    Status::JoiningAll => Some(format!("thread {tid} in join_all")),
+                    _ => None,
+                }
+            })
+            .collect();
+        if stuck.is_empty() {
+            ExitStatus::Completed
+        } else {
+            self.blocked = stuck;
+            ExitStatus::Deadlock
         }
     }
 
@@ -772,14 +800,14 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// Executes one instruction of the current thread. `Err` kills the
-    /// thread with the message.
-    fn step(&mut self) -> Result<(), String> {
+    /// Executes one instruction of the current thread and says whether
+    /// it was a schedule point. `Err` kills the thread with the message.
+    fn step(&mut self) -> Result<bool, String> {
         let fidx = self.frame().fn_idx;
         let pc = self.frame().pc;
         let insn = self.module.fns[fidx as usize].code[pc as usize].clone();
         self.frame().pc += 1;
-        let tid = self.threads[self.current].id;
+        let tid = tid_of(self.current);
         match insn {
             Insn::PushInt(v) => self.push(Value::Int(v)),
             Insn::PushNull => self.push(Value::Ptr(Addr::NULL)),
@@ -835,7 +863,7 @@ impl<'m> Vm<'m> {
                     other => self.push(Value::Int(other.as_int() + off as i64)),
                 }
             }
-            Insn::Load => {
+            Insn::Load { .. } => {
                 let a = self.pop_addr("load")?;
                 if a.0 as usize >= self.mem.len() {
                     return Err("load out of bounds".into());
@@ -848,7 +876,7 @@ impl<'m> Vm<'m> {
                 let v = self.mem[a.0 as usize];
                 self.push(v);
             }
-            Insn::Store => {
+            Insn::Store { .. } => {
                 let v = self.pop();
                 let a = self.pop_addr("store")?;
                 if a.0 as usize >= self.mem.len() {
@@ -861,7 +889,7 @@ impl<'m> Vm<'m> {
                 });
                 self.write_cell(a.0, v);
             }
-            Insn::CopyN(n) => {
+            Insn::CopyN { cells: n, .. } => {
                 let src = self.pop_addr("struct copy source")?;
                 let dst = self.pop_addr("struct copy destination")?;
                 if (src.0 + n) as usize > self.mem.len() || (dst.0 + n) as usize > self.mem.len() {
@@ -1197,7 +1225,7 @@ impl<'m> Vm<'m> {
                 }
             }
         }
-        Ok(())
+        Ok(insn.is_schedule_point())
     }
 
     fn do_call(&mut self, f: u32, nargs: u8) -> Result<(), String> {
@@ -1220,9 +1248,12 @@ impl<'m> Vm<'m> {
         Ok(())
     }
 
-    /// The live thread running as `tid`, never an exited namesake.
+    /// The slot of the live thread running as `tid`, never of an
+    /// exited namesake.
     fn live_thread(&self, tid: u32) -> Option<usize> {
-        self.live_by_tid.get(tid as usize).copied().flatten()
+        let slot = (tid as usize).checked_sub(1)?;
+        let th = self.threads.get(slot)?;
+        th.status.is_live().then_some(slot)
     }
 
     /// `tid` now owns mutex `a`: tell the held-lock log and the trace.
@@ -1272,6 +1303,16 @@ impl<'m> Vm<'m> {
             }
         }
     }
+}
+
+/// The slot-map index of thread `tid`: ids start at 1.
+fn slot_of(tid: u32) -> usize {
+    tid as usize - 1
+}
+
+/// The thread id whose record lives in `slot`.
+fn tid_of(slot: usize) -> u32 {
+    slot as u32 + 1
 }
 
 fn eval_binop(op: BinOp, a: Value, b: Value) -> Result<Value, String> {

@@ -8,7 +8,7 @@
 
 use crate::events::EventSink;
 use crate::shadow::ThreadId;
-use sharc_checker::CheckEvent;
+use sharc_checker::{CheckEvent, RunLog};
 use sharc_testkit::sync::RawMutex;
 use std::sync::Arc;
 
@@ -34,88 +34,6 @@ impl std::fmt::Display for LockNotHeld {
 }
 
 impl std::error::Error for LockNotHeld {}
-
-/// Log length below which a cold push never compacts.
-const MIN_COMPACT: usize = 64;
-
-/// The granules where a thread set a shadow bit, for exit-time
-/// clearing, kept as `(start, end)` granule runs rather than one entry
-/// per install: a sequential sweep is one run however long it gets,
-/// and a thread that re-installs the same block after every cast logs
-/// nothing new. The runs are compacted (sorted and merged) whenever
-/// their number doubles, so the log is bounded by the thread's
-/// footprint, not by its install count.
-#[derive(Debug, Default)]
-pub(crate) struct RunLog {
-    runs: Vec<(usize, usize)>,
-    /// The length at which the next cold push compacts first.
-    compact_at: usize,
-}
-
-impl RunLog {
-    /// Records that `granule` holds one of this thread's bits.
-    #[inline]
-    pub(crate) fn note(&mut self, granule: usize) {
-        if let Some(last) = self.runs.last_mut() {
-            if granule == last.1 {
-                last.1 += 1;
-                return;
-            }
-            if (last.0..last.1).contains(&granule) {
-                return;
-            }
-        }
-        self.push_run(granule);
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn push_run(&mut self, granule: usize) {
-        if self.runs.len() >= self.compact_at.max(MIN_COMPACT) {
-            self.compact();
-            self.compact_at = 2 * self.runs.len();
-        }
-        self.runs.push((granule, granule + 1));
-    }
-
-    /// Sorts the runs and merges every overlapping or adjacent pair.
-    fn compact(&mut self) {
-        self.runs.sort_unstable();
-        let mut kept = 0;
-        for i in 1..self.runs.len() {
-            let (start, end) = self.runs[i];
-            if start <= self.runs[kept].1 {
-                self.runs[kept].1 = self.runs[kept].1.max(end);
-            } else {
-                kept += 1;
-                self.runs[kept] = (start, end);
-            }
-        }
-        self.runs.truncate(kept + 1);
-    }
-
-    /// Empties the log, yielding its granules as disjoint maximal
-    /// runs in ascending order.
-    pub(crate) fn drain_merged(&mut self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.compact();
-        self.compact_at = 0;
-        self.runs.drain(..)
-    }
-
-    /// Number of runs currently held.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Every logged granule once, ascending.
-    #[cfg(test)]
-    pub(crate) fn granules(&self) -> Vec<usize> {
-        let set: std::collections::BTreeSet<usize> =
-            self.runs.iter().flat_map(|&(s, e)| s..e).collect();
-        set.into_iter().collect()
-    }
-}
 
 /// Per-thread runtime context: the checked thread id, the held-lock
 /// log, the shadow-granule access log (cleared at exit), and counters
@@ -351,46 +269,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-
-    #[test]
-    fn run_log_extends_absorbs_and_merges() {
-        let mut log = RunLog::default();
-        for g in [5, 6, 7, 6, 5, 8] {
-            log.note(g);
-        }
-        assert_eq!(log.len(), 1, "a sweep and its re-installs are one run");
-        // Backwards, every install is a new run until the log merges.
-        for g in (0..5).rev() {
-            log.note(g);
-        }
-        assert_eq!(log.len(), 6);
-        assert_eq!(log.drain_merged().collect::<Vec<_>>(), vec![(0, 9)]);
-        assert_eq!(log.len(), 0);
-    }
-
-    #[test]
-    fn run_log_is_bounded_by_the_footprint_not_the_install_count() {
-        // Two interleaved streams defeat the extend-in-place path:
-        // every install is a cold push. Compaction folds them back to
-        // the two runs they are, so the log never outgrows its floor.
-        let mut log = RunLog::default();
-        for i in 0..100_000 {
-            log.note(i);
-            log.note(1_000_000 + i);
-            assert!(log.len() <= MIN_COMPACT + 1, "{} runs", log.len());
-        }
-        let runs: Vec<_> = log.drain_merged().collect();
-        assert_eq!(runs, vec![(0, 100_000), (1_000_000, 1_100_000)]);
-        // A footprint of isolated granules is its own size; the log
-        // holds at most twice that between compactions.
-        for round in 0..10 {
-            for g in (0..1000).step_by(2) {
-                log.note(g);
-                assert!(log.len() <= 2 * 500, "round {round}: {} runs", log.len());
-            }
-        }
-        assert_eq!(log.drain_merged().count(), 500);
-    }
 
     #[test]
     fn lock_log_tracks_held() {
