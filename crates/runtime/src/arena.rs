@@ -133,7 +133,15 @@ impl<P: WordProtocol> Arena<P> {
     /// [`crate::Shadow::check_range`]), but conflicts are counted
     /// **per granule**, not per word: a per-word loop re-reports a
     /// conflicting granule for every word that touches it.
+    ///
+    /// The run is bound-checked before anything is recorded: a run
+    /// past the last word must not leave a range event, counts or
+    /// shadow bits behind when it panics.
     fn check_words(&self, ctx: &mut ThreadCtx, start: usize, words: usize, access: Access) {
+        assert!(
+            words <= self.data.len() && start <= self.data.len() - words,
+            "word run out of range"
+        );
         ctx.checked_accesses += words as u64;
         let (g0, glen) = granule_span(start, words);
         ctx.emit_range(g0, glen, access.is_write());
@@ -161,6 +169,11 @@ impl<P: WordProtocol> Arena<P> {
     /// A dynamic-mode **ranged** read: ONE `chkread` over the whole
     /// granule span of `start .. start + words`, then the loads —
     /// `each(i, value)` fires once per word.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before recording anything, if the run reaches past the
+    /// last word.
     pub fn read_range_checked(
         &self,
         ctx: &mut ThreadCtx,
@@ -179,6 +192,11 @@ impl<P: WordProtocol> Arena<P> {
 
     /// A dynamic-mode **ranged** write: one `chkwrite` over the
     /// granule span, then the stores — word `i` receives `value(i)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before recording anything, if the run reaches past the
+    /// last word.
     pub fn write_range_checked(
         &self,
         ctx: &mut ThreadCtx,
@@ -455,6 +473,23 @@ mod tests {
         assert!(log.is_empty(), "{:?}", log.snapshot());
         assert_eq!((0..4).map(|g| a.shadow.raw(g)).collect::<Vec<_>>(), before);
         assert!(before.iter().all(|&w| w != 0));
+    }
+
+    #[test]
+    fn a_sweep_past_the_last_word_panics_before_it_records() {
+        // 20 words, 10 granules: the second shadow word's lanes 2..8
+        // are padding, and words 16..24 would reach two of them.
+        let a: Arena = Arena::new(20);
+        let log = Arc::new(EventLog::new());
+        let mut ctx = ThreadCtx::with_sink(ThreadId(1), log.clone());
+        let sweep = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            a.write_range_checked(&mut ctx, 16, 8, |_| 1);
+        }));
+        let msg = sweep.expect_err("the sweep must panic");
+        assert_eq!(msg.downcast_ref::<&str>(), Some(&"word run out of range"));
+        assert!(log.is_empty(), "{:?}", log.snapshot());
+        assert_eq!((ctx.checked_accesses, ctx.access_log.len()), (0, 0));
+        assert!((0..a.shadow.len()).all(|g| a.shadow.raw(g) == 0));
     }
 
     #[test]

@@ -15,16 +15,18 @@
 //! * [`OneWord`] — the paper's n-byte word per 16-byte granule,
 //!   packed `8 / n` to an `AtomicU64`: one load and one compare when
 //!   the access is already recorded, a lane-splicing CAS loop when it
-//!   is not ([`Arena::new`]; 1 byte per granule, 7 threads, by
+//!   is not, one load and at most one CAS per packed word for a ranged
+//!   sweep ([`Arena::new`]; 1 byte per granule, 7 threads, by
 //!   default);
 //! * [`MultiWord`] — several 8-byte words per granule laid out by a
 //!   `ShadowGeometry`, snapshot → step → CAS → revalidate
 //!   ([`Arena::for_threads`]): exact identities past 63 threads, which
 //!   a single word cannot encode.
 //!
-//! The trait hides the per-granule check, the "already recorded"
-//! predicate, the clears and the shadow footprint; the ranged sweeps,
-//! arena, policies, contexts, run logs and locks above it exist once.
+//! The trait hides the per-granule check, the ranged sweep, the
+//! "already recorded" predicate, the clears and the shadow footprint;
+//! the arena, policies, contexts, run logs and locks above it exist
+//! once.
 //! The shadow words are the only ownership table: there is no
 //! per-thread cache of them to keep coherent, and "is this access
 //! already mine?" is one load of the thread's own word.

@@ -11,22 +11,26 @@
 //!   granule, exact for `8n − 1` threads, **lane-packed** `8 / n` to an
 //!   `AtomicU64`. A check is one load and one compare when the access
 //!   is already recorded, else a lane-splicing CAS loop around
-//!   `bitmap::step`; ranged clears handle one whole `AtomicU64` per
-//!   atomic operation. `n = 1` is the default and the paper's
-//!   evaluation configuration.
+//!   `bitmap::step`. A ranged sweep loads each covered `AtomicU64`
+//!   once, steps every covered lane on that snapshot and installs them
+//!   all with one CAS; ranged clears likewise handle one whole
+//!   `AtomicU64` per atomic operation. `n = 1` is the default and the
+//!   paper's evaluation configuration.
 //! * [`MultiWord`](crate::sharded::MultiWord): several 8-byte words
 //!   per granule laid out by a `ShadowGeometry`, with a snapshot →
 //!   step → CAS → revalidate loop — exact identities past 63 threads.
 //!
 //! What the trait hides is exactly what differs between them: the
-//! per-granule check, the "already recorded" fast predicate, the
-//! clears and the shadow footprint. Everything above — the ranged
-//! sweeps and the ranged clears — is one monomorphised
-//! implementation. The shadow words are the one ownership table: no
-//! per-thread cache keeps a second copy of them, so nothing has to be
-//! invalidated when a clear changes them, and a thread asks the words
-//! themselves whether an access is already its own
-//! ([`WordProtocol::recorded`]).
+//! per-granule check, the ranged sweep, the "already recorded" fast
+//! predicate, the clears and the shadow footprint. [`Shadow`] is a
+//! thin front over them, and everything above it — arena, policies,
+//! contexts — is one monomorphised implementation. Every ranged call
+//! checks its run against the granule count once, so no run can reach
+//! the padding lanes of the last packed word. The shadow words are the
+//! one ownership table: no per-thread cache keeps a second copy of
+//! them, so nothing has to be invalidated when a clear changes them,
+//! and a thread asks the words themselves whether an access is already
+//! its own ([`WordProtocol::recorded`]).
 
 use sharc_checker::step::{bitmap, range, Access, Transition};
 use sharc_checker::OwnedCache;
@@ -66,9 +70,9 @@ impl std::fmt::Display for RaceError {
 impl std::error::Error for RaceError {}
 
 /// The shadow words of a run of granules and the protocol that keeps
-/// one granule's words consistent under concurrent checks: the only
-/// part of the runtime that differs between the paper's single-word
-/// encoding and the sharded one. Range verdicts are [`Shadow`]'s job.
+/// one granule's words consistent under concurrent checks, alone and
+/// in a ranged sweep: the only part of the runtime that differs
+/// between the paper's single-word encoding and the sharded one.
 pub trait WordProtocol: Send + Sync {
     /// Number of granules covered.
     fn len(&self) -> usize;
@@ -108,6 +112,27 @@ pub trait WordProtocol: Send + Sync {
 
     /// Subtracts `tid`'s contribution from `granule`.
     fn clear_thread(&self, granule: usize, tid: ThreadId);
+
+    /// The ranged check-and-record for `tid` over granules `start ..
+    /// start + len`, with the verdict of folding
+    /// [`WordProtocol::check`] over the run in ascending order:
+    /// `on_newly(g)` for every granule newly installed, `on_conflict`
+    /// for every conflicting one, interleaved in granule order exactly
+    /// as the fold would fire them. Returns the conflict count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tid` is zero or exceeds the protocol's capacity, or
+    /// if the run reaches past the last granule.
+    fn check_run(
+        &self,
+        start: usize,
+        len: usize,
+        tid: ThreadId,
+        access: Access,
+        on_newly: impl FnMut(usize),
+        on_conflict: impl FnMut(RaceError),
+    ) -> usize;
 
     /// [`WordProtocol::clear`] over `len` contiguous granules.
     fn clear_run(&self, start: usize, len: usize) {
@@ -167,8 +192,10 @@ const _: () = assert!(
 /// `g` in lane `g % LANES` of word `g / LANES`. A per-granule
 /// transition is a CAS on the containing word that splices the one
 /// lane and retries when a neighbour lane moved under it; a ranged
-/// clear handles every lane of a word with one atomic operation. The
-/// footprint is unchanged: `n` bytes per granule.
+/// sweep steps every lane it covers on one load of the word and
+/// splices all their installs into one CAS; a ranged clear handles
+/// every lane of a word with one atomic operation. The footprint is
+/// unchanged: `n` bytes per granule.
 #[derive(Debug)]
 pub struct OneWord<W: ShadowWord = AtomicU8> {
     words: Vec<AtomicU64>,
@@ -217,19 +244,27 @@ impl<W: ShadowWord> OneWord<W> {
         );
     }
 
-    /// Calls `f(word, cover)` for every word overlapping granules
-    /// `start .. start + len`, `cover` masking the lanes of that word
-    /// inside the run — all of them except at an edge word.
+    /// Calls `f(word, first, cover)` for every word overlapping
+    /// granules `start .. start + len`: `first` is the granule in the
+    /// word's lane 0, `cover` masks the lanes of that word inside the
+    /// run — all of them except at an edge word.
+    ///
+    /// The one bound check of every ranged call: the last word's
+    /// padding lanes belong to no granule, and a run that reached them
+    /// would read and write them without an index panic.
     #[inline]
-    fn for_each_word(&self, start: usize, len: usize, mut f: impl FnMut(&AtomicU64, u64)) {
+    fn for_each_word(&self, start: usize, len: usize, mut f: impl FnMut(&AtomicU64, usize, u64)) {
+        assert!(
+            len <= self.granules && start <= self.granules - len,
+            "granule run out of range"
+        );
         let end = start + len;
-        debug_assert!(end <= self.granules, "granule run out of range");
         let mut g = start;
         while g < end {
             let lo = g % Self::LANES;
             let n = (Self::LANES - lo).min(end - g);
             let cover = (u64::MAX >> (64 - n * Self::BITS)) << (lo * Self::BITS);
-            f(&self.words[g / Self::LANES], cover);
+            f(&self.words[g / Self::LANES], g - lo, cover);
             g += n;
         }
     }
@@ -293,6 +328,75 @@ impl<W: ShadowWord> WordProtocol for OneWord<W> {
         range::recorded(self.raw(granule), tid.0, access)
     }
 
+    /// One load per covered `AtomicU64`; every covered lane is stepped
+    /// on that snapshot (`range::recorded`, then `bitmap::step`), and
+    /// if any lane installs, one CAS of the word with every installing
+    /// lane spliced in. A lost CAS steps every lane again on the fresh
+    /// word, so a verdict is reported only from the snapshot the CAS
+    /// installed over, or from one that needed no install — each
+    /// granule's verdict is its `step` at that instant.
+    fn check_run(
+        &self,
+        start: usize,
+        len: usize,
+        tid: ThreadId,
+        access: Access,
+        mut on_newly: impl FnMut(usize),
+        mut on_conflict: impl FnMut(RaceError),
+    ) -> usize {
+        Self::assert_tid(tid);
+        let mut conflicts = 0;
+        self.for_each_word(start, len, |w, first, cover| {
+            let mut cur = w.load(Ordering::Acquire);
+            // Bit `shift` set: the lane at `shift` installed / conflicted.
+            let (installed, conflicted) = loop {
+                let (mut new, mut installed, mut conflicted) = (cur, 0u64, 0u64);
+                let mut lanes = cover & Self::LANE_ONES;
+                while lanes != 0 {
+                    let shift = lanes.trailing_zeros();
+                    lanes &= lanes - 1;
+                    let lane = (cur >> shift) & Self::LANE_MASK;
+                    if range::recorded(lane, tid.0, access) {
+                        continue;
+                    }
+                    match bitmap::step(lane, tid.0, access) {
+                        Transition::Unchanged => {}
+                        Transition::Conflict => conflicted |= 1 << shift,
+                        Transition::Install(v) => {
+                            new ^= (lane ^ v) << shift;
+                            installed |= 1 << shift;
+                        }
+                    }
+                }
+                if new == cur {
+                    break (installed, conflicted);
+                }
+                match w.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire) {
+                    Ok(_) => break (installed, conflicted),
+                    // A lane of the word moved: step them all again.
+                    Err(now) => cur = now,
+                }
+            };
+            let mut decided = installed | conflicted;
+            while decided != 0 {
+                let shift = decided.trailing_zeros();
+                decided &= decided - 1;
+                let granule = first + shift as usize / Self::BITS;
+                if installed >> shift & 1 != 0 {
+                    on_newly(granule);
+                } else {
+                    conflicts += 1;
+                    on_conflict(RaceError {
+                        granule,
+                        was_write: access.is_write(),
+                        observed: (cur >> shift) & Self::LANE_MASK,
+                    });
+                }
+            }
+        });
+        conflicts
+    }
+
     #[inline]
     fn clear(&self, granule: usize) {
         self.clear_run(granule, 1);
@@ -306,7 +410,7 @@ impl<W: ShadowWord> WordProtocol for OneWord<W> {
     /// A release store per whole word, one `fetch_and` per edge word —
     /// no CAS, the clear is unconditional.
     fn clear_run(&self, start: usize, len: usize) {
-        self.for_each_word(start, len, |w, cover| {
+        self.for_each_word(start, len, |w, _, cover| {
             if cover == u64::MAX {
                 w.store(0, Ordering::Release);
             } else {
@@ -323,7 +427,7 @@ impl<W: ShadowWord> WordProtocol for OneWord<W> {
         Self::assert_tid(tid);
         // Every lane exclusively owned by `tid`: the common exit.
         let owned = Self::LANE_ONES * (bitmap::WRITER_FLAG | 1 << tid.0);
-        self.for_each_word(start, len, |w, cover| {
+        self.for_each_word(start, len, |w, _, cover| {
             let mut cur = w.load(Ordering::Acquire);
             loop {
                 let new = if cur & cover == owned & cover {
@@ -450,17 +554,19 @@ impl<P: WordProtocol> Shadow<P> {
     // ----- ranged checks -----
     //
     // One `chkread`/`chkwrite` per buffer sweep instead of one per
-    // granule: a sweep over the protocol's `recorded` predicate,
-    // falling back to the full CAS protocol only for granules that
-    // need a state transition. **The fold contract:** the verdict
-    // equals the fold of per-granule verdicts — each granule is judged
-    // by the same `step` against its own shadow words, conflicts are
-    // reported per granule via `on_conflict`, and newly-installed
-    // granules via `on_newly` (for exit-time clearing logs). The
-    // return value is the number of conflicting granules.
+    // granule: the protocol's [`WordProtocol::check_run`]. **The fold
+    // contract:** the verdict equals the fold of per-granule verdicts
+    // — each granule is judged by the same `step` against its own
+    // shadow words, conflicts are reported per granule via
+    // `on_conflict`, and newly-installed granules via `on_newly` (for
+    // exit-time clearing logs), both in ascending granule order. The
+    // return value is the number of conflicting granules. `OneWord`
+    // steps every lane of a packed word on one snapshot and installs
+    // them with one CAS; `MultiWord` skips recorded granules and runs
+    // its per-granule protocol on the rest.
 
-    /// The shared ranged sweep: skips granules that already record
-    /// the access, runs the full per-granule check for the rest.
+    /// The shared ranged sweep: [`WordProtocol::check_run`], whose
+    /// panics it shares.
     #[inline]
     pub fn check_range(
         &self,
@@ -468,35 +574,11 @@ impl<P: WordProtocol> Shadow<P> {
         len: usize,
         tid: ThreadId,
         access: Access,
-        mut on_newly: impl FnMut(usize),
-        mut on_conflict: impl FnMut(RaceError),
+        on_newly: impl FnMut(usize),
+        on_conflict: impl FnMut(RaceError),
     ) -> usize {
-        let mut conflicts = 0;
-        let end = start + len;
-        let mut g = start;
-        while g < end {
-            // Fast classification: `recorded` being true means the
-            // pure step is `Unchanged`, so skipping is exactly what
-            // the per-granule loop would have done.
-            while g < end && self.words.recorded(g, tid, access) {
-                g += 1;
-            }
-            if g >= end {
-                break;
-            }
-            // Boundary / first-contact / conflicting granule: the
-            // per-granule fallback (full CAS protocol).
-            match self.words.check(g, tid, access) {
-                Ok(true) => on_newly(g),
-                Ok(false) => {}
-                Err(e) => {
-                    conflicts += 1;
-                    on_conflict(e);
-                }
-            }
-            g += 1;
-        }
-        conflicts
+        self.words
+            .check_run(start, len, tid, access, on_newly, on_conflict)
     }
 
     /// Ranged `chkread` over granules `start .. start + len`. Calls

@@ -52,8 +52,10 @@
 //! records; the racing conflict is still reported, and its installed
 //! state still excludes third parties.
 //!
-//! Everything above the per-granule protocol — the ranged sweeps and
-//! the clears — is [`Shadow`]'s one generic implementation.
+//! The ranged sweep ([`WordProtocol::check_run`]) is the per-granule
+//! protocol in a loop: the one-load `recorded` skip, then the full
+//! check for each granule that needs it. The ranged clears are the
+//! trait's per-granule defaults.
 //!
 //! A **zero-shard** geometry ([`ShadowGeometry::adaptive_only`]) is
 //! the scalable encoding §4.2.1 and §7 name as future work: one
@@ -144,8 +146,8 @@ impl MultiWord {
     }
 
     /// The most diagnostic single word for a conflict report: the
-    /// acting thread's own word if it holds foreign state, else the
-    /// first non-empty foreign word.
+    /// first non-empty word other than the acting thread's own, else
+    /// its own word (which then holds the foreign state).
     fn observed(&self, snap: &[u64], tid: u32) -> u64 {
         let own = match self.geom.shard_of(tid) {
             Some(s) => s,
@@ -231,6 +233,46 @@ impl WordProtocol for MultiWord {
                 range::recorded_sharded(self.snapshot(granule, &mut buf), self.geom, tid.0, access)
             }
         }
+    }
+
+    /// The per-granule sweep: granules the own word already records
+    /// are skipped, the rest run the full [`WordProtocol::check`].
+    #[inline]
+    fn check_run(
+        &self,
+        start: usize,
+        len: usize,
+        tid: ThreadId,
+        access: Access,
+        mut on_newly: impl FnMut(usize),
+        mut on_conflict: impl FnMut(RaceError),
+    ) -> usize {
+        let mut conflicts = 0;
+        let end = start + len;
+        let mut g = start;
+        while g < end {
+            // Fast classification: `recorded` being true means the
+            // pure step is `Unchanged`, so skipping is exactly what
+            // the per-granule loop would have done.
+            while g < end && self.recorded(g, tid, access) {
+                g += 1;
+            }
+            if g >= end {
+                break;
+            }
+            // Boundary / first-contact / conflicting granule: the
+            // per-granule fallback (full CAS protocol).
+            match self.check(g, tid, access) {
+                Ok(true) => on_newly(g),
+                Ok(false) => {}
+                Err(e) => {
+                    conflicts += 1;
+                    on_conflict(e);
+                }
+            }
+            g += 1;
+        }
+        conflicts
     }
 
     /// Unconditional stores over every shard and overflow word — the

@@ -14,8 +14,9 @@
 //! Each differential is ONE generic body, instantiated per [`Width`].
 //! One seeded operation trace is driven through the oracle and every
 //! subject; the per-operation verdicts must be *identical* — not just
-//! the final conflict counts — and so must every raw shadow word at
-//! the end. This holds because every engine obeys the shared contract
+//! the final conflict counts: a ranged check's every `on_newly` and
+//! `on_conflict` callback, in order, each conflict's `observed` word
+//! included — and so must every raw shadow word at the end. This holds because every engine obeys the shared contract
 //! that a conflicting access leaves the shadow words unchanged, so
 //! they stay in lockstep even after conflicts.
 
@@ -25,10 +26,11 @@ use sharc_checker::{
     ShadowGeometry, StreamingSink,
 };
 use sharc_detectors::{Eraser, VcDetector};
-use sharc_runtime::{MultiWord, OneWord, Shadow, ShardedShadow, ThreadId, WordProtocol};
+use sharc_runtime::{MultiWord, OneWord, RaceError, Shadow, ShardedShadow, ThreadId, WordProtocol};
 use sharc_testkit::gen::{self, Gen};
 use sharc_testkit::prop::Config;
 use sharc_testkit::{forall, prop_assert};
+use std::cell::RefCell;
 
 /// Granule universe for the generated traces: small enough that
 /// threads collide constantly.
@@ -123,29 +125,55 @@ impl StepOracle {
         &self.words[granule * stride..(granule + 1) * stride]
     }
 
-    /// One access; true iff it conflicts (and so installs nothing).
-    fn check(&mut self, tid: u32, granule: usize, is_write: bool) -> bool {
+    /// One access, installed if the step installs: what a ranged
+    /// check reports for the granule, if anything.
+    fn step(&mut self, tid: u32, granule: usize, is_write: bool) -> Option<Report> {
         let access = if is_write {
             Access::Write
         } else {
             Access::Read
         };
         match sharded::step(self.words(granule), self.geom, tid, access) {
-            sharded::ShardStep::Unchanged => false,
-            sharded::ShardStep::Conflict => true,
+            sharded::ShardStep::Unchanged => None,
+            sharded::ShardStep::Conflict => Some(Report::Conflict(RaceError {
+                granule,
+                was_write: is_write,
+                observed: self.observed(granule, tid),
+            })),
             sharded::ShardStep::Install { index, word } => {
                 self.words[granule * self.geom.words_per_granule() + index] = word;
-                false
+                Some(Report::Newly(granule))
             }
         }
     }
 
-    /// The definition a ranged check must reproduce: the conflict
-    /// count of the per-granule fold.
-    fn check_range(&mut self, tid: u32, start: usize, len: usize, is_write: bool) -> usize {
+    /// One access; true iff it conflicts (and so installs nothing).
+    fn check(&mut self, tid: u32, granule: usize, is_write: bool) -> bool {
+        matches!(self.step(tid, granule, is_write), Some(Report::Conflict(_)))
+    }
+
+    /// The word a conflict report shows: the first non-empty word
+    /// other than `tid`'s own, else its own. At the one-word width the
+    /// overflow word stays empty, so this is the single word.
+    fn observed(&self, granule: usize, tid: u32) -> u64 {
+        let words = self.words(granule);
+        let own = self
+            .geom
+            .shard_of(tid)
+            .unwrap_or(self.geom.overflow_index());
+        words
+            .iter()
+            .enumerate()
+            .find_map(|(i, &w)| (i != own && w != 0).then_some(w))
+            .unwrap_or(words[own])
+    }
+
+    /// The definition a ranged check must reproduce: the callbacks of
+    /// the per-granule fold, in the order it fires them.
+    fn check_range(&mut self, tid: u32, start: usize, len: usize, is_write: bool) -> Vec<Report> {
         (start..start + len)
-            .filter(|&g| self.check(tid, g, is_write))
-            .count()
+            .filter_map(|g| self.step(tid, g, is_write))
+            .collect()
     }
 
     fn clear(&mut self, granule: usize) {
@@ -158,6 +186,13 @@ impl StepOracle {
             self.words[granule * self.geom.words_per_granule() + index] = word;
         }
     }
+}
+
+/// One callback of a ranged check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Report {
+    Newly(usize),
+    Conflict(RaceError),
 }
 
 /// A shadow under test.
@@ -181,15 +216,26 @@ impl<P: WordProtocol> Subject<P> {
         self.shadow.check(granule, ThreadId(tid), access).is_err()
     }
 
-    /// One ranged check; the number of conflicting granules.
-    fn check_range(&self, tid: u32, start: usize, len: usize, is_write: bool) -> usize {
+    /// One ranged check: the number of conflicting granules and
+    /// every callback, in the order they fired.
+    fn check_range(
+        &self,
+        tid: u32,
+        start: usize,
+        len: usize,
+        is_write: bool,
+    ) -> (usize, Vec<Report>) {
         let t = ThreadId(tid);
-        let (s, nop, nop_err) = (&self.shadow, |_| {}, |_| {});
-        if is_write {
-            s.check_range_write(start, len, t, nop, nop_err)
+        let reports = RefCell::new(Vec::new());
+        let newly = |g| reports.borrow_mut().push(Report::Newly(g));
+        let conflict = |e| reports.borrow_mut().push(Report::Conflict(e));
+        let s = &self.shadow;
+        let conflicts = if is_write {
+            s.check_range_write(start, len, t, newly, conflict)
         } else {
-            s.check_range_read(start, len, t, nop, nop_err)
-        }
+            s.check_range_read(start, len, t, newly, conflict)
+        };
+        (conflicts, reports.into_inner())
     }
 }
 
@@ -243,16 +289,22 @@ impl<W: Width> Rig<W> {
         is_write: bool,
     ) -> Result<(), String> {
         let want = self.oracle.check_range(tid, start, len, is_write);
+        let want_conflicts = want
+            .iter()
+            .filter(|r| matches!(r, Report::Conflict(_)))
+            .count();
         for s in &self.subjects {
-            let got = s.check_range(tid, start, len, is_write);
+            let (conflicts, got) = s.check_range(tid, start, len, is_write);
             prop_assert!(
-                got == want,
-                "{} op {}: {} counts {} conflicts but the step fold counts {} \
-                 (tid {} range {}..{} write={})",
+                (conflicts, &got) == (want_conflicts, &want),
+                "{} op {}: {} counts {} conflicts and reports {:?}, but the step fold \
+                 counts {} and reports {:?} (tid {} range {}..{} write={})",
                 W::NAME,
                 op,
                 s.label,
+                conflicts,
                 got,
+                want_conflicts,
                 want,
                 tid,
                 start,
@@ -606,9 +658,10 @@ fn range_op_gen(threads: u32) -> Gen<RangeOp> {
 }
 
 /// The ranged fold contract, at one width: for any trace of sweeps,
-/// point accesses, and mid-range clears, the per-op conflict count of
-/// `check_range_*` equals the fold of per-granule verdicts of the pure
-/// step, and every shadow word ends bit-identical to the oracle's.
+/// point accesses, and mid-range clears, the per-op conflict count and
+/// callbacks of `check_range_*` equal the fold of per-granule verdicts
+/// of the pure step, and every shadow word ends bit-identical to the
+/// oracle's.
 fn range_checks_equal_the_step_fold<W: Width>() {
     forall!(
         &format!("range_checks_equal_the_step_fold/{}", W::NAME),
