@@ -14,6 +14,26 @@ if grep -rn 'rand\|proptest\|criterion\|crossbeam\|parking_lot\|serde' \
 fi
 echo "ok"
 
+echo "== policy: every manifest dependency is named by its crate =="
+# A [dependencies] or [dev-dependencies] entry whose snake_case name
+# appears nowhere in the crate's src/, tests/, benches/ or examples/
+# is dead weight in every build.
+unused=0
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    deps=$(awk '/^\[/ { on = ($0 == "[dependencies]" || $0 == "[dev-dependencies]"); next }
+        on && /^[A-Za-z0-9_-]+[. =]/ { sub(/[. =].*/, ""); print }' "$manifest")
+    for dep in $deps; do
+        # Unquoted on purpose: one word per directory that exists.
+        if ! (cd "$dir" && grep -rqw "${dep//-/_}" $(ls -d src tests benches examples 2>/dev/null)); then
+            echo "ERROR: $manifest lists $dep, which nothing under $dir/ names" >&2
+            unused=1
+        fi
+    done
+done
+[ "$unused" = 0 ] || exit 1
+echo "ok"
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

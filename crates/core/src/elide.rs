@@ -1,6 +1,5 @@
-//! Static check elision (ROADMAP item 3): an escape + lockset
-//! pre-analysis that deletes provably-redundant runtime checks before
-//! bytecode exists.
+//! Static check elision: a lockset pre-analysis that deletes
+//! provably-redundant runtime checks before bytecode exists.
 //!
 //! Runs after the sharing analysis and the checker, over the typed AST
 //! (every qualifier concrete) and the [`Instrumentation`] table. The
@@ -8,45 +7,44 @@
 //! machine-checkable [`Reason`] per elided check slot; the VM compiler
 //! consults it and emits **no instruction** for an elided slot.
 //!
-//! Three rules, one per [`Reason`]. Two delete a check slot, each a
-//! thread-locality or lock-domination proof:
+//! Two rules, one per [`Reason`]:
 //!
-//! * **E3 `SpawnUnique`** — a thread function spawned at exactly one
-//!   non-loop site, with its sole argument a fresh local the spawner
-//!   never dereferences, receives an object only the spawned thread
-//!   ever touches; the callee's formal accesses are thread-local for
-//!   the object's whole shared lifetime.
-//! * **E4 `LockHeld`** — a `locked(l)` access dominated by a
-//!   `mutex_lock(l)` on the *same, verifiably stable* lock path with
-//!   no intervening unlock / `cond_wait` / call cannot fail its
-//!   `ChkLockHeld`; the check installs nothing, so skipping it is
-//!   bit-identical on every execution.
+//! * **E4 `LockHeld`** deletes a check slot. A `locked(l)` access
+//!   dominated by a `mutex_lock(l)` on the *same, verifiably stable*
+//!   lock path with no intervening unlock / `cond_wait` / call cannot
+//!   fail its `ChkLockHeld`; the check installs nothing, so skipping it
+//!   is bit-identical on every execution.
+//! * **E5 `ReadOfWrite`** is a peephole: it collapses the read check of
+//!   a compound assignment (`*p = *p + 1`) into its write check when
+//!   the address expression is side-effect-free. E5 is applied by the
+//!   default compile only (a conflicted write installs no shadow state,
+//!   so on already-racy runs the read check can fire where the write
+//!   does not); the fully-checked build keeps both.
 //!
-//! The third is a peephole: **E5 `ReadOfWrite`** collapses the read
-//! check of a compound assignment (`*p = *p + 1`) into its write check
-//! when the address expression is side-effect-free. E5 is applied by
-//! the default compile only (a conflicted write installs no shadow
-//! state, so on already-racy runs the read check can fire where the
-//! write does not); the fully-checked build keeps both.
-//!
-//! Two traversals are the pass's own, because they treat node kinds
-//! differently: the per-function scan `FnScan` (loops set the
-//! "spawned in a loop" bit, calls count their local actuals) and E4's
-//! dataflow `LockFlow` (branches meet, loops start from their kill
-//! set). Everything else reads the tree through the `minic::ast`
-//! walks: the declared locals, a loop's kill set (every call in it),
-//! E4's per-statement elision (which does not enter a sharing cast's
-//! operand: those checks are kept on purpose) and E5's assignments.
+//! A lock path is stable in a function when nothing there can retarget
+//! it: its root is never assigned, address-taken or redeclared, and
+//! none of its field names is stored, address-taken or overwritten by
+//! a struct copy. One [`Block::walk`] per function collects those
+//! facts (`scan`). E4's dataflow `LockFlow` is the one traversal of
+//! the pass's own, because it treats node kinds differently: branches
+//! meet, loops start from their kill set. Everything else reads the
+//! tree through the `minic::ast` walks: a loop's kill set (every call
+//! in it), E4's per-statement elision (which does not enter a sharing
+//! cast's operand: those checks are kept on purpose) and E5's
+//! assignments.
 //!
 //! Each rule earns its place in `tests/elision_ledger.rs`, which pins
 //! the executed checks it removes on every corpus program and fails
-//! when a rule removes none. The numbers start at E3 because E1 and E2
-//! removed none and were deleted.
+//! when a rule removes none. The numbers start at E4 because the
+//! ledger retired E1–E3: E1 and E2 removed no check, and E3 (a
+//! spawn hand-off escape analysis) removed checks only in the program
+//! written to show it.
 //!
 //! Soundness is pinned by `tests/elision_differential.rs`: a `forall!`
 //! differential (elided and fully-checked builds agree bit-for-bit on
-//! race-free executions) and a mutation property (making an elided
-//! access race forces the analysis to stop eliding it).
+//! race-free executions), a mutation property (making an elided
+//! access race forces the analysis to stop eliding it), and one test
+//! per way of retargeting a held lock path.
 
 use crate::check::{AccessCheck, CheckKind, Instrumentation};
 use minic::ast::*;
@@ -58,8 +56,6 @@ use std::collections::{HashMap, HashSet};
 /// `--explain-elision` and the differential can audit the proof.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reason {
-    /// E3: unique spawn hand-off; only the spawned thread touches it.
-    SpawnUnique,
     /// E4: access dominated by a held lock on a stable path.
     LockHeld,
     /// E5: read check collapsed into the same statement's write check.
@@ -76,14 +72,13 @@ impl Reason {
     /// Short machine-checkable label used in explain output.
     pub fn label(self) -> &'static str {
         match self {
-            Reason::SpawnUnique => "spawn-unique",
             Reason::LockHeld => "lock-held",
             Reason::ReadOfWrite => "read-of-write",
         }
     }
 
     /// All reasons in [`Reason::index`] order (for reporting).
-    pub const ALL: [Reason; 3] = [Reason::SpawnUnique, Reason::LockHeld, Reason::ReadOfWrite];
+    pub const ALL: [Reason; 2] = [Reason::LockHeld, Reason::ReadOfWrite];
 }
 
 /// Elision verdicts for one instrumented l-value occurrence.
@@ -99,7 +94,7 @@ pub struct SiteFacts {
 pub struct ElisionSummary {
     /// Check slots the checker emitted (each read/write slot is one).
     pub checked_slots: usize,
-    /// Slots deleted outright by E3 and E4.
+    /// Slots deleted outright by E4.
     pub elided_slots: usize,
     /// Read slots collapsed into their write check by E5.
     pub collapsed_reads: usize,
@@ -108,7 +103,7 @@ pub struct ElisionSummary {
 }
 
 impl ElisionSummary {
-    /// Percentage of static check slots deleted (E3 and E4 only).
+    /// Percentage of static check slots deleted (E4 only).
     pub fn elided_pct(&self) -> f64 {
         if self.checked_slots == 0 {
             0.0
@@ -151,40 +146,14 @@ impl ElisionFacts {
     }
 }
 
-/// Everything the scan learned about one local or formal.
+/// What the scan learned about one local or formal.
 #[derive(Debug, Default)]
 struct VarUse {
     decls: usize,
     is_param: bool,
     /// Declared type (post-analysis, all quals concrete).
     ty: Option<Type>,
-    /// Assignments whose rhs is `new(..)` / `newarray(..)`.
-    fresh_assigns: usize,
-    /// Assignments of the literal NULL.
-    null_assigns: usize,
-    /// Any other assignment (aliasing, arithmetic, call result, ...).
-    other_assigns: usize,
-    /// L-value nodes that access storage *through* this pointer
-    /// (single-level paths only: `*x`, `x[i]`, `x->f`, `*(x + i)`).
-    accesses: Vec<NodeId>,
-    /// Times passed as an argument of a direct call.
-    call_args: usize,
-    /// Times passed as the data argument of `spawn`.
-    spawn_args: usize,
-    freed: usize,
     addr_taken: bool,
-    /// Any use the rules cannot account for (value copied, returned,
-    /// stored, scast, compared, indirect-call arg, ...).
-    other: usize,
-}
-
-/// One `spawn(f, arg)` site.
-#[derive(Debug)]
-struct SpawnSite {
-    caller: String,
-    /// The data argument, when it is a bare local of the caller.
-    arg: Option<String>,
-    in_loop: bool,
 }
 
 /// Per-function scan results.
@@ -203,89 +172,26 @@ struct FnInfo {
     blob_store: bool,
 }
 
-/// Whole-program facts.
+/// Whole-program facts: the globals some function can retarget.
 #[derive(Debug, Default)]
 struct ProgFacts {
-    /// User functions called directly somewhere.
-    called: HashSet<String>,
-    /// Spawn sites per target function.
-    spawn_sites: HashMap<String, Vec<SpawnSite>>,
-    /// Function names used as values (taken as pointers).
-    fn_value_used: HashSet<String>,
-    /// A non-identifier spawn target was seen: every function may be a
-    /// thread root and any formal may be reached indirectly.
-    all_fns_aliased: bool,
     assigned_globals: HashSet<String>,
     addr_taken_globals: HashSet<String>,
-}
-
-impl ProgFacts {
-    fn aliased(&self, f: &str) -> bool {
-        self.all_fns_aliased || self.fn_value_used.contains(f)
-    }
 }
 
 /// Computes the elision table for a checked program. `program` must be
 /// post-analysis (all sharing modes concrete).
 pub fn elide(program: &Program, instr: &Instrumentation) -> ElisionFacts {
-    let graph = crate::callgraph::CallGraph::build(program);
-    let fn_names: HashSet<String> = program.fns.iter().map(|f| f.name.clone()).collect();
     let global_names: HashSet<String> = program.globals.iter().map(|g| g.name.clone()).collect();
 
     let mut prog = ProgFacts::default();
-    let mut infos: HashMap<String, FnInfo> = HashMap::new();
-    for f in &program.fns {
-        let mut scan = FnScan {
-            program,
-            fn_names: &fn_names,
-            global_names: &global_names,
-            caller: f.name.clone(),
-            info: FnInfo::default(),
-            prog: &mut prog,
-            loop_depth: 0,
-        };
-        scan.init(f);
-        scan.block(&f.body);
-        infos.insert(f.name.clone(), scan.info);
-    }
+    let infos: HashMap<String, FnInfo> = program
+        .fns
+        .iter()
+        .map(|f| (f.name.clone(), scan(program, &global_names, &mut prog, f)))
+        .collect();
 
     let mut facts = ElisionFacts::default();
-
-    // E3: SpawnUnique.
-    for f in &program.fns {
-        if !graph.thread_roots.contains(&f.name)
-            || prog.aliased(&f.name)
-            || prog.called.contains(&f.name)
-            || f.params.len() != 1
-        {
-            continue;
-        }
-        let sites = match prog.spawn_sites.get(&f.name) {
-            Some(s) if s.len() == 1 => &s[0],
-            _ => continue,
-        };
-        if sites.in_loop {
-            continue;
-        }
-        let Some(arg) = &sites.arg else { continue };
-        let Some(g) = infos.get(&sites.caller) else {
-            continue;
-        };
-        let Some(gu) = g.uses.get(arg) else { continue };
-        let hand_off_ok = gu.decls == 1
-            && !gu.is_param
-            && gu.other_assigns == 0
-            && gu.other == 0
-            && !gu.addr_taken
-            && gu.freed == 0
-            && gu.spawn_args == 1
-            && gu.call_args == 0
-            && gu.accesses.is_empty();
-        let formal = &infos[&f.name].uses[&f.params[0].name];
-        if hand_off_ok && sink_safe(formal, instr) {
-            elide_dynamic_accesses(&mut facts, formal, instr, Reason::SpawnUnique);
-        }
-    }
 
     // E4: LockHeld — forward dataflow of held stable lock paths.
     let lock_strs: Vec<String> = instr.lock_exprs.iter().map(pretty::expr).collect();
@@ -347,182 +253,86 @@ pub fn elide(program: &Program, instr: &Instrumentation) -> ElisionFacts {
     facts
 }
 
-/// Elides the Dynamic slots of every recorded access through `u`.
-fn elide_dynamic_accesses(
-    facts: &mut ElisionFacts,
-    u: &VarUse,
-    instr: &Instrumentation,
-    r: Reason,
-) {
-    for id in &u.accesses {
-        if let Some(ac) = instr.checks.get(id) {
-            if matches!(ac.read, Some(CheckKind::Dynamic)) {
-                facts.elide_read(*id, r);
-            }
-            if matches!(ac.write, Some(CheckKind::Dynamic)) {
-                facts.elide_write(*id, r);
+// ----- the per-function scan -----
+
+/// Collects what can retarget a lock path in `f`: the locals and
+/// formals it declares, and every assignment, address-of and
+/// sharing cast in its body. Globals `f` retargets go into `prog`.
+fn scan(
+    program: &Program,
+    global_names: &HashSet<String>,
+    prog: &mut ProgFacts,
+    f: &FnDef,
+) -> FnInfo {
+    let mut info = FnInfo::default();
+    for p in &f.params {
+        let u = info.uses.entry(p.name.clone()).or_default();
+        u.is_param = true;
+        u.ty = Some(p.ty.clone());
+    }
+    // Declared locals first, so forward references resolve as locals,
+    // not globals.
+    f.body.walk(&mut |n| {
+        if let Node::Stmt(Stmt {
+            kind: StmtKind::Decl { name, ty, .. },
+            ..
+        }) = n
+        {
+            let u = info.uses.entry(name.clone()).or_default();
+            u.decls += 1;
+            if u.ty.is_none() {
+                u.ty = Some(ty.clone());
             }
         }
-    }
+        true
+    });
+    let mut scan = FnScan {
+        program,
+        global_names,
+        info,
+        prog,
+    };
+    f.body.walk(&mut |n| match n {
+        Node::Stmt(s) => {
+            scan.stmt(s);
+            true
+        }
+        Node::Expr(e) => scan.expr(e),
+    });
+    scan.info
 }
-
-/// A formal is *sink-safe* when the callee can neither leak it nor
-/// hand it to another thread: never reassigned or shadowed, never
-/// address-taken, freed, spawned, or passed on, and every recorded
-/// access carries only Dynamic-kind checks.
-fn sink_safe(u: &VarUse, instr: &Instrumentation) -> bool {
-    u.decls == 0
-        && u.fresh_assigns == 0
-        && u.null_assigns == 0
-        && u.other_assigns == 0
-        && u.spawn_args == 0
-        && u.freed == 0
-        && !u.addr_taken
-        && u.other == 0
-        && u.call_args == 0
-        && !u.accesses.iter().any(|id| {
-            instr.checks.get(id).is_some_and(|ac| {
-                matches!(ac.read, Some(CheckKind::Locked(_)))
-                    || matches!(ac.write, Some(CheckKind::Locked(_)))
-            })
-        })
-}
-
-// ----- the per-function scan -----
 
 struct FnScan<'a> {
     program: &'a Program,
-    fn_names: &'a HashSet<String>,
     global_names: &'a HashSet<String>,
-    caller: String,
     info: FnInfo,
     prog: &'a mut ProgFacts,
-    loop_depth: usize,
 }
 
-impl<'a> FnScan<'a> {
-    fn init(&mut self, f: &FnDef) {
-        for p in &f.params {
-            let u = self.info.uses.entry(p.name.clone()).or_default();
-            u.is_param = true;
-            u.ty = Some(p.ty.clone());
-        }
-        // Pre-collect declared locals so forward references resolve as
-        // locals, not globals.
-        f.body.walk(&mut |n| {
-            if let Node::Stmt(Stmt {
-                kind: StmtKind::Decl { name, ty, .. },
-                ..
-            }) = n
-            {
-                let u = self.info.uses.entry(name.clone()).or_default();
-                u.decls += 1;
-                if u.ty.is_none() {
-                    u.ty = Some(ty.clone());
-                }
-            }
-            true
-        });
-    }
-
+impl FnScan<'_> {
     fn is_local(&self, name: &str) -> bool {
         self.info.uses.contains_key(name)
     }
 
-    fn use_mut(&mut self, name: &str) -> Option<&mut VarUse> {
-        self.info.uses.get_mut(name)
-    }
-
-    fn block(&mut self, b: &Block) {
-        for s in &b.stmts {
-            self.stmt(s);
+    /// Marks `name` as retargeted, as a local or as a global.
+    fn assigned(&mut self, name: &str) {
+        if self.is_local(name) {
+            self.info.assigned_vars.insert(name.to_string());
+        } else if self.global_names.contains(name) {
+            self.prog.assigned_globals.insert(name.to_string());
         }
     }
 
+    /// An assignment's lhs. A decl initializer is not one: it matches
+    /// the checker's own constancy rule, which only counts
+    /// re-assignments.
     fn stmt(&mut self, s: &Stmt) {
-        match &s.kind {
-            StmtKind::Decl { name, init, .. } => {
-                // A decl initializer classifies the local but does not
-                // make its lock base non-constant (it matches the
-                // checker's own constancy rule, which only counts
-                // re-assignments).
-                if let Some(e) = init {
-                    self.record_assign(name, e);
-                    self.expr(e);
-                }
-            }
-            StmtKind::Assign { lhs, rhs } => {
-                self.assign_lhs(lhs);
-                if let ExprKind::Ident(n) = &lhs.kind {
-                    if self.is_local(n) {
-                        self.info.assigned_vars.insert(n.clone());
-                        self.record_assign(n, rhs);
-                    } else if self.global_names.contains(n) {
-                        self.prog.assigned_globals.insert(n.clone());
-                    }
-                }
-                self.expr(rhs);
-            }
-            StmtKind::Expr(e) => self.expr(e),
-            StmtKind::If {
-                cond,
-                then_blk,
-                else_blk,
-            } => {
-                self.expr(cond);
-                self.block(then_blk);
-                if let Some(eb) = else_blk {
-                    self.block(eb);
-                }
-            }
-            StmtKind::While { cond, body } => {
-                self.expr(cond);
-                self.loop_depth += 1;
-                self.block(body);
-                self.loop_depth -= 1;
-            }
-            StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                if let Some(i) = init {
-                    self.stmt(i);
-                }
-                self.loop_depth += 1;
-                if let Some(c) = cond {
-                    self.expr(c);
-                }
-                if let Some(st) = step {
-                    self.stmt(st);
-                }
-                self.block(body);
-                self.loop_depth -= 1;
-            }
-            StmtKind::Return(Some(e)) => self.expr(e),
-            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
-            StmtKind::Block(b) => self.block(b),
-        }
-    }
-
-    /// Classifies an assignment to local `name` by its rhs shape.
-    fn record_assign(&mut self, name: &str, rhs: &Expr) {
-        if let Some(u) = self.use_mut(name) {
-            match &rhs.kind {
-                ExprKind::New(_) | ExprKind::NewArray(..) => u.fresh_assigns += 1,
-                ExprKind::Null => u.null_assigns += 1,
-                _ => u.other_assigns += 1,
-            }
-        }
-    }
-
-    /// Effects of the lhs of an assignment beyond the plain-ident
-    /// case: field stores feed E4's stability set, unresolvable
-    /// pointer stores poison it.
-    fn assign_lhs(&mut self, lhs: &Expr) {
+        let StmtKind::Assign { lhs, .. } = &s.kind else {
+            return;
+        };
         match &lhs.kind {
-            ExprKind::Ident(_) => {
+            ExprKind::Ident(n) => {
+                self.assigned(n);
                 // Stored type could be a whole struct (struct copy by
                 // value into a local): its fields change too.
                 if let Some(t) = self.static_ty(lhs) {
@@ -534,32 +344,59 @@ impl<'a> FnScan<'a> {
                 if let Some(t) = self.static_ty(lhs) {
                     self.note_struct_store(&t);
                 }
-                self.scan_lhs_path(lhs);
             }
-            ExprKind::Unary(UnOp::Deref, _) | ExprKind::Index(..) => {
-                match self.static_ty(lhs) {
-                    Some(t) => {
-                        if is_mutex_ptr(&t) {
-                            self.info.blob_store = true;
-                        }
-                        self.note_struct_store(&t);
+            ExprKind::Unary(UnOp::Deref, _) | ExprKind::Index(..) => match self.static_ty(lhs) {
+                Some(t) => {
+                    if is_mutex_ptr(&t) {
+                        self.info.blob_store = true;
                     }
-                    None => self.info.blob_store = true,
+                    self.note_struct_store(&t);
                 }
-                self.scan_lhs_path(lhs);
-            }
-            _ => {
-                self.info.blob_store = true;
-                self.scan_lhs_path(lhs);
-            }
+                None => self.info.blob_store = true,
+            },
+            _ => self.info.blob_store = true,
         }
     }
 
-    /// Records the *access* the lhs itself makes (the write target);
-    /// inner pointers on the path are scanned as ordinary rvalues by
-    /// `expr` on the same node.
-    fn scan_lhs_path(&mut self, lhs: &Expr) {
-        self.expr(lhs);
+    /// One expression node; answers whether the walk enters its
+    /// children.
+    fn expr(&mut self, e: &Expr) -> bool {
+        match &e.kind {
+            ExprKind::Unary(UnOp::AddrOf, inner) => match &inner.kind {
+                ExprKind::Ident(n) => {
+                    if let Some(u) = self.info.uses.get_mut(n) {
+                        u.addr_taken = true;
+                    } else if self.global_names.contains(n) {
+                        self.prog.addr_taken_globals.insert(n.clone());
+                    }
+                }
+                ExprKind::Field(_, fname, _) => {
+                    self.info.assigned_fields.insert(fname.clone());
+                }
+                _ => {}
+            },
+            // The scast nulls its source and carries its own checks.
+            ExprKind::Scast(_, src) => {
+                if let Some(root) = root_ident(src) {
+                    self.assigned(&root);
+                }
+            }
+            ExprKind::Call(callee, args) if is_sync_builtin(callee) => {
+                // A sync builtin's `&path` argument *names* its
+                // mutex/cond — the builtin mutates that object's state
+                // but can never retarget the path, so the address-of
+                // must not poison lock-path stability.
+                for a in args {
+                    match &a.kind {
+                        ExprKind::Unary(UnOp::AddrOf, inner) if is_ident_field_chain(inner) => {}
+                        _ => a.walk(&mut |e| self.expr(e)),
+                    }
+                }
+                return false;
+            }
+            _ => {}
+        }
+        true
     }
 
     /// A struct stored by value dirties every field name it contains,
@@ -567,9 +404,7 @@ impl<'a> FnScan<'a> {
     fn note_struct_store(&mut self, t: &Type) {
         let mut seen: HashSet<String> = HashSet::new();
         self.collect_struct_fields(t, &mut seen);
-        for f in seen {
-            self.info.assigned_fields.insert(f);
-        }
+        self.info.assigned_fields.extend(seen);
     }
 
     fn collect_struct_fields(&self, t: &Type, out: &mut HashSet<String>) {
@@ -618,227 +453,16 @@ impl<'a> FnScan<'a> {
             _ => None,
         }
     }
+}
 
-    /// The single-level access-path classifier: returns the pointer
-    /// variable accessed through and the side expressions to scan
-    /// normally.
-    fn access_path<'e>(&self, e: &'e Expr) -> Option<(String, Vec<&'e Expr>)> {
-        let is_local_ptr = |name: &str| {
-            self.info
-                .uses
-                .get(name)
-                .and_then(|u| u.ty.as_ref())
-                .is_some_and(|t| t.is_ptr() || matches!(t.kind, TypeKind::Array(..)))
-        };
-        match &e.kind {
-            ExprKind::Unary(UnOp::Deref, inner) => match &inner.kind {
-                ExprKind::Ident(n) if self.is_local(n) => Some((n.clone(), vec![])),
-                ExprKind::Binary(op, a, b) if matches!(op, BinOp::Add | BinOp::Sub) => {
-                    if let ExprKind::Ident(n) = &a.kind {
-                        if is_local_ptr(n) {
-                            return Some((n.clone(), vec![b]));
-                        }
-                    }
-                    if let ExprKind::Ident(n) = &b.kind {
-                        if is_local_ptr(n) && matches!(op, BinOp::Add) {
-                            return Some((n.clone(), vec![a]));
-                        }
-                    }
-                    None
-                }
-                _ => None,
-            },
-            ExprKind::Index(base, idx) => match &base.kind {
-                ExprKind::Ident(n) if is_local_ptr(n) => Some((n.clone(), vec![idx])),
-                _ => None,
-            },
-            ExprKind::Field(base, _, true) => match &base.kind {
-                ExprKind::Ident(n) if self.is_local(n) => Some((n.clone(), vec![])),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-
-    fn expr(&mut self, e: &Expr) {
-        if let Some((name, rest)) = self.access_path(e) {
-            if let Some(u) = self.use_mut(&name) {
-                u.accesses.push(e.id);
-            }
-            for r in rest {
-                self.expr(r);
-            }
-            return;
-        }
-        match &e.kind {
-            ExprKind::Ident(n) => {
-                if self.is_local(n) {
-                    if let Some(u) = self.use_mut(n) {
-                        u.other += 1;
-                    }
-                } else if self.fn_names.contains(n) {
-                    self.prog.fn_value_used.insert(n.clone());
-                }
-            }
-            ExprKind::Unary(UnOp::AddrOf, inner) => match &inner.kind {
-                ExprKind::Ident(n) => {
-                    if self.is_local(n) {
-                        if let Some(u) = self.use_mut(n) {
-                            u.addr_taken = true;
-                        }
-                    } else if self.global_names.contains(n) {
-                        self.prog.addr_taken_globals.insert(n.clone());
-                    } else if self.fn_names.contains(n) {
-                        self.prog.fn_value_used.insert(n.clone());
-                    }
-                }
-                ExprKind::Field(_, fname, _) => {
-                    self.info.assigned_fields.insert(fname.clone());
-                    self.expr(inner);
-                }
-                _ => self.expr(inner),
-            },
-            ExprKind::Unary(_, a) => self.expr(a),
-            ExprKind::Binary(_, a, b) => {
-                self.expr(a);
-                self.expr(b);
-            }
-            ExprKind::Index(a, b) => {
-                self.expr(a);
-                self.expr(b);
-            }
-            ExprKind::Field(a, _, _) => self.expr(a),
-            ExprKind::Call(callee, args) => self.call(callee, args),
-            ExprKind::Cast(_, a) | ExprKind::NewArray(_, a) => self.expr(a),
-            ExprKind::Scast(_, src) => {
-                // The scast nulls its source and carries its own
-                // checks; protect them and kill elision on the root.
-                if let Some(root) = root_ident(src) {
-                    if self.is_local(&root) {
-                        self.info.assigned_vars.insert(root.clone());
-                        if let Some(u) = self.use_mut(&root) {
-                            u.other += 1;
-                        }
-                    } else if self.global_names.contains(&root) {
-                        self.prog.assigned_globals.insert(root);
-                    }
-                }
-                self.expr(src);
-            }
-            ExprKind::Ternary(c, a, b) => {
-                self.expr(c);
-                self.expr(a);
-                self.expr(b);
-            }
-            _ => {}
-        }
-    }
-
-    fn call(&mut self, callee: &Expr, args: &[Expr]) {
-        if let ExprKind::Ident(name) = &callee.kind {
-            if name == "spawn" {
-                match args.first().map(|a| &a.kind) {
-                    Some(ExprKind::Ident(f)) if self.fn_names.contains(f) => {
-                        let data = args.get(1);
-                        let arg_local = match data.map(|a| &a.kind) {
-                            Some(ExprKind::Ident(x)) if self.is_local(x) => Some(x.clone()),
-                            _ => None,
-                        };
-                        if let Some(x) = &arg_local {
-                            if let Some(u) = self.use_mut(x) {
-                                u.spawn_args += 1;
-                            }
-                        } else if let Some(d) = data {
-                            self.expr(d);
-                        }
-                        self.prog
-                            .spawn_sites
-                            .entry(f.clone())
-                            .or_default()
-                            .push(SpawnSite {
-                                caller: self.caller.clone(),
-                                arg: arg_local,
-                                in_loop: self.loop_depth > 0,
-                            });
-                        for extra in args.iter().skip(2) {
-                            self.expr(extra);
-                        }
-                    }
-                    _ => {
-                        self.prog.all_fns_aliased = true;
-                        for a in args {
-                            self.expr(a);
-                        }
-                    }
-                }
-                return;
-            }
-            if name == "free" {
-                match args.first().map(|a| &a.kind) {
-                    Some(ExprKind::Ident(x)) if self.is_local(x) => {
-                        let x = x.clone();
-                        if let Some(u) = self.use_mut(&x) {
-                            u.freed += 1;
-                        }
-                    }
-                    _ => {
-                        for a in args {
-                            self.expr(a);
-                        }
-                    }
-                }
-                return;
-            }
-            if is_builtin(name) {
-                let sync = matches!(
-                    name.as_str(),
-                    "mutex_lock" | "mutex_unlock" | "cond_wait" | "cond_signal" | "cond_broadcast"
-                );
-                for a in args {
-                    // A sync builtin's `&path` argument *names* its
-                    // mutex/cond — the builtin mutates that object's
-                    // state but can never retarget the path, so the
-                    // address-of must not poison lock-path stability.
-                    if sync {
-                        if let ExprKind::Unary(UnOp::AddrOf, inner) = &a.kind {
-                            if is_ident_field_chain(inner) {
-                                self.expr(inner);
-                                continue;
-                            }
-                        }
-                    }
-                    self.expr(a);
-                }
-                return;
-            }
-            if self.fn_names.contains(name) {
-                for a in args {
-                    match &a.kind {
-                        ExprKind::Ident(x) if self.is_local(x) => {
-                            if let Some(u) = self.use_mut(x) {
-                                u.call_args += 1;
-                            }
-                        }
-                        _ => self.expr(a),
-                    }
-                }
-                self.prog.called.insert(name.clone());
-                return;
-            }
-        }
-        // Indirect call: any argument may escape anywhere.
-        self.expr(callee);
-        for a in args {
-            self.expr(a);
-            if let ExprKind::Ident(x) = &a.kind {
-                if self.is_local(x) {
-                    if let Some(u) = self.use_mut(x) {
-                        u.other += 1;
-                    }
-                }
-            }
-        }
-    }
+fn is_sync_builtin(callee: &Expr) -> bool {
+    matches!(
+        &callee.kind,
+        ExprKind::Ident(name) if matches!(
+            name.as_str(),
+            "mutex_lock" | "mutex_unlock" | "cond_wait" | "cond_signal" | "cond_broadcast"
+        )
+    )
 }
 
 fn root_ident(e: &Expr) -> Option<String> {
@@ -1198,7 +822,7 @@ fn collapse_assign(lhs: &Expr, rhs: &Expr, instr: &Instrumentation, facts: &mut 
 // ----- explain output -----
 
 /// Renders one human-auditable line per elided or collapsed slot,
-/// sorted by source position: `elide write *d [spawn-unique] @ f.c:4`.
+/// sorted by source position: `elide write w->count [lock-held] @ f.c:4`.
 pub fn explain(facts: &ElisionFacts, instr: &Instrumentation, sm: &SourceMap) -> Vec<String> {
     let mut rows: Vec<(u32, u32, String)> = Vec::new();
     for (id, site) in &facts.sites {
@@ -1259,77 +883,84 @@ mod tests {
         out
     }
 
-    const SPAWN_UNIQUE: &str = "void worker(int * d) { int i; \
+    const PRIVATE_LOOP: &str = "void worker(int * d) { int i; \
          for (i = 0; i < 10; i = i + 1) *d = *d + 1; }\n\
          void main() { int * p; int t; p = new(int); t = spawn(worker, p); join(t); }";
 
     #[test]
-    fn spawn_unique_elides_every_worker_check() {
-        let c = run(SPAWN_UNIQUE);
+    fn worker_loop_collapses_its_read_into_the_write() {
+        let c = run(PRIVATE_LOOP);
         let s = &c.elision.summary;
-        // `*d = *d + 1`: one read slot + one write slot, both elided
-        // (the read also matches E5, but E3 claims it first).
+        // `*d = *d + 1`: one read slot + one write slot. No rule
+        // deletes a dynamic slot; E5 folds the read into the write.
         assert_eq!(s.checked_slots, 2, "{:?}", c.instr.checks);
-        assert_eq!(s.elided_slots, 2);
-        assert!(reasons(&c).iter().all(|r| *r == Reason::SpawnUnique));
+        assert_eq!((s.elided_slots, s.collapsed_reads), (0, 1), "{s:?}");
+        assert_eq!(reasons(&c), [Reason::ReadOfWrite]);
     }
+
+    /// No rule deletes a dynamic slot of `src`: at most E5 folds a
+    /// read into its write.
+    fn assert_dynamic_slots_stay_checked(src: &str) {
+        let c = run(src);
+        assert_eq!(c.elision.summary.elided_slots, 0, "{src}");
+        assert!(
+            reasons(&c).iter().all(|r| *r == Reason::ReadOfWrite),
+            "{src}: {:?}",
+            c.elision.summary
+        );
+    }
+
+    // The next five shapes each let the spawned object race, so a
+    // spawn-time escape analysis (the deleted rule E3) had to keep
+    // their checks. With no such rule they pin that every dynamic
+    // check of theirs stays.
 
     #[test]
     fn second_spawn_site_blocks_spawn_unique() {
-        let c = run("void worker(int * d) { *d = 1; }\n\
+        assert_dynamic_slots_stay_checked(
+            "void worker(int * d) { *d = 1; }\n\
              void main() { int * p; int * q; p = new(int); q = new(int); \
-              spawn(worker, p); spawn(worker, q); }");
-        assert_eq!(c.elision.summary.elided_slots, 0);
+              spawn(worker, p); spawn(worker, q); }",
+        );
     }
 
     #[test]
     fn spawner_deref_blocks_spawn_unique() {
-        // main reads *p unchecked-by-worker; eliding worker's checks
-        // would hide the report the checked build makes.
-        let c = run("void worker(int * d) { *d = 1; }\n\
+        // main reads *p while worker may write it.
+        assert_dynamic_slots_stay_checked(
+            "void worker(int * d) { *d = 1; }\n\
              void main() { int * p; int v; p = new(int); *p = 4; \
-              spawn(worker, p); v = *p; }");
-        assert!(!c
-            .elision
-            .sites
-            .values()
-            .any(|s| s.write == Some(Reason::SpawnUnique)));
+              spawn(worker, p); v = *p; }",
+        );
     }
 
     #[test]
     fn spawner_call_arg_blocks_spawn_unique() {
-        // main hands p to poke, which writes *p while worker may:
-        // eliding worker's checks would hide that race.
-        let c = run("void worker(int * d) { *d = 1; }\n\
+        // main hands p to poke, which writes *p while worker may.
+        assert_dynamic_slots_stay_checked(
+            "void worker(int * d) { *d = 1; }\n\
              void poke(int * x) { *x = 2; }\n\
-             void main() { int * p; p = new(int); spawn(worker, p); poke(p); }");
-        assert!(
-            !reasons(&c).contains(&Reason::SpawnUnique),
-            "{:?}",
-            c.elision.summary
+             void main() { int * p; p = new(int); spawn(worker, p); poke(p); }",
         );
     }
 
     #[test]
     fn direct_call_of_worker_blocks_spawn_unique() {
-        // worker also runs as a plain call on main's thread, so its
-        // formal is not only ever the spawned thread's object.
-        let c = run("void worker(int * d) { *d = 1; }\n\
+        // worker also runs as a plain call on main's thread.
+        assert_dynamic_slots_stay_checked(
+            "void worker(int * d) { *d = 1; }\n\
              void main() { int * p; int * q; p = new(int); q = new(int); \
-              spawn(worker, p); worker(q); }");
-        assert!(
-            !reasons(&c).contains(&Reason::SpawnUnique),
-            "{:?}",
-            c.elision.summary
+              spawn(worker, p); worker(q); }",
         );
     }
 
     #[test]
     fn spawn_in_loop_blocks_spawn_unique() {
-        let c = run("void worker(int * d) { *d = 1; }\n\
+        assert_dynamic_slots_stay_checked(
+            "void worker(int * d) { *d = 1; }\n\
              void main() { int * p; int i; p = new(int); \
-              for (i = 0; i < 2; i = i + 1) spawn(worker, p); }");
-        assert_eq!(c.elision.summary.elided_slots, 0);
+              for (i = 0; i < 2; i = i + 1) spawn(worker, p); }",
+        );
     }
 
     #[test]
@@ -1439,12 +1070,21 @@ mod tests {
 
     #[test]
     fn explain_renders_sorted_reason_lines() {
-        let c = run(SPAWN_UNIQUE);
-        let lines = explain(&c.elision, &c.instr, &c.source_map);
-        assert_eq!(lines.len(), 2, "{lines:?}");
-        assert!(lines[0].contains("[spawn-unique]"), "{lines:?}");
-        assert!(lines[0].contains("elide_test.c:"), "{lines:?}");
-        assert!(lines.iter().any(|l| l.starts_with("elide write *d")));
+        let c = run("struct q { mutex * m; int locked(m) count; };\n\
+             int dynamic g;\n\
+             void worker(struct q * w) { g = g + 1;\n\
+              mutex_lock(w->m); w->count = w->count + 1; mutex_unlock(w->m); }\n\
+             void main() { struct q * w; w = new(struct q); \
+              spawn(worker, w); spawn(worker, w); }");
+        // By line, then column: the lhs write before the rhs read.
+        assert_eq!(
+            explain(&c.elision, &c.instr, &c.source_map),
+            [
+                "collapse read g [read-of-write] @ elide_test.c:3",
+                "elide write w->count [lock-held] @ elide_test.c:4",
+                "elide read w->count [lock-held] @ elide_test.c:4",
+            ]
+        );
     }
 
     #[test]

@@ -965,8 +965,8 @@ mod tests {
 
     #[test]
     fn checked_program_emits_check_insns() {
-        // The full-checks build keeps every check, even for this
-        // spawn-unique shape the elision pass proves redundant.
+        // The full-checks build keeps every check the checker
+        // inserted; only the default build consults elision.
         let m = compile_src_full(
             "void worker(int * d) { *d = 1; }\n\
              void main() { int * q; q = new(int); spawn(worker, q); }",
@@ -982,18 +982,20 @@ mod tests {
     }
 
     #[test]
-    fn spawn_unique_checks_are_elided_by_default() {
+    fn elided_slots_emit_no_instruction() {
+        // Both slots of the lock-dominated increment are elided (E4),
+        // so the worker holds no check instruction of any kind.
         let m = compile_src(
-            "void worker(int * d) { *d = 1; }\n\
-             void main() { int * q; q = new(int); spawn(worker, q); }",
+            "struct q { mutex * m; int locked(m) c; };\n\
+             void worker(struct q * w) { mutex_lock(w->m); w->c = w->c + 1; mutex_unlock(w->m); }\n\
+             void main() { struct q * w; w = new(struct q); spawn(worker, w); }",
         );
         let worker = &m.fns[m.fn_index("worker").unwrap() as usize];
-        assert!(!worker
-            .code
-            .iter()
-            .any(|i| matches!(i, Insn::ChkWrite { .. } | Insn::ChkRead { .. })));
-        assert_eq!(m.elision.emitted, 0);
-        assert!(m.elision.elided > 0);
+        assert!(!worker.code.iter().any(|i| matches!(
+            i,
+            Insn::ChkWrite { .. } | Insn::ChkRead { .. } | Insn::ChkLockHeld { .. }
+        )));
+        assert_eq!((m.elision.emitted, m.elision.elided), (0, 2));
     }
 
     #[test]

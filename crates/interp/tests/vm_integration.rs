@@ -625,19 +625,22 @@ fn report_names_latest_access_when_a_loop_alternates_two_granules() {
 }
 
 #[test]
-fn spawn_unique_private_loop_is_clean_checked_and_elided() {
-    let src = "void worker(int * d) { int i; for (i = 0; i < 500; i++) *d = *d + 1; }\n\
-               void main() { int * p; p = new(int); spawn(worker, p); join_all(); }";
-    // The elision pass deletes every check in this spawn-unique shape;
-    // the full-checks build runs them all and stays silent.
-    let out = compile_and_run_full("priv.c", src, cfg(7));
-    assert!(out.reports.is_empty());
-    assert!(out.stats.dynamic_accesses > 500);
+fn lock_dominated_loop_is_clean_checked_and_elided() {
+    let src = "struct ctr { mutex m; int locked(m) v; };\n\
+               void worker(struct ctr * c) { int i; for (i = 0; i < 250; i++) { \
+                 mutex_lock(&c->m); c->v = c->v + 1; mutex_unlock(&c->m); } }\n\
+               void main() { struct ctr * c; c = new(struct ctr); \
+                 spawn(worker, c); spawn(worker, c); join_all(); }";
+    // The elision pass deletes every lock check in this shape; the
+    // full-checks build runs them all and stays silent.
+    let out = compile_and_run_full("locked.c", src, cfg(7));
+    assert!(out.reports.is_empty(), "{:?}", out.reports);
+    assert_eq!(out.stats.lock_checks, 1000);
     // And the default build proves the point the other way: the loop
     // needs no checks at all.
-    let elided = compile_and_run("priv.c", src, cfg(7)).unwrap();
-    assert!(elided.reports.is_empty());
-    assert_eq!(elided.stats.dynamic_accesses, 0);
+    let elided = compile_and_run("locked.c", src, cfg(7)).unwrap();
+    assert!(elided.reports.is_empty(), "{:?}", elided.reports);
+    assert_eq!(elided.stats.lock_checks, 0);
     assert!(elided.stats.checks_elided > 0);
 }
 

@@ -1,6 +1,6 @@
 // Three sharing shapes, side by side, for the elision pass:
 //   sharc run examples/minic/elision.c --explain-elision
-// A spawn-unique private loop (every check deleted), a
+// A private loop (its read check collapsed into the write), a
 // lock-dominated region (lock checks deleted), and an escaping
 // counterexample (the leaked pointer keeps its checks).
 int dynamic * leak;

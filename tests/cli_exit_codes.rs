@@ -78,12 +78,13 @@ fn a_racy_program_is_caught_under_elision() {
 }
 
 /// `--explain-elision` names the reason for each elided check: the
-/// exemplar has a spawn-unique loop and a lock-dominated region.
+/// exemplar has a lock-dominated region and a private loop whose read
+/// collapses into its write.
 #[test]
 fn explain_elision_names_both_reasons() {
     let out = assert_exit(&["run", "examples/minic/elision.c", "--explain-elision"], 0);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for reason in ["spawn-unique", "lock-held"] {
+    for reason in ["lock-held", "read-of-write"] {
         assert!(
             stdout.contains(reason),
             "no {reason} explanation in:\n{stdout}"

@@ -10,11 +10,15 @@
 //!   not on one observed execution: a racy program that happened not
 //!   to race under the full build's interleaving proves nothing about
 //!   the elided build's *different* interleaving.
-//! * **Mutation** — making an elided access actually race (a second
-//!   spawn on the same object, an escaping alias) must force the
-//!   analysis to stop eliding it: the facts table keeps the raced
-//!   sites checked, and the default build still reports the race.
-//!   Elision may never hide a report the checked build would make.
+//! * **Mutation** — making an access actually race (a second spawn on
+//!   the same object, an escaping alias) must leave it checked: the
+//!   facts table keeps the raced sites, and the default build still
+//!   reports the race. Elision may never hide a report the checked
+//!   build would make.
+//! * **Retargeted locks** — a held lock path that the worker
+//!   retargets before a `locked` access (through the root's address,
+//!   or by a struct copy over the lock field) is not stable, so the
+//!   access keeps its check and both builds report `lock not held`.
 
 use sharc_testkit::gen::{self, Gen};
 use sharc_testkit::prop::Config;
@@ -177,15 +181,15 @@ fn racing_mutations_kill_elision() {
         let base = sharc::check("gen.c", &program(&clean)).expect("parses");
         prop_assert!(!base.diags.has_errors(), "{}", base.render_diags());
         if !clean.locked {
-            // The race-free dynamic counter elides both loop-body
-            // slots (spawn-unique)…
+            // The race-free dynamic counter deletes no slot: only E5
+            // folds the loop body's read into its write…
+            let s = &base.elision.summary;
             prop_assert!(
-                base.elision.summary.elided_slots == 2,
-                "baseline should elide the loop body: {:?}",
-                base.elision.summary
+                (s.elided_slots, s.collapsed_reads) == (0, 1),
+                "baseline should collapse the loop body's read: {s:?}"
             );
             // …and each mutation that lets the object race (or
-            // escape) forces every slot back to checked.
+            // escape) keeps every slot checked.
             for mutant in [
                 Knobs {
                     second_spawn: true,
@@ -257,4 +261,74 @@ fn racy_mutant_still_reports_under_elision() {
     }
     assert!(full > 0, "the mutant must race under full checks");
     assert!(elided > 0, "elision hid the race the checked build reports");
+}
+
+/// Checks that `src`'s one `w->count` write keeps its lock check, and
+/// that the eliding build reports exactly what the fully-checked build
+/// reports (a `lock not held` on every seed).
+fn assert_retargeted_lock_keeps_its_check(src: &str) {
+    let checked = sharc::check("rebind.c", src).expect("parses");
+    assert!(!checked.diags.has_errors(), "{}", checked.render_diags());
+    let (id, _) = checked
+        .instr
+        .checks
+        .iter()
+        .find(|(_, ac)| ac.lvalue == "w->count")
+        .expect("w->count carries a check");
+    assert_eq!(
+        checked.elision.write_reason(*id),
+        None,
+        "a retargeted lock path proves nothing"
+    );
+    for seed in 0..4u64 {
+        let rc = sharc::RunConfig {
+            seed,
+            ..sharc::RunConfig::default()
+        };
+        let render = |out: sharc::RunOutcome| -> Vec<String> {
+            out.reports.iter().map(ToString::to_string).collect()
+        };
+        let full = render(sharc::run_full_checks(&checked, rc.clone()).unwrap());
+        let elided = render(sharc::run(&checked, rc).unwrap());
+        assert!(
+            full.iter().any(|r| r.starts_with("lock not held")),
+            "seed {seed}: {full:?}"
+        );
+        assert_eq!(elided, full, "seed {seed}");
+    }
+}
+
+/// `*pp = spare` rebinds the formal `w` through its address after
+/// `mutex_lock(&w->m)`: the lock path's root is not stable.
+#[test]
+fn lock_root_rebound_through_its_address_keeps_the_check() {
+    assert_retargeted_lock_keeps_its_check(
+        "struct q { mutex m; int locked(m) count; };\n\
+         void worker(struct q * w) {\n\
+             struct q ** pp; struct q * spare;\n\
+             spare = new(struct q); pp = &w;\n\
+             mutex_lock(&w->m); *pp = spare; w->count = 1; mutex_unlock(&w->m);\n\
+         }\n\
+         void main() { struct q * w; w = new(struct q); spawn(worker, w); join_all(); }",
+    );
+}
+
+/// `*w = tmp` copies a whole struct over `w`, so the `mutex *` lock
+/// field `w->m` names another mutex after `mutex_lock(w->m)`.
+#[test]
+fn lock_field_overwritten_by_a_struct_copy_keeps_the_check() {
+    assert_retargeted_lock_keeps_its_check(
+        "struct q { mutex * m; int locked(m) count; };\n\
+         void worker(struct q * w) {\n\
+             struct q tmp;\n\
+             tmp.m = new(mutex);\n\
+             mutex_lock(w->m); *w = tmp; w->count = 1; mutex_unlock(w->m);\n\
+         }\n\
+         void main() {\n\
+             struct q private * init; struct q * w;\n\
+             init = new(struct q); init->m = new(mutex);\n\
+             w = SCAST(struct q *, init);\n\
+             spawn(worker, w); join_all();\n\
+         }",
+    );
 }

@@ -256,10 +256,10 @@ fn vm_and_native_runtime_agree_on_granularity() {
 #[test]
 fn elision_exemplar_explains_exact_sites() {
     // The `--explain-elision` contract on examples/minic/elision.c:
-    // the spawn-unique loop body (line 16) and the lock-dominated
-    // region (line 22) are elided with their reasons; the escaping
-    // counterexample (lines 27-28) keeps its checks and must not
-    // appear in the explanation.
+    // the private loop body's read (line 16) is collapsed into its
+    // write and the lock-dominated region (line 22) is elided, each
+    // with its reason; the escaping counterexample (lines 27-28)
+    // keeps its checks and must not appear in the explanation.
     let src = include_str!("../examples/minic/elision.c");
     let checked = sharc::check("elision.c", src).unwrap();
     assert!(!checked.diags.has_errors(), "{}", checked.render_diags());
@@ -267,18 +267,17 @@ fn elision_exemplar_explains_exact_sites() {
     assert_eq!(
         lines,
         vec![
-            "elide write *d [spawn-unique] @ elision.c:16",
-            "elide read *d [spawn-unique] @ elision.c:16",
+            "collapse read *d [read-of-write] @ elision.c:16",
             "elide write c->v [lock-held] @ elision.c:22",
             "elide read c->v [lock-held] @ elision.c:22",
         ]
     );
     let el = &checked.elision.summary;
-    assert_eq!(el.elided_slots, 4);
+    assert_eq!((el.elided_slots, el.collapsed_reads), (2, 1));
     assert_eq!(el.checked_slots, 6, "the escaping sites stay checked");
     // Elided and full-checks builds agree on the clean verdict, and
-    // the elided run needs no dynamic accesses for the private loop
-    // or the locked region.
+    // the elided run makes one dynamic access per private-loop trip
+    // instead of two, and none in the locked region.
     let elided = sharc::run(
         &checked,
         RunConfig {
@@ -299,8 +298,14 @@ fn elision_exemplar_explains_exact_sites() {
     assert_eq!(elided.status, full.status);
     assert_eq!(elided.output, full.output);
     assert!(elided.reports.is_empty() && full.reports.is_empty());
-    assert_eq!(elided.stats.checks_elided, 4);
-    assert!(elided.stats.dynamic_accesses < full.stats.dynamic_accesses);
+    assert_eq!(
+        (elided.stats.checks_elided, elided.stats.checks_collapsed),
+        (2, 1)
+    );
+    assert_eq!(
+        full.stats.dynamic_accesses - elided.stats.dynamic_accesses,
+        100
+    );
 }
 
 #[test]
