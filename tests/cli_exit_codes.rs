@@ -213,6 +213,40 @@ fn a_syntax_error_is_three() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The front end types every function twice (the analysis over the
+/// unsolved program, the checker over the solved one); a typing error
+/// is still one line of `sharc check`'s output, and a static error
+/// exits 1.
+#[test]
+fn a_typing_error_is_reported_once() {
+    let dir = scratch_dir("typing");
+    for (file, src, message) in [
+        (
+            "unknown.c",
+            "void main() { int x; x = y + 1; }\n",
+            "error: unknown variable `y`",
+        ),
+        (
+            "arity.c",
+            "void worker(int * d) { }\nvoid main() { spawn(worker); }\n",
+            "error: `spawn` expects 2 argument(s), got 1",
+        ),
+    ] {
+        let path = dir.join(file);
+        std::fs::write(&path, src).expect("scratch file");
+        let out = assert_exit(&["check", path.to_str().expect("utf-8 temp path")], 1);
+        let text = String::from_utf8_lossy(&out.stdout).into_owned()
+            + &String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            lines_starting(&text, &["error: "]),
+            1,
+            "{file}: one error line expected, got:\n{text}"
+        );
+        assert_eq!(lines_starting(&text, &[message]), 1, "{file}:\n{text}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A fresh scratch directory for one test's trace files.
 fn scratch_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sharc-cli-{name}-{}", std::process::id()));
