@@ -83,7 +83,7 @@ fn compile_with(checked: &CheckedProgram, use_elision: bool) -> Result<Module, D
     let env = TypeEnv::new(program, structs);
     let mut strings: Vec<Vec<u8>> = Vec::new();
     let mut sites: Vec<CheckSite> = Vec::new();
-    let mut site_map: HashMap<ast::NodeId, u32> = HashMap::new();
+    let mut site_map: ast::NodeMap<u32> = ast::NodeMap::default();
     let mut elision = ElisionCounts::default();
 
     let mut fns = Vec::new();
@@ -166,7 +166,7 @@ struct FnCompiler<'a> {
     structs: &'a StructTable,
     globals: &'a HashMap<String, (u32, Type)>,
     fn_indices: &'a HashMap<String, u32>,
-    table: HashMap<ast::NodeId, Type>,
+    table: ast::NodeMap<Type>,
     code: Vec<Insn>,
     scopes: Vec<HashMap<String, u16>>,
     slot_types: Vec<Type>,
@@ -175,7 +175,7 @@ struct FnCompiler<'a> {
     loop_stack: Vec<(Vec<usize>, u32)>,
     strings: &'a mut Vec<Vec<u8>>,
     sites: &'a mut Vec<CheckSite>,
-    site_map: &'a mut HashMap<ast::NodeId, u32>,
+    site_map: &'a mut ast::NodeMap<u32>,
     /// Disabled while compiling synthesized lock expressions: they
     /// emit no checks and no schedule points.
     checks_enabled: bool,

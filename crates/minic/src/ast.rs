@@ -12,7 +12,9 @@
 //! writes its own `match`.
 
 use crate::span::Span;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::ControlFlow;
 
 /// A unique id for an AST node, assigned by the parser.
@@ -22,6 +24,32 @@ pub struct NodeId(pub u32);
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
+    }
+}
+
+/// A side table keyed by node, hashed by [`NodeIdHasher`].
+pub type NodeMap<V> = HashMap<NodeId, V, BuildHasherDefault<NodeIdHasher>>;
+
+/// Hashes a [`NodeId`] with one multiply. Ids are dense parser
+/// counters and every typed expression is a table insert, so the
+/// default DoS-resistant hasher only costs time here.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct NodeIdHasher(u64);
+
+impl Hasher for NodeIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+    fn write_u32(&mut self, id: u32) {
+        self.write_u64(u64::from(id));
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     }
 }
 
