@@ -2,7 +2,7 @@
 //! the archive format for full-scale runs (`.sbt`, "sharc binary
 //! trace").
 //!
-//! The text formats v1–v3 ([`crate::trace`]) spend ~14 bytes per
+//! The v3 text format ([`crate::trace`]) spends ~14 bytes per
 //! event; at the 10⁷–10⁸ events of a stunnel-fleet run that is
 //! gigabytes of decimal digits, most of them repeating the same tid
 //! and nearly the same granule line after line. v4 stores the same

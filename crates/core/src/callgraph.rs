@@ -25,11 +25,6 @@ use std::fmt::Write as _;
 /// The call graph plus derived thread-reachability facts.
 #[derive(Debug)]
 pub struct CallGraph {
-    /// Functions each function calls by name.
-    pub callees: HashMap<String, HashSet<String>>,
-    /// Arities of each function's calls through a function pointer;
-    /// such a call may reach every function of that arity.
-    pub indirect_arities: HashMap<String, HashSet<usize>>,
     /// Functions passed to `spawn` (directly, or every unary function
     /// when a function pointer is spawned).
     pub thread_roots: HashSet<String>,
@@ -48,6 +43,9 @@ impl CallGraph {
             by_arity.entry(f.params.len()).or_default().push(&f.name);
         }
 
+        // Functions each function calls by name, and the arities of its
+        // calls through a function pointer (each may reach every
+        // function of that arity).
         let mut callees: HashMap<String, HashSet<String>> = HashMap::new();
         let mut indirect_arities: HashMap<String, HashSet<usize>> = HashMap::new();
         let mut globals_touched: HashMap<String, HashSet<String>> = HashMap::new();
@@ -126,8 +124,6 @@ impl CallGraph {
         }
 
         CallGraph {
-            callees,
-            indirect_arities,
             thread_roots,
             thread_reachable,
             globals_touched,
@@ -281,18 +277,24 @@ mod tests {
 
     #[test]
     fn a_local_named_like_a_function_is_a_pointer() {
-        // The spawned and the called `noop` are the local, which holds
-        // `writer`: it is no edge to the function `noop`.
-        let src = "int g;\n\
+        // Each `noop` called or spawned below is the local, which holds
+        // `writer`: a call through it may reach every unary function,
+        // not only the function `noop`, and spawning it makes every
+        // unary function a root.
+        let fns = "int g;\n\
                    void noop(int * p) { }\n\
-                   void writer(int * p) { g = 1; }\n\
-                   void main() { void (* noop)(int * p); noop = writer; noop(NULL);\n\
-                                 spawn(noop, NULL); }";
-        let cg = graph(src);
-        assert!(cg.thread_roots.contains("writer"));
-        assert!(cg.thread_touched_globals().contains("g"));
-        assert!(cg.callees["main"].is_empty());
-        assert_eq!(cg.indirect_arities["main"], HashSet::from([1]));
+                   void writer(int * p) { g = 1; }\n";
+        let called = graph(&format!(
+            "{fns}void worker(int * p) {{ void (* noop)(int * p); noop = writer; noop(NULL); }}\n\
+             void main() {{ spawn(worker, NULL); }}"
+        ));
+        assert!(called.thread_reachable.contains("writer"));
+        assert!(called.thread_touched_globals().contains("g"));
+        let spawned = graph(&format!(
+            "{fns}void main() {{ void (* noop)(int * p); noop = writer; spawn(noop, NULL); }}"
+        ));
+        assert!(spawned.thread_roots.contains("writer"));
+        assert!(spawned.thread_touched_globals().contains("g"));
     }
 
     #[test]

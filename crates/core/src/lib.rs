@@ -29,12 +29,12 @@
 //! ```
 
 pub mod analysis;
-pub mod callgraph;
+pub(crate) mod callgraph;
 pub mod check;
 pub mod constraints;
 pub mod elaborate;
 pub mod elide;
-pub mod typer;
+pub(crate) mod typer;
 
 use minic::ast::{Node, Program, Stmt, StmtKind, Type};
 use minic::diag::Diagnostics;

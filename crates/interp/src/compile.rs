@@ -6,6 +6,11 @@
 //! `OneRef` instruction is emitted immediately before the access —
 //! the `when .1(t1),...` guards of the paper's formal model.
 //!
+//! It does not type the program: every expression's solved type comes
+//! from the checker's table ([`sharc_core::check::ExprTypes`], in
+//! `Instrumentation::types`). Only a synthesized lock expression,
+//! which the checker does not type, has its shape derived here.
+//!
 //! It also marks the schedule points ([`Insn::is_schedule_point`]):
 //! every load, store and copy carries whether its storage's inferred
 //! sharing mode is something other than `private`. The mark comes from
@@ -19,7 +24,6 @@ use minic::diag::Diagnostic;
 use minic::env::StructTable;
 use minic::span::Span;
 use sharc_core::check::CheckKind;
-use sharc_core::typer::{type_function, TypeEnv};
 use sharc_core::CheckedProgram;
 use std::collections::HashMap;
 
@@ -80,7 +84,6 @@ fn compile_with(checked: &CheckedProgram, use_elision: bool) -> Result<Module, D
         .map(|(i, f)| (f.name.clone(), i as u32))
         .collect();
 
-    let env = TypeEnv::new(program, structs);
     let mut strings: Vec<Vec<u8>> = Vec::new();
     let mut sites: Vec<CheckSite> = Vec::new();
     let mut site_map: ast::NodeMap<u32> = ast::NodeMap::default();
@@ -96,13 +99,11 @@ fn compile_with(checked: &CheckedProgram, use_elision: bool) -> Result<Module, D
                 ));
             }
         }
-        let table = type_function(&env, f);
         let mut c = FnCompiler {
             checked,
             structs,
             globals: &globals,
             fn_indices: &fn_indices,
-            table: table.exprs,
             code: Vec::new(),
             scopes: vec![HashMap::new()],
             slot_types: Vec::new(),
@@ -166,7 +167,6 @@ struct FnCompiler<'a> {
     structs: &'a StructTable,
     globals: &'a HashMap<String, (u32, Type)>,
     fn_indices: &'a HashMap<String, u32>,
-    table: ast::NodeMap<Type>,
     code: Vec<Insn>,
     scopes: Vec<HashMap<String, u16>>,
     slot_types: Vec<Type>,
@@ -211,9 +211,9 @@ impl<'a> FnCompiler<'a> {
     }
 
     fn ty_of(&self, e: &Expr) -> CResult<Type> {
-        // Expressions inside synthesized lock paths are not in the
-        // table; derive their shapes locally.
-        if let Some(t) = self.table.get(&e.id) {
+        // The checker typed every program expression; synthesized lock
+        // paths are not in its table, so derive their shapes locally.
+        if let Some(t) = self.checked.instr.types.get(e.id) {
             return Ok(t.clone());
         }
         self.shape_of(e)

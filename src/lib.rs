@@ -459,7 +459,7 @@ pub fn write_trace_file(
 /// text format is line-oriented). The format is sniffed from the
 /// file's first bytes, not its name: the binary v4 magic decodes
 /// through [`checker::BinaryTraceReader`], anything else parses as
-/// v1–v3 text.
+/// v3 text.
 pub fn read_trace_file(path: &std::path::Path) -> Result<Vec<checker::CheckEvent>, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     if checker::is_binary_trace(&bytes) {
