@@ -52,17 +52,19 @@ cargo test -q --offline --workspace
 
 echo "== property tests at one fixed seed, release =="
 # The checker and elision differentials, the sharing-inference
-# properties, the sharded stress and the lane-packing races, in
-# release mode at one pinned seed (each property keeps its case floor;
-# SHARC_TEST_CASES can only raise it). The racing lane-packing tests
-# interleave differently at release speed than at debug speed, so they
-# run at both. Every `sharc` exit-code check, the native streamed,
-# recorded and .sbt splits included, is tests/cli_exit_codes.rs, which
-# tier-1 runs.
+# properties, the hostile-trace fuzz, the sharded stress and the
+# lane-packing races, in release mode at one pinned seed (each
+# property keeps its case floor; SHARC_TEST_CASES can only raise it).
+# The racing lane-packing tests interleave differently at release
+# speed than at debug speed, so they run at both. The shipped `sharc`
+# is a release build, where an operand overflow wraps instead of
+# panicking, so the trace decoders' admission is fuzzed there too.
+# Every `sharc` exit-code check, the native streamed, recorded and .sbt
+# splits included, is tests/cli_exit_codes.rs, which tier-1 runs.
 SHARC_TEST_SEED=0xC1 \
     cargo test -q --offline --release -p sharc -p sharc-runtime \
     --test checker_differential --test elision_differential --test inference_props \
-    --test sharded_stress --test lane_packing
+    --test trace_fuzz --test sharded_stress --test lane_packing
 
 echo "== benchmark package tests, release =="
 # benchmark/ is its own package: its tests hold every workload's answer

@@ -20,7 +20,6 @@
 use crate::typer::Bindings;
 use minic::ast::*;
 use std::collections::{HashMap, HashSet};
-use std::fmt::Write as _;
 
 /// The call graph plus derived thread-reachability facts.
 #[derive(Debug)]
@@ -148,18 +147,15 @@ impl CallGraph {
 /// its shape.
 #[derive(Debug)]
 pub struct ShapeIndex<'p> {
-    by_shape: HashMap<String, Vec<&'p FnDef>>,
+    by_shape: HashMap<FnSig, Vec<&'p FnDef>>,
 }
 
 impl<'p> ShapeIndex<'p> {
     /// Indexes every function of `program`.
     pub fn new(program: &'p Program) -> Self {
-        let mut by_shape: HashMap<String, Vec<&'p FnDef>> = HashMap::new();
+        let mut by_shape: HashMap<FnSig, Vec<&'p FnDef>> = HashMap::new();
         for f in &program.fns {
-            by_shape
-                .entry(sig_shape(&f.ret, &f.params))
-                .or_default()
-                .push(f);
+            by_shape.entry(shape(f.sig())).or_default().push(f);
         }
         ShapeIndex { by_shape }
     }
@@ -167,48 +163,21 @@ impl<'p> ShapeIndex<'p> {
     /// The functions whose shape matches `sig`, in program order.
     pub fn matching(&self, sig: &FnSig) -> &[&'p FnDef] {
         self.by_shape
-            .get(&sig_shape(&sig.ret, &sig.params))
+            .get(&shape(sig.clone()))
             .map_or(&[], Vec::as_slice)
     }
 }
 
-/// A key two signatures share exactly when they have the same shape
-/// ([`Type::same_shape`] of the return and of every parameter).
-fn sig_shape(ret: &Type, params: &[Param]) -> String {
-    let mut key = String::new();
-    shape_key(ret, &mut key);
-    for p in params {
-        key.push(',');
-        shape_key(&p.ty, &mut key);
+/// `sig` with every qualifier erased: two signatures have the same
+/// shape ([`Type::same_shape`] of the return and of every parameter)
+/// exactly when their shapes are equal.
+fn shape(mut sig: FnSig) -> FnSig {
+    let erase = |ty: &mut Type| ty.for_each_level_mut(&mut |l| l.qual = Qual::Infer);
+    erase(&mut sig.ret);
+    for p in &mut sig.params {
+        erase(&mut p.ty);
     }
-    key
-}
-
-fn shape_key(ty: &Type, out: &mut String) {
-    match &ty.kind {
-        TypeKind::Int => out.push('i'),
-        TypeKind::Char => out.push('c'),
-        TypeKind::Bool => out.push('b'),
-        TypeKind::Void => out.push('v'),
-        TypeKind::Mutex => out.push('m'),
-        TypeKind::Cond => out.push('k'),
-        TypeKind::Named(name) => {
-            let _ = write!(out, "s{}:{name}", name.len());
-        }
-        TypeKind::Ptr(inner) => {
-            out.push('*');
-            shape_key(inner, out);
-        }
-        TypeKind::Array(elem, n) => {
-            let _ = write!(out, "[{n}]");
-            shape_key(elem, out);
-        }
-        TypeKind::Fn(sig) => {
-            let _ = write!(out, "({}", sig.params.len());
-            out.push_str(&sig_shape(&sig.ret, &sig.params));
-            out.push(')');
-        }
-    }
+    sig
 }
 
 #[cfg(test)]

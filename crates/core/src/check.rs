@@ -23,9 +23,12 @@
 //! occurrences to the runtime checks the VM must execute — exactly
 //! the `when chkread/chkwrite/oneref` guards of the formal model —
 //! together with the solved type of every expression ([`ExprTypes`]),
-//! so the program is typed once after inference.
+//! so the program is typed once after inference. Its last step is
+//! static elision ([`crate::elide`]): each check slot's entry also
+//! says why the check may be skipped, if it may.
 
 use crate::analysis::SharingAnalysis;
+use crate::elide::{self, Reason};
 use crate::typer::{callee_sig, type_function, TypeEnv, TypeTable};
 use minic::ast::*;
 use minic::diag::{Diagnostic, Diagnostics};
@@ -44,11 +47,17 @@ pub enum CheckKind {
     Locked(usize),
 }
 
-/// Checks attached to one l-value occurrence.
+/// Checks attached to one l-value occurrence, and why either was
+/// elided.
 #[derive(Debug, Clone)]
 pub struct AccessCheck {
     pub read: Option<CheckKind>,
     pub write: Option<CheckKind>,
+    /// Why the read check may be skipped, if an elision rule proved
+    /// it redundant.
+    pub read_elided: Option<Reason>,
+    /// Why the write check may be skipped, likewise.
+    pub write_elided: Option<Reason>,
     /// The l-value as written (`S->sdata`, `*(fdata + i)`), used in
     /// conflict reports.
     pub lvalue: String,
@@ -58,8 +67,8 @@ pub struct AccessCheck {
 /// The instrumentation table consumed by the VM compiler.
 #[derive(Debug, Default)]
 pub struct Instrumentation {
-    /// Checks per l-value expression node.
-    pub checks: HashMap<NodeId, AccessCheck>,
+    /// Checks and elision reasons per l-value expression node.
+    pub checks: NodeMap<AccessCheck>,
     /// Synthesized lock expressions (evaluated uninstrumented).
     pub lock_exprs: Vec<Expr>,
     /// Call arguments covered by a trusted library *read summary*
@@ -198,6 +207,7 @@ pub fn check(program: &Program, structs: &StructTable, sharing: &SharingAnalysis
         });
     }
 
+    elide::mark(program, &mut instr);
     CheckResult { diags, instr }
 }
 
@@ -501,6 +511,8 @@ impl<'a> FnChecker<'a> {
             .or_insert_with(|| AccessCheck {
                 read: None,
                 write: None,
+                read_elided: None,
+                write_elided: None,
                 lvalue: pretty::expr(e),
                 span: e.span,
             })
@@ -906,7 +918,7 @@ fn level_below(t: &Type) -> Option<Type> {
 
 /// Exact agreement of a referent type, qualifiers included.
 pub fn deep_equal(a: &Type, b: &Type) -> bool {
-    quals_equal(&a.qual, &b.qual) && deep_equal_below(a, b)
+    a.qual == b.qual && deep_equal_below(a, b)
 }
 
 /// Agreement of everything strictly below this level.
@@ -930,17 +942,10 @@ pub fn deep_equal_below(a: &Type, b: &Type) -> bool {
     }
 }
 
-fn quals_equal(a: &Qual, b: &Qual) -> bool {
-    match (a, b) {
-        (Qual::Locked(p), Qual::Locked(q)) => p.segs == q.segs,
-        _ => a == b,
-    }
-}
-
 /// True if the two referent types differ *only* in their own
 /// (outermost) sharing mode — the case a sharing cast fixes.
 fn shallow_fixable(a: &Type, b: &Type) -> bool {
-    a.same_shape(b) && !quals_equal(&a.qual, &b.qual) && deep_equal_below(a, b)
+    a.same_shape(b) && a.qual != b.qual && deep_equal_below(a, b)
 }
 
 fn scast_source_ident(s: &Stmt) -> Option<String> {

@@ -1,11 +1,13 @@
 //! Static check elision: a lockset pre-analysis that deletes
 //! provably-redundant runtime checks before bytecode exists.
 //!
-//! Runs after the sharing analysis and the checker, over the typed AST
-//! (every qualifier concrete) and the [`Instrumentation`] table. The
-//! output is an [`ElisionFacts`] side table mapping l-value nodes to a
-//! machine-checkable [`Reason`] per elided check slot; the VM compiler
-//! consults it and emits **no instruction** for an elided slot.
+//! It is the checker's last step: [`crate::check::check`] runs it over
+//! the solved program (every qualifier concrete) once every check is
+//! recorded. It writes a machine-checkable [`Reason`] into the
+//! [`Instrumentation::checks`] entry of each check slot it elides
+//! (`read_elided` / `write_elided`), so one entry holds a slot's check
+//! and its reason; the VM compiler emits **no instruction** for an
+//! elided slot, and [`ElisionSummary::of`] counts them.
 //!
 //! Two rules, one per [`Reason`]:
 //!
@@ -81,13 +83,6 @@ impl Reason {
     pub const ALL: [Reason; 2] = [Reason::LockHeld, Reason::ReadOfWrite];
 }
 
-/// Elision verdicts for one instrumented l-value occurrence.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SiteFacts {
-    pub read: Option<Reason>,
-    pub write: Option<Reason>,
-}
-
 /// Static totals over the whole program (for `sharc check` and the
 /// bench tables).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -103,6 +98,27 @@ pub struct ElisionSummary {
 }
 
 impl ElisionSummary {
+    /// Counts the check slots of `instr` and the reasons recorded
+    /// against them.
+    pub fn of(instr: &Instrumentation) -> ElisionSummary {
+        let mut sum = ElisionSummary::default();
+        for ac in instr.checks.values() {
+            for (kind, reason) in [(&ac.read, ac.read_elided), (&ac.write, ac.write_elided)] {
+                if kind.is_none() {
+                    continue;
+                }
+                sum.checked_slots += 1;
+                let Some(r) = reason else { continue };
+                sum.by_reason[r.index()] += 1;
+                match r {
+                    Reason::LockHeld => sum.elided_slots += 1,
+                    Reason::ReadOfWrite => sum.collapsed_reads += 1,
+                }
+            }
+        }
+        sum
+    }
+
     /// Percentage of static check slots deleted (E4 only).
     pub fn elided_pct(&self) -> f64 {
         if self.checked_slots == 0 {
@@ -113,37 +129,11 @@ impl ElisionSummary {
     }
 }
 
-/// The per-NodeId elision table consumed by the VM compiler.
+/// Kept for `benchmark/`: the wrapper its phase-by-phase build expects
+/// in [`crate::CheckedProgram::elision`].
 #[derive(Debug, Default)]
 pub struct ElisionFacts {
-    pub sites: HashMap<NodeId, SiteFacts>,
     pub summary: ElisionSummary,
-}
-
-impl ElisionFacts {
-    /// Reason the read check at `id` may be skipped, if any.
-    pub fn read_reason(&self, id: NodeId) -> Option<Reason> {
-        self.sites.get(&id).and_then(|s| s.read)
-    }
-
-    /// Reason the write check at `id` may be skipped, if any.
-    pub fn write_reason(&self, id: NodeId) -> Option<Reason> {
-        self.sites.get(&id).and_then(|s| s.write)
-    }
-
-    fn elide_read(&mut self, id: NodeId, r: Reason) {
-        let s = self.sites.entry(id).or_default();
-        if s.read.is_none() {
-            s.read = Some(r);
-        }
-    }
-
-    fn elide_write(&mut self, id: NodeId, r: Reason) {
-        let s = self.sites.entry(id).or_default();
-        if s.write.is_none() {
-            s.write = Some(r);
-        }
-    }
 }
 
 /// What the scan learned about one local or formal.
@@ -179,9 +169,18 @@ struct ProgFacts {
     addr_taken_globals: HashSet<String>,
 }
 
-/// Computes the elision table for a checked program. `program` must be
-/// post-analysis (all sharing modes concrete).
-pub fn elide(program: &Program, instr: &Instrumentation) -> ElisionFacts {
+/// Kept for `benchmark/`: the [`ElisionSummary`] of the reasons
+/// [`crate::check::check`] recorded in `instr`; `program` is unused.
+pub fn elide(_program: &Program, instr: &Instrumentation) -> ElisionFacts {
+    ElisionFacts {
+        summary: ElisionSummary::of(instr),
+    }
+}
+
+/// Runs E4 and then E5 over the checked `program`, recording each
+/// elided slot's [`Reason`] in its entry of `instr.checks`. `program`
+/// must be post-analysis (all sharing modes concrete).
+pub(crate) fn mark(program: &Program, instr: &mut Instrumentation) {
     let global_names: HashSet<String> = program.globals.iter().map(|g| g.name.clone()).collect();
 
     let mut prog = ProgFacts::default();
@@ -191,19 +190,17 @@ pub fn elide(program: &Program, instr: &Instrumentation) -> ElisionFacts {
         .map(|f| (f.name.clone(), scan(program, &global_names, &mut prog, f)))
         .collect();
 
-    let mut facts = ElisionFacts::default();
-
     // E4: LockHeld — forward dataflow of held stable lock paths.
     let lock_strs: Vec<String> = instr.lock_exprs.iter().map(pretty::expr).collect();
     for f in &program.fns {
-        let info = &infos[&f.name];
         let mut flow = LockFlow {
-            info,
-            prog: &prog,
-            instr,
-            lock_strs: &lock_strs,
-            facts: &mut facts,
-            stable_memo: HashMap::new(),
+            paths: LockPaths {
+                info: &infos[&f.name],
+                prog: &prog,
+                lock_strs: &lock_strs,
+                stable_memo: HashMap::new(),
+            },
+            checks: &mut instr.checks,
         };
         let mut held: HashSet<String> = HashSet::new();
         flow.block(&f.body, &mut held);
@@ -217,40 +214,11 @@ pub fn elide(program: &Program, instr: &Instrumentation) -> ElisionFacts {
                 ..
             }) = n
             {
-                collapse_assign(lhs, rhs, instr, &mut facts);
+                collapse_assign(lhs, rhs, &mut instr.checks);
             }
             true
         });
     }
-
-    // Static totals.
-    let mut sum = ElisionSummary::default();
-    for (id, ac) in &instr.checks {
-        let site = facts.sites.get(id).copied().unwrap_or_default();
-        if ac.read.is_some() {
-            sum.checked_slots += 1;
-            match site.read {
-                Some(Reason::ReadOfWrite) => {
-                    sum.collapsed_reads += 1;
-                    sum.by_reason[Reason::ReadOfWrite.index()] += 1;
-                }
-                Some(r) => {
-                    sum.elided_slots += 1;
-                    sum.by_reason[r.index()] += 1;
-                }
-                None => {}
-            }
-        }
-        if ac.write.is_some() {
-            sum.checked_slots += 1;
-            if let Some(r) = site.write {
-                sum.elided_slots += 1;
-                sum.by_reason[r.index()] += 1;
-            }
-        }
-    }
-    facts.summary = sum;
-    facts
 }
 
 // ----- the per-function scan -----
@@ -531,16 +499,11 @@ impl KillSet {
 }
 
 struct LockFlow<'a> {
-    info: &'a FnInfo,
-    prog: &'a ProgFacts,
-    instr: &'a Instrumentation,
-    lock_strs: &'a [String],
-    facts: &'a mut ElisionFacts,
-    /// Per-lock-string stability in this function, memoized.
-    stable_memo: HashMap<String, bool>,
+    paths: LockPaths<'a>,
+    checks: &'a mut NodeMap<AccessCheck>,
 }
 
-impl<'a> LockFlow<'a> {
+impl LockFlow<'_> {
     fn block(&mut self, b: &Block, held: &mut HashSet<String>) {
         for s in &b.stmts {
             self.stmt(s, held);
@@ -562,7 +525,7 @@ impl<'a> LockFlow<'a> {
                     match op {
                         LockOp::Lock => {
                             if let Some(path) = lock_path_string(lock) {
-                                if self.stable(&path) {
+                                if self.paths.stable(&path) {
                                     held.insert(path);
                                 }
                             }
@@ -655,17 +618,17 @@ impl<'a> LockFlow<'a> {
     }
 
     fn elide_locked(&mut self, e: &Expr, held: &HashSet<String>) {
-        let instr = self.instr;
+        let LockFlow { paths, checks } = self;
         e.walk(&mut |e| {
-            if let Some(ac) = instr.checks.get(&e.id) {
-                if let Some(CheckKind::Locked(idx)) = &ac.read {
-                    if self.lock_ok(*idx, held) {
-                        self.facts.elide_read(e.id, Reason::LockHeld);
-                    }
-                }
-                if let Some(CheckKind::Locked(idx)) = &ac.write {
-                    if self.lock_ok(*idx, held) {
-                        self.facts.elide_write(e.id, Reason::LockHeld);
+            if let Some(ac) = checks.get_mut(&e.id) {
+                for (kind, elided) in [
+                    (&ac.read, &mut ac.read_elided),
+                    (&ac.write, &mut ac.write_elided),
+                ] {
+                    if let Some(CheckKind::Locked(idx)) = kind {
+                        if paths.lock_ok(*idx, held) {
+                            *elided = Some(Reason::LockHeld);
+                        }
                     }
                 }
             }
@@ -673,7 +636,18 @@ impl<'a> LockFlow<'a> {
             !matches!(e.kind, ExprKind::Scast(..))
         });
     }
+}
 
+/// Which lock paths one function holds stable.
+struct LockPaths<'a> {
+    info: &'a FnInfo,
+    prog: &'a ProgFacts,
+    lock_strs: &'a [String],
+    /// Per-lock-string stability in this function, memoized.
+    stable_memo: HashMap<String, bool>,
+}
+
+impl LockPaths<'_> {
     fn lock_ok(&mut self, idx: usize, held: &HashSet<String>) -> bool {
         let Some(s) = self.lock_strs.get(idx) else {
             return false;
@@ -784,8 +758,8 @@ fn apply_kills(held: &mut HashSet<String>, kills: &KillSet) {
 /// `*p = *p + 1`: when the write check on the lhs is Dynamic and the
 /// statement is side-effect-free, the rhs read of the *same* l-value
 /// string is covered by the write check that immediately follows it.
-fn collapse_assign(lhs: &Expr, rhs: &Expr, instr: &Instrumentation, facts: &mut ElisionFacts) {
-    let Some(lac) = instr.checks.get(&lhs.id) else {
+fn collapse_assign(lhs: &Expr, rhs: &Expr, checks: &mut NodeMap<AccessCheck>) {
+    let Some(lac) = checks.get(&lhs.id) else {
         return;
     };
     if !matches!(lac.write, Some(CheckKind::Dynamic)) {
@@ -807,12 +781,12 @@ fn collapse_assign(lhs: &Expr, rhs: &Expr, instr: &Instrumentation, facts: &mut 
     }
     let lhs_str = pretty::expr(lhs);
     rhs.walk(&mut |e| {
-        if let Some(ac) = instr.checks.get(&e.id) {
+        if let Some(ac) = checks.get_mut(&e.id) {
             if matches!(ac.read, Some(CheckKind::Dynamic))
-                && facts.read_reason(e.id).is_none()
+                && ac.read_elided.is_none()
                 && pretty::expr(e) == lhs_str
             {
-                facts.elide_read(e.id, Reason::ReadOfWrite);
+                ac.read_elided = Some(Reason::ReadOfWrite);
             }
         }
         true
@@ -823,19 +797,17 @@ fn collapse_assign(lhs: &Expr, rhs: &Expr, instr: &Instrumentation, facts: &mut 
 
 /// Renders one human-auditable line per elided or collapsed slot,
 /// sorted by source position: `elide write w->count [lock-held] @ f.c:4`.
-pub fn explain(facts: &ElisionFacts, instr: &Instrumentation, sm: &SourceMap) -> Vec<String> {
+pub fn explain(instr: &Instrumentation, sm: &SourceMap) -> Vec<String> {
     let mut rows: Vec<(u32, u32, String)> = Vec::new();
-    for (id, site) in &facts.sites {
-        let Some(ac) = instr.checks.get(id) else {
-            continue;
-        };
-        let lc = sm.lookup(ac.span);
-        let mut push = |rw: &str, r: Reason, ac: &AccessCheck| {
+    for ac in instr.checks.values() {
+        for (rw, reason) in [("read", ac.read_elided), ("write", ac.write_elided)] {
+            let Some(r) = reason else { continue };
             let verb = if r == Reason::ReadOfWrite {
                 "collapse"
             } else {
                 "elide"
             };
+            let lc = sm.lookup(ac.span);
             rows.push((
                 lc.line,
                 lc.col,
@@ -847,12 +819,6 @@ pub fn explain(facts: &ElisionFacts, instr: &Instrumentation, sm: &SourceMap) ->
                     lc.line
                 ),
             ));
-        };
-        if let Some(r) = site.read {
-            push("read", r, ac);
-        }
-        if let Some(r) = site.write {
-            push("write", r, ac);
         }
     }
     rows.sort();
@@ -873,10 +839,10 @@ mod tests {
 
     fn reasons(c: &CheckedProgram) -> Vec<Reason> {
         let mut out: Vec<Reason> = c
-            .elision
-            .sites
+            .instr
+            .checks
             .values()
-            .flat_map(|s| [s.read, s.write])
+            .flat_map(|ac| [ac.read_elided, ac.write_elided])
             .flatten()
             .collect();
         out.sort_by_key(|r| r.index());
@@ -1078,7 +1044,7 @@ mod tests {
               spawn(worker, w); spawn(worker, w); }");
         // By line, then column: the lhs write before the rhs read.
         assert_eq!(
-            explain(&c.elision, &c.instr, &c.source_map),
+            explain(&c.instr, &c.source_map),
             [
                 "collapse read g [read-of-write] @ elide_test.c:3",
                 "elide write w->count [lock-held] @ elide_test.c:4",

@@ -43,7 +43,7 @@ use minic::span::SourceMap;
 
 pub use analysis::{AnalysisStats, SharingAnalysis};
 pub use check::{AccessCheck, CheckKind, CheckResult, Instrumentation};
-pub use elide::{ElisionFacts, ElisionSummary, Reason, SiteFacts};
+pub use elide::{ElisionFacts, ElisionSummary, Reason};
 
 /// A fully analyzed, checked, and instrumented program.
 #[derive(Debug)]
@@ -51,10 +51,10 @@ pub struct CheckedProgram {
     /// The program with every qualifier concrete.
     pub program: Program,
     pub structs: StructTable,
-    /// Runtime checks per l-value occurrence.
+    /// Runtime checks per l-value occurrence, each with the reason it
+    /// was elided, if it was.
     pub instr: Instrumentation,
-    /// Statically-proven-redundant checks (the VM compiler skips
-    /// them; `compile_full_checks` ignores the table).
+    /// The totals of `instr`'s elided slots.
     pub elision: elide::ElisionFacts,
     /// Sharing-analysis results (escape info, statistics).
     pub sharing: SharingAnalysis,
@@ -103,7 +103,9 @@ pub fn compile(name: &str, src: &str) -> Result<CheckedProgram, minic::Diagnosti
     let structs = StructTable::build(&program)?;
     let check::CheckResult { diags: cd, instr } = check::check(&program, &structs, &sharing);
     diags.extend(cd);
-    let elision = elide::elide(&program, &instr);
+    let elision = ElisionFacts {
+        summary: ElisionSummary::of(&instr),
+    };
     Ok(CheckedProgram {
         program,
         structs,

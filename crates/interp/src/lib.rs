@@ -37,7 +37,7 @@ pub mod formal;
 pub mod report;
 pub mod vm;
 
-pub use bytecode::{Addr, ElisionCounts, Module, Value};
+pub use bytecode::{Addr, Module, Value};
 pub use compile::{compile as compile_module, compile_full_checks};
 pub use report::ConflictReport;
 /// The kind of sharing-strategy violation a [`ConflictReport`] names:

@@ -119,12 +119,12 @@ pub struct VmStats {
     pub cache_hits: u64,
     /// Always 0: the VM has no owned-run cache; `benchmark/` still reads it.
     pub range_hits: u64,
-    /// Check slots the front end statically elided (copied from the
-    /// module; these never became instructions, so they cost nothing
-    /// per execution).
+    /// Check slots the front end statically elided: the module's
+    /// `ElisionSummary::elided_slots`. They never became instructions,
+    /// so they cost nothing per execution.
     pub checks_elided: u64,
-    /// Compound-assignment reads collapsed into their write check at
-    /// compile time (also from the module).
+    /// Compound-assignment reads collapsed into their write check: the
+    /// module's `ElisionSummary::collapsed_reads`.
     pub checks_collapsed: u64,
 }
 
@@ -324,8 +324,8 @@ impl<'m> Vm<'m> {
             reporter: Reporter::new(sm, &module.sites, max_reports),
             output: Vec::new(),
             stats: VmStats {
-                checks_elided: module.elision.elided,
-                checks_collapsed: module.elision.collapsed,
+                checks_elided: module.elision.elided_slots as u64,
+                checks_collapsed: module.elision.collapsed_reads as u64,
                 ..VmStats::default()
             },
             current: 0,

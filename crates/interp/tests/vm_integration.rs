@@ -10,7 +10,7 @@ fn cfg(seed: u64) -> VmConfig {
     }
 }
 
-/// Compiles with the elision facts ignored — for tests that exercise
+/// Compiles with the elision reasons ignored — for tests that exercise
 /// runtime check machinery on programs the elision pass would
 /// otherwise strip.
 fn compile_and_run_full(name: &str, src: &str, config: VmConfig) -> RunOutcome {

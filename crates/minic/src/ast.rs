@@ -14,7 +14,7 @@
 use crate::span::Span;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::ControlFlow;
 
 /// A unique id for an AST node, assigned by the parser.
@@ -109,10 +109,27 @@ impl fmt::Display for Qual {
 /// field of the enclosing struct or a variable in scope; for soundness
 /// it must be verifiably constant (an unmodified local, a formal, or a
 /// `readonly` value).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Two lock paths are equal, and hash alike, when their segments are:
+/// where each was written does not matter.
+#[derive(Debug, Clone)]
 pub struct LockPath {
     pub segs: Vec<String>,
     pub span: Span,
+}
+
+impl PartialEq for LockPath {
+    fn eq(&self, other: &Self) -> bool {
+        self.segs == other.segs
+    }
+}
+
+impl Eq for LockPath {}
+
+impl Hash for LockPath {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.segs.hash(state);
+    }
 }
 
 impl LockPath {
@@ -285,11 +302,29 @@ pub struct FnSig {
 
 /// One formal parameter: an optional name (required on definitions)
 /// plus a type.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Two parameters are equal, and hash alike, when their types are: a
+/// function type is the same type whatever its parameters are named
+/// and wherever it is written.
+#[derive(Debug, Clone)]
 pub struct Param {
     pub name: String,
     pub ty: Type,
     pub span: Span,
+}
+
+impl PartialEq for Param {
+    fn eq(&self, other: &Self) -> bool {
+        self.ty == other.ty
+    }
+}
+
+impl Eq for Param {}
+
+impl Hash for Param {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.ty.hash(state);
+    }
 }
 
 /// A whole translation unit.
@@ -887,6 +922,34 @@ mod tests {
         let p = LockPath::new(vec!["S".into(), "mut".into()], Span::DUMMY);
         assert_eq!(p.to_string(), "S->mut");
         assert_eq!(p.base(), "S");
+    }
+
+    #[test]
+    fn types_compare_by_structure_not_by_names_or_spans() {
+        let p = crate::parse(
+            "mutex * m;\n\
+             void (* f)(int locked(m) * x, char c);\n\
+             void (* g)(int locked(m) * y,\n    char d);",
+        )
+        .unwrap();
+        let (f, g) = (&p.globals[1].ty, &p.globals[2].ty);
+        let (TypeKind::Ptr(fs), TypeKind::Ptr(gs)) = (&f.kind, &g.kind) else {
+            panic!("expected function pointers")
+        };
+        let (TypeKind::Fn(fs), TypeKind::Fn(gs)) = (&fs.kind, &gs.kind) else {
+            panic!("expected function types")
+        };
+        assert_ne!(fs.params[0].name, gs.params[0].name);
+        assert_ne!(fs.params[0].span, gs.params[0].span);
+        let lock = |sig: &FnSig| match &sig.params[0].ty.pointee().unwrap().qual {
+            Qual::Locked(path) => path.span,
+            q => panic!("expected a locked pointee, got {q}"),
+        };
+        assert_ne!(lock(fs), lock(gs));
+        assert_eq!(f, g);
+        use std::hash::BuildHasher;
+        let h = std::collections::hash_map::RandomState::new();
+        assert_eq!(h.hash_one(f), h.hash_one(g));
     }
 
     #[test]

@@ -247,6 +247,21 @@ fn a_typing_error_is_reported_once() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A text trace without a header line is read as v3, the only text
+/// version the decoder accepts, and `trace info` says so: `rwrite` is
+/// v3 vocabulary.
+#[test]
+fn trace_info_reports_a_headerless_text_trace_as_v3() {
+    let dir = scratch_dir("headerless");
+    let path = dir.join("probe.trace");
+    std::fs::write(&path, "rwrite 1 0 4\nwrite 2 9\n").expect("probe trace");
+    let path = path.to_str().expect("utf-8 temp path");
+    let info = assert_exit(&["trace", "info", path], 0);
+    let info = String::from_utf8_lossy(&info.stdout);
+    assert!(info.contains(": text v3, "), "not a text v3 trace:\n{info}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A fresh scratch directory for one test's trace files.
 fn scratch_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sharc-cli-{name}-{}", std::process::id()));

@@ -11,15 +11,22 @@
 //!   to race under the full build's interleaving proves nothing about
 //!   the elided build's *different* interleaving.
 //! * **Mutation** — making an access actually race (a second spawn on
-//!   the same object, an escaping alias) must leave it checked: the
-//!   facts table keeps the raced sites, and the default build still
+//!   the same object, an escaping alias) must leave it checked: no
+//!   raced site gets an elision reason, and the default build still
 //!   reports the race. Elision may never hide a report the checked
 //!   build would make.
 //! * **Retargeted locks** — a held lock path that the worker
 //!   retargets before a `locked` access (through the root's address,
 //!   or by a struct copy over the lock field) is not stable, so the
 //!   access keeps its check and both builds report `lock not held`.
+//! * **Emitted slots** — on every corpus program the default build
+//!   holds one check instruction per slot of the check table that no
+//!   rule elided, and the fully-checked build one per slot.
 
+mod corpus;
+
+use sharc::interp::bytecode::Insn;
+use sharc::interp::Module;
 use sharc_testkit::gen::{self, Gen};
 use sharc_testkit::prop::Config;
 use sharc_testkit::{forall, prop_assert};
@@ -269,15 +276,14 @@ fn racy_mutant_still_reports_under_elision() {
 fn assert_retargeted_lock_keeps_its_check(src: &str) {
     let checked = sharc::check("rebind.c", src).expect("parses");
     assert!(!checked.diags.has_errors(), "{}", checked.render_diags());
-    let (id, _) = checked
+    let ac = checked
         .instr
         .checks
-        .iter()
-        .find(|(_, ac)| ac.lvalue == "w->count")
+        .values()
+        .find(|ac| ac.lvalue == "w->count")
         .expect("w->count carries a check");
     assert_eq!(
-        checked.elision.write_reason(*id),
-        None,
+        ac.write_elided, None,
         "a retargeted lock path proves nothing"
     );
     for seed in 0..4u64 {
@@ -331,4 +337,38 @@ fn lock_field_overwritten_by_a_struct_copy_keeps_the_check() {
              spawn(worker, w); join_all();\n\
          }",
     );
+}
+
+/// The module's `ChkRead`, `ChkWrite` and `ChkLockHeld` instructions.
+fn check_insns(m: &Module) -> usize {
+    m.fns
+        .iter()
+        .flat_map(|f| &f.code)
+        .filter(|i| {
+            matches!(
+                i,
+                Insn::ChkRead { .. } | Insn::ChkWrite { .. } | Insn::ChkLockHeld { .. }
+            )
+        })
+        .count()
+}
+
+#[test]
+fn bytecode_holds_exactly_the_tables_surviving_slots() {
+    for (name, src) in corpus::corpus() {
+        let checked = sharc::check(&format!("{name}.c"), src).expect("corpus program parses");
+        let s = checked.elision.summary;
+        let default = sharc::interp::compile_module(&checked).expect("compiles");
+        assert_eq!(
+            check_insns(&default),
+            s.checked_slots - s.elided_slots - s.collapsed_reads,
+            "{name}: default build, {s:?}"
+        );
+        let full = sharc::interp::compile_full_checks(&checked).expect("compiles");
+        assert_eq!(
+            check_insns(&full),
+            s.checked_slots,
+            "{name}: full build, {s:?}"
+        );
+    }
 }

@@ -4,7 +4,7 @@
 //!
 //! A row is one program and one [`Reason`]: the checks the eliding
 //! build runs (`dynamic_accesses + lock_checks`, `Random` seed 1) with
-//! that reason's entries cleared from `elision.sites`, minus the same
+//! that reason cleared from the check table, minus the same
 //! count with none cleared. A reason that elides no static slot in a
 //! program is not run again; its row is 0 by construction. The last
 //! rows total each reason over the corpus, and every total must be
@@ -29,12 +29,12 @@ fn executed(checked: &CheckedProgram) -> u64 {
     run.stats.dynamic_accesses + run.stats.lock_checks
 }
 
-/// Clears every `elision.sites` entry that names `reason`; false when
-/// there was none.
+/// Clears every elision reason in the check table that is `reason`;
+/// false when there was none.
 fn strip(checked: &mut CheckedProgram, reason: Reason) -> bool {
     let mut stripped = false;
-    for site in checked.elision.sites.values_mut() {
-        for slot in [&mut site.read, &mut site.write] {
+    for ac in checked.instr.checks.values_mut() {
+        for slot in [&mut ac.read_elided, &mut ac.write_elided] {
             if *slot == Some(reason) {
                 *slot = None;
                 stripped = true;
