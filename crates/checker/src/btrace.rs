@@ -389,11 +389,6 @@ impl<'a> BinaryTraceReader<'a> {
         })
     }
 
-    /// The format version (always [`BTRACE_VERSION`] once validated).
-    pub fn version(&self) -> u8 {
-        BTRACE_VERSION
-    }
-
     /// The largest tid the trace names, from the header.
     pub fn max_tid(&self) -> u32 {
         self.max_tid
@@ -844,7 +839,6 @@ mod tests {
         ];
         let bytes = to_binary(&events);
         let r = BinaryTraceReader::new(&bytes).expect("valid");
-        assert_eq!(r.version(), 4);
         assert_eq!(r.max_tid(), 200);
         assert_eq!(r.event_count(), 3);
         assert_eq!(r.granule_span(), 4104);
