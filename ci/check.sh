@@ -66,6 +66,12 @@ SHARC_TEST_SEED=0xC1 \
     --test checker_differential --test elision_differential --test inference_props \
     --test trace_fuzz --test sharded_stress --test lane_packing
 
+echo "== checker bench rows, --smoke =="
+# Every crates/bench checker row runs once at five samples (about two
+# seconds once built); a row that asks a shadow for a tid its geometry
+# has no word for panics, and fails the gate. Timings are not gated.
+cargo bench -q -p sharc-bench --bench checker --offline -- --smoke
+
 echo "== benchmark package tests, release =="
 # benchmark/ is its own package: its tests hold every workload's answer
 # keys and metric names at smoke scale. Built into the root target/ so

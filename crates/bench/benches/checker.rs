@@ -110,8 +110,7 @@ fn main() {
     //
     // The ≤63-thread fast path (one shard, the default geometry)
     // against the wide five-shard geometry, with both an in-shard tid
-    // and a tid that lives past the first shard; plus the
-    // adaptive-only (zero-shard) geometry for reference. All loops are
+    // and a tid that lives past the first shard. All loops are
     // steady-state owned writes.
     let sharded = [
         ("sharded/1shard-write-tid1", ShadowGeometry::default(), 1),
@@ -124,11 +123,6 @@ fn main() {
             "sharded/5shard-write-tid200",
             ShadowGeometry::for_threads(256),
             200,
-        ),
-        (
-            "sharded/adaptive-write-tid1000",
-            ShadowGeometry::adaptive_only(),
-            1000,
         ),
     ];
     for (name, geom, tid) in sharded {

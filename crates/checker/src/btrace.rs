@@ -14,7 +14,7 @@
 //! 4       1     version (4)
 //! 5       3     reserved (zero)
 //! 8       4     max tid              (little-endian u32)
-//! 12      4     shard count          (ShadowGeometry::for_threads)
+//! 12      4     shard count          (of the max tid; not read back)
 //! 16      8     event count          (little-endian u64)
 //! 24      8     granule span         (little-endian u64)
 //! 32      …     per-thread blocks
@@ -215,7 +215,7 @@ pub fn to_binary(events: &[CheckEvent]) -> Vec<u8> {
 /// The fixed header: the fields that take a pass over the events.
 fn header(events: &[CheckEvent]) -> [u8; HEADER_LEN] {
     let max_tid = max_trace_tid(events);
-    let shards = ShadowGeometry::for_threads((max_tid as usize).max(1)).shards();
+    let shards = ShadowGeometry::for_threads(max_tid as usize).shards();
     let mut header = [0u8; HEADER_LEN];
     header[..4].copy_from_slice(&BTRACE_MAGIC);
     header[4] = BTRACE_VERSION;
@@ -342,7 +342,6 @@ pub struct BlockEntry {
 pub struct BinaryTraceReader<'a> {
     data: &'a [u8],
     max_tid: u32,
-    shards: u32,
     event_count: u64,
     granule_span: u64,
     footer_off: usize,
@@ -382,7 +381,6 @@ impl<'a> BinaryTraceReader<'a> {
         Ok(BinaryTraceReader {
             data,
             max_tid: u32::from_le_bytes(data[8..12].try_into().expect("4 bytes")),
-            shards: u32::from_le_bytes(data[12..16].try_into().expect("4 bytes")),
             event_count: u64::from_le_bytes(fixed(16)),
             granule_span: u64::from_le_bytes(fixed(24)),
             footer_off,
@@ -392,14 +390,6 @@ impl<'a> BinaryTraceReader<'a> {
     /// The largest tid the trace names, from the header.
     pub fn max_tid(&self) -> u32 {
         self.max_tid
-    }
-
-    /// The recorded shard geometry (what
-    /// [`ShadowGeometry::for_threads`] derived from the max tid at
-    /// encode time) — a replayer can size its backend before
-    /// decoding a single event.
-    pub fn geometry(&self) -> ShadowGeometry {
-        ShadowGeometry::with_shards(self.shards as usize)
     }
 
     /// Total events, from the header.
@@ -843,9 +833,9 @@ mod tests {
         assert_eq!(r.event_count(), 3);
         assert_eq!(r.granule_span(), 4104);
         assert_eq!(
-            r.geometry(),
-            ShadowGeometry::for_threads(200),
-            "header geometry sizes the replay backend without decoding"
+            bytes[12..16],
+            (ShadowGeometry::for_threads(200).shards() as u32).to_le_bytes(),
+            "the header still records the shard count"
         );
         let blocks = r.blocks().expect("footer parses");
         assert_eq!(

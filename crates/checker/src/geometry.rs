@@ -4,61 +4,66 @@
 //! The paper's §4.2.1 encoding packs reader/writer sets into a single
 //! word, which caps *exact* tracking at `8n − 1 = 63` threads for an
 //! 8-byte word. [`ShadowGeometry`] lifts that cap without giving up
-//! exactness: a granule's shadow becomes `shards + 1` words —
-//! one full bitmap word per 63-thread block, plus one adaptive-encoded
-//! *overflow* word for thread ids beyond the exact range.
+//! exactness: a granule's shadow becomes `shards` words, one full
+//! bitmap word per 63-thread block.
 //!
 //! ```text
 //! words[0]        bitmap shard for tids  1 ..= 63
 //! words[1]        bitmap shard for tids 64 ..= 126
 //! ...
 //! words[s-1]      bitmap shard for tids (s-1)*63+1 ..= s*63
-//! words[s]        adaptive overflow (EMPTY/EXCL/READ1/SHARED_READ)
 //! ```
 //!
 //! Thread id `t` (1-based) maps to shard `(t − 1) / 63` with local
-//! bit `((t − 1) % 63) + 1` — *not* the ISSUE-simplified `t / 63` /
-//! `t % 63`, which would put tid 63's local bit onto the writer flag.
-//! The chosen mapping keeps tids `1..=63` in shard 0 with their
-//! local id equal to their global id, so a one-shard geometry is
-//! bit-for-bit the paper's original single-word encoding.
+//! bit `((t − 1) % 63) + 1` — *not* the simpler `t / 63` / `t % 63`,
+//! which would put tid 63's local bit onto the writer flag. The
+//! chosen mapping keeps tids `1..=63` in shard 0 with their local id
+//! equal to their global id, so a one-shard geometry is bit-for-bit
+//! the paper's original single-word encoding.
 //!
-//! The geometry is `const`-constructible so the VM can fix its shard
-//! count at compile time, and cheap to copy so every shadow carries
-//! its own.
+//! A tid past [`ShadowGeometry::exact_threads`] has no word: the VM's
+//! and the replayer's `BitmapBackend` widens its geometry when it
+//! meets one, and the runtime's fixed-size `MultiWord` refuses it.
 
 /// The shard layout of one granule's shadow words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShadowGeometry {
-    /// Number of 63-thread bitmap shards. Zero means "adaptive only":
-    /// every thread id goes through the overflow word — the scalable
-    /// one-word encoding of §4.2.1's future work.
+    /// Number of 63-thread bitmap shards, at least one.
     shards: usize,
 }
 
 /// Exact thread capacity of one bitmap shard word (`8·8 − 1`).
 pub const THREADS_PER_SHARD: usize = 63;
 
-impl ShadowGeometry {
-    /// A geometry with no bitmap shards: all thread ids take the
-    /// adaptive overflow word. One word per granule; sound for any
-    /// thread count, exact only up to one concurrent reader.
-    pub const fn adaptive_only() -> Self {
-        ShadowGeometry { shards: 0 }
-    }
+/// The thread-id space: every tid a trace may name lies in
+/// `1..=TID_MASK` (2³⁰ − 1), which both trace decoders check.
+pub const TID_MASK: u64 = (1 << 30) - 1;
 
+/// The widest granule a fixed-size shadow supports: the runtime's
+/// stack-allocated snapshot holds this many words, and the VM admits
+/// only as many live threads as they name
+/// (`16 × 63 = 1008`).
+pub const MAX_WORDS_PER_GRANULE: usize = 16;
+
+impl ShadowGeometry {
     /// The smallest geometry that tracks `threads` simultaneously
-    /// live thread ids *exactly* (full reader identities). Ids past
-    /// the exact range still work — they fall into the adaptive
-    /// overflow word, soundly.
+    /// live thread ids exactly (full reader identities); one shard
+    /// for zero threads.
     pub const fn for_threads(threads: usize) -> Self {
-        ShadowGeometry {
-            shards: threads.div_ceil(THREADS_PER_SHARD),
-        }
+        Self::with_shards(if threads == 0 {
+            1
+        } else {
+            threads.div_ceil(THREADS_PER_SHARD)
+        })
     }
 
     /// A geometry with exactly `shards` bitmap shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
     pub const fn with_shards(shards: usize) -> Self {
+        assert!(shards >= 1, "a geometry has at least one shard");
         ShadowGeometry { shards }
     }
 
@@ -67,24 +72,18 @@ impl ShadowGeometry {
         self.shards
     }
 
-    /// The largest thread id tracked with exact reader identity
-    /// (`shards × 63`). Ids above this are sound-but-adaptive.
+    /// The largest thread id tracked (`shards × 63`).
     pub const fn exact_threads(&self) -> usize {
         self.shards * THREADS_PER_SHARD
     }
 
-    /// Shadow words per granule: one per shard plus the overflow.
+    /// Shadow words per granule: one per shard.
     pub const fn words_per_granule(&self) -> usize {
-        self.shards + 1
-    }
-
-    /// Index of the adaptive overflow word within a granule's words.
-    pub const fn overflow_index(&self) -> usize {
         self.shards
     }
 
-    /// The shard holding `tid`'s bit, or `None` if `tid` lands in the
-    /// adaptive overflow word.
+    /// The shard holding `tid`'s bit, or `None` if `tid` is 0 or past
+    /// [`ShadowGeometry::exact_threads`].
     #[inline]
     pub const fn shard_of(&self, tid: u32) -> Option<usize> {
         if tid == 0 {
@@ -113,8 +112,7 @@ impl ShadowGeometry {
 }
 
 impl Default for ShadowGeometry {
-    /// One shard: the paper's original 63-thread-exact configuration
-    /// (plus the overflow word for ids beyond it).
+    /// One shard: the paper's original 63-thread configuration.
     fn default() -> Self {
         ShadowGeometry::for_threads(THREADS_PER_SHARD)
     }
@@ -126,6 +124,7 @@ mod tests {
 
     #[test]
     fn for_threads_rounds_up() {
+        assert_eq!(ShadowGeometry::for_threads(0).shards(), 1);
         assert_eq!(ShadowGeometry::for_threads(1).shards(), 1);
         assert_eq!(ShadowGeometry::for_threads(63).shards(), 1);
         assert_eq!(ShadowGeometry::for_threads(64).shards(), 2);
@@ -136,12 +135,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least one shard")]
+    fn zero_shards_are_refused() {
+        let _ = ShadowGeometry::with_shards(0);
+    }
+
+    #[test]
     fn exact_range_and_word_count() {
         let g = ShadowGeometry::for_threads(256);
         assert_eq!(g.exact_threads(), 315);
-        assert_eq!(g.words_per_granule(), 6);
-        assert_eq!(g.overflow_index(), 5);
-        assert_eq!(g.bytes_per_granule(), 48);
+        assert_eq!(g.words_per_granule(), 5);
+        assert_eq!(g.bytes_per_granule(), 40);
+        let widest = ShadowGeometry::with_shards(MAX_WORDS_PER_GRANULE);
+        assert_eq!(widest.exact_threads(), 1008);
     }
 
     #[test]
@@ -172,9 +178,5 @@ mod tests {
         assert_eq!(g.shard_of(63), Some(0));
         assert_eq!(g.shard_of(64), None, "past the exact range");
         assert_eq!(g.shard_of(0), None, "zero is reserved");
-        let a = ShadowGeometry::adaptive_only();
-        assert_eq!(a.shard_of(1), None, "no shards: everything adapts");
-        assert_eq!(a.words_per_granule(), 1);
-        assert_eq!(a.overflow_index(), 0);
     }
 }

@@ -4,8 +4,8 @@
 //! machine, shared by every layer of the workspace:
 //!
 //! * [`step`] — the pure, atomics-free granule transition functions
-//!   for both shadow-word encodings (the paper's reader/writer
-//!   bitmap and the scalable adaptive encoding). `sharc-runtime`
+//!   of the paper's reader/writer bitmap, one word or one word per
+//!   63-thread shard. `sharc-runtime`
 //!   wraps them in compare-exchange retry loops for real threads;
 //!   `sharc-interp`'s VM calls [`BitmapBackend`], which applies them
 //!   to a plain word store. One state machine, one set of verdicts.
@@ -19,7 +19,8 @@
 //! * [`geometry`] — [`ShadowGeometry`]: how many 63-thread bitmap
 //!   shards back each granule ([`step::sharded`] is the matching
 //!   transition function). This is what lifts the paper's 63-thread
-//!   cap without forgetting reader identities.
+//!   cap without forgetting reader identities; [`BitmapBackend`]
+//!   widens its own geometry as wider tids arrive.
 //! * [`sink`] — the [`EventSink`] consumer interface native
 //!   workloads emit into, with [`EventLog`] (record-then-replay,
 //!   with append/contention counters) as the compat sink.
@@ -71,7 +72,7 @@ pub use backend::{
     BitmapBackend, CheckBackend, CheckEvent, CheckKind, Conflict, HeldLocks, Verdict,
 };
 pub use btrace::{is_binary as is_binary_trace, parse_binary, to_binary, BinaryTraceReader};
-pub use geometry::{ShadowGeometry, THREADS_PER_SHARD};
+pub use geometry::{ShadowGeometry, MAX_WORDS_PER_GRANULE, THREADS_PER_SHARD, TID_MASK};
 pub use runlog::RunLog;
 pub use sink::{recording_tid, EventLog, EventSink};
 pub use step::{Access, Transition};

@@ -8,9 +8,9 @@
 //! * `sharc-runtime`'s `OneWord` protocol runs [`bitmap::step`]
 //!   inside a compare-exchange retry loop (the portable `cmpxchg` of
 //!   §4.2.1);
-//! * its `MultiWord` protocol runs [`sharded::step`] — which is
-//!   [`adaptive::step`] alone under a zero-shard geometry — inside a
-//!   snapshot → CAS → revalidate loop;
+//! * its `MultiWord` protocol runs [`sharded::step`] — one
+//!   [`bitmap`] word per 63-thread shard — inside a snapshot → CAS →
+//!   revalidate loop;
 //! * [`crate::BitmapBackend`] applies [`sharded::step`] to a plain
 //!   word store. Its callers serialize every call — the VM's
 //!   scheduler, `replay`, the streaming collector, and the §3 formal
@@ -19,7 +19,7 @@
 //!   differential property test in `tests/checker_differential.rs`
 //!   pins this).
 //!
-//! The contract shared by both encodings: **a conflicting access
+//! The contract every wrapper relies on: **a conflicting access
 //! does not modify the shadow word.** This is what the paper's
 //! runtime does (the check aborts/logs before the update), and it is
 //! also what lets a thread's own shadow word answer "is this access
@@ -133,94 +133,13 @@ pub mod bitmap {
     }
 }
 
-/// The scalable adaptive encoding (§4.2.1 / §7 future work): one
-/// 8-byte word per granule encodes an adaptive state instead of a
-/// bitmap, supporting 2³⁰ thread ids at constant shadow cost.
+/// The sharded encoding: exact reader/writer bitmaps *beyond* 63
+/// threads.
 ///
-/// ```text
-/// EMPTY          nobody has touched the granule
-/// EXCL(tid)      one thread reads and writes
-/// READ1(tid)     one thread reads
-/// SHARED_READ    many readers (identities not tracked)
-/// ```
-///
-/// Sound for any number of threads; exact whenever a granule has at
-/// most one concurrent reader (see `sharc-runtime`'s `sharded` module
-/// docs for the documented imprecision at thread exit).
-pub mod adaptive {
-    use super::{Access, Transition};
-
-    pub const TAG_EMPTY: u64 = 0;
-    pub const TAG_EXCL: u64 = 1;
-    pub const TAG_READ1: u64 = 2;
-    pub const TAG_SHARED: u64 = 3;
-    const TAG_SHIFT: u32 = 62;
-    /// Thread ids fit in the low 30 bits.
-    pub const TID_MASK: u64 = (1 << 30) - 1;
-
-    /// Packs a tag and thread id into a shadow word.
-    #[inline]
-    pub fn pack(tag: u64, tid: u32) -> u64 {
-        (tag << TAG_SHIFT) | tid as u64
-    }
-
-    /// The tag bits of a shadow word.
-    #[inline]
-    pub fn tag(word: u64) -> u64 {
-        word >> TAG_SHIFT
-    }
-
-    /// The thread id bits of a shadow word.
-    #[inline]
-    pub fn tid_of(word: u64) -> u32 {
-        (word & TID_MASK) as u32
-    }
-
-    /// Applies one access by thread `tid` (`1 ..= 2³⁰ − 1`).
-    #[inline]
-    pub fn step(word: u64, tid: u32, access: Access) -> Transition {
-        debug_assert!(
-            tid >= 1 && (tid as u64) <= TID_MASK,
-            "thread id out of range"
-        );
-        match access {
-            Access::Read => match tag(word) {
-                TAG_EMPTY => Transition::Install(pack(TAG_READ1, tid)),
-                TAG_READ1 | TAG_EXCL if tid_of(word) == tid => Transition::Unchanged,
-                TAG_READ1 => Transition::Install(pack(TAG_SHARED, 0)),
-                TAG_SHARED => Transition::Unchanged,
-                TAG_EXCL => Transition::Conflict,
-                _ => unreachable!("two-bit tag"),
-            },
-            Access::Write => match tag(word) {
-                TAG_EMPTY => Transition::Install(pack(TAG_EXCL, tid)),
-                TAG_EXCL if tid_of(word) == tid => Transition::Unchanged,
-                TAG_READ1 if tid_of(word) == tid => Transition::Install(pack(TAG_EXCL, tid)),
-                _ => Transition::Conflict,
-            },
-        }
-    }
-
-    /// Thread-exit clearing: exact for granules this thread holds in
-    /// `EXCL`/`READ1`; `SHARED_READ` identities are not tracked, so
-    /// the word is left intact (sound but imprecise).
-    #[inline]
-    pub fn clear_thread(word: u64, tid: u32) -> u64 {
-        match tag(word) {
-            TAG_EXCL | TAG_READ1 if tid_of(word) == tid => TAG_EMPTY,
-            _ => word,
-        }
-    }
-}
-
-/// The sharded hybrid encoding: exact reader/writer bitmaps *beyond*
-/// 63 threads.
-///
-/// A granule's shadow is a slice of `shards + 1` words laid out by a
+/// A granule's shadow is a slice of `shards` words laid out by a
 /// [`ShadowGeometry`](crate::ShadowGeometry): one full
-/// [`bitmap`]-encoded word per 63-thread block, plus one [`adaptive`]
-/// *overflow* word for thread ids past the exact range. Thread `t`
-/// maps to shard `(t − 1) / 63`, local bit `((t − 1) % 63) + 1`, so a
+/// [`bitmap`]-encoded word per 63-thread block. Thread `t` maps to
+/// shard `(t − 1) / 63`, local bit `((t − 1) % 63) + 1`, so a
 /// one-shard geometry is bit-for-bit the paper's original encoding.
 ///
 /// The transition function stays pure and atomics-free: it reads a
@@ -233,15 +152,15 @@ pub mod adaptive {
 ///
 /// Why a single install always suffices:
 ///
-/// * a passing **read** only sets the reader's own bit (or moves the
-///   overflow word) — other words are untouched by definition;
+/// * a passing **read** only sets the reader's own bit — other words
+///   are untouched by definition;
 /// * a passing **write** requires every *other* word to be empty, so
 ///   the only word that changes is the writer's own shard.
 ///
 /// The shared contract holds: **a conflicting access installs
 /// nothing.**
 pub mod sharded {
-    use super::{adaptive, bitmap, Access, Transition};
+    use super::{bitmap, Access, Transition};
     use crate::geometry::ShadowGeometry;
 
     /// The outcome of applying one access to a granule's sharded
@@ -265,126 +184,55 @@ pub mod sharded {
         }
     }
 
-    /// Lifts a single-word [`Transition`] into a [`ShardStep`] at
-    /// word `index`.
-    #[inline]
-    fn lift(t: Transition, index: usize) -> ShardStep {
-        match t {
-            Transition::Unchanged => ShardStep::Unchanged,
-            Transition::Install(word) => ShardStep::Install { index, word },
-            Transition::Conflict => ShardStep::Conflict,
-        }
-    }
-
-    /// True if any word other than `index` holds state that excludes
-    /// a *write* by a thread whose own word is `index`: any foreign
-    /// shard bit, or any non-empty overflow state.
-    #[inline]
-    fn foreign_state(words: &[u64], geom: ShadowGeometry, index: usize) -> bool {
-        let ov = geom.overflow_index();
-        words.iter().enumerate().any(|(i, &w)| {
-            i != index
-                && if i == ov {
-                    adaptive::tag(w) != adaptive::TAG_EMPTY
-                } else {
-                    w != 0
-                }
-        })
-    }
-
-    /// True if any word other than `index` holds a *writer*: a shard
-    /// word with the writer flag, or an `EXCL` overflow word.
-    #[inline]
-    fn foreign_writer(words: &[u64], geom: ShadowGeometry, index: usize) -> bool {
-        let ov = geom.overflow_index();
-        words.iter().enumerate().any(|(i, &w)| {
-            i != index
-                && if i == ov {
-                    adaptive::tag(w) == adaptive::TAG_EXCL
-                } else {
-                    w & bitmap::WRITER_FLAG != 0
-                }
-        })
-    }
-
     /// Applies one access by thread `tid` to a granule's snapshot
     /// `words` (length [`ShadowGeometry::words_per_granule`]).
     ///
-    /// `tid` must be `1 ..= 2³⁰ − 1`; ids within the geometry's exact
-    /// range update their shard bitmap, ids beyond it go through the
-    /// adaptive overflow word (sound, coarser at `SHARED_READ`).
+    /// # Panics
+    ///
+    /// Panics if `tid` is 0 or past the geometry's
+    /// [`ShadowGeometry::exact_threads`]: such a tid has no word.
     #[inline]
     pub fn step(words: &[u64], geom: ShadowGeometry, tid: u32, access: Access) -> ShardStep {
         debug_assert_eq!(words.len(), geom.words_per_granule(), "snapshot width");
-        debug_assert!(
-            tid >= 1 && (tid as u64) <= adaptive::TID_MASK,
-            "thread id out of range"
-        );
-        match geom.shard_of(tid) {
-            Some(s) => {
-                let local = geom.local_bit(tid);
-                let mine = bitmap::step(words[s], local, access);
-                if mine.is_conflict() {
-                    return ShardStep::Conflict;
-                }
-                let blocked = match access {
-                    // Writing requires exclusivity across *all* words.
-                    Access::Write => foreign_state(words, geom, s),
-                    // Reading tolerates foreign readers, not writers.
-                    Access::Read => foreign_writer(words, geom, s),
-                };
-                if blocked {
-                    ShardStep::Conflict
-                } else {
-                    lift(mine, s)
-                }
-            }
-            None => {
-                let ov = geom.overflow_index();
-                let mine = adaptive::step(words[ov], tid, access);
-                if mine.is_conflict() {
-                    return ShardStep::Conflict;
-                }
-                let blocked = match access {
-                    Access::Write => foreign_state(words, geom, ov),
-                    Access::Read => foreign_writer(words, geom, ov),
-                };
-                if blocked {
-                    ShardStep::Conflict
-                } else {
-                    lift(mine, ov)
-                }
-            }
+        let s = geom.shard_of(tid).expect("thread id out of range");
+        let mine = match bitmap::step(words[s], geom.local_bit(tid), access) {
+            Transition::Conflict => return ShardStep::Conflict,
+            Transition::Unchanged => ShardStep::Unchanged,
+            Transition::Install(word) => ShardStep::Install { index: s, word },
+        };
+        // Writing requires every other word empty; reading tolerates
+        // foreign readers, not writers.
+        let blocks = |w: u64| match access {
+            Access::Write => w != 0,
+            Access::Read => w & bitmap::WRITER_FLAG != 0,
+        };
+        let blocked = words.iter().enumerate().any(|(i, &w)| i != s && blocks(w));
+        if blocked {
+            ShardStep::Conflict
+        } else {
+            mine
         }
     }
 
     /// Removes thread `tid`'s contribution on thread exit. Returns
     /// the (index, new word) to write back, or `None` if the words
-    /// already record nothing for `tid` (including the documented
-    /// `SHARED_READ` imprecision in the overflow word).
+    /// record nothing for `tid` (a tid past the geometry never has a
+    /// bit).
     #[inline]
     pub fn clear_thread(words: &[u64], geom: ShadowGeometry, tid: u32) -> Option<(usize, u64)> {
         debug_assert_eq!(words.len(), geom.words_per_granule(), "snapshot width");
-        match geom.shard_of(tid) {
-            Some(s) => {
-                let new = bitmap::clear_thread(words[s], geom.local_bit(tid));
-                (new != words[s]).then_some((s, new))
-            }
-            None => {
-                let ov = geom.overflow_index();
-                let new = adaptive::clear_thread(words[ov], tid);
-                (new != words[ov]).then_some((ov, new))
-            }
-        }
+        let s = geom.shard_of(tid)?;
+        let new = bitmap::clear_thread(words[s], geom.local_bit(tid));
+        (new != words[s]).then_some((s, new))
     }
 }
 
-/// The *recorded* predicates: the pure half of every fast path that
+/// The *recorded* predicate: the pure half of every fast path that
 /// skips a granule.
 ///
-/// SharC's §4.2 checks are defined per 16-byte granule. Each predicate
-/// here is true exactly when [`bitmap::step`] / [`sharded::step`]
-/// would return `Unchanged` — the access is legal **and** the shadow
+/// SharC's §4.2 checks are defined per 16-byte granule.
+/// [`range::recorded`] is true exactly when [`bitmap::step`] would
+/// return `Unchanged` — the access is legal **and** the shadow
 /// word needs no update — so a caller that skips such a granule does
 /// exactly what the per-granule step would have done. That is the
 /// **fold contract** of the runtime's ranged sweeps: a range verdict
@@ -393,8 +241,7 @@ pub mod sharded {
 /// the engine differential in `tests/checker_differential.rs`) pin the
 /// equivalence.
 pub mod range {
-    use super::{bitmap, sharded, Access, Transition};
-    use crate::geometry::ShadowGeometry;
+    use super::{bitmap, Access, Transition};
 
     /// True iff `bitmap::step(word, tid, access)` would return
     /// [`Transition::Unchanged`]: the access is legal and already
@@ -426,15 +273,6 @@ pub mod range {
             "recorded() must equal step() == Unchanged (word {word:#x}, tid {tid}, {access:?})"
         );
         hit
-    }
-
-    /// The [`sharded`] analogue of [`recorded`] over one granule's
-    /// snapshot (`words.len() == geom.words_per_granule()`): true iff
-    /// `sharded::step` is `Unchanged` — the thread's own word records
-    /// the access and no foreign word blocks it.
-    #[inline]
-    pub fn recorded_sharded(words: &[u64], geom: ShadowGeometry, tid: u32, access: Access) -> bool {
-        sharded::step(words, geom, tid, access) == sharded::ShardStep::Unchanged
     }
 }
 
@@ -496,40 +334,7 @@ mod tests {
         assert_eq!(bitmap::clear_thread(w, 1), 1 << 2);
     }
 
-    #[test]
-    fn adaptive_mirrors_bitmap_on_exclusive_owner() {
-        let Transition::Install(b) = bitmap::step(0, 5, Access::Write) else {
-            panic!()
-        };
-        let Transition::Install(a) = adaptive::step(0, 5, Access::Write) else {
-            panic!()
-        };
-        for t in [1u32, 6, 63] {
-            for acc in [Access::Read, Access::Write] {
-                assert_eq!(
-                    bitmap::step(b, t, acc).is_conflict(),
-                    adaptive::step(a, t, acc).is_conflict(),
-                    "tid {t} {acc:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_shared_forgets_identities() {
-        let Transition::Install(w) = adaptive::step(0, 1, Access::Read) else {
-            panic!()
-        };
-        let Transition::Install(w) = adaptive::step(w, 2, Access::Read) else {
-            panic!()
-        };
-        assert_eq!(adaptive::tag(w), adaptive::TAG_SHARED);
-        // Exits cannot subtract from SHARED: sound but imprecise.
-        assert_eq!(adaptive::clear_thread(w, 1), w);
-        assert!(adaptive::step(w, 3, Access::Write).is_conflict());
-    }
-
-    // ----- sharded hybrid -----
+    // ----- sharded -----
 
     use crate::geometry::ShadowGeometry;
     use sharded::ShardStep;
@@ -545,8 +350,8 @@ mod tests {
 
     #[test]
     fn sharded_one_shard_matches_plain_bitmap() {
-        // With one shard and an empty overflow word, verdicts and
-        // installed words must be bit-for-bit the paper's encoding.
+        // With one shard, verdicts and installed words must be
+        // bit-for-bit the paper's encoding.
         let geom = ShadowGeometry::for_threads(63);
         let mut words = vec![0u64; geom.words_per_granule()];
         let mut plain = 0u64;
@@ -619,49 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_overflow_ids_are_sound() {
-        let geom = ShadowGeometry::for_threads(63); // exact range 1..=63
-        let mut words = vec![0u64; geom.words_per_granule()];
-        // An id past the exact range reads through the overflow word.
-        apply(&mut words, geom, 1000, Access::Read);
-        assert_eq!(
-            adaptive::tag(words[geom.overflow_index()]),
-            adaptive::TAG_READ1
-        );
-        // A shard-resident writer must see it.
-        assert!(sharded::step(&words, geom, 5, Access::Write).is_conflict());
-        // And a shard-resident reader coexists with it.
-        apply(&mut words, geom, 5, Access::Read);
-        // Now an overflow writer conflicts with the shard reader.
-        assert!(sharded::step(&words, geom, 2000, Access::Write).is_conflict());
-    }
-
-    #[test]
-    fn sharded_adaptive_only_geometry_is_pure_adaptive() {
-        let geom = ShadowGeometry::adaptive_only();
-        let mut words = vec![0u64; 1];
-        let mut plain = 0u64;
-        for &(tid, acc) in &[
-            (7u32, Access::Read),
-            (9, Access::Read),
-            (7, Access::Write), // conflict: SHARED_READ
-            (9, Access::Read),
-        ] {
-            let a = sharded::step(&words, geom, tid, acc);
-            let b = adaptive::step(plain, tid, acc);
-            assert_eq!(a.is_conflict(), b.is_conflict(), "tid {tid} {acc:?}");
-            if let ShardStep::Install { index, word } = a {
-                assert_eq!(index, 0);
-                words[index] = word;
-            }
-            if let Transition::Install(w) = b {
-                plain = w;
-            }
-            assert_eq!(words[0], plain);
-        }
-    }
-
-    #[test]
     fn sharded_conflict_installs_nothing() {
         let geom = ShadowGeometry::for_threads(128);
         let mut words = vec![0u64; geom.words_per_granule()];
@@ -669,20 +431,15 @@ mod tests {
         let snapshot = words.clone();
         assert!(sharded::step(&words, geom, 1, Access::Write).is_conflict());
         assert!(sharded::step(&words, geom, 1, Access::Read).is_conflict());
-        assert!(sharded::step(&words, geom, 1000, Access::Write).is_conflict());
+        assert!(sharded::step(&words, geom, 128, Access::Write).is_conflict());
         assert_eq!(words, snapshot, "conflicts never install");
     }
 
     #[test]
-    fn adaptive_read_upgrade() {
-        let Transition::Install(w) = adaptive::step(0, 9, Access::Read) else {
-            panic!()
-        };
-        assert!(matches!(
-            adaptive::step(w, 9, Access::Write),
-            Transition::Install(_)
-        ));
-        assert_eq!(adaptive::clear_thread(w, 9), 0);
+    #[should_panic(expected = "thread id out of range")]
+    fn sharded_tid_past_the_geometry_has_no_word() {
+        let geom = ShadowGeometry::for_threads(63);
+        let _ = sharded::step(&[0], geom, 64, Access::Read);
     }
 
     // ----- recorded predicates -----
@@ -717,24 +474,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn recorded_sharded_reads_whole_granule_snapshots() {
-        let geom = ShadowGeometry::for_threads(128);
-        let mut owned = vec![0u64; geom.words_per_granule()];
-        apply(&mut owned, geom, 70, Access::Write);
-        assert!(range::recorded_sharded(&owned, geom, 70, Access::Write));
-        assert!(range::recorded_sharded(&owned, geom, 70, Access::Read));
-        assert!(
-            !range::recorded_sharded(&owned, geom, 1, Access::Read),
-            "cross-shard writer blocks"
-        );
-        // SHARED_READ in the overflow word: reads are recorded for any
-        // overflow tid, writes are not.
-        let mut ov = vec![0u64; geom.words_per_granule()];
-        ov[geom.overflow_index()] = adaptive::pack(adaptive::TAG_SHARED, 0);
-        assert!(range::recorded_sharded(&ov, geom, 5000, Access::Read));
-        assert!(!range::recorded_sharded(&ov, geom, 5000, Access::Write));
     }
 }

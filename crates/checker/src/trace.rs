@@ -41,8 +41,7 @@
 //! pins this over the whole vocabulary.
 
 use crate::backend::CheckEvent;
-use crate::geometry::ShadowGeometry;
-use crate::step::adaptive::TID_MASK;
+use crate::geometry::{ShadowGeometry, TID_MASK};
 use std::fmt::Write as _;
 
 /// The largest shadow a trace *file* may ask the replay fold to
@@ -50,17 +49,19 @@ use std::fmt::Write as _;
 /// its granule span, times eight bytes a word. A trace is untrusted
 /// input, and two short lines (`write 1073741823 0`, `write 5 100000`)
 /// are enough to name terabytes; a decoder refuses such a file instead
-/// of handing it to a fold that would obey it. 16 MiB is a million
-/// granules at up to 63 threads — 16 MiB of traced memory, eight times
-/// the widest trace this repository generates — and keeps the sparse
-/// per-granule state of the baseline detectors near 100 MB when one
-/// ranged line touches all of it.
+/// of handing it to a fold that would obey it. 16 MiB is two million
+/// granules at up to 63 threads — 32 MiB of traced memory, sixteen
+/// times the widest trace this repository generates. One ranged line
+/// over all of it costs the baseline detectors' sparse per-granule
+/// state about half a gigabyte (`sharc replay` peak RSS on
+/// `rread 1 0 2097151`: 441 MB under Eraser, 533 MB under vector
+/// clocks).
 pub const MAX_TRACE_SHADOW_BYTES: u64 = 16 << 20;
 
 /// What both decoders check as they construct each event (the text
 /// parser a whole event at a time, the binary one operand by operand)
-/// — no second pass over the trace: every tid lies in `1..=TID_MASK` (what the
-/// shadow encodings can represent), no granule run overflows, and the
+/// — no second pass over the trace: every tid lies in the id space
+/// `1..=TID_MASK`, no granule run overflows, and the
 /// shadow the trace so far would need stays under
 /// [`MAX_TRACE_SHADOW_BYTES`].
 #[derive(Debug, Default)]
@@ -108,7 +109,7 @@ impl Admission {
     /// The trace got wider or longer: re-check the shadow budget.
     #[cold]
     fn grow(&mut self, max_tid: u32, granule_span: usize) -> Result<(), String> {
-        let geom = ShadowGeometry::for_threads(max_tid.max(1) as usize);
+        let geom = ShadowGeometry::for_threads(max_tid as usize);
         let shadow = geom.bytes_per_granule() as u128 * granule_span as u128;
         if shadow > u128::from(MAX_TRACE_SHADOW_BYTES) {
             return Err(format!(
@@ -589,11 +590,13 @@ mod tests {
             assert!(e.contains(why), "{input:?}: expected {why:?} in {e}");
         }
         // The budget is exact: the last granule that fits is admitted,
-        // the next one is not (two words a granule up to 63 threads).
-        let fits = (MAX_TRACE_SHADOW_BYTES / 16) as usize;
+        // the next one is not...
+        let per_granule = |tid| ShadowGeometry::for_threads(tid).bytes_per_granule() as u64;
+        let fits = (MAX_TRACE_SHADOW_BYTES / per_granule(63)) as usize;
         assert!(parse_text(&format!("alloc {}\n", fits - 1)).is_ok());
         assert!(parse_text(&format!("alloc {fits}\n")).is_err());
-        // ...and a wider tid shrinks it (three words from tid 64 on).
+        // ...and a wider tid shrinks it (one more shard from tid 64 on).
+        assert!(per_granule(64) > per_granule(63));
         assert!(parse_text(&format!("alloc {}\nexit 64\n", fits - 1)).is_err());
     }
 

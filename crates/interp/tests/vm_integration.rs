@@ -701,10 +701,10 @@ fn recycled_tid_is_woken_as_the_live_thread_not_its_dead_namesake() {
 
 #[test]
 fn a_hundred_live_threads_run_and_a_race_past_tid_63_is_reported() {
-    // Thread ids past the one exact shard land in the backend's
-    // adaptive overflow word: sound, so the planted write/write race
-    // between workers 100 and 101 is the one report, and the 98
-    // workers with a cell each stay silent.
+    // Thread ids past the first shard widen the backend to a second
+    // shard word, so the planted write/write race between workers 100
+    // and 101 is the one report, and the 98 workers with a cell each
+    // stay silent.
     let src = include_str!("../../../examples/minic/fleet.c");
     for seed in 0..2 {
         let out = compile_and_run("fleet.c", src, cfg(seed)).unwrap();

@@ -70,7 +70,7 @@ pub use locks::{LockId, LockNotHeld, LockRegistry, ThreadCtx};
 pub use rc::{LpRc, NaiveRc, ObjId, RcScheme};
 pub use scast::{sharing_cast, ScastError};
 pub use shadow::{OneWord, RaceError, Shadow, ShadowWord, ThreadId, WordProtocol};
-pub use sharded::{MultiWord, ShardedShadow, MAX_WORDS_PER_GRANULE};
+pub use sharded::{MultiWord, ShardedShadow};
 
 // The names the wide-tid stack used to export, for callers written
 // against them (a `use`-rename carries the tuple constructor).

@@ -653,9 +653,8 @@ mod tests {
     const CROSS_SHARD: Tids = [ThreadId(1), ThreadId(70), ThreadId(140), ThreadId(200)];
 
     /// Runs each named generic test body on the paper's one-word
-    /// protocol, on the five-shard protocol with tids in four
-    /// different shards, and on the zero-shard (adaptive-only)
-    /// geometry — the bodies assert only what all three guarantee.
+    /// protocol and on the five-shard protocol with tids in four
+    /// different shards — the bodies assert only what both guarantee.
     macro_rules! on_every_protocol {
         ($($body:ident),* $(,)?) => {
             mod one_word {
@@ -667,15 +666,6 @@ mod tests {
                 $(#[test] fn $body() {
                     super::$body(
                         |n| ShardedShadow::with_geometry(n, ShadowGeometry::for_threads(256)),
-                        CROSS_SHARD,
-                    );
-                })*
-            }
-            mod adaptive_only {
-                use super::*;
-                $(#[test] fn $body() {
-                    super::$body(
-                        |n| ShardedShadow::with_geometry(n, ShadowGeometry::adaptive_only()),
                         CROSS_SHARD,
                     );
                 })*

@@ -1,12 +1,14 @@
 //! The sharded word protocol: exact reader/writer tracking *beyond*
 //! 63 threads, for real threads with atomic updates.
 //!
-//! Each granule is backed by `shards + 1` atomic words laid out by a
-//! [`ShadowGeometry`]: one full bitmap word per 63-thread block plus
-//! one adaptive-encoded overflow word for ids past the exact range.
-//! The state machine itself is pure and lives in `sharc-checker`
-//! ([`sharc_checker::step::sharded`]); [`MultiWord`] is the concurrent
-//! [`WordProtocol`] around it:
+//! Each granule is backed by `shards` atomic words laid out by a
+//! [`ShadowGeometry`]: one full bitmap word per 63-thread block. The
+//! geometry is fixed at construction — other threads CAS the words,
+//! so the store cannot be re-strided — and a tid past it panics in
+//! [`WordProtocol::check`], as an over-wide tid does in the one-word
+//! protocol. The state machine itself is pure and lives in
+//! `sharc-checker` ([`sharc_checker::step::sharded`]); [`MultiWord`]
+//! is the concurrent [`WordProtocol`] around it:
 //!
 //! 1. **snapshot** every word of the granule (`SeqCst` loads),
 //! 2. run the pure `step` on the snapshot,
@@ -43,9 +45,7 @@
 //! passing write left every other word empty and nobody can install
 //! next to it; a passing read excluded every foreign writer, and none
 //! can install over its bit. So [`WordProtocol::recorded`] tests the
-//! own word alone — one `SeqCst` load and `range::recorded` — and
-//! takes the full snapshot only for tids that live in the adaptive
-//! overflow word, whose `SHARED_READ` state is not per-thread. Under
+//! own word alone — one `SeqCst` load and `range::recorded`. Under
 //! races this is the weaker contract above: a thread whose install
 //! lost a cross-shard race reports that conflict once, from its
 //! revalidation, and is not re-judged on later accesses its own word
@@ -56,17 +56,6 @@
 //! protocol in a loop: the one-load `recorded` skip, then the full
 //! check for each granule that needs it. The ranged clears are the
 //! trait's per-granule defaults.
-//!
-//! A **zero-shard** geometry ([`ShadowGeometry::adaptive_only`]) is
-//! the scalable encoding §4.2.1 and §7 name as future work: one
-//! 8-byte adaptive word per granule (`EMPTY` / `EXCL(tid)` /
-//! `READ1(tid)` / `SHARED_READ`), 2³⁰ thread ids at constant shadow
-//! cost. With a single word the cross-word revalidation degenerates
-//! to re-reading the word just CASed. The trade-off: once a granule
-//! is read-shared the reader identities are forgotten, so an exit
-//! cannot clear its contribution and a later writer will (soundly
-//! but imprecisely) conflict until `free` or a sharing cast resets
-//! the granule.
 
 use crate::shadow::{RaceError, Shadow, ThreadId, WordProtocol};
 use sharc_checker::step::{
@@ -74,16 +63,11 @@ use sharc_checker::step::{
     sharded::{self, ShardStep},
     Access,
 };
-use sharc_checker::ShadowGeometry;
+use sharc_checker::{ShadowGeometry, MAX_WORDS_PER_GRANULE};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Upper bound on words per granule the stack-allocated snapshot
-/// supports: 15 shards + overflow = exact identities for 945
-/// threads. Raise it if you genuinely run wider.
-pub const MAX_WORDS_PER_GRANULE: usize = 16;
-
-/// The sharded hybrid encoding (bitmap shards + adaptive overflow):
-/// `geom.words_per_granule()` 8-byte words per granule.
+/// The sharded encoding: `geom.words_per_granule()` 8-byte bitmap
+/// words per granule.
 #[derive(Debug)]
 pub struct MultiWord {
     /// Flat store: granule `g`'s words at `g * stride ..`.
@@ -91,19 +75,18 @@ pub struct MultiWord {
     geom: ShadowGeometry,
 }
 
-/// Shadow state with the sharded hybrid encoding.
+/// Shadow state with the sharded encoding.
 pub type ShardedShadow = Shadow<MultiWord>;
 
 impl ShardedShadow {
     /// Creates state for `n_granules` granules under `geom` — e.g.
     /// `ShadowGeometry::for_threads(256)` for exact identities at
-    /// 256 native threads, `ShadowGeometry::adaptive_only()` for the
-    /// one-word scalable encoding.
+    /// 256 native threads.
     ///
     /// # Panics
     ///
     /// Panics if the geometry needs more than
-    /// [`MAX_WORDS_PER_GRANULE`] words per granule.
+    /// [`MAX_WORDS_PER_GRANULE`] words per granule (1008 threads).
     pub fn with_geometry(n_granules: usize, geom: ShadowGeometry) -> Self {
         let stride = geom.words_per_granule();
         assert!(
@@ -120,7 +103,7 @@ impl ShardedShadow {
         self.words().geom
     }
 
-    /// All of a granule's words (shards then overflow), for tests.
+    /// All of a granule's words, one per shard, for tests.
     pub fn raw_words(&self, granule: usize) -> Vec<u64> {
         let mut buf = [0u64; MAX_WORDS_PER_GRANULE];
         self.words().snapshot(granule, &mut buf).to_vec()
@@ -149,10 +132,7 @@ impl MultiWord {
     /// first non-empty word other than the acting thread's own, else
     /// its own word (which then holds the foreign state).
     fn observed(&self, snap: &[u64], tid: u32) -> u64 {
-        let own = match self.geom.shard_of(tid) {
-            Some(s) => s,
-            None => self.geom.overflow_index(),
-        };
+        let own = self.geom.shard_of(tid).expect("a checked tid");
         snap.iter()
             .enumerate()
             .find_map(|(i, &w)| (i != own && w != 0).then_some(w))
@@ -166,18 +146,15 @@ impl WordProtocol for MultiWord {
         self.words.len() / self.geom.words_per_granule()
     }
 
-    /// `8 × (shards + 1)` per granule — the price of exactness past
-    /// 63 threads (the adaptive-only geometry stays at 8 regardless).
+    /// `8 × shards` per granule — the price of exactness past 63
+    /// threads.
     fn shadow_bytes(&self) -> usize {
         self.words.len() * 8
     }
 
     /// The snapshot → step → CAS → revalidate protocol (module docs).
+    /// The step panics on a tid the geometry has no word for.
     fn check(&self, granule: usize, tid: ThreadId, access: Access) -> Result<bool, RaceError> {
-        assert!(
-            tid.0 >= 1 && (tid.0 as u64) <= sharc_checker::step::adaptive::TID_MASK,
-            "thread id out of range"
-        );
         let base = self.base(granule);
         let mut buf = [0u64; MAX_WORDS_PER_GRANULE];
         loop {
@@ -219,20 +196,14 @@ impl WordProtocol for MultiWord {
         }
     }
 
-    /// The own shard word alone (module docs); the snapshot and the
-    /// sharded step only for overflow tids.
+    /// The own shard word alone (module docs). A tid past the
+    /// geometry has no word and records nothing; `check` refuses it.
     #[inline]
     fn recorded(&self, granule: usize, tid: ThreadId, access: Access) -> bool {
-        match self.geom.shard_of(tid.0) {
-            Some(s) => {
-                let own = self.words[self.base(granule) + s].load(Ordering::SeqCst);
-                range::recorded(own, self.geom.local_bit(tid.0), access)
-            }
-            None => {
-                let mut buf = [0u64; MAX_WORDS_PER_GRANULE];
-                range::recorded_sharded(self.snapshot(granule, &mut buf), self.geom, tid.0, access)
-            }
-        }
+        self.geom.shard_of(tid.0).is_some_and(|s| {
+            let own = self.words[self.base(granule) + s].load(Ordering::SeqCst);
+            range::recorded(own, self.geom.local_bit(tid.0), access)
+        })
     }
 
     /// The per-granule sweep: granules the own word already records
@@ -275,7 +246,7 @@ impl WordProtocol for MultiWord {
         conflicts
     }
 
-    /// Unconditional stores over every shard and overflow word — the
+    /// Unconditional stores over every shard word — the
     /// clear is a reset, not a read-modify-write, so no CAS protocol
     /// is needed.
     #[inline]
@@ -286,9 +257,7 @@ impl WordProtocol for MultiWord {
         }
     }
 
-    /// Exact (bit-subtracting) for ids within the geometry's shards;
-    /// `SHARED_READ` overflow state cannot be partially cleared and
-    /// is left intact (sound but imprecise).
+    /// Exact: subtracts `tid`'s bit from its own shard word.
     fn clear_thread(&self, granule: usize, tid: ThreadId) {
         let base = self.base(granule);
         let mut buf = [0u64; MAX_WORDS_PER_GRANULE];
@@ -327,10 +296,6 @@ mod tests {
         ShardedShadow::with_geometry(n, ShadowGeometry::for_threads(256))
     }
 
-    fn adaptive(n: usize) -> ShardedShadow {
-        ShardedShadow::with_geometry(n, ShadowGeometry::adaptive_only())
-    }
-
     #[test]
     fn readers_past_63_keep_exact_identities() {
         let s = wide(1);
@@ -343,21 +308,14 @@ mod tests {
         for t in [1u32, 127, 200, 256] {
             s.clear_thread(0, ThreadId(t));
         }
-        // Only 64 still reads: its own upgrade now succeeds — the
-        // adaptive encoding can never do this after SHARED_READ.
+        // Only 64 still reads: its own upgrade now succeeds.
         assert!(s.check_write(0, ThreadId(64)).is_ok());
     }
 
     #[test]
-    fn overflow_ids_beyond_exact_range_are_sound() {
-        let s = wide(1); // exact to 315
-        assert!(s.check_read(0, ThreadId(9999)).is_ok());
-        assert!(s.check_write(0, ThreadId(50)).is_err(), "sees overflow");
-        s.clear(0);
-        assert!(s.check_write(0, ThreadId(50)).is_ok());
-        // ...and a shard-resident writer excludes overflow ids too.
-        assert!(s.check_read(0, ThreadId(1000)).is_err());
-        assert!(s.check_write(0, ThreadId(1000)).is_err());
+    #[should_panic(expected = "thread id out of range")]
+    fn tid_past_the_geometry_is_refused() {
+        let _ = wide(1).check_read(0, ThreadId(316));
     }
 
     #[test]
@@ -365,7 +323,7 @@ mod tests {
         let s = wide(1);
         s.check_read(0, ThreadId(1)).unwrap();
         s.check_read(0, ThreadId(100)).unwrap();
-        s.check_read(0, ThreadId(9999)).unwrap();
+        s.check_read(0, ThreadId(315)).unwrap();
         s.clear(0);
         assert!(s.raw_words(0).iter().all(|&w| w == 0));
         assert!(s.check_write(0, ThreadId(200)).is_ok());
@@ -407,47 +365,8 @@ mod tests {
     fn shadow_bytes_price_the_exactness() {
         let one_shard = ShardedShadow::with_geometry(4, ShadowGeometry::default());
         let wide = wide(4);
-        assert_eq!(one_shard.shadow_bytes(), 4 * 2 * 8, "1 shard + overflow");
-        assert_eq!(wide.shadow_bytes(), 4 * 6 * 8, "5 shards + overflow");
-        assert_eq!(adaptive(4).shadow_bytes(), 4 * 8, "8 bytes at any tid");
+        assert_eq!(one_shard.shadow_bytes(), 4 * 8, "1 shard");
+        assert_eq!(wide.shadow_bytes(), 4 * 5 * 8, "5 shards");
         assert_eq!(wide.len(), 4);
-    }
-
-    // ----- the zero-shard (adaptive-only) geometry -----
-
-    #[test]
-    fn adaptive_supports_huge_thread_ids() {
-        // The bitmap tops out at 63 threads a word; this encoding
-        // takes ids up to 2^30 - 1 at the same 8 bytes per granule.
-        let s = adaptive(1);
-        assert!(s.check_read(0, ThreadId(1_000_000)).is_ok());
-        assert!(s.check_write(0, ThreadId(1_000_000)).is_ok());
-        assert!(s.check_write(0, ThreadId(999_999)).is_err());
-    }
-
-    #[test]
-    fn adaptive_many_readers_then_writer_conflicts() {
-        let s = adaptive(1);
-        for t in 1..=100u32 {
-            assert!(s.check_read(0, ThreadId(t)).is_ok(), "reader {t}");
-        }
-        assert!(s.check_write(0, ThreadId(1)).is_err());
-    }
-
-    #[test]
-    fn adaptive_shared_read_exit_is_conservative() {
-        // Documented imprecision: after read-sharing, exits cannot be
-        // subtracted, so the next writer conflicts until a reset.
-        let s = adaptive(1);
-        s.check_read(0, ThreadId(1)).unwrap();
-        s.check_read(0, ThreadId(2)).unwrap();
-        s.clear_thread(0, ThreadId(1));
-        s.clear_thread(0, ThreadId(2));
-        assert!(
-            s.check_write(0, ThreadId(3)).is_err(),
-            "sound but imprecise"
-        );
-        s.clear(0);
-        assert!(s.check_write(0, ThreadId(3)).is_ok());
     }
 }

@@ -1,6 +1,6 @@
 // A hundred workers alive at once: past the 63 thread ids one bitmap
-// shadow word names exactly, so the late ones are tracked in the
-// adaptive overflow word. Each worker bumps a cell of its own, except
+// shadow word names, so thread ids 64-101 sit in a second shard word.
+// Each worker bumps a cell of its own, except
 // the last two (thread ids 100 and 101), which share one: SharC
 // reports that write/write race and nothing else.
 //   sharc run examples/minic/fleet.c

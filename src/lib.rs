@@ -173,15 +173,10 @@ impl std::str::FromStr for DetectorKind {
 impl DetectorKind {
     /// The engine behind this kind, with the name reports print for
     /// it — the one place a kind becomes a [`checker::CheckBackend`].
-    /// `geom` sizes SharC's exact shadow (a 300-thread run needs five
-    /// shards, a narrow one the default single shard); the baselines
-    /// keep sparse per-granule state and ignore it.
-    pub fn backend(
-        self,
-        geom: checker::ShadowGeometry,
-    ) -> (&'static str, Box<dyn checker::CheckBackend + Send>) {
+    /// SharC's shadow widens itself to the widest tid it meets.
+    pub fn backend(self) -> (&'static str, Box<dyn checker::CheckBackend + Send>) {
         let backend: Box<dyn checker::CheckBackend + Send> = match self {
-            DetectorKind::Sharc => Box::new(checker::BitmapBackend::with_geometry(geom)),
+            DetectorKind::Sharc => Box::new(checker::BitmapBackend::new()),
             DetectorKind::Eraser => Box::new(detectors::Eraser::new()),
             DetectorKind::Vc => Box::new(detectors::VcDetector::new()),
         };
@@ -241,17 +236,10 @@ pub fn run_with_detector(
         });
     }
     // The VM records from one OS thread, so one ring holds its order.
-    // The baselines keep sparse state and ignore the geometry.
-    let (outcome, detector, conflicts, _) = judge_live(
-        kind,
-        checker::ShadowGeometry::default(),
-        1,
-        DEFAULT_RING_CAP,
-        |sink| {
-            let sink = Some(sink);
-            run(checked, RunConfig { sink, ..config })
-        },
-    );
+    let (outcome, detector, conflicts, _) = judge_live(kind, 1, DEFAULT_RING_CAP, |sink| {
+        let sink = Some(sink);
+        run(checked, RunConfig { sink, ..config })
+    });
     Ok(DetectorRun {
         outcome: outcome?,
         detector,
@@ -261,11 +249,10 @@ pub fn run_with_detector(
 
 /// Judges a live run while it runs: `run` records into a
 /// [`checker::StreamingSink`] of `rings` rings of `ring_cap` events
-/// each, which feeds `kind`'s engine sized by `geom`. When `run`
-/// returns, the sink is finished and its conflicts de-duplicated.
+/// each, which feeds `kind`'s engine. When `run` returns, the sink is
+/// finished and its conflicts de-duplicated.
 fn judge_live<R>(
     kind: DetectorKind,
-    geom: checker::ShadowGeometry,
     rings: usize,
     ring_cap: usize,
     run: impl FnOnce(Arc<dyn checker::EventSink>) -> R,
@@ -275,7 +262,7 @@ fn judge_live<R>(
     Vec<checker::Conflict>,
     checker::StreamStats,
 ) {
-    let (detector, backend) = kind.backend(geom);
+    let (detector, backend) = kind.backend();
     let sink = Arc::new(checker::StreamingSink::new(rings, ring_cap, backend));
     let out = run(sink.clone());
     let (raw, stats) = sink.finish();
@@ -424,10 +411,7 @@ pub fn judge_trace(
     trace: &[checker::CheckEvent],
     kind: DetectorKind,
 ) -> (&'static str, Vec<checker::Conflict>) {
-    // Size the exact shadow to the widest tid the trace names: a
-    // 300-thread stunnel run replays on a 5-shard geometry, while
-    // narrow traces keep the 1-shard default.
-    let (name, mut backend) = kind.backend(checker::geometry_for_trace(trace));
+    let (name, mut backend) = kind.backend();
     (name, dedup_conflicts(checker::replay(trace, &mut *backend)))
 }
 
@@ -563,14 +547,9 @@ pub fn run_native_streaming(
     ring_cap: usize,
 ) -> StreamingRun {
     // The main/producer/acceptor thread is tid 1 and workers are
-    // `2 ..= workers + 1`, so the highest tid is the thread count. The
-    // replay path derives the same bound from the finished trace
-    // ([`checker::geometry_for_trace`]); here it is needed up front.
+    // `2 ..= workers + 1`: one ring per thread, and ring 0 takes Alloc.
     let (workers, run) = native_plan(workload);
-    let bound = workers + 1;
-    // One ring per thread (tids are 1-based, ring 0 takes Alloc).
-    let geom = checker::ShadowGeometry::for_threads(bound);
-    let (run, detector, conflicts, stats) = judge_live(kind, geom, bound + 1, ring_cap, run);
+    let (run, detector, conflicts, stats) = judge_live(kind, workers + 2, ring_cap, run);
     StreamingRun {
         run,
         detector,
@@ -679,9 +658,9 @@ mod tests {
     fn native_stunnel_wide_fleet_splits_sharc_from_eraser() {
         // The acceptance criterion for the wide-tid spine: one
         // 100+-thread stunnel execution recorded once, judged by
-        // every engine. The replay geometry is sized from the trace
-        // itself (the widest tid it names), so SharC keeps exact
-        // identities across all shards and stays clean; Eraser
+        // every engine. SharC's engine widens to the widest tid it
+        // meets, keeps exact identities across all shards and stays
+        // clean; Eraser
         // false-positives on the handshake hand-offs.
         let (run, trace) = native_trace(NativeWorkload::Stunnel);
         assert!(run.threads > 100, "fleet width: {} threads", run.threads);

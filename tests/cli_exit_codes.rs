@@ -334,6 +334,65 @@ fn a_recorded_sbt_survives_the_text_round_trip_byte_for_byte() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `readers` threads read a dynamic field and stay alive behind a
+/// locked gate; `main` opens it, joins them all, and writes the field.
+/// Every reader has exited before the write, so it races with nobody.
+fn gated_readers(readers: usize) -> String {
+    format!(
+        "struct s {{
+    mutex m;
+    int locked(m) open;
+    int v;
+}};
+
+void reader(struct s * p) {{
+    int x;
+    int go;
+    x = p->v;
+    go = 0;
+    while (go == 0) {{
+        mutex_lock(&p->m);
+        go = p->open;
+        mutex_unlock(&p->m);
+    }}
+}}
+
+void main() {{
+    struct s * p = new(struct s);
+    int i;
+    for (i = 0; i < {readers}; i++) {{
+        spawn(reader, p);
+    }}
+    mutex_lock(&p->m);
+    p->open = 1;
+    mutex_unlock(&p->m);
+    join_all();
+    p->v = 8;
+}}
+"
+    )
+}
+
+/// Reader exits are exact past 63 live threads: with 70 readers the
+/// late ones (tids 64-71) sit in a second shard word, and each exit
+/// takes its own bit with it, so `main`'s write after `join_all` is
+/// clean — as it is with 40 readers, all in the first word.
+#[test]
+fn joined_readers_past_63_leave_no_phantom_conflict() {
+    let dir = scratch_dir("gated-readers");
+    for readers in [40, 70] {
+        let path = dir.join(format!("gated{readers}.c"));
+        std::fs::write(&path, gated_readers(readers)).expect("write the program");
+        let out = assert_exit(&["run", path.to_str().expect("utf-8 temp path")], 0);
+        assert!(
+            out.stderr.is_empty(),
+            "{readers} readers: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// One native execution, two verdicts: SharC accepts the hand-off and
 /// the segment lifetimes (exit 0); the lockset baseline must
 /// false-positive on the identical recorded execution (exactly 1).

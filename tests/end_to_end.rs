@@ -345,3 +345,41 @@ fn output_is_deterministic_per_seed_and_varies_across() {
     assert_eq!(a1.output, a2.output);
     assert_eq!(a1.stats.steps, a2.stats.steps);
 }
+
+/// The VM keeps at most 1008 threads live, as many as sixteen 63-tid
+/// shard words name. `main` holds the gate's lock while it spawns
+/// `workers` waiters, so every one of them is live when the loop ends.
+#[test]
+fn the_vm_keeps_at_most_1008_threads_live() {
+    let program = |workers: usize| {
+        format!(
+            "struct g {{ mutex m; int locked(m) n; }};
+            void waiter(struct g * p) {{
+                mutex_lock(&p->m); p->n = p->n + 1; mutex_unlock(&p->m); }}
+            void main() {{ struct g * p = new(struct g); int i;
+                mutex_lock(&p->m);
+                for (i = 0; i < {workers}; i++) spawn(waiter, p);
+                mutex_unlock(&p->m);
+                join_all();
+                mutex_lock(&p->m); print(p->n); mutex_unlock(&p->m); }}"
+        )
+    };
+    let run = |workers| {
+        let config = RunConfig {
+            stop_on_error: true,
+            ..RunConfig::default()
+        };
+        sharc::check_and_run("cap.c", &program(workers), config).expect("runs")
+    };
+    // main and 1007 waiters: 1008 live threads.
+    let fits = run(1007);
+    assert!(fits.is_clean(), "{:?}", fits.status);
+    assert_eq!(fits.output, vec!["1007"]);
+    assert_eq!(fits.stats.threads_spawned, 1007);
+    // One more waiter is one thread too many.
+    let over = run(1008);
+    assert_eq!(
+        over.status,
+        ExitStatus::Failed("thread limit (1008) exceeded".into())
+    );
+}
