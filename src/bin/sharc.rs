@@ -81,6 +81,8 @@ fn usage() -> ExitCode {
          sharc replay <trace-file> [--detector sharc|eraser|vc]\n  \
          sharc trace convert <in> <out> [--lower]\n  \
          sharc trace info <trace-file>\n\
+         run keeps at most 1008 threads live; a spawn past that kills \
+         the spawning thread (--stop-on-error ends the run there)\n\
          exit codes: 0 clean, 1 conflicts reported, 2 usage, \
          3 could not judge (unreadable or refused input, incomplete run)"
     );

@@ -233,3 +233,34 @@ fn the_hostile_traces_from_the_issue_are_refused_in_both_formats() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+/// An admitted trace may still name its tids in the worst order for a
+/// growing shadow: one granule, each line's tid one 63-thread shard
+/// past the last. The engine re-strides its store whenever a tid
+/// outgrows it, so it must grow by enough each time that a file of
+/// `n` such lines costs a logarithmic number of re-strides, not `n`.
+#[test]
+fn a_trace_of_rising_tids_restrides_the_shadow_a_few_times() {
+    use sharc::checker::{apply_event, BitmapBackend};
+    let lines = 20_000u32;
+    let mut events = vec![CheckEvent::Write { tid: 1, granule: 0 }];
+    events.extend((1..=lines).map(|i| CheckEvent::Read {
+        tid: 1 + 63 * i,
+        granule: 0,
+    }));
+    let path = std::env::temp_dir().join(format!("sharc-trace-rising-{}", std::process::id()));
+    for bytes in [trace_to_text(&events).into_bytes(), to_binary(&events)] {
+        std::fs::write(&path, &bytes).expect("scratch file written");
+        let trace = sharc::read_trace_file(&path).expect("the trace fits the budget");
+        let (mut engine, mut conflicts, mut restrides) = (BitmapBackend::new(), Vec::new(), 0);
+        for &e in &trace {
+            let before = engine.geometry();
+            apply_event(e, &mut engine, &mut conflicts);
+            restrides += usize::from(engine.geometry() != before);
+        }
+        // Every reader meets tid 1's write.
+        assert_eq!(conflicts.len(), lines as usize);
+        assert!(restrides <= 25, "{restrides} re-strides for {lines} lines");
+    }
+    std::fs::remove_file(&path).ok();
+}
