@@ -24,11 +24,11 @@
 //! the `when chkread/chkwrite/oneref` guards of the formal model —
 //! together with the solved type of every expression ([`ExprTypes`]),
 //! so the program is typed once after inference. Its last step is
-//! static elision ([`crate::elide`]): each check slot's entry also
-//! says why the check may be skipped, if it may.
+//! static elision ([`crate::elide`]): an entry also says whether its
+//! read check is collapsed into its write check.
 
 use crate::analysis::SharingAnalysis;
-use crate::elide::{self, Reason};
+use crate::elide;
 use crate::typer::{callee_sig, type_function, TypeEnv, TypeTable};
 use minic::ast::*;
 use minic::diag::{Diagnostic, Diagnostics};
@@ -47,17 +47,15 @@ pub enum CheckKind {
     Locked(usize),
 }
 
-/// Checks attached to one l-value occurrence, and why either was
-/// elided.
+/// Checks attached to one l-value occurrence, and whether its read
+/// check is collapsed into its write check.
 #[derive(Debug, Clone)]
 pub struct AccessCheck {
     pub read: Option<CheckKind>,
     pub write: Option<CheckKind>,
-    /// Why the read check may be skipped, if an elision rule proved
-    /// it redundant.
-    pub read_elided: Option<Reason>,
-    /// Why the write check may be skipped, likewise.
-    pub write_elided: Option<Reason>,
+    /// The read check is covered by the write check right after it
+    /// (elision rule E5), so the default build skips it.
+    pub read_collapsed: bool,
     /// The l-value as written (`S->sdata`, `*(fdata + i)`), used in
     /// conflict reports.
     pub lvalue: String,
@@ -67,7 +65,8 @@ pub struct AccessCheck {
 /// The instrumentation table consumed by the VM compiler.
 #[derive(Debug, Default)]
 pub struct Instrumentation {
-    /// Checks and elision reasons per l-value expression node.
+    /// Checks, and their read-of-write collapses, per l-value
+    /// expression node.
     pub checks: NodeMap<AccessCheck>,
     /// Synthesized lock expressions (evaluated uninstrumented).
     pub lock_exprs: Vec<Expr>,
@@ -511,8 +510,7 @@ impl<'a> FnChecker<'a> {
             .or_insert_with(|| AccessCheck {
                 read: None,
                 write: None,
-                read_elided: None,
-                write_elided: None,
+                read_collapsed: false,
                 lvalue: pretty::expr(e),
                 span: e.span,
             })

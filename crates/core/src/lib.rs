@@ -43,7 +43,7 @@ use minic::span::SourceMap;
 
 pub use analysis::{AnalysisStats, SharingAnalysis};
 pub use check::{AccessCheck, CheckKind, CheckResult, Instrumentation};
-pub use elide::{ElisionFacts, ElisionSummary, Reason};
+pub use elide::{ElisionFacts, ElisionSummary};
 
 /// A fully analyzed, checked, and instrumented program.
 #[derive(Debug)]
@@ -51,10 +51,10 @@ pub struct CheckedProgram {
     /// The program with every qualifier concrete.
     pub program: Program,
     pub structs: StructTable,
-    /// Runtime checks per l-value occurrence, each with the reason it
-    /// was elided, if it was.
+    /// Runtime checks per l-value occurrence, each saying whether its
+    /// read check is collapsed into its write check.
     pub instr: Instrumentation,
-    /// The totals of `instr`'s elided slots.
+    /// The totals of `instr`'s check slots and collapsed reads.
     pub elision: elide::ElisionFacts,
     /// Sharing-analysis results (escape info, statistics).
     pub sharing: SharingAnalysis,

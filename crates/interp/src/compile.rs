@@ -5,9 +5,10 @@
 //! occurrence, the corresponding `ChkRead`/`ChkWrite`/`ChkLockHeld`/
 //! `OneRef` instruction is emitted immediately before the access —
 //! the `when .1(t1),...` guards of the paper's formal model. The same
-//! entry says whether static elision removed the check; the default
-//! build then emits nothing for it, and [`compile_full_checks`]
-//! emits it anyway.
+//! entry says whether its read check is collapsed into its write check
+//! (elision rule E5); the default build then emits no read check, and
+//! [`compile_full_checks`] emits it anyway. Every `locked` slot's
+//! `ChkLockHeld` is emitted by both builds.
 //!
 //! It does not type the program: every expression's solved type comes
 //! from the checker's table ([`sharc_core::check::ExprTypes`], in
@@ -18,8 +19,9 @@
 //! every load, store and copy carries whether its storage's inferred
 //! sharing mode is something other than `private`. The mark comes from
 //! the solved type alone, never from the check table, so an access
-//! whose check was elided is still a schedule point, and a build with
-//! every check stripped runs on the checked build's schedule.
+//! whose read check was collapsed is still a schedule point, and a
+//! build with every check stripped runs on the checked build's
+//! schedule.
 
 use crate::bytecode::*;
 use minic::ast::{self, BinOp, Block, Expr, ExprKind, Qual, Stmt, StmtKind, Type, TypeKind, UnOp};
@@ -32,7 +34,7 @@ use std::collections::HashMap;
 
 /// Compiles `checked` into a runnable [`Module`].
 ///
-/// Check slots the elision pass proved redundant produce **no
+/// A read check collapsed into its write check produces **no
 /// instruction**; [`Module::elision`] is the front end's count of them
 /// over the table compiled.
 /// Use [`compile_full_checks`] for the every-check build.
@@ -46,7 +48,7 @@ pub fn compile(checked: &CheckedProgram) -> Result<Module, Diagnostic> {
     compile_with(checked, true)
 }
 
-/// Compiles `checked` with the elision reasons ignored: every check the
+/// Compiles `checked` with the collapses ignored: every check the
 /// checker attached becomes an instruction. This is the reference
 /// build the elision differential compares against.
 ///
@@ -314,15 +316,11 @@ impl<'a> FnCompiler<'a> {
         let Some(ac) = self.checked.instr.checks.get(&id) else {
             return Ok(());
         };
-        let (kind, elided) = if is_write {
-            (&ac.write, ac.write_elided)
-        } else {
-            (&ac.read, ac.read_elided)
-        };
+        let kind = if is_write { &ac.write } else { &ac.read };
         let Some(kind) = kind else { return Ok(()) };
-        if self.use_elision && elided.is_some() {
-            // The proven-redundant slot vanishes: no site, no
-            // instruction, no lock-expression evaluation.
+        if self.use_elision && !is_write && ac.read_collapsed {
+            // The write check right after it covers this read: no
+            // site, no instruction.
             return Ok(());
         }
         let site = self.site_for(id, ac);
@@ -988,49 +986,36 @@ mod tests {
     }
 
     #[test]
-    fn elided_slots_emit_no_instruction() {
-        // Both slots of the lock-dominated increment are elided (E4),
-        // so the worker holds no check instruction of any kind.
+    fn lock_dominated_increment_keeps_both_lock_checks() {
+        // Both slots of the increment under the held lock stay in the
+        // default build: two `ChkLockHeld`, nothing collapsed.
         let m = compile_src(
             "struct q { mutex * m; int locked(m) c; };\n\
              void worker(struct q * w) { mutex_lock(w->m); w->c = w->c + 1; mutex_unlock(w->m); }\n\
              void main() { struct q * w; w = new(struct q); spawn(worker, w); }",
         );
         let worker = &m.fns[m.fn_index("worker").unwrap() as usize];
-        assert!(!worker.code.iter().any(|i| matches!(
-            i,
-            Insn::ChkWrite { .. } | Insn::ChkRead { .. } | Insn::ChkLockHeld { .. }
-        )));
-        assert_eq!((check_insns(&m), m.elision.elided_slots), (0, 2));
+        let lock_checks = worker
+            .code
+            .iter()
+            .filter(|i| matches!(i, Insn::ChkLockHeld { .. }))
+            .count();
+        assert_eq!((lock_checks, check_insns(&m)), (2, 2));
+        assert_eq!((m.elision.elided_slots, m.elision.collapsed_reads), (0, 0));
     }
 
     #[test]
     fn locked_access_emits_lock_check() {
-        let m = compile_src_full(
-            "struct q { mutex * m; int locked(m) c; };\n\
+        let src = "struct q { mutex * m; int locked(m) c; };\n\
              void worker(struct q * w) { mutex_lock(w->m); w->c = 1; mutex_unlock(w->m); }\n\
-             void main() { struct q * w; w = new(struct q); spawn(worker, w); }",
-        );
-        let worker = &m.fns[m.fn_index("worker").unwrap() as usize];
-        assert!(worker
-            .code
-            .iter()
-            .any(|i| matches!(i, Insn::ChkLockHeld { .. })));
-    }
-
-    #[test]
-    fn lock_dominated_check_is_elided_by_default() {
-        let m = compile_src(
-            "struct q { mutex * m; int locked(m) c; };\n\
-             void worker(struct q * w) { mutex_lock(w->m); w->c = 1; mutex_unlock(w->m); }\n\
-             void main() { struct q * w; w = new(struct q); spawn(worker, w); }",
-        );
-        let worker = &m.fns[m.fn_index("worker").unwrap() as usize];
-        assert!(!worker
-            .code
-            .iter()
-            .any(|i| matches!(i, Insn::ChkLockHeld { .. })));
-        assert!(m.elision.elided_slots > 0);
+             void main() { struct q * w; w = new(struct q); spawn(worker, w); }";
+        for m in [compile_src(src), compile_src_full(src)] {
+            let worker = &m.fns[m.fn_index("worker").unwrap() as usize];
+            assert!(worker
+                .code
+                .iter()
+                .any(|i| matches!(i, Insn::ChkLockHeld { .. })));
+        }
     }
 
     #[test]

@@ -95,7 +95,8 @@ pub enum ExitStatus {
     StepLimit,
     /// `stop_on_error` was set and a check failed or a thread hit a
     /// fatal runtime error (null dereference, assert, thread limit).
-    /// Without it a fatal error only ends the thread that hit it.
+    /// Without it a fatal error only ends the thread that hit it, and
+    /// [`RunOutcome::thread_errors`] keeps it.
     Failed(String),
 }
 
@@ -128,9 +129,8 @@ pub struct VmStats {
     pub cache_hits: u64,
     /// Always 0: the VM has no owned-run cache; `benchmark/` still reads it.
     pub range_hits: u64,
-    /// Check slots the front end statically elided: the module's
-    /// `ElisionSummary::elided_slots`. They never became instructions,
-    /// so they cost nothing per execution.
+    /// Kept for `benchmark/`: check slots the front end deleted. No
+    /// rule deletes a slot, so it is always 0.
     pub checks_elided: u64,
     /// Compound-assignment reads collapsed into their write check: the
     /// module's `ElisionSummary::collapsed_reads`.
@@ -158,12 +158,18 @@ pub struct RunOutcome {
     /// On deadlock: one line per stuck thread describing what it is
     /// waiting for.
     pub blocked: Vec<String>,
+    /// One line per thread a fatal runtime error ended, in the order
+    /// they died: `thread T: <error>`.
+    pub thread_errors: Vec<String>,
 }
 
 impl RunOutcome {
-    /// True if the run completed with no conflict reports.
+    /// True if the run completed, no thread died of a fatal error, and
+    /// no conflict was reported.
     pub fn is_clean(&self) -> bool {
-        self.status == ExitStatus::Completed && self.reports.is_empty()
+        self.status == ExitStatus::Completed
+            && self.thread_errors.is_empty()
+            && self.reports.is_empty()
     }
 }
 
@@ -284,6 +290,7 @@ struct Vm<'m> {
     current: usize,
     quantum_left: u32,
     blocked: Vec<String>,
+    thread_errors: Vec<String>,
 }
 
 impl<'m> Vm<'m> {
@@ -333,13 +340,13 @@ impl<'m> Vm<'m> {
             reporter: Reporter::new(sm, &module.sites, max_reports),
             output: Vec::new(),
             stats: VmStats {
-                checks_elided: module.elision.elided_slots as u64,
                 checks_collapsed: module.elision.collapsed_reads as u64,
                 ..VmStats::default()
             },
             current: 0,
             quantum_left: 0,
             blocked: Vec::new(),
+            thread_errors: Vec::new(),
         };
         // Globals.
         for (gi, &size) in module.global_sizes.iter().enumerate() {
@@ -687,6 +694,8 @@ impl<'m> Vm<'m> {
                 let point = match self.step() {
                     Ok(point) => point,
                     Err(fatal) => {
+                        let tid = tid_of(self.current);
+                        self.thread_errors.push(format!("thread {tid}: {fatal}"));
                         self.thread_exit(self.current, true);
                         if self.config.stop_on_error {
                             break 'run ExitStatus::Failed(fatal);
@@ -709,6 +718,7 @@ impl<'m> Vm<'m> {
             output: self.output,
             stats: self.stats,
             blocked: self.blocked,
+            thread_errors: self.thread_errors,
         }
     }
 

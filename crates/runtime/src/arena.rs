@@ -411,9 +411,8 @@ impl AccessPolicy for Checked {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::EventLog;
     use crate::shadow::ThreadId;
-    use sharc_checker::{replay, BitmapBackend, CheckEvent};
+    use sharc_checker::{replay, BitmapBackend, CheckEvent, EventLog};
     use sharc_testkit::gen;
     use sharc_testkit::prop::Config;
     use sharc_testkit::{forall, prop_assert};

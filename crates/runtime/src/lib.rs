@@ -31,6 +31,20 @@
 //! per-thread cache of them to keep coherent, and "is this access
 //! already mine?" is one load of the thread's own word.
 //!
+//! The runtime builds every native event, in the
+//! [`sharc_checker::CheckEvent`] vocabulary the VM's tracer produces,
+//! so one native execution can be judged by any
+//! [`sharc_checker::CheckBackend`] exactly like a VM trace. A
+//! [`ThreadCtx`] with a sink attached ([`ThreadCtx::with_sink`])
+//! records each operation made through it — checked accesses (the
+//! arena), lock operations ([`LockRegistry`],
+//! [`ThreadCtx::critical_section`]), sharing casts and `locked(l)`
+//! checks ([`AccessPolicy`]), forks, joins and exits — at the point
+//! the operation takes effect. A workload never names a
+//! [`sharc_checker::CheckEvent`]; the sinks themselves
+//! ([`sharc_checker::EventLog`], [`sharc_checker::StreamingSink`])
+//! live in `sharc-checker`.
+//!
 //! The [`arena::AccessPolicy`] abstraction lets a workload be
 //! compiled twice — baseline ([`Unchecked`]) and checked
 //! ([`Checked`]) — which is how the Table 1 overhead numbers are
@@ -57,7 +71,6 @@
 //! ```
 
 pub mod arena;
-pub mod events;
 pub mod locks;
 pub mod rc;
 pub mod scast;
@@ -65,7 +78,6 @@ pub mod shadow;
 pub mod sharded;
 
 pub use arena::{AccessPolicy, Arena, Checked, Unchecked, GRANULE_WORDS};
-pub use events::{recording_tid, EventLog, EventSink, StreamStats, StreamingSink};
 pub use locks::{LockId, LockNotHeld, LockRegistry, ThreadCtx};
 pub use rc::{LpRc, NaiveRc, ObjId, RcScheme};
 pub use scast::{sharing_cast, ScastError};

@@ -6,9 +6,8 @@
 //! required lock is in the log. When the lock is released, the
 //! address of the lock is removed from the log."
 
-use crate::events::EventSink;
 use crate::shadow::ThreadId;
-use sharc_checker::{CheckEvent, RunLog};
+use sharc_checker::{CheckEvent, EventSink, RunLog};
 use sharc_testkit::sync::RawMutex;
 use std::sync::Arc;
 
@@ -305,7 +304,7 @@ mod tests {
 
     #[test]
     fn fork_is_recorded_before_any_event_of_the_child() {
-        let log = Arc::new(crate::events::EventLog::new());
+        let log = Arc::new(sharc_checker::EventLog::new());
         let parent = ThreadCtx::with_sink(ThreadId(1), log.clone());
         let (p, c) = (1, 2);
         let child = parent.fork(ThreadId(c));
@@ -341,7 +340,7 @@ mod tests {
 
     #[test]
     fn a_critical_section_records_acquire_then_release() {
-        let log = Arc::new(crate::events::EventLog::new());
+        let log = Arc::new(sharc_checker::EventLog::new());
         let ctx = ThreadCtx::with_sink(ThreadId(9), log.clone());
         let queue = sharc_testkit::sync::Mutex::new(vec![1]);
         let mut q = queue.lock();

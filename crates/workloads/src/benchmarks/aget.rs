@@ -12,7 +12,8 @@
 
 use crate::substrates::net::{fnv, ChunkServer};
 use crate::table::{run_benchmark, BenchResult, NativeRun, Scale};
-use sharc_runtime::{AccessPolicy, Arena, Checked, EventSink, ThreadCtx, ThreadId, Unchecked};
+use sharc_checker::EventSink;
+use sharc_runtime::{AccessPolicy, Arena, Checked, ThreadCtx, ThreadId, Unchecked};
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -17,9 +17,9 @@
 
 use crate::substrates::net::DnsServer;
 use crate::table::{run_benchmark, BenchResult, NativeRun, Scale};
+use sharc_checker::EventSink;
 use sharc_runtime::{
-    AccessPolicy, Arena, Checked, EventSink, LockId, NaiveRc, ObjId, RcScheme, ThreadCtx, ThreadId,
-    Unchecked,
+    AccessPolicy, Arena, Checked, LockId, NaiveRc, ObjId, RcScheme, ThreadCtx, ThreadId, Unchecked,
 };
 use sharc_testkit::sync::Mutex;
 use std::collections::VecDeque;

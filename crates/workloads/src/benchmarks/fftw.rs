@@ -15,9 +15,10 @@
 
 use crate::substrates::fft::{fft, random_signal};
 use crate::table::{run_benchmark, BenchResult, NativeRun, Scale};
+use sharc_checker::EventSink;
 use sharc_runtime::{
-    sharing_cast, AccessPolicy, Arena, Checked, EventSink, LpRc, ObjId, RcScheme, ThreadCtx,
-    ThreadId, Unchecked, GRANULE_WORDS,
+    sharing_cast, AccessPolicy, Arena, Checked, LpRc, ObjId, RcScheme, ThreadCtx, ThreadId,
+    Unchecked, GRANULE_WORDS,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

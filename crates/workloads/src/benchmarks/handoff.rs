@@ -18,9 +18,8 @@
 //! exactly the information the others are missing.
 
 use crate::table::NativeRun;
-use sharc_runtime::{
-    AccessPolicy, Arena, Checked, EventSink, LockId, ThreadCtx, ThreadId, GRANULE_WORDS,
-};
+use sharc_checker::EventSink;
+use sharc_runtime::{AccessPolicy, Arena, Checked, LockId, ThreadCtx, ThreadId, GRANULE_WORDS};
 use sharc_testkit::sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;

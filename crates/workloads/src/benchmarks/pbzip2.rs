@@ -18,9 +18,10 @@
 use crate::substrates::compress::compress_block;
 use crate::substrates::net::fnv;
 use crate::table::{run_benchmark, BenchResult, NativeRun, Scale};
+use sharc_checker::EventSink;
 use sharc_runtime::{
-    sharing_cast, AccessPolicy, Checked, EventSink, LockId, LpRc, ObjId, RcScheme, ThreadCtx,
-    ThreadId, Unchecked,
+    sharing_cast, AccessPolicy, Checked, LockId, LpRc, ObjId, RcScheme, ThreadCtx, ThreadId,
+    Unchecked,
 };
 use sharc_testkit::sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

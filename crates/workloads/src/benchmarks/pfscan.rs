@@ -12,7 +12,8 @@
 
 use crate::substrates::filesys::{FsConfig, SynthFs};
 use crate::table::{run_benchmark, BenchResult, NativeRun, Scale};
-use sharc_runtime::{AccessPolicy, Arena, Checked, EventSink, ThreadCtx, ThreadId, Unchecked};
+use sharc_checker::EventSink;
+use sharc_runtime::{AccessPolicy, Arena, Checked, ThreadCtx, ThreadId, Unchecked};
 use sharc_testkit::sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;

@@ -38,9 +38,10 @@
 
 use crate::substrates::cipher::{decrypt, encrypt};
 use crate::table::{run_benchmark, BenchResult, NativeRun, Scale};
+use sharc_checker::EventSink;
 use sharc_runtime::{
-    AccessPolicy, Arena, Checked, EventSink, LockId, LockRegistry, MultiWord, ThreadCtx, ThreadId,
-    Unchecked, GRANULE_WORDS,
+    AccessPolicy, Arena, Checked, LockId, LockRegistry, MultiWord, ThreadCtx, ThreadId, Unchecked,
+    GRANULE_WORDS,
 };
 use std::sync::Arc;
 

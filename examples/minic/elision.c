@@ -1,8 +1,8 @@
 // Three sharing shapes, side by side, for the elision pass:
 //   sharc run examples/minic/elision.c --explain-elision
 // A private loop (its read check collapsed into the write), a
-// lock-dominated region (lock checks deleted), and an escaping
-// counterexample (the leaked pointer keeps its checks).
+// lock-dominated region (its lock checks stay, one log lookup each),
+// and an escaping counterexample (the leaked pointer keeps its checks).
 int dynamic * leak;
 
 struct ctr {

@@ -19,7 +19,8 @@
 //! ```text
 //! 0  judged, clean          2  usage error
 //! 1  judged, conflicts      3  could not judge (unreadable or refused
-//!                              input, a run that did not complete)
+//!                              input, a run that did not complete or
+//!                              lost a thread to a fatal error)
 //! ```
 //!
 //! A failure to judge is never confusable with a verdict: scripts that
@@ -62,7 +63,7 @@ const CONFLICTS: u8 = 1;
 /// The command line was wrong.
 const USAGE: u8 = 2;
 /// No verdict: the input could not be read, was refused, or the run
-/// did not complete.
+/// did not complete or lost a thread to a fatal error.
 const CANNOT_JUDGE: u8 = 3;
 
 /// Prints the one-line reason there is no verdict; exits 3.
@@ -84,7 +85,8 @@ fn usage() -> ExitCode {
          run keeps at most 1008 threads live; a spawn past that kills \
          the spawning thread (--stop-on-error ends the run there)\n\
          exit codes: 0 clean, 1 conflicts reported, 2 usage, \
-         3 could not judge (unreadable or refused input, incomplete run)"
+         3 could not judge (unreadable or refused input, incomplete run, \
+         a thread killed by a fatal error)"
     );
     ExitCode::from(USAGE)
 }
@@ -344,16 +346,14 @@ fn main() -> ExitCode {
             println!(
                 "{}: {} annotations written, {} positions inferred \
                  ({} dynamic), {} dynamic + {} locked check sites, \
-                 {} of {} check slots elided ({:.0}%) + {} reads collapsed",
+                 {} check slots, {} reads collapsed",
                 name,
                 checked.annotation_count,
                 stats.n_vars,
                 stats.n_dynamic,
                 checked.instr.n_dynamic_sites,
                 checked.instr.n_locked_sites,
-                el.elided_slots,
                 el.checked_slots,
-                el.elided_pct(),
                 el.collapsed_reads
             );
             if checked.diags.is_empty() {
@@ -421,12 +421,8 @@ fn main() -> ExitCode {
             if explain {
                 let el = &checked.elision.summary;
                 println!(
-                    "elision: {} of {} check slots elided ({:.0}%), \
-                     {} reads collapsed",
-                    el.elided_slots,
-                    el.checked_slots,
-                    el.elided_pct(),
-                    el.collapsed_reads
+                    "elision: {} check slots, {} reads collapsed",
+                    el.checked_slots, el.collapsed_reads
                 );
                 for line in sharc::explain_elision(&checked) {
                     println!("{line}");
@@ -467,6 +463,10 @@ fn main() -> ExitCode {
                         }
                     }
                 }
+                for e in &out.thread_errors {
+                    incomplete = true;
+                    eprintln!("sharc: {e} (seed {seed})");
+                }
                 if out.status != ExitStatus::Completed {
                     incomplete = true;
                     eprintln!("sharc: run ended with {:?} (seed {seed})", out.status);
@@ -476,7 +476,8 @@ fn main() -> ExitCode {
                 ExitCode::from(CONFLICTS)
             } else if incomplete {
                 // Silence from a run that deadlocked, hit the step
-                // limit or died is not a clean bill.
+                // limit, or lost a thread to a fatal error is not a
+                // clean bill.
                 ExitCode::from(CANNOT_JUDGE)
             } else {
                 ExitCode::SUCCESS

@@ -102,9 +102,9 @@ pub fn run(checked: &CheckedProgram, config: RunConfig) -> Result<RunOutcome, mi
     Ok(sharc_interp::run(&module, &checked.source_map, config))
 }
 
-/// Executes a checked program with the elision reasons ignored: every
-/// check the checker attached runs, including the ones the elision
-/// pass proved redundant. This is the reference build the elision
+/// Executes a checked program with the collapses ignored: every check
+/// the checker attached runs, including the reads the elision pass
+/// collapsed into their write. This is the reference build the elision
 /// differential compares [`run`] against.
 ///
 /// # Errors
@@ -120,8 +120,8 @@ pub fn run_full_checks(
 }
 
 /// Renders the elision pass's verdict for `checked`, one line per
-/// elided or collapsed check slot, each with its machine-checkable
-/// reason and source location (`sharc run --explain-elision`).
+/// collapsed read check with its source location
+/// (`sharc run --explain-elision`).
 pub fn explain_elision(checked: &CheckedProgram) -> Vec<String> {
     sharc_core::elide::explain(&checked.instr, &checked.source_map)
 }

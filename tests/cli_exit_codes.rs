@@ -77,19 +77,65 @@ fn a_racy_program_is_caught_under_elision() {
     assert!(codes.contains(&Some(1)), "exit 0 on every seed: {codes:?}");
 }
 
-/// `--explain-elision` names the reason for each elided check: the
-/// exemplar has a lock-dominated region and a private loop whose read
-/// collapses into its write.
+/// `--explain-elision` names the one elision reason: the exemplar's
+/// private loop collapses its read into its write, while its
+/// lock-dominated region keeps every lock check.
 #[test]
 fn explain_elision_names_both_reasons() {
     let out = assert_exit(&["run", "examples/minic/elision.c", "--explain-elision"], 0);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for reason in ["lock-held", "read-of-write"] {
-        assert!(
-            stdout.contains(reason),
-            "no {reason} explanation in:\n{stdout}"
-        );
-    }
+    assert!(
+        stdout.contains("elision: 6 check slots, 1 reads collapsed")
+            && stdout.contains("[read-of-write]"),
+        "no read-of-write explanation in:\n{stdout}"
+    );
+}
+
+/// A thread that dies of a fatal error leaves no verdict: the run is
+/// not judged clean, and stderr names the error.
+#[test]
+fn a_thread_killed_by_a_fatal_error_cannot_be_judged() {
+    let dir = scratch_dir("fatal");
+    let path = dir.join("assert.c");
+    std::fs::write(&path, "void main() { assert(1 == 2); }").expect("write the program");
+    let out = assert_exit(&["run", path.to_str().expect("utf-8 temp path")], 3);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("thread 1: assertion failed"),
+        "stderr: {stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `main` holds the gate's lock while it spawns 1008 waiters; the last
+/// spawn is one thread past the VM's limit, so `main` dies holding the
+/// lock. Without `--stop-on-error` the run ends in a deadlock, and the
+/// error that caused it is named.
+#[test]
+fn the_thread_limit_is_named_without_stop_on_error() {
+    let dir = scratch_dir("thread-limit");
+    let path = dir.join("gate.c");
+    let program = "struct g { mutex m; int locked(m) n; };
+void waiter(struct g * p) {
+    mutex_lock(&p->m); p->n = p->n + 1; mutex_unlock(&p->m);
+}
+void main() {
+    struct g * p = new(struct g);
+    int i;
+    mutex_lock(&p->m);
+    for (i = 0; i < 1008; i++) spawn(waiter, p);
+    mutex_unlock(&p->m);
+    join_all();
+}
+";
+    std::fs::write(&path, program).expect("write the program");
+    let out = assert_exit(&["run", path.to_str().expect("utf-8 temp path")], 3);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("thread 1: thread limit (1008) exceeded"),
+        "stderr: {stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -257,27 +257,23 @@ fn vm_and_native_runtime_agree_on_granularity() {
 fn elision_exemplar_explains_exact_sites() {
     // The `--explain-elision` contract on examples/minic/elision.c:
     // the private loop body's read (line 16) is collapsed into its
-    // write and the lock-dominated region (line 22) is elided, each
-    // with its reason; the escaping counterexample (lines 27-28)
-    // keeps its checks and must not appear in the explanation.
+    // write; the lock-dominated region (line 22) and the escaping
+    // counterexample (lines 27-28) keep their checks and must not
+    // appear in the explanation.
     let src = include_str!("../examples/minic/elision.c");
     let checked = sharc::check("elision.c", src).unwrap();
     assert!(!checked.diags.has_errors(), "{}", checked.render_diags());
     let lines = sharc::explain_elision(&checked);
     assert_eq!(
         lines,
-        vec![
-            "collapse read *d [read-of-write] @ elision.c:16",
-            "elide write c->v [lock-held] @ elision.c:22",
-            "elide read c->v [lock-held] @ elision.c:22",
-        ]
+        vec!["collapse read *d [read-of-write] @ elision.c:16"]
     );
     let el = &checked.elision.summary;
-    assert_eq!((el.elided_slots, el.collapsed_reads), (2, 1));
+    assert_eq!((el.elided_slots, el.collapsed_reads), (0, 1));
     assert_eq!(el.checked_slots, 6, "the escaping sites stay checked");
     // Elided and full-checks builds agree on the clean verdict, and
     // the elided run makes one dynamic access per private-loop trip
-    // instead of two, and none in the locked region.
+    // instead of two.
     let elided = sharc::run(
         &checked,
         RunConfig {
@@ -300,8 +296,9 @@ fn elision_exemplar_explains_exact_sites() {
     assert!(elided.reports.is_empty() && full.reports.is_empty());
     assert_eq!(
         (elided.stats.checks_elided, elided.stats.checks_collapsed),
-        (2, 1)
+        (0, 1)
     );
+    assert_eq!(elided.stats.lock_checks, full.stats.lock_checks);
     assert_eq!(
         full.stats.dynamic_accesses - elided.stats.dynamic_accesses,
         100
