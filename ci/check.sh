@@ -79,16 +79,20 @@ echo "== benchmark package tests, release =="
 root=$PWD
 (cd benchmark && CARGO_TARGET_DIR="$root/target" cargo test -q --release --offline)
 
-echo "== benchmark answer keys: handoff-write, scan-read, minic-pipeline, --smoke =="
+echo "== benchmark answer keys: handoff-write, scan-read, minic-pipeline, trace-replay, tunnel-online, --smoke =="
 # The two workloads that run the runtime's check path end to end, at
 # 1/20 scale: every lap's checksum and conflict count is held against
 # the generator's answer key, for the unchecked and the checked build.
 # minic-pipeline holds every port's and example's programs/*.expected
 # against the VM at scheduler seeds 1-4: the gate on seeded schedules.
+# trace-replay and tunnel-online are the two that judge through
+# apply_event, offline and streamed: trace-replay's key trace holds
+# twelve verdict paths (three detectors, four paths each) against the
+# conflicts its generator planted.
 # The last line of a run is its result object; anything but a fully
 # correct one fails the gate (so does a host with one CPU, where the
 # workload prints `unmeasured` and no result line at all).
-for workload in handoff-write scan-read minic-pipeline; do
+for workload in handoff-write scan-read minic-pipeline trace-replay tunnel-online; do
     result=$(bash benchmark/run.sh --smoke --workload "$workload" | tail -n 1)
     echo "$workload: ${result%%, \"metrics\"*}}"
     case "$result" in

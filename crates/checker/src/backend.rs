@@ -25,7 +25,7 @@
 
 use crate::geometry::{ShadowGeometry, TID_MASK};
 use crate::runlog::RunLog;
-use crate::step::{sharded, sharded::ShardStep, Access};
+use crate::step::{bitmap, range, sharded, sharded::ShardStep, Access};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -242,8 +242,14 @@ pub trait CheckBackend {
 /// fold) and the streaming collector (`crate::stream`): both verdict
 /// paths run byte-for-byte the same code, which is what makes
 /// streaming ≡ replay a structural property rather than a test-only
-/// coincidence.
-pub fn apply_event(e: CheckEvent, backend: &mut dyn CheckBackend, out: &mut Vec<Conflict>) {
+/// coincidence. It is generic so that a fold over a concrete engine
+/// calls that engine's checks directly; `&mut dyn CheckBackend` (the
+/// streaming collector's boxed engine) instantiates it too.
+pub fn apply_event<B: CheckBackend + ?Sized>(
+    e: CheckEvent,
+    backend: &mut B,
+    out: &mut Vec<Conflict>,
+) {
     let verdict = match e {
         CheckEvent::Read { tid, granule } => backend.chkread(tid, granule),
         CheckEvent::Write { tid, granule } => backend.chkwrite(tid, granule),
@@ -345,7 +351,7 @@ pub fn apply_event(e: CheckEvent, backend: &mut dyn CheckBackend, out: &mut Vec<
 /// Drives a trace through `backend`, collecting every conflict. One
 /// seeded execution replayed through several backends is the
 /// workspace's cross-validation methodology (§6.2).
-pub fn replay(events: &[CheckEvent], backend: &mut dyn CheckBackend) -> Vec<Conflict> {
+pub fn replay<B: CheckBackend + ?Sized>(events: &[CheckEvent], backend: &mut B) -> Vec<Conflict> {
     let mut out = Vec::new();
     for &e in events {
         apply_event(e, backend, &mut out);
@@ -470,6 +476,10 @@ pub fn lower_ranges(events: &[CheckEvent]) -> Vec<CheckEvent> {
 /// Eraser refines its candidate locksets against it.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct HeldLocks {
+    /// The default keyed hasher, not [`TidHasher`]: a lock event's tid
+    /// comes from the trace and no shadow size bounds it, so a crafted
+    /// trace could pick thousands of tids that collide under a fixed
+    /// cheap hash.
     by_thread: HashMap<u32, Vec<usize>>,
 }
 
@@ -522,7 +532,7 @@ impl HeldLocks {
 /// growable word store. Single-threaded (serialize externally — the
 /// VM's scheduler does, the streaming collector does); the verdicts
 /// are identical to `sharc-runtime`'s CAS wrappers because all of
-/// them run [`sharded::step`].
+/// them run [`sharded::step`]'s body, [`sharded::step_in_shard`].
 ///
 /// The engine starts at one shard — the paper's 63-thread
 /// configuration — and widens itself the first time an access names a
@@ -533,6 +543,15 @@ impl HeldLocks {
 /// [`BitmapBackend::with_geometry`] pre-sizes it (e.g.
 /// `ShadowGeometry::for_threads(256)`) so the re-strides never run.
 ///
+/// Each thread's exit log holds 64-granule chunks, not granules: an
+/// access notes its granule's chunk only when it sets the thread's bit
+/// there (a read→write upgrade notes nothing, the read did), and exit
+/// clears the thread's bit in every granule of every logged chunk. Every granule holding a thread's bit
+/// lies in a logged chunk, and clearing a bit the granule does not
+/// hold changes nothing, so exit leaves exactly the words a
+/// per-granule log would; its cost is bounded by 64 × the thread's
+/// footprint in chunks.
+///
 /// Two engines that hash equal judge every later event alike, which
 /// is what lets the formal model's `explore` deduplicate states.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -541,14 +560,20 @@ pub struct BitmapBackend {
     /// `g * stride .. (g + 1) * stride`.
     words: Vec<u64>,
     geom: ShadowGeometry,
-    /// Granules each thread installed bits into, for exit clearing.
+    /// The chunks (`granule >> LOG_CHUNK_SHIFT`) where each thread set
+    /// a bit, for exit clearing.
     logs: HashMap<u32, RunLog, BuildHasherDefault<TidHasher>>,
     held: HeldLocks,
 }
 
+/// A [`BitmapBackend`] exit log notes `granule >> LOG_CHUNK_SHIFT`:
+/// one entry per 64 granules.
+const LOG_CHUNK_SHIFT: u32 = 6;
+
 /// Hashes a thread id for the per-thread log table: one multiply.
-/// Every install looks its thread's log up, and tids are small dense
-/// integers, so the default DoS-resistant hasher only costs time here.
+/// Every new install looks its thread's log up, and tids are small
+/// dense integers, so the default DoS-resistant hasher only costs time
+/// here.
 #[derive(Default)]
 struct TidHasher(u64);
 
@@ -570,9 +595,11 @@ impl Hasher for TidHasher {
 }
 
 /// Hashes what decides a later verdict, not how the engine got there:
-/// the words without the trailing zero words `ensure` grows on first
-/// touch, and each tid's log as a sorted, deduplicated set (exit
-/// clearing reads only that set).
+/// the words without the trailing zero words a first touch grows, the
+/// geometry and the held locks. The exit logs decide no verdict, so
+/// they are left out: every granule holding a tid's bit lies in one of
+/// its logged chunks, so an exit clears that tid's bits wherever they
+/// are, whatever else the log names.
 impl Hash for BitmapBackend {
     fn hash<H: Hasher>(&self, state: &mut H) {
         let live = self
@@ -582,13 +609,6 @@ impl Hash for BitmapBackend {
             .map_or(0, |i| i + 1);
         self.words[..live].hash(state);
         self.geom.hash(state);
-        let mut logs: Vec<(u32, Vec<usize>)> = self
-            .logs
-            .iter()
-            .map(|(&tid, log)| (tid, log.granules()))
-            .collect();
-        logs.sort_unstable();
-        logs.hash(state);
         self.held.hash(state);
     }
 }
@@ -623,15 +643,6 @@ impl BitmapBackend {
         self.geom
     }
 
-    fn ensure(&mut self, granule: usize) -> usize {
-        let stride = self.geom.words_per_granule();
-        let base = granule * stride;
-        if base + stride > self.words.len() {
-            self.words.resize(base + stride, 0);
-        }
-        base
-    }
-
     /// Re-strides the store to a geometry that names `tid`: each
     /// granule keeps its words and gains zero shard words after them.
     /// The shard count grows by at least half each time (never past
@@ -659,18 +670,43 @@ impl BitmapBackend {
         (self.words, self.geom) = (words, wide);
     }
 
+    #[inline]
     fn access(&mut self, tid: u32, granule: usize, access: Access) -> Verdict {
         if tid as usize > self.geom.exact_threads() {
             self.widen(tid);
         }
+        let shard = self.geom.shard_of(tid).expect("thread id out of range");
+        let bit = self.geom.local_bit(tid);
         let stride = self.geom.words_per_granule();
-        let base = self.ensure(granule);
-        let snapshot = &self.words[base..base + stride];
-        match sharded::step(snapshot, self.geom, tid, access) {
+        let base = granule * stride;
+        if base + stride > self.words.len() {
+            self.words.resize(base + stride, 0);
+        }
+        let words = &mut self.words[base..base + stride];
+        // Already recorded in the tid's own word, so the full step is
+        // `Unchanged` and the other words need no look (the runtime's
+        // `MultiWord::recorded` argument): conflicts never install, so
+        // the passing write that set this word left every other word
+        // empty and nobody has installed next to it since, and the
+        // passing read that set this bit excluded every foreign writer,
+        // and none can have installed over it.
+        if range::recorded(words[shard], bit, access) {
+            return Verdict::Pass;
+        }
+        match sharded::step_in_shard(words, shard, bit, access) {
             ShardStep::Unchanged => Verdict::Pass,
             ShardStep::Install { index, word } => {
-                self.words[base + index] = word;
-                self.logs.entry(tid).or_default().note(granule);
+                // Only a bit set here for the first time is news to the
+                // exit log: an upgrading write's granule was logged by
+                // its read.
+                let newly_set = words[index] & (1 << bit) == 0;
+                words[index] = word;
+                if newly_set {
+                    self.logs
+                        .entry(tid)
+                        .or_default()
+                        .note(granule >> LOG_CHUNK_SHIFT);
+                }
                 Verdict::Pass
             }
             ShardStep::Conflict => Verdict::Fail(Conflict {
@@ -732,14 +768,18 @@ impl CheckBackend for BitmapBackend {
     }
 
     fn on_thread_exit(&mut self, tid: u32) {
-        let stride = self.geom.words_per_granule();
-        if let Some(mut log) = self.logs.remove(&tid) {
-            for g in log.drain_merged().flat_map(|(start, end)| start..end) {
-                let base = g * stride;
-                if base + stride <= self.words.len() {
-                    let snapshot = &self.words[base..base + stride];
-                    if let Some((index, word)) = sharded::clear_thread(snapshot, self.geom, tid) {
-                        self.words[base + index] = word;
+        if let (Some(mut log), Some(shard)) = (self.logs.remove(&tid), self.geom.shard_of(tid)) {
+            let (stride, bit) = (self.geom.words_per_granule(), self.geom.local_bit(tid));
+            // The tid's word in each granule of each logged chunk:
+            // every `stride`-th word from its first.
+            for (start, end) in log.drain_merged() {
+                let first = (start << LOG_CHUNK_SHIFT) * stride + shard;
+                let end = (end << LOG_CHUNK_SHIFT)
+                    .saturating_mul(stride)
+                    .min(self.words.len());
+                if let Some(words) = self.words.get_mut(first..end) {
+                    for w in words.iter_mut().step_by(stride) {
+                        *w = bitmap::clear_thread(*w, bit);
                     }
                 }
             }
@@ -767,16 +807,97 @@ mod tests {
 
     #[test]
     fn re_installing_one_granule_after_every_cast_keeps_one_run() {
+        // Granules 7 and 70 lie in the adjacent chunks 0 and 1: one
+        // chunk run, however often a cast makes each install again.
         let mut engine = BitmapBackend::new();
         for _ in 0..100_000 {
-            assert!(!engine.chkwrite(1, 7).is_conflict());
-            engine.on_cast_clear(7);
+            for g in [7, 70] {
+                assert!(!engine.chkwrite(1, g).is_conflict());
+                engine.on_cast_clear(g);
+            }
         }
         assert!(!engine.chkwrite(1, 7).is_conflict());
-        assert_eq!(engine.logs[&1].len(), 1, "one granule, one run");
+        assert!(!engine.chkwrite(1, 70).is_conflict());
+        assert_eq!(engine.logs[&1].len(), 1, "two chunks, one run");
         engine.on_thread_exit(1);
-        assert_eq!(engine.raw(7), 0, "exit clears what the log names");
+        assert_eq!(
+            (engine.raw(7), engine.raw(70)),
+            (0, 0),
+            "exit clears what the log names"
+        );
         assert!(!engine.logs.contains_key(&1));
+    }
+
+    #[test]
+    fn a_read_write_upgrade_logs_nothing() {
+        let mut engine = BitmapBackend::new();
+        assert_eq!(engine.chkread(1, 3), Verdict::Pass);
+        // A read in a distant chunk makes the next note of chunk 0 a
+        // new run, were it made.
+        assert_eq!(engine.chkread(1, 10 * 64), Verdict::Pass);
+        let logged = engine.logs[&1].len();
+        assert_eq!(engine.chkwrite(1, 3), Verdict::Pass);
+        assert_eq!(
+            engine.raw(3),
+            crate::step::bitmap::WRITER_FLAG | (1 << 1),
+            "upgraded"
+        );
+        assert_eq!(engine.logs[&1].len(), logged, "granule 3 is logged already");
+        engine.on_thread_exit(1);
+        assert_eq!((engine.raw(3), engine.raw(10 * 64)), (0, 0));
+    }
+
+    #[test]
+    fn chunk_logs_clear_what_granule_logs_would() {
+        use crate::step::bitmap::{self, WRITER_FLAG};
+        // Tids 1..=3 read, and tid 1 writes, granules of chunk 0; tid 2
+        // also writes granule 5 of chunk 40.
+        let far = 40 * 64 + 5;
+        let installs: [(u32, &[usize]); 3] =
+            [(1, &[0, 5, 9, 63]), (2, &[5, 6, 63, far]), (3, &[63, 6, 0])];
+        let mut engine = BitmapBackend::new();
+        let mut granule_logs = HashMap::new();
+        for (tid, granules) in installs {
+            for &g in granules {
+                assert_eq!(engine.chkread(tid, g), Verdict::Pass, "tid {tid} reads {g}");
+                granule_logs.entry(tid).or_insert_with(Vec::new).push(g);
+            }
+        }
+        assert_eq!(engine.chkwrite(1, 9), Verdict::Pass, "tid 1's own granule");
+        assert_eq!(
+            engine.chkwrite(2, far),
+            Verdict::Pass,
+            "tid 2's own granule"
+        );
+        let words = |engine: &BitmapBackend| (0..=far).map(|g| engine.raw(g)).collect::<Vec<_>>();
+        for tid in [2, 1, 3] {
+            let before = words(&engine);
+            // A per-granule log clears the tid's bit where it installed
+            // one and nowhere else.
+            let want: Vec<u64> = before
+                .iter()
+                .enumerate()
+                .map(|(g, &w)| {
+                    if granule_logs[&tid].contains(&g) {
+                        bitmap::clear_thread(w, tid)
+                    } else {
+                        w
+                    }
+                })
+                .collect();
+            engine.on_thread_exit(tid);
+            let got = words(&engine);
+            assert_eq!(got, want, "after tid {tid}'s exit");
+            let others = !(WRITER_FLAG | (1 << tid));
+            for (g, (&was, &is)) in before.iter().zip(&got).enumerate() {
+                assert_eq!(
+                    was & others,
+                    is & others,
+                    "granule {g}: tid {tid}'s exit moved another bit"
+                );
+            }
+        }
+        assert!(words(&engine).iter().all(|&w| w == 0), "every tid exited");
     }
 
     #[test]

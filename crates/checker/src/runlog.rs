@@ -1,6 +1,9 @@
-//! [`RunLog`]: the granules where one thread set a shadow bit, kept
-//! for exit-time clearing. Both engines keep one per thread: the
-//! native runtime's `ThreadCtx` and [`crate::BitmapBackend`].
+//! [`RunLog`]: where one thread set a shadow bit, kept for exit-time
+//! clearing. Both engines keep one per thread, at different grains:
+//! the native runtime's `ThreadCtx` logs granules, and
+//! [`crate::BitmapBackend`] logs 64-granule chunks (`granule >> 6`)
+//! and clears every granule of each logged chunk at exit. The log only
+//! sees the numbers it is given, so one type serves both.
 
 /// Log length below which a cold push never compacts.
 const MIN_COMPACT: usize = 64;

@@ -11,7 +11,8 @@
 //! * its `MultiWord` protocol runs [`sharded::step`] — one
 //!   [`bitmap`] word per 63-thread shard — inside a snapshot → CAS →
 //!   revalidate loop;
-//! * [`crate::BitmapBackend`] applies [`sharded::step`] to a plain
+//! * [`crate::BitmapBackend`] applies [`sharded::step`] (as
+//!   [`sharded::step_in_shard`], its tid resolved once) to a plain
 //!   word store. Its callers serialize every call — the VM's
 //!   scheduler, `replay`, the streaming collector, and the §3 formal
 //!   model's `explore` — so no CAS is needed, and the verdicts are
@@ -195,7 +196,14 @@ pub mod sharded {
     pub fn step(words: &[u64], geom: ShadowGeometry, tid: u32, access: Access) -> ShardStep {
         debug_assert_eq!(words.len(), geom.words_per_granule(), "snapshot width");
         let s = geom.shard_of(tid).expect("thread id out of range");
-        let mine = match bitmap::step(words[s], geom.local_bit(tid), access) {
+        step_in_shard(words, s, geom.local_bit(tid), access)
+    }
+
+    /// [`step`] for a tid already resolved to its shard `s` and its
+    /// `local_bit` there, for a caller that resolves them once.
+    #[inline]
+    pub fn step_in_shard(words: &[u64], s: usize, local_bit: u32, access: Access) -> ShardStep {
+        let mine = match bitmap::step(words[s], local_bit, access) {
             Transition::Conflict => return ShardStep::Conflict,
             Transition::Unchanged => ShardStep::Unchanged,
             Transition::Install(word) => ShardStep::Install { index: s, word },

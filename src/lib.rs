@@ -170,23 +170,55 @@ impl std::str::FromStr for DetectorKind {
     }
 }
 
+/// What to do with a kind's engine once [`DetectorKind::with_engine`]
+/// has built it: `take` is compiled once per engine type, so every
+/// call it makes on the engine is a direct one.
+trait EngineUser {
+    type Out;
+    fn take<B: checker::CheckBackend + Send + 'static>(
+        self,
+        name: &'static str,
+        engine: B,
+    ) -> Self::Out;
+}
+
 impl DetectorKind {
-    /// The engine behind this kind, with the name reports print for
-    /// it — the one place a kind becomes a [`checker::CheckBackend`].
-    /// SharC's shadow widens itself to the widest tid it meets.
+    /// Builds this kind's engine and hands it, with the name reports
+    /// print for it, to `user` — the one place a kind becomes an
+    /// engine. SharC's shadow widens itself to the widest tid it meets.
+    fn with_engine<U: EngineUser>(self, user: U) -> U::Out {
+        match self {
+            // SharC's own engine has always been reported as plain `sharc`.
+            DetectorKind::Sharc => user.take("sharc", checker::BitmapBackend::new()),
+            DetectorKind::Eraser => {
+                let engine = detectors::Eraser::new();
+                user.take(checker::CheckBackend::name(&engine), engine)
+            }
+            DetectorKind::Vc => {
+                let engine = detectors::VcDetector::new();
+                user.take(checker::CheckBackend::name(&engine), engine)
+            }
+        }
+    }
+
+    /// The engine behind this kind, boxed, with the name reports print
+    /// for it: what a live run's [`checker::StreamingSink`] judges
+    /// through. The offline fold entry point, [`judge_trace`], takes
+    /// the same engine from the same private mapping unboxed, so a
+    /// kind names one engine either way.
     pub fn backend(self) -> (&'static str, Box<dyn checker::CheckBackend + Send>) {
-        let backend: Box<dyn checker::CheckBackend + Send> = match self {
-            DetectorKind::Sharc => Box::new(checker::BitmapBackend::new()),
-            DetectorKind::Eraser => Box::new(detectors::Eraser::new()),
-            DetectorKind::Vc => Box::new(detectors::VcDetector::new()),
-        };
-        // SharC's own engine has always been reported as plain `sharc`.
-        let name = if self == DetectorKind::Sharc {
-            "sharc"
-        } else {
-            backend.name()
-        };
-        (name, backend)
+        struct Boxed;
+        impl EngineUser for Boxed {
+            type Out = (&'static str, Box<dyn checker::CheckBackend + Send>);
+            fn take<B: checker::CheckBackend + Send + 'static>(
+                self,
+                name: &'static str,
+                engine: B,
+            ) -> Self::Out {
+                (name, Box::new(engine))
+            }
+        }
+        self.with_engine(Boxed)
     }
 }
 
@@ -407,12 +439,26 @@ pub fn native_trace(
 /// read back from a `--trace-out` file in a different process — the
 /// verdict is a function of the trace alone, and equals the one the
 /// same events get while they stream ([`run_native_streaming`]).
+///
+/// The fold runs on the kind's engine itself, not through a
+/// `dyn` [`checker::CheckBackend`], so each event's check is a direct
+/// call; the verdict is the boxed engine's ([`DetectorKind::backend`]).
 pub fn judge_trace(
     trace: &[checker::CheckEvent],
     kind: DetectorKind,
 ) -> (&'static str, Vec<checker::Conflict>) {
-    let (name, mut backend) = kind.backend();
-    (name, dedup_conflicts(checker::replay(trace, &mut *backend)))
+    struct Fold<'a>(&'a [checker::CheckEvent]);
+    impl EngineUser for Fold<'_> {
+        type Out = (&'static str, Vec<checker::Conflict>);
+        fn take<B: checker::CheckBackend + Send + 'static>(
+            self,
+            name: &'static str,
+            mut engine: B,
+        ) -> Self::Out {
+            (name, dedup_conflicts(checker::replay(self.0, &mut engine)))
+        }
+    }
+    kind.with_engine(Fold(trace))
 }
 
 /// Kept for `benchmark/`: [`judge_trace`], whatever `jobs` says.

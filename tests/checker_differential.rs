@@ -1179,3 +1179,91 @@ fn stunnel_streaming_is_bit_identical_to_replay_at_fleet_width() {
         "Eraser must false-positive while streaming live"
     );
 }
+
+/// Traces for the fold-equivalence property: reads and writes, point
+/// and ranged, over six 64-granule chunks (so one range can cross a
+/// chunk border), lock triples and unheld locked accesses, passing and
+/// failing casts (point and ranged), forks, joins, exits, allocs and
+/// ranged frees. The tid ceiling rises with the position in the trace,
+/// so tids past one 63-tid shard arrive mid-trace and a widening
+/// engine re-strides there.
+fn fold_trace_gen() -> Gen<Vec<CheckEvent>> {
+    let draw = gen::pair(
+        gen::pair(gen::u32_range(0..16), gen::u32_range(0..WIDE_THREADS)),
+        gen::pair(gen::usize_range(0..4 * 64), gen::usize_range(1..80)),
+    );
+    gen::vec_of(draw, 0..96).map(|draws| {
+        use CheckEvent as E;
+        let mut out = Vec::new();
+        for (i, &((kind, tid), (granule, len))) in draws.iter().enumerate() {
+            let tid = 1 + tid % (8 + 4 * i as u32);
+            let lock = granule % 3;
+            let refs = 1 + (len % 2) as u64;
+            match kind {
+                0 | 1 => out.push(E::Read { tid, granule }),
+                2 | 3 => out.push(E::Write { tid, granule }),
+                4 => out.push(E::RangeRead { tid, granule, len }),
+                5 => out.push(E::RangeWrite { tid, granule, len }),
+                6 => out.extend([
+                    E::Acquire { tid, lock },
+                    E::LockedAccess { tid, lock },
+                    E::Release { tid, lock },
+                ]),
+                7 => out.push(E::LockedAccess { tid, lock }),
+                8 => out.push(E::SharingCast { tid, granule, refs }),
+                9 => out.push(E::RangeCast {
+                    tid,
+                    granule,
+                    len,
+                    refs,
+                }),
+                10 | 11 => out.push(E::ThreadExit { tid }),
+                12 => out.push(E::Fork {
+                    parent: tid,
+                    child: tid + 1,
+                }),
+                13 => out.push(E::Join {
+                    parent: tid,
+                    child: tid + 1,
+                }),
+                14 => out.push(E::RangeFree { granule, len }),
+                _ => out.push(E::Alloc { granule }),
+            }
+        }
+        out
+    })
+}
+
+/// `sharc::judge_trace` folds through each detector's engine itself,
+/// not through `dyn CheckBackend`; its verdict must be the boxed
+/// engine's `dyn` fold, deduplicated, for all three detectors — same
+/// name, same conflicts, same order.
+#[test]
+fn judge_trace_equals_the_dyn_fold_for_every_detector() {
+    use sharc::DetectorKind;
+    use std::collections::HashSet;
+
+    forall!(
+        "judge_trace_equals_the_dyn_fold_for_every_detector",
+        cfg(),
+        fold_trace_gen(),
+        |events| {
+            for kind in [DetectorKind::Sharc, DetectorKind::Eraser, DetectorKind::Vc] {
+                let (name, mut engine) = kind.backend();
+                let mut seen = HashSet::new();
+                let folded: Vec<_> = sharc_checker::replay(events, &mut *engine)
+                    .into_iter()
+                    .filter(|c| seen.insert(*c))
+                    .collect();
+                let got = sharc::judge_trace(events, kind);
+                prop_assert!(
+                    got == (name, folded.clone()),
+                    "{:?}: judge_trace {:?} vs dyn fold {:?}",
+                    kind,
+                    got,
+                    folded
+                );
+            }
+        }
+    );
+}
