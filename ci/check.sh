@@ -58,13 +58,15 @@ echo "== property tests at one fixed seed, release =="
 # The racing lane-packing tests interleave differently at release
 # speed than at debug speed, so they run at both. The shipped `sharc`
 # is a release build, where an operand overflow wraps instead of
-# panicking, so the trace decoders' admission is fuzzed there too.
-# Every `sharc` exit-code check, the native streamed, recorded and .sbt
-# splits included, is tests/cli_exit_codes.rs, which tier-1 runs.
+# panicking, so the trace decoders' admission is fuzzed there too, and
+# the exit codes and the memory of the fold `sharc replay` runs are held
+# on the release binary (tests/cli_exit_codes.rs, tests/replay_memory.rs;
+# tier-1 runs both on the debug one).
 SHARC_TEST_SEED=0xC1 \
     cargo test -q --offline --release -p sharc -p sharc-runtime \
     --test checker_differential --test elision_differential --test inference_props \
-    --test trace_fuzz --test sharded_stress --test lane_packing
+    --test trace_fuzz --test sharded_stress --test lane_packing \
+    --test cli_exit_codes --test replay_memory
 
 echo "== checker bench rows, --smoke =="
 # Every crates/bench checker row runs once at five samples (about two

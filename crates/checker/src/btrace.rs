@@ -44,17 +44,19 @@
 //!
 //! **Block index footer.** `uleb(n)` then one `uleb(offset-delta)
 //! uleb(tid) uleb(count)` triple per block, offsets relative to the
-//! previous block's start (the first is absolute). A reader can jump
-//! to any block without decoding its predecessors — the hook for
-//! mmap-style random access and region-sharded decoding — and the
-//! trailer locates the footer from the end of the file alone.
+//! previous block's start (the first is absolute), so a reader could
+//! jump to any block without decoding its predecessors; the trailer
+//! locates the footer from the end of the file alone. The decoder
+//! reads the blocks in file order and checks only the footer's offset:
+//! no reader consumes the index yet.
 //!
-//! [`BinaryTraceReader`] is zero-copy: it borrows the byte slice
-//! (read, mapped, or in memory), validates the framing once, and
-//! decodes events on demand with [`BinaryTraceReader::events`], which
-//! refuses — naming the block — any event the replay fold could not
-//! survive (tid 0, an overflowing range, a shadow over
-//! [`crate::MAX_TRACE_SHADOW_BYTES`]), exactly as the text parser does.
+//! [`events`] is zero-copy: it borrows the byte slice (read, mapped,
+//! or in memory), validates the framing once, and decodes events on
+//! demand, refusing — naming the block — any event the replay fold
+//! could not survive (a tid outside `1..=`[`crate::MAX_TID`], an
+//! overflowing range, a shadow over [`crate::MAX_TRACE_SHADOW_BYTES`]),
+//! exactly as the text parser does, and ending with an error if the
+//! blocks do not hold the event count the header promises.
 //! Round-tripping is exact in both directions and pinned by the
 //! property tests below: `parse_binary ∘ to_binary` is the identity
 //! on any event vector, and text→binary→text reproduces the v3 file
@@ -65,7 +67,7 @@
 use crate::backend::{max_trace_tid, trace_granule_span, CheckEvent};
 use crate::geometry::ShadowGeometry;
 use crate::sink::recording_tid;
-use crate::trace::Admission;
+use crate::trace::{collect, Admission};
 
 /// Leading magic of a v4 binary trace (`sharc trace` and `sharc
 /// replay` sniff this to tell binary from text).
@@ -323,160 +325,56 @@ fn encode(events: &[CheckEvent], header: &[u8; HEADER_LEN], out: &mut impl ByteO
     out.extend_from_slice(&BTRACE_END_MAGIC);
 }
 
-/// One entry of the block index footer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockEntry {
-    /// Absolute byte offset of the block's `uleb(tid)`.
-    pub offset: usize,
-    /// The block's recording tid.
-    pub tid: u32,
-    /// Events in the block.
-    pub events: u64,
+/// Validates the framing of the v4 trace in `data` (magic, version,
+/// trailer, footer offset) and returns a lazy decoder over its events,
+/// in linearization order. Zero-copy: it borrows the bytes (heap buffer
+/// or memory-mapped file alike) and materializes one event at a time.
+/// Each item is `Ok(event)` or the first error: corruption inside a
+/// block surfaces when the block is decoded, and a header whose event
+/// count the blocks do not hold is an error after the last event.
+pub fn events(data: &[u8]) -> Result<EventIter<'_>, String> {
+    if !is_binary(data) {
+        return Err("not a binary trace (missing SBT4 magic)".to_string());
+    }
+    if data.len() < HEADER_LEN + TRAILER_LEN {
+        return Err(format!(
+            "binary trace truncated: {} bytes is shorter than header + trailer",
+            data.len()
+        ));
+    }
+    if data[4] != BTRACE_VERSION {
+        return Err(format!(
+            "unsupported binary trace version {} (this reader speaks v{BTRACE_VERSION})",
+            data[4]
+        ));
+    }
+    let end = data.len();
+    if data[end - 4..] != BTRACE_END_MAGIC {
+        return Err("binary trace truncated: end magic missing".to_string());
+    }
+    let fixed = |at: usize| -> [u8; 8] { data[at..at + 8].try_into().expect("8 bytes") };
+    let footer_off = u64::from_le_bytes(fixed(end - TRAILER_LEN)) as usize;
+    if footer_off < HEADER_LEN || footer_off > end - TRAILER_LEN {
+        return Err(format!(
+            "binary trace footer offset {footer_off} out of bounds"
+        ));
+    }
+    Ok(EventIter {
+        data,
+        pos: HEADER_LEN,
+        end: footer_off,
+        block_tid: 0,
+        block_no: 0,
+        left_in_block: 0,
+        prev_granule: 0,
+        decoded: 0,
+        promised: u64::from_le_bytes(fixed(16)),
+        admission: Admission::default(),
+        failed: false,
+    })
 }
 
-/// A validated, zero-copy view of a v4 binary trace: borrows the
-/// byte slice (heap buffer or memory-mapped file alike), checks the
-/// framing once in [`BinaryTraceReader::new`], and decodes events
-/// lazily. Nothing is copied until an event is materialized.
-#[derive(Debug, Clone, Copy)]
-pub struct BinaryTraceReader<'a> {
-    data: &'a [u8],
-    max_tid: u32,
-    event_count: u64,
-    granule_span: u64,
-    footer_off: usize,
-}
-
-impl<'a> BinaryTraceReader<'a> {
-    /// Validates the header and trailer of `data` and returns the
-    /// reader. Block payloads are *not* decoded here — corruption
-    /// inside a block surfaces from [`BinaryTraceReader::events`].
-    pub fn new(data: &'a [u8]) -> Result<Self, String> {
-        if !is_binary(data) {
-            return Err("not a binary trace (missing SBT4 magic)".to_string());
-        }
-        if data.len() < HEADER_LEN + TRAILER_LEN {
-            return Err(format!(
-                "binary trace truncated: {} bytes is shorter than header + trailer",
-                data.len()
-            ));
-        }
-        if data[4] != BTRACE_VERSION {
-            return Err(format!(
-                "unsupported binary trace version {} (this reader speaks v{BTRACE_VERSION})",
-                data[4]
-            ));
-        }
-        let end = data.len();
-        if data[end - 4..] != BTRACE_END_MAGIC {
-            return Err("binary trace truncated: end magic missing".to_string());
-        }
-        let fixed = |at: usize| -> [u8; 8] { data[at..at + 8].try_into().expect("8 bytes") };
-        let footer_off = u64::from_le_bytes(fixed(end - TRAILER_LEN)) as usize;
-        if footer_off < HEADER_LEN || footer_off > end - TRAILER_LEN {
-            return Err(format!(
-                "binary trace footer offset {footer_off} out of bounds"
-            ));
-        }
-        Ok(BinaryTraceReader {
-            data,
-            max_tid: u32::from_le_bytes(data[8..12].try_into().expect("4 bytes")),
-            event_count: u64::from_le_bytes(fixed(16)),
-            granule_span: u64::from_le_bytes(fixed(24)),
-            footer_off,
-        })
-    }
-
-    /// The largest tid the trace names, from the header.
-    pub fn max_tid(&self) -> u32 {
-        self.max_tid
-    }
-
-    /// Total events, from the header.
-    pub fn event_count(&self) -> u64 {
-        self.event_count
-    }
-
-    /// One past the largest granule any event touches, from the
-    /// header.
-    pub fn granule_span(&self) -> u64 {
-        self.granule_span
-    }
-
-    /// Parses the block index footer: one entry per per-thread block,
-    /// in file (= linearization) order.
-    pub fn blocks(&self) -> Result<Vec<BlockEntry>, String> {
-        let bytes = &self.data[..self.data.len() - TRAILER_LEN];
-        let mut pos = self.footer_off;
-        let n = read_uleb(bytes, &mut pos)?;
-        let mut entries = Vec::with_capacity(n.min(1 << 20) as usize);
-        let mut prev_off = 0u64;
-        for _ in 0..n {
-            let off = prev_off + read_uleb(bytes, &mut pos)?;
-            prev_off = off;
-            let tid = read_uleb(bytes, &mut pos)?;
-            let events = read_uleb(bytes, &mut pos)?;
-            if off as usize >= self.footer_off {
-                return Err(format!("block offset {off} points past the footer"));
-            }
-            entries.push(BlockEntry {
-                offset: off as usize,
-                tid: u32::try_from(tid).map_err(|_| format!("block tid {tid} overflows u32"))?,
-                events,
-            });
-        }
-        if pos != bytes.len() {
-            return Err(format!(
-                "binary trace footer has {} trailing bytes",
-                bytes.len() - pos
-            ));
-        }
-        Ok(entries)
-    }
-
-    /// A streaming decoder over every event, in linearization order.
-    /// Each item is `Ok(event)` or the first framing error.
-    pub fn events(&self) -> EventIter<'a> {
-        EventIter {
-            data: self.data,
-            pos: HEADER_LEN,
-            end: self.footer_off,
-            block_tid: 0,
-            block_no: 0,
-            left_in_block: 0,
-            prev_granule: 0,
-            admission: Admission::default(),
-            failed: false,
-        }
-    }
-
-    /// Events [`BinaryTraceReader::decode`] reserves room for before
-    /// reading any payload: the header's count, but never more than
-    /// the payload bytes could encode (every event is at least its
-    /// opcode byte), so a lying header cannot reserve gigabytes.
-    fn decode_capacity(&self) -> usize {
-        let payload_bytes = self.footer_off - HEADER_LEN;
-        usize::try_from(self.event_count).map_or(payload_bytes, |n| n.min(payload_bytes))
-    }
-
-    /// Decodes the whole trace, verifying the header's event count.
-    pub fn decode(&self) -> Result<Vec<CheckEvent>, String> {
-        let mut out = Vec::with_capacity(self.decode_capacity());
-        for e in self.events() {
-            out.push(e?);
-        }
-        if out.len() as u64 != self.event_count {
-            return Err(format!(
-                "binary trace decoded {} events but the header promises {}",
-                out.len(),
-                self.event_count
-            ));
-        }
-        Ok(out)
-    }
-}
-
-/// Streaming event decoder; see [`BinaryTraceReader::events`].
+/// The binary decoder; see [`events`].
 #[derive(Debug)]
 pub struct EventIter<'a> {
     data: &'a [u8],
@@ -487,6 +385,9 @@ pub struct EventIter<'a> {
     block_no: u64,
     left_in_block: u64,
     prev_granule: i64,
+    /// Events decoded so far, and the header's count they must reach.
+    decoded: u64,
+    promised: u64,
     /// The same per-event checks the text parser applies: a binary
     /// file is no more trusted than a text one.
     admission: Admission,
@@ -494,10 +395,25 @@ pub struct EventIter<'a> {
 }
 
 impl EventIter<'_> {
+    /// The events a collector reserves room for before decoding: the
+    /// header's count, but never more than the payload bytes could
+    /// encode (every event is at least its opcode byte), so a lying
+    /// header cannot reserve gigabytes.
+    pub fn capacity(&self) -> usize {
+        let payload_bytes = self.end - self.pos;
+        usize::try_from(self.promised).map_or(payload_bytes, |n| n.min(payload_bytes))
+    }
+
     fn decode_next(&mut self) -> Result<Option<CheckEvent>, String> {
         if self.left_in_block == 0 {
             // Block boundary (or clean end of the block region).
             if self.pos == self.end {
+                if self.decoded != self.promised {
+                    return Err(format!(
+                        "binary trace decoded {} events but the header promises {}",
+                        self.decoded, self.promised
+                    ));
+                }
                 return Ok(None);
             }
             let bytes = &self.data[..self.end];
@@ -515,6 +431,7 @@ impl EventIter<'_> {
             .decode_event()
             .map_err(|why| format!("block {} (tid {}): {why}", self.block_no, self.block_tid))?;
         self.left_in_block -= 1;
+        self.decoded += 1;
         Ok(Some(event))
     }
 
@@ -646,21 +563,18 @@ impl Iterator for EventIter<'_> {
         if self.failed {
             return None;
         }
-        match self.decode_next() {
-            Ok(Some(e)) => Some(Ok(e)),
-            Ok(None) => None,
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
+        let item = self.decode_next().transpose();
+        self.failed = matches!(item, Some(Err(_)));
+        item
     }
 }
 
-/// Convenience: validate + decode in one call, the binary twin of
+/// [`events`], collected: the binary twin of
 /// [`crate::trace::parse_text`].
 pub fn parse_binary(bytes: &[u8]) -> Result<Vec<CheckEvent>, String> {
-    BinaryTraceReader::new(bytes)?.decode()
+    let events = events(bytes)?;
+    let capacity = events.capacity();
+    collect(events, capacity)
 }
 
 #[cfg(test)]
@@ -828,21 +742,37 @@ mod tests {
             },
         ];
         let bytes = to_binary(&events);
-        let r = BinaryTraceReader::new(&bytes).expect("valid");
-        assert_eq!(r.max_tid(), 200);
-        assert_eq!(r.event_count(), 3);
-        assert_eq!(r.granule_span(), 4104);
+        assert_eq!(bytes[8..12], 200u32.to_le_bytes(), "max tid");
         assert_eq!(
             bytes[12..16],
             (ShadowGeometry::for_threads(200).shards() as u32).to_le_bytes(),
             "the header still records the shard count"
         );
-        let blocks = r.blocks().expect("footer parses");
+        assert_eq!(bytes[16..24], 3u64.to_le_bytes(), "event count");
+        assert_eq!(bytes[24..32], 4104u64.to_le_bytes(), "granule span");
         assert_eq!(
-            blocks.iter().map(|b| (b.tid, b.events)).collect::<Vec<_>>(),
-            vec![(1, 1), (200, 2)],
+            block_index(&bytes),
+            // The first block: tid, count, opcode, a two-byte child.
+            vec![(HEADER_LEN, 1, 1), (HEADER_LEN + 5, 200, 2)],
             "blocks are maximal same-recording-tid runs"
         );
+    }
+
+    /// The footer's `(offset, tid, events)` per block, checking that it
+    /// fills the space before the trailer exactly.
+    fn block_index(bytes: &[u8]) -> Vec<(usize, u32, u64)> {
+        let end = bytes.len() - TRAILER_LEN;
+        let mut pos = u64::from_le_bytes(bytes[end..end + 8].try_into().unwrap()) as usize;
+        let mut uleb = || read_uleb(&bytes[..end], &mut pos).expect("footer varint");
+        let (n, mut offset) = (uleb(), 0);
+        let index = (0..n)
+            .map(|_| {
+                offset += uleb() as usize;
+                (offset, uleb() as u32, uleb())
+            })
+            .collect();
+        assert_eq!(pos, end, "footer bytes left over");
+        index
     }
 
     #[test]
@@ -861,29 +791,29 @@ mod tests {
     fn corrupt_framing_is_rejected_loudly() {
         let good = to_binary(&[CheckEvent::Read { tid: 1, granule: 7 }]);
         // Text input.
-        assert!(BinaryTraceReader::new(b"# sharc-trace v3\n")
-            .unwrap_err()
-            .contains("magic"));
+        assert!(events(b"# sharc-trace v3\n").unwrap_err().contains("magic"));
         // Truncation that loses the trailer.
-        assert!(BinaryTraceReader::new(&good[..good.len() - 3])
+        assert!(events(&good[..good.len() - 3])
             .unwrap_err()
             .contains("end magic"));
         // A version bump fails loudly instead of misparsing.
         let mut v5 = good.clone();
         v5[4] = 5;
-        assert!(BinaryTraceReader::new(&v5)
-            .unwrap_err()
-            .contains("version 5"));
+        assert!(events(&v5).unwrap_err().contains("version 5"));
         // An unknown opcode inside a block surfaces from decode.
         let mut bad_op = good.clone();
         bad_op[HEADER_LEN + 2] = 0x7e; // the event's opcode byte
         assert!(parse_binary(&bad_op).unwrap_err().contains("opcode"));
-        // A lying header count surfaces from decode.
+        // A lying header count is the decoder's last item, so a fold
+        // over the events meets it too.
         let mut short_count = good;
         short_count[16] = 2;
         assert!(parse_binary(&short_count)
             .unwrap_err()
             .contains("promises 2"));
+        let items: Vec<_> = events(&short_count).expect("framing is intact").collect();
+        assert_eq!(items.len(), 2, "the event, then the count error");
+        assert!(items[1].as_ref().unwrap_err().contains("decoded 1 events"));
     }
 
     #[test]
@@ -893,10 +823,9 @@ mod tests {
         // four payload bytes could encode.
         let mut lying = to_binary(&[CheckEvent::Read { tid: 1, granule: 7 }]);
         lying[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        let r = BinaryTraceReader::new(&lying).expect("framing is intact");
-        assert_eq!(r.event_count(), u64::MAX);
-        assert_eq!(r.decode_capacity(), 4, "tid, count, opcode, delta");
-        assert!(r.decode().unwrap_err().contains("promises"));
+        let r = events(&lying).expect("framing is intact");
+        assert_eq!(r.capacity(), 4, "tid, count, opcode, delta");
+        assert!(parse_binary(&lying).unwrap_err().contains("promises"));
     }
 
     #[test]
@@ -938,9 +867,8 @@ mod tests {
     #[test]
     fn empty_trace_round_trips() {
         let bytes = to_binary(&[]);
-        let r = BinaryTraceReader::new(&bytes).expect("valid");
-        assert_eq!(r.event_count(), 0);
-        assert_eq!(r.blocks().unwrap(), vec![]);
-        assert_eq!(r.decode().unwrap(), vec![]);
+        assert_eq!(bytes[16..24], 0u64.to_le_bytes());
+        assert_eq!(block_index(&bytes), vec![]);
+        assert_eq!(parse_binary(&bytes).unwrap(), vec![]);
     }
 }

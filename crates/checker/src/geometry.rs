@@ -23,7 +23,8 @@
 //!
 //! A tid past [`ShadowGeometry::exact_threads`] has no word: the VM's
 //! and the replayer's `BitmapBackend` widens its geometry when it
-//! meets one, and the runtime's fixed-size `MultiWord` refuses it.
+//! meets one (never past [`MAX_TID`]), and the runtime's fixed-size
+//! `MultiWord` refuses it.
 
 /// The shard layout of one granule's shadow words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,18 +33,19 @@ pub struct ShadowGeometry {
     shards: usize,
 }
 
-/// Exact thread capacity of one bitmap shard word (`8·8 − 1`).
-pub const THREADS_PER_SHARD: usize = 63;
+/// Exact thread capacity of one bitmap shard word (the paper's
+/// `8n − 1` for `n` = 8).
+pub const THREADS_PER_SHARD: usize = crate::max_bitmap_tid(8) as usize;
 
-/// The thread-id space: every tid a trace may name lies in
-/// `1..=TID_MASK` (2³⁰ − 1), which both trace decoders check.
-pub const TID_MASK: u64 = (1 << 30) - 1;
-
-/// The widest granule a fixed-size shadow supports: the runtime's
-/// stack-allocated snapshot holds this many words, and the VM admits
-/// only as many live threads as they name
-/// (`16 × 63 = 1008`).
+/// The widest granule a shadow has: the runtime's stack-allocated
+/// snapshot holds this many words, and [`MAX_TID`] is what they name.
 pub const MAX_WORDS_PER_GRANULE: usize = 16;
+
+/// The one thread bound of the system (`16 × 63 = 1008`): the VM keeps
+/// at most this many thread ids live, the runtime's widest shadow names
+/// no more, and both trace decoders refuse a tid outside `1..=MAX_TID`.
+/// So no granule is ever more than [`MAX_WORDS_PER_GRANULE`] words.
+pub const MAX_TID: u32 = (MAX_WORDS_PER_GRANULE * THREADS_PER_SHARD) as u32;
 
 impl ShadowGeometry {
     /// The smallest geometry that tracks `threads` simultaneously
@@ -148,6 +150,7 @@ mod tests {
         assert_eq!(g.bytes_per_granule(), 40);
         let widest = ShadowGeometry::with_shards(MAX_WORDS_PER_GRANULE);
         assert_eq!(widest.exact_threads(), 1008);
+        assert_eq!(ShadowGeometry::for_threads(MAX_TID as usize), widest);
     }
 
     #[test]

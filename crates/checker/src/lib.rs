@@ -35,8 +35,8 @@
 //!   re-judged by any backend in a later process.
 //! * [`btrace`] — the binary trace format v4 (`.sbt`): per-thread
 //!   blocks, one opcode byte per event, zigzag-LEB128 granule
-//!   deltas, a block index footer, and a zero-copy
-//!   [`BinaryTraceReader`] — the archive format that makes
+//!   deltas, a block index footer, and a zero-copy decoder
+//!   ([`btrace::events`]) — the archive format that makes
 //!   10⁷–10⁸-event runs practical to keep and re-judge.
 //! * [`runlog`] — [`RunLog`]: a thread's exit-clearing log as merged
 //!   granule runs, bounded by its footprint; both engines keep one.
@@ -71,8 +71,8 @@ pub use backend::{
     apply_event, geometry_for_trace, lower_ranges, max_trace_tid, replay, trace_granule_span,
     BitmapBackend, CheckBackend, CheckEvent, CheckKind, Conflict, HeldLocks, Verdict,
 };
-pub use btrace::{is_binary as is_binary_trace, parse_binary, to_binary, BinaryTraceReader};
-pub use geometry::{ShadowGeometry, MAX_WORDS_PER_GRANULE, THREADS_PER_SHARD, TID_MASK};
+pub use btrace::{is_binary as is_binary_trace, parse_binary, to_binary};
+pub use geometry::{ShadowGeometry, MAX_TID, MAX_WORDS_PER_GRANULE, THREADS_PER_SHARD};
 pub use runlog::RunLog;
 pub use sink::{recording_tid, EventLog, EventSink};
 pub use step::{Access, Transition};
@@ -127,21 +127,10 @@ pub const fn max_bitmap_tid(shadow_bytes: usize) -> u32 {
     (shadow_bytes * 8 - 1) as u32
 }
 
-/// Exact thread capacity of **one** 8-byte bitmap shard word (the
-/// paper's `8n − 1`). This constant is deliberately *not*
-/// load-bearing outside this crate any more: layers that need a
-/// thread bound derive it from a [`ShadowGeometry`]
-/// (`geometry.exact_threads()`), which stacks shards of this size —
-/// so the runtime and VM scale past 63 threads while each shard word
-/// still obeys the paper's encoding.
-pub const MAX_CHECKED_THREADS: usize = max_bitmap_tid(8) as usize;
-
-// The granule must be a whole number of 8-byte words and cells, and
-// the thread-capacity rule must agree with the bitmap encoding.
+// The granule must be a whole number of 8-byte words and cells.
 const _: () = assert!(GRANULE_BYTES.is_multiple_of(8));
 const _: () = assert!(GRANULE_WORDS * 8 == GRANULE_BYTES);
 const _: () = assert!(GRANULE_CELLS as usize == GRANULE_WORDS);
-const _: () = assert!(MAX_CHECKED_THREADS == 63);
 
 #[cfg(test)]
 mod tests {
@@ -160,6 +149,6 @@ mod tests {
         assert_eq!(max_bitmap_tid(2), 15);
         assert_eq!(max_bitmap_tid(4), 31);
         assert_eq!(max_bitmap_tid(8), 63);
-        assert_eq!(MAX_CHECKED_THREADS, 63);
+        assert_eq!(THREADS_PER_SHARD, 63);
     }
 }

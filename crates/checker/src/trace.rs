@@ -39,17 +39,20 @@
 //! verdict trustworthy: the replayed trace *is* the recorded
 //! execution, not a lossy summary of it. The property test below
 //! pins this over the whole vocabulary.
+//!
+//! [`events`] decodes one line at a time, as
+//! [`crate::btrace::events`] decodes `.sbt`; [`parse_text`] collects it.
 
 use crate::backend::CheckEvent;
-use crate::geometry::{ShadowGeometry, TID_MASK};
+use crate::geometry::{ShadowGeometry, MAX_TID};
 use std::fmt::Write as _;
 
 /// The largest shadow a trace *file* may ask the replay fold to
 /// allocate: [`ShadowGeometry::for_threads`] of its widest tid, times
 /// its granule span, times eight bytes a word. A trace is untrusted
-/// input, and two short lines (`write 1073741823 0`, `write 5 100000`)
-/// are enough to name terabytes; a decoder refuses such a file instead
-/// of handing it to a fold that would obey it. 16 MiB is two million
+/// input, and one short line (`write 1 4000000000000`) is enough to
+/// name terabytes; a decoder refuses such a file instead of handing it
+/// to a fold that would obey it. 16 MiB is two million
 /// granules at up to 63 threads — 32 MiB of traced memory, sixteen
 /// times the widest trace this repository generates. One ranged line
 /// over all of it costs the baseline detectors' sparse per-granule
@@ -60,10 +63,9 @@ pub const MAX_TRACE_SHADOW_BYTES: u64 = 16 << 20;
 
 /// What both decoders check as they construct each event (the text
 /// parser a whole event at a time, the binary one operand by operand)
-/// — no second pass over the trace: every tid lies in the id space
-/// `1..=TID_MASK`, no granule run overflows, and the
-/// shadow the trace so far would need stays under
-/// [`MAX_TRACE_SHADOW_BYTES`].
+/// — no second pass over the trace: every tid lies in the system's
+/// `1..=MAX_TID`, no granule run overflows, and the shadow the trace so
+/// far would need stays under [`MAX_TRACE_SHADOW_BYTES`].
 #[derive(Debug, Default)]
 pub(crate) struct Admission {
     max_tid: u32,
@@ -85,8 +87,8 @@ impl Admission {
     /// Admits a thread id an event names.
     #[inline]
     pub(crate) fn tid(&mut self, tid: u32) -> Result<(), String> {
-        if tid < 1 || u64::from(tid) > TID_MASK {
-            return Err(format!("thread id {tid} is outside 1..={TID_MASK}"));
+        if !(1..=MAX_TID).contains(&tid) {
+            return Err(format!("thread id {tid} is outside 1..={MAX_TID}"));
         }
         if tid > self.max_tid {
             self.grow(tid, self.granule_span)?;
@@ -179,7 +181,12 @@ pub const KEYWORDS: [&str; 14] = [
 
 /// The text-format keyword for `e`, from [`KEYWORDS`].
 pub fn keyword(e: &CheckEvent) -> &'static str {
-    KEYWORDS[match e {
+    KEYWORDS[keyword_index(e)]
+}
+
+/// Where `e`'s keyword sits in [`KEYWORDS`].
+pub fn keyword_index(e: &CheckEvent) -> usize {
+    match e {
         CheckEvent::Read { .. } => 0,
         CheckEvent::Write { .. } => 1,
         CheckEvent::RangeRead { .. } => 2,
@@ -194,7 +201,7 @@ pub fn keyword(e: &CheckEvent) -> &'static str {
         CheckEvent::Join { .. } => 11,
         CheckEvent::ThreadExit { .. } => 12,
         CheckEvent::Alloc { .. } => 13,
-    }]
+    }
 }
 
 /// Renders a parse failure: the 1-based line number, a snippet of
@@ -217,50 +224,79 @@ fn line_error(line_no: usize, raw: &str, detail: &str) -> String {
     format!("trace line {line_no}: `{snippet}`: {detail}")
 }
 
-/// Parses the line format back into events. Blank lines and `#`
-/// comments are skipped; anything else that fails to parse reports
-/// its 1-based line number plus a snippet of the offending line.
-/// Header comments are the one kind of comment that is *not* waved
-/// through blindly: a `# sharc-trace vN` line of any version but
-/// [`TRACE_HEADER`]'s fails loudly (with its line number like any
-/// other error) instead of silently misparsing another format. An event the replay
-/// fold could not survive — tid 0, an overflowing range, a shadow over
-/// [`MAX_TRACE_SHADOW_BYTES`] — is refused on its line the same way.
+/// Parses the line format back into events: [`events`], collected.
 pub fn parse_text(text: &str) -> Result<Vec<CheckEvent>, String> {
-    let mut events = Vec::new();
-    let mut admission = Admission::default();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# sharc-trace v") {
-            match rest.trim().parse::<u32>() {
-                Ok(3) => continue,
-                Ok(v) => {
-                    return Err(line_error(
-                        i + 1,
-                        raw,
-                        &format!(
-                            "unsupported text trace version v{v} \
-                             (this parser reads v3; v4 is the binary `.sbt` format)"
-                        ),
-                    ))
-                }
-                Err(_) => {
-                    return Err(line_error(i + 1, raw, "malformed trace version header"));
-                }
-            }
-        }
-        if line.starts_with('#') {
-            continue;
-        }
-        let event = parse_line(line)
-            .and_then(|e| admission.admit(&e).map(|()| e))
-            .map_err(|e| line_error(i + 1, raw, &e))?;
-        events.push(event);
+    collect(events(text), 0)
+}
+
+/// Collects a decoder of either format after reserving room for
+/// `capacity` events; the first error is the answer.
+pub fn collect(
+    events: impl Iterator<Item = Result<CheckEvent, String>>,
+    capacity: usize,
+) -> Result<Vec<CheckEvent>, String> {
+    let mut out = Vec::with_capacity(capacity);
+    for e in events {
+        out.push(e?);
     }
-    Ok(events)
+    Ok(out)
+}
+
+/// A lazy decoder over the line format, one event a line. Blank lines
+/// and `#` comments are skipped; anything else that fails to parse
+/// reports its 1-based line number plus a snippet of the offending
+/// line. Header comments are the one kind of comment that is *not*
+/// waved through blindly: a `# sharc-trace vN` line of any version but
+/// [`TRACE_HEADER`]'s fails loudly (with its line number like any other
+/// error) instead of silently misparsing another format. An event the
+/// replay fold could not survive — a tid outside `1..=MAX_TID`, an
+/// overflowing range, a shadow over [`MAX_TRACE_SHADOW_BYTES`] — is
+/// refused on its line the same way. The first error is the last item.
+pub fn events(text: &str) -> TextEvents<'_> {
+    TextEvents {
+        lines: text.lines().enumerate(),
+        admission: Admission::default(),
+        failed: false,
+    }
+}
+
+/// The text decoder; see [`events`].
+#[derive(Debug)]
+pub struct TextEvents<'a> {
+    lines: std::iter::Enumerate<std::str::Lines<'a>>,
+    admission: Admission,
+    failed: bool,
+}
+
+impl Iterator for TextEvents<'_> {
+    type Item = Result<CheckEvent, String>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.failed {
+            return None;
+        }
+        let (i, raw, event) = loop {
+            let (i, raw) = self.lines.next()?;
+            let line = raw.trim();
+            let event = if let Some(rest) = line.strip_prefix("# sharc-trace v") {
+                match rest.trim().parse::<u32>() {
+                    Ok(3) => continue,
+                    Ok(v) => Err(format!(
+                        "unsupported text trace version v{v} \
+                         (this parser reads v3; v4 is the binary `.sbt` format)"
+                    )),
+                    Err(_) => Err("malformed trace version header".to_string()),
+                }
+            } else if line.is_empty() || line.starts_with('#') {
+                continue;
+            } else {
+                parse_line(line).and_then(|e| self.admission.admit(&e).map(|()| e))
+            };
+            break (i, raw, event);
+        };
+        self.failed = event.is_err();
+        Some(event.map_err(|e| line_error(i + 1, raw, &e)))
+    }
 }
 
 fn parse_line(line: &str) -> Result<CheckEvent, String> {
@@ -575,13 +611,16 @@ mod tests {
         // (input, what the refusal says); the bad line is the last.
         let cases: &[(&str, &str)] = &[
             ("write 1 7\nread 0 5\n", "thread id 0"),
-            ("write 1 7\nfork 1 1073741824\n", "thread id 1073741824"),
+            (
+                "write 1 7\nfork 1 1009\n",
+                "thread id 1009 is outside 1..=1008",
+            ),
             // An id wider than its field is an error, not a truncation
             // to tid 1.
             ("write 1 7\nread 4294967297 5\n", "not a number in range"),
             ("write 1 7\nrwrite 1 18446744073709551615 2\n", "overflows"),
             ("write 1 7\nrfree 5 18446744073709551615\n", "overflows"),
-            ("write 1 0\nwrite 1048576 100000\n", "budget"),
+            ("write 1 0\nwrite 1008 140000\n", "budget"),
             ("write 1 7\nwrite 1 4000000000000\n", "budget"),
         ];
         for (input, why) in cases {
@@ -589,6 +628,8 @@ mod tests {
             assert!(e.contains("line 2"), "{input:?}: {e}");
             assert!(e.contains(why), "{input:?}: expected {why:?} in {e}");
         }
+        // The thread bound is exact too.
+        assert!(parse_text(&format!("read {MAX_TID} 0\n")).is_ok());
         // The budget is exact: the last granule that fits is admitted,
         // the next one is not...
         let per_granule = |tid| ShadowGeometry::for_threads(tid).bytes_per_granule() as u64;

@@ -24,19 +24,10 @@ use crate::bytecode::*;
 use crate::report::{ConflictReport, Reporter};
 use minic::ast::BinOp;
 use minic::span::SourceMap;
-use sharc_checker::{
-    Access, BitmapBackend, CheckBackend, CheckEvent, EventSink, ShadowGeometry, Verdict,
-    MAX_WORDS_PER_GRANULE,
-};
+use sharc_checker::{Access, BitmapBackend, CheckBackend, CheckEvent, EventSink, Verdict, MAX_TID};
 use sharc_testkit::rng::{Rng, Xoshiro256pp};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-
-/// The most thread ids the VM has live at once: as many as the widest
-/// granule of the runtime's fixed-size shadow names (`16 × 63`,
-/// [`MAX_WORDS_PER_GRANULE`] words), so a MiniC program and a native
-/// workload meet one thread bound.
-const MAX_THREADS: u32 = ShadowGeometry::with_shards(MAX_WORDS_PER_GRANULE).exact_threads() as u32;
 
 /// Scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -573,7 +564,7 @@ impl<'m> Vm<'m> {
         let tid = match self.free_tids.pop() {
             Some(t) => t,
             None => {
-                if self.next_tid > MAX_THREADS {
+                if self.next_tid > MAX_TID {
                     return None;
                 }
                 let t = self.next_tid;
@@ -1014,7 +1005,7 @@ impl<'m> Vm<'m> {
                         });
                         self.push(Value::Int(t as i64));
                     }
-                    None => return Err(format!("thread limit ({MAX_THREADS}) exceeded")),
+                    None => return Err(format!("thread limit ({MAX_TID}) exceeded")),
                 }
             }
             Insn::Join => {

@@ -39,8 +39,8 @@ use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 /// A checked-thread identifier (1-based). How many ids a shadow can
 /// tell apart is the word protocol's business: `8n − 1` for
-/// [`OneWord`], 63 per shard (and 2³⁰ − 1 soundly) for
-/// [`MultiWord`](crate::sharded::MultiWord).
+/// [`OneWord`], 63 per shard (and [`sharc_checker::MAX_TID`] in all)
+/// for [`MultiWord`](crate::sharded::MultiWord).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ThreadId(pub u32);
 
@@ -178,7 +178,7 @@ impl ShadowWord for AtomicU64 {
 
 // The widest word's capacity is the capacity of one bitmap shard.
 const _: () = assert!(
-    AtomicU64::MAX_THREAD as usize == sharc_checker::MAX_CHECKED_THREADS,
+    AtomicU64::MAX_THREAD as usize == sharc_checker::THREADS_PER_SHARD,
     "the 8n-1 rule must agree with sharc-checker"
 );
 

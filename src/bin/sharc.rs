@@ -10,7 +10,7 @@
 //! sharc native <pfscan|handoff|pbzip2|aget|dillo|fftw|stunnel>
 //!              [--detector sharc|eraser|vc] [--ring-cap N | --trace-out <path>]
 //! sharc replay <trace-file>       [--detector sharc|eraser|vc]
-//! sharc trace convert <in> <out>  [--lower]
+//! sharc trace convert <in> <out>
 //! sharc trace info <trace-file>
 //! ```
 //!
@@ -25,7 +25,9 @@
 //!
 //! A failure to judge is never confusable with a verdict: scripts that
 //! expect a detector to report (`--detector eraser` on a hand-off)
-//! compare against exactly 1.
+//! compare against exactly 1. Nor is output that could not be written:
+//! a failed write to stdout (a closed pipe, a full disk) ends the
+//! command with one `sharc:` line on stderr and exit 3.
 //!
 //! `--detector` selects which engine judges the execution: SharC's
 //! own runtime checks (default), or one of the §6.2 baselines
@@ -43,19 +45,20 @@
 //! took. `--trace-out` instead records the whole run and saves it as
 //! line-oriented text — or as the binary v4 `.sbt` format when the
 //! path ends in `.sbt` — before judging it; `replay` re-judges a
-//! saved trace offline (sniffing text vs binary by magic). Both give
-//! the streamed verdict: it is a function of the events alone, so
-//! the same execution can be interrogated by every engine long after
-//! the threads are gone.
+//! saved trace offline (sniffing text vs binary by magic), folding
+//! each event into the engine as it decodes it, so the decoded trace
+//! is never held. Both give the streamed verdict: it is a function of
+//! the events alone, so the same execution can be interrogated by
+//! every engine long after the threads are gone.
 //!
 //! `trace convert` rewrites a trace between the text and binary
-//! formats (output format chosen by the `.sbt` extension); `--lower`
-//! additionally expands range events to per-granule point events —
-//! the v1 vocabulary, for feeding old readers. `trace info` prints a
-//! file's version, size, per-kind event counts, widest tid, granule
-//! span, and bytes/event without judging it.
+//! formats (output format chosen by the `.sbt` extension). `trace
+//! info` prints a file's version, size, per-kind event counts, widest
+//! tid, granule span, and bytes/event without judging it.
 
+use sharc::checker::Conflict;
 use sharc::prelude::*;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 /// Judged, and conflicts (or static sharing errors) were reported.
@@ -66,13 +69,17 @@ const USAGE: u8 = 2;
 /// did not complete or lost a thread to a fatal error.
 const CANNOT_JUDGE: u8 = 3;
 
+/// What a command ends with: its exit code, or the write to stdout that
+/// failed, which ends it with no verdict (exit 3).
+type Outcome = io::Result<ExitCode>;
+
 /// Prints the one-line reason there is no verdict; exits 3.
-fn cannot_judge(why: impl std::fmt::Display) -> ExitCode {
+fn cannot_judge(why: impl std::fmt::Display) -> Outcome {
     eprintln!("sharc: {why}");
-    ExitCode::from(CANNOT_JUDGE)
+    Ok(ExitCode::from(CANNOT_JUDGE))
 }
 
-fn usage() -> ExitCode {
+fn usage() -> Outcome {
     eprintln!(
         "usage:\n  sharc check <file.c>\n  sharc infer <file.c>\n  \
          sharc run <file.c> [--seed N] [--trials N] [--stop-on-error] \
@@ -80,7 +87,7 @@ fn usage() -> ExitCode {
          sharc native <pfscan|handoff|pbzip2|aget|dillo|fftw|stunnel> \
          [--detector sharc|eraser|vc] [--ring-cap N | --trace-out <path>]\n  \
          sharc replay <trace-file> [--detector sharc|eraser|vc]\n  \
-         sharc trace convert <in> <out> [--lower]\n  \
+         sharc trace convert <in> <out>\n  \
          sharc trace info <trace-file>\n\
          run keeps at most 1008 threads live; a spawn past that kills \
          the spawning thread (--stop-on-error ends the run there)\n\
@@ -88,7 +95,7 @@ fn usage() -> ExitCode {
          3 could not judge (unreadable or refused input, incomplete run, \
          a thread killed by a fatal error)"
     );
-    ExitCode::from(USAGE)
+    Ok(ExitCode::from(USAGE))
 }
 
 /// Parses a `--detector <kind>` pair at `args[i]`, advancing `i`.
@@ -133,7 +140,7 @@ fn parse_number(args: &[String], i: &mut usize, min: u64) -> Result<u64, ()> {
 /// <path>]`: run a real-thread workload and judge it with one engine
 /// while it runs — or, when a trace file is asked for, record the
 /// whole run, save it for offline replay, and judge the recording.
-fn cmd_native(args: &[String]) -> ExitCode {
+fn cmd_native(args: &[String], out: &mut dyn Write) -> Outcome {
     let Some(workload) = args.first() else {
         return usage();
     };
@@ -176,38 +183,40 @@ fn cmd_native(args: &[String]) -> ExitCode {
         eprintln!("sharc: --ring-cap sizes the streamed run's rings; --trace-out records the whole run instead");
         return usage();
     }
-    let print_run = |run: &sharc::workloads::table::NativeRun| {
-        println!(
+    let print_run = |out: &mut dyn Write, run: &sharc::workloads::table::NativeRun| {
+        writeln!(
+            out,
             "{workload:?}: {} threads, {} checked / {} total accesses, checksum {:#x}",
             run.threads, run.checked, run.total, run.checksum
-        );
+        )
     };
     let Some(path) = trace_out else {
         let ring_cap = ring_cap.unwrap_or(sharc::DEFAULT_RING_CAP);
         let streamed = sharc::run_native_streaming(workload, detector, ring_cap);
-        print_run(&streamed.run);
+        print_run(out, &streamed.run)?;
         let s = &streamed.stats;
-        println!(
+        writeln!(
+            out,
             "streamed: {} events recorded, {} drained over {} collector drains, \
              peak resident {} (ring budget {})",
             s.recorded, s.drained, s.drains, s.peak_resident, s.ring_budget
-        );
-        return report_conflicts(streamed.detector, &streamed.conflicts);
+        )?;
+        return report_conflicts(out, streamed.detector, &streamed.conflicts);
     };
     let (run, trace) = sharc::native_trace(workload);
     if let Err(e) = sharc::write_trace_file(std::path::Path::new(&path), &trace) {
         return cannot_judge(format_args!("cannot write trace to {path}: {e}"));
     }
-    println!("{} trace events written to {path}", trace.len());
-    print_run(&run);
+    writeln!(out, "{} trace events written to {path}", trace.len())?;
+    print_run(out, &run)?;
     let (name, conflicts) = sharc::judge_trace(&trace, detector);
-    report_conflicts(name, &conflicts)
+    report_conflicts(out, name, &conflicts)
 }
 
 /// `sharc replay <trace-file> [--detector …]`: re-judge a saved trace
 /// offline, without re-running any threads. Text or binary input is
-/// sniffed by magic.
-fn cmd_replay(args: &[String]) -> ExitCode {
+/// sniffed by magic, and each event is judged as it is decoded.
+fn cmd_replay(args: &[String], out: &mut dyn Write) -> Outcome {
     let Some(path) = args.first() else {
         return usage();
     };
@@ -225,46 +234,37 @@ fn cmd_replay(args: &[String]) -> ExitCode {
             }
         }
     }
-    let trace = match sharc::read_trace_file(std::path::Path::new(path)) {
-        Ok(t) => t,
-        Err(e) => return cannot_judge(e),
-    };
-    println!("{path}: {} trace events", trace.len());
-    let (name, conflicts) = sharc::judge_trace(&trace, detector);
-    report_conflicts(name, &conflicts)
+    let (events, name, conflicts) =
+        match sharc::judge_trace_file(std::path::Path::new(path), detector) {
+            Ok(judged) => judged,
+            Err(e) => return cannot_judge(e),
+        };
+    writeln!(out, "{path}: {events} trace events")?;
+    report_conflicts(out, name, &conflicts)
 }
 
-/// `sharc trace convert <in> <out> [--lower]` and
-/// `sharc trace info <trace-file>`: offline trace-file tooling.
-fn cmd_trace(args: &[String]) -> ExitCode {
+/// `sharc trace convert <in> <out>` and `sharc trace info
+/// <trace-file>`: offline trace-file tooling.
+fn cmd_trace(args: &[String], out: &mut dyn Write) -> Outcome {
     match args.first().map(String::as_str) {
         Some("convert") => {
             let (Some(input), Some(output)) = (args.get(1), args.get(2)) else {
                 eprintln!("sharc: trace convert needs <in> and <out> paths");
                 return usage();
             };
-            let mut lower = false;
-            for flag in &args[3..] {
-                match flag.as_str() {
-                    "--lower" => lower = true,
-                    other => {
-                        eprintln!("sharc: unknown flag {other}");
-                        return usage();
-                    }
-                }
+            if let Some(other) = args.get(3) {
+                eprintln!("sharc: unknown flag {other}");
+                return usage();
             }
-            let mut trace = match sharc::read_trace_file(std::path::Path::new(input)) {
+            let trace = match sharc::read_trace_file(std::path::Path::new(input)) {
                 Ok(t) => t,
                 Err(e) => return cannot_judge(e),
             };
-            if lower {
-                trace = sharc::checker::lower_ranges(&trace);
-            }
             if let Err(e) = sharc::write_trace_file(std::path::Path::new(output), &trace) {
                 return cannot_judge(format_args!("cannot write trace to {output}: {e}"));
             }
-            println!("{} events converted to {output}", trace.len());
-            ExitCode::SUCCESS
+            writeln!(out, "{} events converted to {output}", trace.len())?;
+            Ok(ExitCode::SUCCESS)
         }
         Some("info") => {
             let Some(path) = args.get(1) else {
@@ -280,45 +280,55 @@ fn cmd_trace(args: &[String]) -> ExitCode {
             } else {
                 0.0
             };
-            println!(
+            writeln!(
+                out,
                 "{path}: {} v{}, {} bytes, {} events ({per_event:.2} bytes/event)",
                 info.format, info.version, info.bytes, info.events
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "  max tid {}, granule span {}",
                 info.max_tid, info.granule_span
-            );
+            )?;
             for (kw, n) in &info.counts {
-                println!("  {kw:<8} {n}");
+                writeln!(out, "  {kw:<8} {n}")?;
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         _ => usage(),
     }
 }
 
-fn report_conflicts(detector: &str, conflicts: &[sharc::checker::Conflict]) -> ExitCode {
+fn report_conflicts(out: &mut dyn Write, detector: &str, conflicts: &[Conflict]) -> Outcome {
     if conflicts.is_empty() {
-        println!("[{detector}] no conflicts.");
-        ExitCode::SUCCESS
+        writeln!(out, "[{detector}] no conflicts.")?;
+        Ok(ExitCode::SUCCESS)
     } else {
         for c in conflicts {
             eprintln!("[{detector}] {c}");
         }
-        ExitCode::from(CONFLICTS)
+        Ok(ExitCode::from(CONFLICTS))
     }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("native") {
-        return cmd_native(&args[1..]);
+    let mut stdout = io::stdout().lock();
+    match command(&args, &mut stdout).and_then(|code| stdout.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("sharc: cannot write to stdout: {e}");
+            ExitCode::from(CANNOT_JUDGE)
+        }
     }
-    if args.first().map(String::as_str) == Some("replay") {
-        return cmd_replay(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("trace") {
-        return cmd_trace(&args[1..]);
+}
+
+fn command(args: &[String], out: &mut dyn Write) -> Outcome {
+    match args.first().map(String::as_str) {
+        Some("native") => return cmd_native(&args[1..], out),
+        Some("replay") => return cmd_replay(&args[1..], out),
+        Some("trace") => return cmd_trace(&args[1..], out),
+        _ => {}
     }
     let (cmd, path) = match (args.first(), args.get(1)) {
         (Some(c), Some(p)) => (c.as_str(), p.as_str()),
@@ -343,7 +353,8 @@ fn main() -> ExitCode {
         "check" => {
             let stats = &checked.sharing.stats;
             let el = &checked.elision.summary;
-            println!(
+            writeln!(
+                out,
                 "{}: {} annotations written, {} positions inferred \
                  ({} dynamic), {} dynamic + {} locked check sites, \
                  {} check slots, {} reads collapsed",
@@ -355,33 +366,33 @@ fn main() -> ExitCode {
                 checked.instr.n_locked_sites,
                 el.checked_slots,
                 el.collapsed_reads
-            );
+            )?;
             if checked.diags.is_empty() {
-                println!("no reports.");
-                ExitCode::SUCCESS
+                writeln!(out, "no reports.")?;
+                Ok(ExitCode::SUCCESS)
             } else {
-                println!("{}", checked.render_diags());
+                writeln!(out, "{}", checked.render_diags())?;
                 if checked.diags.has_errors() {
                     // The static half of the verdict: the program
                     // violates its declared sharing strategy.
-                    ExitCode::from(CONFLICTS)
+                    Ok(ExitCode::from(CONFLICTS))
                 } else {
-                    ExitCode::SUCCESS
+                    Ok(ExitCode::SUCCESS)
                 }
             }
         }
         "infer" => {
             if checked.diags.has_errors() {
                 eprintln!("{}", checked.render_diags());
-                return ExitCode::from(CONFLICTS);
+                return Ok(ExitCode::from(CONFLICTS));
             }
-            print!("{}", minic::pretty::program(&checked.program));
-            ExitCode::SUCCESS
+            write!(out, "{}", minic::pretty::program(&checked.program))?;
+            Ok(ExitCode::SUCCESS)
         }
         "run" => {
             if checked.diags.has_errors() {
                 eprintln!("{}", checked.render_diags());
-                return ExitCode::from(CONFLICTS);
+                return Ok(ExitCode::from(CONFLICTS));
             }
             let mut seed = 0x5ac5u64;
             let mut trials = 1u64;
@@ -395,12 +406,12 @@ fn main() -> ExitCode {
                         explain = true;
                         i += 1;
                     }
-                    "--seed" => match parse_number(&args, &mut i, 0) {
+                    "--seed" => match parse_number(args, &mut i, 0) {
                         Ok(n) => seed = n,
                         Err(()) => return usage(),
                     },
                     // Zero trials would judge nothing and exit 0.
-                    "--trials" => match parse_number(&args, &mut i, 1) {
+                    "--trials" => match parse_number(args, &mut i, 1) {
                         Ok(n) => trials = n,
                         Err(()) => return usage(),
                     },
@@ -408,7 +419,7 @@ fn main() -> ExitCode {
                         stop_on_error = true;
                         i += 1;
                     }
-                    "--detector" => match parse_detector(&args, &mut i) {
+                    "--detector" => match parse_detector(args, &mut i) {
                         Ok(d) => detector = d,
                         Err(()) => return usage(),
                     },
@@ -420,12 +431,13 @@ fn main() -> ExitCode {
             }
             if explain {
                 let el = &checked.elision.summary;
-                println!(
+                writeln!(
+                    out,
                     "elision: {} check slots, {} reads collapsed",
                     el.checked_slots, el.collapsed_reads
-                );
+                )?;
                 for line in sharc::explain_elision(&checked) {
-                    println!("{line}");
+                    writeln!(out, "{line}")?;
                 }
             }
             let mut any_reports = false;
@@ -445,13 +457,13 @@ fn main() -> ExitCode {
                     // The VM cannot execute this program at all.
                     Err(e) => return cannot_judge(e.render(&checked.source_map)),
                 };
-                let out = &run.outcome;
-                for line in &out.output {
-                    println!("{line}");
+                let outcome = &run.outcome;
+                for line in &outcome.output {
+                    writeln!(out, "{line}")?;
                 }
                 match detector {
                     DetectorKind::Sharc => {
-                        for r in &out.reports {
+                        for r in &outcome.reports {
                             any_reports = true;
                             eprintln!("{r}");
                         }
@@ -463,16 +475,16 @@ fn main() -> ExitCode {
                         }
                     }
                 }
-                for e in &out.thread_errors {
+                for e in &outcome.thread_errors {
                     incomplete = true;
                     eprintln!("sharc: {e} (seed {seed})");
                 }
-                if out.status != ExitStatus::Completed {
+                if outcome.status != ExitStatus::Completed {
                     incomplete = true;
-                    eprintln!("sharc: run ended with {:?} (seed {seed})", out.status);
+                    eprintln!("sharc: run ended with {:?} (seed {seed})", outcome.status);
                 }
             }
-            if any_reports {
+            Ok(if any_reports {
                 ExitCode::from(CONFLICTS)
             } else if incomplete {
                 // Silence from a run that deadlocked, hit the step
@@ -481,7 +493,7 @@ fn main() -> ExitCode {
                 ExitCode::from(CANNOT_JUDGE)
             } else {
                 ExitCode::SUCCESS
-            }
+            })
         }
         _ => usage(),
     }

@@ -203,9 +203,9 @@ impl DetectorKind {
 
     /// The engine behind this kind, boxed, with the name reports print
     /// for it: what a live run's [`checker::StreamingSink`] judges
-    /// through. The offline fold entry point, [`judge_trace`], takes
-    /// the same engine from the same private mapping unboxed, so a
-    /// kind names one engine either way.
+    /// through. The offline folds, [`judge_trace`] and
+    /// [`judge_trace_file`], take the same engine from the same private
+    /// mapping unboxed, so a kind names one engine either way.
     pub fn backend(self) -> (&'static str, Box<dyn checker::CheckBackend + Send>) {
         struct Boxed;
         impl EngineUser for Boxed {
@@ -488,10 +488,43 @@ pub fn write_trace_file(
 /// Reads a trace written by [`write_trace_file`] (or by hand — the
 /// text format is line-oriented). The format is sniffed from the
 /// file's first bytes, not its name: the binary v4 magic decodes
-/// through [`checker::BinaryTraceReader`], anything else parses as
-/// v3 text.
+/// through [`checker::btrace::events`], anything else parses as v3
+/// text.
 pub fn read_trace_file(path: &std::path::Path) -> Result<Vec<checker::CheckEvent>, String> {
-    decode_trace_file(path).map(|(_, _, events)| events)
+    with_trace(path, |_, events| match events {
+        Decoder::Binary(events) => {
+            let capacity = events.capacity();
+            checker::trace::collect(events, capacity)
+        }
+        Decoder::Text(events) => checker::trace::collect(events, 0),
+    })
+}
+
+/// Judges the trace file at `path` as it decodes it, never holding the
+/// decoded trace: [`judge_trace`] of what [`read_trace_file`] returns,
+/// and an `Err` for whatever that refuses, never a verdict on a prefix.
+/// Returns the number of events, the engine's name and its conflicts.
+pub fn judge_trace_file(
+    path: &std::path::Path,
+    kind: DetectorKind,
+) -> Result<(usize, &'static str, Vec<checker::Conflict>), String> {
+    struct Fold<'a>(Decoder<'a>);
+    impl EngineUser for Fold<'_> {
+        type Out = Result<(usize, &'static str, Vec<checker::Conflict>), String>;
+        fn take<B: checker::CheckBackend + Send + 'static>(
+            self,
+            name: &'static str,
+            mut engine: B,
+        ) -> Self::Out {
+            let (mut events, mut conflicts) = (0, Vec::new());
+            for e in self.0 {
+                checker::apply_event(e?, &mut engine, &mut conflicts);
+                events += 1;
+            }
+            Ok((events, name, dedup_conflicts(conflicts)))
+        }
+    }
+    with_trace(path, |_, events| kind.with_engine(Fold(events)))
 }
 
 /// What `sharc trace info` prints: the format and a content summary
@@ -516,45 +549,72 @@ pub struct TraceInfo {
     pub counts: Vec<(&'static str, usize)>,
 }
 
-/// Summarizes the trace file at `path`: decodes it as
-/// [`read_trace_file`] does and tallies per-kind event counts.
+/// Summarizes the trace file at `path` in one pass as it decodes it,
+/// refusing what [`read_trace_file`] refuses.
 pub fn trace_file_info(path: &std::path::Path) -> Result<TraceInfo, String> {
-    let (binary, bytes, events) = decode_trace_file(path)?;
-    let mut tally = std::collections::HashMap::new();
-    for e in &events {
-        *tally.entry(checker::event_keyword(e)).or_insert(0) += 1;
-    }
-    Ok(TraceInfo {
-        format: if binary { "binary" } else { "text" },
-        version: if binary {
-            u32::from(checker::btrace::BTRACE_VERSION)
-        } else {
-            3
-        },
-        bytes,
-        events: events.len(),
-        max_tid: checker::max_trace_tid(&events),
-        granule_span: checker::trace_granule_span(&events),
-        counts: checker::trace::KEYWORDS
-            .iter()
-            .filter_map(|&k| tally.get(k).map(|&n| (k, n)))
-            .collect(),
+    with_trace(path, |bytes, events| {
+        let (format, version) = match events {
+            Decoder::Binary(_) => ("binary", u32::from(checker::btrace::BTRACE_VERSION)),
+            Decoder::Text(_) => ("text", 3),
+        };
+        let (mut count, mut max_tid, mut granule_span) = (0, 0, 0);
+        let mut tally = [0; checker::trace::KEYWORDS.len()];
+        for e in events {
+            let e = e?;
+            let one = std::slice::from_ref(&e);
+            count += 1;
+            max_tid = max_tid.max(checker::max_trace_tid(one));
+            granule_span = granule_span.max(checker::trace_granule_span(one));
+            tally[checker::trace::keyword_index(&e)] += 1;
+        }
+        Ok(TraceInfo {
+            format,
+            version,
+            bytes,
+            events: count,
+            max_tid,
+            granule_span,
+            counts: (checker::trace::KEYWORDS.into_iter().zip(tally))
+                .filter(|&(_, n)| n > 0)
+                .collect(),
+        })
     })
 }
 
-/// Reads the trace file at `path`, sniffs its format and decodes it:
-/// whether it is binary, its size in bytes, and its events.
-fn decode_trace_file(
-    path: &std::path::Path,
-) -> Result<(bool, u64, Vec<checker::CheckEvent>), String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let len = bytes.len() as u64;
-    if checker::is_binary_trace(&bytes) {
-        return Ok((true, len, checker::parse_binary(&bytes)?));
+/// A trace file's lazy decoder, of the format its bytes are in.
+enum Decoder<'a> {
+    Binary(checker::btrace::EventIter<'a>),
+    Text(checker::trace::TextEvents<'a>),
+}
+
+impl Iterator for Decoder<'_> {
+    type Item = Result<checker::CheckEvent, String>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            Decoder::Binary(events) => events.next(),
+            Decoder::Text(events) => events.next(),
+        }
     }
-    let text = String::from_utf8(bytes)
-        .map_err(|_| format!("{}: neither a binary trace nor UTF-8 text", path.display()))?;
-    Ok((false, len, checker::trace::parse_text(&text)?))
+}
+
+/// Reads the trace file at `path`, sniffs its format and hands `f` its
+/// size in bytes and its decoder: the binary v4 magic decodes through
+/// [`checker::btrace::events`], anything else as v3 text.
+fn with_trace<R>(
+    path: &std::path::Path,
+    f: impl FnOnce(u64, Decoder<'_>) -> Result<R, String>,
+) -> Result<R, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let events = if checker::is_binary_trace(&bytes) {
+        Decoder::Binary(checker::btrace::events(&bytes)?)
+    } else {
+        let text = std::str::from_utf8(&bytes)
+            .map_err(|_| format!("{}: neither a binary trace nor UTF-8 text", path.display()))?;
+        Decoder::Text(checker::trace::events(text))
+    };
+    f(bytes.len() as u64, events)
 }
 
 /// The default per-ring buffer capacity of every streamed run
@@ -607,10 +667,11 @@ pub fn run_native_streaming(
 /// The most common imports for users of the crate.
 pub mod prelude {
     pub use crate::{
-        check, check_and_run, explain_elision, judge_trace, native_trace, read_trace_file, run,
-        run_full_checks, run_native_events, run_native_streaming, run_with_detector,
-        trace_file_info, write_trace_file, CheckedProgram, DetectorKind, DetectorRun,
-        NativeWorkload, RunConfig, RunOutcome, StreamingRun, TraceInfo, DEFAULT_RING_CAP,
+        check, check_and_run, explain_elision, judge_trace, judge_trace_file, native_trace,
+        read_trace_file, run, run_full_checks, run_native_events, run_native_streaming,
+        run_with_detector, trace_file_info, write_trace_file, CheckedProgram, DetectorKind,
+        DetectorRun, NativeWorkload, RunConfig, RunOutcome, StreamingRun, TraceInfo,
+        DEFAULT_RING_CAP,
     };
     pub use minic::{Diagnostic, Severity};
     pub use sharc_interp::{ConflictKind, ExitStatus, SchedPolicy};

@@ -1,9 +1,8 @@
 //! Cross-version trace parity: one recorded execution, archived as
 //! v3 text and v4 binary, re-judged by every detector — identical
 //! conflict sets and exit-code verdicts regardless of the container
-//! format. Also
-//! promotes the old CI awk v3→v2 lowering hack into a Rust test on
-//! the same `lower_ranges` path `sharc trace convert --lower` uses.
+//! format. Also holds a recorded trace's `lower_ranges` expansion to
+//! the same verdicts, through the file round trip.
 
 use sharc::prelude::*;
 use std::path::PathBuf;
@@ -72,9 +71,9 @@ fn stunnel_text_and_binary_archives_replay_identically() {
 
 /// The v1 lowering the CI pipeline used to hand-roll with awk, as a
 /// real test: a recorded pbzip2 trace and its `lower_ranges`
-/// expansion (every range event per-granule — the v1 vocabulary,
-/// what `sharc trace convert --lower` writes) produce identical
-/// conflicts under every detector, through the file round trip too.
+/// expansion (every range event per-granule — the v1 vocabulary)
+/// produce identical conflicts under every detector, through the file
+/// round trip too.
 #[test]
 fn pbzip2_v1_lowering_replays_identically() {
     let (_run, trace) = native_trace(NativeWorkload::Pbzip2);
