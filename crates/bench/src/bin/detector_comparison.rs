@@ -33,7 +33,7 @@ use sharc_runtime::{AccessPolicy, Arena, Checked, ThreadCtx, ThreadId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Events per ring buffer: `sharc native`'s default.
+/// Events per streamed batch: `sharc native`'s default.
 const RING_CAP: usize = 4096;
 
 /// The memory-scan workload: `threads` workers sum disjoint regions of
@@ -71,8 +71,8 @@ fn scan_workload_sharc<P: AccessPolicy>(
 }
 
 /// The same scan with *every* access streamed to `backend` (how
-/// Eraser-class tools work), through one ring per thread. Returns
-/// (elapsed including the final drain, sum-checksum, conflicts, ring
+/// Eraser-class tools work) through one `StreamingSink`. Returns
+/// (elapsed including the final drain, sum-checksum, conflicts, stream
 /// counters).
 fn scan_workload_streamed(
     backend: Box<dyn CheckBackend + Send>,
@@ -81,8 +81,7 @@ fn scan_workload_streamed(
     passes: usize,
 ) -> (Duration, u64, Vec<Conflict>, StreamStats) {
     let start = Instant::now();
-    // Tids are 1-based: ring `tid` for each worker.
-    let sink = Arc::new(StreamingSink::new(threads + 1, RING_CAP, backend));
+    let sink = Arc::new(StreamingSink::new(1, RING_CAP, backend));
     let mut handles = Vec::new();
     for t in 0..threads {
         let sink = Arc::clone(&sink);

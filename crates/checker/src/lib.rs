@@ -24,9 +24,9 @@
 //! * [`sink`] — the [`EventSink`] consumer interface native
 //!   workloads emit into, with [`EventLog`] (record-then-replay,
 //!   with append/contention counters) as the compat sink.
-//! * [`stream`] — [`StreamingSink`]: per-thread bounded event rings
-//!   drained under a Levanoni–Petrank epoch flip, feeding any
-//!   [`CheckBackend`] *during* the run inside a fixed memory budget.
+//! * [`stream`] — [`StreamingSink`]: one bounded event buffer behind
+//!   one lock, cut into batches that feed any [`CheckBackend`]
+//!   *during* the run inside a fixed memory budget.
 //!   Streaming verdicts are bit-identical to [`replay`]'s because
 //!   both folds run [`apply_event`] over the same linearization.
 //! * [`trace`] — the offline text format for [`CheckEvent`] traces

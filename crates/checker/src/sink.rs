@@ -11,8 +11,8 @@
 //!   [`CheckBackend`](crate::CheckBackend) afterwards. Unbounded
 //!   memory, but the trace is a first-class artifact (it can be
 //!   written to disk and re-judged by a later process).
-//! * [`crate::stream::StreamingSink`] — the online sink: per-thread
-//!   bounded rings drained under an epoch flip, feeding a backend
+//! * [`crate::stream::StreamingSink`] — the online sink: one bounded
+//!   buffer behind one lock, folded into a backend batch by batch
 //!   *during* the run inside a fixed memory budget.
 //!
 //! On the native side every event is built by `sharc-runtime`: each
@@ -34,9 +34,8 @@ pub trait EventSink: Send + Sync + std::fmt::Debug {
 /// The thread *performing* the recording of `e` — the event's tid,
 /// the parent for fork/join (the parent records both, through
 /// `sharc-runtime`'s `ThreadCtx::fork` and `ThreadCtx::join`), and 0
-/// for `Alloc` (recorded by whoever (re)allocates). Sinks that
-/// maintain per-thread state (rings, binary-trace blocks) key it off
-/// this.
+/// for `Alloc` (recorded by whoever (re)allocates). Per-thread state
+/// (the binary trace's blocks) is keyed off this.
 #[inline]
 pub fn recording_tid(e: &CheckEvent) -> u32 {
     e.tids().next().unwrap_or(0)
@@ -53,7 +52,7 @@ pub fn recording_tid(e: &CheckEvent) -> u32 {
 ///
 /// The log also counts its own bottleneck: the number of appends that
 /// found the lock already held ([`EventLog::contended_appends`])
-/// quantifies the serialization the streaming sink removes.
+/// says how often recorders queue on one lock.
 #[derive(Debug, Default)]
 pub struct EventLog {
     events: Mutex<Vec<CheckEvent>>,
@@ -109,8 +108,8 @@ impl EventLog {
     }
 
     /// Appends that hit the serialized log's lock while another
-    /// thread held it — the contention the streaming sink's
-    /// per-thread rings are built to remove.
+    /// thread held it: how often recorders queue on one lock, which
+    /// the streaming sink takes per event too.
     pub fn contended_appends(&self) -> u64 {
         self.contended.load(Ordering::Relaxed)
     }

@@ -31,7 +31,7 @@ use crate::token::{Token, TokenKind};
 /// ```
 pub fn parse(src: &str) -> Result<Program, Diagnostic> {
     let tokens = lex(src)?;
-    Parser::new(tokens).program()
+    Parser::new(tokens, 0).program()
 }
 
 /// Parses a single expression, assigning node ids starting at
@@ -43,11 +43,32 @@ pub fn parse(src: &str) -> Result<Program, Diagnostic> {
 /// Returns a syntax error if `src` is not a single expression.
 pub fn parse_expr(src: &str, first_id: u32) -> Result<Expr, Diagnostic> {
     let tokens = lex(src)?;
-    let mut p = Parser::new(tokens);
-    p.next_id = first_id;
+    let mut p = Parser::new(tokens, first_id);
     let e = p.expr()?;
     p.expect(TokenKind::Eof)?;
     Ok(e)
+}
+
+/// The deepest a MiniC program may nest. It bounds both the parser's
+/// own recursion (parentheses, blocks, prefix operators, casts,
+/// function-pointer parameters) and the height of every tree it
+/// builds, a left-deep `1+1+…+1` chain included: every later pass
+/// walks that tree recursively. A program at this depth checks and
+/// runs in an unoptimized build; a deeper one is refused with a
+/// diagnostic instead of overflowing a stack.
+pub const MAX_NESTING: u32 = 256;
+
+/// Levels in `ty`, counted as the passes that walk a type recurse.
+fn type_height(ty: &Type) -> u32 {
+    1 + match &ty.kind {
+        TypeKind::Ptr(inner) | TypeKind::Array(inner, _) => type_height(inner),
+        TypeKind::Fn(sig) => sig
+            .params
+            .iter()
+            .map(|p| type_height(&p.ty))
+            .fold(type_height(&sig.ret), u32::max),
+        _ => 0,
+    }
 }
 
 struct Parser {
@@ -57,24 +78,118 @@ struct Parser {
     /// Struct names (and typedef aliases resolving to them) seen so far,
     /// so `stage_t *S;` parses as a declaration.
     type_names: Vec<String>,
+    /// Open recursive constructs at the current token.
+    nesting: u32,
+    /// The height of every node built in the current top-level item:
+    /// `heights[i]` is node `first_id + i`'s.
+    heights: Vec<u32>,
+    first_id: u32,
 }
 
 type PResult<T> = Result<T, Diagnostic>;
 
 impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
+    fn new(tokens: Vec<Token>, first_id: u32) -> Self {
         Parser {
             tokens,
             pos: 0,
-            next_id: 0,
+            next_id: first_id,
             type_names: Vec::new(),
+            nesting: 0,
+            heights: Vec::new(),
+            first_id,
         }
     }
 
-    fn fresh_id(&mut self) -> NodeId {
+    fn too_deep(span: Span) -> Diagnostic {
+        Diagnostic::error(format!("nesting deeper than {MAX_NESTING} levels"), span)
+    }
+
+    /// Runs `f` one level deeper in the parser's recursion.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        if self.nesting == MAX_NESTING {
+            return Err(Self::too_deep(self.span()));
+        }
+        self.nesting += 1;
+        let r = f(self);
+        self.nesting -= 1;
+        r
+    }
+
+    fn height(&self, id: NodeId) -> u32 {
+        self.heights[(id.0 - self.first_id) as usize]
+    }
+
+    /// Refuses a type past the limit. Called as each level is added,
+    /// so no type grows more than one level past it.
+    fn check_type_height(&self, ty: &Type) -> PResult<()> {
+        if type_height(ty) > MAX_NESTING {
+            return Err(Self::too_deep(self.prev_span()));
+        }
+        Ok(())
+    }
+
+    fn block_height(&self, b: &Block) -> u32 {
+        b.stmts.iter().map(|s| self.height(s.id)).max().unwrap_or(0)
+    }
+
+    /// The id of a new node whose children reach `below` levels down.
+    fn node_id(&mut self, below: u32, span: Span) -> PResult<NodeId> {
+        if below >= MAX_NESTING {
+            return Err(Self::too_deep(span));
+        }
         let id = NodeId(self.next_id);
         self.next_id += 1;
-        id
+        self.heights.push(below + 1);
+        Ok(id)
+    }
+
+    fn expr_node(&mut self, kind: ExprKind, span: Span) -> PResult<Expr> {
+        let h = |e: &Expr| self.height(e.id);
+        let below = match &kind {
+            ExprKind::Unary(_, a) | ExprKind::Field(a, _, _) => h(a),
+            ExprKind::Cast(t, a) | ExprKind::Scast(t, a) | ExprKind::NewArray(t, a) => {
+                h(a).max(type_height(t))
+            }
+            ExprKind::New(t) | ExprKind::Sizeof(t) => type_height(t),
+            ExprKind::Binary(_, a, b) | ExprKind::Index(a, b) => h(a).max(h(b)),
+            ExprKind::Call(f, args) => args.iter().map(h).fold(h(f), u32::max),
+            ExprKind::Ternary(c, a, b) => h(c).max(h(a)).max(h(b)),
+            _ => 0,
+        };
+        let id = self.node_id(below, span)?;
+        Ok(Expr { kind, span, id })
+    }
+
+    fn stmt_node(&mut self, kind: StmtKind, span: Span) -> PResult<Stmt> {
+        let h = |e: &Expr| self.height(e.id);
+        let b = |blk: &Block| self.block_height(blk);
+        let below = match &kind {
+            StmtKind::Decl { ty, init, .. } => init.as_ref().map_or(0, h).max(type_height(ty)),
+            StmtKind::Assign { lhs, rhs } => h(lhs).max(h(rhs)),
+            StmtKind::Expr(e) | StmtKind::Return(Some(e)) => h(e),
+            StmtKind::If {
+                cond,
+                then_blk,
+                else_blk,
+            } => h(cond).max(b(then_blk)).max(else_blk.as_ref().map_or(0, b)),
+            StmtKind::While { cond, body } => h(cond).max(b(body)),
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            } => [init, step]
+                .into_iter()
+                .flatten()
+                .map(|s| self.height(s.id))
+                .chain(cond.as_ref().map(h))
+                .fold(b(body), u32::max),
+            StmtKind::Block(blk) => b(blk),
+            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => 0,
+        };
+        let id = self.node_id(below, span)?;
+        Ok(Stmt { kind, span, id })
     }
 
     fn peek(&self) -> &TokenKind {
@@ -156,6 +271,10 @@ impl Parser {
             fns: Vec::new(),
         };
         while self.peek() != &TokenKind::Eof {
+            // Only a node's parent reads its height, and both belong to
+            // one top-level item: keep that item's heights alone.
+            self.first_id = self.next_id;
+            self.heights.clear();
             match self.peek() {
                 TokenKind::KwTypedef => {
                     let sd = self.typedef()?;
@@ -432,6 +551,7 @@ impl Parser {
         while self.eat(&TokenKind::Star) {
             let qual = self.quals()?;
             ty = Type::ptr(ty, qual);
+            self.check_type_height(&ty)?;
         }
         // Function-pointer declarator: `( * qual* name? ) ( params )`.
         if self.peek() == &TokenKind::LParen && self.peek_at(1) == &TokenKind::Star {
@@ -451,7 +571,7 @@ impl Parser {
             let mut params = Vec::new();
             if !self.eat(&TokenKind::RParen) {
                 loop {
-                    params.push(self.param()?);
+                    params.push(self.nested(Self::param)?);
                     if !self.eat(&TokenKind::Comma) {
                         break;
                     }
@@ -460,7 +580,9 @@ impl Parser {
             }
             let sig = FnSig { ret: ty, params };
             let fn_ty = Type::new(TypeKind::Fn(Box::new(sig)), Qual::Infer);
-            return Ok((Type::ptr(fn_ty, qual), name, nspan));
+            let ty = Type::ptr(fn_ty, qual);
+            self.check_type_height(&ty)?;
+            return Ok((ty, name, nspan));
         }
         let (name, nspan) = match self.peek().clone() {
             TokenKind::Ident(n) => {
@@ -486,6 +608,7 @@ impl Parser {
             self.expect(TokenKind::RBracket)?;
             let q = ty.qual.clone();
             ty = Type::new(TypeKind::Array(Box::new(ty), len), q);
+            self.check_type_height(&ty)?;
         }
         Ok((ty, name, nspan))
     }
@@ -498,6 +621,7 @@ impl Parser {
         while self.eat(&TokenKind::Star) {
             let qual = self.quals()?;
             ty = Type::ptr(ty, qual);
+            self.check_type_height(&ty)?;
         }
         Ok(ty)
     }
@@ -516,16 +640,15 @@ impl Parser {
     /// Parses one statement; declarations with multiple declarators
     /// push several statements.
     fn stmt_into(&mut self, out: &mut Vec<Stmt>) -> PResult<()> {
+        self.nested(|p| p.stmt(out))
+    }
+
+    fn stmt(&mut self, out: &mut Vec<Stmt>) -> PResult<()> {
         let start = self.span();
         match self.peek() {
             TokenKind::LBrace => {
                 let b = self.block()?;
-                let id = self.fresh_id();
-                out.push(Stmt {
-                    kind: StmtKind::Block(b),
-                    span: start.to(self.prev_span()),
-                    id,
-                });
+                out.push(self.stmt_node(StmtKind::Block(b), start.to(self.prev_span()))?);
             }
             TokenKind::KwIf => {
                 self.bump();
@@ -538,16 +661,12 @@ impl Parser {
                 } else {
                     None
                 };
-                let id = self.fresh_id();
-                out.push(Stmt {
-                    kind: StmtKind::If {
-                        cond,
-                        then_blk,
-                        else_blk,
-                    },
-                    span: start.to(self.prev_span()),
-                    id,
-                });
+                let kind = StmtKind::If {
+                    cond,
+                    then_blk,
+                    else_blk,
+                };
+                out.push(self.stmt_node(kind, start.to(self.prev_span()))?);
             }
             TokenKind::KwWhile => {
                 self.bump();
@@ -555,12 +674,8 @@ impl Parser {
                 let cond = self.expr()?;
                 self.expect(TokenKind::RParen)?;
                 let body = self.block_or_single()?;
-                let id = self.fresh_id();
-                out.push(Stmt {
-                    kind: StmtKind::While { cond, body },
-                    span: start.to(self.prev_span()),
-                    id,
-                });
+                let kind = StmtKind::While { cond, body };
+                out.push(self.stmt_node(kind, start.to(self.prev_span()))?);
             }
             TokenKind::KwFor => {
                 self.bump();
@@ -603,17 +718,13 @@ impl Parser {
                 };
                 self.expect(TokenKind::RParen)?;
                 let body = self.block_or_single()?;
-                let id = self.fresh_id();
-                out.push(Stmt {
-                    kind: StmtKind::For {
-                        init,
-                        cond,
-                        step,
-                        body,
-                    },
-                    span: start.to(self.prev_span()),
-                    id,
-                });
+                let kind = StmtKind::For {
+                    init,
+                    cond,
+                    step,
+                    body,
+                };
+                out.push(self.stmt_node(kind, start.to(self.prev_span()))?);
             }
             TokenKind::KwReturn => {
                 self.bump();
@@ -623,32 +734,18 @@ impl Parser {
                     Some(self.expr()?)
                 };
                 self.expect(TokenKind::Semi)?;
-                let id = self.fresh_id();
-                out.push(Stmt {
-                    kind: StmtKind::Return(value),
-                    span: start.to(self.prev_span()),
-                    id,
-                });
+                let span = start.to(self.prev_span());
+                out.push(self.stmt_node(StmtKind::Return(value), span)?);
             }
             TokenKind::KwBreak => {
                 self.bump();
                 self.expect(TokenKind::Semi)?;
-                let id = self.fresh_id();
-                out.push(Stmt {
-                    kind: StmtKind::Break,
-                    span: start,
-                    id,
-                });
+                out.push(self.stmt_node(StmtKind::Break, start)?);
             }
             TokenKind::KwContinue => {
                 self.bump();
                 self.expect(TokenKind::Semi)?;
-                let id = self.fresh_id();
-                out.push(Stmt {
-                    kind: StmtKind::Continue,
-                    span: start,
-                    id,
-                });
+                out.push(self.stmt_node(StmtKind::Continue, start)?);
             }
             _ => {
                 self.simple_stmt_into(out)?;
@@ -683,12 +780,8 @@ impl Parser {
                 } else {
                     None
                 };
-                let id = self.fresh_id();
-                out.push(Stmt {
-                    kind: StmtKind::Decl { name, ty, init },
-                    span: start.to(self.prev_span()),
-                    id,
-                });
+                let kind = StmtKind::Decl { name, ty, init };
+                out.push(self.stmt_node(kind, start.to(self.prev_span()))?);
                 if !self.eat(&TokenKind::Comma) {
                     break;
                 }
@@ -714,13 +807,12 @@ impl Parser {
                     _ => BinOp::Div,
                 };
                 let rhs = self.expr()?;
-                let lhs_copy = self.refresh_ids(&lhs);
-                let id = self.fresh_id();
-                let desugared = Expr {
-                    span: lhs.span.to(rhs.span),
-                    id,
-                    kind: ExprKind::Binary(op, Box::new(lhs_copy), Box::new(rhs)),
-                };
+                let lhs_copy = self.refresh_ids(&lhs)?;
+                let span = lhs.span.to(rhs.span);
+                let desugared = self.expr_node(
+                    ExprKind::Binary(op, Box::new(lhs_copy), Box::new(rhs)),
+                    span,
+                )?;
                 StmtKind::Assign {
                     lhs,
                     rhs: desugared,
@@ -733,19 +825,10 @@ impl Parser {
                     BinOp::Sub
                 };
                 self.bump();
-                let lhs_copy = self.refresh_ids(&lhs);
-                let one_id = self.fresh_id();
-                let one = Expr {
-                    kind: ExprKind::IntLit(1),
-                    span: self.prev_span(),
-                    id: one_id,
-                };
-                let id = self.fresh_id();
-                let desugared = Expr {
-                    span: lhs.span,
-                    id,
-                    kind: ExprKind::Binary(op, Box::new(lhs_copy), Box::new(one)),
-                };
+                let lhs_copy = self.refresh_ids(&lhs)?;
+                let one = self.expr_node(ExprKind::IntLit(1), self.prev_span())?;
+                let kind = ExprKind::Binary(op, Box::new(lhs_copy), Box::new(one));
+                let desugared = self.expr_node(kind, lhs.span)?;
                 StmtKind::Assign {
                     lhs,
                     rhs: desugared,
@@ -753,58 +836,40 @@ impl Parser {
             }
             _ => StmtKind::Expr(lhs),
         };
-        let id = self.fresh_id();
-        out.push(Stmt {
-            kind,
-            span: start.to(self.prev_span()),
-            id,
-        });
+        out.push(self.stmt_node(kind, start.to(self.prev_span()))?);
         Ok(())
     }
 
     /// Clones an expression assigning fresh node ids throughout (used
     /// when desugaring `x += e` into `x = x + e`).
-    fn refresh_ids(&mut self, e: &Expr) -> Expr {
+    fn refresh_ids(&mut self, e: &Expr) -> PResult<Expr> {
+        let copy = |p: &mut Self, a: &Expr| p.refresh_ids(a).map(Box::new);
         let kind = match &e.kind {
-            ExprKind::Unary(op, a) => ExprKind::Unary(*op, Box::new(self.refresh_ids(a))),
-            ExprKind::Binary(op, a, b) => ExprKind::Binary(
-                *op,
-                Box::new(self.refresh_ids(a)),
-                Box::new(self.refresh_ids(b)),
-            ),
-            ExprKind::Index(a, b) => {
-                ExprKind::Index(Box::new(self.refresh_ids(a)), Box::new(self.refresh_ids(b)))
-            }
-            ExprKind::Field(a, f, arrow) => {
-                ExprKind::Field(Box::new(self.refresh_ids(a)), f.clone(), *arrow)
-            }
+            ExprKind::Unary(op, a) => ExprKind::Unary(*op, copy(self, a)?),
+            ExprKind::Binary(op, a, b) => ExprKind::Binary(*op, copy(self, a)?, copy(self, b)?),
+            ExprKind::Index(a, b) => ExprKind::Index(copy(self, a)?, copy(self, b)?),
+            ExprKind::Field(a, f, arrow) => ExprKind::Field(copy(self, a)?, f.clone(), *arrow),
             ExprKind::Call(f, args) => ExprKind::Call(
-                Box::new(self.refresh_ids(f)),
-                args.iter().map(|a| self.refresh_ids(a)).collect(),
+                copy(self, f)?,
+                args.iter()
+                    .map(|a| self.refresh_ids(a))
+                    .collect::<PResult<_>>()?,
             ),
-            ExprKind::Cast(t, a) => ExprKind::Cast(t.clone(), Box::new(self.refresh_ids(a))),
-            ExprKind::Scast(t, a) => ExprKind::Scast(t.clone(), Box::new(self.refresh_ids(a))),
-            ExprKind::NewArray(t, a) => {
-                ExprKind::NewArray(t.clone(), Box::new(self.refresh_ids(a)))
+            ExprKind::Cast(t, a) => ExprKind::Cast(t.clone(), copy(self, a)?),
+            ExprKind::Scast(t, a) => ExprKind::Scast(t.clone(), copy(self, a)?),
+            ExprKind::NewArray(t, a) => ExprKind::NewArray(t.clone(), copy(self, a)?),
+            ExprKind::Ternary(c, a, b) => {
+                ExprKind::Ternary(copy(self, c)?, copy(self, a)?, copy(self, b)?)
             }
-            ExprKind::Ternary(c, a, b) => ExprKind::Ternary(
-                Box::new(self.refresh_ids(c)),
-                Box::new(self.refresh_ids(a)),
-                Box::new(self.refresh_ids(b)),
-            ),
             other => other.clone(),
         };
-        Expr {
-            kind,
-            span: e.span,
-            id: self.fresh_id(),
-        }
+        self.expr_node(kind, e.span)
     }
 
     // ----- expressions -----
 
     fn expr(&mut self) -> PResult<Expr> {
-        self.ternary()
+        self.nested(Self::ternary)
     }
 
     fn ternary(&mut self) -> PResult<Expr> {
@@ -812,14 +877,10 @@ impl Parser {
         if self.eat(&TokenKind::Question) {
             let then = self.expr()?;
             self.expect(TokenKind::Colon)?;
-            let els = self.ternary()?;
-            let id = self.fresh_id();
+            let els = self.expr()?;
             let span = cond.span.to(els.span);
-            return Ok(Expr {
-                kind: ExprKind::Ternary(Box::new(cond), Box::new(then), Box::new(els)),
-                span,
-                id,
-            });
+            let kind = ExprKind::Ternary(Box::new(cond), Box::new(then), Box::new(els));
+            return self.expr_node(kind, span);
         }
         Ok(cond)
     }
@@ -858,13 +919,8 @@ impl Parser {
             }
             self.bump();
             let rhs = self.binary(prec + 1)?;
-            let id = self.fresh_id();
             let span = lhs.span.to(rhs.span);
-            lhs = Expr {
-                kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
-                span,
-                id,
-            };
+            lhs = self.expr_node(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span)?;
         }
         Ok(lhs)
     }
@@ -881,14 +937,9 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let inner = self.unary()?;
-            let id = self.fresh_id();
+            let inner = self.nested(Self::unary)?;
             let span = start.to(inner.span);
-            return Ok(Expr {
-                kind: ExprKind::Unary(op, Box::new(inner)),
-                span,
-                id,
-            });
+            return self.expr_node(ExprKind::Unary(op, Box::new(inner)), span);
         }
         self.postfix()
     }
@@ -901,35 +952,20 @@ impl Parser {
                     self.bump();
                     let idx = self.expr()?;
                     self.expect(TokenKind::RBracket)?;
-                    let id = self.fresh_id();
                     let span = e.span.to(self.prev_span());
-                    e = Expr {
-                        kind: ExprKind::Index(Box::new(e), Box::new(idx)),
-                        span,
-                        id,
-                    };
+                    e = self.expr_node(ExprKind::Index(Box::new(e), Box::new(idx)), span)?;
                 }
                 TokenKind::Dot => {
                     self.bump();
                     let (name, _) = self.expect_ident()?;
-                    let id = self.fresh_id();
                     let span = e.span.to(self.prev_span());
-                    e = Expr {
-                        kind: ExprKind::Field(Box::new(e), name, false),
-                        span,
-                        id,
-                    };
+                    e = self.expr_node(ExprKind::Field(Box::new(e), name, false), span)?;
                 }
                 TokenKind::Arrow => {
                     self.bump();
                     let (name, _) = self.expect_ident()?;
-                    let id = self.fresh_id();
                     let span = e.span.to(self.prev_span());
-                    e = Expr {
-                        kind: ExprKind::Field(Box::new(e), name, true),
-                        span,
-                        id,
-                    };
+                    e = self.expr_node(ExprKind::Field(Box::new(e), name, true), span)?;
                 }
                 TokenKind::LParen => {
                     self.bump();
@@ -943,13 +979,8 @@ impl Parser {
                         }
                         self.expect(TokenKind::RParen)?;
                     }
-                    let id = self.fresh_id();
                     let span = e.span.to(self.prev_span());
-                    e = Expr {
-                        kind: ExprKind::Call(Box::new(e), args),
-                        span,
-                        id,
-                    };
+                    e = self.expr_node(ExprKind::Call(Box::new(e), args), span)?;
                 }
                 _ => break,
             }
@@ -1026,14 +1057,9 @@ impl Parser {
                     // A cast: `(type) expr`.
                     let ty = self.abstract_type()?;
                     self.expect(TokenKind::RParen)?;
-                    let e = self.unary()?;
-                    let id = self.fresh_id();
+                    let e = self.nested(Self::unary)?;
                     let span = start.to(e.span);
-                    return Ok(Expr {
-                        kind: ExprKind::Cast(ty, Box::new(e)),
-                        span,
-                        id,
-                    });
+                    return self.expr_node(ExprKind::Cast(ty, Box::new(e)), span);
                 }
                 let e = self.expr()?;
                 self.expect(TokenKind::RParen)?;
@@ -1046,12 +1072,7 @@ impl Parser {
                 ))
             }
         };
-        let id = self.fresh_id();
-        Ok(Expr {
-            kind,
-            span: start.to(self.prev_span()),
-            id,
-        })
+        self.expr_node(kind, start.to(self.prev_span()))
     }
 }
 

@@ -27,7 +27,8 @@
 //! expect a detector to report (`--detector eraser` on a hand-off)
 //! compare against exactly 1. Nor is output that could not be written:
 //! a failed write to stdout (a closed pipe, a full disk) ends the
-//! command with one `sharc:` line on stderr and exit 3.
+//! command with one `sharc:` line on stderr and exit 3. A failed write
+//! to stderr is dropped and changes no exit code.
 //!
 //! `--detector` selects which engine judges the execution: SharC's
 //! own runtime checks (default), or one of the §6.2 baselines
@@ -35,14 +36,14 @@
 //! same seeded run while it runs.
 //!
 //! `native` runs a *real-thread* workload instead of a MiniC program,
-//! judged while it runs: its `CheckEvent`s flow through bounded rings
-//! drained by an epoch-flip collector into the selected detector, so
-//! the verdict comes inside a fixed memory budget (`--ring-cap`
-//! events per ring buffer, default 4096) — `sharc native handoff
+//! judged while it runs: its `CheckEvent`s are buffered and folded
+//! into the selected detector a batch at a time, so the verdict comes
+//! inside a fixed memory budget (`--ring-cap` events per batch,
+//! default 4096; at most twice that resident) — `sharc native handoff
 //! --detector eraser` shows the lockset false positive on an
 //! ownership transfer that `--detector sharc` accepts. The report
-//! also shows peak resident events and how many collector drains it
-//! took. `--trace-out` instead records the whole run and saves it as
+//! also shows peak resident events and how many batches were folded.
+//! `--trace-out` instead records the whole run and saves it as
 //! line-oriented text — or as the binary v4 `.sbt` format when the
 //! path ends in `.sbt` — before judging it; `replay` re-judges a
 //! saved trace offline (sniffing text vs binary by magic), folding
@@ -73,14 +74,22 @@ const CANNOT_JUDGE: u8 = 3;
 /// failed, which ends it with no verdict (exit 3).
 type Outcome = io::Result<ExitCode>;
 
+/// Writes one line to stderr. A failed write is dropped: there is
+/// nowhere left to report it, and the exit code stays the verdict.
+macro_rules! say {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(io::stderr(), $($arg)*);
+    }};
+}
+
 /// Prints the one-line reason there is no verdict; exits 3.
 fn cannot_judge(why: impl std::fmt::Display) -> Outcome {
-    eprintln!("sharc: {why}");
+    say!("sharc: {why}");
     Ok(ExitCode::from(CANNOT_JUDGE))
 }
 
 fn usage() -> Outcome {
-    eprintln!(
+    say!(
         "usage:\n  sharc check <file.c>\n  sharc infer <file.c>\n  \
          sharc run <file.c> [--seed N] [--trials N] [--stop-on-error] \
          [--detector sharc|eraser|vc] [--explain-elision]\n  \
@@ -106,11 +115,11 @@ fn parse_detector(args: &[String], i: &mut usize) -> Result<DetectorKind, ()> {
             Ok(d)
         }
         Some(Err(e)) => {
-            eprintln!("sharc: {e}");
+            say!("sharc: {e}");
             Err(())
         }
         None => {
-            eprintln!("sharc: --detector needs a value");
+            say!("sharc: --detector needs a value");
             Err(())
         }
     }
@@ -130,7 +139,7 @@ fn parse_number(args: &[String], i: &mut usize, min: u64) -> Result<u64, ()> {
             } else {
                 "a positive integer"
             };
-            eprintln!("sharc: {} needs {what}", args[*i]);
+            say!("sharc: {} needs {what}", args[*i]);
             Err(())
         }
     }
@@ -147,7 +156,7 @@ fn cmd_native(args: &[String], out: &mut dyn Write) -> Outcome {
     let workload: NativeWorkload = match workload.parse() {
         Ok(w) => w,
         Err(e) => {
-            eprintln!("sharc: {e}");
+            say!("sharc: {e}");
             return usage();
         }
     };
@@ -163,7 +172,7 @@ fn cmd_native(args: &[String], out: &mut dyn Write) -> Outcome {
             },
             "--trace-out" => {
                 let Some(path) = args.get(i + 1) else {
-                    eprintln!("sharc: --trace-out needs a path");
+                    say!("sharc: --trace-out needs a path");
                     return usage();
                 };
                 trace_out = Some(path.clone());
@@ -174,13 +183,13 @@ fn cmd_native(args: &[String], out: &mut dyn Write) -> Outcome {
                 Err(()) => return usage(),
             },
             other => {
-                eprintln!("sharc: unknown flag {other}");
+                say!("sharc: unknown flag {other}");
                 return usage();
             }
         }
     }
     if ring_cap.is_some() && trace_out.is_some() {
-        eprintln!("sharc: --ring-cap sizes the streamed run's rings; --trace-out records the whole run instead");
+        say!("sharc: --ring-cap sizes the streamed run's batches; --trace-out records the whole run instead");
         return usage();
     }
     let print_run = |out: &mut dyn Write, run: &sharc::workloads::table::NativeRun| {
@@ -197,7 +206,7 @@ fn cmd_native(args: &[String], out: &mut dyn Write) -> Outcome {
         let s = &streamed.stats;
         writeln!(
             out,
-            "streamed: {} events recorded, {} drained over {} collector drains, \
+            "streamed: {} events recorded, {} drained over {} batches, \
              peak resident {} (ring budget {})",
             s.recorded, s.drained, s.drains, s.peak_resident, s.ring_budget
         )?;
@@ -229,7 +238,7 @@ fn cmd_replay(args: &[String], out: &mut dyn Write) -> Outcome {
                 Err(()) => return usage(),
             },
             other => {
-                eprintln!("sharc: unknown flag {other}");
+                say!("sharc: unknown flag {other}");
                 return usage();
             }
         }
@@ -249,11 +258,11 @@ fn cmd_trace(args: &[String], out: &mut dyn Write) -> Outcome {
     match args.first().map(String::as_str) {
         Some("convert") => {
             let (Some(input), Some(output)) = (args.get(1), args.get(2)) else {
-                eprintln!("sharc: trace convert needs <in> and <out> paths");
+                say!("sharc: trace convert needs <in> and <out> paths");
                 return usage();
             };
             if let Some(other) = args.get(3) {
-                eprintln!("sharc: unknown flag {other}");
+                say!("sharc: unknown flag {other}");
                 return usage();
             }
             let trace = match sharc::read_trace_file(std::path::Path::new(input)) {
@@ -268,7 +277,7 @@ fn cmd_trace(args: &[String], out: &mut dyn Write) -> Outcome {
         }
         Some("info") => {
             let Some(path) = args.get(1) else {
-                eprintln!("sharc: trace info needs a trace file");
+                say!("sharc: trace info needs a trace file");
                 return usage();
             };
             let info = match sharc::trace_file_info(std::path::Path::new(path)) {
@@ -305,7 +314,7 @@ fn report_conflicts(out: &mut dyn Write, detector: &str, conflicts: &[Conflict])
         Ok(ExitCode::SUCCESS)
     } else {
         for c in conflicts {
-            eprintln!("[{detector}] {c}");
+            say!("[{detector}] {c}");
         }
         Ok(ExitCode::from(CONFLICTS))
     }
@@ -317,7 +326,7 @@ fn main() -> ExitCode {
     match command(&args, &mut stdout).and_then(|code| stdout.flush().map(|()| code)) {
         Ok(code) => code,
         Err(e) => {
-            eprintln!("sharc: cannot write to stdout: {e}");
+            say!("sharc: cannot write to stdout: {e}");
             ExitCode::from(CANNOT_JUDGE)
         }
     }
@@ -383,7 +392,7 @@ fn command(args: &[String], out: &mut dyn Write) -> Outcome {
         }
         "infer" => {
             if checked.diags.has_errors() {
-                eprintln!("{}", checked.render_diags());
+                say!("{}", checked.render_diags());
                 return Ok(ExitCode::from(CONFLICTS));
             }
             write!(out, "{}", minic::pretty::program(&checked.program))?;
@@ -391,7 +400,7 @@ fn command(args: &[String], out: &mut dyn Write) -> Outcome {
         }
         "run" => {
             if checked.diags.has_errors() {
-                eprintln!("{}", checked.render_diags());
+                say!("{}", checked.render_diags());
                 return Ok(ExitCode::from(CONFLICTS));
             }
             let mut seed = 0x5ac5u64;
@@ -424,7 +433,7 @@ fn command(args: &[String], out: &mut dyn Write) -> Outcome {
                         Err(()) => return usage(),
                     },
                     other => {
-                        eprintln!("sharc: unknown flag {other}");
+                        say!("sharc: unknown flag {other}");
                         return usage();
                     }
                 }
@@ -465,23 +474,23 @@ fn command(args: &[String], out: &mut dyn Write) -> Outcome {
                     DetectorKind::Sharc => {
                         for r in &outcome.reports {
                             any_reports = true;
-                            eprintln!("{r}");
+                            say!("{r}");
                         }
                     }
                     _ => {
                         for c in &run.conflicts {
                             any_reports = true;
-                            eprintln!("[{}] {c}", run.detector);
+                            say!("[{}] {c}", run.detector);
                         }
                     }
                 }
                 for e in &outcome.thread_errors {
                     incomplete = true;
-                    eprintln!("sharc: {e} (seed {seed})");
+                    say!("sharc: {e} (seed {seed})");
                 }
                 if outcome.status != ExitStatus::Completed {
                     incomplete = true;
-                    eprintln!("sharc: run ended with {:?} (seed {seed})", outcome.status);
+                    say!("sharc: run ended with {:?} (seed {seed})", outcome.status);
                 }
             }
             Ok(if any_reports {

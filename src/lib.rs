@@ -267,8 +267,7 @@ pub fn run_with_detector(
             conflicts,
         });
     }
-    // The VM records from one OS thread, so one ring holds its order.
-    let (outcome, detector, conflicts, _) = judge_live(kind, 1, DEFAULT_RING_CAP, |sink| {
+    let (outcome, detector, conflicts, _) = judge_live(kind, DEFAULT_RING_CAP, |sink| {
         let sink = Some(sink);
         run(checked, RunConfig { sink, ..config })
     });
@@ -280,12 +279,11 @@ pub fn run_with_detector(
 }
 
 /// Judges a live run while it runs: `run` records into a
-/// [`checker::StreamingSink`] of `rings` rings of `ring_cap` events
-/// each, which feeds `kind`'s engine. When `run` returns, the sink is
-/// finished and its conflicts de-duplicated.
+/// [`checker::StreamingSink`] that cuts a batch every `ring_cap`
+/// events and feeds it to `kind`'s engine. When `run` returns, the
+/// sink is finished and its conflicts de-duplicated.
 fn judge_live<R>(
     kind: DetectorKind,
-    rings: usize,
     ring_cap: usize,
     run: impl FnOnce(Arc<dyn checker::EventSink>) -> R,
 ) -> (
@@ -295,7 +293,7 @@ fn judge_live<R>(
     checker::StreamStats,
 ) {
     let (detector, backend) = kind.backend();
-    let sink = Arc::new(checker::StreamingSink::new(rings, ring_cap, backend));
+    let sink = Arc::new(checker::StreamingSink::new(1, ring_cap, backend));
     let out = run(sink.clone());
     let (raw, stats) = sink.finish();
     (out, detector, dedup_conflicts(raw), stats)
@@ -368,60 +366,40 @@ impl std::str::FromStr for NativeWorkload {
     }
 }
 
-/// A workload's quick-scale run, ready to go: the thread count it
-/// will use and the closure that executes it into a sink.
-type NativePlan = (
-    usize,
-    Box<dyn FnOnce(Arc<dyn checker::EventSink>) -> workloads::table::NativeRun>,
-);
-
-/// The one per-workload table: quick-scale parameters, the field
-/// that says how many worker threads they ask for, and the entry
-/// point. [`run_native_events`] runs the plan; the streaming path
-/// reads the thread count off it *before* the run.
-fn native_plan(workload: NativeWorkload) -> NativePlan {
-    use workloads::benchmarks as b;
-    use workloads::table::Scale;
-    macro_rules! plan {
-        ($module:ident, $workers:ident, $params:expr) => {{
-            let params = $params;
-            (
-                params.$workers,
-                Box::new(move |sink| b::$module::run_with_events(&params, sink)),
-            )
-        }};
-    }
-    match workload {
-        NativeWorkload::Pfscan => plan!(pfscan, workers, b::pfscan::Params::scaled(Scale::quick())),
-        NativeWorkload::Handoff => plan!(handoff, consumers, b::handoff::Params::default()),
-        NativeWorkload::Pbzip2 => plan!(pbzip2, workers, b::pbzip2::Params::scaled(Scale::quick())),
-        NativeWorkload::Aget => plan!(aget, workers, b::aget::Params::scaled(Scale::quick())),
-        NativeWorkload::Dillo => plan!(
-            dillo,
-            workers,
-            b::dillo::Params {
-                latency: std::time::Duration::ZERO,
-                ..b::dillo::Params::scaled(Scale::quick())
-            }
-        ),
-        NativeWorkload::Fftw => plan!(fftw, workers, b::fftw::Params::scaled(Scale::quick())),
-        NativeWorkload::Stunnel => {
-            plan!(stunnel, workers, b::stunnel::Params::scaled(Scale::quick()))
-        }
-    }
-}
-
-/// Runs `workload` once with real threads, recording every
-/// [`checker::CheckEvent`] into `sink`: the [`checker::EventLog`]
-/// behind [`native_trace`], or the [`checker::StreamingSink`] behind
-/// [`run_native_streaming`]. One dispatcher, one set of quick-scale
-/// parameters.
+/// Runs `workload` once with real threads at its quick-scale
+/// parameters, recording every [`checker::CheckEvent`] into `sink`:
+/// the [`checker::EventLog`] behind [`native_trace`], or the
+/// [`checker::StreamingSink`] behind [`run_native_streaming`].
 pub fn run_native_events(
     workload: NativeWorkload,
     sink: Arc<dyn checker::EventSink>,
 ) -> workloads::table::NativeRun {
-    let (_, run) = native_plan(workload);
-    run(sink)
+    use workloads::benchmarks as b;
+    use workloads::table::Scale;
+    let quick = Scale::quick();
+    match workload {
+        NativeWorkload::Pfscan => {
+            b::pfscan::run_with_events(&b::pfscan::Params::scaled(quick), sink)
+        }
+        NativeWorkload::Handoff => {
+            b::handoff::run_with_events(&b::handoff::Params::default(), sink)
+        }
+        NativeWorkload::Pbzip2 => {
+            b::pbzip2::run_with_events(&b::pbzip2::Params::scaled(quick), sink)
+        }
+        NativeWorkload::Aget => b::aget::run_with_events(&b::aget::Params::scaled(quick), sink),
+        NativeWorkload::Dillo => {
+            let params = b::dillo::Params {
+                latency: std::time::Duration::ZERO,
+                ..b::dillo::Params::scaled(quick)
+            };
+            b::dillo::run_with_events(&params, sink)
+        }
+        NativeWorkload::Fftw => b::fftw::run_with_events(&b::fftw::Params::scaled(quick), sink),
+        NativeWorkload::Stunnel => {
+            b::stunnel::run_with_events(&b::stunnel::Params::scaled(quick), sink)
+        }
+    }
 }
 
 /// Runs `workload` once with real threads and returns its run record
@@ -617,9 +595,11 @@ fn with_trace<R>(
     f(bytes.len() as u64, events)
 }
 
-/// The default per-ring buffer capacity of every streamed run
-/// (`--ring-cap`): small enough that a long stunnel round drains
-/// hundreds of times, large enough that drains amortize.
+/// The default batch size of every streamed run (`--ring-cap`): the
+/// [`checker::StreamingSink`] buffers this many events before one is
+/// cut and folded, so at most twice this many are ever resident.
+/// Large enough that one cut's lock hand-off is spread over thousands
+/// of events.
 pub const DEFAULT_RING_CAP: usize = 4096;
 
 /// A native execution judged while it ran: the workload recorded into
@@ -634,28 +614,25 @@ pub struct StreamingRun {
     pub detector: &'static str,
     /// Deduplicated conflicts from the incremental fold.
     pub conflicts: Vec<checker::Conflict>,
-    /// Ring/drain counters: events recorded and drained, collect
-    /// passes, peak resident events, and the configured budget.
+    /// Stream counters: events recorded and drained, batches folded,
+    /// peak resident events, and the configured budget.
     pub stats: checker::StreamStats,
 }
 
 /// Runs `workload` once with real threads, feeding the selected
-/// engine *during* the run through a [`checker::StreamingSink`] of
-/// one ring per thread with `ring_cap` events each. The verdict
-/// matches [`judge_trace`] on a [`native_trace`] of the same
-/// execution order event for event (both folds run
-/// [`checker::apply_event`] over the same linearization); what
-/// changes is memory — peak resident events stay under
-/// `2 × ring_cap × rings` regardless of run length.
+/// engine *during* the run through a [`checker::StreamingSink`] that
+/// cuts a batch every `ring_cap` events. The verdict matches
+/// [`judge_trace`] on a [`native_trace`] of the same execution order
+/// event for event (both folds run [`checker::apply_event`] over the
+/// same linearization); what changes is memory — peak resident events
+/// stay under `2 × ring_cap` regardless of run length.
 pub fn run_native_streaming(
     workload: NativeWorkload,
     kind: DetectorKind,
     ring_cap: usize,
 ) -> StreamingRun {
-    // The main/producer/acceptor thread is tid 1 and workers are
-    // `2 ..= workers + 1`: one ring per thread, and ring 0 takes Alloc.
-    let (workers, run) = native_plan(workload);
-    let (run, detector, conflicts, stats) = judge_live(kind, workers + 2, ring_cap, run);
+    let (run, detector, conflicts, stats) =
+        judge_live(kind, ring_cap, |sink| run_native_events(workload, sink));
     StreamingRun {
         run,
         detector,

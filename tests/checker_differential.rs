@@ -25,7 +25,7 @@
 use sharc_checker::step::{sharded, Access};
 use sharc_checker::{
     geometry_for_trace, trace_granule_span, BitmapBackend, CheckBackend, CheckEvent, EventLog,
-    EventSink, ShadowGeometry, StreamingSink,
+    EventSink, ShadowGeometry, StreamingSink, Verdict,
 };
 use sharc_detectors::{Eraser, VcDetector};
 use sharc_runtime::{MultiWord, OneWord, RaceError, Shadow, ShardedShadow, ThreadId, WordProtocol};
@@ -1003,14 +1003,14 @@ fn stunnel_wide_trace_pins_all_backends() {
 // ----- Streaming detection (PR 7) -----
 
 /// The streaming pipeline's tentpole invariant: for **every** choice
-/// of ring count, ring capacity, and drain interleaving, feeding a
-/// trace through a [`StreamingSink`] yields conflicts bit-identical
-/// to the serialized replay fold of the same trace on the same
-/// backend — for SharC's bitmap engine, Eraser, and vector clocks
-/// alike. Traces draw from the full spine vocabulary (ranged events
-/// included) at both narrow and cross-shard tid widths, and the
-/// stream's accounting must close: everything recorded is drained,
-/// and the peak resident count never exceeds the ring budget.
+/// of batch size and drain interleaving, feeding a trace through a
+/// [`StreamingSink`] yields conflicts bit-identical to the serialized
+/// replay fold of the same trace on the same backend — for SharC's
+/// bitmap engine, Eraser, and vector clocks alike. Traces draw from
+/// the full spine vocabulary (ranged events included) at both narrow
+/// and cross-shard tid widths, and the stream's accounting must
+/// close: everything recorded is drained, and the peak resident count
+/// never exceeds the budget.
 #[test]
 fn streaming_verdicts_equal_replay_fold_for_every_backend() {
     type BackendFactory = Box<dyn Fn() -> Box<dyn CheckBackend + Send>>;
@@ -1020,18 +1020,15 @@ fn streaming_verdicts_equal_replay_fold_for_every_backend() {
             gen::vec_of(spine_event_gen(5), 0..64),
             gen::vec_of(spine_event_gen(WIDE_THREADS - 1), 0..64),
         ]),
-        gen::pair(
-            gen::pair(gen::usize_range(1..5), gen::usize_range(1..17)),
-            gen::usize_range(0..8),
-        ),
+        gen::pair(gen::usize_range(1..17), gen::usize_range(0..8)),
     );
     forall!(
         "streaming_verdicts_equal_replay_fold_for_every_backend",
         cfg(),
         scenario,
         |scenario| {
-            let (events, ((rings, cap), drain_every)) = scenario;
-            let (rings, cap, drain_every) = (*rings, *cap, *drain_every);
+            let (events, (cap, drain_every)) = scenario;
+            let (cap, drain_every) = (*cap, *drain_every);
             let backends: Vec<(&str, BackendFactory)> = vec![
                 ("sharc", Box::new(|| Box::new(BitmapBackend::new()))),
                 ("eraser", Box::new(|| Box::new(Eraser::new()))),
@@ -1040,7 +1037,7 @@ fn streaming_verdicts_equal_replay_fold_for_every_backend() {
             for (name, make) in &backends {
                 let mut replay_backend = make();
                 let want = sharc_checker::replay(events, replay_backend.as_mut());
-                let sink = StreamingSink::new(rings, cap, make());
+                let sink = StreamingSink::new(1, cap, make());
                 for (i, &e) in events.iter().enumerate() {
                     sink.record(e);
                     if drain_every != 0 && (i + 1) % drain_every == 0 {
@@ -1050,9 +1047,8 @@ fn streaming_verdicts_equal_replay_fold_for_every_backend() {
                 let (got, stats) = sink.finish();
                 prop_assert!(
                     got == want,
-                    "{}: rings {} cap {} drain_every {}: streamed {:?} vs replay {:?}",
+                    "{}: cap {} drain_every {}: streamed {:?} vs replay {:?}",
                     name,
-                    rings,
                     cap,
                     drain_every,
                     got,
@@ -1079,7 +1075,7 @@ fn streaming_verdicts_equal_replay_fold_for_every_backend() {
 
 /// Streaming at fleet width: the same >200-worker recorded stunnel
 /// execution that pins the three replay engines is streamed through
-/// per-thread rings with a deliberately tiny capacity, and the
+/// a sink with a deliberately tiny batch size, and the
 /// collector's verdict is bit-identical to the replay fold while the
 /// peak resident event count stays inside the fixed ring budget —
 /// the recorded trace is three orders of magnitude larger. A second,
@@ -1111,9 +1107,9 @@ fn stunnel_streaming_is_bit_identical_to_replay_at_fleet_width() {
     let want = sharc_checker::replay(&trace, &mut BitmapBackend::with_geometry(geom));
     assert!(want.is_empty(), "SharC accepts the fleet: {want:?}");
 
-    // The identical recorded execution, streamed through tiny rings
+    // The identical recorded execution, streamed in tiny batches
     // with periodic mid-stream drains.
-    let sink = StreamingSink::new(8, 64, Box::new(BitmapBackend::with_geometry(geom)));
+    let sink = StreamingSink::new(1, 64, Box::new(BitmapBackend::with_geometry(geom)));
     for (i, &e) in trace.iter().enumerate() {
         sink.record(e);
         if (i + 1) % 97 == 0 {
@@ -1140,7 +1136,7 @@ fn stunnel_streaming_is_bit_identical_to_replay_at_fleet_width() {
     // Live: real threads race the collector, same fixed budget.
     let wide = ShadowGeometry::for_threads(params.workers + 2);
     let live = Arc::new(StreamingSink::new(
-        8,
+        1,
         64,
         Box::new(BitmapBackend::with_geometry(wide)),
     ));
@@ -1171,13 +1167,115 @@ fn stunnel_streaming_is_bit_identical_to_replay_at_fleet_width() {
     assert_eq!(live_stats.drained, live_stats.recorded);
 
     // Eraser live-streams its ownership-transfer false positive too.
-    let eraser = Arc::new(StreamingSink::new(8, 64, Box::new(Eraser::new())));
+    let eraser = Arc::new(StreamingSink::new(1, 64, Box::new(Eraser::new())));
     stunnel::run_with_events(&params, eraser.clone());
     let (eraser_conflicts, _) = eraser.finish();
     assert!(
         !eraser_conflicts.is_empty(),
         "Eraser must false-positive while streaming live"
     );
+}
+
+/// A backend that logs the granules of its checks in the order the
+/// fold hands them over, and passes every one.
+struct OrderLog(std::sync::Arc<std::sync::Mutex<Vec<usize>>>);
+
+impl CheckBackend for OrderLog {
+    fn name(&self) -> &'static str {
+        "order-log"
+    }
+    fn chkread(&mut self, _tid: u32, granule: usize) -> Verdict {
+        self.0.lock().unwrap().push(granule);
+        Verdict::Pass
+    }
+    fn chkwrite(&mut self, _tid: u32, granule: usize) -> Verdict {
+        self.0.lock().unwrap().push(granule);
+        Verdict::Pass
+    }
+    fn lock_held(&self, _tid: u32, _lock: usize) -> bool {
+        true
+    }
+}
+
+/// The streaming fold keeps record order while collects race the
+/// recorders. Three recorder threads write ascending granules (thread
+/// `t`'s `i`-th write is granule `t * SPAN + i`) and pass a token
+/// round-robin through an atomic: the holder of step `s` records one
+/// write after its Acquire load and before its Release store of
+/// `s + 1`, so those token writes are causally ordered across threads.
+/// A fourth thread calls `collect` in a loop. At every batch size the
+/// fold must see each write exactly once, each thread's writes in
+/// program order, and the token writes in step order.
+#[test]
+fn the_fold_keeps_record_order_under_racing_drains() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
+
+    const SPAN: usize = 1 << 20;
+    const ROUNDS: usize = 40;
+    const FREE: usize = 3;
+    for cap in 1..=4 {
+        for _ in 0..25 {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let sink = Arc::new(StreamingSink::new(1, cap, Box::new(OrderLog(log.clone()))));
+            let token = Arc::new(AtomicUsize::new(0));
+            let done = Arc::new(AtomicBool::new(false));
+            let collector = {
+                let (sink, done) = (sink.clone(), done.clone());
+                std::thread::spawn(move || {
+                    while !done.load(Ordering::Acquire) {
+                        sink.collect();
+                    }
+                })
+            };
+            let recorders: Vec<_> = (0..3)
+                .map(|idx| {
+                    let (sink, token) = (sink.clone(), token.clone());
+                    std::thread::spawn(move || {
+                        let tid = idx as u32 + 1;
+                        let mut granules = (0..).map(|i| tid as usize * SPAN + i);
+                        for round in 0..ROUNDS {
+                            for granule in granules.by_ref().take(FREE) {
+                                sink.record(CheckEvent::Write { tid, granule });
+                            }
+                            let step = 3 * round + idx;
+                            while token.load(Ordering::Acquire) != step {
+                                std::thread::yield_now();
+                            }
+                            let granule = granules.next().unwrap();
+                            sink.record(CheckEvent::Write { tid, granule });
+                            token.store(step + 1, Ordering::Release);
+                        }
+                    })
+                })
+                .collect();
+            for r in recorders {
+                r.join().unwrap();
+            }
+            done.store(true, Ordering::Release);
+            collector.join().unwrap();
+            let (_, stats) = sink.finish();
+            let log = log.lock().unwrap();
+            let per_thread = ROUNDS * (FREE + 1);
+            assert_eq!(log.len(), 3 * per_thread, "cap {cap}: {stats:?}");
+            assert_eq!(stats.drained, stats.recorded);
+            assert!(stats.peak_resident <= stats.ring_budget, "{stats:?}");
+            let mut next = [0usize; 3];
+            let mut token_steps = Vec::new();
+            for &g in log.iter() {
+                let (idx, i) = (g / SPAN - 1, g % SPAN);
+                assert_eq!(i, next[idx], "cap {cap}: thread {} out of order", idx + 1);
+                next[idx] += 1;
+                if i % (FREE + 1) == FREE {
+                    token_steps.push(3 * (i / (FREE + 1)) + idx);
+                }
+            }
+            assert!(
+                token_steps.windows(2).all(|w| w[0] < w[1]),
+                "cap {cap}: token writes out of causal order: {token_steps:?}"
+            );
+        }
+    }
 }
 
 /// Traces for the fold-equivalence property: reads and writes, point

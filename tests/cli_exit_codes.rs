@@ -5,7 +5,10 @@
 //! false positive test for.
 
 use sharc::checker::{to_binary, trace_to_text, CheckEvent};
+use sharc::minic::parser::MAX_NESTING;
 use std::process::{Command, Output};
+
+const MAX: usize = MAX_NESTING as usize;
 
 fn sharc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_sharc"))
@@ -160,7 +163,7 @@ fn usage_errors_are_two() {
         assert_usage_error(&[&["run", racy][..], flags].concat());
     }
     // A live run is always judged while it runs: the flag that chose
-    // that is gone, and a recorded run has no rings to size.
+    // that is gone, and a recorded run has no batches to size.
     assert_usage_error(&["native", "handoff", "--online"]);
     assert_usage_error(&[
         "native",
@@ -258,6 +261,94 @@ fn a_syntax_error_is_three() {
     assert_cannot_judge(&["check", src]);
     assert_cannot_judge(&["run", src]);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Nesting past `MAX_NESTING` is refused with one `sharc:` line that
+/// names the limit (exit 3), never a stack overflow; a program exactly
+/// at the limit checks and runs. `program(n)` nests `n` deep,
+/// `at_limit` is the deepest `n` allowed, and `hostile` is far past it.
+#[track_caller]
+fn assert_nesting_limit(
+    name: &str,
+    program: impl Fn(usize) -> String,
+    at_limit: usize,
+    hostile: usize,
+    prints: &str,
+) {
+    let dir = scratch_dir(name);
+    let path = dir.join("nested.c");
+    let path_str = path.to_str().expect("utf-8 temp path");
+    std::fs::write(&path, program(at_limit)).expect("scratch file");
+    let out = assert_exit(&["run", path_str], 0);
+    assert_eq!(String::from_utf8_lossy(&out.stdout), prints);
+    let limit = format!("nesting deeper than {MAX_NESTING} levels");
+    for n in [at_limit + 1, hostile] {
+        std::fs::write(&path, program(n)).expect("scratch file");
+        let out = assert_exit(&["check", path_str], 3);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with("sharc: ")
+                && stderr.trim_end().lines().count() == 1
+                && stderr.contains(&limit),
+            "depth {n}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Parentheses are parser recursion only: `main`'s statement and the
+/// right-hand side take two levels, each parenthesis one more.
+#[test]
+fn nested_parentheses_past_the_limit_are_refused() {
+    let program = |n: usize| {
+        format!(
+            "int g; void main() {{ g = {}1{}; print(g); }}\n",
+            "(".repeat(n),
+            ")".repeat(n)
+        )
+    };
+    assert_nesting_limit("parens", program, MAX - 2, 10_000, "1\n");
+}
+
+/// Each block is a statement node and a level of recursion; the
+/// innermost assignment and its right-hand side take two more.
+#[test]
+fn nested_blocks_past_the_limit_are_refused() {
+    let program = |n: usize| {
+        format!(
+            "int g; void main() {{ {}g = 1;{} print(g); }}\n",
+            "{".repeat(n),
+            "}".repeat(n)
+        )
+    };
+    assert_nesting_limit("blocks", program, MAX - 2, 100_000, "1\n");
+}
+
+/// A flat sum is parsed by a loop but builds a left-deep tree: `n`
+/// terms are `n - 1` additions over a leaf, under the assignment.
+#[test]
+fn a_flat_sum_past_the_limit_is_refused() {
+    let program = |n: usize| {
+        format!(
+            "int g; void main() {{ g = {}; print(g); }}\n",
+            vec!["1"; n].join("+")
+        )
+    };
+    assert_nesting_limit("sum", program, MAX - 1, 100_000, &format!("{}\n", MAX - 1));
+}
+
+/// A type is a tree too, built by a loop over the stars: a local of
+/// type `int` behind `n` pointers is `n + 1` levels under its
+/// declaration.
+#[test]
+fn a_pointer_type_past_the_limit_is_refused() {
+    let program = |n: usize| {
+        format!(
+            "void main() {{ int {} p; p = NULL; print(1); }}\n",
+            "*".repeat(n)
+        )
+    };
+    assert_nesting_limit("stars", program, MAX - 2, 100_000, "1\n");
 }
 
 /// The front end types every function twice (the analysis over the
@@ -377,6 +468,43 @@ fn a_failed_write_to_stdout_cannot_be_judged() {
             stderr.starts_with("sharc: cannot write to stdout")
                 && stderr.trim_end().lines().count() == 1,
             "sharc {args:?} should explain itself in one line, got:\n{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A failed write to stderr changes no exit code: with stderr on a
+/// full device, a racy trace still replays to 1, a clean one to 0, and
+/// a syntax error still checks to 3 — not 101 from a panicking print.
+#[test]
+fn a_failed_write_to_stderr_keeps_the_verdict() {
+    let dir = scratch_dir("stderr-full");
+    let racy = dir.join("racy.trace");
+    let clean = dir.join("clean.trace");
+    let bad = dir.join("bad.c");
+    std::fs::write(&racy, "write 1 0\nwrite 2 0\n").expect("scratch file");
+    std::fs::write(&clean, "write 1 0\n").expect("scratch file");
+    std::fs::write(&bad, "void main() { int x; x = ; }\n").expect("scratch file");
+    let path = |p: &std::path::Path| p.to_str().expect("utf-8 temp path").to_owned();
+    for (args, code) in [
+        (["replay".to_owned(), path(&racy)], 1),
+        (["replay".to_owned(), path(&clean)], 0),
+        (["check".to_owned(), path(&bad)], 3),
+    ] {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("open /dev/full");
+        let out = Command::new(env!("CARGO_BIN_EXE_sharc"))
+            .args(&args)
+            .stderr(full)
+            .output()
+            .expect("the sharc binary runs");
+        assert_eq!(
+            out.status.code(),
+            Some(code),
+            "sharc {args:?}: {}",
+            String::from_utf8_lossy(&out.stdout)
         );
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -552,20 +680,20 @@ fn native_handoff_and_aget_split_sharc_from_eraser() {
     }
 }
 
-/// Judged while it runs (the default: per-thread rings drained
-/// concurrently with the workload), a native execution gets the
-/// verdicts its `--trace-out` recording gets on replay — SharC clean,
-/// Eraser exactly 1 — for the stunnel fleet at a small ring budget and
-/// for the hand-off at the default one.
+/// Judged while it runs (the default: batches folded concurrently
+/// with the workload), a native execution gets the verdicts its
+/// `--trace-out` recording gets on replay — SharC clean, Eraser
+/// exactly 1 — for the stunnel fleet at a small batch size and for
+/// the hand-off at the default one.
 #[test]
 fn online_verdicts_match_the_recorded_ones() {
     let dir = scratch_dir("online");
-    for (workload, rings) in [("stunnel", &["--ring-cap", "256"][..]), ("handoff", &[])] {
+    for (workload, cap) in [("stunnel", &["--ring-cap", "256"][..]), ("handoff", &[])] {
         let trace = dir.join(format!("{workload}.sbt"));
         let trace = trace.to_str().expect("utf-8 temp path");
         assert_exit(&["native", workload, "--trace-out", trace], 0);
         for (detector, code) in [("sharc", 0), ("eraser", 1)] {
-            let streamed = [&["native", workload][..], rings, &["--detector", detector]].concat();
+            let streamed = [&["native", workload][..], cap, &["--detector", detector]].concat();
             assert_exit(&streamed, code);
             assert_exit(&["replay", trace, "--detector", detector], code);
         }
