@@ -61,15 +61,18 @@ echo "== property tests at one fixed seed, release =="
 # panicking, so the trace decoders' admission is fuzzed there too, and
 # the exit codes and the memory of the fold `sharc replay` runs are held
 # on the release binary (tests/cli_exit_codes.rs, tests/replay_memory.rs;
-# tier-1 runs both on the debug one). The checker's own unit tests run
-# here too: the streaming sink's concurrent recorders race the fold at
-# release speed, as the lane-packing threads do.
+# tier-1 runs both on the debug one). So are the recorded-run verdicts
+# (tests/trace_parity.rs) and the §3 model's explored state counts
+# (tests/formal_soundness.rs). The checker's own unit tests run here
+# too: the streaming sink's concurrent recorders race the fold at
+# release speed, as the lane-packing threads do; so do the two
+# baseline engines' (sharc-detectors).
 SHARC_TEST_SEED=0xC1 \
     cargo test -q --offline --release -p sharc -p sharc-runtime \
     --test checker_differential --test elision_differential --test inference_props \
     --test trace_fuzz --test sharded_stress --test lane_packing \
-    --test cli_exit_codes --test replay_memory
-SHARC_TEST_SEED=0xC1 cargo test -q --offline --release -p sharc-checker --lib
+    --test cli_exit_codes --test replay_memory --test trace_parity --test formal_soundness
+SHARC_TEST_SEED=0xC1 cargo test -q --offline --release -p sharc-checker -p sharc-detectors --lib
 
 echo "== checker bench rows, --smoke =="
 # Every crates/bench checker row runs once at five samples (about two

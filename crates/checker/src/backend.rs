@@ -1,9 +1,10 @@
 //! The pluggable check-engine interface.
 //!
 //! A [`CheckBackend`] is anything that can answer SharC's four
-//! runtime checks — `chkread`, `chkwrite`, `lock_held`, `oneref` —
-//! while being kept current with the synchronization and lifecycle
-//! events those checks depend on. Three engines implement it:
+//! runtime checks — `chkread` and `chkwrite` (one [`CheckBackend::check`]
+//! whose [`Access`] says which), `lock_held`, `oneref` — while being
+//! kept current with the synchronization and lifecycle events those
+//! checks depend on. Three engines implement it:
 //!
 //! * [`BitmapBackend`] (here) — the paper's own engine: the pure
 //!   bitmap state machine from [`crate::step`] over a growable word
@@ -26,8 +27,7 @@
 use crate::geometry::{ShadowGeometry, MAX_TID};
 use crate::runlog::RunLog;
 use crate::step::{bitmap, range, sharded, sharded::ShardStep, Access};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
 /// Which check a conflict came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,6 +50,17 @@ pub struct Conflict {
     pub tid: u32,
     /// The granule (or, for [`CheckKind::Lock`], the lock id).
     pub granule: usize,
+}
+
+/// The conflict kind of a failed `chkread` or `chkwrite`.
+impl From<Access> for CheckKind {
+    #[inline]
+    fn from(access: Access) -> Self {
+        match access {
+            Access::Read => CheckKind::Read,
+            Access::Write => CheckKind::Write,
+        }
+    }
 }
 
 /// The report heading of each kind, as the paper's tool prints it.
@@ -194,11 +205,10 @@ pub trait CheckBackend {
     /// The engine's name, for reports and JSON.
     fn name(&self) -> &'static str;
 
-    /// The `chkread` check-and-record for `tid` on `granule`.
-    fn chkread(&mut self, tid: u32, granule: usize) -> Verdict;
-
-    /// The `chkwrite` check-and-record for `tid` on `granule`.
-    fn chkwrite(&mut self, tid: u32, granule: usize) -> Verdict;
+    /// The `chkread` or `chkwrite` check-and-record for `tid` on
+    /// `granule`, as `access` says: the kind is an operand, not a
+    /// second method, so a fold calls one check for both.
+    fn check(&mut self, tid: u32, granule: usize, access: Access) -> Verdict;
 
     /// The `locked(l)` check: is `lock` in `tid`'s held-lock log?
     fn lock_held(&self, tid: u32, lock: usize) -> bool;
@@ -250,101 +260,69 @@ pub fn apply_event<B: CheckBackend + ?Sized>(
     backend: &mut B,
     out: &mut Vec<Conflict>,
 ) {
-    let verdict = match e {
-        CheckEvent::Read { tid, granule } => backend.chkread(tid, granule),
-        CheckEvent::Write { tid, granule } => backend.chkwrite(tid, granule),
+    // The kind of a read or a write is computed before the dispatch, not
+    // in its arm: it is data for `check`, so a point read and a point
+    // write share one arm, one jump target and one straight-line path.
+    let access = if matches!(e, CheckEvent::Write { .. } | CheckEvent::RangeWrite { .. }) {
+        Access::Write
+    } else {
+        Access::Read
+    };
+    let mut report = |verdict| {
+        if let Verdict::Fail(c) = verdict {
+            out.push(c);
+        }
+    };
+    match e {
+        CheckEvent::Read { tid, granule } | CheckEvent::Write { tid, granule } => {
+            report(backend.check(tid, granule, access));
+        }
         // Replay-lowering: a range event is *exactly* its
         // per-granule expansion, for every backend — each
         // granule's verdict is collected individually, so a
         // conflicting granule mid-range reports just like the
         // unabbreviated trace would.
-        CheckEvent::RangeRead { tid, granule, len } => {
+        CheckEvent::RangeRead { tid, granule, len }
+        | CheckEvent::RangeWrite { tid, granule, len } => {
             for g in granule..granule + len {
-                if let Verdict::Fail(c) = backend.chkread(tid, g) {
-                    out.push(c);
-                }
+                report(backend.check(tid, g, access));
             }
-            Verdict::Pass // per-granule failures already pushed
-        }
-        CheckEvent::RangeWrite { tid, granule, len } => {
-            for g in granule..granule + len {
-                if let Verdict::Fail(c) = backend.chkwrite(tid, g) {
-                    out.push(c);
-                }
-            }
-            Verdict::Pass
         }
         CheckEvent::LockedAccess { tid, lock } => {
-            if backend.lock_held(tid, lock) {
-                Verdict::Pass
-            } else {
-                Verdict::Fail(Conflict {
+            if !backend.lock_held(tid, lock) {
+                report(Verdict::Fail(Conflict {
                     kind: CheckKind::Lock,
                     tid,
                     granule: lock,
-                })
+                }));
             }
         }
-        CheckEvent::SharingCast { tid, granule, refs } => {
-            let v = backend.oneref(tid, granule, refs);
-            if !v.is_conflict() {
-                backend.on_cast_clear(granule);
-            }
-            v
-        }
-        // A ranged cast is exactly its per-granule expansion: each
-        // granule runs the full oneref-then-clear-on-pass step, so a
-        // failing granule mid-range conflicts (and keeps its state)
-        // just as the unabbreviated trace would.
-        CheckEvent::RangeCast {
-            tid,
-            granule,
-            len,
-            refs,
+        // Each granule of a cast runs the full oneref-then-clear-on-pass
+        // step, so a failing granule mid-range conflicts (and keeps its
+        // state) just as the unabbreviated trace would.
+        CheckEvent::SharingCast { tid, granule, refs }
+        | CheckEvent::RangeCast {
+            tid, granule, refs, ..
         } => {
+            let len = e.granules().map_or(1, |(_, len)| len);
             for g in granule..granule + len {
-                let v = backend.oneref(tid, g, refs);
-                if let Verdict::Fail(c) = v {
-                    out.push(c);
-                } else {
-                    backend.on_cast_clear(g);
+                match backend.oneref(tid, g, refs) {
+                    Verdict::Pass => backend.on_cast_clear(g),
+                    fail => report(fail),
                 }
             }
-            Verdict::Pass
         }
-        CheckEvent::RangeFree { granule, len } => {
+        CheckEvent::Alloc { granule } | CheckEvent::RangeFree { granule, .. } => {
+            let len = e.granules().map_or(1, |(_, len)| len);
             for g in granule..granule + len {
                 backend.on_alloc(g);
             }
-            Verdict::Pass
         }
-        CheckEvent::Acquire { tid, lock } => {
-            backend.on_acquire(tid, lock);
-            Verdict::Pass
-        }
-        CheckEvent::Release { tid, lock } => {
-            backend.on_release(tid, lock);
-            Verdict::Pass
-        }
-        CheckEvent::Fork { parent, child } => {
-            backend.on_fork(parent, child);
-            Verdict::Pass
-        }
-        CheckEvent::Join { parent, child } => {
-            backend.on_join(parent, child);
-            Verdict::Pass
-        }
-        CheckEvent::ThreadExit { tid } => {
-            backend.on_thread_exit(tid);
-            Verdict::Pass
-        }
-        CheckEvent::Alloc { granule } => {
-            backend.on_alloc(granule);
-            Verdict::Pass
-        }
-    };
-    if let Verdict::Fail(c) = verdict {
-        out.push(c);
+        CheckEvent::Acquire { tid, lock } => backend.on_acquire(tid, lock),
+        CheckEvent::Release { tid, lock } => backend.on_release(tid, lock),
+        CheckEvent::Fork { parent, child } => backend.on_fork(parent, child),
+        CheckEvent::Join { parent, child } => backend.on_join(parent, child),
+        CheckEvent::ThreadExit { tid } => backend.on_thread_exit(tid),
     }
 }
 
@@ -476,36 +454,38 @@ pub fn lower_ranges(events: &[CheckEvent]) -> Vec<CheckEvent> {
 /// Eraser refines its candidate locksets against it.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct HeldLocks {
-    /// The default keyed hasher, not [`TidHasher`]: a lock event's tid
-    /// reaches this table without touching the shadow, so only the
-    /// caller bounds it, and a crafted event sequence could pick tids
-    /// that collide under a fixed cheap hash.
-    by_thread: HashMap<u32, Vec<usize>>,
+    /// Thread `t`'s locks at index `t`, grown to the widest tid that
+    /// acquired one: at most [`MAX_TID`] + 1 lists.
+    by_thread: Vec<Vec<usize>>,
 }
 
 /// Hashes what [`HeldLocks::holds`] can observe: the non-empty lists,
-/// in tid order (a release can leave a thread an empty list).
+/// with their tids, in tid order (a release can leave a thread an
+/// empty list).
 impl Hash for HeldLocks {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let mut held: Vec<_> = self
-            .by_thread
-            .iter()
+        let held: Vec<_> = (0u32..)
+            .zip(&self.by_thread)
             .filter(|(_, l)| !l.is_empty())
             .collect();
-        held.sort_unstable_by_key(|&(tid, _)| *tid);
         held.hash(state);
     }
 }
 
 impl HeldLocks {
-    /// `tid` acquired `lock`.
+    /// `tid` acquired `lock`. Panics on a tid past [`MAX_TID`].
     pub fn acquire(&mut self, tid: u32, lock: usize) {
-        self.by_thread.entry(tid).or_default().push(lock);
+        assert!(tid <= MAX_TID, "thread id out of range");
+        let tid = tid as usize;
+        if self.by_thread.len() <= tid {
+            self.by_thread.resize_with(tid + 1, Vec::new);
+        }
+        self.by_thread[tid].push(lock);
     }
 
     /// `tid` released `lock` (a release of a lock not held is ignored).
     pub fn release(&mut self, tid: u32, lock: usize) {
-        if let Some(held) = self.by_thread.get_mut(&tid) {
+        if let Some(held) = self.by_thread.get_mut(tid as usize) {
             if let Some(p) = held.iter().position(|&l| l == lock) {
                 held.remove(p);
             }
@@ -514,7 +494,7 @@ impl HeldLocks {
 
     /// The locks `tid` holds, in acquisition order.
     pub fn of(&self, tid: u32) -> &[usize] {
-        self.by_thread.get(&tid).map_or(&[], Vec::as_slice)
+        self.by_thread.get(tid as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Does `tid` hold `lock`?
@@ -524,7 +504,9 @@ impl HeldLocks {
 
     /// `tid` exited: its log is dropped.
     pub fn thread_exit(&mut self, tid: u32) {
-        self.by_thread.remove(&tid);
+        if let Some(held) = self.by_thread.get_mut(tid as usize) {
+            *held = Vec::new();
+        }
     }
 }
 
@@ -561,38 +543,15 @@ pub struct BitmapBackend {
     words: Vec<u64>,
     geom: ShadowGeometry,
     /// The chunks (`granule >> LOG_CHUNK_SHIFT`) where each thread set
-    /// a bit, for exit clearing.
-    logs: HashMap<u32, RunLog, BuildHasherDefault<TidHasher>>,
+    /// a bit, for exit clearing: thread `t`'s at index `t`, grown to
+    /// the widest tid that installed (at most [`MAX_TID`] + 1 logs).
+    logs: Vec<RunLog>,
     held: HeldLocks,
 }
 
 /// A [`BitmapBackend`] exit log notes `granule >> LOG_CHUNK_SHIFT`:
 /// one entry per 64 granules.
 const LOG_CHUNK_SHIFT: u32 = 6;
-
-/// Hashes a thread id for the per-thread log table: one multiply.
-/// Every new install looks its thread's log up, and tids are small
-/// dense integers, so the default DoS-resistant hasher only costs time
-/// here.
-#[derive(Default)]
-struct TidHasher(u64);
-
-impl Hasher for TidHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-    fn write_u32(&mut self, tid: u32) {
-        self.write_u64(u64::from(tid));
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
 
 /// Hashes what decides a later verdict, not how the engine got there:
 /// the words without the trailing zero words a first touch grows, the
@@ -633,7 +592,7 @@ impl BitmapBackend {
         BitmapBackend {
             words: Vec::new(),
             geom,
-            logs: HashMap::default(),
+            logs: Vec::new(),
             held: HeldLocks::default(),
         }
     }
@@ -648,7 +607,6 @@ impl BitmapBackend {
     /// them. A tid is at most [`MAX_TID`], so a granule is at most
     /// [`crate::MAX_WORDS_PER_GRANULE`] words and an engine re-strides
     /// at most 15 times, however its tids rise.
-    #[cold]
     fn widen(&mut self, tid: u32) {
         assert!(tid <= MAX_TID, "thread id out of range");
         let wide = ShadowGeometry::for_threads(tid as usize);
@@ -663,8 +621,14 @@ impl BitmapBackend {
         (self.words, self.geom) = (words, wide);
     }
 
-    #[inline]
-    fn access(&mut self, tid: u32, granule: usize, access: Access) -> Verdict {
+    /// Everything a check does once the tid's own shard word does not
+    /// already record the access: widening, growing the store, the step
+    /// over the granule's other words, the install, the exit-log note
+    /// and the conflict. Out of line, so [`BitmapBackend::check`]'s
+    /// inlined half stays one load and one predicate.
+    #[cold]
+    #[inline(never)]
+    fn check_cold(&mut self, tid: u32, granule: usize, access: Access) -> Verdict {
         if tid as usize > self.geom.exact_threads() {
             self.widen(tid);
         }
@@ -676,16 +640,6 @@ impl BitmapBackend {
             self.words.resize(base + stride, 0);
         }
         let words = &mut self.words[base..base + stride];
-        // Already recorded in the tid's own word, so the full step is
-        // `Unchanged` and the other words need no look (the runtime's
-        // `MultiWord::recorded` argument): conflicts never install, so
-        // the passing write that set this word left every other word
-        // empty and nobody has installed next to it since, and the
-        // passing read that set this bit excluded every foreign writer,
-        // and none can have installed over it.
-        if range::recorded(words[shard], bit, access) {
-            return Verdict::Pass;
-        }
         match sharded::step_in_shard(words, shard, bit, access) {
             ShardStep::Unchanged => Verdict::Pass,
             ShardStep::Install { index, word } => {
@@ -695,19 +649,16 @@ impl BitmapBackend {
                 let newly_set = words[index] & (1 << bit) == 0;
                 words[index] = word;
                 if newly_set {
-                    self.logs
-                        .entry(tid)
-                        .or_default()
-                        .note(granule >> LOG_CHUNK_SHIFT);
+                    let tid = tid as usize;
+                    if self.logs.len() <= tid {
+                        self.logs.resize_with(tid + 1, RunLog::default);
+                    }
+                    self.logs[tid].note(granule >> LOG_CHUNK_SHIFT);
                 }
                 Verdict::Pass
             }
             ShardStep::Conflict => Verdict::Fail(Conflict {
-                kind: if access.is_write() {
-                    CheckKind::Write
-                } else {
-                    CheckKind::Read
-                },
+                kind: access.into(),
                 tid,
                 granule,
             }),
@@ -740,12 +691,38 @@ impl CheckBackend for BitmapBackend {
         "sharc-bitmap"
     }
 
-    fn chkread(&mut self, tid: u32, granule: usize) -> Verdict {
-        self.access(tid, granule, Access::Read)
-    }
-
-    fn chkwrite(&mut self, tid: u32, granule: usize) -> Verdict {
-        self.access(tid, granule, Access::Write)
+    /// The inlined half of a check: one load of the tid's own shard
+    /// word and one predicate. Everything else is out of line.
+    #[inline]
+    fn check(&mut self, tid: u32, granule: usize, access: Access) -> Verdict {
+        // A hit is the full step's `Unchanged`, and the other words need
+        // no look (the runtime's `MultiWord::recorded` argument):
+        // conflicts never install, so the passing write that set this
+        // word left every other word empty and nobody has installed next
+        // to it since, and the passing read that set this bit excluded
+        // every foreign writer, and none can have installed over it. A
+        // tid the geometry has no word for, a granule past the store and
+        // every miss go to `check_cold`.
+        if let Some(shard) = self.geom.shard_of(tid) {
+            let own = granule * self.geom.words_per_granule() + shard;
+            if let Some(&word) = self.words.get(own) {
+                // The `range::recorded` predicate `access` picks, both in
+                // one expression so the kind selects a value, not a path:
+                // `mine` is the word either access leaves unchanged, a read
+                // also passes on its own bit without the writer flag, and
+                // a write's second target has bits outside the mask.
+                let local = self.geom.local_bit(tid);
+                let mine = bitmap::WRITER_FLAG | 1 << local;
+                let writing = u64::from(access.is_write()).wrapping_neg();
+                let reading = 1 << local | (writing & !mine);
+                let hit = (word == mine) | (word & mine == reading);
+                debug_assert_eq!(hit, range::recorded(word, local, access));
+                if hit {
+                    return Verdict::Pass;
+                }
+            }
+        }
+        self.check_cold(tid, granule, access)
     }
 
     fn lock_held(&self, tid: u32, lock: usize) -> bool {
@@ -761,7 +738,8 @@ impl CheckBackend for BitmapBackend {
     }
 
     fn on_thread_exit(&mut self, tid: u32) {
-        if let (Some(mut log), Some(shard)) = (self.logs.remove(&tid), self.geom.shard_of(tid)) {
+        let log = self.logs.get_mut(tid as usize).map(std::mem::take);
+        if let (Some(mut log), Some(shard)) = (log, self.geom.shard_of(tid)) {
             let (stride, bit) = (self.geom.words_per_granule(), self.geom.local_bit(tid));
             // The tid's word in each granule of each logged chunk:
             // every `stride`-th word from its first.
@@ -805,37 +783,37 @@ mod tests {
         let mut engine = BitmapBackend::new();
         for _ in 0..100_000 {
             for g in [7, 70] {
-                assert!(!engine.chkwrite(1, g).is_conflict());
+                assert!(!engine.check(1, g, Access::Write).is_conflict());
                 engine.on_cast_clear(g);
             }
         }
-        assert!(!engine.chkwrite(1, 7).is_conflict());
-        assert!(!engine.chkwrite(1, 70).is_conflict());
-        assert_eq!(engine.logs[&1].len(), 1, "two chunks, one run");
+        assert!(!engine.check(1, 7, Access::Write).is_conflict());
+        assert!(!engine.check(1, 70, Access::Write).is_conflict());
+        assert_eq!(engine.logs[1].len(), 1, "two chunks, one run");
         engine.on_thread_exit(1);
         assert_eq!(
             (engine.raw(7), engine.raw(70)),
             (0, 0),
             "exit clears what the log names"
         );
-        assert!(!engine.logs.contains_key(&1));
+        assert!(engine.logs[1].is_empty());
     }
 
     #[test]
     fn a_read_write_upgrade_logs_nothing() {
         let mut engine = BitmapBackend::new();
-        assert_eq!(engine.chkread(1, 3), Verdict::Pass);
+        assert_eq!(engine.check(1, 3, Access::Read), Verdict::Pass);
         // A read in a distant chunk makes the next note of chunk 0 a
         // new run, were it made.
-        assert_eq!(engine.chkread(1, 10 * 64), Verdict::Pass);
-        let logged = engine.logs[&1].len();
-        assert_eq!(engine.chkwrite(1, 3), Verdict::Pass);
+        assert_eq!(engine.check(1, 10 * 64, Access::Read), Verdict::Pass);
+        let logged = engine.logs[1].len();
+        assert_eq!(engine.check(1, 3, Access::Write), Verdict::Pass);
         assert_eq!(
             engine.raw(3),
             crate::step::bitmap::WRITER_FLAG | (1 << 1),
             "upgraded"
         );
-        assert_eq!(engine.logs[&1].len(), logged, "granule 3 is logged already");
+        assert_eq!(engine.logs[1].len(), logged, "granule 3 is logged already");
         engine.on_thread_exit(1);
         assert_eq!((engine.raw(3), engine.raw(10 * 64)), (0, 0));
     }
@@ -849,16 +827,24 @@ mod tests {
         let installs: [(u32, &[usize]); 3] =
             [(1, &[0, 5, 9, 63]), (2, &[5, 6, 63, far]), (3, &[63, 6, 0])];
         let mut engine = BitmapBackend::new();
-        let mut granule_logs = HashMap::new();
+        let mut granule_logs = std::collections::HashMap::new();
         for (tid, granules) in installs {
             for &g in granules {
-                assert_eq!(engine.chkread(tid, g), Verdict::Pass, "tid {tid} reads {g}");
+                assert_eq!(
+                    engine.check(tid, g, Access::Read),
+                    Verdict::Pass,
+                    "tid {tid} reads {g}"
+                );
                 granule_logs.entry(tid).or_insert_with(Vec::new).push(g);
             }
         }
-        assert_eq!(engine.chkwrite(1, 9), Verdict::Pass, "tid 1's own granule");
         assert_eq!(
-            engine.chkwrite(2, far),
+            engine.check(1, 9, Access::Write),
+            Verdict::Pass,
+            "tid 1's own granule"
+        );
+        assert_eq!(
+            engine.check(2, far, Access::Write),
             Verdict::Pass,
             "tid 2's own granule"
         );
@@ -896,8 +882,8 @@ mod tests {
     #[test]
     fn bitmap_backend_basic_race() {
         let mut b = BitmapBackend::new();
-        assert_eq!(b.chkwrite(1, 0), Verdict::Pass);
-        let v = b.chkwrite(2, 0);
+        assert_eq!(b.check(1, 0, Access::Write), Verdict::Pass);
+        let v = b.check(2, 0, Access::Write);
         assert_eq!(
             v.conflict().map(|c| c.kind),
             Some(CheckKind::Write),
@@ -908,9 +894,9 @@ mod tests {
     #[test]
     fn exit_clears_and_reuses() {
         let mut b = BitmapBackend::new();
-        b.chkwrite(1, 3);
+        b.check(1, 3, Access::Write);
         b.on_thread_exit(1);
-        assert_eq!(b.chkwrite(2, 3), Verdict::Pass);
+        assert_eq!(b.check(2, 3, Access::Write), Verdict::Pass);
     }
 
     #[test]
@@ -928,27 +914,30 @@ mod tests {
     fn high_tids_keep_exact_identities_under_a_wide_geometry() {
         let mut b = BitmapBackend::with_geometry(ShadowGeometry::for_threads(256));
         // Readers in three different shards...
-        assert_eq!(b.chkread(10, 0), Verdict::Pass);
-        assert_eq!(b.chkread(100, 0), Verdict::Pass);
-        assert_eq!(b.chkread(250, 0), Verdict::Pass);
+        assert_eq!(b.check(10, 0, Access::Read), Verdict::Pass);
+        assert_eq!(b.check(100, 0, Access::Read), Verdict::Pass);
+        assert_eq!(b.check(250, 0, Access::Read), Verdict::Pass);
         // ...block any writer...
-        assert!(b.chkwrite(10, 0).is_conflict());
+        assert!(b.check(10, 0, Access::Write).is_conflict());
         // ...until each reader's exit subtracts its exact bit.
         b.on_thread_exit(100);
-        assert!(b.chkwrite(10, 0).is_conflict(), "250 still reads");
+        assert!(
+            b.check(10, 0, Access::Write).is_conflict(),
+            "250 still reads"
+        );
         b.on_thread_exit(250);
         // tid 10 is the only reader left: its own upgrade succeeds.
-        assert_eq!(b.chkwrite(10, 0), Verdict::Pass);
+        assert_eq!(b.check(10, 0, Access::Write), Verdict::Pass);
     }
 
     #[test]
     fn a_default_engine_widens_without_changing_a_verdict() {
         let mut b = BitmapBackend::new();
-        assert_eq!(b.chkwrite(1, 0), Verdict::Pass);
+        assert_eq!(b.check(1, 0, Access::Write), Verdict::Pass);
         // Seventy readers of granule 1: tids 64..=70 widen the engine
         // to two shards, and granule 0 keeps its word.
         for t in 1..=70 {
-            assert_eq!(b.chkread(t, 1), Verdict::Pass, "reader {t}");
+            assert_eq!(b.check(t, 1, Access::Read), Verdict::Pass, "reader {t}");
         }
         assert_eq!(b.geometry(), ShadowGeometry::for_threads(70));
         assert_eq!(
@@ -956,7 +945,7 @@ mod tests {
             vec![crate::step::bitmap::WRITER_FLAG | (1 << 1), 0]
         );
         assert!(
-            b.chkwrite(70, 0).is_conflict(),
+            b.check(70, 0, Access::Write).is_conflict(),
             "tid 1 still owns granule 0"
         );
         // Every reader but tid 1 exits: each takes exactly its own bit.
@@ -964,7 +953,7 @@ mod tests {
             b.on_thread_exit(t);
         }
         assert_eq!(b.raw_words(1), vec![1 << 1, 0]);
-        assert_eq!(b.chkwrite(1, 1), Verdict::Pass);
+        assert_eq!(b.check(1, 1, Access::Write), Verdict::Pass);
     }
 
     #[test]
@@ -974,17 +963,49 @@ mod tests {
         // the thread bound allows. Every access re-strides, to exactly
         // the shards its tid needs.
         let mut b = BitmapBackend::new();
-        assert_eq!(b.chkwrite(1, 0), Verdict::Pass);
+        assert_eq!(b.check(1, 0, Access::Write), Verdict::Pass);
         let mut restrides = 0;
         for tid in (64..=MAX_TID).step_by(63) {
             let before = b.geometry();
-            assert!(b.chkread(tid, 0).is_conflict());
+            assert!(b.check(tid, 0, Access::Read).is_conflict());
             restrides += usize::from(b.geometry() != before);
             assert_eq!(b.geometry(), ShadowGeometry::for_threads(tid as usize));
         }
         assert_eq!(restrides, crate::MAX_WORDS_PER_GRANULE - 1);
         // The owner's word survived every copy.
         assert_eq!(b.raw(0), crate::step::bitmap::WRITER_FLAG | (1 << 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "thread id out of range")]
+    fn a_check_by_tid_0_panics() {
+        BitmapBackend::new().check(0, 5, Access::Read);
+    }
+
+    #[test]
+    #[should_panic(expected = "thread id out of range")]
+    fn a_check_past_the_thread_bound_panics() {
+        let mut b = BitmapBackend::new();
+        assert_eq!(b.check(MAX_TID, 5, Access::Write), Verdict::Pass);
+        b.check(MAX_TID + 1, 5, Access::Write);
+    }
+
+    #[test]
+    #[should_panic(expected = "thread id out of range")]
+    fn a_lock_event_past_the_thread_bound_panics() {
+        // Both decoders refuse such a tid; an in-memory trace meets the
+        // bound where the lock table is indexed.
+        let trace = [
+            CheckEvent::Acquire {
+                tid: MAX_TID,
+                lock: 3,
+            },
+            CheckEvent::Acquire {
+                tid: MAX_TID + 1,
+                lock: 3,
+            },
+        ];
+        replay(&trace, &mut BitmapBackend::new());
     }
 
     #[test]

@@ -47,8 +47,10 @@
 //! previous block's start (the first is absolute), so a reader could
 //! jump to any block without decoding its predecessors; the trailer
 //! locates the footer from the end of the file alone. The decoder
-//! reads the blocks in file order and checks only the footer's offset:
-//! no reader consumes the index yet.
+//! reads the blocks in file order and holds the index to them: as it
+//! enters block *k* it checks triple *k*'s offset, tid and count
+//! against the block, and after the last block no triple and no footer
+//! byte may remain.
 //!
 //! [`events`] is zero-copy: it borrows the byte slice (read, mapped,
 //! or in memory), validates the framing once, and decodes events on
@@ -359,10 +361,16 @@ pub fn events(data: &[u8]) -> Result<EventIter<'_>, String> {
             "binary trace footer offset {footer_off} out of bounds"
         ));
     }
+    let mut footer = footer_off;
+    let indexed = read_uleb(&data[..end - TRAILER_LEN], &mut footer)
+        .map_err(|why| format!("binary trace footer: {why}"))?;
     Ok(EventIter {
         data,
         pos: HEADER_LEN,
         end: footer_off,
+        footer,
+        indexed,
+        block_start: 0,
         block_tid: 0,
         block_no: 0,
         left_in_block: 0,
@@ -380,6 +388,13 @@ pub struct EventIter<'a> {
     data: &'a [u8],
     pos: usize,
     end: usize,
+    /// The next unread byte of the block index footer, and the number
+    /// of its triples not yet matched to a block.
+    footer: usize,
+    indexed: u64,
+    /// Where the block being decoded starts: the base of the next
+    /// triple's offset delta.
+    block_start: usize,
     block_tid: u32,
     /// 1-based index of the block being decoded, for error messages.
     block_no: u64,
@@ -414,8 +429,16 @@ impl EventIter<'_> {
                         self.decoded, self.promised
                     ));
                 }
+                let left = self.data.len() - TRAILER_LEN - self.footer;
+                if self.indexed != 0 || left != 0 {
+                    return Err(format!(
+                        "binary trace footer indexes {} blocks past the last, in {left} bytes",
+                        self.indexed
+                    ));
+                }
                 return Ok(None);
             }
+            let start = self.pos;
             let bytes = &self.data[..self.end];
             let tid = read_uleb(bytes, &mut self.pos)?;
             self.block_tid =
@@ -426,6 +449,8 @@ impl EventIter<'_> {
             if self.left_in_block == 0 {
                 return Err("empty block in binary trace".to_string());
             }
+            self.check_index(start, tid)
+                .map_err(|why| format!("block {}: {why}", self.block_no))?;
         }
         let event = self
             .decode_event()
@@ -433,6 +458,33 @@ impl EventIter<'_> {
         self.left_in_block -= 1;
         self.decoded += 1;
         Ok(Some(event))
+    }
+
+    /// Holds the footer's next `(offset, tid, count)` triple to the
+    /// block just entered, which starts at `start`.
+    fn check_index(&mut self, start: usize, tid: u64) -> Result<(), String> {
+        self.indexed = self
+            .indexed
+            .checked_sub(1)
+            .ok_or("the footer indexes no more blocks")?;
+        let footer = &self.data[..self.data.len() - TRAILER_LEN];
+        let mut field =
+            || read_uleb(footer, &mut self.footer).map_err(|why| format!("footer triple: {why}"));
+        let indexed = [
+            (self.block_start as u64).wrapping_add(field()?),
+            field()?,
+            field()?,
+        ];
+        self.block_start = start;
+        let block = [start as u64, tid, self.left_in_block];
+        for ((what, footer), block) in ["offset", "tid", "count"].iter().zip(indexed).zip(block) {
+            if footer != block {
+                return Err(format!(
+                    "the footer's {what} {footer} is not the block's {block}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Decodes the next event of the current block, admitting each
@@ -814,6 +866,87 @@ mod tests {
         let items: Vec<_> = events(&short_count).expect("framing is intact").collect();
         assert_eq!(items.len(), 2, "the event, then the count error");
         assert!(items[1].as_ref().unwrap_err().contains("decoded 1 events"));
+    }
+
+    /// `bytes` with its footer rewritten: `n` as the block count, then
+    /// `index`'s triples, then `extra` bytes before the trailer.
+    fn with_index(bytes: &[u8], n: u64, index: &[(usize, u32, u64)], extra: &[u8]) -> Vec<u8> {
+        let end = bytes.len() - TRAILER_LEN;
+        let footer_off = u64::from_le_bytes(bytes[end..end + 8].try_into().unwrap());
+        let mut out = bytes[..footer_off as usize].to_vec();
+        out.uleb(n);
+        let mut prev = 0;
+        for &(offset, tid, count) in index {
+            out.uleb((offset - prev) as u64);
+            prev = offset;
+            out.uleb(u64::from(tid));
+            out.uleb(count);
+        }
+        out.extend_from_slice(extra);
+        out.extend_from_slice(&footer_off.to_le_bytes());
+        out.extend_from_slice(&BTRACE_END_MAGIC);
+        out
+    }
+
+    #[test]
+    fn a_footer_that_lies_about_a_block_is_refused_naming_it() {
+        let trace: Vec<_> = (0..6usize)
+            .map(|i| CheckEvent::Write {
+                tid: 1 + (i / 2) as u32,
+                granule: i,
+            })
+            .collect();
+        let good = to_binary(&trace);
+        let index = block_index(&good);
+        assert_eq!(index.len(), 3, "three tids, two events each");
+        let n = index.len() as u64;
+        assert_eq!(
+            with_index(&good, n, &index, &[]),
+            good,
+            "re-encodes exactly"
+        );
+        let lie = |k: usize, f: &dyn Fn(&mut (usize, u32, u64))| {
+            let mut index = index.clone();
+            f(&mut index[k]);
+            parse_binary(&with_index(&good, n, &index, &[])).unwrap_err()
+        };
+        let refused = lie(1, &|t| t.0 += 1);
+        assert!(
+            refused.contains("block 2: the footer's offset"),
+            "{refused}"
+        );
+        let refused = lie(1, &|t| t.1 = 9);
+        assert!(refused.contains("block 2: the footer's tid 9"), "{refused}");
+        let refused = lie(2, &|t| t.2 = 3);
+        assert!(
+            refused.contains("block 3: the footer's count 3"),
+            "{refused}"
+        );
+        // A triple too few, a triple too many, a byte after the last.
+        let refused = parse_binary(&with_index(&good, n - 1, &index[..2], &[])).unwrap_err();
+        assert!(
+            refused.contains("block 3: the footer indexes no more"),
+            "{refused}"
+        );
+        let mut more = index.clone();
+        more.push((index[2].0 + 4, 4, 1));
+        let refused = parse_binary(&with_index(&good, n + 1, &more, &[])).unwrap_err();
+        assert!(
+            refused.contains("1 blocks past the last, in 3 bytes"),
+            "{refused}"
+        );
+        let refused = parse_binary(&with_index(&good, n, &index, &[0])).unwrap_err();
+        assert!(
+            refused.contains("0 blocks past the last, in 1 bytes"),
+            "{refused}"
+        );
+        // A block count whose varint runs into the trailer fails the
+        // framing itself.
+        let mut cut = with_index(&good, n, &[], &[]);
+        let count_byte = cut.len() - TRAILER_LEN - 1;
+        cut[count_byte] = 0x80;
+        let refused = events(&cut).unwrap_err();
+        assert!(refused.contains("footer: truncated varint"), "{refused}");
     }
 
     #[test]

@@ -10,12 +10,12 @@
 //!   `sharc-interp`'s VM calls [`BitmapBackend`], which applies them
 //!   to a plain word store. One state machine, one set of verdicts.
 //! * [`backend`] — the [`CheckBackend`] trait covering the four
-//!   runtime checks (`chkread`, `chkwrite`, `lock_held`, `oneref`)
-//!   plus the synchronization/lifecycle events they depend on, a
-//!   [`CheckEvent`] vocabulary every producer (VM, native workloads,
-//!   trace files) speaks, and a [`replay`] driver so one seeded
-//!   execution can be judged by any engine (SharC's own bitmap here;
-//!   Eraser locksets and vector clocks in `sharc-detectors`).
+//!   runtime checks (`chkread` and `chkwrite` as one `check`,
+//!   `lock_held`, `oneref`) plus the synchronization/lifecycle events
+//!   they depend on, a [`CheckEvent`] vocabulary every producer (VM,
+//!   native workloads, trace files) speaks, and a [`replay`] driver so
+//!   one seeded execution can be judged by any engine (SharC's own
+//!   bitmap here; Eraser locksets and vector clocks in `sharc-detectors`).
 //! * [`geometry`] — [`ShadowGeometry`]: how many 63-thread bitmap
 //!   shards back each granule ([`step::sharded`] is the matching
 //!   transition function). This is what lifts the paper's 63-thread

@@ -19,7 +19,7 @@
 //! history and hand-off idioms produce false positives — exactly the
 //! weakness SharC's sharing casts address.
 
-use sharc_checker::{CheckBackend, CheckKind, Conflict, HeldLocks, Verdict};
+use sharc_checker::{Access, CheckBackend, Conflict, HeldLocks, Verdict};
 use std::collections::{HashMap, HashSet};
 
 /// Per-granule monitoring state.
@@ -52,15 +52,20 @@ impl Eraser {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    fn access(&mut self, tid: u32, granule: usize, kind: CheckKind) -> Verdict {
-        let is_write = kind == CheckKind::Write;
+impl CheckBackend for Eraser {
+    fn name(&self) -> &'static str {
+        "eraser-lockset"
+    }
+
+    fn check(&mut self, tid: u32, granule: usize, access: Access) -> Verdict {
         let info = self.granules.entry(granule).or_default();
         info.state = match info.state {
             State::Virgin => State::Exclusive(tid),
             State::Exclusive(owner) if owner == tid => return Verdict::Pass,
             // First access by a second thread, or any later one.
-            State::Exclusive(_) | State::Shared if !is_write => State::Shared,
+            State::Exclusive(_) | State::Shared if !access.is_write() => State::Shared,
             _ => State::SharedModified,
         };
         if matches!(info.state, State::Exclusive(_)) {
@@ -75,24 +80,14 @@ impl Eraser {
         if info.state == State::SharedModified && empty && !info.reported {
             // One report per granule.
             info.reported = true;
-            Verdict::Fail(Conflict { kind, tid, granule })
+            Verdict::Fail(Conflict {
+                kind: access.into(),
+                tid,
+                granule,
+            })
         } else {
             Verdict::Pass
         }
-    }
-}
-
-impl CheckBackend for Eraser {
-    fn name(&self) -> &'static str {
-        "eraser-lockset"
-    }
-
-    fn chkread(&mut self, tid: u32, granule: usize) -> Verdict {
-        self.access(tid, granule, CheckKind::Read)
-    }
-
-    fn chkwrite(&mut self, tid: u32, granule: usize) -> Verdict {
-        self.access(tid, granule, CheckKind::Write)
     }
 
     fn lock_held(&self, tid: u32, lock: usize) -> bool {
@@ -128,7 +123,7 @@ impl CheckBackend for Eraser {
 mod tests {
     use super::*;
     use crate::fixtures;
-    use sharc_checker::{replay, CheckEvent};
+    use sharc_checker::{replay, CheckEvent, CheckKind};
 
     #[test]
     fn detects_unsynchronized_race() {

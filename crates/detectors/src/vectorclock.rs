@@ -12,7 +12,7 @@
 //! `on_cast_clear`, so a hand-off ordered by nothing but the cast is
 //! still reported.
 
-use sharc_checker::{CheckBackend, CheckKind, Conflict, HeldLocks, Verdict};
+use sharc_checker::{Access, CheckBackend, Conflict, HeldLocks, Verdict};
 use std::collections::HashMap;
 
 /// A vector clock: logical time per thread. Sparse — `(tid, time)`
@@ -90,25 +90,6 @@ impl VcDetector {
     fn thread(&mut self, t: u32) -> &mut VectorClock {
         clock_of(&mut self.threads, t)
     }
-
-    fn access(&mut self, tid: u32, granule: usize, kind: CheckKind) -> Verdict {
-        let ct = &*clock_of(&mut self.threads, tid);
-        let m = self.granules.entry(granule).or_default();
-        // A read races with any unordered write; a write with any
-        // unordered access. One report per granule.
-        let ordered = m.writes.le(ct) && (kind == CheckKind::Read || m.reads.le(ct));
-        if !ordered && !m.reported {
-            m.reported = true;
-            return Verdict::Fail(Conflict { kind, tid, granule });
-        }
-        let last = if kind == CheckKind::Read {
-            &mut m.reads
-        } else {
-            &mut m.writes
-        };
-        last.set(tid, ct.get(tid));
-        Verdict::Pass
-    }
 }
 
 /// Thread `t`'s clock, starting at 1 in its own component. A free
@@ -127,12 +108,27 @@ impl CheckBackend for VcDetector {
         "vector-clock"
     }
 
-    fn chkread(&mut self, tid: u32, granule: usize) -> Verdict {
-        self.access(tid, granule, CheckKind::Read)
-    }
-
-    fn chkwrite(&mut self, tid: u32, granule: usize) -> Verdict {
-        self.access(tid, granule, CheckKind::Write)
+    fn check(&mut self, tid: u32, granule: usize, access: Access) -> Verdict {
+        let ct = &*clock_of(&mut self.threads, tid);
+        let m = self.granules.entry(granule).or_default();
+        // A read races with any unordered write; a write with any
+        // unordered access. One report per granule.
+        let ordered = m.writes.le(ct) && (!access.is_write() || m.reads.le(ct));
+        if !ordered && !m.reported {
+            m.reported = true;
+            return Verdict::Fail(Conflict {
+                kind: access.into(),
+                tid,
+                granule,
+            });
+        }
+        let last = if access.is_write() {
+            &mut m.writes
+        } else {
+            &mut m.reads
+        };
+        last.set(tid, ct.get(tid));
+        Verdict::Pass
     }
 
     fn lock_held(&self, tid: u32, lock: usize) -> bool {
@@ -182,7 +178,7 @@ impl CheckBackend for VcDetector {
 mod tests {
     use super::*;
     use crate::fixtures;
-    use sharc_checker::{replay, CheckEvent};
+    use sharc_checker::{replay, CheckEvent, CheckKind};
 
     #[test]
     fn vc_ordering_ops() {

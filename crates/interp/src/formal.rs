@@ -19,7 +19,7 @@
 //! load-bearing: type-checking a racy program without guards makes
 //! the oracle fire (see the tests).
 
-use sharc_checker::{BitmapBackend, CheckBackend};
+use sharc_checker::{Access, BitmapBackend, CheckBackend};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
@@ -583,13 +583,12 @@ pub fn step(p: &CheckedProgram, st: &State, ti: usize) -> Option<(State, Vec<Obs
     // interleavings are explored too). Every verdict is the backend's.
     if t.guards_done < cs.guards.len() {
         let backend = &mut st2.backend;
+        let mut check = |lv, access| {
+            addr_of(st, t, lv).is_some_and(|a| !backend.check(me, a, access).is_conflict())
+        };
         let passed = match &cs.guards[t.guards_done] {
-            Guard::ChkRead(lv) => {
-                addr_of(st, t, lv).is_some_and(|a| !backend.chkread(me, a).is_conflict())
-            }
-            Guard::ChkWrite(lv) => {
-                addr_of(st, t, lv).is_some_and(|a| !backend.chkwrite(me, a).is_conflict())
-            }
+            Guard::ChkRead(lv) => check(lv, Access::Read),
+            Guard::ChkWrite(lv) => check(lv, Access::Write),
             Guard::ChkHeld(l) => backend.lock_held(me, *l as usize),
             Guard::OneRef(x) => {
                 let v = st.memory[t.env[x]].value;
@@ -776,7 +775,8 @@ pub fn explore(p: &CheckedProgram, max_states: usize) -> (Vec<Violation>, usize)
                                 writers: 0,
                             };
                         }
-                        Observation::Write { addr, tid } => {
+                        Observation::Read { addr, tid } | Observation::Write { addr, tid } => {
+                            let write = matches!(o, Observation::Write { .. });
                             let cell = &st2.memory[addr];
                             if cell.ty.mode == Mode::Private && cell.owner != 0 && cell.owner != tid
                             {
@@ -799,39 +799,15 @@ pub fn explore(p: &CheckedProgram, max_states: usize) -> (Vec<Violation>, usize)
                                 }
                             }
                             if cell.ty.mode == Mode::Dynamic {
+                                // A write races with any other thread's
+                                // access, a read with another's write.
                                 let oc = &mut oracle[addr];
-                                if (oc.readers | oc.writers) & !(1 << tid) != 0 {
+                                let seen = oc.writers | if write { oc.readers } else { 0 };
+                                if seen & !(1 << tid) != 0 {
                                     violations.push(Violation::DynamicRace { addr });
                                 }
                                 oc.readers |= 1 << tid;
-                                oc.writers |= 1 << tid;
-                            }
-                        }
-                        Observation::Read { addr, tid } => {
-                            let cell = &st2.memory[addr];
-                            if cell.ty.mode == Mode::Private && cell.owner != 0 && cell.owner != tid
-                            {
-                                violations.push(Violation::PrivateAccess {
-                                    addr,
-                                    tid,
-                                    owner: cell.owner,
-                                });
-                            }
-                            if let Mode::Locked(l) = cell.ty.mode {
-                                if node.st.locks[l as usize] != Some(tid) {
-                                    violations.push(Violation::LockDiscipline {
-                                        addr,
-                                        tid,
-                                        lock: l,
-                                    });
-                                }
-                            }
-                            if cell.ty.mode == Mode::Dynamic {
-                                let oc = &mut oracle[addr];
-                                if oc.writers & !(1 << tid) != 0 {
-                                    violations.push(Violation::DynamicRace { addr });
-                                }
-                                oc.readers |= 1 << tid;
+                                oc.writers |= u64::from(write) << tid;
                             }
                         }
                     }

@@ -525,10 +525,7 @@ impl<'m> Vm<'m> {
             self.granules.resize(first + len, Granule::default());
         }
         for g in first..first + len {
-            let verdict = match access {
-                Access::Read => self.backend.chkread(tid, g),
-                Access::Write => self.backend.chkwrite(tid, g),
-            };
+            let verdict = self.backend.check(tid, g, access);
             let meta = &mut self.granules[g];
             if !meta.counted {
                 meta.counted = true;

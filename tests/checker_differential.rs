@@ -24,8 +24,8 @@
 
 use sharc_checker::step::{sharded, Access};
 use sharc_checker::{
-    geometry_for_trace, trace_granule_span, BitmapBackend, CheckBackend, CheckEvent, EventLog,
-    EventSink, ShadowGeometry, StreamingSink, Verdict,
+    geometry_for_trace, trace_granule_span, BitmapBackend, CheckBackend, CheckEvent, CheckKind,
+    Conflict, EventLog, EventSink, ShadowGeometry, StreamingSink, Verdict,
 };
 use sharc_detectors::{Eraser, VcDetector};
 use sharc_runtime::{MultiWord, OneWord, RaceError, Shadow, ShardedShadow, ThreadId, WordProtocol};
@@ -399,12 +399,12 @@ fn engines_agree_with_the_step_oracle<W: Width>() {
                 match op {
                     Op::Read { tid, granule } => {
                         let want = rig.check(i, tid, granule, false)?;
-                        let got = vm.chkread(tid, granule).is_conflict();
+                        let got = vm.check(tid, granule, Access::Read).is_conflict();
                         prop_assert!(got == want, "{} op {}: vm read", W::NAME, i);
                     }
                     Op::Write { tid, granule } => {
                         let want = rig.check(i, tid, granule, true)?;
-                        let got = vm.chkwrite(tid, granule).is_conflict();
+                        let got = vm.check(tid, granule, Access::Write).is_conflict();
                         prop_assert!(got == want, "{} op {}: vm write", W::NAME, i);
                     }
                     Op::Clear { granule } => {
@@ -854,6 +854,190 @@ fn a_widening_backend_judges_as_one_presized_to_the_trace() {
     );
 }
 
+/// The step oracle's fold of a trace of accesses, ranged casts and
+/// exits, at `geom`: the conflicts `apply_event` must report, in order,
+/// and the words it must leave. An exit clears the tid from every
+/// granule, which stands in for the engine's exit log.
+fn oracle_fold(events: &[CheckEvent], geom: ShadowGeometry) -> (Vec<Conflict>, StepOracle) {
+    use CheckEvent as E;
+    let mut oracle = StepOracle::new(geom, trace_granule_span(events));
+    let mut conflicts = Vec::new();
+    for &e in events {
+        let (granule, len) = e.granules().unwrap_or((0, 0));
+        match e {
+            E::Read { tid, .. }
+            | E::Write { tid, .. }
+            | E::RangeRead { tid, .. }
+            | E::RangeWrite { tid, .. } => {
+                let is_write = matches!(e, E::Write { .. } | E::RangeWrite { .. });
+                let kind = if is_write {
+                    CheckKind::Write
+                } else {
+                    CheckKind::Read
+                };
+                for granule in granule..granule + len {
+                    if oracle.check(tid, granule, is_write) {
+                        conflicts.push(Conflict { kind, tid, granule });
+                    }
+                }
+            }
+            E::RangeCast { tid, refs, .. } => {
+                for granule in granule..granule + len {
+                    if refs <= 1 {
+                        oracle.clear(granule);
+                    } else {
+                        let kind = CheckKind::OneRef;
+                        conflicts.push(Conflict { kind, tid, granule });
+                    }
+                }
+            }
+            E::ThreadExit { tid } => {
+                for g in 0..trace_granule_span(events) {
+                    oracle.clear_thread(g, tid);
+                }
+            }
+            other => panic!("no oracle step for {other:?}"),
+        }
+    }
+    (conflicts, oracle)
+}
+
+/// Folds `events` through a fresh `BitmapBackend` (one shard, an empty
+/// store) and holds it to the step oracle sized to the trace: the same
+/// conflicts, and the same words, where the side with more shards has
+/// only zeros in the extra ones. Returns the conflicts.
+fn assert_cold_fold_agrees(events: &[CheckEvent]) -> Result<Vec<Conflict>, String> {
+    let (want, oracle) = oracle_fold(events, geometry_for_trace(events));
+    let mut engine = BitmapBackend::new();
+    let got = sharc_checker::replay(events, &mut engine);
+    prop_assert!(got == want, "engine {:?} vs oracle {:?}", got, want);
+    for g in 0..trace_granule_span(events) {
+        let (got, want) = (engine.raw_words(g), oracle.words(g));
+        let common = got.len().min(want.len());
+        prop_assert!(
+            got[..common] == want[..common]
+                && got[common..].iter().chain(&want[common..]).all(|&w| w == 0),
+            "granule {}: engine {:x?} vs oracle {:x?}",
+            g,
+            got,
+            want
+        );
+    }
+    Ok(got)
+}
+
+/// Accesses, ranged casts and exits that keep `BitmapBackend`'s
+/// out-of-line half busy: granules 97 apart, so most first touches land
+/// past the store's end and most ranges run past it; mostly tids 1-5,
+/// with one in four drawn up to 255, so the engine widens mid-trace,
+/// at a ranged access as often as not; casts of one, two or three
+/// references, so failing casts sit between passing ones.
+fn cold_event_gen() -> Gen<CheckEvent> {
+    use CheckEvent as E;
+    gen::pair(
+        gen::triple(
+            gen::u32_range(0..6),
+            gen::u32_range(1..WIDE_THREADS),
+            gen::usize_range(0..64),
+        ),
+        gen::u64_range(1..4),
+    )
+    .map(|&((kind, tid, slot), refs)| {
+        let tid = if tid % 4 == 0 { tid } else { 1 + tid % 5 };
+        let (granule, len) = (slot * 97, 1 + slot % 3 * 50);
+        match kind {
+            0 => E::Read { tid, granule },
+            1 => E::Write { tid, granule },
+            2 => E::RangeRead { tid, granule, len },
+            3 => E::RangeWrite { tid, granule, len },
+            4 => E::RangeCast {
+                tid,
+                granule,
+                len,
+                refs,
+            },
+            _ => E::ThreadExit { tid },
+        }
+    })
+}
+
+/// Every path `BitmapBackend::check` takes out of line — a granule past
+/// the store, a tid past the geometry, a miss in the tid's own word —
+/// agrees with the step oracle, access by access and word by word.
+#[test]
+fn the_cold_path_agrees_with_the_step_oracle() {
+    forall!(
+        "the_cold_path_agrees_with_the_step_oracle",
+        cfg(),
+        gen::vec_of(cold_event_gen(), 0..64),
+        |events| {
+            assert_cold_fold_agrees(events)?;
+        }
+    );
+}
+
+/// The cold paths by name: first touches past the store's end, a tid
+/// that widens the store with a ranged write (its first granule
+/// re-strides the store, the rest run over stored granules and past
+/// the end), and failing ranged casts between passing ones.
+#[test]
+fn the_named_cold_paths_agree_with_the_step_oracle() {
+    use CheckEvent as E;
+    let trace = [
+        E::Write { tid: 1, granule: 0 },
+        E::Read {
+            tid: 2,
+            granule: 300,
+        },
+        E::RangeWrite {
+            tid: 1,
+            granule: 280,
+            len: 10,
+        },
+        E::RangeWrite {
+            tid: 200,
+            granule: 285,
+            len: 30,
+        },
+        E::RangeCast {
+            tid: 1,
+            granule: 280,
+            len: 5,
+            refs: 1,
+        },
+        E::RangeCast {
+            tid: 200,
+            granule: 285,
+            len: 20,
+            refs: 2,
+        },
+        E::RangeCast {
+            tid: 200,
+            granule: 305,
+            len: 10,
+            refs: 1,
+        },
+        E::RangeWrite {
+            tid: 3,
+            granule: 280,
+            len: 40,
+        },
+        E::ThreadExit { tid: 200 },
+        E::RangeRead {
+            tid: 70,
+            granule: 0,
+            len: 330,
+        },
+    ];
+    let conflicts = assert_cold_fold_agrees(&trace).unwrap();
+    for kind in [CheckKind::Read, CheckKind::Write, CheckKind::OneRef] {
+        assert!(
+            conflicts.iter().any(|c| c.kind == kind),
+            "no {kind:?} conflict in {conflicts:?}"
+        );
+    }
+}
+
 /// The named regression: ownership hand-off through a sharing cast
 /// (the paper's §2.1 producer/consumer idiom, `examples/minic/handoff.c`).
 /// SharC's engine is silent — the `oneref`-checked cast transfers the
@@ -1184,11 +1368,7 @@ impl CheckBackend for OrderLog {
     fn name(&self) -> &'static str {
         "order-log"
     }
-    fn chkread(&mut self, _tid: u32, granule: usize) -> Verdict {
-        self.0.lock().unwrap().push(granule);
-        Verdict::Pass
-    }
-    fn chkwrite(&mut self, _tid: u32, granule: usize) -> Verdict {
+    fn check(&mut self, _tid: u32, granule: usize, _access: Access) -> Verdict {
         self.0.lock().unwrap().push(granule);
         Verdict::Pass
     }

@@ -547,6 +547,33 @@ fn a_conflict_before_a_corrupt_end_is_no_verdict() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `.sbt` whose block index footer names the wrong tid for its
+/// second block is no verdict, though its events conflict: exit 3,
+/// naming the block and the field.
+#[test]
+fn a_lying_block_index_is_no_verdict() {
+    use CheckEvent::{Read, Write};
+    let dir = scratch_dir("lying-index");
+    let path = dir.join("t.sbt");
+    let path = path.to_str().expect("utf-8 temp path");
+    let mut sbt = to_binary(&[Write { tid: 1, granule: 0 }, Read { tid: 2, granule: 0 }]);
+    std::fs::write(path, &sbt).expect("scratch file");
+    assert_exit(&["replay", path], 1);
+    // The footer is one byte a field: the block count, then (offset
+    // delta, tid, count) per block. Byte 5 is the second block's tid.
+    let footer = u64::from_le_bytes(sbt[sbt.len() - 12..][..8].try_into().unwrap()) as usize;
+    assert_eq!(sbt[footer + 5], 2, "the second block's tid");
+    sbt[footer + 5] = 9;
+    std::fs::write(path, &sbt).expect("scratch file");
+    assert_cannot_judge(&["replay", path]);
+    let stderr = String::from_utf8_lossy(&sharc(&["replay", path]).stderr).into_owned();
+    assert!(
+        stderr.contains("block 2: the footer's tid 9 is not the block's 2"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The thread bound is the trace bound: tids `1..=1008` are judged,
 /// and tid 1009 is refused on its line, in both formats.
 #[test]

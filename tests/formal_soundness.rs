@@ -107,9 +107,10 @@ fn cfg() -> Config {
         .persist_to("tests/formal_soundness.regressions")
 }
 
-/// Asserts the soundness theorem on every interleaving of `p`.
-/// Shared by the property and the explicit regression cases.
-fn assert_sound(p: &FProgram) -> Result<(), String> {
+/// Asserts the soundness theorem on every interleaving of `p`, and
+/// returns the number of distinct states `explore` visited. Shared by
+/// the property and the explicit regression cases.
+fn assert_sound(p: &FProgram) -> Result<usize, String> {
     let cp = typecheck(p).expect("generator emits well-typed programs");
     let (violations, states) = explore(&cp, 150_000);
     let real: Vec<_> = violations
@@ -117,7 +118,7 @@ fn assert_sound(p: &FProgram) -> Result<(), String> {
         .filter(|v| !matches!(v, Violation::Budget))
         .collect();
     prop_assert!(real.is_empty(), "violations {real:?} in {states} states");
-    Ok(())
+    Ok(states)
 }
 
 /// The soundness theorem holds on every interleaving of every
@@ -178,7 +179,10 @@ fn guards_are_load_bearing() {
 // Historical proptest regression seeds, re-encoded as explicit
 // cases (formerly tests/formal_soundness.proptest-regressions).
 // Each is the shrunk program a past run found, re-run against the
-// full soundness oracle.
+// full soundness oracle. Each also pins how many distinct states
+// `explore` visits: it deduplicates states by the engine's `Hash`, so
+// a change to what the engine hashes that merges or splits states
+// moves these counts.
 // ---------------------------------------------------------------
 
 /// proptest seed 1307...423a: a dynamic-global write in main racing
@@ -195,7 +199,7 @@ fn regression_dynamic_write_vs_read() {
             RExpr::L(LVal::Var("g".into())),
         )],
     );
-    assert_sound(&p).unwrap();
+    assert_eq!(assert_sound(&p).unwrap(), 10);
 }
 
 /// proptest seed 781c...09a9: main writes g then spawns a helper that
@@ -212,7 +216,7 @@ fn regression_write_spawn_write() {
             FStmt::Assign(LVal::Var("g".into()), RExpr::Const(1)),
         ],
     );
-    assert_sound(&p).unwrap();
+    assert_eq!(assert_sound(&p).unwrap(), 5);
 }
 
 /// proptest seed d48e...7d10: helper dereferences an unallocated
@@ -230,7 +234,7 @@ fn regression_null_deref_then_write() {
             FStmt::Assign(LVal::Var("g".into()), RExpr::Const(1)),
         ],
     );
-    assert_sound(&p).unwrap();
+    assert_eq!(assert_sound(&p).unwrap(), 5);
 }
 
 #[test]
@@ -249,5 +253,47 @@ fn exhaustive_exploration_covers_many_interleavings() {
     let cp = typecheck(&p).unwrap();
     let (violations, states) = explore(&cp, 1_000_000);
     assert!(violations.is_empty(), "{violations:?}");
-    assert!(states > 20, "interleavings explored: {states}");
+    assert_eq!(states, 26, "interleavings explored");
+}
+
+/// Locks and a sharing cast: the held-lock log and a cleared granule
+/// are part of every state `explore` hashes.
+#[test]
+fn locks_and_casts_visit_a_pinned_state_count() {
+    let mut globals = globals();
+    globals.push(("m".into(), FType::int(Mode::Locked(0))));
+    let locked_write = vec![
+        FStmt::Acquire(0),
+        FStmt::Assign(LVal::Var("m".into()), RExpr::Const(5)),
+        FStmt::Release(0),
+    ];
+    let mut main = vec![FStmt::Spawn("helper".into())];
+    main.extend(locked_write.iter().cloned());
+    main.extend([
+        FStmt::Assign(LVal::Var("x".into()), RExpr::New(FType::int(Mode::Dynamic))),
+        FStmt::Assign(LVal::Deref("x".into()), RExpr::Const(3)),
+        FStmt::Assign(
+            LVal::Var("y".into()),
+            RExpr::Scast(FType::int(Mode::Private), "x".into()),
+        ),
+    ]);
+    let mut helper = locked_write;
+    helper.push(FStmt::Assign(LVal::Var("g".into()), RExpr::Const(1)));
+    let p = FProgram {
+        globals,
+        threads: vec![
+            ThreadDef {
+                name: "main".into(),
+                locals: locals(),
+                body: main,
+            },
+            ThreadDef {
+                name: "helper".into(),
+                locals: locals(),
+                body: helper,
+            },
+        ],
+        n_locks: 1,
+    };
+    assert_eq!(assert_sound(&p).unwrap(), 62);
 }

@@ -3,8 +3,9 @@
 //! `read_trace_file` is the system's only parser of untrusted bytes.
 //! This mutation fuzz starts from valid text and `.sbt` traces and
 //! damages them the ways a file gets damaged — flipped bits,
-//! truncation, spliced chunks, header fields and block counts that
-//! lie, operands at the edges of their types — and holds the reader to
+//! truncation, spliced chunks, header fields, block counts and block
+//! index footers that lie, operands at the edges of their types — and
+//! holds the reader to
 //! its contract: `Ok` or `Err`, never a panic; and whatever it admits,
 //! all three detectors can judge without panicking (the decoders
 //! check, event by event, that no tid is outside `1..=MAX_TID`, no
@@ -121,6 +122,19 @@ fn mutate(bytes: &mut Vec<u8>, binary: bool, &(kind, a, b): &(u32, u64, u64)) {
                 *byte = b as u8;
             }
         }
+        // A byte of the block index footer that lies: an offset, a tid,
+        // a count, or the number of triples.
+        (6, true) => {
+            let trailer = bytes.len().saturating_sub(12);
+            let Some(footer) = bytes
+                .get(trailer..trailer + 8)
+                .map(|f| u64::from_le_bytes(f.try_into().expect("8 bytes")) as usize)
+                .filter(|&f| f < trailer)
+            else {
+                return;
+            };
+            bytes[footer + (a as usize % (trailer - footer))] = b as u8;
+        }
         // An extreme varint written over whatever was there.
         (_, true) => {
             for (dst, src) in bytes[at..].iter_mut().zip(uleb(extreme)) {
@@ -151,7 +165,7 @@ fn mutate(bytes: &mut Vec<u8>, binary: bool, &(kind, a, b): &(u32, u64, u64)) {
 #[test]
 fn mutated_traces_are_refused_or_judged_never_obeyed_into_a_panic() {
     let path = std::env::temp_dir().join(format!("sharc-trace-fuzz-{}", std::process::id()));
-    let mutation = gen::triple(gen::u32_range(0..6), gen::u64_any(), gen::u64_any());
+    let mutation = gen::triple(gen::u32_range(0..7), gen::u64_any(), gen::u64_any());
     let cases = Config::from_env().cases * 8;
     let config = Config::from_env().with_cases(cases);
     let admitted = std::cell::Cell::new(0u32);
